@@ -4,12 +4,12 @@ Every benchmark harness in this directory writes its machine-readable
 output through :func:`write_report`, so every report file carries the same
 top-level keys:
 
-* ``benchmark`` — the harness name (``"scenario-engines"``,
+* ``benchmark`` — the harness name (``"obs-overhead"``,
   ``"fig14_pausable_queue"``, ...);
 * ``schema_version`` — :data:`BENCH_SCHEMA_VERSION`, bumped when envelope
   or row fields change meaning;
 * ``engine`` — which execution engine(s) produced the numbers: an engine
-  name, a comma-joined list (``"reference,compiled,pisa"``), or
+  name, a comma-joined list (``"reference,pisa,codegen"``), or
   ``"model"`` for the analytic hardware-model figures that run no engine;
 * ``python`` — the interpreter version;
 * ``wall_s`` — wall-clock seconds the measured work took (``None`` when

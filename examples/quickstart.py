@@ -57,17 +57,17 @@ def main() -> None:
     # 2. interpret: run the program on a simulated switch.
     #
     # The simulator has three engines (see repro.interp.engine): the default
-    # engine="compiled" lowers each handler into Python closures once and is
-    # typically 3-4x faster on event-heavy workloads; engine="reference"
-    # selects the tree-walking interpreter; engine="pisa" executes events
-    # through the compiled pipeline layout, stage by stage, with
-    # recirculation and delay-queue cost accounting.  All three are
-    # behaviourally identical (tests/test_compiled_interp.py and
-    # tests/test_engines.py), so prototype with any.  For bulk simulations,
-    # also set network.trace_enabled = False to skip per-event trace
-    # allocation; benchmarks/bench_interp_throughput.py and
-    # benchmarks/bench_scenarios.py measure per-engine throughput.
-    network, switch = single_switch_network(compiled.checked, engine="compiled")
+    # engine="codegen" emits each handler as flat Python source once per
+    # program and is the fastest on event-heavy workloads; engine="reference"
+    # selects the tree-walking interpreter, the oracle the others are tested
+    # against; engine="pisa" executes events through the compiled pipeline
+    # layout, stage by stage, with recirculation and delay-queue cost
+    # accounting.  All three are behaviourally identical
+    # (tests/test_compiled_interp.py and tests/test_engines.py), so
+    # prototype with any.  For bulk simulations, also set
+    # network.trace_enabled = False to skip per-event trace allocation;
+    # e2ebench/bench.py measures end-to-end throughput.
+    network, switch = single_switch_network(compiled.checked, engine="codegen")
     for i in range(20):
         network.inject(0, EventInstance("pkt", (i % 4,)), at_ns=i * 1000)
     network.inject(0, EventInstance("reset", (0,)), at_ns=50_000)

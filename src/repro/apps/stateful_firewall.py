@@ -21,6 +21,7 @@ from repro.apps.base import Application
 from repro.control import ControlPlaneConfig, RemoteController
 from repro.frontend.type_checker import check_program
 from repro.interp import EventInstance, Network, SchedulerConfig, single_switch_network
+from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.interpreter import lucid_hash
 from repro.workloads import FlowWorkload
 
@@ -183,10 +184,10 @@ class FirewallExperiment:
 
     table_slots: int = 1024
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: execution engine name ("reference", "compiled", or "pisa"); the
-    #: compiled-closure engine is several times faster than the reference
+    #: execution engine name ("reference", "pisa", or "codegen"); the
+    #: codegen engine is several times faster than the reference
     #: interpreter and behaviourally identical
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
 
     def _flow_key(self, src: int, dst: int) -> int:
         return lucid_hash(32, [src, dst, 10398247])

@@ -53,10 +53,8 @@ from repro.frontend import CheckedProgram, check_program, parse_program
 from repro.interp import (
     ENGINE_NAMES,
     ENGINES,
-    CompiledEngine,
-    CompiledSwitchRuntime,
+    CodegenEngine,
     EventInstance,
-    HandlerCompiler,
     HandlerInterpreter,
     Network,
     PisaEngine,
@@ -69,7 +67,6 @@ from repro.interp import (
     lucid_hash,
     make_engine,
     register_engine,
-    resolve_engine_name,
     single_switch_network,
 )
 from repro.pisa import PisaPipeline, simulate_concurrent_delays
@@ -78,7 +75,6 @@ from repro.scenarios import (
     Scenario,
     run_scenario,
     run_scenario_all_engines,
-    run_scenario_both,
     run_scenario_engines,
 )
 from repro.workloads import DnsTrafficMix, FlowWorkload, LinkFailureSchedule
@@ -104,18 +100,15 @@ __all__ = [
     "Switch",
     "SwitchRuntime",
     "HandlerInterpreter",
-    "CompiledSwitchRuntime",
-    "HandlerCompiler",
     # execution engines
     "SwitchEngine",
     "ReferenceEngine",
-    "CompiledEngine",
+    "CodegenEngine",
     "PisaEngine",
     "ENGINES",
     "ENGINE_NAMES",
     "make_engine",
     "register_engine",
-    "resolve_engine_name",
     "EventInstance",
     "RuntimeArray",
     "SchedulerConfig",
@@ -138,7 +131,6 @@ __all__ = [
     "run_scenario",
     "run_scenario_engines",
     "run_scenario_all_engines",
-    "run_scenario_both",
     # errors
     "LucidError",
     "LexError",

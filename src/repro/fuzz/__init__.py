@@ -8,8 +8,8 @@ every substrate.  This package turns that promise into a generative test:
   that uses the type checker as its validity oracle, plus a matching random
   traffic generator;
 * :mod:`repro.fuzz.diff` — a differential runner that executes one
-  (program, traffic) case under the reference interpreter, the compiled
-  fast path, and the PISA pipeline executor and demands identical traces,
+  (program, traffic) case under the reference interpreter, the PISA
+  pipeline executor, and the codegen fast path and demands identical traces,
   array digests, stats, prints, and crash behaviour;
 * :mod:`repro.fuzz.shrink` — an AST-level shrinker that reduces a failing
   case to a minimal reproducer (re-validated through the type checker at

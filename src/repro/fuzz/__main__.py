@@ -133,7 +133,7 @@ def _fuzz(args: argparse.Namespace) -> int:
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
-        description="differential fuzzing of the reference/compiled/pisa engines",
+        description="differential fuzzing of the reference/pisa/codegen engines",
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     parser.add_argument("--count", type=int, default=100, help="cases to generate")

@@ -2,17 +2,15 @@
 simulated switch or network of switches."""
 
 from repro.interp.arrays import RuntimeArray
-from repro.interp.compiled import CompiledSwitchRuntime, HandlerCompiler
 from repro.interp.engine import (
     ENGINE_NAMES,
     ENGINES,
-    CompiledEngine,
+    CodegenEngine,
     PisaEngine,
     ReferenceEngine,
     SwitchEngine,
     make_engine,
     register_engine,
-    resolve_engine_name,
 )
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import (
@@ -38,16 +36,13 @@ __all__ = [
     "CONTROL",
     "SwitchEngine",
     "ReferenceEngine",
-    "CompiledEngine",
+    "CodegenEngine",
     "PisaEngine",
     "ENGINES",
     "ENGINE_NAMES",
     "make_engine",
     "register_engine",
-    "resolve_engine_name",
     "HandlerInterpreter",
-    "CompiledSwitchRuntime",
-    "HandlerCompiler",
     "SwitchRuntime",
     "ExecutionResult",
     "lucid_hash",

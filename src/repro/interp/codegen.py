@@ -1,13 +1,12 @@
 """Source-codegen fast path: compile checked handlers to flat Python source.
 
-Where :mod:`repro.interp.compiled` lowers each handler into nested Python
-closures (one closure call per AST node at run time), this module goes one
-step further and emits *flat Python source text* for every handler — locals
-instead of frame slots, memop bodies and the ``repro.ops`` ALU helpers
-inlined at their call sites, constant-folded operands, and array cell lists
-bound directly into the generated module — then compiles the whole program
-once with :func:`compile`/``exec``.  A handler dispatch is then a single
-Python function call with no interpretation overhead at all.
+Where the tree-walking :class:`~repro.interp.interpreter.HandlerInterpreter`
+re-interprets the AST on every event, this module emits *flat Python source
+text* for every handler — plain locals, memop bodies and the ``repro.ops``
+ALU helpers inlined at their call sites, constant-folded operands, and array
+cell lists bound directly into the generated module — then compiles the
+whole program once with :func:`compile`/``exec``.  A handler dispatch is then
+a single Python function call with no interpretation overhead at all.
 
 The generated module is keyed by :meth:`CheckedProgram.digest
 <repro.frontend.type_checker.CheckedProgram.digest>` and cached process-wide,
@@ -18,13 +17,12 @@ member bindings, extern tables, array handles) is passed in through a
 bindings dict consumed by the generated ``_build`` factory, which returns
 per-switch handler functions closing over those bindings.
 
-Semantics are pinned to the closure engine (and therefore to the tree
-walker): identical results, identical error strings raised at the same
-evaluation points, identical array read/write counter increments, identical
-RNG and event-serial consumption order.  Any handler the emitter cannot
-lower falls back to the tree walker, exactly like
-:class:`~repro.interp.compiled.CompiledSwitchRuntime`; the differential
-suites in ``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
+Semantics are pinned to the tree walker: identical results, identical
+error strings raised at the same evaluation points, identical array
+read/write counter increments, identical RNG and event-serial consumption
+order.  Any handler the emitter cannot lower falls back to the tree walker;
+the differential suites in ``tests/test_engine_conformance.py``,
+``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
 :func:`dump_program_source`) to inspect the generated text.
@@ -40,7 +38,6 @@ from repro.errors import InterpError
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
-from repro.interp.compiled import _NO_HANDLER, _UNDEF
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import (
     ExecutionResult,
@@ -63,10 +60,15 @@ _M_CODEGEN_FALLBACKS = _REGISTRY.counter(
 #: only read it, so one immutable instance serves every such invocation.
 _EMPTY_RESULT = ExecutionResult((), ())
 
+#: value of a generated local that is declared but not yet initialised
+_UNDEF = object()
+
+#: dictionary sentinel distinguishing "no handler" from "tree-walk fallback"
+_NO_HANDLER = object()
+
 
 class _EmitError(Exception):
-    """The emitter cannot lower this handler (mirrors the closure compiler's
-    compile-time ``InterpError``s): the handler falls back to the tree
+    """The emitter cannot lower this handler: it falls back to the tree
     walker."""
 
 
@@ -192,8 +194,7 @@ def dump_program_source(checked: CheckedProgram) -> str:
 
 
 def _effective(stmts: Sequence[ast.Stmt]) -> List[ast.Stmt]:
-    """Flatten SSeq and drop SNoop, mirroring the closure compiler's
-    block-level filtering."""
+    """Flatten SSeq and drop SNoop."""
     out: List[ast.Stmt] = []
     for stmt in stmts:
         if isinstance(stmt, ast.SNoop):
@@ -209,10 +210,10 @@ class _Env:
     """Per-body name resolution state.
 
     ``scope`` maps Lucid names to generated Python locals and is *shared*
-    mutable state threaded through branches in textual order — exactly like
-    the closure compiler's flat ``_Scope`` — while ``defined`` (names known
-    to hold a value on every path reaching this point) is copied per branch
-    and intersected at joins."""
+    mutable state threaded through branches in textual order — Lucid has a
+    single flat handler scope — while ``defined`` (names known to hold a
+    value on every path reaching this point) is copied per branch and
+    intersected at joins."""
 
     __slots__ = ("scope", "defined")
 
@@ -533,8 +534,8 @@ class HandlerSourceCompiler:
 
     def _stmt(self, stmt: ast.Stmt, env: _Env) -> bool:
         if isinstance(stmt, ast.SLocal):
-            # the initialiser is compiled *before* the name is (re)declared,
-            # mirroring the closure compiler's slot-allocation order
+            # the initialiser is emitted *before* the name is (re)declared,
+            # so a name it mentions resolves to the earlier binding
             s, safe = self._value(stmt.init, env)
             py = env.scope.get(stmt.name)
             if py is None:
@@ -546,9 +547,8 @@ class HandlerSourceCompiler:
             name = stmt.name
             py = env.scope.get(name)
             if py is None:
-                # never declared: the closure compiler allocates the slot,
-                # compiles the value (compile errors still fall back), and
-                # raises before evaluating it
+                # never declared: bind the name, emit-check the value (an
+                # _EmitError still falls back), and raise before evaluating it
                 env.scope[name] = self._local_name(name)
                 self._buffered(self._value, stmt.value, env)
                 self._line(
@@ -831,12 +831,14 @@ class HandlerSourceCompiler:
             return (t, True)
         parts = self._parts([e.left, e.right], env)
         (ls, lsafe), (rs, rsafe) = parts
-        if op in (ast.BinOp.DIV, ast.BinOp.MOD) and not self._is_atom(rs):
-            # the guarded template duplicates the divisor; hoist it (and the
-            # dividend first, to keep evaluation order) when not trivial
+        if op in (ast.BinOp.DIV, ast.BinOp.MOD):
+            # the guarded template skips the dividend when the divisor is
+            # zero and names the divisor twice: hoist an effectful dividend
+            # so it always runs, then a non-trivial divisor so it runs once
             if not lsafe:
                 ls, lsafe = self._to_temp(ls), True
-            rs, rsafe = self._to_temp(rs), True
+            if not self._is_atom(rs):
+                rs, rsafe = self._to_temp(rs), True
         return (_binop_template(op, ls, rs), lsafe and rsafe)
 
     def _cond(self, e: ast.Expr, env: _Env) -> Tuple[str, bool]:
@@ -1011,8 +1013,8 @@ class HandlerSourceCompiler:
     # -- array methods ------------------------------------------------------
     def _anchor(self, e: Optional[ast.Expr], env: _Env) -> str:
         """Evaluate an array-method operand to a reusable atom *now*, keeping
-        the closure engine's operand evaluation order and its position
-        relative to the read/write counter bumps."""
+        the tree walker's operand evaluation order and its position relative
+        to the read/write counter bumps."""
         if e is None:
             return "0"
         s, _ = self._value(e, env)
@@ -1105,8 +1107,8 @@ class HandlerSourceCompiler:
                           ir: Optional[tuple], idx_expr: ast.Expr,
                           value_exprs: List[ast.Expr], env: _Env) -> Tuple[str, bool]:
         if ir is not None:
-            # memop variant: closure evaluates idx, then the memop argument,
-            # then wraps the index, bumps, reads the old cell, stores
+            # memop variant: evaluate idx, then the memop argument, then
+            # wrap the index, bump, read the old cell, store
             idx_a = self._anchor(idx_expr, env)
             arg_a = self._anchor(value_exprs[0] if value_exprs else None, env)
             ti = self._to_temp(f"({idx_a}) % {size}")
@@ -1130,11 +1132,10 @@ class HandlerSourceCompiler:
             return ("0", True)
         py = env.scope[arr_expr.name]
         if arr_expr.name not in env.defined:
-            # the closure engine reads the raw slot here (no _UNDEF check):
-            # the sentinel is not a string, so _resolve raises the same error
+            # the raw local is read here (no _UNDEF check): the sentinel is
+            # not a string, so _resolve raises the undefined-array error
             self._undef_inits.add(py)
-        # validated (and bound) mirrors of the closure compiler's
-        # compile-time memop_fn calls
+        # validate (and bind) every named memop at emit time
         mvars = []
         for name in memop_names:
             self._memop_ir(name)
@@ -1204,8 +1205,7 @@ class HandlerSourceCompiler:
             ir = ("if", stored, local, stmt.cond, then_b[0].value, else_b[0].value)
         else:
             raise _EmitError(f"memop '{name}' body shape unsupported")
-        # validate every expression up front (the closure compiler does this
-        # inside memop_fn at handler-compile time)
+        # validate every expression up front, at emit time
         self._memop_str(ir, "_s", "_l")
         self._memop_cache[name] = ir
         return ir
@@ -1249,8 +1249,7 @@ class HandlerSourceCompiler:
 
 class CodegenSwitchRuntime:
     """Executes handlers through source-generated functions; drop-in
-    compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`
-    and :class:`~repro.interp.compiled.CompiledSwitchRuntime`.
+    compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
 
     The generated module is shared across every switch whose checked program
     has the same digest; this wrapper only materialises the per-switch
@@ -1293,7 +1292,7 @@ class CodegenSwitchRuntime:
     def fallback_handler_names(self) -> List[str]:
         """Handlers the emitter could not lower (they run through the tree
         walker instead).  Empty for every bundled application — asserted by
-        the differential suite, like the closure engine's equivalent."""
+        the differential suite."""
         return sorted(name for name, h in self._handlers.items() if h is None)
 
     # -- public entry --------------------------------------------------------
@@ -1314,7 +1313,7 @@ class CodegenSwitchRuntime:
     def _make_run_fast(self) -> Callable[[EventInstance], ExecutionResult]:
         """Build the obs-free dispatch used by the network's inlined batch
         drain.  The drain only engages when obs metrics are disabled (see
-        ``Network._fast_eligible``), so the per-event ``_OBS.enabled`` checks
+        ``Network._observers``), so the per-event ``_OBS.enabled`` checks
         in :meth:`run` would always be false there — this closure hoists them
         (and the attribute lookups) out of the per-event path.  Behaviour is
         otherwise identical to :meth:`run`."""

@@ -2,17 +2,12 @@
 
 A :class:`~repro.interp.network.Switch` executes events through a
 *switch engine* — the substrate that runs one handler invocation and
-returns what it produced.  Four engines ship with the repository:
+returns what it produced.  Three engines ship with the repository:
 
 ``reference``
     The tree-walking :class:`~repro.interp.interpreter.HandlerInterpreter`.
-    Slow, obviously-correct AST interpretation; the semantic baseline.
-
-``compiled``
-    The closure-compiling fast path
-    (:class:`~repro.interp.compiled.CompiledSwitchRuntime`), behaviourally
-    identical to the reference engine and several times faster.  The
-    default.
+    Slow, obviously-correct AST interpretation; the semantic baseline the
+    other two are tested against.
 
 ``pisa``
     The hardware-accurate model: the program is lowered **once** through
@@ -35,10 +30,10 @@ returns what it produced.  Four engines ship with the repository:
     inlined memops and ALU helpers, constant-folded operands, pre-bound
     array cell lists — compiled once per program digest with
     :func:`compile`/``exec`` and shared by every switch running the same
-    program.  Behaviourally identical to ``compiled`` and several times
-    faster again.
+    program.  Behaviourally identical to ``reference`` and several times
+    faster.  The default.
 
-All four produce :class:`~repro.interp.interpreter.ExecutionResult`
+All three produce :class:`~repro.interp.interpreter.ExecutionResult`
 values, so the network scheduler is engine-agnostic: generated events —
 including delayed and multicast ones — round-trip through the same
 scheduler heap regardless of the substrate that produced them.  Identical
@@ -53,7 +48,6 @@ without touching the scheduler.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional, Type
 
 from repro.errors import SimulationError
@@ -154,20 +148,6 @@ class ReferenceEngine(SwitchEngine):
         super().__init__(runtime, config)
         self.executor = HandlerInterpreter(runtime)
         self.run = self.executor.run  # direct bind: zero indirection per event
-
-
-class CompiledEngine(SwitchEngine):
-    """Closure-compiled handlers (the fast path)."""
-
-    name = "compiled"
-
-    def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
-        super().__init__(runtime, config)
-        # imported lazily to keep module import order flexible
-        from repro.interp.compiled import CompiledSwitchRuntime
-
-        self.executor = CompiledSwitchRuntime(runtime)
-        self.run = self.executor.run
 
 
 class CodegenEngine(SwitchEngine):
@@ -359,13 +339,16 @@ class PisaEngine(SwitchEngine):
 #: engine registry: name -> constructor ``(runtime, config=...) -> SwitchEngine``
 ENGINES: Dict[str, Type[SwitchEngine]] = {
     ReferenceEngine.name: ReferenceEngine,
-    CompiledEngine.name: CompiledEngine,
     PisaEngine.name: PisaEngine,
     CodegenEngine.name: CodegenEngine,
 }
 
 #: the bundled engine names, in semantic-baseline-first order
-ENGINE_NAMES = ("reference", "compiled", "pisa", "codegen")
+ENGINE_NAMES = ("reference", "pisa", "codegen")
+
+#: the engine a :class:`~repro.interp.network.Network`, the scenario runner,
+#: the service mode and the CLI use when none is named
+DEFAULT_ENGINE = "codegen"
 
 
 def register_engine(cls: Type[SwitchEngine]) -> Type[SwitchEngine]:
@@ -374,41 +357,6 @@ def register_engine(cls: Type[SwitchEngine]) -> Type[SwitchEngine]:
         raise SimulationError("engine classes must define a non-default 'name'")
     ENGINES[cls.name] = cls
     return cls
-
-
-def resolve_engine_name(
-    engine: Optional[str] = None,
-    fast_path: Optional[bool] = None,
-    default: str = "compiled",
-) -> str:
-    """Resolve the ``engine=`` / deprecated ``fast_path=`` parameter pair.
-
-    ``engine`` wins when both are given (and they must agree); ``fast_path``
-    is kept as a compatibility alias: ``True`` → ``"compiled"``, ``False`` →
-    ``"reference"``.  Passing ``fast_path`` emits a :class:`DeprecationWarning`.
-    """
-    if fast_path is not None:
-        warnings.warn(
-            "fast_path= is deprecated; use engine='compiled' / engine='reference'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if engine is not None:
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine '{engine}'; known engines: {sorted(ENGINES)}"
-            )
-        if fast_path is not None:
-            alias = "compiled" if fast_path else "reference"
-            if alias != engine:
-                raise SimulationError(
-                    f"conflicting engine selection: engine='{engine}' but "
-                    f"fast_path={fast_path} (the deprecated alias for '{alias}')"
-                )
-        return engine
-    if fast_path is not None:
-        return "compiled" if fast_path else "reference"
-    return default
 
 
 def make_engine(

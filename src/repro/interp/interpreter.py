@@ -22,11 +22,11 @@ from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.ops import apply_binop, lucid_hash, mask32
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics);
-# counts compiled-engine fallbacks too — every tree-walked event lands here
+# counts codegen-engine fallbacks too — every tree-walked event lands here
 _M_TREEWALK_EVENTS = _REGISTRY.counter(
     "repro_engine_reference_events_total",
     "Events executed by the tree-walking interpreter "
-    "(including compiled-engine fallbacks).")
+    "(including codegen-engine fallbacks).")
 
 # canonical ALU semantics live in repro.ops; these aliases keep the historic
 # import sites (tests, the pipeline executor of older checkouts) working
@@ -104,14 +104,10 @@ class ExecutionResult:
 class SwitchRuntime:
     """Per-switch runtime state: arrays, memops, externs, and the clock."""
 
-    def __init__(self, checked: CheckedProgram, switch_id: int = 0, fast_path: bool = True):
+    def __init__(self, checked: CheckedProgram, switch_id: int = 0):
         self.checked = checked
         self.info: ProgramInfo = checked.info
         self.switch_id = switch_id
-        #: whether handlers should run through the compiled-closure engine
-        #: (:class:`repro.interp.compiled.CompiledSwitchRuntime`) instead of the
-        #: tree-walking :class:`HandlerInterpreter`
-        self.fast_path = fast_path
         self.time_ns = 0
         self.arrays: Dict[str, RuntimeArray] = {
             g.name: RuntimeArray(name=g.name, size=g.size, cell_width=g.cell_width)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.frontend.type_checker import CheckedProgram, check_program
-from repro.interp.engine import SwitchEngine, make_engine, resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE, SwitchEngine, make_engine
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import ExecutionResult, SwitchRuntime
 from repro.obs.metrics import DEFAULT_NS_BUCKETS, OBS as _OBS, REGISTRY
@@ -156,32 +156,29 @@ class Switch:
     ``engine`` selects the execution substrate (see
     :mod:`repro.interp.engine`):
 
-    * ``"compiled"`` (the default) — handlers lowered to Python closures;
-    * ``"reference"`` — the tree-walking AST interpreter;
+    * ``"codegen"`` (the default) — handlers emitted as flat Python source,
+      compiled once per program digest;
+    * ``"reference"`` — the tree-walking AST interpreter, the oracle the
+      other engines are tested against;
     * ``"pisa"`` — the program compiled through the full backend and
       executed stage-by-stage on the pipeline layout, with recirculation
       and delay-queue cost accounting.
 
     All engines are behaviourally identical (pinned by the differential
-    conformance and scenario-parity suites).  ``fast_path=`` is kept as a
-    deprecated boolean alias (``True`` → compiled, ``False`` → reference).
+    conformance and scenario-parity suites).
     """
 
     def __init__(
         self,
         switch_id: int,
         checked: CheckedProgram,
-        engine: Optional[str] = None,
-        fast_path: Optional[bool] = None,
+        engine: str = DEFAULT_ENGINE,
         config: Optional[SchedulerConfig] = None,
     ):
         self.id = switch_id
-        name = resolve_engine_name(engine, fast_path)
-        self.runtime = SwitchRuntime(
-            checked, switch_id=switch_id, fast_path=(name != "reference")
-        )
-        self.engine: SwitchEngine = make_engine(name, self.runtime, config=config)
-        self.engine_name = name
+        self.runtime = SwitchRuntime(checked, switch_id=switch_id)
+        self.engine: SwitchEngine = make_engine(engine, self.runtime, config=config)
+        self.engine_name = engine
         #: backwards-compatible alias for the engine's executor object
         self.interpreter = self.engine.executor
         self.stats = SwitchStats()
@@ -190,11 +187,6 @@ class Switch:
         #: of their deterministic heap keys (see the _QueuedEvent comment)
         self.origin_seq = 0
         self._key_base = (switch_id + 1) << GEN_KEY_SHIFT
-
-    @property
-    def fast_path(self) -> bool:
-        """Deprecated: ``True`` for any engine faster than the tree walker."""
-        return self.engine_name != "reference"
 
     def array(self, name: str):
         return self.runtime.array(name)
@@ -219,7 +211,7 @@ class Switch:
 #   owns the origin switch.
 #
 # Externals therefore always win time ties against generated events
-# (matching the streaming drain's "source item first" rule), and two
+# (matching the drain's "source item first" rule), and two
 # generated events order by (origin switch, per-origin push order).  Both
 # are exactly reproducible across any shard partitioning: an event's key
 # depends only on dispatches at strictly earlier timestamps (all scheduling
@@ -264,13 +256,12 @@ class Network:
     def __init__(
         self,
         config: Optional[SchedulerConfig] = None,
-        engine: Optional[str] = None,
-        fast_path: Optional[bool] = None,
+        engine: str = DEFAULT_ENGINE,
     ):
         self.config = config or SchedulerConfig()
         #: default engine name for switches added to this network (see
-        #: :class:`Switch`); ``fast_path=`` is the deprecated boolean alias
-        self.engine = resolve_engine_name(engine, fast_path)
+        #: :class:`Switch`)
+        self.engine = engine
         self.switches: Dict[int, Switch] = {}
         self.links: Dict[Tuple[int, int], int] = {}
         self.now_ns = 0
@@ -300,32 +291,24 @@ class Network:
         self._shard_owned: Optional[frozenset] = None
         self._shard_export: Optional[Callable[[int, int, int, EventInstance], None]] = None
 
-    @property
-    def fast_path(self) -> bool:
-        """Deprecated alias: ``True`` unless the default engine is the
-        tree-walking reference interpreter."""
-        return self.engine != "reference"
-
     # -- topology -------------------------------------------------------------
     def add_switch(
         self,
         switch_id: int,
         program: "CheckedProgram | str",
-        fast_path: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> Switch:
         """Add a switch running ``program`` (source text or a checked program).
 
         ``engine`` overrides the network-wide engine default for this switch
-        (``"reference"``, ``"compiled"``, or ``"pisa"``) — networks may mix
+        (``"reference"``, ``"pisa"``, or ``"codegen"``) — networks may mix
         engines freely, e.g. one PISA-modelled switch inside an interpreted
-        fabric.  ``fast_path`` is the deprecated boolean alias.
+        fabric.
         """
         if switch_id in self.switches:
             raise SimulationError(f"switch {switch_id} already exists")
         checked = check_program(program) if isinstance(program, str) else program
-        name = resolve_engine_name(engine, fast_path, default=self.engine)
-        switch = Switch(switch_id, checked, engine=name, config=self.config)
+        switch = Switch(switch_id, checked, engine=engine or self.engine, config=self.config)
         self.switches[switch_id] = switch
         return switch
 
@@ -521,8 +504,9 @@ class Network:
     # -- execution -----------------------------------------------------------------
     def _dispatch(self, switch: Switch, event: EventInstance) -> ExecutionResult:
         """Run one event on one switch and apply all per-event accounting
-        (stats, logs, generated-event scheduling).  Shared by :meth:`step`
-        and the batched drain so the two loops cannot drift apart."""
+        (stats, logs, generated-event scheduling) plus every observation hook
+        (tracer span, profiler sample, obs metrics).  :meth:`run` inlines the
+        accounting half of this when nothing observes."""
         switch.runtime.time_ns = self.now_ns
         if event.source == switch.id:
             # the event was generated here and came back through the
@@ -565,28 +549,6 @@ class Network:
             self._schedule_generated(switch, generated, span_id)
         return result
 
-    def step(self) -> Optional[TraceEntry]:
-        """Execute the next pending event; return its trace entry (or None)."""
-        if not self._queue:
-            return None
-        time_ns, key, switch_id, event = heapq.heappop(self._queue)
-        self._last_pop_key = key
-        self.now_ns = max(self.now_ns, time_ns)
-        if switch_id == CONTROL:
-            # a control action re-queued by an interrupted streaming run
-            event(self)
-            return None
-        switch = self.switches.get(switch_id)
-        if switch is None:
-            return None
-        result = self._dispatch(switch, event)
-        entry = TraceEntry(time_ns=self.now_ns, switch_id=switch.id, event=event, result=result)
-        if self.trace_enabled:
-            self.trace.append(entry)
-        if self.on_handle is not None:
-            self.on_handle(entry)
-        return entry
-
     def run(
         self,
         until_ns: Optional[int] = None,
@@ -598,264 +560,99 @@ class Network:
         or ``max_events`` have been handled.  Returns the number of events
         handled by this call.
 
-        ``source`` streams externally injected traffic: an iterable of
+        This is the scheduler's only loop: a merge of the internal event heap
+        with ``source``, an iterable of externally injected traffic —
         ``(time_ns, switch_id, event)`` items in non-decreasing time order
-        (or ``(time_ns, CONTROL, fn)`` control actions).  The drain pulls one
-        item at a time and merges it with the internal event heap, so
-        arbitrarily long workloads run in memory independent of their length —
-        nothing is materialised — *provided tracing is off*
-        (``trace_enabled=False``, as the scenario runner configures): with
-        tracing on, :attr:`trace` still accumulates one entry per handled
-        event.  A streaming run returns once the source is
-        exhausted and the queue is drained up to the last source timestamp
+        (or ``(time_ns, CONTROL, fn)`` control actions).  A plain heap drain
+        is the empty-source case.  The drain holds at most one not-yet-due
+        source item, so arbitrarily long workloads run in memory independent
+        of their length — *provided tracing is off* (``trace_enabled=False``,
+        as the scenario runner configures): with tracing on, :attr:`trace`
+        still accumulates one entry per handled event.  On equal timestamps
+        the source item runs first, which matches injecting the whole stream
+        up front (pre-run injections get earlier serial numbers than
+        generated events).  A source item naming an unknown switch is an
+        error; a heap entry for one is skipped.
+
+        A run whose source yielded at least one item returns once the source
+        is exhausted and the queue is drained up to the last source timestamp
         (or ``until_ns`` when given); later events — e.g. self-perpetuating
-        control loops — stay queued for a subsequent plain :meth:`run`.
+        control loops — stay queued for a subsequent plain :meth:`run`.  If
+        the run stops early (``max_events``/``until_ns``) while a source item
+        is held, the item goes back to the source's ``push_back`` when it has
+        one (keeps source-vs-heap tie-breaking identical when the run
+        resumes — a checkpoint/restore requirement) and onto the queue
+        otherwise, so it is not lost.
 
-        When tracing is off (``trace_enabled=False`` and no ``on_handle``
-        callback) the drain runs in a batched mode that skips per-event
-        :class:`TraceEntry` allocation entirely.  With ``batch=True`` (the
-        default) and no observer of any kind attached (no tracer, no
-        profiler, obs metrics disabled), the drain additionally inlines the
-        per-event dispatch — engine/stats/log lookups are hoisted out of the
-        loop instead of re-entering :meth:`_dispatch` per event.  The fast
-        drain is behaviourally identical; ``batch=False`` forces the
-        plain path (useful for A/B-ing the scheduler itself).
+        Who observes a dispatch is resolved by :meth:`_observers` on entry
+        and again after every control action.  While no tracer, profiler or
+        obs metric watches, the per-event accounting of :meth:`_dispatch` is
+        inlined with the per-switch lookups hoisted out of the loop;
+        ``batch=False`` routes every event through :meth:`_dispatch` instead
+        (behaviourally identical — useful for A/B-ing the scheduler itself).
+        A :class:`TraceEntry` is built only when :attr:`trace` or
+        ``on_handle`` consumes it.
         """
-        if source is not None:
-            return self._run_streaming(source, until_ns, max_events, batch)
-        if not self.trace_enabled and self.on_handle is None:
-            return self._run_batched(until_ns, max_events, batch)
         handled = 0
-        while self._queue:
-            if max_events is not None and handled >= max_events:
-                break
-            if until_ns is not None and self._queue[0][0] > until_ns:
-                break
-            if self.step() is not None:
-                handled += 1
-        if until_ns is not None:
-            self.now_ns = max(self.now_ns, until_ns)
-        return handled
-
-    def _fast_eligible(self, batch: bool) -> bool:
-        """Whether the inlined batch drain may be used: nothing observes
-        individual dispatches (per-event accounting still happens; only the
-        observation hooks checked here would be skipped)."""
-        return (
-            batch
-            and self.tracer is None
-            and self.profiler is None
-            and not _OBS.enabled
-        )
-
-    def _fast_switch_entry(self, switch: Switch) -> tuple:
-        """Hoisted per-switch lookups for the inlined drain: runtime, bound
-        engine.run, stats fields, log, and the recirc-arrival hook (None when
-        the engine does not override the no-op base method)."""
-        engine = switch.engine
-        hook = (
-            engine.on_recirc_arrival
-            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
-            else None
-        )
-        return (
-            switch,
-            switch.runtime,
-            # engines may expose an obs-free ``run_fast`` for this drain
-            # (the drain only engages when obs/tracing is off, so the
-            # per-event observability checks inside ``run`` are dead weight)
-            getattr(engine, "run_fast", engine.run),
-            switch.stats,
-            switch.stats.handled_by_event,
-            switch.log,
-            hook,
-        )
-
-    def _run_batched(
-        self, until_ns: Optional[int], max_events: Optional[int], batch: bool = True
-    ) -> int:
-        """Trace-free drain: identical scheduling semantics to :meth:`step`
-        in a loop, minus the per-event trace-entry allocation.  When nothing
-        observes dispatches (:meth:`_fast_eligible`) the loop also inlines
-        :meth:`_dispatch` with per-switch lookups hoisted out."""
-        handled = 0
+        items = iter(source) if source is not None else None
+        pending: Optional[SourceItem] = None
+        exhausted = items is None
+        last_source_ns: Optional[int] = None
+        # nothing later than the horizon is popped: ``until_ns``, or the last
+        # source timestamp once a source that yielded anything runs dry
+        horizon = until_ns
         queue = self._queue
         switches = self.switches
         pop = heapq.heappop
-        fast = self._fast_eligible(batch)
-        fast_cache: Dict[int, tuple] = {}
-        while queue:
-            if max_events is not None and handled >= max_events:
-                break
-            if until_ns is not None and queue[0][0] > until_ns:
-                break
-            time_ns, _, switch_id, event = pop(queue)
-            if time_ns > self.now_ns:
-                self.now_ns = time_ns
-            if switch_id == CONTROL:
-                event(self)
-                # the control action may have attached a tracer/profiler or
-                # toggled obs — re-check eligibility and drop stale hoists
-                fast = self._fast_eligible(batch)
-                fast_cache.clear()
-                continue
-            if fast:
-                cached = fast_cache.get(switch_id)
-                if cached is None:
-                    switch = switches.get(switch_id)
-                    if switch is None:
-                        continue
-                    cached = fast_cache[switch_id] = self._fast_switch_entry(switch)
-                switch, runtime, run, stats, by_event, log, hook = cached
-                runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch_id:
-                    hook(event)
-                result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
-                handled += 1
-                continue
-            switch = switches.get(switch_id)
-            if switch is None:
-                continue
-            self._dispatch(switch, event)
-            handled += 1
-        if until_ns is not None:
-            self.now_ns = max(self.now_ns, until_ns)
-        return handled
-
-    def _run_streaming(
-        self,
-        source: Iterable[SourceItem],
-        until_ns: Optional[int],
-        max_events: Optional[int],
-        batch: bool = True,
-    ) -> int:
-        """Merge a time-ordered external event stream with the internal heap.
-
-        The pop side must stay semantically identical to :meth:`step` and
-        :meth:`_run_batched` (clock advance, CONTROL dispatch, missing-switch
-        skip); all per-event accounting is shared through :meth:`_dispatch`.
-
-        Holds at most one not-yet-due source item at a time.  On equal
-        timestamps the source item runs first, which matches the semantics of
-        injecting the whole stream up front (pre-run injections get earlier
-        serial numbers than generated events).  If the run stops early
-        (``max_events``/``until_ns``) while a source item is held, the item is
-        pushed onto the queue so it is not lost.  A source that yields
-        nothing degenerates to a plain :meth:`run` (full drain).
-        """
-        handled = 0
-        items = iter(source)
-        pending: Optional[SourceItem] = None
-        last_source_ns: Optional[int] = None
-        exhausted = False
-        traced = self.trace_enabled or self.on_handle is not None
-        queue = self._queue
-        fast = not traced and self._fast_eligible(batch)
-        # semi-fast: a trace/on_handle consumer wants per-event entries, but
-        # no tracer/profiler/obs watches the dispatch itself — inline it with
-        # hoisted lookups and build only the TraceEntry on top (the dominant
-        # shape for scenario runs with streaming invariants)
-        semi = traced and self._fast_eligible(batch)
-        fast_cache: Dict[int, tuple] = {}
+        hoisted: Dict[int, tuple] = {}
+        plain, trace, on_handle = self._observers(batch)
         while True:
             if pending is None and not exhausted:
                 pending = next(items, None)
                 if pending is None:
                     exhausted = True
+                    if until_ns is None:
+                        horizon = last_source_ns
             if max_events is not None and handled >= max_events:
                 break
-            take_source = pending is not None and (
-                not queue or pending[0] <= queue[0][0]
-            )
-            if take_source:
-                time_ns, switch_id, payload = pending
-                if until_ns is not None and time_ns > until_ns:
+            if pending is not None and (not queue or pending[0] <= queue[0][0]):
+                time_ns, switch_id, event = pending
+                if horizon is not None and time_ns > horizon:
                     break
                 pending = None
+                key = None  # marks a source item; heap entries carry their key
                 if time_ns > self.now_ns:
                     self.now_ns = time_ns
                 last_source_ns = self.now_ns
-                if switch_id == CONTROL:
-                    payload(self)
-                    fast = not traced and self._fast_eligible(batch)
-                    semi = traced and self._fast_eligible(batch)
-                    fast_cache.clear()
-                    continue
-                switch = self.switches.get(switch_id)
-                if switch is None:
-                    raise SimulationError(f"no switch with id {switch_id}")
-                event = payload
-                if traced:
-                    self._last_pop_key = None
             elif queue:
-                top_ns = queue[0][0]
-                if until_ns is not None and top_ns > until_ns:
+                if horizon is not None and queue[0][0] > horizon:
                     break
-                if (
-                    exhausted
-                    and until_ns is None
-                    and last_source_ns is not None
-                    and top_ns > last_source_ns
-                ):
-                    break
-                time_ns, pop_key, switch_id, event = heapq.heappop(queue)
-                if traced:
-                    self._last_pop_key = pop_key
+                time_ns, key, switch_id, event = pop(queue)
                 if time_ns > self.now_ns:
                     self.now_ns = time_ns
-                if switch_id == CONTROL:
-                    event(self)
-                    fast = not traced and self._fast_eligible(batch)
-                    semi = traced and self._fast_eligible(batch)
-                    fast_cache.clear()
-                    continue
-                switch = self.switches.get(switch_id)
-                if switch is None:
-                    continue
             else:
                 break
-            if fast:
-                # inlined _dispatch (see _run_batched); nothing observes
-                # dispatches here, so TraceEntry is never built either
-                cached = fast_cache.get(switch.id)
-                if cached is None:
-                    cached = fast_cache[switch.id] = self._fast_switch_entry(switch)
-                _, runtime, run, stats, by_event, log, hook = cached
-                runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch.id:
-                    hook(event)
-                result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
-                handled += 1
+            if switch_id == CONTROL:
+                event(self)
+                # the action may have attached or detached an observer, or
+                # reset the network (new stats objects) — resolve the
+                # observers again and drop the stale hoists
+                plain, trace, on_handle = self._observers(batch)
+                hoisted.clear()
                 continue
-            if semi:
-                # inlined _dispatch (tracer/profiler/obs are off — only the
-                # TraceEntry consumers below observe this event)
-                cached = fast_cache.get(switch.id)
-                if cached is None:
-                    cached = fast_cache[switch.id] = self._fast_switch_entry(switch)
-                _, runtime, run, stats, by_event, log, hook = cached
+            cached = hoisted.get(switch_id)
+            if cached is None:
+                switch = switches.get(switch_id)
+                if switch is None:
+                    if key is None:
+                        raise SimulationError(f"no switch with id {switch_id}")
+                    continue
+                cached = hoisted[switch_id] = self._hoist(switch)
+            switch, runtime, run, stats, by_event, log, hook = cached
+            if plain:
+                # _dispatch minus its observation hooks
                 runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch.id:
+                if hook is not None and event.source == switch_id:
                     hook(event)
                 result = run(event)
                 stats.events_handled += 1
@@ -871,30 +668,68 @@ class Network:
             else:
                 result = self._dispatch(switch, event)
             handled += 1
-            if traced:
+            if trace is not None or on_handle is not None:
                 entry = TraceEntry(
-                    time_ns=self.now_ns, switch_id=switch.id, event=event, result=result
+                    time_ns=self.now_ns, switch_id=switch_id, event=event, result=result
                 )
-                if self.trace_enabled:
-                    self.trace.append(entry)
-                if self.on_handle is not None:
-                    self.on_handle(entry)
+                self._last_pop_key = key
+                if trace is not None:
+                    trace.append(entry)
+                if on_handle is not None:
+                    on_handle(entry)
         if pending is not None:
-            # interrupted with an item in hand: give it back to sources that
-            # support it (keeps source-vs-heap tie-breaking identical when the
-            # run resumes — a checkpoint/restore requirement), otherwise
-            # re-queue it so it is not lost
             push_back = getattr(source, "push_back", None)
             if push_back is not None:
                 push_back(pending)
             else:
                 self._push(max(pending[0], self.now_ns), pending[1], pending[2])
-        # remember a partially consumed source so reset() cannot silently
-        # replay the same stream from a mid-stream cursor
-        self._partial_source = None if (exhausted and pending is None) else source
+        if source is not None:
+            # remember a partially consumed source so reset() cannot silently
+            # replay the same stream from a mid-stream cursor
+            self._partial_source = None if (exhausted and pending is None) else source
         if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return handled
+
+    def _observers(
+        self, batch: bool
+    ) -> Tuple[bool, Optional[List[TraceEntry]], Optional[Callable[[TraceEntry], None]]]:
+        """Resolve who observes dispatches, for :meth:`run`: ``(plain, trace,
+        on_handle)``.  ``plain`` — no tracer, profiler or obs metric watches,
+        so the drain may inline :meth:`_dispatch` (per-event accounting still
+        happens; only the observation hooks are skipped).  ``trace`` — the
+        list to append entries to, or None with tracing off.  ``on_handle`` —
+        the per-entry callback, or None."""
+        plain = (
+            batch
+            and self.tracer is None
+            and self.profiler is None
+            and not _OBS.enabled
+        )
+        return plain, (self.trace if self.trace_enabled else None), self.on_handle
+
+    def _hoist(self, switch: Switch) -> tuple:
+        """Per-switch lookups hoisted out of the drain: the switch, its
+        runtime, bound engine.run, stats fields, log, and the recirc-arrival
+        hook (None when the engine does not override the no-op base method)."""
+        engine = switch.engine
+        hook = (
+            engine.on_recirc_arrival
+            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
+            else None
+        )
+        return (
+            switch,
+            switch.runtime,
+            # engines may expose an obs-free ``run_fast`` for the inlined
+            # dispatch (it only engages when obs/tracing is off, so the
+            # per-event observability checks inside ``run`` are dead weight)
+            getattr(engine, "run_fast", engine.run),
+            switch.stats,
+            switch.stats.handled_by_event,
+            switch.log,
+            hook,
+        )
 
     def pending_events(self) -> int:
         return len(self._queue)
@@ -1049,9 +884,9 @@ class Network:
 
         Clears the event queue, clock, trace, per-switch stats and logs, and
         restored failed links.  With ``arrays=True`` (the default) every
-        switch's persistent arrays are zeroed as well — the compiled fast path
-        keeps working because its closures hold the :class:`RuntimeArray`
-        objects, not their cells.  Without ``reset()``, consecutive
+        switch's persistent arrays are zeroed as well — in place, so the
+        cell lists the codegen engine bound into its generated modules stay
+        valid.  Without ``reset()``, consecutive
         :meth:`run` calls *accumulate*: stats, traces, and array state carry
         over (see ``tests/test_scenarios.py``).
 
@@ -1150,10 +985,9 @@ class Network:
 def single_switch_network(
     program: "CheckedProgram | str",
     config: Optional[SchedulerConfig] = None,
-    fast_path: Optional[bool] = None,
-    engine: Optional[str] = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[Network, Switch]:
     """Convenience constructor for the common one-switch case."""
-    network = Network(config=config, engine=resolve_engine_name(engine, fast_path))
+    network = Network(config=config, engine=engine)
     switch = network.add_switch(0, program)
     return network, switch

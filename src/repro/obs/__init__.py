@@ -29,7 +29,7 @@ Metric naming convention
 * units are base SI: seconds for wall time, nanoseconds (``_ns``) for
   simulated time, bytes for payload volume.
 * labels are few and low-cardinality by design: ``event`` (handler name),
-  ``engine`` (one of reference/compiled/pisa).  Never label by per-run
+  ``engine`` (one of reference/pisa/codegen).  Never label by per-run
   values (switch count is fine as a gauge; switch *id* is not a label).
 
 Catalogue (declared at import time in their owning modules): see the

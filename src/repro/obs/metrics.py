@@ -58,7 +58,7 @@ OBS = ObsState(False)
 
 
 # Default histogram buckets, in seconds — tuned for per-event dispatch times
-# that range from ~2µs (compiled closures) to ~100µs (pisa stage walk).
+# that range from ~2µs (generated handlers) to ~100µs (pisa stage walk).
 DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2,
 )

@@ -1,8 +1,7 @@
 """Shared arithmetic and hash primitives of the Lucid data plane.
 
 Every execution substrate in this repository — the tree-walking
-interpreter (:mod:`repro.interp.interpreter`), the compiled-closure fast
-path (:mod:`repro.interp.compiled`), the source-codegen engine
+interpreter (:mod:`repro.interp.interpreter`), the source-codegen engine
 (:mod:`repro.interp.codegen`), and the PISA pipeline executor
 (:mod:`repro.pisa.pipeline`) — must agree bit-for-bit on what one ALU
 operation computes.  This module is the single definition they all

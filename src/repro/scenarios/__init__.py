@@ -3,11 +3,11 @@ and a runner that wires them to the bundled applications.
 
 Quick tour::
 
-    from repro.scenarios import SCENARIOS, run_scenario, run_scenario_both
+    from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
 
     result = run_scenario(SCENARIOS["nat-churn"], events=20_000, seed=1)
     assert result.ok                       # every invariant held
-    fast, ref = run_scenario_both(SCENARIOS["dns-reflection"], 5_000, 1)
+    results = run_scenario_all_engines(SCENARIOS["dns-reflection"], 5_000, 1)
 
 or from the command line::
 
@@ -31,7 +31,6 @@ from repro.scenarios.runner import (
     network_array_digest,
     run_scenario,
     run_scenario_all_engines,
-    run_scenario_both,
     run_scenario_engines,
     run_setup,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "network_array_digest",
     "run_scenario",
     "run_scenario_all_engines",
-    "run_scenario_both",
     "run_scenario_engines",
     "run_setup",
     "Topology",

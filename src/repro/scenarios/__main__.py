@@ -4,8 +4,8 @@
 
     python -m repro.scenarios list
     python -m repro.scenarios run <name> [--events N] [--seed S]
-                                  [--engine reference|compiled|pisa]
-                                  [--all-engines | --both]
+                                  [--engine reference|pisa|codegen]
+                                  [--all-engines]
                                   [--shards N] [--shard-engines E1,E2,...]
                                   [--trace PATH] [--profile] [--metrics]
                                   [--json PATH] [--quiet]
@@ -19,16 +19,15 @@
     python -m repro.scenarios soak [<name> ...] [--events N] [--seed S]
                                   [--engine E] [--checkpoint-at N] [--json PATH]
 
-``--engine`` selects the execution engine (default ``compiled``);
-``--all-engines`` runs reference, compiled, AND the PISA pipeline engine and
+``--engine`` selects the execution engine (default ``codegen``);
+``--all-engines`` runs reference, the PISA pipeline engine AND codegen and
 requires identical invariant verdicts and final array digests across all
-three (``--both`` is the older two-engine form).  ``run`` exits 0 when every
-invariant held (and, with ``--both``/``--all-engines``, when the engines
-agreed); 1 otherwise.
+three.  ``run`` exits 0 when every invariant held (and, with
+``--all-engines``, when the engines agreed); 1 otherwise.
 
 Observability (see :mod:`repro.obs`): ``--trace PATH`` writes the run's
 event-lifecycle span tree as Chrome trace-event JSON (open in Perfetto);
-with ``--both``/``--all-engines`` one file per engine is written
+with ``--all-engines`` one file per engine is written
 (``out.<engine>.json``) and the traces are required to be byte-identical.
 ``--profile`` prints a top-N hot-handler report (plus per-PISA-stage rows);
 ``--metrics`` enables the global metrics registry and dumps its Prometheus
@@ -39,7 +38,7 @@ conservative-lookahead barrier (see :mod:`repro.shard`); results are
 byte-identical to ``--shards 1``.  ``--shard-engines`` optionally names one
 engine per shard (comma-separated).  Sharding composes with ``--metrics``
 (worker registries are merged) but not with ``--trace``/``--profile`` or
-``--both``/``--all-engines``.
+``--all-engines``.
 
 ``serve`` runs the scenario as a long-lived process: traffic streams in
 bounded chunks, JSON-lines telemetry goes to ``--telemetry`` (stderr by
@@ -61,7 +60,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.interp.engine import ENGINE_NAMES
+from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.scenarios.registry import SCENARIOS, get
 from repro.scenarios.runner import (
     ScenarioResult,
@@ -252,17 +251,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="traffic events to stream (default 20000)")
     run_parser.add_argument("--seed", type=int, default=1, help="workload seed")
     engine = run_parser.add_mutually_exclusive_group()
-    engine.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                        help="execution engine (default: compiled)")
-    engine.add_argument("--fast-path", action="store_true", default=False,
-                        help="compiled-closure engine only (deprecated alias "
-                        "for --engine compiled)")
-    engine.add_argument("--reference", action="store_true",
-                        help="tree-walking reference engine only (deprecated "
-                        "alias for --engine reference)")
-    engine.add_argument("--both", action="store_true",
-                        help="run the compiled and reference engines and "
-                        "require identical verdicts and final array states")
+    engine.add_argument("--engine", choices=ENGINE_NAMES, default=DEFAULT_ENGINE,
+                        help=f"execution engine (default: {DEFAULT_ENGINE})")
     engine.add_argument("--all-engines", action="store_true",
                         help="run ALL engines "
                         f"({', '.join(ENGINE_NAMES)}) and "
@@ -280,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser.add_argument("--trace", type=str, default="",
                             help="write an event-lifecycle Chrome trace "
                             "(Perfetto-compatible JSON) to PATH; with "
-                            "--both/--all-engines, one file per engine")
+                            "--all-engines, one file per engine")
     run_parser.add_argument("--profile", action="store_true",
                             help="per-handler (and per-PISA-stage) "
                             "wall-time profiling, printed as a top-N report")
@@ -302,8 +292,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     events.add_argument("--unbounded", action="store_true",
                         help="stream traffic until stopped (SIGTERM/SIGINT)")
     serve_parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    serve_parser.add_argument("--engine", choices=ENGINE_NAMES, default="compiled",
-                              help="execution engine (default: compiled)")
+    serve_parser.add_argument("--engine", choices=ENGINE_NAMES, default=DEFAULT_ENGINE,
+                              help=f"execution engine (default: {DEFAULT_ENGINE})")
     serve_parser.add_argument("--checkpoint-dir", type=str, default="",
                               help="directory for rolling checkpoints "
                               "(no checkpointing when omitted)")
@@ -339,8 +329,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     soak_parser.add_argument("--events", type=int, default=20_000,
                              help="traffic events per scenario (default 20000)")
     soak_parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    soak_parser.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                             help="execution engine (default: compiled)")
+    soak_parser.add_argument("--engine", choices=ENGINE_NAMES, default=DEFAULT_ENGINE,
+                             help=f"execution engine (default: {DEFAULT_ENGINE})")
     soak_parser.add_argument("--checkpoint-at", type=int, default=None,
                              help="handled events before the checkpoint "
                              "(default: half of --events)")
@@ -393,8 +383,8 @@ def _run(args, scenario) -> int:
         tracer_factory = lambda engine_name: Tracer(seed=args.seed)  # noqa: E731
 
     if args.shards > 1 or args.shard_engines:
-        if args.both or args.all_engines:
-            print("--shards does not compose with --both/--all-engines")
+        if args.all_engines:
+            print("--shards does not compose with --all-engines")
             return 2
         if args.trace or args.profile:
             print("--shards does not support --trace/--profile (the tracer "
@@ -405,10 +395,9 @@ def _run(args, scenario) -> int:
         shard_engines = None
         if args.shard_engines:
             shard_engines = [s.strip() for s in args.shard_engines.split(",")]
-        engine_name = args.engine or ("reference" if args.reference else "compiled")
         result = run_sharded(
             scenario, args.events, args.seed, args.shards,
-            engine=engine_name, engines=shard_engines,
+            engine=args.engine, engines=shard_engines,
         )
         _print_result(result, args.quiet)
         if args.metrics:
@@ -422,33 +411,25 @@ def _run(args, scenario) -> int:
         return 0 if result.ok else 1
 
     results: List[ScenarioResult] = []
-    if args.both or args.all_engines:
-        engines = ENGINE_NAMES if args.all_engines else ("compiled", "reference")
+    if args.all_engines:
         try:
             results = run_scenario_engines(
-                scenario, args.events, args.seed, engines=engines,
+                scenario, args.events, args.seed,
                 tracer_factory=tracer_factory, profile=args.profile,
             )
         except AssertionError as exc:
             print(f"ENGINE MISMATCH: {exc}")
             return 1
     else:
-        if args.engine:
-            engine_name = args.engine
-        elif args.reference:
-            engine_name = "reference"
-        else:
-            # --fast-path and the default both select the compiled engine
-            engine_name = "compiled"
         results = [run_scenario(
-            scenario, args.events, args.seed, engine=engine_name,
-            tracer=tracer_factory(engine_name) if tracer_factory else None,
+            scenario, args.events, args.seed, engine=args.engine,
+            tracer=tracer_factory(args.engine) if tracer_factory else None,
             profile=args.profile,
         )]
 
     for result in results:
         _print_result(result, args.quiet)
-    if args.both or args.all_engines:
+    if args.all_engines:
         engines = ", ".join(r.engine for r in results)
         print(f"engines agree ({engines}): identical invariant verdicts and array states")
 

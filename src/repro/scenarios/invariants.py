@@ -2,7 +2,7 @@
 
 Every invariant exposes the streaming pair the service mode needs:
 ``observe(entry)`` is called per handled event (only for invariants that
-need it — state-only invariants keep the batched trace-free drain, which is
+need it — state-only invariants keep the drain free of trace entries, which is
 what lets million-event scenarios run at full speed), and ``check(network)``
 may be called **at any inter-event point**, not just at quiescence.
 Invariants whose check is only meaningful once the network has settled
@@ -47,11 +47,7 @@ class Invariant:
 
     def observes(self) -> bool:
         """Whether this invariant needs to see every handled event."""
-        cls = type(self)
-        return (
-            cls.observe is not Invariant.observe
-            or cls.on_handle is not Invariant.on_handle
-        )
+        return type(self).observe is not Invariant.observe
 
     def reset(self, network: Network, topology) -> None:
         """Called once before the run starts (and again, to re-bind network
@@ -60,11 +56,6 @@ class Invariant:
     def observe(self, entry: TraceEntry) -> None:
         """Called for every handled event (only when ``observes()``) — the
         streaming observation hook."""
-
-    def on_handle(self, entry: TraceEntry) -> None:
-        """Deprecated alias of :meth:`observe` (the pre-service-mode name);
-        still dispatched for subclasses that override it."""
-        self.observe(entry)
 
     def check(self, network: Network) -> List[str]:
         """Return violation messages (empty when the invariant holds).  Safe
@@ -138,16 +129,8 @@ def observer_callback(
 ) -> Optional[Callable[[TraceEntry], None]]:
     """Build the ``Network.on_handle`` callback feeding every observing
     invariant (or ``None`` when no invariant observes) — shared by the batch
-    runner and the service mode so the wiring cannot drift.  Dispatches to
-    ``observe`` directly, falling back to a legacy ``on_handle`` override."""
-    callbacks = []
-    for inv in invariants:
-        if not inv.observes():
-            continue
-        if type(inv).observe is not Invariant.observe:
-            callbacks.append(inv.observe)
-        else:
-            callbacks.append(inv.on_handle)
+    runner and the service mode so the wiring cannot drift."""
+    callbacks = [inv.observe for inv in invariants if inv.observes()]
     if not callbacks:
         return None
     if len(callbacks) == 1:

@@ -1,5 +1,5 @@
 """The scenario runner: wire an application + topology + streaming traffic +
-invariants, run it on any execution engine (reference interpreter, compiled
+invariants, run it on any execution engine (reference interpreter, codegen
 fast path, or the PISA pipeline model), and report verdicts and per-switch
 stats — including pipeline/recirculation statistics for engines that model
 the hardware substrate.
@@ -24,7 +24,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.interp.engine import ENGINE_NAMES, resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.interp.network import Network, SourceItem
 from repro.scenarios.invariants import (
     Invariant,
@@ -42,7 +42,7 @@ class ScenarioSetup:
     stateful traffic models and invariants never leak between engines."""
 
     topology: Topology
-    #: engine-name -> ready network factory (``"reference" | "compiled" | "pisa"``)
+    #: engine-name -> ready network factory (``"reference" | "pisa" | "codegen"``)
     make_network: Callable[[str], Network]
     #: zero-arg factory returning the streaming traffic source
     traffic: Callable[[], Iterable[SourceItem]]
@@ -165,12 +165,6 @@ class ScenarioResult:
             pipeline_totals=dict(state.get("pipeline") or {}),
             profile=dict(state.get("profile") or {}),
         )
-
-
-#: the runner's source wrapper is the service-mode replayable cursor (the
-#: old name is kept as an alias); it still counts injected events and the
-#: last timestamp without buffering anything
-_SourceTracker = ReplayableSource
 
 
 def network_array_digest(network: Network) -> str:
@@ -320,22 +314,20 @@ def build_result(
 
 
 def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
-              fast_path: Optional[bool] = None,
-              engine: Optional[str] = None,
+              engine: str = DEFAULT_ENGINE,
               tracer: Optional[object] = None,
               profile: bool = False) -> ScenarioResult:
-    """Execute one prepared scenario on one engine (``engine=`` names it;
-    ``fast_path=`` remains as the deprecated boolean alias).  ``tracer`` /
-    ``profile`` attach observability hooks — see :func:`prepare_run`.
+    """Execute one prepared scenario on the engine named ``engine``.
+    ``tracer`` / ``profile`` attach observability hooks — see
+    :func:`prepare_run`.
 
     Wall time is split three ways so ``events_per_sec`` measures the engine
     rather than everything around it: ``setup_s`` (network construction +
     handler compilation + preload), ``traffic_s`` (workload generation —
     the traffic stream is materialised through the replayable cursor before
     the clock starts), and ``wall_s`` (the drain + settle only)."""
-    engine_name = resolve_engine_name(engine, fast_path)
     t0 = time.perf_counter()
-    network, source = prepare_run(setup, engine_name, tracer=tracer, profile=profile)
+    network, source = prepare_run(setup, engine, tracer=tracer, profile=profile)
     t1 = time.perf_counter()
     items = list(source)
     start = time.perf_counter()
@@ -343,22 +335,21 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
     handled += network.run(until_ns=settle_horizon(setup, network, source))
     wall = time.perf_counter() - start
     return build_result(
-        setup, scenario_name, seed, engine_name, network,
+        setup, scenario_name, seed, engine, network,
         events_injected=source.injected, events_handled=handled, wall_s=wall,
         setup_s=t1 - t0, traffic_s=start - t1,
     )
 
 
 def run_scenario(scenario, events: int, seed: int,
-                 fast_path: Optional[bool] = None,
-                 engine: Optional[str] = None,
+                 engine: str = DEFAULT_ENGINE,
                  tracer: Optional[object] = None,
                  profile: bool = False) -> ScenarioResult:
     """Build and run a registered scenario once (see
     :mod:`repro.scenarios.registry` for the catalogue).  ``engine`` selects
-    the execution engine (default ``"compiled"``)."""
+    the execution engine."""
     setup = scenario.build(events, seed)
-    return run_setup(setup, scenario.name, seed, fast_path=fast_path,
+    return run_setup(setup, scenario.name, seed,
                      engine=engine, tracer=tracer, profile=profile)
 
 
@@ -370,7 +361,7 @@ def run_scenario_engines(
     """Run one scenario under several engines (a fresh setup per engine, so
     stateful traffic models cannot leak) and require identical invariant
     verdicts and final array digests across all of them — the differential
-    conformance contract, now three-way.
+    conformance contract.
 
     ``tracer_factory(engine_name)`` supplies a fresh tracer per engine run
     (each result keeps its tracer on ``result.tracer``), so callers can
@@ -395,16 +386,6 @@ def run_scenario_engines(
 
 
 def run_scenario_all_engines(scenario, events: int, seed: int) -> List[ScenarioResult]:
-    """Run a scenario on every bundled engine (reference, compiled, pisa)
+    """Run a scenario on every bundled engine (reference, pisa, codegen)
     and assert they agree; returns the results in :data:`ENGINE_NAMES` order."""
     return run_scenario_engines(scenario, events, seed, engines=ENGINE_NAMES)
-
-
-def run_scenario_both(scenario, events: int, seed: int) -> Tuple[ScenarioResult, ScenarioResult]:
-    """Run a scenario under the compiled fast path AND the tree-walking
-    reference engine; raises AssertionError if their invariant verdicts or
-    final array states differ (the differential conformance contract)."""
-    compiled, reference = run_scenario_engines(
-        scenario, events, seed, engines=("compiled", "reference")
-    )
-    return compiled, reference

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend import ast, parse_program
 from repro.frontend.type_checker import check_program
-from repro.interp.engine import resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.network import Network, SchedulerConfig
 
 
@@ -113,11 +113,10 @@ class Topology:
         self,
         program: str,
         config: Optional[SchedulerConfig] = None,
-        fast_path: Optional[bool] = None,
         groups: Optional[Callable[[int], Dict[str, List[int]]]] = None,
         symbolic_bindings: Optional[Dict[str, int]] = None,
         name: str = "<scenario>",
-        engine: Optional[str] = None,
+        engine: str = DEFAULT_ENGINE,
     ) -> Network:
         """Instantiate this topology as a :class:`Network` running ``program``
         on every switch.
@@ -126,9 +125,9 @@ class Topology:
         ``{"NEIGHBORS": [4, 5]}``); when omitted, every ``const group`` the
         program declares is bound to the switch's neighbour set.  The program
         is parsed once and re-checked per binding set.  ``engine`` selects
-        the execution engine for every switch (``fast_path`` is the
-        deprecated boolean alias); switches sharing a binding set share one
-        checked program — and, under the PISA engine, one compiled layout.
+        the execution engine for every switch; switches sharing a binding set
+        share one checked program — and, under the PISA engine, one compiled
+        layout.
         """
         parsed = parse_program(program, name=name)
         declared_groups = [
@@ -136,7 +135,7 @@ class Topology:
             for decl in parsed.decls
             if isinstance(decl, ast.DConst) and isinstance(decl.ty, ast.TGroup)
         ]
-        network = Network(config=config, engine=resolve_engine_name(engine, fast_path))
+        network = Network(config=config, engine=engine)
         checked_cache: Dict[Tuple[Tuple[str, Tuple[int, ...]], ...], object] = {}
         for switch_id in range(self.num_switches):
             if groups is not None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO
 
 from repro.errors import SimulationError
-from repro.interp.engine import resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.network import Network
 from repro.scenarios.invariants import (
     capture_invariant_states,
@@ -70,7 +70,7 @@ UNBOUNDED_EVENTS = 10**18
 class ServiceConfig:
     """Knobs of one :class:`ScenarioService` run."""
 
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     seed: int = 1
     #: traffic events to request from the scenario builder
     #: (:data:`UNBOUNDED_EVENTS` streams until stopped)
@@ -201,10 +201,8 @@ class ScenarioService:
     # -- the loop ------------------------------------------------------------
     def run(self) -> ServiceOutcome:
         cfg = self.config
-        engine_name = resolve_engine_name(cfg.engine, None)
-        cfg.engine = engine_name
         setup = self.scenario.build(cfg.events, cfg.seed)
-        network, source = prepare_run(setup, engine_name)
+        network, source = prepare_run(setup, cfg.engine)
         store = (
             CheckpointStore(cfg.checkpoint_dir, keep=cfg.keep_checkpoints)
             if cfg.checkpoint_dir
@@ -213,7 +211,7 @@ class ScenarioService:
         telemetry = TelemetryEmitter(
             cfg.telemetry_stream if cfg.telemetry_stream is not None else sys.stderr,
             self.scenario.name,
-            engine_name,
+            cfg.engine,
             cfg.seed,
             flush_every=cfg.telemetry_flush_every,
         )
@@ -302,7 +300,7 @@ class ScenarioService:
         handled += network.run(until_ns=settle_horizon(setup, network, source))
         wall = time.perf_counter() - start
         result = build_result(
-            setup, self.scenario.name, cfg.seed, engine_name, network,
+            setup, self.scenario.name, cfg.seed, cfg.engine, network,
             events_injected=source.injected, events_handled=handled, wall_s=wall,
         )
         if store is not None:
@@ -330,7 +328,7 @@ def run_scenario_interrupted(
     scenario,
     events: int,
     seed: int,
-    engine: Optional[str] = None,
+    engine: str = DEFAULT_ENGINE,
     checkpoint_after: Optional[int] = None,
 ) -> ScenarioResult:
     """Run ``scenario`` with a mid-run checkpoint/restore cycle.
@@ -343,13 +341,12 @@ def run_scenario_interrupted(
     completion.  The returned result must equal
     :func:`~repro.scenarios.runner.run_scenario`'s in every deterministic
     field (digest, stats, verdicts, counts, sim clock)."""
-    engine_name = resolve_engine_name(engine, None)
     if checkpoint_after is None:
         checkpoint_after = max(1, events // 2)
-    config = ServiceConfig(engine=engine_name, seed=seed, events=events)
+    config = ServiceConfig(engine=engine, seed=seed, events=events)
 
     setup = scenario.build(events, seed)
-    network, source = prepare_run(setup, engine_name)
+    network, source = prepare_run(setup, engine)
     start = time.perf_counter()
     handled_at_checkpoint = network.run(source=source, max_events=checkpoint_after)
     state = _checkpoint_payload(
@@ -360,14 +357,14 @@ def run_scenario_interrupted(
     # fresh everything: the resumed run shares no Python objects with the
     # interrupted one
     setup2 = scenario.build(events, seed)
-    network2, source2 = prepare_run(setup2, engine_name)
+    network2, source2 = prepare_run(setup2, engine)
     handled = _restore_run(state, setup2, network2, source2)
     if source2.peek() is not None:
         handled += network2.run(source=source2)
     handled += network2.run(until_ns=settle_horizon(setup2, network2, source2))
     wall = time.perf_counter() - start
     return build_result(
-        setup2, scenario.name, seed, engine_name, network2,
+        setup2, scenario.name, seed, engine, network2,
         events_injected=source2.injected, events_handled=handled, wall_s=wall,
     )
 
@@ -376,7 +373,7 @@ def soak_compare(
     scenario,
     events: int,
     seed: int,
-    engine: Optional[str] = None,
+    engine: str = DEFAULT_ENGINE,
     checkpoint_after: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run straight-through AND interrupted+resumed; return the comparison

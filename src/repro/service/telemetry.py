@@ -23,9 +23,7 @@ previous record), ``pending_events``, scheduler totals
 (``recirculations``, ``recirc_bytes``, ``drops``, ``link_drops``,
 ``recirc_drops``, ``remote_sends``), queue depths for pipeline-modelling
 engines (``queue_depth``, ``peak_queue_depth``), optional ``invariants``
-— plus ``events_generated``.  :func:`to_schema_v1` is the compat shim
-(drops the v2-only keys); constructing the emitter with
-``schema_version=1`` applies it to every record.
+— plus ``events_generated``.
 
 Records may be buffered (``flush_every=N``); the serve loop flushes
 explicitly before final checkpoints so a SIGTERM never loses a partial
@@ -43,9 +41,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.scenarios.invariants import InvariantReport
 
 TELEMETRY_SCHEMA_VERSION = 2
-
-#: record keys introduced by schema version 2 (dropped by the v1 shim)
-V2_ONLY_KEYS = ("events_generated",)
 
 #: network-sampled record fields backed by a ``repro_telemetry_<field>``
 #: gauge, in record order; (name, help)
@@ -71,13 +66,6 @@ _DEPTH_FIELDS = (
 )
 
 
-def to_schema_v1(record: Dict[str, object]) -> Dict[str, object]:
-    """Down-convert a v2 record to the version-1 schema (compat shim)."""
-    out = {key: value for key, value in record.items() if key not in V2_ONLY_KEYS}
-    out["schema_version"] = 1
-    return out
-
-
 class TelemetryEmitter:
     """Writes telemetry records to a line-oriented stream.
 
@@ -97,18 +85,11 @@ class TelemetryEmitter:
         seed: int,
         registry: Optional[MetricsRegistry] = None,
         flush_every: int = 1,
-        schema_version: int = TELEMETRY_SCHEMA_VERSION,
     ):
-        if schema_version not in (1, TELEMETRY_SCHEMA_VERSION):
-            raise ValueError(
-                f"unsupported telemetry schema_version {schema_version} "
-                f"(this build writes 1 or {TELEMETRY_SCHEMA_VERSION})"
-            )
         self._stream = stream
         self.scenario = scenario
         self.engine = engine
         self.seed = seed
-        self.schema_version = schema_version
         self.registry = registry if registry is not None else MetricsRegistry(enabled=True)
         self._gauges = {
             name: self.registry.gauge(f"repro_telemetry_{name}", help_text)
@@ -184,8 +165,6 @@ class TelemetryEmitter:
             ]
         if extra:
             record.update(extra)
-        if self.schema_version == 1:
-            record = to_schema_v1(record)
         self._buffer.append(json.dumps(record, separators=(",", ":")))
         if len(self._buffer) >= self.flush_every:
             self.flush()

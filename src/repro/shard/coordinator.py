@@ -33,7 +33,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.interp.engine import resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.events import EventInstance
 from repro.interp.network import (
     CONTROL,
@@ -79,7 +79,7 @@ def run_sharded(
     events: int,
     seed: int,
     num_shards: int,
-    engine: Optional[str] = None,
+    engine: str = DEFAULT_ENGINE,
     engines: Optional[Sequence[str]] = None,
 ) -> ScenarioResult:
     """Run a registered scenario partitioned over ``num_shards`` worker
@@ -96,9 +96,9 @@ def run_sharded(
             raise SimulationError(
                 f"engines lists {len(engines)} names for {num_shards} shards"
             )
-        shard_engines = [resolve_engine_name(name) for name in engines]
+        shard_engines = list(engines)
     else:
-        shard_engines = [resolve_engine_name(engine)] * num_shards
+        shard_engines = [engine] * num_shards
     if num_shards == 1:
         return run_setup(
             scenario.build(events, seed), scenario.name, seed,

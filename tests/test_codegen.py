@@ -1,6 +1,6 @@
 """Codegen-engine specifics: generated-source shape, digest-keyed module
 sharing across switches, native coverage of the bundled applications, and
-batched-vs-stepped drain equivalence.
+inlined-vs-``_dispatch`` drain equivalence (``batch=``).
 
 Cross-engine *behavioural* parity (verdicts, digests, traces, fuzz corpus)
 lives in test_engines.py / test_fuzz.py — this file covers what is unique
@@ -98,8 +98,9 @@ def test_bundled_apps_lower_without_fallback(key):
 # drain-mode equivalence
 # ---------------------------------------------------------------------------
 def test_batched_and_stepped_drains_agree():
-    """batch=False forces the plain scheduler path; both drains must leave
-    identical array state and stats on the codegen engine."""
+    """batch=False routes every event through Network._dispatch (the
+    observed path) where batch=True inlines it; inside the one drain loop
+    both must leave identical array state and stats on the codegen engine."""
     def run(batch):
         network, switch = single_switch_network(CM.source, engine="codegen")
         network.trace_enabled = False

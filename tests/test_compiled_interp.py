@@ -1,10 +1,12 @@
-"""Differential conformance suite for the compiled-handler fast path.
+"""Differential conformance suite for the compiled-handler fast path — the
+``codegen`` engine, which compiles each handler to flat Python source.
 
 Every bundled application (the ten Figure 9 programs) and the quickstart
 example program are driven through both execution engines — the tree-walking
-:class:`HandlerInterpreter` and the closure-compiling
-:class:`CompiledSwitchRuntime` — on identical deterministic event sequences,
-and the suite asserts the engines are observationally identical:
+:class:`HandlerInterpreter` (``reference``, the oracle) and the
+source-generating :class:`CodegenSwitchRuntime` (``codegen``) — on identical
+deterministic event sequences, and the suite asserts the engines are
+observationally identical:
 
 * the full network trace (time, switch, event, and the complete
   :class:`ExecutionResult` — generated events, prints, drop/forward/flood);
@@ -24,13 +26,13 @@ import pytest
 from repro.errors import InterpError
 from repro.frontend import ast, check_program
 from repro.interp import (
-    CompiledSwitchRuntime,
     EventInstance,
     HandlerInterpreter,
     Network,
     SwitchRuntime,
     lucid_hash,
 )
+from repro.interp.codegen import CodegenSwitchRuntime
 from repro.interp.interpreter import _apply_binop
 from repro.apps import ALL_APPLICATIONS
 
@@ -63,9 +65,9 @@ def build_events(checked, count=60, seed=0xC0FFEE):
     return events
 
 
-def run_engine(checked, fast_path, events, nswitches=1, max_events=400):
+def run_engine(checked, engine, events, nswitches=1, max_events=400):
     """Run one engine over the event sequence; return everything observable."""
-    network = Network(engine="compiled" if fast_path else "reference")
+    network = Network(engine=engine)
     for sid in range(nswitches):
         network.add_switch(sid, checked)
     for a in range(nswitches):
@@ -89,8 +91,8 @@ def run_engine(checked, fast_path, events, nswitches=1, max_events=400):
 
 
 def assert_engines_agree(checked, events, nswitches=1, max_events=400):
-    slow = run_engine(checked, False, events, nswitches, max_events)
-    fast = run_engine(checked, True, events, nswitches, max_events)
+    slow = run_engine(checked, "reference", events, nswitches, max_events)
+    fast = run_engine(checked, "codegen", events, nswitches, max_events)
     s_trace, s_arrays, s_stats, s_logs = slow
     f_trace, f_arrays, f_stats, f_logs = fast
     assert len(s_trace) == len(f_trace)
@@ -115,12 +117,12 @@ def test_engines_agree_on_application(key):
 @pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
 def test_every_application_handler_actually_compiles(key):
     """Guards against the differential suite passing vacuously: if the
-    compiler regressed into its silent tree-walker fallback, both 'engines'
+    emitter regressed into its silent tree-walker fallback, both 'engines'
     would be the tree walker and the agreement tests above would prove
     nothing."""
     app = ALL_APPLICATIONS[key]
     checked = check_program(app.source, name=key)
-    engine = CompiledSwitchRuntime(SwitchRuntime(checked))
+    engine = CodegenSwitchRuntime(SwitchRuntime(checked))
     assert engine.fallback_handler_names == []
 
 
@@ -217,8 +219,8 @@ def _expected_op_results(a, b):
     return [str(r) for r in results]
 
 
-def _run_ops_program(fast_path, pairs):
-    network = Network(engine="compiled" if fast_path else "reference")
+def _run_ops_program(engine, pairs):
+    network = Network(engine=engine)
     switch = network.add_switch(0, check_program(_OPS_PROGRAM))
     for i, (a, b) in enumerate(pairs):
         network.inject(0, EventInstance("e", (a, b)), at_ns=i)
@@ -228,8 +230,8 @@ def _run_ops_program(fast_path, pairs):
 
 def test_binop_boundary_semantics_engines_agree():
     pairs = [(a, b) for a in BOUNDARY for b in BOUNDARY]
-    slow = _run_ops_program(False, pairs)
-    fast = _run_ops_program(True, pairs)
+    slow = _run_ops_program("reference", pairs)
+    fast = _run_ops_program("codegen", pairs)
     assert slow == fast
     # and both match the reference semantics, masked to 32 bits
     per_event = len(_BINOP_SRC) + 3
@@ -263,15 +265,15 @@ handle e(int a, int b) {
 def test_hash_boundary_semantics_engines_agree():
     pairs = [(a, b) for a in BOUNDARY for b in BOUNDARY]
 
-    def run(fast_path):
-        network = Network(engine="compiled" if fast_path else "reference")
+    def run(engine):
+        network = Network(engine=engine)
         switch = network.add_switch(0, check_program(_HASH_PROGRAM))
         for i, (a, b) in enumerate(pairs):
             network.inject(0, EventInstance("e", (a, b)), at_ns=i)
         network.run()
         return switch.log
 
-    slow, fast = run(False), run(True)
+    slow, fast = run("reference"), run("codegen")
     assert slow == fast
     for i, (a, b) in enumerate(pairs):
         w8, w16, w32, w32a, w32r = slow[i * 5 : (i + 1) * 5]
@@ -288,12 +290,30 @@ def test_hash_masks_oversized_arguments():
     assert lucid_hash(16, [2**32]) == lucid_hash(16, [0])
 
 
+def test_effectful_dividend_runs_even_when_the_divisor_is_zero():
+    """x / 0 is 0, but x must still be evaluated: a Sys.random dividend
+    advances the switch PRNG on the tree walker, so it must on codegen too
+    (found by ``python -m repro.fuzz --count 50 --seed 0``, case 30)."""
+    source = """
+    event e(int a);
+    handle e(int a) {
+      int q = (Sys.random(0) / 0);
+      int r = (Sys.random(0) % 0);
+      printf(q + r);
+      printf(Sys.random(0));
+    }
+    """
+    checked = check_program(source)
+    events = [(EventInstance("e", (i,)), i * 10) for i in range(3)]
+    assert_engines_agree(checked, events)
+
+
 # ---------------------------------------------------------------------------
 # function-inlining parity
 # ---------------------------------------------------------------------------
 def test_inlined_fun_locals_reset_between_call_sites():
-    """A fun inlined at two call sites shares mangled frame slots; every
-    call must reset the callee's branch-locals so the second call cannot
+    """A fun inlined at two call sites must not share state: every call
+    must reset the callee's branch-locals so the second call cannot
     observe values left behind by the first (regression test: the tree
     walker gives each call a fresh environment, so a branch-local that
     shadows a const must fall back to the const when the branch is not
@@ -315,7 +335,7 @@ def test_inlined_fun_locals_reset_between_call_sites():
     """
     checked = check_program(source)
     assert_engines_agree(checked, [(EventInstance("e", ()), 0)])
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     switch = network.add_switch(0, checked)
     network.inject(0, EventInstance("e", ()))
     network.run()
@@ -354,17 +374,17 @@ def test_compiled_engine_is_drop_in_for_handler_interpreter():
     """
     checked = check_program(source)
     slow_rt, fast_rt = SwitchRuntime(checked), SwitchRuntime(checked)
-    slow, fast = HandlerInterpreter(slow_rt), CompiledSwitchRuntime(fast_rt)
+    slow, fast = HandlerInterpreter(slow_rt), CodegenSwitchRuntime(fast_rt)
     for engine, rt in ((slow, slow_rt), (fast, fast_rt)):
         result = engine.run(EventInstance("e", (21,)))
-        assert result.generated == [] and not result.dropped
+        assert list(result.generated) == [] and not result.dropped
         assert rt.array("t").get(0) == 42
         assert engine.call_function("double", [10]) == 20
 
 
 def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CompiledSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
     slow = HandlerInterpreter(SwitchRuntime(checked))
     for engine in (fast, slow):
         with pytest.raises(InterpError):
@@ -373,14 +393,14 @@ def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
 
 def test_compiled_engine_ignores_events_without_handlers():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CompiledSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
     result = fast.run(EventInstance("unknown", (1,)))
-    assert result.generated == [] and not result.dropped
+    assert list(result.generated) == [] and not result.dropped
 
 
 def test_compiled_engine_sees_late_bound_externs():
     source = "extern fun int probe(int v); event e(int v); handle e(int v) { int x = probe(v); printf(x); }"
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     switch = network.add_switch(0, source)
     # bind AFTER the handlers were compiled: the fast path must pick it up
     switch.bind_extern("probe", lambda v: v * 3)

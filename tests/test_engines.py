@@ -1,5 +1,5 @@
-"""Engine-abstraction tests: three-way scenario parity (reference vs
-compiled vs PISA pipeline), the engine/fast_path parameter plumbing,
+"""Engine-abstraction tests: three-way scenario parity (reference vs PISA
+pipeline vs codegen), the engine parameter plumbing,
 heterogeneous-engine networks, PISA recirculation-queue accounting (and its
 ``recirc_drops`` overflow counter), and the pausable delay queue /
 recirculation port driven by streaming scenario traffic rather than the
@@ -10,11 +10,10 @@ import pytest
 from repro.errors import SimulationError
 from repro.interp.engine import (
     ENGINE_NAMES,
-    CompiledEngine,
+    CodegenEngine,
     PisaEngine,
     ReferenceEngine,
     make_engine,
-    resolve_engine_name,
 )
 from repro.interp.events import EventInstance
 from repro.interp.network import Network, single_switch_network
@@ -30,8 +29,8 @@ from repro.scenarios.runner import network_array_digest
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_three_way_engine_parity(name):
     """Every bundled scenario must produce identical invariant verdicts and
-    final array digests on the reference interpreter, the compiled fast
-    path, AND the compiled-layout PISA pipeline executor."""
+    final array digests on the reference interpreter, the compiled-layout
+    PISA pipeline executor, AND the codegen fast path."""
     results = run_scenario_all_engines(SCENARIOS[name], 800, 3)
     assert [r.engine for r in results] == list(ENGINE_NAMES)
     assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
@@ -57,59 +56,32 @@ def test_pisa_result_reports_pipeline_stats():
 
 
 def test_interpreter_result_has_no_pipeline_stats():
-    result = run_scenario(SCENARIOS["nat-churn"], 300, 1, engine="compiled")
+    result = run_scenario(SCENARIOS["nat-churn"], 300, 1, engine="codegen")
     assert result.pipeline_totals == {}
     assert "pipeline" not in result.switch_stats[0]
 
 
 # ---------------------------------------------------------------------------
-# parameter plumbing: engine names and the deprecated fast_path alias
+# parameter plumbing: engine names
 # ---------------------------------------------------------------------------
-def test_resolve_engine_name_aliases():
-    assert resolve_engine_name() == "compiled"
-    with pytest.deprecated_call():
-        assert resolve_engine_name(fast_path=True) == "compiled"
-    with pytest.deprecated_call():
-        assert resolve_engine_name(fast_path=False) == "reference"
-    assert resolve_engine_name("pisa") == "pisa"
-    assert resolve_engine_name(None, None, default="reference") == "reference"
-    with pytest.raises(SimulationError):
-        resolve_engine_name("tofino2")
-    with pytest.raises(SimulationError), pytest.deprecated_call():
-        resolve_engine_name("pisa", fast_path=True)  # conflicting selection
-    # agreeing alias is accepted (but still warns)
-    with pytest.deprecated_call():
-        assert resolve_engine_name("reference", fast_path=False) == "reference"
-
-
 def test_make_engine_unknown_name_raises():
     network, switch = single_switch_network("event e(); handle e() {}")
     with pytest.raises(SimulationError):
         make_engine("nope", switch.runtime)
 
 
-def test_network_engine_parameter_and_alias():
-    assert Network().engine == "compiled"
-    assert Network(engine="pisa").engine == "pisa"
-    with pytest.deprecated_call():
-        assert Network(fast_path=False).engine == "reference"
-    with pytest.deprecated_call():
-        assert Network(fast_path=False).fast_path is False
-    assert Network(engine="pisa").fast_path is True  # anything but reference
-
-
 def test_switch_engine_classes_and_interpreter_alias():
     source = "event e(int x); handle e(int x) {}"
     for name, cls in (
         ("reference", ReferenceEngine),
-        ("compiled", CompiledEngine),
         ("pisa", PisaEngine),
+        ("codegen", CodegenEngine),
     ):
         network, switch = single_switch_network(source, engine=name)
-        assert switch.engine_name == name
+        assert network.engine == switch.engine_name == name
         assert isinstance(switch.engine, cls)
         assert switch.interpreter is switch.engine.executor
-        assert switch.fast_path is (name != "reference")
+    assert Network().engine == "codegen"
 
 
 def test_pisa_layout_is_compiled_once_per_checked_program():
@@ -151,14 +123,14 @@ def _run_relay(engines):
 
 
 def test_heterogeneous_engines_agree_with_homogeneous_run():
-    mixed = _run_relay(["reference", "compiled", "pisa"])
-    uniform = _run_relay(["compiled", "compiled", "compiled"])
+    mixed = _run_relay(["reference", "codegen", "pisa"])
+    uniform = _run_relay(["reference", "reference", "reference"])
     assert network_array_digest(mixed) == network_array_digest(uniform)
     # per-switch reporting keeps each engine's own view
     stats = mixed.stats()
     assert [stats[sid]["engine"] for sid in range(3)] == [
         "reference",
-        "compiled",
+        "codegen",
         "pisa",
     ]
     assert "pipeline" in stats[2] and "pipeline" not in stats[0]
@@ -176,7 +148,7 @@ def test_heterogeneous_network_mixing_codegen_agrees():
     a homogeneous codegen run."""
     mixed = _run_relay(["codegen", "reference", "pisa"])
     uniform = _run_relay(["codegen", "codegen", "codegen"])
-    baseline = _run_relay(["compiled", "compiled", "compiled"])
+    baseline = _run_relay(["reference", "reference", "reference"])
     assert network_array_digest(mixed) == network_array_digest(baseline)
     assert network_array_digest(uniform) == network_array_digest(baseline)
     stats = mixed.stats()
@@ -190,7 +162,7 @@ def test_heterogeneous_network_mixing_codegen_agrees():
 
 
 def test_heterogeneous_network_reset_clears_engine_accounting():
-    network = _run_relay(["pisa", "compiled", "pisa"])
+    network = _run_relay(["pisa", "codegen", "pisa"])
     assert network.stats()[0]["pipeline"]["events"] > 0
     digest_before = network_array_digest(network)
     network.reset()
@@ -312,5 +284,5 @@ def test_scenario_cli_all_engines(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "engines agree" in out
-    assert "[pisa]" in out and "[reference]" in out and "[compiled]" in out
+    assert "[pisa]" in out and "[reference]" in out and "[codegen]" in out
     assert "pipeline:" in out  # recirculation/queue stats in the summary

@@ -2,8 +2,6 @@
 determinism, unparse round-tripping, the differential runner's observables,
 the shrinker's contract, and the ``python -m repro.fuzz`` CLI."""
 
-import warnings
-
 import pytest
 
 from repro.frontend.parser import parse_program
@@ -13,7 +11,8 @@ from repro.fuzz.case import FuzzCase, load_case, save_case
 from repro.fuzz.diff import run_case, run_differential
 from repro.fuzz.gen import CaseGenerator
 from repro.fuzz.shrink import shrink_case
-from repro.interp.network import Network, single_switch_network
+from repro.interp.engine import ENGINE_NAMES
+from repro.interp.network import single_switch_network
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +134,9 @@ def test_checkpoint_differential_split_positions_are_all_safe():
     from repro.fuzz.diff import run_case, run_case_checkpointed
 
     case = FuzzCase(source=COUNTER, events=[(0, 0, "tick", (1, 4))])
-    base = run_case(case, "compiled")
+    base = run_case(case, "codegen")
     for split in (0, 1, 3, 10_000):
-        ck = run_case_checkpointed(case, "compiled", split=split)
+        ck = run_case_checkpointed(case, "codegen", split=split)
         assert ck.error is None, ck.error
         assert ck.digest == base.digest
         assert ck.trace == base.trace
@@ -173,8 +172,8 @@ def test_shrink_preserves_real_divergence_semantics(tmp_path):
     loaded = load_case(str(path))
     assert loaded.source == case.source
     assert loaded.events == case.events
-    before = run_case(case, "compiled")
-    after = run_case(loaded, "compiled")
+    before = run_case(case, "codegen")
+    after = run_case(loaded, "codegen")
     assert before.digest == after.digest
     assert before.trace == after.trace
 
@@ -212,7 +211,7 @@ handle div(int a, int b, int hops) {
 """
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled", "pisa"])
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 @pytest.mark.parametrize("a,b", [(10, 3), (10, 0), (0, 0), (0xFFFFFFFF, 7)])
 def test_division_by_zero_is_total_on_every_engine(engine, a, b):
     from repro.interp.events import EventInstance
@@ -228,63 +227,27 @@ def test_division_by_zero_is_total_on_every_engine(engine, a, b):
 def test_no_raw_division_in_engine_value_paths():
     """Audit: engine execution must route '/' and '%' through div32/mod32.
 
-    Tokenises the two value-path modules and rejects any '//' operator and
-    any '%' operator that is not string formatting (a '%' whose left operand
-    is a string literal)."""
+    Tokenises the PISA executor (the codegen engine emits its arithmetic as
+    source text, checked by the differential suites instead) and rejects any
+    '//' operator and any '%' operator that is not string formatting (a '%'
+    whose left operand is a string literal)."""
     import io
     import os
     import tokenize
 
-    import repro.interp.compiled as compiled_mod
     import repro.pisa.pipeline as pipeline_mod
 
-    for module in (compiled_mod, pipeline_mod):
-        path = module.__file__
-        with open(path, "rb") as fh:
-            tokens = list(tokenize.tokenize(fh.readline))
-        for i, tok in enumerate(tokens):
-            if tok.type != tokenize.OP:
-                continue
-            assert tok.string not in ("//", "//="), (
-                f"raw floor division in {os.path.basename(path)}:{tok.start[0]}"
+    path = pipeline_mod.__file__
+    with open(path, "rb") as fh:
+        tokens = list(tokenize.tokenize(fh.readline))
+    for i, tok in enumerate(tokens):
+        if tok.type != tokenize.OP:
+            continue
+        assert tok.string not in ("//", "//="), (
+            f"raw floor division in {os.path.basename(path)}:{tok.start[0]}"
+        )
+        if tok.string in ("%", "%="):
+            prev = tokens[i - 1]
+            assert prev.type == tokenize.STRING, (
+                f"raw modulo in {os.path.basename(path)}:{tok.start[0]}"
             )
-            if tok.string in ("%", "%="):
-                prev = tokens[i - 1]
-                assert prev.type == tokenize.STRING, (
-                    f"raw modulo in {os.path.basename(path)}:{tok.start[0]}"
-                )
-
-
-# ---------------------------------------------------------------------------
-# fast_path= deprecation contract (one warning per call site, exact mapping)
-# ---------------------------------------------------------------------------
-def test_fast_path_alias_warns_exactly_once_per_call_site():
-    source = "event e(); handle e() {}"
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        network = Network(fast_path=True)
-    assert [w for w in record if w.category is DeprecationWarning]
-    assert len(record) == 1
-    assert network.engine == "compiled"
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        switch = network.add_switch(0, source, fast_path=False)
-    assert len(record) == 1
-    assert record[0].category is DeprecationWarning
-    assert switch.engine_name == "reference"
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        network2, switch2 = single_switch_network(source, fast_path=True)
-    assert len(record) == 1
-    assert record[0].category is DeprecationWarning
-    assert network2.engine == "compiled"
-    assert switch2.engine_name == "compiled"
-
-    # the non-deprecated path emits no warning at all
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        Network(engine="pisa")
-        network.add_switch(1, source, engine="reference")
-    assert record == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import InterpError
 from repro.frontend import check_program
 from repro.interp import (
+    ENGINE_NAMES,
     EventInstance,
     Network,
     RuntimeArray,
@@ -184,8 +185,8 @@ def test_match_statement_execution():
     assert switch.array("t").snapshot()[:3] == [10, 20, 30]
 
 
-@pytest.mark.parametrize("fast_path", [False, True])
-def test_if_and_match_branches_share_handler_scope(fast_path):
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_if_and_match_branches_share_handler_scope(engine):
     """Lucid handlers have one flat scope: assignments made inside an if- or
     match-branch are visible after the branch (regression test for the old
     dead ``dict(env) if False else env`` expression in the interpreter)."""
@@ -204,7 +205,7 @@ def test_if_and_match_branches_share_handler_scope(fast_path):
       Array.set(t_match, 0, y);
     }
     """
-    network = Network(engine="compiled" if fast_path else "reference")
+    network = Network(engine=engine)
     switch = network.add_switch(0, check_program(source))
     network.inject(0, EventInstance("e", (1,)))
     network.run()
@@ -412,7 +413,7 @@ def test_hash_one_bit_width_is_parity_like():
         assert lucid_hash(1, args) in (0, 1)
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled", "pisa"])
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_hash_degenerate_widths_agree_across_engines(engine):
     source = """
     global h0 = new Array<<32>>(1);

@@ -34,7 +34,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.__main__ import main as cli_main
-from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter, to_schema_v1
+from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_small.json"
 SCHEMA = Path(__file__).parent / "schemas" / "chrome_trace.schema.json"
@@ -154,7 +154,7 @@ def test_render_text_parse_round_trip():
 
 def test_network_hot_loop_metrics(global_metrics):
     checked = check_program(RELAY2, name="relay2")
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     network.trace_enabled = False
     network.add_switch(0, checked)
     network.add_switch(1, checked)
@@ -166,7 +166,7 @@ def test_network_hot_loop_metrics(global_metrics):
                           labels=("pkt",)) == totals.events_handled
     assert REGISTRY.value("repro_network_events_generated_total") == totals.events_generated
     assert REGISTRY.value("repro_network_remote_sends_total") == totals.remote_sends
-    assert REGISTRY.value("repro_engine_compiled_events_total") == totals.events_handled
+    assert REGISTRY.value("repro_engine_codegen_events_total") == totals.events_handled
     # text exposition covers the scheduler metrics
     parsed = parse_text_exposition(REGISTRY.render_text())
     assert parsed["repro_network_events_handled_total"][(("event", "pkt"),)] \
@@ -199,7 +199,7 @@ def test_trace_matches_golden_file():
 
 
 def test_span_tree_and_hops():
-    tracer = _traced_run("compiled")
+    tracer = _traced_run("codegen")
     spans = tracer.spans
     assert len(spans) == 10
     hops = [s.hop for s in spans]
@@ -330,34 +330,16 @@ def test_telemetry_render_text_round_trips_record():
     for key in ("sim_ns", "events_handled", "events_injected", "events_generated",
                 "recirculations", "remote_sends", "queue_depth"):
         assert parsed[f"repro_telemetry_{key}"][()] == record[key], key
-    v1 = to_schema_v1(record)
-    assert v1["schema_version"] == 1 and "events_generated" not in v1
-    assert v1["events_handled"] == record["events_handled"]
-
-
-def test_telemetry_v1_compat_emitter():
-    checked = check_program(RELAY2, name="relay2")
-    network = Network(engine="compiled")
-    network.add_switch(0, checked)
-    network.inject(0, EventInstance("pkt", (0, 0)), at_ns=0)
-    network.run()
-    out = io.StringIO()
-    emitter = TelemetryEmitter(out, "relay2", "compiled", seed=1, schema_version=1)
-    record = emitter.emit(network, handled_total=1, injected_total=1)
-    assert record["schema_version"] == 1
-    assert "events_generated" not in record
-    with pytest.raises(ValueError):
-        TelemetryEmitter(out, "relay2", "compiled", seed=1, schema_version=3)
 
 
 def test_telemetry_flush_batching():
     checked = check_program(RELAY2, name="relay2")
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     network.add_switch(0, checked)
     network.inject(0, EventInstance("pkt", (0, 0)), at_ns=0)
     network.run()
     out = io.StringIO()
-    emitter = TelemetryEmitter(out, "relay2", "compiled", seed=1, flush_every=3)
+    emitter = TelemetryEmitter(out, "relay2", "codegen", seed=1, flush_every=3)
     emitter.emit(network, 1, 1)
     emitter.emit(network, 1, 1)
     assert out.getvalue() == "" and emitter.buffered_records == 2

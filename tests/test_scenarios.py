@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from repro.frontend import check_program
-from repro.interp import EventInstance, Network
+from repro.interp import ENGINE_NAMES, EventInstance, Network
 from repro.scenarios import (
     SCENARIOS,
     fat_tree,
@@ -20,7 +20,7 @@ from repro.scenarios import (
     network_array_digest,
     ring,
     run_scenario,
-    run_scenario_both,
+    run_scenario_engines,
     single_switch,
 )
 from repro.scenarios import traffic as tm
@@ -222,6 +222,41 @@ class TestStreamingRun:
         assert seen == [(95, 10)]
         assert network.switch(0).array("total").cells[0] == 15
 
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("trace_enabled", [True, False])
+    @pytest.mark.parametrize("side", ["source", "heap"])
+    def test_control_attaches_observer(self, side, trace_enabled, engine):
+        """An observer attached by a control action sees every later event:
+        the observer set is resolved again after the action, whatever was
+        attached when the drain started and whichever side — source stream
+        or event heap — the items pop from."""
+        network = Network(engine=engine)
+        network.trace_enabled = trace_enabled
+        network.add_switch(0, COUNTER_PROGRAM)
+        seen = []
+
+        def attach(net):
+            net.on_handle = seen.append
+            net.trace_enabled = True
+
+        items = [
+            (0, 0, EventInstance("bump", (1,))),
+            tm.control_action(5, attach),
+            (10, 0, EventInstance("bump", (1,))),
+            (20, 0, EventInstance("bump", (1,))),
+        ]
+        if side == "source":
+            handled = network.run(source=iter(items))
+        else:
+            for time_ns, switch_id, payload in items:
+                network._push(time_ns, switch_id, payload)
+            handled = network.run()
+        assert handled == 3
+        assert [entry.time_ns for entry in seen] == [10, 20]
+        assert [entry.time_ns for entry in network.trace] == (
+            [0, 10, 20] if trace_enabled else [10, 20]
+        )
+
     def test_streaming_with_tracing_enabled_records_entries(self):
         network = Network()
         network.add_switch(0, COUNTER_PROGRAM)
@@ -397,8 +432,8 @@ class TestNetworkReset:
         assert network.switch(0).stats.events_handled == 100
 
     def test_reset_works_on_both_engines(self):
-        for fast_path in (True, False):
-            network = Network(engine="compiled" if fast_path else "reference")
+        for engine in ("codegen", "reference"):
+            network = Network(engine=engine)
             network.trace_enabled = False
             network.add_switch(0, COUNTER_PROGRAM)
             self._run_once(network)
@@ -464,12 +499,14 @@ def test_every_scenario_is_covered_by_the_smoke_table():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_holds_and_engines_agree(name):
-    """Every bundled scenario passes its invariants, and the compiled and
+    """Every bundled scenario passes its invariants, and the codegen and
     reference engines produce identical verdicts and final array states."""
-    fast, reference = run_scenario_both(SCENARIOS[name], SMOKE_EVENTS[name], seed=1)
+    fast, reference = run_scenario_engines(
+        SCENARIOS[name], SMOKE_EVENTS[name], seed=1, engines=("codegen", "reference")
+    )
     assert fast.ok, [r for r in fast.invariants if not r.ok]
     assert reference.ok
-    assert fast.engine == "compiled" and reference.engine == "reference"
+    assert fast.engine == "codegen" and reference.engine == "reference"
     assert fast.events_injected == reference.events_injected
     assert fast.array_digest == reference.array_digest
 
@@ -506,7 +543,7 @@ def test_scan_burst_is_detected_as_unsolicited():
     inv = make_invariant("firewall-solicited-only")
     inv.reset(network, topo)
     network.trace_enabled = False
-    network.on_handle = inv.on_handle
+    network.on_handle = inv.observe
     scan = tm.ScanBurstTraffic()
     network.run(source=scan.events([0], 50, seed=2))
     violations = inv.check(network)
@@ -527,10 +564,10 @@ class TestCli:
         assert cli_main(["run", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().out
 
-    def test_run_both_engines(self, capsys, tmp_path):
+    def test_run_all_engines_writes_one_json_entry_each(self, capsys, tmp_path):
         json_path = tmp_path / "result.json"
         code = cli_main(
-            ["run", "nat-churn", "--events", "600", "--both", "--quiet",
+            ["run", "nat-churn", "--events", "600", "--all-engines", "--quiet",
              "--json", str(json_path)]
         )
         out = capsys.readouterr().out
@@ -539,13 +576,14 @@ class TestCli:
         import json as json_module
 
         payload = json_module.loads(json_path.read_text())
-        assert isinstance(payload, list) and len(payload) == 2
-        assert payload[0]["engine"] == "compiled"
-        assert payload[0]["ok"] is True
-        assert payload[0]["array_digest"] == payload[1]["array_digest"]
+        assert isinstance(payload, list)
+        assert [entry["engine"] for entry in payload] == list(ENGINE_NAMES)
+        assert all(entry["ok"] is True for entry in payload)
+        assert len({entry["array_digest"] for entry in payload}) == 1
 
     def test_run_reference_engine(self, capsys):
-        code = cli_main(["run", "heavy-hitter-single", "--events", "500", "--reference"])
+        code = cli_main(["run", "heavy-hitter-single", "--events", "500",
+                         "--engine", "reference"])
         out = capsys.readouterr().out
         assert code == 0
         assert "[reference]" in out

@@ -70,9 +70,9 @@ def _result_fingerprint(result):
 def test_interrupted_run_matches_straight_run(name):
     """Checkpoint mid-run (JSON round-trip), restore into a fresh network +
     traffic stream + invariants, resume — identical result."""
-    straight = run_scenario(SCENARIOS[name], 700, 3, engine="compiled")
+    straight = run_scenario(SCENARIOS[name], 700, 3, engine="codegen")
     resumed = run_scenario_interrupted(
-        SCENARIOS[name], 700, 3, engine="compiled", checkpoint_after=300
+        SCENARIOS[name], 700, 3, engine="codegen", checkpoint_after=300
     )
     assert _result_fingerprint(resumed) == _result_fingerprint(straight)
 
@@ -95,9 +95,9 @@ def test_checkpoint_at_stream_exhaustion_resumes_cleanly():
     resumed run into a full drain (self-perpetuating control loops would
     never return); it goes straight to the settle phase."""
     name = "rip-line-convergence"
-    straight = run_scenario(SCENARIOS[name], 300, 3, engine="compiled")
+    straight = run_scenario(SCENARIOS[name], 300, 3, engine="codegen")
     resumed = run_scenario_interrupted(
-        SCENARIOS[name], 300, 3, engine="compiled", checkpoint_after=10**9
+        SCENARIOS[name], 300, 3, engine="codegen", checkpoint_after=10**9
     )
     assert _result_fingerprint(resumed) == _result_fingerprint(straight)
 
@@ -107,7 +107,7 @@ def test_checkpoint_at_stream_exhaustion_resumes_cleanly():
 # ---------------------------------------------------------------------------
 def _relay_network():
     network = Network()
-    for sid, engine in enumerate(["reference", "compiled", "pisa"]):
+    for sid, engine in enumerate(["reference", "codegen", "pisa"]):
         network.add_switch(sid, RELAY, engine=engine)
     for sid in range(3):
         network.add_link(sid, (sid + 1) % 3)
@@ -117,7 +117,7 @@ def _relay_network():
 
 
 def test_heterogeneous_network_snapshot_roundtrip_mid_run():
-    """A mixed reference/compiled/pisa network checkpointed mid-run (pending
+    """A mixed reference/codegen/pisa network checkpointed mid-run (pending
     heap events, engine-side queue accounting) restores into a fresh mixed
     network and finishes identically to the uninterrupted original."""
     interrupted = _relay_network()
@@ -208,7 +208,7 @@ def test_restore_validates_before_mutating():
 
 
 def test_interpreter_engines_refuse_foreign_engine_state():
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     network.add_switch(0, RELAY)
     with pytest.raises(SimulationError):
         network.switches[0].engine.restore_state({"events": 3})
@@ -310,7 +310,7 @@ def _dummy_checkpoint(handled):
         "format": "repro-service-checkpoint",
         "version": 1,
         "scenario": "s",
-        "engine": "compiled",
+        "engine": "codegen",
         "seed": 1,
         "events": 100,
         "handled": handled,
@@ -354,7 +354,7 @@ def test_streaming_only_evaluation_skips_settle_invariants():
     setup = scenario.build(200, 1)
     # rip-converged is settle-only: mid-run distances are legitimately in flux
     assert any(not inv.streaming for inv in setup.invariants)
-    network = setup.make_network("compiled")
+    network = setup.make_network("codegen")
     if setup.prepare is not None:
         setup.prepare(network)
     for inv in setup.invariants:
@@ -378,26 +378,6 @@ def test_observing_invariant_without_snapshot_support_is_refused():
 def test_restore_invariant_states_length_checked():
     with pytest.raises(SimulationError, match="invariant states"):
         restore_invariant_states([Invariant()], [None, None])
-
-
-def test_legacy_on_handle_subclasses_still_observe():
-    class Legacy(Invariant):
-        name = "legacy"
-
-        def __init__(self):
-            self.seen = 0
-
-        def on_handle(self, entry):  # pre-service-mode hook name
-            self.seen += 1
-
-    inv = Legacy()
-    assert inv.observes()
-    network = Network()
-    network.add_switch(0, RELAY)
-    network.on_handle = inv.on_handle
-    network.inject(0, EventInstance("pkt", (0, 0)), at_ns=0)
-    network.run()
-    assert inv.seen == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +415,7 @@ def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monk
     scenario = SCENARIOS["nat-churn"]
     stream = io.StringIO()
     config = ServiceConfig(
-        engine="compiled", seed=5, events=2_000,
+        engine="codegen", seed=5, events=2_000,
         checkpoint_dir=str(tmp_path / "ck"), checkpoint_every=10**9,
         telemetry_every=200, chunk_events=100, max_events=900,
         telemetry_stream=stream, telemetry_flush_every=50,
@@ -465,7 +445,7 @@ def test_serve_metrics_dump_request(capsys):
     print the telemetry registry's Prometheus exposition to stderr."""
     scenario = SCENARIOS["heavy-hitter-single"]
     config = ServiceConfig(
-        engine="compiled", seed=1, events=2_000, telemetry_every=500,
+        engine="codegen", seed=1, events=2_000, telemetry_every=500,
         chunk_events=250, max_events=1_000, telemetry_stream=io.StringIO(),
     )
     service = ScenarioService(scenario, config)
@@ -489,7 +469,7 @@ def test_service_stop_resume_matches_batch_run(tmp_path):
 
     def config(**overrides):
         return ServiceConfig(
-            engine="compiled", seed=5, events=2_000, checkpoint_dir=ck,
+            engine="codegen", seed=5, events=2_000, checkpoint_dir=ck,
             checkpoint_every=600, telemetry_every=500, chunk_events=150,
             telemetry_stream=io.StringIO(), **overrides,
         )
@@ -501,7 +481,7 @@ def test_service_stop_resume_matches_batch_run(tmp_path):
     second = ScenarioService(scenario, config()).run()
     assert not second.stopped
     assert second.resumed_from is not None
-    straight = run_scenario(scenario, 2_000, 5, engine="compiled")
+    straight = run_scenario(scenario, 2_000, 5, engine="codegen")
     assert _result_fingerprint(second.result) == _result_fingerprint(straight)
 
 
@@ -509,7 +489,7 @@ def test_service_telemetry_and_rolling_checkpoints(tmp_path):
     scenario = SCENARIOS["heavy-hitter-single"]
     telemetry = io.StringIO()
     config = ServiceConfig(
-        engine="compiled", seed=1, events=3_000, checkpoint_dir=str(tmp_path),
+        engine="codegen", seed=1, events=3_000, checkpoint_dir=str(tmp_path),
         checkpoint_every=800, keep_checkpoints=2, telemetry_every=600,
         chunk_events=200, telemetry_stream=telemetry,
     )
@@ -528,7 +508,7 @@ def test_service_telemetry_and_rolling_checkpoints(tmp_path):
 def test_service_refuses_mismatched_checkpoint(tmp_path):
     scenario = SCENARIOS["heavy-hitter-single"]
     base = dict(
-        engine="compiled", events=1_000, checkpoint_dir=str(tmp_path),
+        engine="codegen", events=1_000, checkpoint_dir=str(tmp_path),
         checkpoint_every=300, chunk_events=100, telemetry_stream=io.StringIO(),
     )
     ScenarioService(scenario, ServiceConfig(seed=1, max_events=400, **base)).run()
@@ -536,12 +516,39 @@ def test_service_refuses_mismatched_checkpoint(tmp_path):
         ScenarioService(scenario, ServiceConfig(seed=2, **base)).run()
 
 
+def test_checkpoints_of_the_retired_compiled_engine_are_refused_by_name(tmp_path):
+    """A snapshot or serve checkpoint written when the closure engine
+    existed names ``"engine": "compiled"``: resuming it must end in the
+    engine-mismatch SimulationError, never a KeyError from the registry."""
+    network = Network()
+    network.add_switch(0, RELAY)
+    old_snapshot = network.snapshot()
+    old_snapshot["switches"]["0"]["engine"] = "compiled"
+    with pytest.raises(SimulationError, match="snapshot engine 'compiled'"):
+        network.restore(old_snapshot)
+
+    scenario = SCENARIOS["heavy-hitter-single"]
+    base = dict(
+        seed=1, events=1_000, checkpoint_dir=str(tmp_path),
+        checkpoint_every=300, chunk_events=100, telemetry_stream=io.StringIO(),
+    )
+    ScenarioService(scenario, ServiceConfig(max_events=400, **base)).run()
+    latest = CheckpointStore(tmp_path).latest()
+    state = json.loads(latest.read_text())
+    state["engine"] = "compiled"
+    for switch_state in state["network"]["switches"].values():
+        switch_state["engine"] = "compiled"
+    latest.write_text(json.dumps(state))
+    with pytest.raises(SimulationError, match="engine='compiled'"):
+        ScenarioService(scenario, ServiceConfig(**base)).run()
+
+
 def test_service_request_stop_checkpoints_mid_stream(tmp_path):
     """request_stop() (the SIGTERM handler) ends the loop at the next chunk
     boundary with a valid, loadable checkpoint."""
     scenario = SCENARIOS["heavy-hitter-single"]
     config = ServiceConfig(
-        engine="compiled", seed=1, events=50_000, checkpoint_dir=str(tmp_path),
+        engine="codegen", seed=1, events=50_000, checkpoint_dir=str(tmp_path),
         checkpoint_every=10**9, chunk_events=100, telemetry_stream=io.StringIO(),
     )
     service = ScenarioService(scenario, config)

@@ -115,9 +115,9 @@ def _assert_parity(single: ScenarioResult, sharded: ScenarioResult):
 )
 def test_sharded_matches_single_process(name, events, shards):
     scenario = get(name)
-    single = run_scenario(scenario, events, seed=7, engine="compiled")
+    single = run_scenario(scenario, events, seed=7, engine="codegen")
     sharded = run_sharded(scenario, events, seed=7, num_shards=shards,
-                          engine="compiled")
+                          engine="codegen")
     _assert_parity(single, sharded)
     assert sharded.details["shards"]["num_shards"] == shards
 
@@ -128,19 +128,19 @@ def test_sharded_mixed_engines_match_single_process():
     single = run_scenario(scenario, 1_500, seed=3, engine="codegen")
     sharded = run_sharded(
         scenario, 1_500, seed=3, num_shards=4,
-        engines=["codegen", "reference", "pisa", "compiled"],
+        engines=["codegen", "reference", "pisa", "codegen"],
     )
     assert sharded.verdict_signature() == single.verdict_signature()
-    assert sharded.engine == "codegen,reference,pisa,compiled"
+    assert sharded.engine == "codegen,reference,pisa,codegen"
     assert sharded.details["shards"]["engines"] == [
-        "codegen", "reference", "pisa", "compiled"
+        "codegen", "reference", "pisa", "codegen"
     ]
 
 
 def test_one_shard_degenerates_to_plain_runner():
     scenario = get("heavy-hitter-single")
-    single = run_scenario(scenario, 1_000, seed=5, engine="compiled")
-    one = run_sharded(scenario, 1_000, seed=5, num_shards=1, engine="compiled")
+    single = run_scenario(scenario, 1_000, seed=5, engine="codegen")
+    one = run_sharded(scenario, 1_000, seed=5, num_shards=1, engine="codegen")
     _assert_parity(single, one)
     assert "shards" not in one.details
 
@@ -148,7 +148,7 @@ def test_one_shard_degenerates_to_plain_runner():
 def test_engines_list_must_match_shard_count():
     scenario = get("heavy-hitter-fattree")
     with pytest.raises(SimulationError):
-        run_sharded(scenario, 100, seed=1, num_shards=2, engines=["compiled"])
+        run_sharded(scenario, 100, seed=1, num_shards=2, engines=["codegen"])
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +240,16 @@ def test_simultaneous_cross_boundary_events_keep_tiebreak_order():
     try:
         plan = partition_topology(topo.line(3, latency_ns=1_000), 2)
         assert plan.shards == [[0, 1], [2]]
-        single = run_scenario(scenario, 120, seed=11, engine="compiled")
+        single = run_scenario(scenario, 120, seed=11, engine="codegen")
         sharded = run_sharded(scenario, 120, seed=11, num_shards=2,
-                              engine="compiled")
+                              engine="codegen")
         _assert_parity(single, sharded)
         # sanity: the fixture actually contested both tie modes.  Re-run the
         # drain directly and read the middle switch's claim counters: its own
         # external pings won the even rounds (source beats heap), switch 0's
         # marks won the odd rounds (lower origin key beats switch 2's marks).
         setup = _build_tiebreak(120, 11)
-        network = setup.make_network("compiled")
+        network = setup.make_network("codegen")
         items = list(setup.traffic())
         network.run(source=iter(items),
                     until_ns=max(t for t, _, _ in items) + setup.settle_ns)
@@ -276,7 +276,7 @@ def test_switch_stats_round_trips_through_dict_and_pickle():
 
 def test_scenario_result_round_trips_through_dict_and_pickle():
     result = run_scenario(get("heavy-hitter-single"), 500, seed=2,
-                          engine="compiled")
+                          engine="codegen")
     clone = ScenarioResult.from_dict(result.to_dict())
     assert clone.verdict_signature() == result.verdict_signature()
     assert clone.scenario == result.scenario
@@ -290,7 +290,7 @@ def test_scenario_result_round_trips_through_dict_and_pickle():
 def test_reset_detaches_tracer_and_profiler():
     scenario = get("heavy-hitter-single")
     setup = scenario.build(200, 1)
-    network = setup.make_network("compiled")
+    network = setup.make_network("codegen")
     network.tracer = object()
     network.profiler = object()
     network.on_handle = lambda entry: None

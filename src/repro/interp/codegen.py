@@ -30,8 +30,6 @@ Use ``repro.scenarios --engine codegen --dump-source`` (or
 
 from __future__ import annotations
 
-import struct
-import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError
@@ -45,7 +43,14 @@ from repro.interp.interpreter import (
     SwitchRuntime,
 )
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import MASK32 as _MASK, apply_binop as _apply_binop
+from repro.ops import (
+    CMP_OPS as _CMP_OPS,
+    MASK32 as _MASK,
+    apply_binop as _apply_binop,
+    binop_template as _binop_template,
+    hash_namespace as _hash_namespace,
+    hash_template as _hash_template,
+)
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_CODEGEN_EVENTS = _REGISTRY.counter(
@@ -54,6 +59,12 @@ _M_CODEGEN_EVENTS = _REGISTRY.counter(
 _M_CODEGEN_FALLBACKS = _REGISTRY.counter(
     "repro_engine_codegen_fallbacks_total",
     "Events handled by the tree-walker because the handler did not codegen.")
+_M_MODULE_CACHE_HITS = _REGISTRY.counter(
+    "repro_engine_codegen_module_cache_hits_total",
+    "Switches bound to a generated module already compiled for their digest.")
+_M_MODULE_CACHE_MISSES = _REGISTRY.counter(
+    "repro_engine_codegen_module_cache_misses_total",
+    "Generated modules emitted and compiled (once per program digest).")
 
 #: shared result for handlers that provably produce no effects (and for
 #: events with no handler at all).  Consumers of :class:`ExecutionResult`
@@ -71,52 +82,6 @@ class _EmitError(Exception):
     """The emitter cannot lower this handler: it falls back to the tree
     walker."""
 
-
-# ---------------------------------------------------------------------------
-# binary-operator source templates (semantics identical to repro.ops
-# .apply_binop; && / || are special-cased for short-circuit evaluation)
-# ---------------------------------------------------------------------------
-def _binop_template(op: "ast.BinOp", left: str, right: str) -> str:
-    B = ast.BinOp
-    if op is B.ADD:
-        return f"((({left}) + ({right})) & 4294967295)"
-    if op is B.SUB:
-        return f"((({left}) - ({right})) & 4294967295)"
-    if op is B.MUL:
-        return f"((({left}) * ({right})) & 4294967295)"
-    if op is B.DIV:
-        return f"(((({left}) // ({right})) if ({right}) else 0))"
-    if op is B.MOD:
-        return f"(((({left}) % ({right})) if ({right}) else 0))"
-    if op is B.BITAND:
-        return f"(({left}) & ({right}))"
-    if op is B.BITOR:
-        return f"(({left}) | ({right}))"
-    if op is B.BITXOR:
-        return f"(({left}) ^ ({right}))"
-    if op is B.SHL:
-        return f"((({left}) << (({right}) & 31)) & 4294967295)"
-    if op is B.SHR:
-        return f"(({left}) >> (({right}) & 31))"
-    if op is B.AND:
-        # strict form (memop context); handler context short-circuits instead
-        return f"((1 if ({left}) and ({right}) else 0))"
-    if op is B.OR:
-        return f"((1 if ({left}) or ({right}) else 0))"
-    py = _CMP_OPS.get(op)
-    if py is None:
-        raise _EmitError(f"unsupported operator {op}")
-    return f"((1 if ({left}) {py} ({right}) else 0))"
-
-
-_CMP_OPS = {
-    ast.BinOp.EQ: "==",
-    ast.BinOp.NEQ: "!=",
-    ast.BinOp.LT: "<",
-    ast.BinOp.GT: ">",
-    ast.BinOp.LE: "<=",
-    ast.BinOp.GE: ">=",
-}
 
 #: binary operators whose result templates cannot raise (division is guarded)
 _PURE_BINOPS = frozenset(_CMP_OPS) | {
@@ -183,8 +148,11 @@ def compile_program(checked: CheckedProgram) -> CodegenModule:
     key = checked.digest()
     module = _MODULE_CACHE.get(key)
     if module is None:
-        module = HandlerSourceCompiler(checked).compile()
-        _MODULE_CACHE[key] = module
+        module = _MODULE_CACHE[key] = HandlerSourceCompiler(checked).compile()
+        if _OBS.enabled:
+            _M_MODULE_CACHE_MISSES.inc()
+    elif _OBS.enabled:
+        _M_MODULE_CACHE_HITS.inc()
     return module
 
 
@@ -290,11 +258,9 @@ class HandlerSourceCompiler:
             "_EV": EventInstance,
             "_ER": ExecutionResult,
             "_UNDEF": _UNDEF,
-            "_c32": zlib.crc32,
             "_EMPTY_R": _EMPTY_RESULT,
+            **_hash_namespace(self._pack_arities),
         }
-        for n in sorted(self._pack_arities):
-            namespace[f"_pk{n}"] = struct.Struct("<%dI" % n).pack
         code = compile(source, f"<codegen:{self.checked.name}>", "exec")
         exec(code, namespace)
         return CodegenModule(
@@ -896,18 +862,9 @@ class HandlerSourceCompiler:
         if func == "hash":
             width = e.size_args[0] if e.size_args else 32
             parts = self._parts(e.args, env)
-            n = len(parts) + 1
-            self._pack_arities.add(n)
-            if parts:
-                args = ", ".join(f"(({s}) & 4294967295)" for s, _ in parts)
-                core = f"_c32(_pk{n}(0, {args}))"
-            else:
-                core = f"_c32(_pk{n}(0))"
-            safe = all(s for _, s in parts)
-            if width >= 32:
-                return (core, safe)
-            wmask = (1 << width) - 1 if width > 0 else 0
-            return (f"({core} & {wmask})", safe)
+            self._pack_arities.add(len(parts) + 1)
+            return (_hash_template(width, [s for s, _ in parts]),
+                    all(safe for _, safe in parts))
         if func == "Sys.time":
             return (f"({self._bind('runtime')}.time_ns & 4294967295)", True)
         if func == "Sys.self":

@@ -12,10 +12,12 @@ returns what it produced.  Three engines ship with the repository:
 ``pisa``
     The hardware-accurate model: the program is lowered **once** through
     the full compiler backend (:func:`repro.backend.compiler.compile_checked`
-    — normalisation, branch elimination, table merging, stage layout) and
-    every event then executes through the resulting
-    :class:`~repro.backend.layout.PipelineLayout` stage by stage via
-    :class:`~repro.pisa.pipeline.PisaPipeline`, over the *same*
+    — normalisation, branch elimination, table merging, stage layout), the
+    resulting :class:`~repro.backend.layout.PipelineLayout` is lowered
+    **once** into a stage plan (one flat function per handler: its tables
+    in stage order, path conditions as inline tests — see
+    :mod:`repro.pisa.pipeline`), and every event then runs its handler's
+    plan via :class:`~repro.pisa.pipeline.PisaPipeline`, over the *same*
     :class:`~repro.interp.interpreter.SwitchRuntime` (register file, clock,
     PRNG, externs) the network simulation owns.  On top of executing, it
     charges the PISA substrate costs: recirculation-port bandwidth per
@@ -172,7 +174,9 @@ class CodegenEngine(SwitchEngine):
 def _compiled_for(checked) -> "object":
     """Lower ``checked`` through the backend once, caching the result on the
     checked program itself — switches sharing one checked program (every
-    switch of a topology with identical group bindings) share one layout."""
+    switch of a topology with identical group bindings) share one layout,
+    and with it the stage plan :func:`repro.pisa.pipeline.lower_layout`
+    caches on the compiled program."""
     compiled = getattr(checked, "_engine_compiled", None)
     if compiled is None:
         from repro.backend.compiler import CompilerOptions, compile_checked

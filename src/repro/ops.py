@@ -5,8 +5,11 @@ interpreter (:mod:`repro.interp.interpreter`), the source-codegen engine
 (:mod:`repro.interp.codegen`), and the PISA pipeline executor
 (:mod:`repro.pisa.pipeline`) — must agree bit-for-bit on what one ALU
 operation computes.  This module is the single definition they all
-consume; keeping it dependency-free (it imports only the AST operator
-enum) lets any layer use it without pulling in an engine.
+consume — as functions (:func:`apply_binop`, :func:`lucid_hash`) and, for
+the two engines that emit Python source, as the equivalent expression
+templates (:func:`binop_template`, :func:`hash_template`).  Keeping it
+dependency-free (it imports only the AST operator enum) lets any layer use
+it without pulling in an engine.
 
 All arithmetic is 32-bit: results are masked to ``0xFFFFFFFF``, division
 and modulo by zero yield 0 (matching the Tofino's saturating behaviour in
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import InterpError
 from repro.frontend import ast
@@ -113,3 +116,76 @@ def apply_binop(op: ast.BinOp, left: int, right: int) -> int:
     if op is ast.BinOp.OR:
         return int(bool(left) or bool(right))
     raise InterpError(f"unsupported operator {op}")
+
+
+# ---------------------------------------------------------------------------
+# source templates: the same operations as Python expression text, for the
+# engines that emit source (repro.interp.codegen for handlers,
+# repro.pisa.pipeline for stage plans).  ``eval`` of a template must equal
+# the function above it — tests/test_pisa_lowering.py sweeps both.
+# ---------------------------------------------------------------------------
+#: comparison operators -> their Python spelling
+CMP_OPS = {
+    ast.BinOp.EQ: "==",
+    ast.BinOp.NEQ: "!=",
+    ast.BinOp.LT: "<",
+    ast.BinOp.GT: ">",
+    ast.BinOp.LE: "<=",
+    ast.BinOp.GE: ">=",
+}
+
+
+def binop_template(op: ast.BinOp, left: str, right: str) -> str:
+    """Python source computing ``apply_binop(op, left, right)`` over two
+    operand source strings.  ``right`` appears twice for ``/`` and ``%``
+    (the zero guard), so callers pass an atom there."""
+    B = ast.BinOp
+    if op is B.ADD:
+        return f"((({left}) + ({right})) & 4294967295)"
+    if op is B.SUB:
+        return f"((({left}) - ({right})) & 4294967295)"
+    if op is B.MUL:
+        return f"((({left}) * ({right})) & 4294967295)"
+    if op is B.DIV:
+        return f"(((({left}) // ({right})) if ({right}) else 0))"
+    if op is B.MOD:
+        return f"(((({left}) % ({right})) if ({right}) else 0))"
+    if op is B.BITAND:
+        return f"(({left}) & ({right}))"
+    if op is B.BITOR:
+        return f"(({left}) | ({right}))"
+    if op is B.BITXOR:
+        return f"(({left}) ^ ({right}))"
+    if op is B.SHL:
+        return f"((({left}) << (({right}) & 31)) & 4294967295)"
+    if op is B.SHR:
+        return f"(({left}) >> (({right}) & 31))"
+    if op is B.AND:
+        # strict form; emitters that short-circuit do so before calling in
+        return f"((1 if ({left}) and ({right}) else 0))"
+    if op is B.OR:
+        return f"((1 if ({left}) or ({right}) else 0))"
+    py = CMP_OPS.get(op)
+    if py is None:
+        raise InterpError(f"unsupported operator {op}")
+    return f"((1 if ({left}) {py} ({right}) else 0))"
+
+
+def hash_template(width: int, args: Sequence[str]) -> str:
+    """Python source computing ``lucid_hash(width, args)`` over operand
+    source strings, given ``_c32`` (``zlib.crc32``) and ``_pk<N>`` (the
+    ``N``-word packer, see :func:`hash_namespace`) in scope."""
+    words = "".join(f", (({arg}) & 4294967295)" for arg in args)
+    core = f"_c32(_pk{len(args) + 1}(0{words}))"
+    if width >= 32:
+        return core
+    return f"({core} & {(1 << width) - 1 if width > 0 else 0})"
+
+
+def hash_namespace(arities: Iterable[int]) -> dict:
+    """The names :func:`hash_template` expects, for hashes of ``arities``
+    words (argument count + the seed word)."""
+    names = {"_c32": zlib.crc32}
+    for n in arities:
+        names[f"_pk{n}"] = struct.Struct("<%dI" % n).pack
+    return names

@@ -3,38 +3,58 @@
 This is the substrate that stands in for the Tofino: it takes the
 :class:`~repro.backend.layout.PipelineLayout` produced by the compiler and
 executes event packets through it, stage by stage, atomic table by atomic
-table — evaluating each table's path conditions against the packet's metadata
+table — testing each table's path conditions against the packet's metadata
 (as the generated match-action rules would) and applying its single operation
 (stateless ALU op, stateful ALU register access, hash, event generation, or a
 primitive action such as ``drop``/``forward``/``printf``).
 
+On hardware none of that is decided per packet: the match-action rules *are*
+the layout, fixed at compile time.  The executor does the same.  The layout
+is lowered **once** per :class:`~repro.backend.compiler.CompiledProgram`
+into a *stage plan* (:func:`lower_layout`): one flat Python function per
+handler holding only that handler's tables in stage order, with path
+conditions as inline tests, metadata fields as plain locals, ALU and hash
+operations as the ``repro.ops`` source templates, and the per-stage
+accounting (``stages_traversed``, ``tables_executed``, the optional
+:class:`~repro.obs.profile.StageProfiler`) written out per stage.  A
+:class:`PisaPipeline` only binds the plan to its own switch state — register
+arrays, memops, ``SELF``, the runtime clock/PRNG/extern table — so every
+switch running one compiled program shares the code objects.  Stateful
+operations still go through :class:`~repro.interp.arrays.RuntimeArray`, one
+call per table, exactly like the hardware stateful ALU.
+
 Running the same program through this pipeline executor and through the
 AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
 register state is the repository's main end-to-end check that compilation
-preserves semantics.  Since the engine refactor the executor is also
-*load-bearing*: :class:`~repro.interp.engine.PisaEngine` drives whole
-scenario workloads through it, one pipeline pass per handled event, over a
+preserves semantics.  The executor is also *load-bearing*:
+:class:`~repro.interp.engine.PisaEngine` drives whole scenario workloads
+through it, one pipeline pass per handled event, over a
 :class:`~repro.interp.interpreter.SwitchRuntime` shared with the network
 simulation (pass ``runtime=`` to share arrays, externs, the clock, and the
 PRNG with a live :class:`~repro.interp.network.Switch`).
+
+Use ``repro.scenarios run NAME --engine pisa --dump-source`` (or
+:meth:`PisaPipeline.source`) to read a plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.backend.compiler import CompiledProgram
 from repro.backend.layout import PipelineLayout
-from repro.backend.tables import AtomicTable, TableKind
-from repro.errors import SimulationError
+from repro.backend.tables import AtomicTable
+from repro.errors import InterpError, SimulationError
+from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import SwitchRuntime
 from repro.midend.normalize import (
     Const,
     NArrayOp,
+    NCond,
     NCopy,
     NGenerate,
     NHash,
@@ -42,22 +62,387 @@ from repro.midend.normalize import (
     NPrim,
     Operand,
 )
-from repro.ops import MASK32, apply_binop, lucid_hash
+from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
+from repro.ops import CMP_OPS, binop_template, hash_namespace, hash_template
+
+# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
+_M_PLAN_CACHE_HITS = _REGISTRY.counter(
+    "repro_engine_pisa_plan_cache_hits_total",
+    "Pipelines bound to a stage plan already lowered for their program.")
+_M_PLAN_CACHE_MISSES = _REGISTRY.counter(
+    "repro_engine_pisa_plan_cache_misses_total",
+    "Stage plans lowered from a layout (once per compiled program).")
 
 
-@dataclass
 class PipelinePassResult:
-    """What one packet's pass through the pipeline produced."""
+    """What one packet's pass through the pipeline produced.
 
-    generated: List[EventInstance] = field(default_factory=list)
-    prints: List[str] = field(default_factory=list)
-    dropped: bool = False
-    flooded: bool = False
-    forwarded_port: Optional[int] = None
-    stages_traversed: int = 0
-    tables_executed: int = 0
+    A hand-written ``__slots__`` class: one is built per pass, by the stage
+    plan, with all seven fields at once."""
+
+    __slots__ = ("generated", "prints", "dropped", "flooded", "forwarded_port",
+                 "stages_traversed", "tables_executed")
+
+    def __init__(
+        self,
+        generated: Optional[List[EventInstance]] = None,
+        prints: Optional[List[str]] = None,
+        dropped: bool = False,
+        flooded: bool = False,
+        forwarded_port: Optional[int] = None,
+        stages_traversed: int = 0,
+        tables_executed: int = 0,
+    ) -> None:
+        self.generated = [] if generated is None else generated
+        self.prints = [] if prints is None else prints
+        self.dropped = dropped
+        self.flooded = flooded
+        self.forwarded_port = forwarded_port
+        self.stages_traversed = stages_traversed
+        self.tables_executed = tables_executed
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PipelinePassResult({fields})"
 
 
+# ---------------------------------------------------------------------------
+# lowering: PipelineLayout -> stage plan
+# ---------------------------------------------------------------------------
+class StagePlan:
+    """One compiled program's layout as Python source, compiled once.
+
+    ``bind(pipeline, runtime)`` returns the per-switch handler functions
+    (closures over that switch's state, sharing the plan's code objects)."""
+
+    __slots__ = ("source", "handler_sources", "bind")
+
+    def __init__(self, source: str, handler_sources: Dict[str, str], bind: Callable):
+        self.source = source
+        self.handler_sources = handler_sources
+        self.bind = bind
+
+
+def lower_layout(compiled: CompiledProgram) -> StagePlan:
+    """The stage plan of ``compiled``, lowered on first use and cached on the
+    compiled program — beside the layout it is derived from, so the switches
+    sharing one layout (:func:`repro.interp.engine._compiled_for`) lower it
+    once however many of them there are."""
+    plan = getattr(compiled, "_stage_plan", None)
+    if plan is None:
+        plan = compiled._stage_plan = _PlanEmitter(compiled).lower()
+        if _OBS.enabled:
+            _M_PLAN_CACHE_MISSES.inc()
+    elif _OBS.enabled:
+        _M_PLAN_CACHE_HITS.inc()
+    return plan
+
+
+def _tuple(items: List[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+class _PlanEmitter:
+    """Walks the layout once and writes one function per handler."""
+
+    def __init__(self, compiled: CompiledProgram):
+        self.program_name = compiled.name
+        self.info = compiled.checked.info
+        #: handler -> [(stage index, that handler's tables in the stage)]
+        self.staged: Dict[str, List[Tuple[int, List[AtomicTable]]]] = {}
+        for stage_index, stage in enumerate(compiled.layout.stages):
+            by_handler: Dict[str, List[AtomicTable]] = {}
+            for merged in stage.merged_tables:
+                for table in merged.members:
+                    by_handler.setdefault(table.handler, []).append(table)
+            for handler, tables in by_handler.items():
+                self.staged.setdefault(handler, []).append((stage_index, tables))
+        # program-wide bindings, in first-use order
+        self.arrays: List[str] = []
+        self.memops: List[str] = []
+        self.hash_arities: Set[int] = set()
+        # per-handler state (reset by _handler)
+        self.locals: Dict[str, str] = {}
+
+    # -- program assembly ---------------------------------------------------
+    def lower(self) -> StagePlan:
+        handlers = {
+            name: self._handler(decl) for name, decl in self.info.handlers.items()
+        }
+        out = [
+            f"# Stage plan lowered by repro.pisa.pipeline for program "
+            f"{self.program_name!r}:",
+            "# one function per handler, its tables in stage order.",
+            "# Seeded globals: _IE (InterpError), _EV (EventInstance),",
+            "# _PR (PipelinePassResult), _pc (perf_counter), _uid (itemgetter(0)),",
+            "# _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).",
+            "",
+            "def _bind(_P, _rt):",
+            "    _SELF = _rt.switch_id",
+            "    _EXT = _rt.externs",
+        ]
+        out += [f"    _A_{a} = _rt.array({a!r})" for a in self.arrays]
+        out += [f"    _M_{m} = _rt.memop_fn({m!r})" for m in self.memops]
+        for lines in handlers.values():
+            out.append("")
+            out += ["    " + line for line in lines]
+        out.append("")
+        out.append("    return {")
+        out += [f"        {name!r}: _h_{name}," for name in handlers]
+        out.append("    }")
+        out.append("")
+        source = "\n".join(out)
+        namespace = {
+            "__name__": f"repro.pisa.pipeline.<{self.program_name}>",
+            "_IE": InterpError,
+            "_EV": EventInstance,
+            "_PR": PipelinePassResult,
+            "_pc": perf_counter,
+            "_uid": itemgetter(0),
+            **hash_namespace(self.hash_arities),
+        }
+        exec(compile(source, f"<stage-plan:{self.program_name}>", "exec"), namespace)
+        return StagePlan(
+            source,
+            {name: "\n".join(lines) + "\n" for name, lines in handlers.items()},
+            namespace["_bind"],
+        )
+
+    # -- one handler --------------------------------------------------------
+    def _handler(self, decl: ast.DHandler) -> List[str]:
+        staged = self.staged.get(decl.name, [])
+        tables = [table for _, stage_tables in staged for table in stage_tables]
+        params = [p.name for p in decl.params]
+        written: Set[str] = set()
+        read: Set[str] = set()
+        for table in tables:
+            written.update(table.writes)
+            read.update(table.all_reads())
+        # a metadata field is a local iff some table may write it (handler
+        # parameters arrive written); every other name reads as its default
+        names = sorted(set(params) | written)
+        self.locals = {name: f"m_{name}" for name in names}
+
+        effects = {_effect(table.stmt) for table in tables}
+        # generated events and printed lines are observable in program order
+        # (table uid order); data-flow reordering may place them otherwise, in
+        # which case they are tagged with their table uid and re-sorted
+        tag = {}
+        for kind in ("gen", "prints"):
+            uids = [t.uid for t in tables if _effect(t.stmt) == kind]
+            tag[kind] = uids != sorted(uids)
+
+        n = len(params)
+        out = [
+            f"def _h_{decl.name}(_args):",
+            f"    if len(_args) != {n}:",
+            f"        raise _IE(f\"event '{decl.name}' carries {{len(_args)}} "
+            f"arguments but the handler expects {n}\")",
+        ]
+        for i, name in enumerate(params):
+            if name in read:
+                out.append(f"    {self.locals[name]} = int(_args[{i}])")
+        for name in names:
+            if name in read and name not in params:
+                out.append(f"    {self.locals[name]} = {self._default(name)}")
+        for kind, var, empty in _EFFECTS:
+            if kind in effects:
+                out.append(f"    {var} = {empty}")
+        if staged:
+            out.append("    _sp = _P.stage_prof")
+            out.append("    _st = _tb = 0")
+        for stage_index, stage_tables in staged:
+            out += self._stage(stage_index, stage_tables, tag)
+        for kind, var in (("gen", "_gen"), ("prints", "_prints")):
+            if tag[kind]:
+                out.append(f"    if len({var}) > 1:")
+                out.append(f"        {var}.sort(key=_uid)")
+                out.append(f"    {var} = [_item for _, _item in {var}]")
+        fields = [var if kind in effects else empty for kind, var, empty in _EFFECTS]
+        fields += ["_st", "_tb"] if staged else ["0", "0"]
+        out.append(f"    return _PR({', '.join(fields)})")
+        return out
+
+    def _stage(self, stage_index: int, tables: List[AtomicTable],
+               tag: Dict[str, bool]) -> List[str]:
+        """One physical stage: every table whose path conditions hold runs;
+        a stage counts as traversed iff at least one did."""
+        out = [f"    # stage {stage_index}", "    if _sp is not None:", "        _t0 = _pc()"]
+        always = sum(1 for table in tables if not table.path_conditions)
+        if always < len(tables):
+            out.append("    _n = 0")
+        for table in tables:
+            body = self._table(table, tag)
+            if table.path_conditions:
+                test = " and ".join(self._test(c) for c in table.path_conditions)
+                out.append(f"    if {test}:  # {table.name}")
+                out += ["        " + line for line in body]
+                out.append("        _n += 1")
+            else:
+                out.append(f"    {body[0]}  # {table.name}")
+                out += ["    " + line for line in body[1:]]
+        if always == len(tables):
+            count, pad = str(always), "    "
+        elif always:
+            count, pad = f"{always} + _n", "    "
+        else:
+            count, pad = "_n", "        "
+            out.append("    if _n:")
+        out.append(f"{pad}_st += 1")
+        out.append(f"{pad}_tb += {count}")
+        out.append(f"{pad}if _sp is not None:")
+        out.append(f"{pad}    _sp.record({stage_index}, {count}, _pc() - _t0)")
+        return out
+
+    # -- operands and conditions -------------------------------------------
+    def _default(self, name: str) -> str:
+        """What a metadata field no table has written reads as."""
+        if name == "SELF" or name == "__Sys_self":
+            return "_SELF"
+        if name == "__Sys_time":
+            # the ingress timestamp metadata field, truncated like Sys.time()
+            return "(_rt.time_ns & 4294967295)"
+        const = self.info.consts.lookup(name)
+        if const is not None:
+            return repr(int(const))
+        # uninitialised metadata reads as zero, as it does in hardware
+        return "0"
+
+    def _atom(self, operand: Operand) -> str:
+        if isinstance(operand, Const):
+            return repr(int(operand.value))
+        return self.locals.get(operand.name) or self._default(operand.name)
+
+    def _test(self, cond: NCond) -> str:
+        left, right = self._atom(cond.lhs), self._atom(cond.rhs)
+        py = CMP_OPS.get(cond.op)
+        if py is not None:
+            return f"{left} {py} {right}"
+        return binop_template(cond.op, left, right)
+
+    # -- one table's action ---------------------------------------------------
+    def _table(self, table: AtomicTable, tag: Dict[str, bool]) -> List[str]:
+        stmt = table.stmt
+        atom = self._atom
+        if isinstance(stmt, NOp):
+            value = binop_template(stmt.op, atom(stmt.lhs), atom(stmt.rhs))
+            return [f"{self.locals[stmt.dst]} = {value}"]
+        if isinstance(stmt, NCopy):
+            return [f"{self.locals[stmt.dst]} = {atom(stmt.src)}"]
+        if isinstance(stmt, NHash):
+            self.hash_arities.add(len(stmt.args) + 1)
+            value = hash_template(stmt.width, [atom(a) for a in stmt.args])
+            return [f"{self.locals[stmt.dst]} = {value}"]
+        if isinstance(stmt, NArrayOp):
+            return [self._array_op(stmt)]
+        if isinstance(stmt, NGenerate):
+            event = self._event(stmt)
+            return [f"_gen.append(({table.uid}, {event}))" if tag["gen"]
+                    else f"_gen.append({event})"]
+        if isinstance(stmt, NPrim):
+            return self._prim(stmt, table.uid if tag["prints"] else None)
+        raise SimulationError(f"cannot lower table {table.name}")  # pragma: no cover
+
+    def _array_op(self, stmt: NArrayOp) -> str:
+        """One stateful-ALU instruction: a single RuntimeArray call."""
+        if stmt.array not in self.arrays:
+            self.arrays.append(stmt.array)
+        for memop in stmt.memops:
+            if memop not in self.memops:
+                self.memops.append(memop)
+        array = f"_A_{stmt.array}"
+        index = self._atom(stmt.index)
+        args = [self._atom(a) for a in stmt.args]
+        memops = [f"_M_{m}" for m in stmt.memops]
+        first = args[0] if args else "0"
+        dst = f"{self.locals[stmt.dst]} = " if stmt.dst else ""
+        if stmt.method in ("Array.get", "Array.getm"):
+            memop = memops[0] if memops else "None"
+            return f"{dst}{array}.get({index}, {memop}, {first})"
+        if stmt.method in ("Array.set", "Array.setm"):
+            if memops:
+                return f"{array}.set({index}, None, {memops[0]}, {first})"
+            return f"{array}.set({index}, {first})"
+        if stmt.method == "Array.update":
+            get_memop = memops[0] if memops else "None"
+            set_memop = memops[1] if len(memops) > 1 else "None"
+            set_arg = args[1] if len(args) > 1 else first
+            return (f"{dst}{array}.update({index}, {get_memop}, {first}, "
+                    f"{set_memop}, {set_arg})")
+        raise SimulationError(f"unknown array method {stmt.method}")  # pragma: no cover
+
+    def _event(self, stmt: NGenerate) -> str:
+        """``_EV(name, args, delay_ns, location, group, source)``."""
+        args = _tuple([self._atom(a) for a in stmt.args])
+        delay = self._atom(stmt.delay)
+        location, group = repr(LOCAL), "None"
+        if stmt.group is not None:
+            members = self.info.consts.groups.get(stmt.group, [])
+            group = repr(tuple(int(member) for member in members))
+        else:
+            where = self._atom(stmt.location)
+            if where != repr(LOCAL):
+                # an event located at this very switch is a local one
+                location = f"({LOCAL} if {where} == _SELF else {where})"
+        return f"_EV({stmt.event!r}, {args}, {delay}, {location}, {group}, _SELF)"
+
+    def _prim(self, stmt: NPrim, print_uid: Optional[int]) -> List[str]:
+        prim = stmt.prim
+        args = [self._atom(a) for a in stmt.args]
+        if prim == "drop":
+            return ["_drop = True"]
+        if prim == "forward":
+            return [f"_fwd = {args[0]}"] if args else ["pass"]
+        if prim == "flood":
+            return ["_flood = True"]
+        if prim == "printf":
+            line = f"' '.join({_tuple([f'str({a})' for a in args])})" if args else "''"
+            return [f"_prints.append(({print_uid}, {line}))" if print_uid is not None
+                    else f"_prints.append({line})"]
+        if prim == "Sys.time":
+            return [f"{self.locals['__Sys_time']} = _rt.time_ns & 4294967295"]
+        if prim == "Sys.self":
+            return [f"{self.locals['__Sys_self']} = _SELF"]
+        if prim == "Sys.random":
+            # advances the shared xorshift state exactly once, like the
+            # interpreter does at the corresponding call site; the optional
+            # bound operand reduces the draw exactly as Sys.random(bound) does
+            return [f"{self.locals['__Sys_random']} = _rt.random({', '.join(args[:1])})"]
+        if prim.startswith("extern:"):
+            # looked up per call: bind_extern may come after the first event
+            return [
+                f"_fn = _EXT.get({prim.split(':', 1)[1]!r})",
+                "if _fn is not None:",
+                f"    _fn({', '.join(args)})",
+            ]
+        # unknown primitives are inert metadata, as unprogrammed actions are
+        return ["pass"]
+
+
+#: what a table may contribute to the pass result, in PipelinePassResult
+#: field order: (effect kind, the plan's local, its value when no table does)
+_EFFECTS = (
+    ("gen", "_gen", "[]"),
+    ("prints", "_prints", "[]"),
+    ("drop", "_drop", "False"),
+    ("flood", "_flood", "False"),
+    ("fwd", "_fwd", "None"),
+)
+
+
+def _effect(stmt) -> Optional[str]:
+    """Which field of the pass result ``stmt`` contributes to, if any."""
+    if isinstance(stmt, NGenerate):
+        return "gen"
+    if isinstance(stmt, NPrim):
+        return {"printf": "prints", "drop": "drop", "flood": "flood",
+                "forward": "fwd"}.get(stmt.prim)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the pipeline: one plan bound to one switch's state
+# ---------------------------------------------------------------------------
 class PisaPipeline:
     """Executes a compiled program's layout over shared register state."""
 
@@ -77,12 +462,22 @@ class PisaPipeline:
         self.runtime = runtime or SwitchRuntime(compiled.checked, switch_id=switch_id)
         self.switch_id = self.runtime.switch_id
         #: optional :class:`repro.obs.profile.StageProfiler` — per-physical-
-        #: stage wall-time and table accounting, fed by :meth:`process`
+        #: stage wall-time and table accounting; read at the start of every
+        #: pass, so it may be attached at any time
         self.stage_prof = None
+        self.plan = lower_layout(compiled)
+        self._handlers: Dict[str, Callable] = self.plan.bind(self, self.runtime)
 
     # -- state access ---------------------------------------------------------
     def array(self, name: str) -> RuntimeArray:
         return self.runtime.array(name)
+
+    def source(self, handler: Optional[str] = None) -> str:
+        """The lowered stage plan as Python source: the whole module, or the
+        one function of ``handler``."""
+        if handler is None:
+            return self.plan.source
+        return self.plan.handler_sources[handler]
 
     # -- execution --------------------------------------------------------------
     def process(self, event: EventInstance, time_ns: Optional[int] = None) -> PipelinePassResult:
@@ -93,183 +488,8 @@ class PisaPipeline:
         """
         if time_ns is not None:
             self.runtime.time_ns = time_ns
-        handler = self.info.handlers.get(event.name)
-        result = PipelinePassResult()
-        if handler is None:
-            return result
-        # metadata vector: handler parameters become metadata fields
-        metadata: Dict[str, int] = {
-            param.name: int(arg) for param, arg in zip(handler.params, event.args)
-        }
-        # table uids are assigned in program order during table construction;
-        # data-flow reordering may run two generate (or printf) tables in
-        # either stage order, but packet generation and the print stream are
-        # observable in program order, so both are re-sorted by originating
-        # table at the end of the pass
-        generate_order: List[int] = []
-        print_order: List[int] = []
-        stage_prof = self.stage_prof
-        for stage_index, stage in enumerate(self.layout.stages):
-            stage_executed = 0
-            stage_start = perf_counter() if stage_prof is not None else 0.0
-            for merged in stage.merged_tables:
-                for table in merged.members:
-                    if table.handler != event.name:
-                        continue
-                    if not self._conditions_hold(table, metadata):
-                        continue
-                    self._execute_table(table, metadata, result, generate_order, print_order)
-                    stage_executed += 1
-            if stage_executed:
-                result.stages_traversed += 1
-                result.tables_executed += stage_executed
-                if stage_prof is not None:
-                    stage_prof.record(
-                        stage_index, stage_executed, perf_counter() - stage_start
-                    )
-        if len(result.generated) > 1:
-            result.generated = [
-                event
-                for _, event in sorted(
-                    zip(generate_order, result.generated), key=lambda pair: pair[0]
-                )
-            ]
-        if len(result.prints) > 1:
-            result.prints = [
-                line
-                for _, line in sorted(
-                    zip(print_order, result.prints), key=lambda pair: pair[0]
-                )
-            ]
-        return result
-
-    # -- helpers ------------------------------------------------------------------
-    def _operand_value(self, operand: Operand, metadata: Dict[str, int]) -> int:
-        if isinstance(operand, Const):
-            return operand.value
-        name = operand.name
-        if name in metadata:
-            return metadata[name]
-        if name == "SELF" or name == "__Sys_self":
-            return self.switch_id
-        if name == "__Sys_time":
-            # the ingress timestamp metadata field, truncated like Sys.time()
-            return self.runtime.time_ns & MASK32
-        const = self.info.consts.lookup(name)
-        if const is not None:
-            return const
-        # reading a metadata field that no table has written yet yields zero,
-        # exactly as uninitialised metadata does in hardware
-        return 0
-
-    def _conditions_hold(self, table: AtomicTable, metadata: Dict[str, int]) -> bool:
-        for cond in table.path_conditions:
-            lhs = self._operand_value(cond.lhs, metadata)
-            rhs = self._operand_value(cond.rhs, metadata)
-            if not apply_binop(cond.op, lhs, rhs):
-                return False
-        return True
-
-    def _execute_table(
-        self,
-        table: AtomicTable,
-        metadata: Dict[str, int],
-        result: PipelinePassResult,
-        generate_order: Optional[List[int]] = None,
-        print_order: Optional[List[int]] = None,
-    ) -> None:
-        stmt = table.stmt
-        if isinstance(stmt, NOp):
-            lhs = self._operand_value(stmt.lhs, metadata)
-            rhs = self._operand_value(stmt.rhs, metadata)
-            metadata[stmt.dst] = apply_binop(stmt.op, lhs, rhs)
-        elif isinstance(stmt, NCopy):
-            metadata[stmt.dst] = self._operand_value(stmt.src, metadata)
-        elif isinstance(stmt, NHash):
-            args = [self._operand_value(a, metadata) for a in stmt.args]
-            metadata[stmt.dst] = lucid_hash(stmt.width, args)
-        elif isinstance(stmt, NArrayOp):
-            self._execute_array_op(stmt, metadata)
-        elif isinstance(stmt, NGenerate):
-            if generate_order is not None:
-                generate_order.append(table.uid)
-            self._execute_generate(stmt, metadata, result)
-        elif isinstance(stmt, NPrim):
-            before = len(result.prints)
-            self._execute_prim(stmt, metadata, result)
-            if print_order is not None:
-                print_order.extend([table.uid] * (len(result.prints) - before))
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"cannot execute table {table.name}")
-
-    def _execute_prim(self, stmt, metadata: Dict[str, int], result: PipelinePassResult) -> None:
-        prim = stmt.prim
-        if prim == "drop":
-            result.dropped = True
-        elif prim == "forward":
-            if stmt.args:
-                result.forwarded_port = self._operand_value(stmt.args[0], metadata)
-        elif prim == "flood":
-            result.flooded = True
-        elif prim == "printf":
-            result.prints.append(
-                " ".join(str(self._operand_value(a, metadata)) for a in stmt.args)
-            )
-        elif prim == "Sys.time":
-            metadata["__Sys_time"] = self.runtime.time_ns & MASK32
-        elif prim == "Sys.self":
-            metadata["__Sys_self"] = self.switch_id
-        elif prim == "Sys.random":
-            # advances the shared xorshift state exactly once, like the
-            # interpreter does at the corresponding call site; the optional
-            # bound operand reduces the draw exactly as Sys.random(bound) does
-            bound = self._operand_value(stmt.args[0], metadata) if stmt.args else None
-            metadata["__Sys_random"] = self.runtime.random(bound)
-        elif prim.startswith("extern:"):
-            fn = self.runtime.externs.get(prim.split(":", 1)[1])
-            if fn is not None:
-                fn(*[self._operand_value(a, metadata) for a in stmt.args])
-        # unknown primitives are inert metadata, as unprogrammed actions are
-
-    def _execute_array_op(self, stmt, metadata: Dict[str, int]) -> None:
-        array = self.runtime.array(stmt.array)
-        index = self._operand_value(stmt.index, metadata)
-        args = [self._operand_value(a, metadata) for a in stmt.args]
-        memops = [self.runtime.memop_fn(m) for m in stmt.memops]
-        if stmt.method in ("Array.get", "Array.getm"):
-            memop = memops[0] if memops else None
-            value = array.get(index, memop, args[0] if args else 0)
-            if stmt.dst:
-                metadata[stmt.dst] = value
-        elif stmt.method in ("Array.set", "Array.setm"):
-            if memops:
-                array.set(index, memop=memops[0], arg=args[0] if args else 0)
-            else:
-                array.set(index, value=args[0] if args else 0)
-        elif stmt.method == "Array.update":
-            get_memop = memops[0] if memops else None
-            set_memop = memops[1] if len(memops) > 1 else None
-            get_arg = args[0] if args else 0
-            set_arg = args[1] if len(args) > 1 else (args[0] if args else 0)
-            value = array.update(index, get_memop, get_arg, set_memop, set_arg)
-            if stmt.dst:
-                metadata[stmt.dst] = value
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown array method {stmt.method}")
-
-    def _execute_generate(
-        self, stmt, metadata: Dict[str, int], result: PipelinePassResult
-    ) -> None:
-        args = tuple(self._operand_value(a, metadata) for a in stmt.args)
-        delay = self._operand_value(stmt.delay, metadata)
-        event = EventInstance(name=stmt.event, args=args, source=self.switch_id)
-        if delay:
-            event = event.delay(delay)
-        if stmt.group is not None:
-            members = self.info.consts.groups.get(stmt.group, [])
-            event = event.locate(tuple(members))
-        else:
-            location = self._operand_value(stmt.location, metadata)
-            if location != LOCAL and location != self.switch_id:
-                event = event.locate(location)
-        result.generated.append(event)
+        run = self._handlers.get(event.name)
+        if run is None:
+            # events without handlers are legal: they exit the switch
+            return PipelinePassResult()
+        return run(event.args)

@@ -264,9 +264,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="comma-separated engine name per shard "
                             "(requires --shards N with matching N)")
     run_parser.add_argument("--dump-source", action="store_true",
-                            help="print the Python source the codegen engine "
-                            "generates for the scenario's application, then "
-                            "exit without running")
+                            help="print the Python source generated for the "
+                            "scenario's application — the codegen module, "
+                            "or with --engine pisa the lowered stage plan — "
+                            "then exit without running")
     run_parser.add_argument("--trace", type=str, default="",
                             help="write an event-lifecycle Chrome trace "
                             "(Perfetto-compatible JSON) to PATH; with "
@@ -369,11 +370,19 @@ def _run(args, scenario) -> int:
     if args.dump_source:
         from repro.apps import ALL_APPLICATIONS
         from repro.frontend import check_program
-        from repro.interp.codegen import dump_program_source
 
         app = ALL_APPLICATIONS[scenario.app_key]
         checked = check_program(app.source, name=scenario.app_key)
-        print(dump_program_source(checked))
+        if args.engine == "pisa":
+            from repro.backend.compiler import CompilerOptions, compile_checked
+            from repro.pisa.pipeline import PisaPipeline
+
+            compiled = compile_checked(checked, CompilerOptions(emit_p4=False))
+            print(PisaPipeline(compiled).source())
+        else:
+            from repro.interp.codegen import dump_program_source
+
+            print(dump_program_source(checked))
         return 0
 
     tracer_factory = None

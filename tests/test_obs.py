@@ -173,6 +173,23 @@ def test_network_hot_loop_metrics(global_metrics):
         == totals.events_handled
 
 
+@pytest.mark.parametrize("engine, prefix", [
+    ("pisa", "repro_engine_pisa_plan_cache"),
+    ("codegen", "repro_engine_codegen_module_cache"),
+])
+def test_lowering_cache_metrics(global_metrics, engine, prefix):
+    # a program text no other test lowers: the codegen cache is keyed by
+    # digest process-wide, the stage-plan cache rides on the compiled program
+    source = RELAY2.replace("idx + 1", "idx + 3")
+    assert source != RELAY2
+    checked = check_program(source, name=f"relay2-{engine}")
+    network = Network(engine=engine)
+    for switch_id in range(3):
+        network.add_switch(switch_id, checked)
+    assert REGISTRY.value(f"{prefix}_misses_total") == 1
+    assert REGISTRY.value(f"{prefix}_hits_total") == 2
+
+
 def test_metrics_disabled_by_default_after_scenario():
     REGISTRY.reset()
     result = run_scenario(SCENARIOS["heavy-hitter-single"], 200, seed=1)

@@ -7,11 +7,12 @@ cost one predicted-false branch per site when disabled (the
 observability off, ``Network.run`` inlines its dispatch and never enters
 ``Network._dispatch``, so the only instrumented code an unobserved event
 still executes is ``Network._schedule_generated`` (one ``OBS.enabled`` read
-per generated event plus a guarded branch per counter site).  This harness
-measures that cost:
+per generated event; its counters accumulate in locals and flush in one
+guarded block).  This harness measures that cost:
 
 * **baseline** — the shipped scheduler with ``_schedule_generated`` swapped
-  for a copy that has every ``OBS.enabled`` check and metric call removed;
+  for itself minus every ``OBS.enabled`` check and metric call (recompiled
+  from its own source, see :func:`_uninstrumented`);
 * **disabled** — the shipped code with observability off (the default);
 * **enabled** — the shipped code with the metrics registry enabled (every
   event then goes through ``_dispatch`` and its metric sites).
@@ -30,11 +31,15 @@ baseline_eps`` on one scenario's drain + settle, i.e. what the guards in
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
+import inspect
 import sys
+import textwrap
 import time
 
 from bench_common import write_report
-from repro.interp.events import LOCAL, EventInstance
+from repro.interp import network as network_module
 from repro.interp.network import Network
 from repro.obs import disable, enable
 from repro.scenarios import SCENARIOS, run_scenario
@@ -45,61 +50,42 @@ SMOKE_EVENTS = 4_000
 MAX_DISABLED_OVERHEAD = 0.05
 
 
-# ---------------------------------------------------------------------------
-# Network._schedule_generated with the observability sites removed
-# ---------------------------------------------------------------------------
-def _baseline_schedule_generated(self, source, event, trace_parent=None):
-    source.stats.events_generated += 1
-    for target in event.targets(source.id):
-        if target == source.id:
-            if not source.engine.admit_recirculation(event):
-                source.stats.recirc_drops += 1
-                continue
-            delay = self._delay_after_queue(event.delay_ns)
-            arrival = self.now_ns + self.config.recirculation_latency_ns + delay
-            recirc_passes = 1
-            if event.delay_ns > 0 and not self.config.use_delay_queue:
-                recirc_passes += max(
-                    0, event.delay_ns // max(1, self.config.recirculation_latency_ns)
-                )
-            source.stats.recirculations += recirc_passes
-            source.stats.recirculated_bytes += recirc_passes * event.payload_bytes()
-            source.engine.on_recirculate(event)
-        else:
-            if (source.id, target) in self._down_links:
-                source.stats.link_drops += 1
-                continue
-            source.stats.remote_sends += 1
-            arrival = (
-                self.now_ns
-                + self.config.pipeline_latency_ns
-                + self.link_latency(source.id, target)
-                + self._delay_after_queue(event.delay_ns)
-            )
-        delivered = EventInstance(
-            name=event.name,
-            args=event.args,
-            delay_ns=0,
-            location=LOCAL,
-            group=None,
-            source=source.id,
-            trace_parent=trace_parent,
-        )
-        source.origin_seq += 1
-        self._push(arrival, target, delivered, source._key_base | source.origin_seq)
+class _DropObsBlocks(ast.NodeTransformer):
+    """Removes every ``if _OBS.enabled:`` statement, counting them."""
+
+    def __init__(self):
+        self.dropped = 0
+
+    def visit_If(self, node):
+        if ast.unparse(node.test) == "_OBS.enabled":
+            self.dropped += 1
+            return None
+        return self.generic_visit(node)
 
 
-class _BaselinePatch:
+def _uninstrumented(method):
+    """``method`` recompiled from its own source without its observability
+    blocks — derived, so it cannot drift from the shipped scheduler the way
+    a hand copy would."""
+    dropper = _DropObsBlocks()
+    tree = dropper.visit(ast.parse(textwrap.dedent(inspect.getsource(method))))
+    if not dropper.dropped:
+        raise AssertionError(f"{method.__qualname__} has no `if _OBS.enabled:` block to drop")
+    namespace = {}
+    exec(compile(tree, f"<uninstrumented {method.__qualname__}>", "exec"),
+         vars(network_module), namespace)
+    return namespace[method.__name__]
+
+
+@contextlib.contextmanager
+def _baseline_patch():
     """Swap the uninstrumented ``_schedule_generated`` in for the duration."""
-
-    def __enter__(self):
-        self._schedule = Network._schedule_generated
-        Network._schedule_generated = _baseline_schedule_generated
-        return self
-
-    def __exit__(self, *exc):
-        Network._schedule_generated = self._schedule
-        return False
+    shipped = Network._schedule_generated
+    Network._schedule_generated = _uninstrumented(shipped)
+    try:
+        yield
+    finally:
+        Network._schedule_generated = shipped
 
 
 def _eps(scenario, events: int, seed: int, engine: str) -> float:
@@ -115,7 +101,7 @@ def measure(scenario_name: str, events: int, seed: int, engine: str, rounds: int
     scenario = SCENARIOS[scenario_name]
     best = {"baseline": 0.0, "disabled": 0.0, "enabled": 0.0}
     for _ in range(rounds):
-        with _BaselinePatch():
+        with _baseline_patch():
             best["baseline"] = max(best["baseline"], _eps(scenario, events, seed, engine))
         disable()
         best["disabled"] = max(best["disabled"], _eps(scenario, events, seed, engine))

@@ -19,9 +19,9 @@ per-switch handler functions closing over those bindings.
 
 Semantics are pinned to the tree walker: identical results, identical
 error strings raised at the same evaluation points, identical array
-read/write counter increments, identical RNG and event-serial consumption
-order.  Any handler the emitter cannot lower falls back to the tree walker;
-the differential suites in ``tests/test_engine_conformance.py``,
+read/write counter increments, identical RNG consumption order.  Any
+handler the emitter cannot lower falls back to the tree walker; the
+differential suites in ``tests/test_engine_conformance.py``,
 ``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
@@ -211,6 +211,7 @@ class HandlerSourceCompiler:
         self._site_n = 0
         self._undef_inits: Set[str] = set()
         self._effects: Set[str] = set()
+        self._nonint: Set[str] = set()
         self._ret_stack: List[tuple] = []
         self._inlining: Set[str] = set()
 
@@ -311,6 +312,7 @@ class HandlerSourceCompiler:
         self._undef_inits = set()
         self._ret_stack = [("handler",)]
         self._inlining = set()
+        self._nonint = set()
         self._effects = self._scan_effects(handler.body, set())
         env = _Env({p.name: f"v_{p.name}" for p in handler.params},
                    {p.name for p in handler.params})
@@ -364,6 +366,9 @@ class HandlerSourceCompiler:
         self._line(f"return _ER({gen}, {prints}, {drop}, {fwd}, {flood})")
 
     def _scan_effects(self, stmts: Sequence[ast.Stmt], seen: Set[str]) -> Set[str]:
+        """The effect kinds ``stmts`` (and the functions they call) can
+        produce; also collects into ``_nonint`` every local declared with a
+        non-integer type — handler parameters and other locals hold ints."""
         eff: Set[str] = set()
 
         def walk_expr(e: ast.Expr) -> None:
@@ -395,6 +400,8 @@ class HandlerSourceCompiler:
 
         def walk_stmt(s: ast.Stmt) -> None:
             if isinstance(s, ast.SLocal):
+                if not isinstance(s.ty, (ast.TInt, ast.TBool)):
+                    self._nonint.add(s.name)
                 walk_expr(s.init)
             elif isinstance(s, ast.SAssign):
                 walk_expr(s.value)
@@ -538,10 +545,9 @@ class HandlerSourceCompiler:
         if isinstance(stmt, ast.SReturn):
             return self._stmt_return(stmt, env)
         if isinstance(stmt, ast.SGenerate):
-            parts = self._parts([stmt.event], env)
-            s, safe = parts[0]
-            v = s if self._is_atom(s) else self._to_temp(s)
+            v, _ = self._value(stmt.event, env)
             if not self._statically_event(stmt.event):
+                v = v if self._is_atom(v) else self._to_temp(v)
                 self._line(f"if not isinstance({v}, _EV):")
                 self.indent += 1
                 self._line("raise _IE(\"generate expects an event value\")")
@@ -841,16 +847,55 @@ class HandlerSourceCompiler:
         return self._value(e, env)
 
     # -- calls --------------------------------------------------------------
-    def _event_ctor(self, name: str, args: Sequence[ast.Expr], env: _Env) -> Tuple[str, bool]:
-        parts = self._parts(args, env)
-        if parts:
-            items = ", ".join(f"({s})" for s, _ in parts)
-            tup = f"({items},)"
-        else:
-            tup = "()"
-        # EventInstance(name, args, delay_ns=0, location=LOCAL, group=None,
-        # source=SELF); unsafe: allocation consumes the global serial counter
-        return (f"_EV({name!r}, {tup}, 0, -1, None, {self._bind('self')})", False)
+    def _event_ctor(self, name: str, args: Sequence[ast.Expr], env: _Env,
+                    chain: Sequence[Tuple[str, ast.Expr]] = ()) -> Tuple[str, bool]:
+        """One pre-shaped ``_EV(name, args, delay_ns, location, group, SELF)``
+        for an event constructor under ``chain`` — its statically shaped
+        ``(combinator, argument)`` wrappers, innermost first (see
+        :meth:`_static_chain`).  Arguments evaluate left to right: constructor
+        arguments, then each combinator's, as the nested calls would."""
+        parts = [s for s, _ in self._parts([*args, *(a for _, a in chain)], env)]
+        tup = f"({', '.join(f'({s})' for s in parts[:len(args)])},)" if args else "()"
+        delay, location, group = [], "-1", "None"
+        for (shape, _), s in zip(chain, parts[len(args):]):
+            if shape == "delay":
+                delay.append(s if self._is_atom(s) else f"({s})")
+            elif shape == "group":
+                group = s
+            else:
+                location = s
+        # unsafe: each evaluation allocates a distinct instance
+        return (f"_EV({name!r}, {tup}, {' + '.join(delay) or '0'}, {location}, "
+                f"{group}, {self._bind('self')})", False)
+
+    def _static_chain(self, e: ast.Expr, env: _Env):
+        """Flatten ``Event.delay`` / ``Event.locate`` calls over an event
+        constructor into ``(name, args, chain)`` for :meth:`_event_ctor`, or
+        None when the chain is not static: its base is some other event value,
+        or a locate argument cannot be told apart syntactically as a group (a
+        literal or a group constant) or a switch id (arithmetic, a constant,
+        or a local that only ever holds an int)."""
+        chain = []
+        while isinstance(e, ast.ECall) and e.func in EVENT_COMBINATORS:
+            arg = e.args[1]
+            name = arg.name if isinstance(arg, ast.EVar) else None
+            if e.func == "Event.delay":
+                shape = "delay"
+            elif isinstance(arg, ast.EGroup) or (
+                    name in self.info.consts.groups and name not in env.scope):
+                shape = "group"
+            elif name in env.scope:
+                if (env.scope[name] != f"v_{name}" or name not in env.defined
+                        or name in self._nonint):
+                    return None
+                shape = "switch"
+            elif isinstance(arg, (ast.EInt, ast.EBool, ast.EVar, ast.EUnary, ast.EBinary)):
+                shape = "switch"
+            else:
+                return None
+            chain.insert(0, (shape, arg))
+            e = e.args[0]
+        return (e.name, e.args, chain) if isinstance(e, ast.EEvent) else None
 
     def _call(self, e: ast.ECall, env: _Env) -> Tuple[str, bool]:
         func = e.func
@@ -910,6 +955,10 @@ class HandlerSourceCompiler:
         raise _EmitError(f"call to unknown function '{func}'")
 
     def _combinator(self, e: ast.ECall, env: _Env) -> Tuple[str, bool]:
+        static = self._static_chain(e, env)
+        if static is not None:
+            name, args, chain = static
+            return self._event_ctor(name, args, env, chain)
         func = e.func
         ev_expr, arg_expr = e.args[0], e.args[1]
         s, _ = self._value(ev_expr, env)
@@ -1236,7 +1285,7 @@ class CodegenSwitchRuntime:
             elif kind == "cells":
                 bindings[key] = runtime.array(rest).cells
             elif kind == "group":
-                bindings[key] = tuple(self.info.consts.groups[rest])
+                bindings[key] = tuple(int(m) for m in self.info.consts.groups[rest])
             elif kind == "memop":
                 bindings[key] = runtime.memop_fn(rest)
         built = self.module.build(bindings)

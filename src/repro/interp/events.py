@@ -3,7 +3,10 @@
 An event instance is the four-tuple the paper describes: a *name*, carried
 *data*, a *time* (here: an extra delay in nanoseconds), and a *place* (a
 switch id, a named multicast group, or ``LOCAL``).  ``Event.delay`` and
-``Event.locate`` return new values; events are immutable by convention.
+``Event.locate`` return new values.  **Events are immutable**: nothing may
+assign to an instance's fields after construction.  The scheduler relies on
+it: every copy of a multicast shares one delivered instance in the heap (see
+``Network._schedule_generated``).
 
 ``EventInstance`` is a hand-written ``__slots__`` class rather than a frozen
 dataclass: event allocation sits on the hottest path of every engine (each
@@ -14,21 +17,18 @@ costs ~6x more per instance than a plain slotted class.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple, Union
 
 #: sentinel location meaning "the switch that generated the event"
 LOCAL = -1
-
-_serial = itertools.count()
 
 
 class EventInstance:
     """A concrete event awaiting (or undergoing) handling.
 
     Two events are equal iff name, data, time, place, and source agree —
-    regardless of when they were allocated (``serial``) or which dispatch
-    generated them (``trace_parent``).
+    regardless of which dispatch generated them (``trace_parent``).
+    Instances are immutable (see the module docstring).
     """
 
     __slots__ = (
@@ -39,7 +39,6 @@ class EventInstance:
         "group",
         "source",
         "trace_parent",
-        "serial",
     )
 
     def __init__(
@@ -51,7 +50,6 @@ class EventInstance:
         group: Optional[Tuple[int, ...]] = None,
         source: Optional[int] = None,
         trace_parent: Optional[int] = None,
-        serial: Optional[int] = None,
     ) -> None:
         self.name = name
         self.args = args
@@ -65,15 +63,12 @@ class EventInstance:
         #: never part of the event's value, never serialised into checkpoints
         #: (tracing is for bounded runs, checkpoints for trace-free long ones)
         self.trace_parent = trace_parent
-        #: monotonically increasing id used for deterministic tie-breaking;
-        #: not part of the event's value
-        self.serial = next(_serial) if serial is None else serial
 
     def __repr__(self) -> str:
         return (
             f"EventInstance(name={self.name!r}, args={self.args!r}, "
             f"delay_ns={self.delay_ns!r}, location={self.location!r}, "
-            f"group={self.group!r}, source={self.source!r}, serial={self.serial!r})"
+            f"group={self.group!r}, source={self.source!r})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -96,43 +91,21 @@ class EventInstance:
     # -- combinators --------------------------------------------------------
     def delay(self, extra_ns: int) -> "EventInstance":
         """``Event.delay(e, t)`` — execute ``e`` at least ``t`` ns in the future."""
-        return EventInstance(
-            self.name,
-            self.args,
-            self.delay_ns + int(extra_ns),
-            self.location,
-            self.group,
-            self.source,
-            self.trace_parent,
-        )
+        return EventInstance(self.name, self.args, self.delay_ns + int(extra_ns),
+                             self.location, self.group, self.source, self.trace_parent)
 
     def locate(self, location: Union[int, Tuple[int, ...], List[int]]) -> "EventInstance":
         """``Event.locate(e, loc)`` — execute ``e`` at switch ``loc`` (or at every
         member of a group)."""
+        where, group = self.location, self.group
         if isinstance(location, (tuple, list)):
-            return EventInstance(
-                self.name,
-                self.args,
-                self.delay_ns,
-                self.location,
-                tuple(int(l) for l in location),
-                self.source,
-                self.trace_parent,
-            )
-        return EventInstance(
-            self.name,
-            self.args,
-            self.delay_ns,
-            int(location),
-            self.group,
-            self.source,
-            self.trace_parent,
-        )
+            group = tuple(int(l) for l in location)
+        else:
+            where = int(location)
+        return EventInstance(self.name, self.args, self.delay_ns, where, group,
+                             self.source, self.trace_parent)
 
     # -- helpers -------------------------------------------------------------
-    def is_local(self) -> bool:
-        return self.group is None and self.location == LOCAL
-
     def targets(self, self_id: int) -> List[int]:
         """The switch ids this event must be delivered to."""
         if self.group is not None:
@@ -150,9 +123,10 @@ class EventInstance:
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable value form (everything except ``serial``, which
-        is allocation order, not part of the event's value) — the wire format
-        of checkpoints (:meth:`repro.interp.network.Network.snapshot`)."""
+        """JSON-serialisable value form (everything except ``trace_parent``,
+        which is observability context, not part of the event's value) — the
+        wire format of checkpoints
+        (:meth:`repro.interp.network.Network.snapshot`)."""
         return {
             "name": self.name,
             "args": list(self.args),
@@ -173,11 +147,3 @@ class EventInstance:
             group=tuple(group) if group is not None else None,
             source=data.get("source"),
         )
-
-    def describe(self) -> str:
-        where = "local"
-        if self.group is not None:
-            where = f"group{list(self.group)}"
-        elif self.location != LOCAL:
-            where = f"switch {self.location}"
-        return f"{self.name}({', '.join(map(str, self.args))}) @ {where} +{self.delay_ns}ns"

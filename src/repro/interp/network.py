@@ -55,6 +55,9 @@ class _Metrics:
     recirc_drops = REGISTRY.counter(
         "repro_network_recirc_drops_total",
         "Local events refused admission by a bounded recirculation queue.")
+    orphan_events = REGISTRY.counter(
+        "repro_network_orphan_events_total",
+        "Queued events skipped because their target switch does not exist.")
     recirculations = REGISTRY.counter(
         "repro_network_recirculations_total",
         "Passes through a recirculation port.")
@@ -97,6 +100,16 @@ class SchedulerConfig:
     #: recirculation port bandwidth (bits/s), for overhead accounting
     recirc_bandwidth_bps: float = 100e9
 
+    def __post_init__(self) -> None:
+        # every scheduling latency must be positive: the delay queue divides
+        # by its interval, and --shards byte-identity rests on no event being
+        # scheduled for its own timestamp (see the _QueuedEvent comment)
+        for name, floor in (("pipeline_latency_ns", 1), ("recirculation_latency_ns", 1),
+                            ("delay_release_interval_ns", 1), ("link_latency_ns", 0)):
+            if getattr(self, name) < floor:
+                raise SimulationError(
+                    f"SchedulerConfig.{name} must be >= {floor}, got {getattr(self, name)}")
+
 
 @dataclass
 class SwitchStats:
@@ -113,6 +126,9 @@ class SwitchStats:
     #: local events lost because the engine's recirculation queue overflowed
     #: (only capacity-modelling engines — e.g. PISA — ever refuse admission)
     recirc_drops: int = 0
+    #: events this switch generated for a switch id that does not exist (a
+    #: group naming a missing member): sent, then skipped when popped
+    orphan_events: int = 0
     handled_by_event: Dict[str, int] = field(default_factory=dict)
 
     def recirc_bandwidth_bps(self, duration_ns: int) -> float:
@@ -123,58 +139,27 @@ class SwitchStats:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form; round-trips through :meth:`from_dict`
         (used by :meth:`Network.snapshot` and the shard worker transport)."""
-        return {
-            "events_handled": self.events_handled,
-            "events_generated": self.events_generated,
-            "recirculations": self.recirculations,
-            "recirculated_bytes": self.recirculated_bytes,
-            "remote_sends": self.remote_sends,
-            "drops": self.drops,
-            "link_drops": self.link_drops,
-            "recirc_drops": self.recirc_drops,
-            "handled_by_event": dict(self.handled_by_event),
-        }
+        return {**self.__dict__, "handled_by_event": dict(self.handled_by_event)}
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "SwitchStats":
-        return cls(
-            events_handled=state["events_handled"],
-            events_generated=state["events_generated"],
-            recirculations=state["recirculations"],
-            recirculated_bytes=state["recirculated_bytes"],
-            remote_sends=state["remote_sends"],
-            drops=state["drops"],
-            link_drops=state["link_drops"],
-            recirc_drops=state["recirc_drops"],
-            handled_by_event=dict(state["handled_by_event"]),
-        )
+        # counters a snapshot predates (``orphan_events``) keep their default
+        return cls(**{**state, "handled_by_event": dict(state["handled_by_event"])})
 
 
 class Switch:
     """One Lucid switch: a program instance plus its runtime state.
 
-    ``engine`` selects the execution substrate (see
-    :mod:`repro.interp.engine`):
-
-    * ``"codegen"`` (the default) — handlers emitted as flat Python source,
-      compiled once per program digest;
-    * ``"reference"`` — the tree-walking AST interpreter, the oracle the
-      other engines are tested against;
-    * ``"pisa"`` — the program compiled through the full backend and
-      executed stage-by-stage on the pipeline layout, with recirculation
-      and delay-queue cost accounting.
-
-    All engines are behaviourally identical (pinned by the differential
+    ``engine`` names the execution substrate — ``"codegen"`` (the default),
+    ``"reference"`` (the tree walker, the oracle the others are tested
+    against) or ``"pisa"`` (the compiled pipeline layout, with recirculation
+    and delay-queue cost accounting); see :mod:`repro.interp.engine`.  All
+    engines are behaviourally identical (pinned by the differential
     conformance and scenario-parity suites).
     """
 
-    def __init__(
-        self,
-        switch_id: int,
-        checked: CheckedProgram,
-        engine: str = DEFAULT_ENGINE,
-        config: Optional[SchedulerConfig] = None,
-    ):
+    def __init__(self, switch_id: int, checked: CheckedProgram,
+                 engine: str = DEFAULT_ENGINE, config: Optional[SchedulerConfig] = None):
         self.id = switch_id
         self.runtime = SwitchRuntime(checked, switch_id=switch_id)
         self.engine: SwitchEngine = make_engine(engine, self.runtime, config=config)
@@ -208,15 +193,25 @@ class Switch:
 # * generated events use ``((origin_switch + 1) << GEN_KEY_SHIFT) | seq``
 #   where ``seq`` is the origin switch's push counter
 #   (:attr:`Switch.origin_seq`) — computable locally by whichever shard
-#   owns the origin switch.
+#   owns the origin switch.  The copies of one multicast take consecutive
+#   ``seq`` values in group order.
 #
 # Externals therefore always win time ties against generated events
 # (matching the drain's "source item first" rule), and two
 # generated events order by (origin switch, per-origin push order).  Both
 # are exactly reproducible across any shard partitioning: an event's key
-# depends only on dispatches at strictly earlier timestamps (all scheduling
-# latencies are positive), so induction over timestamps gives one global
-# (time, key) order.
+# depends only on dispatches at strictly earlier timestamps (every
+# scheduling latency is positive — SchedulerConfig and add_link enforce
+# it), so induction over timestamps gives one global (time, key) order.
+#
+# A generated entry carries the *delivered* instance that
+# Network._schedule_generated builds once per ``generate`` and shares between
+# all copies of a multicast (events are immutable — see repro.interp.events).
+# A remote copy arrives after the origin's *delivery table* entry,
+# ``Network._delivery[origin][target]`` = pipeline + link latency: filled
+# lazily from ``Network.links`` and dropped whole by ``add_link``, the only
+# writer of ``links``.  Link *state* (``_down_links``) is kept out of the
+# table so fail/restore stay O(1); it is probed only while non-empty.
 _QueuedEvent = Tuple[int, int, int, EventInstance]
 
 #: bit position splitting external serial keys from generated-event keys
@@ -240,30 +235,44 @@ SNAPSHOT_FORMAT = "repro-network-snapshot"
 SNAPSHOT_VERSION = 2
 
 
-@dataclass
 class TraceEntry:
-    """One handled event, for test assertions and latency measurements."""
+    """One handled event, for test assertions and latency measurements
+    (``__slots__``: one is allocated per event while anything consumes them)."""
 
-    time_ns: int
-    switch_id: int
-    event: EventInstance
-    result: ExecutionResult
+    __slots__ = ("time_ns", "switch_id", "event", "result")
+
+    def __init__(self, time_ns: int, switch_id: int, event: EventInstance,
+                 result: ExecutionResult) -> None:
+        self.time_ns = time_ns
+        self.switch_id = switch_id
+        self.event = event
+        self.result = result
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceEntry:
+            return NotImplemented
+        return (self.time_ns, self.switch_id, self.event, self.result) == (
+            other.time_ns, other.switch_id, other.event, other.result)
+
+    def __repr__(self) -> str:
+        return (f"TraceEntry(time_ns={self.time_ns!r}, switch_id={self.switch_id!r}, "
+                f"event={self.event!r}, result={self.result!r})")
 
 
 class Network:
     """A set of Lucid switches connected by point-to-point links."""
 
-    def __init__(
-        self,
-        config: Optional[SchedulerConfig] = None,
-        engine: str = DEFAULT_ENGINE,
-    ):
+    def __init__(self, config: Optional[SchedulerConfig] = None, engine: str = DEFAULT_ENGINE):
         self.config = config or SchedulerConfig()
         #: default engine name for switches added to this network (see
         #: :class:`Switch`)
         self.engine = engine
         self.switches: Dict[int, Switch] = {}
+        #: declared directed links -> latency; written by :meth:`add_link` only
         self.links: Dict[Tuple[int, int], int] = {}
+        #: origin switch -> {target -> pipeline + link latency}: the delivery
+        #: tables (see the _QueuedEvent comment), a cache over :attr:`links`
+        self._delivery: Dict[int, Dict[int, int]] = {}
         self.now_ns = 0
         self._queue: List[_QueuedEvent] = []
         self._serial = 0
@@ -292,12 +301,8 @@ class Network:
         self._shard_export: Optional[Callable[[int, int, int, EventInstance], None]] = None
 
     # -- topology -------------------------------------------------------------
-    def add_switch(
-        self,
-        switch_id: int,
-        program: "CheckedProgram | str",
-        engine: Optional[str] = None,
-    ) -> Switch:
+    def add_switch(self, switch_id: int, program: "CheckedProgram | str",
+                   engine: Optional[str] = None) -> Switch:
         """Add a switch running ``program`` (source text or a checked program).
 
         ``engine`` overrides the network-wide engine default for this switch
@@ -313,10 +318,26 @@ class Network:
         return switch
 
     def add_link(self, a: int, b: int, latency_ns: Optional[int] = None) -> None:
-        """Add a bidirectional link between switches ``a`` and ``b``."""
+        """Add (or re-declare) a bidirectional link between switches ``a`` and
+        ``b``.  The only writer of :attr:`links`: it also drops the delivery
+        tables, so sends after it see the new latency."""
         latency = latency_ns if latency_ns is not None else self.config.link_latency_ns
+        if latency < 0:
+            raise SimulationError(
+                f"add_link({a}, {b}): latency_ns must not be negative, got {latency}")
         self.links[(a, b)] = latency
         self.links[(b, a)] = latency
+        self._delivery.clear()
+
+    def _delivery_latency(self, src: int, dst: int) -> int:
+        """The delivery-table entry for ``src`` -> ``dst``, filled on first
+        use: how long after the generating dispatch an undelayed send arrives."""
+        table = self._delivery.setdefault(src, {})
+        latency = table.get(dst)
+        if latency is None:
+            latency = table[dst] = self.config.pipeline_latency_ns + self.links.get(
+                (src, dst), self.config.link_latency_ns)
+        return latency
 
     def link_latency(self, src: int, dst: int) -> int:
         """Latency of a direct send from ``src`` to ``dst``.
@@ -328,7 +349,7 @@ class Network:
         """
         if src == dst:
             return 0
-        return self.links.get((src, dst), self.config.link_latency_ns)
+        return self._delivery_latency(src, dst) - self.config.pipeline_latency_ns
 
     def fail_link(self, a: int, b: int) -> None:
         """Take the ``a``--``b`` link down (both directions): direct remote
@@ -359,30 +380,19 @@ class Network:
             raise SimulationError(f"no switch with id {switch_id}") from None
 
     # -- scheduling -------------------------------------------------------------
-    def _push(
-        self,
-        time_ns: int,
-        switch_id: int,
-        event: EventInstance,
-        key: Optional[int] = None,
-    ) -> None:
-        """Queue ``event`` for ``switch_id`` at ``time_ns``.
-
-        ``key`` is the deterministic tie-break key (see the _QueuedEvent
-        comment).  Callers scheduling *generated* events pass the origin
-        switch's content-derived key; external pushes leave it None and get
-        the next network-level serial.  In shard mode, events bound for a
-        switch another worker owns are handed to the export callback instead
-        of entering the local heap.
+    def _push(self, time_ns: int, switch_id: int, event: EventInstance) -> None:
+        """Queue an *external* entry — an injected event or a re-queued source
+        item — under the next network-level serial key (see the _QueuedEvent
+        comment; generated events are pushed by :meth:`_schedule_generated`).
+        In shard mode, events bound for a switch another worker owns are
+        handed to the export callback instead of entering the local heap.
         """
-        if key is None:
-            self._serial += 1
-            key = self._serial
-        if self._shard_owned is not None and switch_id != CONTROL:
-            if switch_id not in self._shard_owned:
-                self._shard_export(time_ns, key, switch_id, event)
-                return
-        heapq.heappush(self._queue, (time_ns, key, switch_id, event))
+        self._serial += 1
+        owned = self._shard_owned
+        if owned is not None and switch_id != CONTROL and switch_id not in owned:
+            self._shard_export(time_ns, self._serial, switch_id, event)
+            return
+        heapq.heappush(self._queue, (time_ns, self._serial, switch_id, event))
 
     def inject(self, switch_id: int, event: EventInstance, at_ns: Optional[int] = None) -> None:
         """Inject an event (e.g. the arrival of a data packet) from outside."""
@@ -392,11 +402,8 @@ class Network:
         self._push(max(time_ns, self.now_ns), switch_id, event)
 
     # -- sharding ----------------------------------------------------------------
-    def set_shard(
-        self,
-        owned: Optional[Iterable[int]],
-        export: Optional[Callable[[int, int, int, EventInstance], None]] = None,
-    ) -> None:
+    def set_shard(self, owned: Optional[Iterable[int]],
+                  export: Optional[Callable[[int, int, int, EventInstance], None]] = None) -> None:
         """Put the network in shard-worker mode (or leave it: ``owned=None``).
 
         ``owned`` is the set of switch ids this process executes; any event
@@ -408,98 +415,109 @@ class Network:
         :mod:`repro.shard`; link-failure state is global, so control actions
         must be replayed on every shard.
         """
-        if owned is None:
-            self._shard_owned = None
-            self._shard_export = None
-            return
-        if export is None:
+        if owned is not None and export is None:
             raise SimulationError("set_shard: an export callback is required")
-        self._shard_owned = frozenset(owned)
-        self._shard_export = export
+        self._shard_owned = None if owned is None else frozenset(owned)
+        self._shard_export = None if owned is None else export
 
-    def enqueue_remote(
-        self, time_ns: int, key: int, switch_id: int, event: EventInstance
-    ) -> None:
+    def enqueue_remote(self, time_ns: int, key: int, switch_id: int, event: EventInstance) -> None:
         """Deliver an event exported by another shard, preserving the exact
         heap key it would have carried in a single-process run.  The barrier
         protocol guarantees ``time_ns`` is still in this shard's future, so
         no clock clamping is applied."""
         heapq.heappush(self._queue, (time_ns, key, switch_id, event))
 
-    def _delay_after_queue(self, delay_ns: int) -> int:
-        """Delay actually experienced when using the pausable delay queue: the
-        queue releases only at multiples of the release interval."""
-        interval = self.config.delay_release_interval_ns
-        if delay_ns <= 0 or not self.config.use_delay_queue:
-            return max(0, delay_ns)
-        periods = -(-delay_ns // interval)  # ceil division
-        return periods * interval
+    def _schedule_generated(self, source: Switch, event: EventInstance,
+                            trace_parent: Optional[int] = None) -> None:
+        """Turn one generated event into heap entries, in one pass.
 
-    def _schedule_generated(
-        self,
-        source: Switch,
-        event: EventInstance,
-        trace_parent: Optional[int] = None,
-    ) -> None:
-        source.stats.events_generated += 1
-        obs_on = _OBS.enabled
-        if obs_on:
-            _Metrics.events_generated.inc()
-        for target in event.targets(source.id):
-            if target == source.id:
+        Everything that is the same for every copy is computed once: the
+        delay (quantised up to the pausable queue's release interval when the
+        queue is in use), and the *delivered* instance — name, args and origin
+        only, shared by all copies (events are immutable).  Per target the
+        loop adds a latency — the recirculation latency for the origin
+        itself, else the origin's delivery-table entry (pipeline + link; see
+        the _QueuedEvent comment) unless the link is down — bumps the
+        content-derived key, and pushes onto the heap, or hands the entry to
+        the shard export when another worker owns the target.  Counters
+        accumulate in locals and are flushed once after the loop.
+        """
+        config = self.config
+        origin = source.id
+        stats = source.stats
+        stats.events_generated += 1
+        delay_ns = event.delay_ns
+        parked = delay_ns > 0 and config.use_delay_queue
+        if parked:
+            interval = config.delay_release_interval_ns
+            base = self.now_ns + -(-delay_ns // interval) * interval
+        else:
+            base = self.now_ns + (delay_ns if delay_ns > 0 else 0)
+        targets = event.group
+        if targets is None:
+            targets = (origin if event.location == LOCAL else event.location,)
+        table = self._delivery.get(origin)
+        if table is None:
+            table = self._delivery[origin] = {}
+        down = self._down_links
+        owned = self._shard_owned
+        queue = self._queue
+        delivered = EventInstance(event.name, event.args, 0, LOCAL, None, origin, trace_parent)
+        key_base = source._key_base
+        seq = source.origin_seq
+        sends = link_drops = passes = recirc_drops = 0
+        for target in targets:
+            if target == origin:
                 # local: the event packet recirculates at least once.  The
                 # engine may model a bounded recirculation/delay queue and
                 # refuse admission — a PISA queue overflow, counted like a
                 # link drop.
                 if not source.engine.admit_recirculation(event):
-                    source.stats.recirc_drops += 1
-                    if obs_on:
-                        _Metrics.recirc_drops.inc()
+                    recirc_drops += 1
                     continue
-                delay = self._delay_after_queue(event.delay_ns)
-                arrival = self.now_ns + self.config.recirculation_latency_ns + delay
-                recirc_passes = 1
-                if event.delay_ns > 0 and not self.config.use_delay_queue:
+                arrival = base + config.recirculation_latency_ns
+                passes += 1
+                if delay_ns > 0 and not parked:
                     # without the pausable queue the packet recirculates
                     # continuously until its delay expires
-                    recirc_passes += max(
-                        0, event.delay_ns // max(1, self.config.recirculation_latency_ns)
-                    )
-                source.stats.recirculations += recirc_passes
-                source.stats.recirculated_bytes += recirc_passes * event.payload_bytes()
-                if obs_on:
-                    _Metrics.recirculations.inc(recirc_passes)
-                    _Metrics.recirc_bytes.inc(recirc_passes * event.payload_bytes())
-                    if event.delay_ns > 0 and self.config.use_delay_queue:
-                        _Metrics.delay_parks.inc()
-                        _Metrics.event_delay_ns.observe(event.delay_ns)
+                    passes += delay_ns // config.recirculation_latency_ns
                 source.engine.on_recirculate(event)
             else:
-                if (source.id, target) in self._down_links:
-                    source.stats.link_drops += 1
-                    if obs_on:
-                        _Metrics.link_drops.inc()
+                if down and (origin, target) in down:
+                    link_drops += 1
                     continue
-                source.stats.remote_sends += 1
-                if obs_on:
-                    _Metrics.remote_sends.inc()
-                arrival = (
-                    self.now_ns
-                    + self.config.pipeline_latency_ns
-                    + self.link_latency(source.id, target)
-                    + self._delay_after_queue(event.delay_ns)
-                )
-            delivered = EventInstance(
-                name=event.name,
-                args=event.args,
-                delay_ns=0,
-                location=LOCAL,
-                group=None,
-                source=source.id,
-                trace_parent=trace_parent,
-            )
-            source.origin_seq += 1
-            self._push(arrival, target, delivered, source._key_base | source.origin_seq)
+                latency = table.get(target)
+                if latency is None:
+                    latency = self._delivery_latency(origin, target)
+                arrival = base + latency
+                sends += 1
+            seq += 1
+            if owned is not None and target not in owned:
+                self._shard_export(arrival, key_base | seq, target, delivered)
+            else:
+                heapq.heappush(queue, (arrival, key_base | seq, target, delivered))
+        source.origin_seq = seq
+        if sends:
+            stats.remote_sends += sends
+        if link_drops or recirc_drops:
+            stats.link_drops += link_drops
+            stats.recirc_drops += recirc_drops
+        if passes:
+            stats.recirculations += passes
+            stats.recirculated_bytes += passes * event.payload_bytes()
+        if _OBS.enabled:
+            _Metrics.events_generated.inc()
+            _Metrics.remote_sends.inc(sends)
+            _Metrics.link_drops.inc(link_drops)
+            _Metrics.recirc_drops.inc(recirc_drops)
+            if passes:
+                _Metrics.recirculations.inc(passes)
+                _Metrics.recirc_bytes.inc(passes * event.payload_bytes())
+                if parked:
+                    # parked copies never take extra passes: passes == copies
+                    _Metrics.delay_parks.inc(passes)
+                    for _ in range(passes):
+                        _Metrics.event_delay_ns.observe(delay_ns)
 
     # -- execution -----------------------------------------------------------------
     def _dispatch(self, switch: Switch, event: EventInstance) -> ExecutionResult:
@@ -513,13 +531,8 @@ class Network:
             # recirculation port — let the engine release its queue slot
             switch.engine.on_recirc_arrival(event)
         tracer = self.tracer
-        span_id = (
-            tracer.begin_handle(
-                event, switch.id, self.now_ns, self.config.pipeline_latency_ns
-            )
-            if tracer is not None
-            else None
-        )
+        span_id = None if tracer is None else tracer.begin_handle(
+            event, switch.id, self.now_ns, self.config.pipeline_latency_ns)
         prof = self.profiler
         obs_on = _OBS.enabled
         if prof is not None or obs_on:
@@ -549,13 +562,8 @@ class Network:
             self._schedule_generated(switch, generated, span_id)
         return result
 
-    def run(
-        self,
-        until_ns: Optional[int] = None,
-        max_events: Optional[int] = None,
-        source: Optional[Iterable[SourceItem]] = None,
-        batch: bool = True,
-    ) -> int:
+    def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None,
+            source: Optional[Iterable[SourceItem]] = None, batch: bool = True) -> int:
         """Run the simulation until the queue drains, ``until_ns`` is reached,
         or ``max_events`` have been handled.  Returns the number of events
         handled by this call.
@@ -572,7 +580,8 @@ class Network:
         the source item runs first, which matches injecting the whole stream
         up front (pre-run injections get earlier serial numbers than
         generated events).  A source item naming an unknown switch is an
-        error; a heap entry for one is skipped.
+        error; a heap entry for one is skipped and counted as an orphan
+        (``orphan_events``).
 
         A run whose source yielded at least one item returns once the source
         is exhausted and the queue is drained up to the last source timestamp
@@ -646,6 +655,13 @@ class Network:
                 if switch is None:
                     if key is None:
                         raise SimulationError(f"no switch with id {switch_id}")
+                    # a generate for a switch id that does not exist: skipped,
+                    # but counted against the switch that generated it
+                    sender = switches.get(event.source)
+                    if sender is not None:
+                        sender.stats.orphan_events += 1
+                    if _OBS.enabled:
+                        _Metrics.orphan_events.inc()
                     continue
                 cached = hoisted[switch_id] = self._hoist(switch)
             switch, runtime, run, stats, by_event, log, hook = cached
@@ -669,9 +685,7 @@ class Network:
                 result = self._dispatch(switch, event)
             handled += 1
             if trace is not None or on_handle is not None:
-                entry = TraceEntry(
-                    time_ns=self.now_ns, switch_id=switch_id, event=event, result=result
-                )
+                entry = TraceEntry(self.now_ns, switch_id, event, result)
                 self._last_pop_key = key
                 if trace is not None:
                     trace.append(entry)
@@ -944,14 +958,9 @@ class Network:
     def total_stats(self) -> SwitchStats:
         total = SwitchStats()
         for switch in self.switches.values():
-            total.events_handled += switch.stats.events_handled
-            total.events_generated += switch.stats.events_generated
-            total.recirculations += switch.stats.recirculations
-            total.recirculated_bytes += switch.stats.recirculated_bytes
-            total.remote_sends += switch.stats.remote_sends
-            total.drops += switch.stats.drops
-            total.link_drops += switch.stats.link_drops
-            total.recirc_drops += switch.stats.recirc_drops
+            for name, value in switch.stats.__dict__.items():
+                if name != "handled_by_event":
+                    setattr(total, name, getattr(total, name) + value)
         return total
 
     def stats(self) -> Dict[int, Dict[str, object]]:
@@ -963,18 +972,8 @@ class Network:
         out: Dict[int, Dict[str, object]] = {}
         for sid in sorted(self.switches):
             switch = self.switches[sid]
-            s = switch.stats
-            entry: Dict[str, object] = {
-                "engine": switch.engine_name,
-                "events_handled": s.events_handled,
-                "events_generated": s.events_generated,
-                "recirculations": s.recirculations,
-                "recirculated_bytes": s.recirculated_bytes,
-                "remote_sends": s.remote_sends,
-                "drops": s.drops,
-                "link_drops": s.link_drops,
-                "recirc_drops": s.recirc_drops,
-            }
+            entry: Dict[str, object] = {"engine": switch.engine_name, **switch.stats.__dict__}
+            del entry["handled_by_event"]
             pipeline = switch.engine.pipeline_stats(duration_ns=self.now_ns)
             if pipeline is not None:
                 entry["pipeline"] = pipeline

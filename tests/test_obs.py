@@ -173,6 +173,25 @@ def test_network_hot_loop_metrics(global_metrics):
         == totals.events_handled
 
 
+def test_orphan_events_and_flushed_scheduler_counters(global_metrics):
+    """A send to a switch id that does not exist is counted when the drain
+    skips it, and the counters `_schedule_generated` flushes once per generate
+    agree with the per-switch stats."""
+    network = Network(engine="codegen")
+    network.trace_enabled = False
+    network.add_switch(0, check_program(RELAY2, name="relay2"))  # no switch 1
+    network.inject(0, EventInstance("pkt", (0, 2)), at_ns=0)  # delayed local, then remote
+    assert network.run() == 2
+    totals = network.total_stats()
+    assert totals.orphan_events == network.stats()[0]["orphan_events"] == 1
+    assert REGISTRY.value("repro_network_orphan_events_total") == 1
+    assert REGISTRY.value("repro_network_remote_sends_total") == totals.remote_sends == 1
+    assert REGISTRY.value("repro_network_recirculations_total") == totals.recirculations == 1
+    assert REGISTRY.value("repro_network_recirc_bytes_total") == totals.recirculated_bytes
+    assert REGISTRY.value("repro_network_delay_parks_total") == 1
+    assert "repro_network_orphan_events_total 1" in REGISTRY.render_text()
+
+
 @pytest.mark.parametrize("engine, prefix", [
     ("pisa", "repro_engine_pisa_plan_cache"),
     ("codegen", "repro_engine_codegen_module_cache"),

@@ -21,7 +21,7 @@ Semantics are pinned to the tree walker: identical results, identical
 error strings raised at the same evaluation points, identical array
 read/write counter increments, identical RNG consumption order.  Any
 handler the emitter cannot lower falls back to the tree walker; the
-differential suites in ``tests/test_engine_conformance.py``,
+differential suites in ``tests/test_compiled_interp.py``,
 ``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
@@ -40,7 +40,10 @@ from repro.interp.events import EventInstance
 from repro.interp.interpreter import (
     ExecutionResult,
     HandlerInterpreter,
+    MemopShape,
     SwitchRuntime,
+    memop_shape,
+    memop_template,
 )
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.ops import (
@@ -203,7 +206,7 @@ class HandlerSourceCompiler:
         self._binding_vars: Dict[str, str] = {}
         self._binding_order: List[str] = []
         self._pack_arities: Set[int] = set()
-        self._memop_cache: Dict[str, tuple] = {}
+        self._memop_cache: Dict[str, MemopShape] = {}
         # per-handler emission state (reset by _emit_handler)
         self.lines: List[Tuple[int, str]] = []
         self.indent = 1
@@ -1074,7 +1077,7 @@ class HandlerSourceCompiler:
             if ir is None:
                 return (f"{cells}[{ti}]", False)
             to = self._to_temp(f"{cells}[{ti}]")
-            body = self._memop_str(ir, to, arg_a)
+            body = memop_template(ir, self.info, to, arg_a)
             return (f"(({body}) & {cm})", True)
 
         if method in ("Array.set", "Array.setm"):
@@ -1098,11 +1101,11 @@ class HandlerSourceCompiler:
             self._line(f"{arr}.writes += 1")
             to = self._to_temp(f"{cells}[{ti}]")
             if gir is not None:
-                rt = self._to_temp(f"(({self._memop_str(gir, to, ga)}) & {cm})")
+                rt = self._to_temp(f"(({memop_template(gir, self.info, to, ga)}) & {cm})")
             else:
                 rt = to
             if sir is not None:
-                self._line(f"{cells}[{ti}] = (({self._memop_str(sir, to, sa)}) & {cm})")
+                self._line(f"{cells}[{ti}] = (({memop_template(sir, self.info, to, sa)}) & {cm})")
             else:
                 self._line(f"{cells}[{ti}] = (({sa}) & {cm})")
             return (rt, True)
@@ -1110,7 +1113,7 @@ class HandlerSourceCompiler:
         raise _EmitError(f"unhandled array method {method}")
 
     def _static_array_set(self, arr: str, cells: str, size: int, cm: int,
-                          ir: Optional[tuple], idx_expr: ast.Expr,
+                          ir: Optional[MemopShape], idx_expr: ast.Expr,
                           value_exprs: List[ast.Expr], env: _Env) -> Tuple[str, bool]:
         if ir is not None:
             # memop variant: evaluate idx, then the memop argument, then
@@ -1120,7 +1123,7 @@ class HandlerSourceCompiler:
             ti = self._to_temp(f"({idx_a}) % {size}")
             self._line(f"{arr}.writes += 1")
             to = self._to_temp(f"{cells}[{ti}]")
-            self._line(f"{cells}[{ti}] = (({self._memop_str(ir, to, arg_a)}) & {cm})")
+            self._line(f"{cells}[{ti}] = (({memop_template(ir, self.info, to, arg_a)}) & {cm})")
             return ("0", True)
         idx_a = self._anchor(idx_expr, env)
         val_a = self._anchor(value_exprs[0] if value_exprs else None, env)
@@ -1177,80 +1180,20 @@ class HandlerSourceCompiler:
         raise _EmitError(f"unhandled array method {method}")
 
     # -- memop inlining -----------------------------------------------------
-    def _memop_ir(self, name: str) -> tuple:
-        """Validate a memop declaration (mirroring ``SwitchRuntime.memop_fn``)
-        and return its body shape for inlining; any violation aborts the
+    def _memop_ir(self, name: str) -> MemopShape:
+        """The validated body shape of memop ``name`` (shared with the stage
+        plan and ``SwitchRuntime.memop_fn``); any violation aborts the
         handler to the tree walker, which re-raises the original error."""
-        cached = self._memop_cache.get(name)
-        if cached is not None:
-            return cached
-        decl = self.info.memops.get(name)
-        if decl is None:
-            raise _EmitError(f"no memop named '{name}'")
-        if len(decl.params) != 2:
-            raise _EmitError(f"memop '{name}' must take exactly two parameters")
-        stored, local = decl.params[0].name, decl.params[1].name
-        if stored == local:
-            raise _EmitError(f"memop '{name}' parameter names collide")
-        body = [s for s in decl.body if not isinstance(s, ast.SNoop)]
-        if not body:
-            raise _EmitError(f"memop '{name}' has an empty body")
-        stmt = body[0]
-        if isinstance(stmt, ast.SReturn):
-            if stmt.value is None:
-                raise _EmitError(f"memop '{name}' returns no value")
-            ir = ("ret", stored, local, stmt.value)
-        elif isinstance(stmt, ast.SIf):
-            then_b = [s for s in stmt.then_body if not isinstance(s, ast.SNoop)]
-            else_b = [s for s in stmt.else_body if not isinstance(s, ast.SNoop)]
-            if not then_b or not else_b:
-                raise _EmitError(f"memop '{name}' missing a branch return")
-            for b in (then_b, else_b):
-                if not isinstance(b[0], ast.SReturn) or b[0].value is None:
-                    raise _EmitError(f"memop '{name}' branch is not a return")
-            ir = ("if", stored, local, stmt.cond, then_b[0].value, else_b[0].value)
-        else:
-            raise _EmitError(f"memop '{name}' body shape unsupported")
-        # validate every expression up front, at emit time
-        self._memop_str(ir, "_s", "_l")
-        self._memop_cache[name] = ir
+        ir = self._memop_cache.get(name)
+        if ir is None:
+            try:
+                ir = memop_shape(self.info, name)
+                # validate every expression up front, at emit time
+                memop_template(ir, self.info, "_s", "_l")
+            except InterpError as error:
+                raise _EmitError(error.message) from None
+            self._memop_cache[name] = ir
         return ir
-
-    def _memop_str(self, ir: tuple, stored_atom: str, local_atom: str) -> str:
-        if ir[0] == "ret":
-            return self._memop_expr(ir[3], ir[1], ir[2], stored_atom, local_atom)
-        cond = self._memop_expr(ir[3], ir[1], ir[2], stored_atom, local_atom)
-        then = self._memop_expr(ir[4], ir[1], ir[2], stored_atom, local_atom)
-        els = self._memop_expr(ir[5], ir[1], ir[2], stored_atom, local_atom)
-        return f"(({then}) if ({cond}) else ({els}))"
-
-    def _memop_expr(self, e: ast.Expr, stored: str, local: str,
-                    stored_atom: str, local_atom: str) -> str:
-        if isinstance(e, ast.EInt):
-            return repr(e.value)
-        if isinstance(e, ast.EBool):
-            return "1" if e.value else "0"
-        if isinstance(e, ast.EVar):
-            if e.name == stored:
-                return stored_atom
-            if e.name == local:
-                return local_atom
-            const = self.info.consts.lookup(e.name)
-            if const is not None:
-                return repr(const)
-            raise _EmitError(f"undefined variable '{e.name}' in memop")
-        if isinstance(e, ast.EUnary):
-            x = self._memop_expr(e.operand, stored, local, stored_atom, local_atom)
-            if e.op is ast.UnOp.NEG:
-                return f"(-({x}))"  # memop negation is unmasked
-            if e.op is ast.UnOp.BITNOT:
-                return f"((~({x})) & 4294967295)"
-            return f"(0 if ({x}) else 1)"
-        if isinstance(e, ast.EBinary):
-            l = self._memop_expr(e.left, stored, local, stored_atom, local_atom)
-            r = self._memop_expr(e.right, stored, local, stored_atom, local_atom)
-            return _binop_template(e.op, l, r)
-        raise _EmitError("expression is not allowed in memop")
 
 
 class CodegenSwitchRuntime:

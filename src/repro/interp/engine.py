@@ -235,13 +235,8 @@ class PisaEngine(SwitchEngine):
             _M_PISA_EVENTS.inc()
             _M_PISA_STAGES.inc(passed.stages_traversed)
             _M_PISA_TABLES.inc(passed.tables_executed)
-        return ExecutionResult(
-            generated=passed.generated,
-            prints=passed.prints,
-            dropped=passed.dropped,
-            forwarded_port=passed.forwarded_port,
-            flooded=passed.flooded,
-        )
+        # the pass result is itself the ExecutionResult the scheduler reads
+        return passed
 
     # -- scheduler hooks ---------------------------------------------------
     def _delay_passes(self, delay_ns: int) -> int:

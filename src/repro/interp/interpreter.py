@@ -10,7 +10,7 @@ events the handler generated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import InterpError
 from repro.frontend import ast
@@ -19,7 +19,7 @@ from repro.frontend.type_checker import CheckedProgram
 from repro.interp.arrays import RuntimeArray
 from repro.interp.events import LOCAL, EventInstance
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import apply_binop, lucid_hash, mask32
+from repro.ops import apply_binop, binop_template, lucid_hash, mask32
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics);
 # counts codegen-engine fallbacks too — every tree-walked event lands here
@@ -90,7 +90,9 @@ class ExecutionResult:
         )
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ExecutionResult:
+        # any engine's result: the pisa engine returns a subclass whose two
+        # pass counters are not part of what a handler produced
+        if not isinstance(other, ExecutionResult):
             return NotImplemented
         return (
             list(self.generated) == list(other.generated)
@@ -131,13 +133,9 @@ class SwitchRuntime:
 
     # -- memops ----------------------------------------------------------------
     def memop_fn(self, name: str) -> Callable[[int, int], int]:
-        """Compile (and cache) a memop declaration into a Python callable.
-
-        The body shape is validated once, here, so malformed declarations (an
-        empty body, a missing branch, a non-``return`` statement) surface as
-        :class:`InterpError` naming the memop instead of a bare ``IndexError``
-        or ``AssertionError`` at call time.
-        """
+        """Compile (and cache) a memop declaration into a Python callable:
+        the closure form of what :func:`memop_template` renders as source,
+        and the oracle that rendering is swept against."""
         if name in self._memop_cache:
             return self._memop_cache[name]
         shared_key = (self.checked.digest(), name)
@@ -145,60 +143,25 @@ class SwitchRuntime:
         if shared is not None:
             self._memop_cache[name] = shared
             return shared
-        decl = self.info.memops.get(name)
-        if decl is None:
-            raise InterpError(f"no memop named '{name}'")
-        if len(decl.params) != 2:
-            raise InterpError(
-                f"memop '{name}' must take exactly two parameters "
-                f"(found {len(decl.params)})"
-            )
-        stored_name, local_name = (p.name for p in decl.params)
-        if stored_name == local_name:
-            raise InterpError(
-                f"memop '{name}' declares both parameters with the same name "
-                f"'{stored_name}'"
-            )
-        body = [s for s in decl.body if not isinstance(s, ast.SNoop)]
-        if not body:
-            raise InterpError(f"memop '{name}' has an empty body")
-        stmt = body[0]
+        shape = memop_shape(self.info, name)
 
-        def compile_return(ret: ast.Stmt, where: str) -> Callable[[int, int], int]:
-            if not isinstance(ret, ast.SReturn) or ret.value is None:
-                raise InterpError(
-                    f"memop '{name}': the {where} must be a 'return <expr>;' statement"
-                )
-            return _compile_memop_expr(ret.value, name, stored_name, local_name, self.info)
+        def compile_expr(expr: ast.Expr) -> Callable[[int, int], int]:
+            return _compile_memop_expr(expr, name, shape.stored, shape.local, self.info)
 
-        if isinstance(stmt, ast.SReturn):
-            value_fn = compile_return(stmt, "body")
+        if shape.cond is None:
+            value_fn = compile_expr(shape.value)
 
             def run(stored: int, local: int) -> int:
                 return _mask32(value_fn(stored, local))
 
-        elif isinstance(stmt, ast.SIf):
-            cond_fn = _compile_memop_expr(stmt.cond, name, stored_name, local_name, self.info)
-            then_body = [s for s in stmt.then_body if not isinstance(s, ast.SNoop)]
-            else_body = [s for s in stmt.else_body if not isinstance(s, ast.SNoop)]
-            if not then_body or not else_body:
-                raise InterpError(
-                    f"memop '{name}' must return a value in both branches of its "
-                    "if statement"
-                )
-            then_fn = compile_return(then_body[0], "then-branch")
-            else_fn = compile_return(else_body[0], "else-branch")
+        else:
+            cond_fn, value_fn, else_fn = map(
+                compile_expr, (shape.cond, shape.value, shape.orelse))
 
             def run(stored: int, local: int) -> int:
                 if cond_fn(stored, local):
-                    return _mask32(then_fn(stored, local))
+                    return _mask32(value_fn(stored, local))
                 return _mask32(else_fn(stored, local))
-
-        else:
-            raise InterpError(
-                f"memop '{name}' body must be a single return statement or an if "
-                "statement with one return in each branch"
-            )
 
         _SHARED_MEMOPS[shared_key] = run
         self._memop_cache[name] = run
@@ -215,6 +178,105 @@ class SwitchRuntime:
         if bound:
             return self.random_state % bound
         return self.random_state
+
+
+class MemopShape(NamedTuple):
+    """A validated memop body: ``return value;`` when ``cond`` is ``None``,
+    else ``if (cond) { return value; } else { return orelse; }``."""
+
+    name: str
+    stored: str  # the parameter bound to the cell's old value
+    local: str  # the parameter bound to the call's argument
+    cond: Optional[ast.Expr]
+    value: ast.Expr
+    orelse: Optional[ast.Expr]
+
+
+def memop_shape(info: ProgramInfo, name: str) -> MemopShape:
+    """Validate memop ``name`` into its body shape, so a malformed
+    declaration (an empty body, a missing branch, a non-``return``
+    statement) surfaces as an :class:`InterpError` naming the memop when it
+    is lowered, not as an ``IndexError`` when it first runs."""
+    decl = info.memops.get(name)
+    if decl is None:
+        raise InterpError(f"no memop named '{name}'")
+    if len(decl.params) != 2:
+        raise InterpError(
+            f"memop '{name}' must take exactly two parameters "
+            f"(found {len(decl.params)})"
+        )
+    stored, local = (p.name for p in decl.params)
+    if stored == local:
+        raise InterpError(
+            f"memop '{name}' declares both parameters with the same name '{stored}'"
+        )
+
+    def returned(stmts: List[ast.Stmt], where: str) -> ast.Expr:
+        if not isinstance(stmts[0], ast.SReturn) or stmts[0].value is None:
+            raise InterpError(
+                f"memop '{name}': the {where} must be a 'return <expr>;' statement"
+            )
+        return stmts[0].value
+
+    body = [s for s in decl.body if not isinstance(s, ast.SNoop)]
+    if not body:
+        raise InterpError(f"memop '{name}' has an empty body")
+    stmt = body[0]
+    if isinstance(stmt, ast.SReturn):
+        return MemopShape(name, stored, local, None, returned(body, "body"), None)
+    if not isinstance(stmt, ast.SIf):
+        raise InterpError(
+            f"memop '{name}' body must be a single return statement or an if "
+            "statement with one return in each branch"
+        )
+    then_body = [s for s in stmt.then_body if not isinstance(s, ast.SNoop)]
+    else_body = [s for s in stmt.else_body if not isinstance(s, ast.SNoop)]
+    if not then_body or not else_body:
+        raise InterpError(
+            f"memop '{name}' must return a value in both branches of its if statement"
+        )
+    return MemopShape(name, stored, local, stmt.cond,
+                      returned(then_body, "then-branch"),
+                      returned(else_body, "else-branch"))
+
+
+def memop_template(shape: MemopShape, info: ProgramInfo, stored: str, local: str) -> str:
+    """``shape`` as a Python expression over two operand source strings: the
+    cell's old value and the call's argument (each may appear several times,
+    so callers pass atoms).  Like :meth:`SwitchRuntime.memop_fn`'s closure
+    before its final mask, which callers fold into the cell-width mask."""
+
+    def render(expr: ast.Expr) -> str:
+        if isinstance(expr, ast.EInt):
+            return repr(expr.value)
+        if isinstance(expr, ast.EBool):
+            return "1" if expr.value else "0"
+        if isinstance(expr, ast.EVar):
+            if expr.name == shape.stored:
+                return stored
+            if expr.name == shape.local:
+                return local
+            const = info.consts.lookup(expr.name)
+            if const is not None:
+                return repr(const)
+            raise InterpError(
+                f"undefined variable '{expr.name}' in memop '{shape.name}'"
+            )
+        if isinstance(expr, ast.EUnary):
+            operand = render(expr.operand)
+            if expr.op is ast.UnOp.NEG:
+                return f"(-({operand}))"  # unmasked, as in the closure
+            if expr.op is ast.UnOp.BITNOT:
+                return f"((~({operand})) & 4294967295)"
+            return f"(0 if ({operand}) else 1)"
+        if isinstance(expr, ast.EBinary):
+            return binop_template(expr.op, render(expr.left), render(expr.right))
+        raise InterpError(f"expression is not allowed in memop '{shape.name}'")
+
+    if shape.cond is None:
+        return render(shape.value)
+    cond = render(shape.cond)
+    return f"(({render(shape.value)}) if ({cond}) else ({render(shape.orelse)}))"
 
 
 def _compile_memop_expr(

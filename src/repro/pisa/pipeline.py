@@ -18,10 +18,13 @@ operations as the ``repro.ops`` source templates, and the per-stage
 accounting (``stages_traversed``, ``tables_executed``, the optional
 :class:`~repro.obs.profile.StageProfiler`) written out per stage.  A
 :class:`PisaPipeline` only binds the plan to its own switch state — register
-arrays, memops, ``SELF``, the runtime clock/PRNG/extern table — so every
-switch running one compiled program shares the code objects.  Stateful
-operations still go through :class:`~repro.interp.arrays.RuntimeArray`, one
-call per table, exactly like the hardware stateful ALU.
+arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table —
+so every switch running one compiled program shares the code objects.  A
+stateful table is part of its stage like any other: one straight-line
+read-modify-write on the array's cell list, its memops rendered in place by
+the lowering codegen also uses
+(:func:`~repro.interp.interpreter.memop_template`), exactly one per table,
+like the hardware stateful ALU.
 
 Running the same program through this pipeline executor and through the
 AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
@@ -50,7 +53,12 @@ from repro.errors import InterpError, SimulationError
 from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
 from repro.interp.events import LOCAL, EventInstance
-from repro.interp.interpreter import SwitchRuntime
+from repro.interp.interpreter import (
+    ExecutionResult,
+    SwitchRuntime,
+    memop_shape,
+    memop_template,
+)
 from repro.midend.normalize import (
     Const,
     NArrayOp,
@@ -63,7 +71,7 @@ from repro.midend.normalize import (
     Operand,
 )
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import CMP_OPS, binop_template, hash_namespace, hash_template
+from repro.ops import CMP_OPS, MASK32, binop_template, hash_namespace, hash_template
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_PLAN_CACHE_HITS = _REGISTRY.counter(
@@ -74,14 +82,15 @@ _M_PLAN_CACHE_MISSES = _REGISTRY.counter(
     "Stage plans lowered from a layout (once per compiled program).")
 
 
-class PipelinePassResult:
-    """What one packet's pass through the pipeline produced.
+class PipelinePassResult(ExecutionResult):
+    """What one packet's pass through the pipeline produced: the handler's
+    :class:`~repro.interp.interpreter.ExecutionResult` plus the pass's own
+    two counts, so the engine hands the scheduler this very object.
 
-    A hand-written ``__slots__`` class: one is built per pass, by the stage
-    plan, with all seven fields at once."""
+    One is built per pass, by the stage plan, with all seven fields at once
+    (in the plan's ``_EFFECTS`` order, then the counts)."""
 
-    __slots__ = ("generated", "prints", "dropped", "flooded", "forwarded_port",
-                 "stages_traversed", "tables_executed")
+    __slots__ = ("stages_traversed", "tables_executed")
 
     def __init__(
         self,
@@ -102,7 +111,8 @@ class PipelinePassResult:
         self.tables_executed = tables_executed
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        names = ExecutionResult.__slots__ + self.__slots__
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"PipelinePassResult({fields})"
 
 
@@ -159,7 +169,6 @@ class _PlanEmitter:
                 self.staged.setdefault(handler, []).append((stage_index, tables))
         # program-wide bindings, in first-use order
         self.arrays: List[str] = []
-        self.memops: List[str] = []
         self.hash_arities: Set[int] = set()
         # per-handler state (reset by _handler)
         self.locals: Dict[str, str] = {}
@@ -175,14 +184,15 @@ class _PlanEmitter:
             "# one function per handler, its tables in stage order.",
             "# Seeded globals: _IE (InterpError), _EV (EventInstance),",
             "# _PR (PipelinePassResult), _pc (perf_counter), _uid (itemgetter(0)),",
-            "# _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).",
+            "# _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).  Bound per switch:",
+            "# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list).",
             "",
             "def _bind(_P, _rt):",
             "    _SELF = _rt.switch_id",
             "    _EXT = _rt.externs",
         ]
-        out += [f"    _A_{a} = _rt.array({a!r})" for a in self.arrays]
-        out += [f"    _M_{m} = _rt.memop_fn({m!r})" for m in self.memops]
+        for a in self.arrays:
+            out += [f"    _A_{a} = _rt.array({a!r})", f"    _C_{a} = _A_{a}.cells"]
         for lines in handlers.values():
             out.append("")
             out += ["    " + line for line in lines]
@@ -334,7 +344,7 @@ class _PlanEmitter:
             value = hash_template(stmt.width, [atom(a) for a in stmt.args])
             return [f"{self.locals[stmt.dst]} = {value}"]
         if isinstance(stmt, NArrayOp):
-            return [self._array_op(stmt)]
+            return self._array_op(stmt)
         if isinstance(stmt, NGenerate):
             event = self._event(stmt)
             return [f"_gen.append(({table.uid}, {event}))" if tag["gen"]
@@ -343,32 +353,55 @@ class _PlanEmitter:
             return self._prim(stmt, table.uid if tag["prints"] else None)
         raise SimulationError(f"cannot lower table {table.name}")  # pragma: no cover
 
-    def _array_op(self, stmt: NArrayOp) -> str:
-        """One stateful-ALU instruction: a single RuntimeArray call."""
+    def _array_op(self, stmt: NArrayOp) -> List[str]:
+        """One stateful-ALU instruction, straight-line on the array's bound
+        cell list: wrap the index, bump ``reads`` / ``writes``, read the old
+        cell once, apply the memop template(s) to it, mask to the cell width,
+        store — what ``RuntimeArray.get`` / ``set`` / ``update`` do per call,
+        in the shape codegen's ``_static_array_method`` emits."""
         if stmt.array not in self.arrays:
             self.arrays.append(stmt.array)
-        for memop in stmt.memops:
-            if memop not in self.memops:
-                self.memops.append(memop)
-        array = f"_A_{stmt.array}"
-        index = self._atom(stmt.index)
-        args = [self._atom(a) for a in stmt.args]
-        memops = [f"_M_{m}" for m in stmt.memops]
-        first = args[0] if args else "0"
+        register = self.info.globals[stmt.array]
+        if register.size < 1:
+            raise InterpError(f"array '{stmt.array}' has zero size")
+        array, cells = f"_A_{stmt.array}", f"_C_{stmt.array}"
+        index = f"{self._atom(stmt.index)} % {register.size}"
+        mask = MASK32 & ((1 << register.cell_width) - 1)
+        args = [self._atom(a) for a in stmt.args] or ["0"]
         dst = f"{self.locals[stmt.dst]} = " if stmt.dst else ""
+
+        def applied(position: int, arg: str) -> Optional[str]:
+            """Memop number ``position`` of the call over the old cell."""
+            if position >= len(stmt.memops):
+                return None
+            memop = memop_shape(self.info, stmt.memops[position])
+            return f"{memop_template(memop, self.info, '_o', arg)} & {mask}"
+
         if stmt.method in ("Array.get", "Array.getm"):
-            memop = memops[0] if memops else "None"
-            return f"{dst}{array}.get({index}, {memop}, {first})"
+            got = applied(0, args[0])
+            if got is None:
+                return [f"{array}.reads += 1", f"{dst}{cells}[{index}]"]
+            return [f"{array}.reads += 1", f"_o = {cells}[{index}]", f"{dst}{got}"]
         if stmt.method in ("Array.set", "Array.setm"):
-            if memops:
-                return f"{array}.set({index}, None, {memops[0]}, {first})"
-            return f"{array}.set({index}, {first})"
+            put = applied(0, args[0])
+            if put is None:
+                return [f"{array}.writes += 1", f"{cells}[{index}] = {args[0]} & {mask}"]
+            return [f"{array}.writes += 1", f"_i = {index}", f"_o = {cells}[_i]",
+                    f"{cells}[_i] = {put}"]
         if stmt.method == "Array.update":
-            get_memop = memops[0] if memops else "None"
-            set_memop = memops[1] if len(memops) > 1 else "None"
-            set_arg = args[1] if len(args) > 1 else first
-            return (f"{dst}{array}.update({index}, {get_memop}, {first}, "
-                    f"{set_memop}, {set_arg})")
+            set_arg = args[1] if len(args) > 1 else args[0]
+            got = applied(0, args[0])
+            put = applied(1, set_arg)
+            return [
+                f"{array}.reads += 1",
+                f"{array}.writes += 1",
+                f"_i = {index}",
+                f"_o = {cells}[_i]",
+                # both from the old cell, and stored before the destination
+                # is assigned: the destination may be one of the arguments
+                f"{cells}[_i] = {put or f'{set_arg} & {mask}'}",
+                f"{dst}{got or '_o'}",
+            ]
         raise SimulationError(f"unknown array method {stmt.method}")  # pragma: no cover
 
     def _event(self, stmt: NGenerate) -> str:

@@ -84,6 +84,27 @@ def test_switch_engine_classes_and_interpreter_alias():
     assert Network().engine == "codegen"
 
 
+def test_one_event_yields_equal_results_on_every_engine():
+    """The pisa engine returns its pass result, a subclass carrying two pass
+    counters; what the handler produced compares equal whoever ran it."""
+    source = """
+    event e(int x); event f(int x);
+    handle e(int x) { printf(x); generate f(x + 1); forward(3); }
+    """
+    results = {}
+    for name in ENGINE_NAMES:
+        _, switch = single_switch_network(source, engine=name)
+        results[name] = switch.engine.run(EventInstance("e", (5,)))
+    assert results["pisa"].stages_traversed > 0
+    for left in ENGINE_NAMES:
+        for right in ENGINE_NAMES:
+            assert results[left] == results[right], (left, right)
+    assert results["reference"].prints == ["5"]
+    results["reference"].prints.append("more")
+    assert results["pisa"] != results["reference"]
+    assert results["reference"] != results["pisa"]
+
+
 def test_pisa_layout_is_compiled_once_per_checked_program():
     from repro.frontend.type_checker import check_program
 

@@ -3,15 +3,19 @@
 Behavioural parity of the ``pisa`` engine with ``reference`` and ``codegen``
 is pinned elsewhere (``tests/test_engines.py``, the fuzz corpus, the
 scenario CLI's ``--all-engines``).  This file pins what is specific to the
-lowering in :mod:`repro.pisa.pipeline`: the shared operator templates, that
-plans are shared between switches while state is not, the per-pass counts
-recorded from the interpretive executor this lowering replaced, and the
-corners of the metadata model the interpreter used to resolve per read.
+lowering in :mod:`repro.pisa.pipeline`: the shared operator, hash and memop
+templates, that plans are shared between switches while state is not, the
+per-pass counts recorded from the interpretive executor this lowering
+replaced, the corners of the metadata model the interpreter used to resolve
+per read, and the stateful tables inlined on the arrays' cell lists.
 """
 
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,15 +25,26 @@ from repro.apps import ALL_APPLICATIONS
 from repro.backend.compiler import compile_program
 from repro.errors import InterpError
 from repro.frontend import ast, check_program
-from repro.interp.codegen import dump_program_source
+from repro.frontend.source import dummy_span
+from repro.fuzz.case import load_case
+from repro.interp.codegen import CodegenSwitchRuntime, dump_program_source
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
+from repro.interp.interpreter import SwitchRuntime, memop_shape, memop_template
 from repro.interp.network import Network
 from repro.midend.normalize import NOp, Var
 from repro.obs.profile import StageProfiler
-from repro.ops import apply_binop, binop_template, hash_namespace, hash_template, lucid_hash
+from repro.ops import (
+    MASK32,
+    apply_binop,
+    binop_template,
+    hash_namespace,
+    hash_template,
+    lucid_hash,
+)
 from repro.pisa.pipeline import PipelinePassResult, PisaPipeline
-from repro.scenarios.runner import network_array_digest
+from repro.scenarios import registry
+from repro.scenarios.runner import network_array_digest, prepare_run, settle_horizon
 
 from test_compiled_interp import BOUNDARY
 
@@ -68,6 +83,47 @@ def test_template_move_left_the_codegen_module_unchanged():
     )
 
 
+#: name -> source: the ten bundled apps and the corpus under tests/regressions
+PROGRAMS = {key: app.source for key, app in sorted(ALL_APPLICATIONS.items())}
+PROGRAMS.update((path.name, load_case(str(path)).source)
+                for path in sorted((HERE / "regressions").glob("*.json")))
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_memop_template_equals_memop_fn(name):
+    """The rendering both emitters inline, masked as they mask it, against
+    the closure the reference walker calls through ``RuntimeArray``."""
+    checked = check_program(PROGRAMS[name], name=name)
+    runtime = SwitchRuntime(checked)
+    for memop in checked.info.memops:
+        closure = runtime.memop_fn(memop)
+        template = memop_template(memop_shape(checked.info, memop), checked.info, "s", "l")
+        fn = eval("lambda s, l: " + template)
+        for width in (8, 16, 32):
+            cell = (1 << width) - 1
+            for s in BOUNDARY:
+                for l in BOUNDARY:
+                    assert fn(s, l) & (MASK32 & cell) == closure(s, l) & cell, (
+                        memop, width, s, l)
+
+
+def test_the_sweep_covers_every_memop_body_form():
+    forms = set()
+    for name, source in PROGRAMS.items():
+        info = check_program(source, name=name).info
+        forms.update(memop_shape(info, memop).cond is None for memop in info.memops)
+    assert forms == {True, False}
+
+
+@pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
+def test_memop_move_left_every_codegen_module_unchanged(key):
+    source = dump_program_source(check_program(ALL_APPLICATIONS[key].source, name=key))
+    assert hashlib.sha256(source.encode()).hexdigest() == GOLDEN["codegen_sha256"][key], (
+        f"the codegen module generated for {key} changed; if intended, update "
+        "codegen_sha256 in tests/golden/pisa_passes.json"
+    )
+
+
 # ---------------------------------------------------------------------------
 # (b) every bundled handler lowers; plans are shared, state is not
 # ---------------------------------------------------------------------------
@@ -86,6 +142,9 @@ def test_every_handler_of_every_app_lowers(key):
     occupied = [i for i, s in enumerate(pipeline.layout.stages) if s.merged_tables]
     for stage in occupied:
         assert f"# stage {stage}\n" in module
+    # stateful tables are inlined: no memop binding, no RuntimeArray call
+    assert not re.search(r"\b_M_", module)
+    assert not re.search(r"_A_\w+\.(get|set|update)\(", module)
 
 
 SHARED = """
@@ -298,3 +357,195 @@ def test_wrong_argument_count_is_rejected_on_every_engine(engine, args):
     )
     assert switch.array("a").snapshot() == [0, 0, 0, 0]
     assert switch.array("a").writes == 0
+
+
+# ---------------------------------------------------------------------------
+# (f) stateful tables: a malformed memop fails where and how it always did
+# ---------------------------------------------------------------------------
+MEMOP = """
+const int K = 3;
+global t = new Array<<32>>(4);
+memop m(int stored, int x) { if (stored < K) { return stored + x; } else { return x; } }
+event e(int v);
+handle e(int v) { Array.set(t, 0, m, v); }
+"""
+
+
+def _expr(text):
+    """``text`` parsed as the returned expression of a throwaway memop."""
+    program = check_program(f"memop p(int stored, int x) {{ return {text}; }}")
+    return program.info.memops["p"].body[0].value
+
+
+def _return(text):
+    return ast.SReturn(span=dummy_span(), value=_expr(text))
+
+
+def _drop_a_parameter(decl):
+    del decl.params[1]
+
+
+def _collide_parameters(decl):
+    decl.params[1].name = decl.params[0].name
+
+
+def _empty_body(decl):
+    decl.body.clear()
+
+
+def _assign_instead_of_return(decl):
+    decl.body[:] = [ast.SAssign(span=dummy_span(), name="stored", value=_expr("1"))]
+
+
+def _empty_else(decl):
+    decl.body[0].else_body.clear()
+
+
+def _else_without_return(decl):
+    decl.body[0].else_body[:] = [ast.SNoop(span=dummy_span()),
+                                 ast.SReturn(span=dummy_span(), value=None)]
+
+
+def _undefined_variable(decl):
+    decl.body[0].then_body[:] = [_return("stored + x")]
+    decl.body[0].then_body[0].value.right.name = "ghost"
+
+
+def _call_in_condition(decl):
+    decl.body[0].cond = ast.ECall(span=dummy_span(), func="Sys.time", args=[])
+
+
+MALFORMED = [
+    (_drop_a_parameter, "memop 'm' must take exactly two parameters (found 1)"),
+    (_collide_parameters,
+     "memop 'm' declares both parameters with the same name 'stored'"),
+    (_empty_body, "memop 'm' has an empty body"),
+    (_assign_instead_of_return,
+     "memop 'm' body must be a single return statement or an if statement "
+     "with one return in each branch"),
+    (_empty_else, "memop 'm' must return a value in both branches of its if statement"),
+    (_else_without_return,
+     "memop 'm': the else-branch must be a 'return <expr>;' statement"),
+    (_undefined_variable, "undefined variable 'ghost' in memop 'm'"),
+    (_call_in_condition, "expression is not allowed in memop 'm'"),
+]
+
+
+@pytest.mark.parametrize("mutate,message", MALFORMED,
+                         ids=[mutate.__name__.strip("_") for mutate, _ in MALFORMED])
+def test_malformed_memop_fails_at_plan_lowering_like_memop_fn(mutate, message):
+    """The declarations are built directly: the front end stops every one."""
+    compiled = compile_program(MEMOP, name="malformed")
+    mutate(compiled.checked.info.memops["m"])
+    with pytest.raises(InterpError) as lowering:
+        PisaPipeline(compiled)
+    assert lowering.value.message == message
+    runtime = SwitchRuntime(compiled.checked)
+    with pytest.raises(InterpError) as closure:
+        runtime.memop_fn("m")
+    assert closure.value.message == message
+    # codegen leaves the handler to the tree walker, which raises it per event
+    assert CodegenSwitchRuntime(runtime).fallback_handler_names == ["e"]
+
+
+def test_zero_size_array_fails_at_plan_lowering():
+    compiled = compile_program(MEMOP, name="zero-size")
+    compiled.checked.info.globals["t"].size = 0
+    with pytest.raises(InterpError) as lowering:
+        PisaPipeline(compiled)
+    assert lowering.value.message == "array 't' has zero size"
+
+
+# ---------------------------------------------------------------------------
+# (g) stateful tables: cells and counters at the corners, on every engine
+# ---------------------------------------------------------------------------
+CORNERS = """
+global a8 = new Array<<8>>(4);
+global b8 = new Array<<8>>(4);
+global c16 = new Array<<16>>(4);
+global d16 = new Array<<16>>(4);
+global e8 = new Array<<8>>(4);
+global f16 = new Array<<16>>(4);
+global out = new Array<<32>>(4);
+memop plus(int stored, int x) { return stored + x; }
+memop keep(int stored, int x) { return stored; }
+memop capped(int stored, int x) { if (stored < x) { return stored + 1; } else { return 0; } }
+event fill(int i, int v);
+event probe(int i, int v);
+handle fill(int i, int v) {
+  Array.set(a8, i, v);
+  Array.set(b8, i, plus, v);
+  Array.set(c16, i, capped, v);
+  Array.setm(d16, i, plus, v);
+}
+handle probe(int i, int v) {
+  int x = Array.get(a8, i);
+  int y = Array.get(b8, i, capped, v);
+  int z = Array.getm(c16, i, plus, v);
+  int w = Array.update(d16, i, keep, 0, x + y);
+  v = Array.update(e8, v, plus, v, capped, v);
+  Array.set(f16, i, w + z);
+  Array.set(out, i, v);
+}
+"""
+
+
+def _array_state(network):
+    return {
+        (sid, name): (array.snapshot(), array.reads, array.writes)
+        for sid, switch in network.switches.items()
+        for name, array in switch.runtime.arrays.items()
+    }
+
+
+def _run_corners(engine):
+    network = Network(engine=engine)
+    network.add_switch(0, check_program(CORNERS, name="corners"))
+    at_ns = 0
+    for i in (0, 1, 2, 3, 4, 7, 2**31 + 1, 2**32 - 1):
+        for v in (0, 1, 255, 256, 65535, 65536, 2**32 - 1):
+            for event in ("fill", "probe", "probe"):
+                network.inject(0, EventInstance(event, (i, v)), at_ns=at_ns)
+                at_ns += 1_000
+    network.run()
+    return _array_state(network)
+
+
+def test_stateful_corners_agree_on_every_engine():
+    """8- and 16-bit cells; get / set / update with no memop, a plain-return
+    memop and an ``if`` memop; indices past the size and at 2^32-1; and an
+    ``Array.update`` whose destination is also its index and both arguments."""
+    reference = _run_corners("reference")
+    assert all(reads + writes for _, reads, writes in reference.values())
+    assert any(cell > 255 for cell in reference[0, "f16"][0])
+    assert _run_corners("codegen") == reference
+    assert _run_corners("pisa") == reference
+
+
+def test_read_write_counters_agree_on_the_firewall_scenario():
+    """Array digests cover cells only; the counters are state too."""
+    def run(engine):
+        setup = registry.get("sfw-install-latency").build(3000, 1)
+        network, source = prepare_run(setup, engine)
+        network.run(source=list(source))
+        network.run(until_ns=settle_horizon(setup, network, source))
+        return {key: counts for key, (_, *counts) in _array_state(network).items()}
+
+    reference = run("reference")
+    assert sum(reads + writes for reads, writes in reference.values()) > 3000
+    assert run("codegen") == reference
+    assert run("pisa") == reference
+
+
+def test_the_pisa_path_does_not_import_codegen():
+    """The shared memop lowering lives beside ``memop_fn`` so that running
+    on ``pisa`` does not pay codegen's import in set-up time and memory."""
+    script = (
+        "import sys\n"
+        "from repro.scenarios import registry\n"
+        "from repro.scenarios.runner import prepare_run\n"
+        "prepare_run(registry.get('sfw-install-latency').build(10, 1), 'pisa')\n"
+        "sys.exit('repro.interp.codegen' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0

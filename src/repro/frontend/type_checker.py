@@ -89,8 +89,8 @@ class CheckedProgram:
         are bound per switch from the topology and supplied at engine-build
         time), so every switch of a fat-tree running the same app under the
         same symbolic bindings shares one digest — which is what lets the
-        codegen module cache and the shared memop cache compile each app
-        once per network instead of once per switch."""
+        codegen module cache compile each app once per network instead of
+        once per switch."""
         cached = getattr(self, "_digest", None)
         if cached is not None:
             return cached

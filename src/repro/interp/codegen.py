@@ -11,11 +11,13 @@ a single Python function call with no interpretation overhead at all.
 The generated module is keyed by :meth:`CheckedProgram.digest
 <repro.frontend.type_checker.CheckedProgram.digest>` and cached process-wide,
 so a fat-tree network running one application compiles each handler exactly
-once no matter how many switches instantiate it.  Everything that may differ
-between switches sharing a digest (the runtime clock/RNG, ``SELF``, group
-member bindings, extern tables, array handles) is passed in through a
-bindings dict consumed by the generated ``_build`` factory, which returns
-per-switch handler functions closing over those bindings.
+once no matter how many switches instantiate it.  The module's shape —
+``_bind(_rt)`` reading whatever differs between switches sharing a digest
+(``SELF``, group members, extern tables, array handles, the clock and PRNG)
+off the switch's runtime, one ``_h_<event>`` per handler, the array
+read-modify-write — is the generated-module format of
+:mod:`repro.interp.emit`, shared with the PISA stage plan;
+:class:`HandlerSourceCompiler` is that format's visitor over the handler AST.
 
 Semantics are pinned to the tree walker: identical results, identical
 error strings raised at the same evaluation points, identical array
@@ -36,6 +38,7 @@ from repro.errors import InterpError
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
+from repro.interp.emit import Line, ModuleEmitter, render
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import (
     ExecutionResult,
@@ -51,7 +54,6 @@ from repro.ops import (
     MASK32 as _MASK,
     apply_binop as _apply_binop,
     binop_template as _binop_template,
-    hash_namespace as _hash_namespace,
     hash_template as _hash_template,
 )
 
@@ -93,7 +95,14 @@ _PURE_BINOPS = frozenset(_CMP_OPS) | {
     ast.BinOp.SHL, ast.BinOp.SHR,
 }
 
-_HELPERS = '''\
+#: what every generated module opens with, ahead of its ``_bind`` factory
+_HEADER = '''\
+# Generated by repro.interp.codegen for program {name!r}.
+# Seeded globals: _IE (InterpError), _EV (EventInstance),
+# _ER (ExecutionResult), _EMPTY_R (shared no-effect result),
+# _UNDEF (undefined-slot sentinel), _c32 (zlib.crc32),
+# _pk<N> (struct '<NI' packers).
+
 def _chk(v, name):
     if v is _UNDEF:
         raise _IE("undefined variable '%s'" % (name,))
@@ -117,6 +126,7 @@ def _resolve(arrays, value):
         if arr is not None:
             return arr
     raise _IE("the first argument of an Array method must be a global array")
+
 '''
 
 
@@ -124,26 +134,24 @@ class CodegenModule:
     """One generated module: shared by every switch whose checked program has
     the same digest."""
 
-    __slots__ = ("name", "digest", "source", "binding_keys", "build",
-                 "fallback_names", "handler_names")
+    __slots__ = ("name", "digest", "source", "bind", "fallback_names",
+                 "handler_names")
 
-    def __init__(self, name: str, digest: str, source: str,
-                 binding_keys: List[str], build: Callable,
+    def __init__(self, name: str, digest: str, source: str, bind: Callable,
                  fallback_names: List[str], handler_names: List[str]):
         self.name = name
         self.digest = digest
         self.source = source
-        #: ordered binding keys the ``_build`` factory expects, e.g.
-        #: ``"runtime"``, ``"cells:ip_counts"``, ``"memop:incr"``
-        self.binding_keys = binding_keys
-        self.build = build
+        #: the module's ``_bind(_rt)`` factory: one switch's handler functions
+        self.bind = bind
         self.fallback_names = fallback_names
         self.handler_names = handler_names
 
 
-#: process-wide digest -> generated-module cache (the codegen analogue of the
-#: shared memop cache in repro.interp.interpreter)
+#: process-wide digest -> generated-module cache, oldest digest first.  A
+#: switch holds its own ``.module``, so eviction only costs a re-emit.
 _MODULE_CACHE: Dict[str, CodegenModule] = {}
+_MODULE_CACHE_CAP = 64
 
 
 def compile_program(checked: CheckedProgram) -> CodegenModule:
@@ -151,6 +159,8 @@ def compile_program(checked: CheckedProgram) -> CodegenModule:
     key = checked.digest()
     module = _MODULE_CACHE.get(key)
     if module is None:
+        if len(_MODULE_CACHE) >= _MODULE_CACHE_CAP:
+            del _MODULE_CACHE[next(iter(_MODULE_CACHE))]
         module = _MODULE_CACHE[key] = HandlerSourceCompiler(checked).compile()
         if _OBS.enabled:
             _M_MODULE_CACHE_MISSES.inc()
@@ -196,118 +206,50 @@ class _Env:
         return _Env(self.scope, set(self.defined))
 
 
-class HandlerSourceCompiler:
+class HandlerSourceCompiler(ModuleEmitter):
     """Walks every checked handler and emits one flat Python module."""
 
     def __init__(self, checked: CheckedProgram):
+        super().__init__(checked.info)
         self.checked = checked
-        self.info: ProgramInfo = checked.info
-        # binding registry: key -> generated variable name, in first-use order
-        self._binding_vars: Dict[str, str] = {}
-        self._binding_order: List[str] = []
-        self._pack_arities: Set[int] = set()
         self._memop_cache: Dict[str, MemopShape] = {}
         # per-handler emission state (reset by _emit_handler)
-        self.lines: List[Tuple[int, str]] = []
-        self.indent = 1
-        self._temp_n = 0
         self._site_n = 0
         self._undef_inits: Set[str] = set()
-        self._effects: Set[str] = set()
+        self._return = ""
         self._nonint: Set[str] = set()
         self._ret_stack: List[tuple] = []
         self._inlining: Set[str] = set()
 
-    # -- bindings -----------------------------------------------------------
-    def _bind(self, kind: str, name: str = "") -> str:
-        key = kind if not name else f"{kind}:{name}"
-        var = self._binding_vars.get(key)
-        if var is None:
-            var = {
-                "runtime": "_rt",
-                "self": "_SELF",
-                "externs": "_EXT",
-                "arrays": "_ARRAYS",
-                "array": f"_A_{name}",
-                "cells": f"_C_{name}",
-                "group": f"_G_{name}",
-                "memop": f"_M_{name}",
-            }[kind]
-            self._binding_vars[key] = var
-            self._binding_order.append(key)
-        return var
-
     # -- program assembly ---------------------------------------------------
     def compile(self) -> CodegenModule:
-        handler_srcs: Dict[str, List[Tuple[int, str]]] = {}
+        handlers: Dict[str, List[Line]] = {}
         fallbacks: List[str] = []
         for name, handler in self.info.handlers.items():
-            mark = len(self._binding_order)
-            packs = set(self._pack_arities)
+            mark = self._mark()
             try:
-                handler_srcs[name] = self._emit_handler(handler)
+                handlers[name] = self._emit_handler(handler)
             except Exception:
-                # roll back bindings registered by the failed handler so the
-                # runtime never has to materialise them (e.g. a malformed
+                # roll back what the failed handler registered so the
+                # runtime never has to materialise it (e.g. a malformed
                 # memop would make memop_fn raise at bind time)
-                for key in self._binding_order[mark:]:
-                    del self._binding_vars[key]
-                del self._binding_order[mark:]
-                self._pack_arities = packs
+                self._rollback(mark)
                 fallbacks.append(name)
-        source = self._assemble(handler_srcs)
-        namespace = {
-            "__name__": f"repro.interp.codegen.<{self.checked.name}>",
-            "_IE": InterpError,
-            "_EV": EventInstance,
-            "_ER": ExecutionResult,
-            "_UNDEF": _UNDEF,
-            "_EMPTY_R": _EMPTY_RESULT,
-            **_hash_namespace(self._pack_arities),
-        }
-        code = compile(source, f"<codegen:{self.checked.name}>", "exec")
-        exec(code, namespace)
+        source, bind = self._module(
+            self.checked.name, "codegen", _HEADER.format(name=self.checked.name),
+            "_rt", handlers,
+            {"_ER": ExecutionResult, "_UNDEF": _UNDEF, "_EMPTY_R": _EMPTY_RESULT})
         return CodegenModule(
             name=self.checked.name,
             digest=self.checked.digest(),
             source=source,
-            binding_keys=list(self._binding_order),
-            build=namespace["_build"],
+            bind=bind,
             fallback_names=sorted(fallbacks),
-            handler_names=sorted(handler_srcs),
+            handler_names=sorted(handlers),
         )
 
-    def _assemble(self, handler_srcs: Dict[str, List[Tuple[int, str]]]) -> str:
-        out: List[str] = [
-            f"# Generated by repro.interp.codegen for program "
-            f"{self.checked.name!r}.",
-            "# Seeded globals: _IE (InterpError), _EV (EventInstance),",
-            "# _ER (ExecutionResult), _EMPTY_R (shared no-effect result),",
-            "# _UNDEF (undefined-slot sentinel), _c32 (zlib.crc32),",
-            "# _pk<N> (struct '<NI' packers).",
-            "",
-            _HELPERS,
-            "",
-            "def _build(_B):",
-        ]
-        for key in self._binding_order:
-            out.append(f"    {self._binding_vars[key]} = _B[{key!r}]")
-        if not self._binding_order:
-            out.append("    pass")
-        for name in handler_srcs:
-            out.append("")
-            for level, text in handler_srcs[name]:
-                out.append("    " * (level + 1) + text)
-        out.append("")
-        out.append("    return {")
-        for name in handler_srcs:
-            out.append(f"        {name!r}: _h_{name},")
-        out.append("    }")
-        out.append("")
-        return "\n".join(out)
-
     # -- per-handler emission ----------------------------------------------
-    def _emit_handler(self, handler: ast.DHandler) -> List[Tuple[int, str]]:
+    def _emit_handler(self, handler: ast.DHandler) -> List[Line]:
         self.lines = []
         self.indent = 1
         self._temp_n = 0
@@ -316,57 +258,23 @@ class HandlerSourceCompiler:
         self._ret_stack = [("handler",)]
         self._inlining = set()
         self._nonint = set()
-        self._effects = self._scan_effects(handler.body, set())
+        effects = self._scan_effects(handler.body, set())
+        # no generate/printf/drop/forward/flood anywhere in the handler (or
+        # its callees): every invocation produces the same empty result, so
+        # return a shared immutable singleton — consumers only read results
+        self._return = f"return {self._result('_ER', effects) if effects else '_EMPTY_R'}"
         env = _Env({p.name: f"v_{p.name}" for p in handler.params},
                    {p.name for p in handler.params})
-        terminated = self._stmts(handler.body, env)
-        if not terminated:
-            self._emit_result_return()
-        body = self.lines
-        # prologue: argc check, parameter binds, sentinel + effect inits
-        head: List[Tuple[int, str]] = [(0, f"def _h_{handler.name}(_args):")]
-        n = len(handler.params)
-        head.append((1, f"if len(_args) != {n}:"))
-        head.append((2,
-            f"raise _IE(\"event '{handler.name}' carries %d arguments but "
-            f"the handler expects {n}\" % (len(_args),))"))
-        for i, p in enumerate(handler.params):
-            head.append((1, f"v_{p.name} = int(_args[{i}])"))
-        for py_name in sorted(self._undef_inits):
-            head.append((1, f"{py_name} = _UNDEF"))
-        eff = self._effects
-        if "gen" in eff:
-            head.append((1, "_gen = []"))
-        if "prints" in eff:
-            head.append((1, "_prints = []"))
-        if "drop" in eff:
-            head.append((1, "_drop = False"))
-        if "fwd" in eff:
-            head.append((1, "_fwd = None"))
-        if "flood" in eff:
-            head.append((1, "_flood = False"))
-        src = head + body
+        if not self._stmts(handler.body, env):
+            self._line(self._return)
+        # prologue, sentinel + effect inits, then the body just emitted
+        src = self._handler_head(handler.name, [f"v_{p.name}" for p in handler.params])
+        src += [(1, f"{py_name} = _UNDEF") for py_name in sorted(self._undef_inits)]
+        src += self._effect_inits(effects) + self.lines
         # compile the handler in isolation: an emitter bug becomes a tree
         # walker fallback instead of a broken module
-        probe = "\n".join("    " * lv + tx for lv, tx in src)
-        compile(probe, f"<codegen-probe:{handler.name}>", "exec")
+        compile(render(src), f"<codegen-probe:{handler.name}>", "exec")
         return src
-
-    def _emit_result_return(self) -> None:
-        eff = self._effects
-        if not eff:
-            # no generate/printf/drop/forward/flood anywhere in the handler
-            # (or its callees): every invocation produces the same empty
-            # result, so return a shared immutable singleton — consumers
-            # only read results, never mutate them.
-            self._line("return _EMPTY_R")
-            return
-        gen = "_gen" if "gen" in eff else "()"
-        prints = "_prints" if "prints" in eff else "()"
-        drop = "_drop" if "drop" in eff else "False"
-        fwd = "_fwd" if "fwd" in eff else "None"
-        flood = "_flood" if "flood" in eff else "False"
-        self._line(f"return _ER({gen}, {prints}, {drop}, {fwd}, {flood})")
 
     def _scan_effects(self, stmts: Sequence[ast.Stmt], seen: Set[str]) -> Set[str]:
         """The effect kinds ``stmts`` (and the functions they call) can
@@ -437,22 +345,10 @@ class HandlerSourceCompiler:
         return eff
 
     # -- low-level emission helpers ----------------------------------------
-    def _line(self, text: str) -> None:
-        self.lines.append((self.indent, text))
-
-    def _temp(self) -> str:
-        self._temp_n += 1
-        return f"_t{self._temp_n}"
-
     @staticmethod
     def _is_atom(s: str) -> bool:
         return s.isidentifier() or s.lstrip("-").isdigit() or (
             s.startswith("'") and s.endswith("'") and s.count("'") == 2)
-
-    def _to_temp(self, s: str) -> str:
-        t = self._temp()
-        self._line(f"{t} = {s}")
-        return t
 
     def _force_safe(self, s: str, safe: bool) -> str:
         """An expression string that may be re-evaluated / reordered freely."""
@@ -468,16 +364,6 @@ class HandlerSourceCompiler:
         if uses > 1 and not self._is_atom(s):
             return self._to_temp(s)
         return s
-
-    def _buffered(self, fn, *args):
-        """Run ``fn`` capturing emitted lines into a private buffer."""
-        saved = self.lines
-        self.lines = []
-        try:
-            result = fn(*args)
-            return result, self.lines
-        finally:
-            self.lines = saved
 
     def _parts(self, exprs: Sequence[ast.Expr], env: _Env) -> List[Tuple[str, bool]]:
         """Compile sibling expressions preserving left-to-right evaluation:
@@ -533,10 +419,8 @@ class HandlerSourceCompiler:
             if name not in env.defined:
                 self._undef_inits.add(py)
                 self._line(f"if {py} is _UNDEF:")
-                self.indent += 1
                 self._line(
-                    f"raise _IE(\"assignment to undeclared variable '{name}'\")")
-                self.indent -= 1
+                    f"raise _IE(\"assignment to undeclared variable '{name}'\")", 1)
             s, _ = self._value(stmt.value, env)
             self._line(f"{py} = {s}")
             env.defined.add(name)
@@ -552,9 +436,7 @@ class HandlerSourceCompiler:
             if not self._statically_event(stmt.event):
                 v = v if self._is_atom(v) else self._to_temp(v)
                 self._line(f"if not isinstance({v}, _EV):")
-                self.indent += 1
-                self._line("raise _IE(\"generate expects an event value\")")
-                self.indent -= 1
+                self._line("raise _IE(\"generate expects an event value\")", 1)
             self._line(f"_gen.append({v})")
             return False
         if isinstance(stmt, ast.SExpr):
@@ -658,7 +540,7 @@ class HandlerSourceCompiler:
             # handler-level return: the value is evaluated then discarded
             if s is not None and not safe:
                 self._line(s)
-            self._emit_result_return()
+            self._line(self._return)
             return True
         ret_var = top[1]
         if s is None:
@@ -678,12 +560,6 @@ class HandlerSourceCompiler:
     def _local_name(self, name: str) -> str:
         prefix = self._ret_stack[-1][2] if self._ret_stack[-1][0] == "fun" else "v_"
         return f"{prefix}{name}"
-
-    def _flush(self, buf: List[Tuple[int, str]], delta: int = 0) -> None:
-        if delta:
-            self.lines.extend((lv + delta, tx) for lv, tx in buf)
-        else:
-            self.lines.extend(buf)
 
     # -- constant folding ---------------------------------------------------
     def _fold(self, e: ast.Expr, env: _Env) -> Optional[int]:
@@ -858,7 +734,6 @@ class HandlerSourceCompiler:
         :meth:`_static_chain`).  Arguments evaluate left to right: constructor
         arguments, then each combinator's, as the nested calls would."""
         parts = [s for s, _ in self._parts([*args, *(a for _, a in chain)], env)]
-        tup = f"({', '.join(f'({s})' for s in parts[:len(args)])},)" if args else "()"
         delay, location, group = [], "-1", "None"
         for (shape, _), s in zip(chain, parts[len(args):]):
             if shape == "delay":
@@ -868,8 +743,8 @@ class HandlerSourceCompiler:
             else:
                 location = s
         # unsafe: each evaluation allocates a distinct instance
-        return (f"_EV({name!r}, {tup}, {' + '.join(delay) or '0'}, {location}, "
-                f"{group}, {self._bind('self')})", False)
+        return (self._event(name, parts[:len(args)], " + ".join(delay) or "0",
+                            location, group), False)
 
     def _static_chain(self, e: ast.Expr, env: _Env):
         """Flatten ``Event.delay`` / ``Event.locate`` calls over an event
@@ -910,19 +785,18 @@ class HandlerSourceCompiler:
         if func == "hash":
             width = e.size_args[0] if e.size_args else 32
             parts = self._parts(e.args, env)
-            self._pack_arities.add(len(parts) + 1)
+            self.hash_arities.add(len(parts) + 1)
             return (_hash_template(width, [s for s, _ in parts]),
                     all(safe for _, safe in parts))
         if func == "Sys.time":
-            return (f"({self._bind('runtime')}.time_ns & 4294967295)", True)
+            return ("(_rt.time_ns & 4294967295)", True)
         if func == "Sys.self":
             return (self._bind("self"), True)
         if func == "Sys.random":
-            rt = self._bind("runtime")
             if e.args:
                 s, _ = self._value(e.args[0], env)
-                return (f"{rt}.random({s})", False)
-            return (f"{rt}.random()", False)
+                return (f"_rt.random({s})", False)
+            return ("_rt.random()", False)
         if func == "drop":
             self._line("_drop = True")
             return ("0", True)
@@ -935,13 +809,7 @@ class HandlerSourceCompiler:
             return ("0", True)
         if func == "printf":
             parts = self._parts(e.args, env)
-            if not parts:
-                self._line('_prints.append("")')
-            elif len(parts) == 1:
-                self._line(f"_prints.append(str({parts[0][0]}))")
-            else:
-                items = ", ".join(f"str({s})" for s, _ in parts)
-                self._line(f'_prints.append(" ".join(({items},)))')
+            self._line(f"_prints.append({self._printf([s for s, _ in parts])})")
             return ("0", True)
         if info.is_function(func):
             return self._user_call(func, e.args, env)
@@ -968,9 +836,7 @@ class HandlerSourceCompiler:
         tv = s if self._is_atom(s) else self._to_temp(s)
         if not self._statically_event(ev_expr):
             self._line(f"if not isinstance({tv}, _EV):")
-            self.indent += 1
-            self._line(f"raise _IE(\"{func} expects an event value\")")
-            self.indent -= 1
+            self._line(f"raise _IE(\"{func} expects an event value\")", 1)
         # the second argument is evaluated only after the event-type check
         a, _ = self._value(arg_expr, env)
         method = "delay" if func == "Event.delay" else "locate"
@@ -1053,84 +919,28 @@ class HandlerSourceCompiler:
     def _static_array_method(self, method: str, arr_name: str,
                              idx_expr: ast.Expr, memop_names: List[str],
                              value_exprs: List[ast.Expr], env: _Env) -> Tuple[str, bool]:
-        g = self.info.globals[arr_name]
-        size = g.size
-        if not isinstance(size, int) or size < 1:
-            raise _EmitError(f"array '{arr_name}' has no static size")
-        cm = _MASK & ((1 << g.cell_width) - 1)
-        arr = self._bind("array", arr_name)
-        cells = self._bind("cells", arr_name)
+        """The call through :meth:`_array_rmw`, every temp hoisted: operands
+        are evaluated to atoms first, in the tree walker's order and ahead of
+        the counter bumps, and each is evaluated only if the method uses it."""
+        shapes = [self._memop_ir(name) for name in memop_names[:2]]
+        is_get = method in ("Array.get", "Array.getm")
+        # a bare get has no operand after the index: nothing to anchor it
+        # against, so the index goes into the (parenthesised) wrap as it is
+        bare = is_get and not shapes and not value_exprs
+        if bare:
+            index, _ = self._value(idx_expr, env)
+            args: List[str] = []
+        else:
+            index = self._anchor(idx_expr, env)
+            args = [self._anchor(v, env)
+                    for v in value_exprs[:2 if method == "Array.update" else 1]]
 
-        if method in ("Array.get", "Array.getm"):
-            memop = memop_names[0] if memop_names else None
-            arg_e = value_exprs[0] if value_exprs else None
-            if memop is None and arg_e is None:
-                idx_s, _ = self._value(idx_expr, env)
-                ti = self._to_temp(f"(({idx_s}) % {size})")
-                self._line(f"{arr}.reads += 1")
-                return (f"{cells}[{ti}]", False)
-            ir = self._memop_ir(memop) if memop is not None else None
-            idx_a = self._anchor(idx_expr, env)
-            arg_a = self._anchor(arg_e, env)
-            ti = self._to_temp(f"({idx_a}) % {size}")
-            self._line(f"{arr}.reads += 1")
-            if ir is None:
-                return (f"{cells}[{ti}]", False)
-            to = self._to_temp(f"{cells}[{ti}]")
-            body = memop_template(ir, self.info, to, arg_a)
-            return (f"(({body}) & {cm})", True)
+        def hoist(name: str, expr: str, uses: int) -> str:
+            return self._to_temp(f"({expr})" if bare else expr)
 
-        if method in ("Array.set", "Array.setm"):
-            ir = self._memop_ir(memop_names[0]) if memop_names else None
-            return self._static_array_set(arr, cells, size, cm, ir,
-                                          idx_expr, value_exprs, env)
-
-        if method == "Array.update":
-            gir = self._memop_ir(memop_names[0]) if memop_names else None
-            sir = self._memop_ir(memop_names[1]) if len(memop_names) > 1 else None
-            idx_a = self._anchor(idx_expr, env)
-            if len(value_exprs) >= 2:
-                ga = self._anchor(value_exprs[0], env)
-                sa = self._anchor(value_exprs[1], env)
-            elif len(value_exprs) == 1:
-                ga = sa = self._anchor(value_exprs[0], env)
-            else:
-                ga = sa = "0"
-            ti = self._to_temp(f"({idx_a}) % {size}")
-            self._line(f"{arr}.reads += 1")
-            self._line(f"{arr}.writes += 1")
-            to = self._to_temp(f"{cells}[{ti}]")
-            if gir is not None:
-                rt = self._to_temp(f"(({memop_template(gir, self.info, to, ga)}) & {cm})")
-            else:
-                rt = to
-            if sir is not None:
-                self._line(f"{cells}[{ti}] = (({memop_template(sir, self.info, to, sa)}) & {cm})")
-            else:
-                self._line(f"{cells}[{ti}] = (({sa}) & {cm})")
-            return (rt, True)
-
-        raise _EmitError(f"unhandled array method {method}")
-
-    def _static_array_set(self, arr: str, cells: str, size: int, cm: int,
-                          ir: Optional[MemopShape], idx_expr: ast.Expr,
-                          value_exprs: List[ast.Expr], env: _Env) -> Tuple[str, bool]:
-        if ir is not None:
-            # memop variant: evaluate idx, then the memop argument, then
-            # wrap the index, bump, read the old cell, store
-            idx_a = self._anchor(idx_expr, env)
-            arg_a = self._anchor(value_exprs[0] if value_exprs else None, env)
-            ti = self._to_temp(f"({idx_a}) % {size}")
-            self._line(f"{arr}.writes += 1")
-            to = self._to_temp(f"{cells}[{ti}]")
-            self._line(f"{cells}[{ti}] = (({memop_template(ir, self.info, to, arg_a)}) & {cm})")
-            return ("0", True)
-        idx_a = self._anchor(idx_expr, env)
-        val_a = self._anchor(value_exprs[0] if value_exprs else None, env)
-        ti = self._to_temp(f"({idx_a}) % {size}")
-        self._line(f"{arr}.writes += 1")
-        self._line(f"{cells}[{ti}] = (({val_a}) & {cm})")
-        return ("0", True)
+        value = self._array_rmw(hoist, method, arr_name, index, shapes, args)
+        # a get without a memop reads the live cell: evaluate it exactly once
+        return (value, bool(shapes) or not is_get)
 
     def _dynamic_array_method(self, method: str, arr_expr: ast.Expr,
                               idx_expr: ast.Expr, memop_names: List[str],
@@ -1201,10 +1011,8 @@ class CodegenSwitchRuntime:
     compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
 
     The generated module is shared across every switch whose checked program
-    has the same digest; this wrapper only materialises the per-switch
-    bindings (array handles, cell lists, group tuples, memop callables, the
-    runtime itself) and keeps the tree walker around for handlers the emitter
-    could not lower.
+    has the same digest; this wrapper only binds it to its switch's runtime
+    and keeps the tree walker around for handlers the emitter could not lower.
     """
 
     def __init__(self, runtime: SwitchRuntime):
@@ -1212,26 +1020,7 @@ class CodegenSwitchRuntime:
         self.info: ProgramInfo = runtime.info
         self._tree_walker = HandlerInterpreter(runtime)
         self.module = compile_program(runtime.checked)
-        bindings: Dict[str, object] = {}
-        for key in self.module.binding_keys:
-            kind, _, rest = key.partition(":")
-            if kind == "runtime":
-                bindings[key] = runtime
-            elif kind == "self":
-                bindings[key] = runtime.switch_id
-            elif kind == "externs":
-                bindings[key] = runtime.externs
-            elif kind == "arrays":
-                bindings[key] = runtime.arrays
-            elif kind == "array":
-                bindings[key] = runtime.array(rest)
-            elif kind == "cells":
-                bindings[key] = runtime.array(rest).cells
-            elif kind == "group":
-                bindings[key] = tuple(int(m) for m in self.info.consts.groups[rest])
-            elif kind == "memop":
-                bindings[key] = runtime.memop_fn(rest)
-        built = self.module.build(bindings)
+        built = self.module.bind(runtime)
         self._handlers: Dict[str, Optional[Callable]] = {
             name: built.get(name) for name in self.info.handlers
         }

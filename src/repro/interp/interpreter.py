@@ -10,7 +10,7 @@ events the handler generated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import InterpError
 from repro.frontend import ast
@@ -28,11 +28,6 @@ _M_TREEWALK_EVENTS = _REGISTRY.counter(
     "Events executed by the tree-walking interpreter "
     "(including codegen-engine fallbacks).")
 
-# canonical ALU semantics live in repro.ops; these aliases keep the historic
-# import sites (tests, the pipeline executor of older checkouts) working
-_mask32 = mask32
-_apply_binop = apply_binop
-
 __all__ = [
     "ExecutionResult",
     "HandlerInterpreter",
@@ -46,14 +41,6 @@ class _ReturnValue(Exception):
 
     def __init__(self, value: Optional[int]):
         self.value = value
-
-
-#: Compiled memop callables shared across every switch running the same
-#: checked program, keyed by ``(CheckedProgram.digest(), memop name)``.
-#: Memop bodies close over nothing switch-specific (only the two parameters
-#: and program constants, which the digest covers), so a fat-tree full of
-#: switches running one app compiles each memop once.
-_SHARED_MEMOPS: Dict[Tuple[str, str], Callable[[int, int], int]] = {}
 
 
 class ExecutionResult:
@@ -138,11 +125,6 @@ class SwitchRuntime:
         and the oracle that rendering is swept against."""
         if name in self._memop_cache:
             return self._memop_cache[name]
-        shared_key = (self.checked.digest(), name)
-        shared = _SHARED_MEMOPS.get(shared_key)
-        if shared is not None:
-            self._memop_cache[name] = shared
-            return shared
         shape = memop_shape(self.info, name)
 
         def compile_expr(expr: ast.Expr) -> Callable[[int, int], int]:
@@ -152,7 +134,7 @@ class SwitchRuntime:
             value_fn = compile_expr(shape.value)
 
             def run(stored: int, local: int) -> int:
-                return _mask32(value_fn(stored, local))
+                return mask32(value_fn(stored, local))
 
         else:
             cond_fn, value_fn, else_fn = map(
@@ -160,10 +142,9 @@ class SwitchRuntime:
 
             def run(stored: int, local: int) -> int:
                 if cond_fn(stored, local):
-                    return _mask32(value_fn(stored, local))
-                return _mask32(else_fn(stored, local))
+                    return mask32(value_fn(stored, local))
+                return mask32(else_fn(stored, local))
 
-        _SHARED_MEMOPS[shared_key] = run
         self._memop_cache[name] = run
         return run
 
@@ -316,7 +297,7 @@ def _compile_memop_expr(
         left = _compile_memop_expr(expr.left, memop_name, stored_name, local_name, info)
         right = _compile_memop_expr(expr.right, memop_name, stored_name, local_name, info)
         op = expr.op
-        return lambda stored, local: _apply_binop(op, left(stored, local), right(stored, local))
+        return lambda stored, local: apply_binop(op, left(stored, local), right(stored, local))
     raise InterpError(f"expression is not allowed in memop '{memop_name}'")
 
 
@@ -432,7 +413,7 @@ class HandlerInterpreter:
         if isinstance(expr, ast.EUnary):
             value = self._as_int(self._eval(expr.operand, env, result))
             if expr.op is ast.UnOp.NEG:
-                return _mask32(-value)
+                return mask32(-value)
             if expr.op is ast.UnOp.BITNOT:
                 return ~value & 0xFFFFFFFF
             return 0 if value else 1
@@ -444,7 +425,7 @@ class HandlerInterpreter:
             if expr.op is ast.BinOp.OR and left:
                 return 1
             right = self._as_int(self._eval(expr.right, env, result))
-            return _apply_binop(expr.op, left, right)
+            return apply_binop(expr.op, left, right)
         if isinstance(expr, ast.EGroup):
             return tuple(self._as_int(self._eval(m, env, result)) for m in expr.members)
         if isinstance(expr, ast.EEvent):

@@ -19,12 +19,13 @@ accounting (``stages_traversed``, ``tables_executed``, the optional
 :class:`~repro.obs.profile.StageProfiler`) written out per stage.  A
 :class:`PisaPipeline` only binds the plan to its own switch state — register
 arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table —
-so every switch running one compiled program shares the code objects.  A
-stateful table is part of its stage like any other: one straight-line
-read-modify-write on the array's cell list, its memops rendered in place by
-the lowering codegen also uses
-(:func:`~repro.interp.interpreter.memop_template`), exactly one per table,
-like the hardware stateful ALU.
+so every switch running one compiled program shares the code objects.  The
+plan is a module in the generated-module format of :mod:`repro.interp.emit`
+(``_bind(_P, _rt)``, one ``_h_<event>`` per handler), which the codegen
+engine writes too; :class:`_PlanEmitter` is that format's visitor over the
+layout.  A stateful table is part of its stage like any other: the format's
+one straight-line read-modify-write on the array's cell list, its memops
+rendered in place, exactly one per table, like the hardware stateful ALU.
 
 Running the same program through this pipeline executor and through the
 AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
@@ -49,16 +50,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.backend.compiler import CompiledProgram
 from repro.backend.layout import PipelineLayout
 from repro.backend.tables import AtomicTable
-from repro.errors import InterpError, SimulationError
+from repro.errors import SimulationError
 from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
+from repro.interp.emit import Line, ModuleEmitter, render
 from repro.interp.events import LOCAL, EventInstance
-from repro.interp.interpreter import (
-    ExecutionResult,
-    SwitchRuntime,
-    memop_shape,
-    memop_template,
-)
+from repro.interp.interpreter import ExecutionResult, SwitchRuntime, memop_shape
 from repro.midend.normalize import (
     Const,
     NArrayOp,
@@ -71,7 +68,7 @@ from repro.midend.normalize import (
     Operand,
 )
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import CMP_OPS, MASK32, binop_template, hash_namespace, hash_template
+from repro.ops import CMP_OPS, binop_template, hash_template
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_PLAN_CACHE_HITS = _REGISTRY.counter(
@@ -87,8 +84,8 @@ class PipelinePassResult(ExecutionResult):
     :class:`~repro.interp.interpreter.ExecutionResult` plus the pass's own
     two counts, so the engine hands the scheduler this very object.
 
-    One is built per pass, by the stage plan, with all seven fields at once
-    (in the plan's ``_EFFECTS`` order, then the counts)."""
+    One is built per pass, by the stage plan, with all seven fields at once:
+    the base class's five, in its order, then the counts."""
 
     __slots__ = ("stages_traversed", "tables_executed")
 
@@ -97,16 +94,16 @@ class PipelinePassResult(ExecutionResult):
         generated: Optional[List[EventInstance]] = None,
         prints: Optional[List[str]] = None,
         dropped: bool = False,
-        flooded: bool = False,
         forwarded_port: Optional[int] = None,
+        flooded: bool = False,
         stages_traversed: int = 0,
         tables_executed: int = 0,
     ) -> None:
         self.generated = [] if generated is None else generated
         self.prints = [] if prints is None else prints
         self.dropped = dropped
-        self.flooded = flooded
         self.forwarded_port = forwarded_port
+        self.flooded = flooded
         self.stages_traversed = stages_traversed
         self.tables_executed = tables_executed
 
@@ -148,16 +145,22 @@ def lower_layout(compiled: CompiledProgram) -> StagePlan:
     return plan
 
 
-def _tuple(items: List[str]) -> str:
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+_HEADER = """\
+# Stage plan lowered by repro.pisa.pipeline for program {name!r}:
+# one function per handler, its tables in stage order.
+# Seeded globals: _IE (InterpError), _EV (EventInstance),
+# _PR (PipelinePassResult), _pc (perf_counter), _uid (itemgetter(0)),
+# _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).  Bound per switch:
+# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list).
+"""
 
 
-class _PlanEmitter:
+class _PlanEmitter(ModuleEmitter):
     """Walks the layout once and writes one function per handler."""
 
     def __init__(self, compiled: CompiledProgram):
+        super().__init__(compiled.checked.info)
         self.program_name = compiled.name
-        self.info = compiled.checked.info
         #: handler -> [(stage index, that handler's tables in the stage)]
         self.staged: Dict[str, List[Tuple[int, List[AtomicTable]]]] = {}
         for stage_index, stage in enumerate(compiled.layout.stages):
@@ -167,9 +170,6 @@ class _PlanEmitter:
                     by_handler.setdefault(table.handler, []).append(table)
             for handler, tables in by_handler.items():
                 self.staged.setdefault(handler, []).append((stage_index, tables))
-        # program-wide bindings, in first-use order
-        self.arrays: List[str] = []
-        self.hash_arities: Set[int] = set()
         # per-handler state (reset by _handler)
         self.locals: Dict[str, str] = {}
 
@@ -178,48 +178,15 @@ class _PlanEmitter:
         handlers = {
             name: self._handler(decl) for name, decl in self.info.handlers.items()
         }
-        out = [
-            f"# Stage plan lowered by repro.pisa.pipeline for program "
-            f"{self.program_name!r}:",
-            "# one function per handler, its tables in stage order.",
-            "# Seeded globals: _IE (InterpError), _EV (EventInstance),",
-            "# _PR (PipelinePassResult), _pc (perf_counter), _uid (itemgetter(0)),",
-            "# _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).  Bound per switch:",
-            "# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list).",
-            "",
-            "def _bind(_P, _rt):",
-            "    _SELF = _rt.switch_id",
-            "    _EXT = _rt.externs",
-        ]
-        for a in self.arrays:
-            out += [f"    _A_{a} = _rt.array({a!r})", f"    _C_{a} = _A_{a}.cells"]
-        for lines in handlers.values():
-            out.append("")
-            out += ["    " + line for line in lines]
-        out.append("")
-        out.append("    return {")
-        out += [f"        {name!r}: _h_{name}," for name in handlers]
-        out.append("    }")
-        out.append("")
-        source = "\n".join(out)
-        namespace = {
-            "__name__": f"repro.pisa.pipeline.<{self.program_name}>",
-            "_IE": InterpError,
-            "_EV": EventInstance,
-            "_PR": PipelinePassResult,
-            "_pc": perf_counter,
-            "_uid": itemgetter(0),
-            **hash_namespace(self.hash_arities),
-        }
-        exec(compile(source, f"<stage-plan:{self.program_name}>", "exec"), namespace)
+        source, bind = self._module(
+            self.program_name, "stage-plan", _HEADER.format(name=self.program_name),
+            "_P, _rt", handlers,
+            {"_PR": PipelinePassResult, "_pc": perf_counter, "_uid": itemgetter(0)})
         return StagePlan(
-            source,
-            {name: "\n".join(lines) + "\n" for name, lines in handlers.items()},
-            namespace["_bind"],
-        )
+            source, {name: render(lines) + "\n" for name, lines in handlers.items()}, bind)
 
     # -- one handler --------------------------------------------------------
-    def _handler(self, decl: ast.DHandler) -> List[str]:
+    def _handler(self, decl: ast.DHandler) -> List[Line]:
         staged = self.staged.get(decl.name, [])
         tables = [table for _, stage_tables in staged for table in stage_tables]
         params = [p.name for p in decl.params]
@@ -242,73 +209,61 @@ class _PlanEmitter:
             uids = [t.uid for t in tables if _effect(t.stmt) == kind]
             tag[kind] = uids != sorted(uids)
 
-        n = len(params)
-        out = [
-            f"def _h_{decl.name}(_args):",
-            f"    if len(_args) != {n}:",
-            f"        raise _IE(f\"event '{decl.name}' carries {{len(_args)}} "
-            f"arguments but the handler expects {n}\")",
-        ]
-        for i, name in enumerate(params):
-            if name in read:
-                out.append(f"    {self.locals[name]} = int(_args[{i}])")
+        self.lines = self._handler_head(
+            decl.name, [self.locals[name] if name in read else None for name in params])
         for name in names:
             if name in read and name not in params:
-                out.append(f"    {self.locals[name]} = {self._default(name)}")
-        for kind, var, empty in _EFFECTS:
-            if kind in effects:
-                out.append(f"    {var} = {empty}")
+                self._line(f"{self.locals[name]} = {self._default(name)}")
+        self.lines += self._effect_inits(effects)
         if staged:
-            out.append("    _sp = _P.stage_prof")
-            out.append("    _st = _tb = 0")
+            self._line("_sp = _P.stage_prof")
+            self._line("_st = _tb = 0")
         for stage_index, stage_tables in staged:
-            out += self._stage(stage_index, stage_tables, tag)
+            self._stage(stage_index, stage_tables, tag)
         for kind, var in (("gen", "_gen"), ("prints", "_prints")):
             if tag[kind]:
-                out.append(f"    if len({var}) > 1:")
-                out.append(f"        {var}.sort(key=_uid)")
-                out.append(f"    {var} = [_item for _, _item in {var}]")
-        fields = [var if kind in effects else empty for kind, var, empty in _EFFECTS]
-        fields += ["_st", "_tb"] if staged else ["0", "0"]
-        out.append(f"    return _PR({', '.join(fields)})")
-        return out
+                self._line(f"if len({var}) > 1:")
+                self._line(f"{var}.sort(key=_uid)", 1)
+                self._line(f"{var} = [_item for _, _item in {var}]")
+        counts = ("_st", "_tb") if staged else ("0", "0")
+        self._line(f"return {self._result('_PR', effects, *counts)}")
+        return self.lines
 
     def _stage(self, stage_index: int, tables: List[AtomicTable],
-               tag: Dict[str, bool]) -> List[str]:
+               tag: Dict[str, bool]) -> None:
         """One physical stage: every table whose path conditions hold runs;
         a stage counts as traversed iff at least one did."""
-        out = [f"    # stage {stage_index}", "    if _sp is not None:", "        _t0 = _pc()"]
+        self._line(f"# stage {stage_index}")
+        self._line("if _sp is not None:")
+        self._line("_t0 = _pc()", 1)
         always = sum(1 for table in tables if not table.path_conditions)
         if always < len(tables):
-            out.append("    _n = 0")
+            self._line("_n = 0")
         for table in tables:
-            body = self._table(table, tag)
             if table.path_conditions:
                 test = " and ".join(self._test(c) for c in table.path_conditions)
-                out.append(f"    if {test}:  # {table.name}")
-                out += ["        " + line for line in body]
-                out.append("        _n += 1")
+                self._line(f"if {test}:  # {table.name}")
+                self.indent += 1
+                self._table(table, tag)
+                self._line("_n += 1")
+                self.indent -= 1
             else:
-                out.append(f"    {body[0]}  # {table.name}")
-                out += ["    " + line for line in body[1:]]
-        if always == len(tables):
-            count, pad = str(always), "    "
-        elif always:
-            count, pad = f"{always} + _n", "    "
-        else:
-            count, pad = "_n", "        "
-            out.append("    if _n:")
-        out.append(f"{pad}_st += 1")
-        out.append(f"{pad}_tb += {count}")
-        out.append(f"{pad}if _sp is not None:")
-        out.append(f"{pad}    _sp.record({stage_index}, {count}, _pc() - _t0)")
-        return out
+                self._line(f"# {table.name}")
+                self._table(table, tag)
+        count = str(always) if always == len(tables) else f"{always} + _n" if always else "_n"
+        deeper = 0 if always else 1
+        if not always:
+            self._line("if _n:")
+        self._line("_st += 1", deeper)
+        self._line(f"_tb += {count}", deeper)
+        self._line("if _sp is not None:", deeper)
+        self._line(f"_sp.record({stage_index}, {count}, _pc() - _t0)", deeper + 1)
 
     # -- operands and conditions -------------------------------------------
     def _default(self, name: str) -> str:
         """What a metadata field no table has written reads as."""
         if name == "SELF" or name == "__Sys_self":
-            return "_SELF"
+            return self._bind("self")
         if name == "__Sys_time":
             # the ingress timestamp metadata field, truncated like Sys.time()
             return "(_rt.time_ns & 4294967295)"
@@ -331,136 +286,85 @@ class _PlanEmitter:
         return binop_template(cond.op, left, right)
 
     # -- one table's action ---------------------------------------------------
-    def _table(self, table: AtomicTable, tag: Dict[str, bool]) -> List[str]:
+    def _table(self, table: AtomicTable, tag: Dict[str, bool]) -> None:
         stmt = table.stmt
         atom = self._atom
         if isinstance(stmt, NOp):
             value = binop_template(stmt.op, atom(stmt.lhs), atom(stmt.rhs))
-            return [f"{self.locals[stmt.dst]} = {value}"]
-        if isinstance(stmt, NCopy):
-            return [f"{self.locals[stmt.dst]} = {atom(stmt.src)}"]
-        if isinstance(stmt, NHash):
+            self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NCopy):
+            self._line(f"{self.locals[stmt.dst]} = {atom(stmt.src)}")
+        elif isinstance(stmt, NHash):
             self.hash_arities.add(len(stmt.args) + 1)
             value = hash_template(stmt.width, [atom(a) for a in stmt.args])
-            return [f"{self.locals[stmt.dst]} = {value}"]
-        if isinstance(stmt, NArrayOp):
-            return self._array_op(stmt)
-        if isinstance(stmt, NGenerate):
-            event = self._event(stmt)
-            return [f"_gen.append(({table.uid}, {event}))" if tag["gen"]
-                    else f"_gen.append({event})"]
-        if isinstance(stmt, NPrim):
-            return self._prim(stmt, table.uid if tag["prints"] else None)
-        raise SimulationError(f"cannot lower table {table.name}")  # pragma: no cover
+            self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NArrayOp):
+            # metadata operands cannot raise: what is used once stays inline,
+            # and the destination (which may also be an argument) is assigned
+            # only after the store
+            value = self._array_rmw(
+                self._named, stmt.method, stmt.array, atom(stmt.index),
+                [memop_shape(self.info, memop) for memop in stmt.memops],
+                [atom(a) for a in stmt.args])
+            if stmt.dst:
+                self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NGenerate):
+            self._tagged("_gen", self._generated(stmt), table.uid if tag["gen"] else None)
+        elif isinstance(stmt, NPrim):
+            self._prim(stmt, table.uid if tag["prints"] else None)
+        else:
+            raise SimulationError(f"cannot lower table {table.name}")  # pragma: no cover
 
-    def _array_op(self, stmt: NArrayOp) -> List[str]:
-        """One stateful-ALU instruction, straight-line on the array's bound
-        cell list: wrap the index, bump ``reads`` / ``writes``, read the old
-        cell once, apply the memop template(s) to it, mask to the cell width,
-        store — what ``RuntimeArray.get`` / ``set`` / ``update`` do per call,
-        in the shape codegen's ``_static_array_method`` emits."""
-        if stmt.array not in self.arrays:
-            self.arrays.append(stmt.array)
-        register = self.info.globals[stmt.array]
-        if register.size < 1:
-            raise InterpError(f"array '{stmt.array}' has zero size")
-        array, cells = f"_A_{stmt.array}", f"_C_{stmt.array}"
-        index = f"{self._atom(stmt.index)} % {register.size}"
-        mask = MASK32 & ((1 << register.cell_width) - 1)
-        args = [self._atom(a) for a in stmt.args] or ["0"]
-        dst = f"{self.locals[stmt.dst]} = " if stmt.dst else ""
+    def _named(self, name: str, expr: str, uses: int) -> str:
+        if uses == 1:
+            return expr
+        self._line(f"{name} = {expr}")
+        return name
 
-        def applied(position: int, arg: str) -> Optional[str]:
-            """Memop number ``position`` of the call over the old cell."""
-            if position >= len(stmt.memops):
-                return None
-            memop = memop_shape(self.info, stmt.memops[position])
-            return f"{memop_template(memop, self.info, '_o', arg)} & {mask}"
+    def _tagged(self, var: str, item: str, uid: Optional[int]) -> None:
+        self._line(f"{var}.append({item if uid is None else f'({uid}, {item})'})")
 
-        if stmt.method in ("Array.get", "Array.getm"):
-            got = applied(0, args[0])
-            if got is None:
-                return [f"{array}.reads += 1", f"{dst}{cells}[{index}]"]
-            return [f"{array}.reads += 1", f"_o = {cells}[{index}]", f"{dst}{got}"]
-        if stmt.method in ("Array.set", "Array.setm"):
-            put = applied(0, args[0])
-            if put is None:
-                return [f"{array}.writes += 1", f"{cells}[{index}] = {args[0]} & {mask}"]
-            return [f"{array}.writes += 1", f"_i = {index}", f"_o = {cells}[_i]",
-                    f"{cells}[_i] = {put}"]
-        if stmt.method == "Array.update":
-            set_arg = args[1] if len(args) > 1 else args[0]
-            got = applied(0, args[0])
-            put = applied(1, set_arg)
-            return [
-                f"{array}.reads += 1",
-                f"{array}.writes += 1",
-                f"_i = {index}",
-                f"_o = {cells}[_i]",
-                # both from the old cell, and stored before the destination
-                # is assigned: the destination may be one of the arguments
-                f"{cells}[_i] = {put or f'{set_arg} & {mask}'}",
-                f"{dst}{got or '_o'}",
-            ]
-        raise SimulationError(f"unknown array method {stmt.method}")  # pragma: no cover
-
-    def _event(self, stmt: NGenerate) -> str:
-        """``_EV(name, args, delay_ns, location, group, source)``."""
-        args = _tuple([self._atom(a) for a in stmt.args])
+    def _generated(self, stmt: NGenerate) -> str:
+        args = [self._atom(a) for a in stmt.args]
         delay = self._atom(stmt.delay)
-        location, group = repr(LOCAL), "None"
         if stmt.group is not None:
             members = self.info.consts.groups.get(stmt.group, [])
-            group = repr(tuple(int(member) for member in members))
-        else:
-            where = self._atom(stmt.location)
-            if where != repr(LOCAL):
-                # an event located at this very switch is a local one
-                location = f"({LOCAL} if {where} == _SELF else {where})"
-        return f"_EV({stmt.event!r}, {args}, {delay}, {location}, {group}, _SELF)"
+            return self._event(stmt.event, args, delay,
+                               group=repr(tuple(int(member) for member in members)))
+        where = self._atom(stmt.location)
+        if where != repr(LOCAL):
+            # an event located at this very switch is a local one
+            where = f"({LOCAL} if {where} == {self._bind('self')} else {where})"
+        return self._event(stmt.event, args, delay, where)
 
-    def _prim(self, stmt: NPrim, print_uid: Optional[int]) -> List[str]:
+    def _prim(self, stmt: NPrim, print_uid: Optional[int]) -> None:
         prim = stmt.prim
         args = [self._atom(a) for a in stmt.args]
         if prim == "drop":
-            return ["_drop = True"]
-        if prim == "forward":
-            return [f"_fwd = {args[0]}"] if args else ["pass"]
-        if prim == "flood":
-            return ["_flood = True"]
-        if prim == "printf":
-            line = f"' '.join({_tuple([f'str({a})' for a in args])})" if args else "''"
-            return [f"_prints.append(({print_uid}, {line}))" if print_uid is not None
-                    else f"_prints.append({line})"]
-        if prim == "Sys.time":
-            return [f"{self.locals['__Sys_time']} = _rt.time_ns & 4294967295"]
-        if prim == "Sys.self":
-            return [f"{self.locals['__Sys_self']} = _SELF"]
-        if prim == "Sys.random":
+            self._line("_drop = True")
+        elif prim == "forward":
+            self._line(f"_fwd = {args[0]}" if args else "pass")
+        elif prim == "flood":
+            self._line("_flood = True")
+        elif prim == "printf":
+            self._tagged("_prints", self._printf(args), print_uid)
+        elif prim == "Sys.time":
+            self._line(f"{self.locals['__Sys_time']} = _rt.time_ns & 4294967295")
+        elif prim == "Sys.self":
+            self._line(f"{self.locals['__Sys_self']} = {self._bind('self')}")
+        elif prim == "Sys.random":
             # advances the shared xorshift state exactly once, like the
             # interpreter does at the corresponding call site; the optional
             # bound operand reduces the draw exactly as Sys.random(bound) does
-            return [f"{self.locals['__Sys_random']} = _rt.random({', '.join(args[:1])})"]
-        if prim.startswith("extern:"):
+            self._line(f"{self.locals['__Sys_random']} = _rt.random({', '.join(args[:1])})")
+        elif prim.startswith("extern:"):
             # looked up per call: bind_extern may come after the first event
-            return [
-                f"_fn = _EXT.get({prim.split(':', 1)[1]!r})",
-                "if _fn is not None:",
-                f"    _fn({', '.join(args)})",
-            ]
-        # unknown primitives are inert metadata, as unprogrammed actions are
-        return ["pass"]
-
-
-#: what a table may contribute to the pass result, in PipelinePassResult
-#: field order: (effect kind, the plan's local, its value when no table does)
-_EFFECTS = (
-    ("gen", "_gen", "[]"),
-    ("prints", "_prints", "[]"),
-    ("drop", "_drop", "False"),
-    ("flood", "_flood", "False"),
-    ("fwd", "_fwd", "None"),
-)
+            self._line(f"_fn = {self._bind('externs')}.get({prim.split(':', 1)[1]!r})")
+            self._line("if _fn is not None:")
+            self._line(f"_fn({', '.join(args)})", 1)
+        else:
+            # unknown primitives are inert metadata, as unprogrammed actions are
+            self._line("pass")
 
 
 def _effect(stmt) -> Optional[str]:

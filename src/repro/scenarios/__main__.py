@@ -375,10 +375,10 @@ def _run(args, scenario) -> int:
         checked = check_program(app.source, name=scenario.app_key)
         if args.engine == "pisa":
             from repro.backend.compiler import CompilerOptions, compile_checked
-            from repro.pisa.pipeline import PisaPipeline
+            from repro.pisa.pipeline import lower_layout
 
             compiled = compile_checked(checked, CompilerOptions(emit_p4=False))
-            print(PisaPipeline(compiled).source())
+            print(lower_layout(compiled).source)
         else:
             from repro.interp.codegen import dump_program_source
 

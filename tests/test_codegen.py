@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.frontend import check_program
+from repro.interp import codegen
 from repro.interp.codegen import compile_program, dump_program_source
 from repro.interp.events import EventInstance
 from repro.interp.network import Network, single_switch_network
@@ -29,7 +30,7 @@ def _checked_cm():
 def test_dump_source_is_flat_python():
     source = dump_program_source(_checked_cm())
     # one generated function per handler, built inside the binding factory
-    assert "def _build(_B):" in source
+    assert "def _bind(_rt):" in source
     assert "def _h_pkt(_args):" in source
     # slot-indexed locals, not environment dictionaries
     assert "v_src = int(_args[0])" in source
@@ -64,6 +65,26 @@ def test_module_cache_shared_across_checked_copies():
     generated module (the cache keys on the program digest, not object
     identity) — a fat tree compiles each application once."""
     assert compile_program(_checked_cm()) is compile_program(_checked_cm())
+
+
+def test_module_cache_is_bounded_and_eviction_spares_live_switches(monkeypatch):
+    """The cache drops its oldest digest at the cap; a switch holds its own
+    module, so one whose digest was evicted keeps running, and the next
+    switch of that program re-emits the same source."""
+    monkeypatch.setattr(codegen, "_MODULE_CACHE", {})
+    monkeypatch.setattr(codegen, "_MODULE_CACHE_CAP", 3)
+    network, switch = single_switch_network(_checked_cm(), engine="codegen")
+    module = switch.engine.executor.module
+    assert list(codegen._MODULE_CACHE.values()) == [module]
+    for n in range(1, 6):
+        compile_program(check_program(f"event e(int x); handle e(int x) {{ printf(x + {n}); }}"))
+        assert len(codegen._MODULE_CACHE) <= 3
+    assert module.digest not in codegen._MODULE_CACHE
+    network.inject(0, EventInstance("pkt", (0xDEADBEEF, 64)))
+    network.run()
+    assert any(arr.nonzero_entries() for arr in switch.runtime.arrays.values())
+    again = compile_program(_checked_cm())
+    assert again is not module and again.source == module.source
 
 
 def test_switches_share_one_module_but_not_state():

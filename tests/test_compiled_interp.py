@@ -33,8 +33,8 @@ from repro.interp import (
     lucid_hash,
 )
 from repro.interp.codegen import CodegenSwitchRuntime
-from repro.interp.interpreter import _apply_binop
 from repro.apps import ALL_APPLICATIONS
+from repro.ops import apply_binop
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def _expected_op_results(a, b):
         elif op is ast.BinOp.OR:
             results.append(int(bool(a) or bool(b)))
         else:
-            results.append(_apply_binop(op, a, b))
+            results.append(apply_binop(op, a, b))
     results.append((-a) & 0xFFFFFFFF)
     results.append(~a & 0xFFFFFFFF)
     results.append(0 if a else 1)
@@ -246,7 +246,7 @@ def test_apply_binop_stays_masked_on_boundaries():
     for _, op in _BINOP_SRC:
         for a in BOUNDARY:
             for b in BOUNDARY:
-                result = _apply_binop(op, a, b)
+                result = apply_binop(op, a, b)
                 assert 0 <= result < 2**32, (op, a, b, result)
 
 

@@ -16,8 +16,9 @@ from repro.interp.engine import (
     make_engine,
 )
 from repro.interp.events import EventInstance
+from repro.interp.interpreter import ExecutionResult
 from repro.interp.network import Network, single_switch_network
-from repro.pisa import DelayedEvent, PausableDelayQueue, RecirculationPort
+from repro.pisa import DelayedEvent, PausableDelayQueue, PipelinePassResult, RecirculationPort
 from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
 from repro.scenarios import traffic as tm
 from repro.scenarios.runner import network_array_digest
@@ -103,6 +104,10 @@ def test_one_event_yields_equal_results_on_every_engine():
     results["reference"].prints.append("more")
     assert results["pisa"] != results["reference"]
     assert results["reference"] != results["pisa"]
+    # built by position, the subclass takes the base's field order
+    flooded = PipelinePassResult([], [], False, None, True)
+    assert flooded == ExecutionResult([], [], False, None, True)
+    assert (flooded.forwarded_port, flooded.flooded) == (None, True)
 
 
 def test_pisa_layout_is_compiled_once_per_checked_program():

@@ -33,16 +33,6 @@ class TofinoModel:
     tcam_entries_per_stage: int = 2048
     #: maximum atomic tables the greedy pass merges into one physical table
     max_merge_width: int = 16
-    #: recirculation port bandwidth, bits per second
-    recirc_bandwidth_bps: float = 100e9
-    #: pipeline throughput, packets per second (1 packet per clock at 1 GHz)
-    packets_per_second: float = 1e9
-    #: shared packet buffer, bytes
-    packet_buffer_bytes: int = 22 * 1024 * 1024
-    #: number of front panel ports modelled for overhead analyses
-    front_panel_ports: int = 10
-    #: per-port bandwidth in bits per second
-    port_bandwidth_bps: float = 100e9
 
 
 @dataclass

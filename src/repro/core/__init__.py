@@ -66,7 +66,6 @@ from repro.interp import (
     SwitchRuntime,
     lucid_hash,
     make_engine,
-    register_engine,
     single_switch_network,
 )
 from repro.pisa import PisaPipeline, simulate_concurrent_delays
@@ -108,7 +107,6 @@ __all__ = [
     "ENGINES",
     "ENGINE_NAMES",
     "make_engine",
-    "register_engine",
     "EventInstance",
     "RuntimeArray",
     "SchedulerConfig",

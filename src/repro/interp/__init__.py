@@ -10,7 +10,6 @@ from repro.interp.engine import (
     ReferenceEngine,
     SwitchEngine,
     make_engine,
-    register_engine,
 )
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import (
@@ -41,7 +40,6 @@ __all__ = [
     "ENGINES",
     "ENGINE_NAMES",
     "make_engine",
-    "register_engine",
     "HandlerInterpreter",
     "SwitchRuntime",
     "ExecutionResult",

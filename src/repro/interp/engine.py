@@ -19,12 +19,10 @@ returns what it produced.  Three engines ship with the repository:
     :mod:`repro.pisa.pipeline`), and every event then runs its handler's
     plan via :class:`~repro.pisa.pipeline.PisaPipeline`, over the *same*
     :class:`~repro.interp.interpreter.SwitchRuntime` (register file, clock,
-    PRNG, externs) the network simulation owns.  On top of executing, it
-    charges the PISA substrate costs: recirculation-port bandwidth per
-    locally generated event and pausable-delay-queue passes for delayed
-    events (:mod:`repro.pisa.queues` semantics), with a bounded
-    recirculation queue whose overflow surfaces as the scheduler's
-    ``recirc_drops`` counter.
+    PRNG, externs) the network simulation owns.  It models what only it
+    knows — the pipeline (events, stages traversed, tables executed); the
+    recirculation port and the delay queue belong to the event scheduler
+    (:class:`~repro.interp.network.Network`), for every engine alike.
 
 ``codegen``
     The source-generating fast path (:mod:`repro.interp.codegen`): each
@@ -43,14 +41,12 @@ invariant verdicts and final array digests across engines are pinned by
 the scenario parity suite (``tests/test_engines.py`` and
 ``python -m repro.scenarios run NAME --all-engines``).
 
-Engines are registered by name in :data:`ENGINES`; ``register_engine``
-admits project-specific substrates (e.g. a remote-switch RPC shim)
-without touching the scheduler.
+Engines are looked up by name in :data:`ENGINES`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
@@ -67,30 +63,20 @@ _M_PISA_STAGES = REGISTRY.counter(
 _M_PISA_TABLES = REGISTRY.counter(
     "repro_engine_pisa_tables_executed_total",
     "Match-action tables executed by PISA-engine events.")
-_M_PISA_QUEUE_DEPTH = REGISTRY.gauge(
-    "repro_engine_pisa_recirc_queue_depth",
-    "In-flight locally recirculating events (max across switches).")
-_M_PISA_DELAY_PASSES = REGISTRY.counter(
-    "repro_engine_pisa_delay_passes_total",
-    "Recirculation passes charged for delayed local events.")
 
 
 class SwitchEngine:
     """One execution substrate for one switch.
 
-    Subclasses implement :meth:`run`.  The scheduler hooks
-    (:meth:`admit_recirculation`, :meth:`on_recirculate`,
-    :meth:`on_recirc_arrival`) are optional accounting callbacks invoked by
-    :class:`~repro.interp.network.Network` around locally recirculated
-    events; the interpreter engines leave them as no-ops.
+    Subclasses implement :meth:`run`; everything around a handler call —
+    scheduling, recirculation, the delay queue — is the scheduler's.
     """
 
     #: registry name; subclasses must override
     name = "abstract"
 
-    def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
+    def __init__(self, runtime: SwitchRuntime):
         self.runtime = runtime
-        self.config = config
         #: the underlying executor object (``Switch.interpreter`` aliases it);
         #: engines wrapping a distinct executor overwrite this
         self.executor = self
@@ -99,26 +85,12 @@ class SwitchEngine:
     def run(self, event: EventInstance) -> ExecutionResult:
         raise NotImplementedError
 
-    # -- scheduler hooks ---------------------------------------------------
-    def admit_recirculation(self, event: EventInstance) -> bool:
-        """Whether a locally generated event fits in the recirculation path.
-
-        Returning ``False`` drops the event (counted as ``recirc_drops`` by
-        the scheduler) — only capacity-modelling engines ever refuse."""
-        return True
-
-    def on_recirculate(self, event: EventInstance) -> None:
-        """A locally generated event was scheduled back into this switch."""
-
-    def on_recirc_arrival(self, event: EventInstance) -> None:
-        """A previously recirculated event is about to be handled."""
-
     # -- lifecycle / reporting --------------------------------------------
     def reset(self) -> None:
         """Clear engine-side accounting (called by ``Network.reset()``)."""
 
-    def pipeline_stats(self, duration_ns: int = 0) -> Optional[Dict[str, object]]:
-        """Per-switch substrate statistics, or ``None`` when the engine does
+    def pipeline_stats(self) -> Optional[Dict[str, object]]:
+        """Per-switch pipeline statistics, or ``None`` when the engine does
         not model a pipeline (the interpreter engines)."""
         return None
 
@@ -146,8 +118,8 @@ class ReferenceEngine(SwitchEngine):
 
     name = "reference"
 
-    def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
-        super().__init__(runtime, config)
+    def __init__(self, runtime: SwitchRuntime):
+        super().__init__(runtime)
         self.executor = HandlerInterpreter(runtime)
         self.run = self.executor.run  # direct bind: zero indirection per event
 
@@ -159,8 +131,8 @@ class CodegenEngine(SwitchEngine):
 
     name = "codegen"
 
-    def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
-        super().__init__(runtime, config)
+    def __init__(self, runtime: SwitchRuntime):
+        super().__init__(runtime)
         # imported lazily to keep module import order flexible
         from repro.interp.codegen import CodegenSwitchRuntime
 
@@ -190,38 +162,21 @@ def _compiled_for(checked) -> "object":
 
 
 class PisaEngine(SwitchEngine):
-    """Execute events through the compiled pipeline layout, with PISA
-    recirculation and pausable-delay-queue cost accounting.
-
-    ``recirc_queue_capacity`` bounds the number of in-flight locally
-    recirculating/parked events; beyond it, newly generated local events are
-    dropped and counted as ``recirc_drops`` (``None`` = unbounded, the
-    default, so engine parity with the interpreters is exact).
-    """
+    """Execute events through the compiled pipeline layout, counting the
+    stages and tables each pass touches."""
 
     name = "pisa"
 
-    def __init__(
-        self,
-        runtime: SwitchRuntime,
-        config: Optional[object] = None,
-        recirc_queue_capacity: Optional[int] = None,
-    ):
-        super().__init__(runtime, config)
+    def __init__(self, runtime: SwitchRuntime):
+        super().__init__(runtime)
         from repro.pisa.pipeline import PisaPipeline
-        from repro.pisa.recirculation import RecirculationPort
 
         self.pipeline = PisaPipeline(_compiled_for(runtime.checked), runtime=runtime)
-        self.port = RecirculationPort()
-        self.recirc_queue_capacity = recirc_queue_capacity
         # counters
         self.events = 0
         self.stages_traversed = 0
         self.max_stages_traversed = 0
         self.tables_executed = 0
-        self.recirculated_events = 0
-        self.queue_depth = 0
-        self.peak_queue_depth = 0
 
     # -- execution ---------------------------------------------------------
     def run(self, event: EventInstance) -> ExecutionResult:
@@ -238,53 +193,12 @@ class PisaEngine(SwitchEngine):
         # the pass result is itself the ExecutionResult the scheduler reads
         return passed
 
-    # -- scheduler hooks ---------------------------------------------------
-    def _delay_passes(self, delay_ns: int) -> int:
-        """Recirculation passes one locally generated event costs.
-
-        With the pausable delay queue, a parked packet recirculates once per
-        release until its delay expires (``ceil(delay / release_interval)``
-        passes, the :class:`~repro.pisa.queues.PausableDelayQueue`
-        behaviour); without it, the packet loops continuously.  An undelayed
-        event makes the single pass every local generate pays."""
-        config = self.config
-        if delay_ns <= 0:
-            return 1
-        if config is not None and not getattr(config, "use_delay_queue", True):
-            latency = max(1, getattr(config, "recirculation_latency_ns", 600))
-            return 1 + delay_ns // latency
-        interval = max(1, getattr(config, "delay_release_interval_ns", 100_000))
-        return max(1, -(-delay_ns // interval))
-
-    def admit_recirculation(self, event: EventInstance) -> bool:
-        capacity = self.recirc_queue_capacity
-        return capacity is None or self.queue_depth < capacity
-
-    def on_recirculate(self, event: EventInstance) -> None:
-        self.queue_depth += 1
-        if self.queue_depth > self.peak_queue_depth:
-            self.peak_queue_depth = self.queue_depth
-        passes = self._delay_passes(event.delay_ns)
-        if _OBS.enabled:
-            _M_PISA_QUEUE_DEPTH.set_max(self.queue_depth)
-            _M_PISA_DELAY_PASSES.inc(passes)
-        self.port.recirculate(event.payload_bytes(), passes=passes)
-
-    def on_recirc_arrival(self, event: EventInstance) -> None:
-        self.recirculated_events += 1
-        if self.queue_depth > 0:
-            self.queue_depth -= 1
-
     # -- lifecycle / reporting --------------------------------------------
     def reset(self) -> None:
-        self.port.reset()
         self.events = 0
         self.stages_traversed = 0
         self.max_stages_traversed = 0
         self.tables_executed = 0
-        self.recirculated_events = 0
-        self.queue_depth = 0
-        self.peak_queue_depth = 0
 
     # -- checkpointing -----------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
@@ -293,11 +207,6 @@ class PisaEngine(SwitchEngine):
             "stages_traversed": self.stages_traversed,
             "max_stages_traversed": self.max_stages_traversed,
             "tables_executed": self.tables_executed,
-            "recirculated_events": self.recirculated_events,
-            "queue_depth": self.queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "recirc_port_packets": self.port.packets,
-            "recirc_port_bytes": self.port.bytes,
         }
 
     def restore_state(self, state: Optional[Dict[str, object]]) -> None:
@@ -310,32 +219,18 @@ class PisaEngine(SwitchEngine):
         self.stages_traversed = state["stages_traversed"]
         self.max_stages_traversed = state["max_stages_traversed"]
         self.tables_executed = state["tables_executed"]
-        self.recirculated_events = state["recirculated_events"]
-        self.queue_depth = state["queue_depth"]
-        self.peak_queue_depth = state["peak_queue_depth"]
-        self.port.packets = state["recirc_port_packets"]
-        self.port.bytes = state["recirc_port_bytes"]
 
-    def pipeline_stats(self, duration_ns: int = 0) -> Dict[str, object]:
-        stats: Dict[str, object] = {
+    def pipeline_stats(self) -> Dict[str, object]:
+        return {
             "stages": self.pipeline.layout.num_stages(),
             "events": self.events,
             "stages_traversed": self.stages_traversed,
             "max_stages_traversed": self.max_stages_traversed,
             "tables_executed": self.tables_executed,
-            "recirculated_events": self.recirculated_events,
-            "queue_depth": self.queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "recirc_passes": self.port.packets,
-            "recirc_bytes": self.port.bytes,
         }
-        if duration_ns > 0:
-            stats["recirc_bandwidth_bps"] = round(self.port.bandwidth_bps(duration_ns), 1)
-            stats["recirc_utilisation"] = round(self.port.utilisation(duration_ns), 6)
-        return stats
 
 
-#: engine registry: name -> constructor ``(runtime, config=...) -> SwitchEngine``
+#: engine registry: name -> constructor ``(runtime) -> SwitchEngine``
 ENGINES: Dict[str, Type[SwitchEngine]] = {
     ReferenceEngine.name: ReferenceEngine,
     PisaEngine.name: PisaEngine,
@@ -350,17 +245,7 @@ ENGINE_NAMES = ("reference", "pisa", "codegen")
 DEFAULT_ENGINE = "codegen"
 
 
-def register_engine(cls: Type[SwitchEngine]) -> Type[SwitchEngine]:
-    """Register a custom engine class under ``cls.name`` (decorator-friendly)."""
-    if not getattr(cls, "name", None) or cls.name == "abstract":
-        raise SimulationError("engine classes must define a non-default 'name'")
-    ENGINES[cls.name] = cls
-    return cls
-
-
-def make_engine(
-    name: str, runtime: SwitchRuntime, config: Optional[object] = None
-) -> SwitchEngine:
+def make_engine(name: str, runtime: SwitchRuntime) -> SwitchEngine:
     """Instantiate the engine registered under ``name``."""
     try:
         cls = ENGINES[name]
@@ -368,4 +253,4 @@ def make_engine(
         raise SimulationError(
             f"unknown engine '{name}'; known engines: {sorted(ENGINES)}"
         ) from None
-    return cls(runtime, config=config)
+    return cls(runtime)

@@ -13,8 +13,12 @@ physical links between switches:
   quantised to the release interval — the source of the ~50 µs delay error
   measured in Figure 14.
 
-The simulation also accounts recirculation bandwidth per switch so the
-overhead analyses of Sections 7.2-7.3 can be reproduced.
+The scheduler owns the recirculation port and the delay queue of every
+switch, whatever engine runs its handlers: :meth:`Network._schedule_generated`
+charges each local generate its passes and a queue slot (refusing it when
+``SchedulerConfig.recirc_queue_capacity`` is reached), the drain releases the
+slot when the event comes back, and :class:`SwitchStats` is the one ledger —
+the source of the overhead figures of Sections 7.2-7.3.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ class _Metrics:
     recirc_drops = REGISTRY.counter(
         "repro_network_recirc_drops_total",
         "Local events refused admission by a bounded recirculation queue.")
+    recirc_queue_depth = REGISTRY.gauge(
+        "repro_network_recirc_queue_depth",
+        "Peak in-flight local events of any one switch's recirculation queue.")
     orphan_events = REGISTRY.counter(
         "repro_network_orphan_events_total",
         "Queued events skipped because their target switch does not exist.")
@@ -99,6 +106,10 @@ class SchedulerConfig:
     use_delay_queue: bool = True
     #: recirculation port bandwidth (bits/s), for overhead accounting
     recirc_bandwidth_bps: float = 100e9
+    #: most local events one switch may have in flight (recirculating or
+    #: parked) at once; a generate beyond it is dropped and counted as
+    #: ``recirc_drops``.  ``None`` = unbounded
+    recirc_queue_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         # every scheduling latency must be positive: the delay queue divides
@@ -109,6 +120,10 @@ class SchedulerConfig:
             if getattr(self, name) < floor:
                 raise SimulationError(
                     f"SchedulerConfig.{name} must be >= {floor}, got {getattr(self, name)}")
+        if self.recirc_queue_capacity is not None and self.recirc_queue_capacity < 0:
+            raise SimulationError(
+                "SchedulerConfig.recirc_queue_capacity must be None or >= 0, "
+                f"got {self.recirc_queue_capacity}")
 
 
 @dataclass
@@ -123,9 +138,14 @@ class SwitchStats:
     drops: int = 0
     #: remote events lost because the link to their target was down
     link_drops: int = 0
-    #: local events lost because the engine's recirculation queue overflowed
-    #: (only capacity-modelling engines — e.g. PISA — ever refuse admission)
+    #: local events lost because the recirculation queue was full
+    #: (``SchedulerConfig.recirc_queue_capacity``)
     recirc_drops: int = 0
+    #: local events that came back through the recirculation port
+    recirculated_events: int = 0
+    #: local events in flight (recirculating or parked) now / at most
+    queue_depth: int = 0
+    peak_queue_depth: int = 0
     #: events this switch generated for a switch id that does not exist (a
     #: group naming a missing member): sent, then skipped when popped
     orphan_events: int = 0
@@ -152,17 +172,16 @@ class Switch:
 
     ``engine`` names the execution substrate — ``"codegen"`` (the default),
     ``"reference"`` (the tree walker, the oracle the others are tested
-    against) or ``"pisa"`` (the compiled pipeline layout, with recirculation
-    and delay-queue cost accounting); see :mod:`repro.interp.engine`.  All
+    against) or ``"pisa"`` (the compiled pipeline layout, with stage and
+    table counts); see :mod:`repro.interp.engine`.  All
     engines are behaviourally identical (pinned by the differential
     conformance and scenario-parity suites).
     """
 
-    def __init__(self, switch_id: int, checked: CheckedProgram,
-                 engine: str = DEFAULT_ENGINE, config: Optional[SchedulerConfig] = None):
+    def __init__(self, switch_id: int, checked: CheckedProgram, engine: str = DEFAULT_ENGINE):
         self.id = switch_id
         self.runtime = SwitchRuntime(checked, switch_id=switch_id)
-        self.engine: SwitchEngine = make_engine(engine, self.runtime, config=config)
+        self.engine: SwitchEngine = make_engine(engine, self.runtime)
         self.engine_name = engine
         #: backwards-compatible alias for the engine's executor object
         self.interpreter = self.engine.executor
@@ -232,7 +251,9 @@ SourceItem = Tuple[int, int, Union[EventInstance, Callable[["Network"], None]]]
 SNAPSHOT_FORMAT = "repro-network-snapshot"
 # version 2: heap keys are content-derived (external serial / origin-switch
 # composite — see _QueuedEvent) and each switch records its ``origin_seq``
-SNAPSHOT_VERSION = 2
+# version 3: the recirculation-queue counters live in each switch's ``stats``
+# (a version-2 pisa snapshot kept them in ``engine_state``)
+SNAPSHOT_VERSION = 3
 
 
 class TraceEntry:
@@ -313,7 +334,7 @@ class Network:
         if switch_id in self.switches:
             raise SimulationError(f"switch {switch_id} already exists")
         checked = check_program(program) if isinstance(program, str) else program
-        switch = Switch(switch_id, checked, engine=engine or self.engine, config=self.config)
+        switch = Switch(switch_id, checked, engine=engine or self.engine)
         self.switches[switch_id] = switch
         return switch
 
@@ -433,14 +454,16 @@ class Network:
 
         Everything that is the same for every copy is computed once: the
         delay (quantised up to the pausable queue's release interval when the
-        queue is in use), and the *delivered* instance — name, args and origin
-        only, shared by all copies (events are immutable).  Per target the
-        loop adds a latency — the recirculation latency for the origin
-        itself, else the origin's delivery-table entry (pipeline + link; see
-        the _QueuedEvent comment) unless the link is down — bumps the
-        content-derived key, and pushes onto the heap, or hands the entry to
-        the shard export when another worker owns the target.  Counters
-        accumulate in locals and are flushed once after the loop.
+        queue is in use), the recirculation passes a local copy costs, and
+        the *delivered* instance — name, args and origin only, shared by all
+        copies (events are immutable).  Per target the loop adds a latency —
+        the recirculation latency for the origin itself, which also takes a
+        slot of the origin's recirculation queue, else the origin's
+        delivery-table entry (pipeline + link; see the _QueuedEvent comment)
+        unless the link is down — bumps the content-derived key, and pushes
+        onto the heap, or hands the entry to the shard export when another
+        worker owns the target.  Counters accumulate in locals and are
+        flushed once after the loop.
         """
         config = self.config
         origin = source.id
@@ -449,10 +472,19 @@ class Network:
         delay_ns = event.delay_ns
         parked = delay_ns > 0 and config.use_delay_queue
         if parked:
+            # a parked packet recirculates once per release until its delay
+            # has expired (the PausableDelayQueue behaviour)
             interval = config.delay_release_interval_ns
-            base = self.now_ns + -(-delay_ns // interval) * interval
+            local_passes = -(-delay_ns // interval)
+            base = self.now_ns + local_passes * interval
+        elif delay_ns > 0:
+            # without the pausable queue the packet recirculates
+            # continuously until its delay expires
+            local_passes = 1 + delay_ns // config.recirculation_latency_ns
+            base = self.now_ns + delay_ns
         else:
-            base = self.now_ns + (delay_ns if delay_ns > 0 else 0)
+            local_passes = 1
+            base = self.now_ns
         targets = event.group
         if targets is None:
             targets = (origin if event.location == LOCAL else event.location,)
@@ -465,23 +497,23 @@ class Network:
         delivered = EventInstance(event.name, event.args, 0, LOCAL, None, origin, trace_parent)
         key_base = source._key_base
         seq = source.origin_seq
-        sends = link_drops = passes = recirc_drops = 0
+        sends = link_drops = local = recirc_drops = 0
         for target in targets:
             if target == origin:
-                # local: the event packet recirculates at least once.  The
-                # engine may model a bounded recirculation/delay queue and
-                # refuse admission — a PISA queue overflow, counted like a
-                # link drop.
-                if not source.engine.admit_recirculation(event):
+                # local: the event packet re-enters through the recirculation
+                # port and holds a slot of its queue until it arrives; a full
+                # queue refuses it, counted like a link drop
+                capacity = config.recirc_queue_capacity
+                depth = stats.queue_depth
+                if capacity is not None and depth >= capacity:
                     recirc_drops += 1
                     continue
+                depth += 1
+                stats.queue_depth = depth
+                if depth > stats.peak_queue_depth:
+                    stats.peak_queue_depth = depth
                 arrival = base + config.recirculation_latency_ns
-                passes += 1
-                if delay_ns > 0 and not parked:
-                    # without the pausable queue the packet recirculates
-                    # continuously until its delay expires
-                    passes += delay_ns // config.recirculation_latency_ns
-                source.engine.on_recirculate(event)
+                local += 1
             else:
                 if down and (origin, target) in down:
                     link_drops += 1
@@ -502,7 +534,8 @@ class Network:
         if link_drops or recirc_drops:
             stats.link_drops += link_drops
             stats.recirc_drops += recirc_drops
-        if passes:
+        if local:
+            passes = local * local_passes
             stats.recirculations += passes
             stats.recirculated_bytes += passes * event.payload_bytes()
         if _OBS.enabled:
@@ -510,13 +543,13 @@ class Network:
             _Metrics.remote_sends.inc(sends)
             _Metrics.link_drops.inc(link_drops)
             _Metrics.recirc_drops.inc(recirc_drops)
-            if passes:
+            if local:
                 _Metrics.recirculations.inc(passes)
                 _Metrics.recirc_bytes.inc(passes * event.payload_bytes())
+                _Metrics.recirc_queue_depth.set_max(stats.queue_depth)
                 if parked:
-                    # parked copies never take extra passes: passes == copies
-                    _Metrics.delay_parks.inc(passes)
-                    for _ in range(passes):
+                    _Metrics.delay_parks.inc(local)
+                    for _ in range(local):
                         _Metrics.event_delay_ns.observe(delay_ns)
 
     # -- execution -----------------------------------------------------------------
@@ -526,10 +559,14 @@ class Network:
         (tracer span, profiler sample, obs metrics).  :meth:`run` inlines the
         accounting half of this when nothing observes."""
         switch.runtime.time_ns = self.now_ns
+        stats = switch.stats
         if event.source == switch.id:
             # the event was generated here and came back through the
-            # recirculation port — let the engine release its queue slot
-            switch.engine.on_recirc_arrival(event)
+            # recirculation port: it releases its queue slot (an injected
+            # event may name this switch as its source and hold none)
+            stats.recirculated_events += 1
+            if stats.queue_depth > 0:
+                stats.queue_depth -= 1
         tracer = self.tracer
         span_id = None if tracer is None else tracer.begin_handle(
             event, switch.id, self.now_ns, self.config.pipeline_latency_ns)
@@ -545,7 +582,6 @@ class Network:
                 _Metrics.dispatch_seconds.observe(wall_s)
         else:
             result = switch.engine.run(event)
-        stats = switch.stats
         stats.events_handled += 1
         stats.handled_by_event[event.name] = stats.handled_by_event.get(event.name, 0) + 1
         if result.dropped:
@@ -664,12 +700,14 @@ class Network:
                         _Metrics.orphan_events.inc()
                     continue
                 cached = hoisted[switch_id] = self._hoist(switch)
-            switch, runtime, run, stats, by_event, log, hook = cached
+            switch, runtime, run, stats, by_event, log = cached
             if plain:
                 # _dispatch minus its observation hooks
                 runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch_id:
-                    hook(event)
+                if event.source == switch_id:
+                    stats.recirculated_events += 1
+                    if stats.queue_depth > 0:
+                        stats.queue_depth -= 1
                 result = run(event)
                 stats.events_handled += 1
                 name = event.name
@@ -724,14 +762,8 @@ class Network:
 
     def _hoist(self, switch: Switch) -> tuple:
         """Per-switch lookups hoisted out of the drain: the switch, its
-        runtime, bound engine.run, stats fields, log, and the recirc-arrival
-        hook (None when the engine does not override the no-op base method)."""
+        runtime, bound engine.run, stats fields and log."""
         engine = switch.engine
-        hook = (
-            engine.on_recirc_arrival
-            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
-            else None
-        )
         return (
             switch,
             switch.runtime,
@@ -742,7 +774,6 @@ class Network:
             switch.stats,
             switch.stats.handled_by_event,
             switch.log,
-            hook,
         )
 
     def pending_events(self) -> int:
@@ -956,26 +987,43 @@ class Network:
 
     # -- convenience -------------------------------------------------------------
     def total_stats(self) -> SwitchStats:
+        """Network-wide sums of the per-switch counters (``peak_queue_depth``:
+        the deepest queue of any one switch)."""
         total = SwitchStats()
         for switch in self.switches.values():
             for name, value in switch.stats.__dict__.items():
-                if name != "handled_by_event":
+                if name == "peak_queue_depth":
+                    total.peak_queue_depth = max(total.peak_queue_depth, value)
+                elif name != "handled_by_event":
                     setattr(total, name, getattr(total, name) + value)
         return total
 
     def stats(self) -> Dict[int, Dict[str, object]]:
         """Per-switch counters, engine names, and — for engines that model a
-        pipeline — substrate statistics (stage occupancy, recirculation
-        passes/bytes/bandwidth, queue depths).  Aggregates correctly across
-        heterogeneous engines: every switch reports its own engine's view.
+        pipeline — a ``"pipeline"`` dict: the engine's stage occupancy next
+        to this switch's recirculation-port view (passes, bytes, bandwidth,
+        queue depths), read from the same :class:`SwitchStats`.
         """
         out: Dict[int, Dict[str, object]] = {}
         for sid in sorted(self.switches):
             switch = self.switches[sid]
-            entry: Dict[str, object] = {"engine": switch.engine_name, **switch.stats.__dict__}
+            stats = switch.stats
+            entry: Dict[str, object] = {"engine": switch.engine_name, **stats.__dict__}
             del entry["handled_by_event"]
-            pipeline = switch.engine.pipeline_stats(duration_ns=self.now_ns)
+            pipeline = switch.engine.pipeline_stats()
             if pipeline is not None:
+                pipeline.update(
+                    recirculated_events=stats.recirculated_events,
+                    queue_depth=stats.queue_depth,
+                    peak_queue_depth=stats.peak_queue_depth,
+                    recirc_passes=stats.recirculations,
+                    recirc_bytes=stats.recirculated_bytes,
+                )
+                if self.now_ns > 0:
+                    bps = stats.recirc_bandwidth_bps(self.now_ns)
+                    pipeline["recirc_bandwidth_bps"] = round(bps, 1)
+                    pipeline["recirc_utilisation"] = round(
+                        min(1.0, bps / self.config.recirc_bandwidth_bps), 6)
                 entry["pipeline"] = pipeline
             out[sid] = entry
         return out

@@ -1,5 +1,6 @@
-"""The PISA hardware substrate: timing constants, recirculation accounting,
-the pausable delay queue, and a pipeline executor for compiled layouts."""
+"""The PISA hardware substrate: timing constants, the pipeline's packet
+budget, the pausable delay queue, and a pipeline executor for compiled
+layouts."""
 
 from repro.pisa.pipeline import PipelinePassResult, PisaPipeline
 from repro.pisa.queues import (
@@ -9,7 +10,7 @@ from repro.pisa.queues import (
     RecirculatingDelayBaseline,
     simulate_concurrent_delays,
 )
-from repro.pisa.recirculation import PipelineBudget, RecirculationPort
+from repro.pisa.recirculation import PipelineBudget
 from repro.pisa.tofino import DEFAULT_TIMING, MIN_FRAME_BYTES, TofinoTiming
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "DelayedEvent",
     "DelayMechanismResult",
     "simulate_concurrent_delays",
-    "RecirculationPort",
     "PipelineBudget",
     "TofinoTiming",
     "DEFAULT_TIMING",

@@ -1,58 +1,15 @@
-"""Recirculation-port bandwidth accounting (Sections 2.5 and 7.3).
+"""The recirculation load a PISA pipeline can carry (Sections 2.5 and 7.3).
 
 A PISA recirculation port has the bandwidth of one front-panel port and shares
-the pipeline's packet-processing budget.  This module tracks how much of that
-budget a control workload consumes, and computes the figures the paper derives
-in its overhead analysis (pipeline utilisation, minimum line-rate packet
-size).
+the pipeline's packet-processing budget.  This module computes the figures the
+paper derives in its overhead analysis (pipeline utilisation, minimum
+line-rate packet size); how much of the port a simulated run consumed is
+accounted by the event scheduler (:class:`repro.interp.network.SwitchStats`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.pisa.tofino import MIN_FRAME_BYTES, DEFAULT_TIMING, TofinoTiming
-
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
-_M_PORT_PASSES = _REGISTRY.counter(
-    "repro_pisa_recirc_port_passes_total",
-    "Packet passes through recirculation ports.")
-_M_PORT_BYTES = _REGISTRY.counter(
-    "repro_pisa_recirc_port_bytes_total",
-    "Bytes carried through recirculation ports (64 B minimum frame).")
-
-
-@dataclass
-class RecirculationPort:
-    """Accounts packets sent through the recirculation port over time."""
-
-    timing: TofinoTiming = field(default_factory=lambda: DEFAULT_TIMING)
-    packets: int = 0
-    bytes: int = 0
-
-    def recirculate(self, packet_bytes: int = MIN_FRAME_BYTES, passes: int = 1) -> None:
-        self.packets += passes
-        wire_bytes = passes * max(MIN_FRAME_BYTES, packet_bytes)
-        self.bytes += wire_bytes
-        if _OBS.enabled:
-            _M_PORT_PASSES.inc(passes)
-            _M_PORT_BYTES.inc(wire_bytes)
-
-    def bandwidth_bps(self, duration_ns: float) -> float:
-        """Average recirculation bandwidth over ``duration_ns``."""
-        if duration_ns <= 0:
-            return 0.0
-        return self.bytes * 8 / (duration_ns * 1e-9)
-
-    def utilisation(self, duration_ns: float) -> float:
-        """Fraction of the recirculation port's bandwidth consumed."""
-        return min(1.0, self.bandwidth_bps(duration_ns) / self.timing.recirc_bandwidth_bps)
-
-    def reset(self) -> None:
-        self.packets = 0
-        self.bytes = 0
+from dataclasses import dataclass
 
 
 @dataclass

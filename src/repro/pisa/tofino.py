@@ -1,10 +1,8 @@
-"""Tofino-specific timing and sizing constants used by the PISA simulator.
+"""Tofino-specific timing constants used by the delay-queue models.
 
-The values follow the numbers the paper reports or assumes: a 1 GHz pipeline
-processing one packet per clock, 100 Gb/s ports (front-panel and
-recirculation), a 22 MB shared packet buffer, ~600 ns per recirculation pass,
-and a pausable delay queue released every 100 µs by PFC frames from the packet
-generator.
+The values follow the numbers the paper reports or assumes: a 100 Gb/s
+recirculation port, ~600 ns per recirculation pass, and a pausable delay
+queue released every 100 µs by PFC frames from the packet generator.
 """
 
 from __future__ import annotations
@@ -16,19 +14,9 @@ from dataclasses import dataclass
 class TofinoTiming:
     """Timing constants of the simulated switch."""
 
-    clock_hz: float = 1e9
-    pipeline_latency_ns: int = 400
     recirculation_latency_ns: int = 600
-    port_bandwidth_bps: float = 100e9
     recirc_bandwidth_bps: float = 100e9
-    pcie_oneway_latency_ns: int = 900
-    cpu_install_latency_ns: int = 12_000  # Mantis-style driver-level install, lower bound
-    cpu_install_latency_avg_ns: int = 17_500
-    linux_socket_latency_ns: int = 100_000
     delay_queue_release_interval_ns: int = 100_000
-    packet_buffer_bytes: int = 22 * 1024 * 1024
-    min_line_rate_packet_bytes: int = 125
-    front_panel_ports: int = 10
 
 
 DEFAULT_TIMING = TofinoTiming()

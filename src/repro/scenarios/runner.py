@@ -180,14 +180,14 @@ def network_array_digest(network: Network) -> str:
     return f"{crc:08x}"
 
 
-def _aggregate_pipeline_totals(network: Network) -> Dict[str, object]:
-    """Sum per-switch pipeline stats into a network-wide summary (max for
-    depth/stage peaks).  Heterogeneous networks aggregate only the switches
-    whose engines expose pipeline stats."""
+def _aggregate_pipeline_totals(switch_stats: Dict[int, Dict[str, object]]) -> Dict[str, object]:
+    """Sum the per-switch ``"pipeline"`` dicts of :meth:`Network.stats` into
+    a network-wide summary (max for depth/stage peaks).  Heterogeneous
+    networks aggregate only the switches whose engines model a pipeline."""
     totals: Dict[str, object] = {}
     switches = 0
-    for switch in network.switches.values():
-        stats = switch.engine.pipeline_stats(duration_ns=network.now_ns)
+    for entry in switch_stats.values():
+        stats = entry.get("pipeline")
         if stats is None:
             continue
         switches += 1
@@ -201,7 +201,7 @@ def _aggregate_pipeline_totals(network: Network) -> Dict[str, object]:
     if switches:
         totals["switches"] = switches
         totals["recirc_drops"] = sum(
-            sw.stats.recirc_drops for sw in network.switches.values()
+            entry["recirc_drops"] for entry in switch_stats.values()
         )
     return totals
 
@@ -264,22 +264,7 @@ def build_result(
     """Evaluate the invariants and assemble the :class:`ScenarioResult` for
     a finished (streamed + settled) network."""
     reports = evaluate(setup.invariants, network)
-    stats: Dict[int, Dict[str, object]] = {}
-    for sid, sw in network.switches.items():
-        entry: Dict[str, object] = {
-            "engine": sw.engine_name,
-            "events_handled": sw.stats.events_handled,
-            "events_generated": sw.stats.events_generated,
-            "recirculations": sw.stats.recirculations,
-            "remote_sends": sw.stats.remote_sends,
-            "drops": sw.stats.drops,
-            "link_drops": sw.stats.link_drops,
-            "recirc_drops": sw.stats.recirc_drops,
-        }
-        pipeline = sw.engine.pipeline_stats(duration_ns=network.now_ns)
-        if pipeline is not None:
-            entry["pipeline"] = pipeline
-        stats[sid] = entry
+    stats = network.stats()
     details = setup.details(network) if setup.details is not None else {}
     profile: Dict[str, object] = {}
     if network.profiler is not None:
@@ -307,7 +292,7 @@ def build_result(
         switch_stats=stats,
         array_digest=network_array_digest(network),
         details=details,
-        pipeline_totals=_aggregate_pipeline_totals(network),
+        pipeline_totals=_aggregate_pipeline_totals(stats),
         profile=profile,
         tracer=network.tracer,
     )

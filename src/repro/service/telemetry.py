@@ -21,9 +21,9 @@ Fields (schema version 2): everything version 1 had — ``t_wall_s``
 ``events_injected``, ``events_per_sec`` (handled per wall second since the
 previous record), ``pending_events``, scheduler totals
 (``recirculations``, ``recirc_bytes``, ``drops``, ``link_drops``,
-``recirc_drops``, ``remote_sends``), queue depths for pipeline-modelling
-engines (``queue_depth``, ``peak_queue_depth``), optional ``invariants``
-— plus ``events_generated``.
+``recirc_drops``, ``remote_sends``), the recirculation-queue depths
+(``queue_depth``, ``peak_queue_depth`` — on every engine: the scheduler keeps
+them), optional ``invariants`` — plus ``events_generated``.
 
 Records may be buffered (``flush_every=N``); the serve loop flushes
 explicitly before final checkpoints so a SIGTERM never loses a partial
@@ -57,10 +57,6 @@ _GAUGE_FIELDS = (
     ("drops", "Total handler-declared drops."),
     ("link_drops", "Total remote events lost to down links."),
     ("recirc_drops", "Total local events refused by bounded recirc queues."),
-)
-
-#: fields only present when at least one engine models a pipeline
-_DEPTH_FIELDS = (
     ("queue_depth", "Current recirculation-queue depth, summed across switches."),
     ("peak_queue_depth", "Peak recirculation-queue depth of any switch."),
 )
@@ -93,7 +89,7 @@ class TelemetryEmitter:
         self.registry = registry if registry is not None else MetricsRegistry(enabled=True)
         self._gauges = {
             name: self.registry.gauge(f"repro_telemetry_{name}", help_text)
-            for name, help_text in _GAUGE_FIELDS + _DEPTH_FIELDS
+            for name, help_text in _GAUGE_FIELDS
         }
         self.flush_every = max(1, flush_every)
         self._buffer: List[str] = []
@@ -106,9 +102,8 @@ class TelemetryEmitter:
     def sample(
         self, network: Network, handled_total: int, injected_total: int,
         rate: float,
-    ) -> bool:
-        """Write one network sample into the registry gauges.  Returns
-        whether any engine reported pipeline queue depths."""
+    ) -> None:
+        """Write one network sample into the registry gauges."""
         totals = network.total_stats()
         gauges = self._gauges
         gauges["sim_ns"].set(network.now_ns)
@@ -123,11 +118,8 @@ class TelemetryEmitter:
         gauges["drops"].set(totals.drops)
         gauges["link_drops"].set(totals.link_drops)
         gauges["recirc_drops"].set(totals.recirc_drops)
-        depths = _queue_depths(network)
-        if depths is not None:
-            gauges["queue_depth"].set(depths["queue_depth"])
-            gauges["peak_queue_depth"].set(depths["peak_queue_depth"])
-        return depths is not None
+        gauges["queue_depth"].set(totals.queue_depth)
+        gauges["peak_queue_depth"].set(totals.peak_queue_depth)
 
     def emit(
         self,
@@ -143,7 +135,7 @@ class TelemetryEmitter:
         now = time.perf_counter()
         dt = now - self._last_wall
         rate = (handled_total - self._last_handled) / dt if dt > 0 else 0.0
-        has_depths = self.sample(network, handled_total, injected_total, rate)
+        self.sample(network, handled_total, injected_total, rate)
         gauges = self._gauges
         record: Dict[str, object] = {
             "schema_version": TELEMETRY_SCHEMA_VERSION,
@@ -155,9 +147,6 @@ class TelemetryEmitter:
         }
         for name, _ in _GAUGE_FIELDS:
             record[name] = gauges[name].value
-        if has_depths:
-            for name, _ in _DEPTH_FIELDS:
-                record[name] = gauges[name].value
         if invariants is not None:
             record["invariants"] = [
                 {"name": r.name, "ok": r.ok, "violations": r.violations}
@@ -188,21 +177,3 @@ class TelemetryEmitter:
     def render_text(self) -> str:
         """Prometheus text exposition of the sampling registry."""
         return self.registry.render_text()
-
-
-def _queue_depths(network: Network) -> Optional[Dict[str, int]]:
-    """Summed current / max peak recirculation-queue depth across the
-    switches whose engines model a pipeline (``None`` when none do)."""
-    depth = 0
-    peak = 0
-    found = False
-    for switch in network.switches.values():
-        stats = switch.engine.pipeline_stats(duration_ns=network.now_ns)
-        if stats is None:
-            continue
-        found = True
-        depth += int(stats.get("queue_depth", 0))
-        peak = max(peak, int(stats.get("peak_queue_depth", 0)))
-    if not found:
-        return None
-    return {"queue_depth": depth, "peak_queue_depth": peak}

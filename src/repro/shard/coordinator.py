@@ -120,9 +120,7 @@ def run_sharded(
             continue
         for sid in plan.shards[shard]:
             old = network.switches[sid]
-            network.switches[sid] = Switch(
-                sid, old.runtime.checked, engine=engine_name, config=network.config
-            )
+            network.switches[sid] = Switch(sid, old.runtime.checked, engine=engine_name)
 
     # one full pass over the traffic stream: the horizon must be known
     # before the first window (otherwise a window could overrun the settle

@@ -1,9 +1,10 @@
 """Engine-abstraction tests: three-way scenario parity (reference vs PISA
 pipeline vs codegen), the engine parameter plumbing,
-heterogeneous-engine networks, PISA recirculation-queue accounting (and its
-``recirc_drops`` overflow counter), and the pausable delay queue /
-recirculation port driven by streaming scenario traffic rather than the
-synthetic Figure 14/16 micro-inputs."""
+heterogeneous-engine networks, the scheduler's recirculation-queue ledger
+(its ``recirc_drops`` overflow counter, and its pass counts against the
+:mod:`repro.pisa.queues` models), and the pausable delay queue driven by
+streaming scenario traffic rather than the synthetic Figure 14/16
+micro-inputs."""
 
 import pytest
 
@@ -17,8 +18,8 @@ from repro.interp.engine import (
 )
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult
-from repro.interp.network import Network, single_switch_network
-from repro.pisa import DelayedEvent, PausableDelayQueue, PipelinePassResult, RecirculationPort
+from repro.interp.network import Network, SchedulerConfig, single_switch_network
+from repro.pisa import DelayedEvent, PausableDelayQueue, PipelinePassResult
 from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
 from repro.scenarios import traffic as tm
 from repro.scenarios.runner import network_array_digest
@@ -36,6 +37,17 @@ def test_three_way_engine_parity(name):
     assert [r.engine for r in results] == list(ENGINE_NAMES)
     assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
     assert len({r.array_digest for r in results}) == 1
+    # one ledger: the scheduler's per-switch counters do not depend on the
+    # engine, and the pisa engine's pipeline dict reports those same numbers
+    scheduler = [
+        {sid: {k: v for k, v in stats.items() if k not in ("engine", "pipeline")}
+         for sid, stats in r.switch_stats.items()}
+        for r in results
+    ]
+    assert scheduler[0] == scheduler[1] == scheduler[2]
+    for stats in results[1].switch_stats.values():
+        assert stats["pipeline"]["recirc_passes"] == stats["recirculations"]
+        assert stats["pipeline"]["recirc_bytes"] == stats["recirculated_bytes"]
 
 
 def test_pisa_result_reports_pipeline_stats():
@@ -204,7 +216,7 @@ def test_heterogeneous_network_reset_clears_engine_accounting():
 
 
 # ---------------------------------------------------------------------------
-# PISA recirculation queue: overflow drops and depth accounting
+# the recirculation queue: overflow drops and depth accounting
 # ---------------------------------------------------------------------------
 BURST = """
 global count = new Array<<32>>(4);
@@ -219,14 +231,31 @@ handle sub() { Array.set(count, 0, plus, 1); }
 
 
 def test_pisa_recirc_queue_overflow_counts_recirc_drops():
-    network, switch = single_switch_network(BURST, engine="pisa")
-    switch.engine.recirc_queue_capacity = 2
+    network, switch = single_switch_network(
+        BURST, config=SchedulerConfig(recirc_queue_capacity=2), engine="pisa")
     network.inject(0, EventInstance("burst", ()))
     network.run()
     assert switch.stats.recirc_drops == 3
     assert switch.array("count").cells[0] == 2  # only the admitted events ran
     assert network.total_stats().recirc_drops == 3
-    assert switch.engine.peak_queue_depth == 2
+    assert switch.stats.peak_queue_depth == 2
+    assert network.stats()[0]["pipeline"]["peak_queue_depth"] == 2
+
+
+def test_bounded_recirc_queue_drops_alike_on_every_engine():
+    """The bound is the scheduler's, so the engines stay interchangeable
+    under it: same drops, same admitted events, same final arrays."""
+    digests = set()
+    for engine in ENGINE_NAMES:
+        network, switch = single_switch_network(
+            BURST, config=SchedulerConfig(recirc_queue_capacity=2), engine=engine)
+        network.inject(0, EventInstance("burst", ()))
+        assert network.run() == 3  # burst, and the two admitted subs
+        stats = switch.stats
+        assert (stats.recirc_drops, stats.recirculated_events, stats.recirculations,
+                stats.peak_queue_depth, stats.queue_depth) == (3, 2, 2, 2, 0), engine
+        digests.add(network_array_digest(network))
+    assert len(digests) == 1
 
 
 def test_pisa_unbounded_queue_never_drops():
@@ -235,8 +264,8 @@ def test_pisa_unbounded_queue_never_drops():
     network.run()
     assert switch.stats.recirc_drops == 0
     assert switch.array("count").cells[0] == 5
-    assert switch.engine.peak_queue_depth == 5
-    assert switch.engine.queue_depth == 0  # all arrivals released their slot
+    assert switch.stats.peak_queue_depth == 5
+    assert switch.stats.queue_depth == 0  # all arrivals released their slot
 
 
 def test_pisa_delayed_events_charge_pausable_queue_passes():
@@ -250,8 +279,42 @@ def test_pisa_delayed_events_charge_pausable_queue_passes():
     network.run()
     # 350 us against the 100 us release interval: the parked packet makes
     # ceil(350/100) = 4 recirculation passes (PausableDelayQueue semantics)
-    assert switch.engine.port.packets == 4
-    assert switch.engine.recirculated_events == 1
+    assert switch.stats.recirculations == 4
+    assert switch.stats.recirculated_events == 1
+    assert network.stats()[0]["pipeline"]["recirc_passes"] == 4
+
+
+DELAYER = """
+event tick(int d);
+event noop();
+handle tick(int d) { generate Event.delay(noop(), d); }
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_scheduler_passes_match_the_delay_queue_models(engine):
+    """The oracle for the scheduler's pass formulas: an event parked at a
+    release boundary costs what :class:`PausableDelayQueue` charges it, and
+    without the queue ``1 + d // recirculation_latency`` passes."""
+    for interval in (1_000, 70_000, 100_000):
+        for delay in (1, interval - 1, interval, interval + 1, 350_000, 7 * interval):
+            config = SchedulerConfig(delay_release_interval_ns=interval)
+            network, switch = single_switch_network(DELAYER, config=config, engine=engine)
+            network.inject(0, EventInstance("tick", (delay,)), at_ns=3 * interval)
+            assert network.run() == 2
+            oracle = PausableDelayQueue(release_interval_ns=interval)
+            oracle.enqueue(DelayedEvent(1, requested_delay_ns=delay, enqueued_at_ns=3 * interval))
+            oracle.run_until_empty(start_ns=3 * interval)
+            assert switch.stats.recirculations == oracle.recirculation_passes, (interval, delay)
+            assert switch.stats.recirculated_bytes == oracle.recirculated_bytes
+            # both release the event at the same boundary
+            assert network.now_ns == oracle.delivered[0].released_at_ns + 600
+
+            looping = SchedulerConfig(use_delay_queue=False)
+            network, switch = single_switch_network(DELAYER, config=looping, engine=engine)
+            network.inject(0, EventInstance("tick", (delay,)))
+            network.run()
+            assert switch.stats.recirculations == 1 + delay // 600, delay
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +356,15 @@ def test_recirculation_port_accounts_streaming_run():
     consistent: bandwidth = bytes over duration, utilisation in [0, 1]."""
     result = run_scenario(SCENARIOS["nat-churn"], 1500, 1, engine="pisa")
     totals = result.pipeline_totals
-    port = RecirculationPort()
-    port.recirculate(packet_bytes=64, passes=totals["recirc_passes"])
-    assert port.bytes == totals["recirc_bytes"]  # all NAT events are min-size
+    assert totals["recirc_bytes"] == 64 * totals["recirc_passes"]  # all NAT events are min-size
     duration = result.sim_ns
-    assert port.bandwidth_bps(duration) == pytest.approx(
-        totals["recirc_bytes"] * 8 / (duration * 1e-9)
+    assert totals["recirc_bandwidth_bps"] == pytest.approx(
+        totals["recirc_bytes"] * 8 / (duration * 1e-9), abs=0.05
     )
-    assert 0.0 < port.utilisation(duration) <= 1.0
+    assert totals["recirc_utilisation"] == pytest.approx(
+        totals["recirc_bandwidth_bps"] / SchedulerConfig().recirc_bandwidth_bps, abs=1e-6
+    )
+    assert 0.0 < totals["recirc_utilisation"] <= 1.0
 
 
 def test_scenario_cli_all_engines(capsys):

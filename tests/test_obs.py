@@ -189,7 +189,21 @@ def test_orphan_events_and_flushed_scheduler_counters(global_metrics):
     assert REGISTRY.value("repro_network_recirculations_total") == totals.recirculations == 1
     assert REGISTRY.value("repro_network_recirc_bytes_total") == totals.recirculated_bytes
     assert REGISTRY.value("repro_network_delay_parks_total") == 1
+    assert REGISTRY.value("repro_network_recirc_queue_depth") == totals.peak_queue_depth == 1
     assert "repro_network_orphan_events_total 1" in REGISTRY.render_text()
+
+
+def test_a_parked_event_counts_one_park_and_a_pass_per_release(global_metrics):
+    network = Network(engine="codegen")
+    network.add_switch(0, "event tick(); event noop(); "
+                          "handle tick() { generate Event.delay(noop(), 350us); }")
+    network.inject(0, EventInstance("tick", ()))
+    network.run()
+    assert REGISTRY.value("repro_network_delay_parks_total") == 1
+    delays = REGISTRY.get("repro_network_event_delay_ns")
+    assert (delays.count, delays.sum) == (1, 350_000)
+    assert REGISTRY.value("repro_network_recirculations_total") == 4
+    assert REGISTRY.value("repro_network_recirc_bytes_total") == 4 * 64
 
 
 @pytest.mark.parametrize("engine, prefix", [
@@ -351,21 +365,24 @@ def test_cli_metrics_exposition(capsys):
 # ---------------------------------------------------------------------------
 def test_telemetry_render_text_round_trips_record():
     checked = check_program(RELAY2, name="relay2")
-    network = Network(engine="pisa")
-    network.trace_enabled = False
-    network.add_switch(0, checked)
-    network.add_switch(1, checked)
-    network.add_link(0, 1)
-    network.inject(0, EventInstance("pkt", (0, 5)), at_ns=0)
-    network.run()
-    out = io.StringIO()
-    emitter = TelemetryEmitter(out, "relay2", "pisa", seed=7)
-    record = emitter.emit(network, handled_total=10, injected_total=2)
-    assert record["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
-    parsed = parse_text_exposition(emitter.render_text())
-    for key in ("sim_ns", "events_handled", "events_injected", "events_generated",
-                "recirculations", "remote_sends", "queue_depth"):
-        assert parsed[f"repro_telemetry_{key}"][()] == record[key], key
+    for engine in ("pisa", "codegen"):
+        network = Network(engine=engine)
+        network.trace_enabled = False
+        network.add_switch(0, checked)
+        network.add_switch(1, checked)
+        network.add_link(0, 1)
+        network.inject(0, EventInstance("pkt", (0, 5)), at_ns=0)
+        network.run()
+        out = io.StringIO()
+        emitter = TelemetryEmitter(out, "relay2", engine, seed=7)
+        record = emitter.emit(network, handled_total=10, injected_total=2)
+        assert record["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
+        # the delayed local generate held one recirculation-queue slot
+        assert (record["queue_depth"], record["peak_queue_depth"]) == (0, 1)
+        parsed = parse_text_exposition(emitter.render_text())
+        for key in ("sim_ns", "events_handled", "events_injected", "events_generated",
+                    "recirculations", "remote_sends", "queue_depth", "peak_queue_depth"):
+            assert parsed[f"repro_telemetry_{key}"][()] == record[key], key
 
 
 def test_telemetry_flush_batching():

@@ -12,13 +12,13 @@ from repro.analysis.recirc_uses import classify_application, recirc_uses_table
 from repro.apps import ALL_APPLICATIONS
 from repro.backend import compile_program
 from repro.control import ControlPlaneConfig, RemoteController
-from repro.core import EventInstance, single_switch_network
+from repro.core import EventInstance, SchedulerConfig, single_switch_network
+from repro.interp.network import SwitchStats
 from repro.pisa import (
     DelayedEvent,
     PausableDelayQueue,
     PipelineBudget,
     PisaPipeline,
-    RecirculationPort,
     simulate_concurrent_delays,
 )
 from repro.workloads import DnsTrafficMix, FlowWorkload, LinkFailureSchedule
@@ -84,10 +84,9 @@ def test_delay_queue_buffer_usage_is_small():
 # recirculation accounting and the Figure 16 model
 # ---------------------------------------------------------------------------
 def test_recirculation_port_bandwidth_accounting():
-    port = RecirculationPort()
-    port.recirculate(packet_bytes=64, passes=1_000_000)
-    assert port.bandwidth_bps(1e9) == pytest.approx(64 * 8 * 1e6)
-    assert 0 < port.utilisation(1e9) < 1
+    port = SwitchStats(recirculations=1_000_000, recirculated_bytes=64 * 1_000_000)
+    assert port.recirc_bandwidth_bps(1e9) == pytest.approx(64 * 8 * 1e6)
+    assert 0 < port.recirc_bandwidth_bps(1e9) / SchedulerConfig().recirc_bandwidth_bps < 1
 
 
 def test_pipeline_budget_min_packet_size_without_load():

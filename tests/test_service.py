@@ -118,7 +118,7 @@ def _relay_network():
 
 def test_heterogeneous_network_snapshot_roundtrip_mid_run():
     """A mixed reference/codegen/pisa network checkpointed mid-run (pending
-    heap events, engine-side queue accounting) restores into a fresh mixed
+    heap events, engine-side pipeline counters) restores into a fresh mixed
     network and finishes identically to the uninterrupted original."""
     interrupted = _relay_network()
     interrupted.run(max_events=40)
@@ -169,6 +169,50 @@ def test_codegen_snapshot_roundtrip_byte_identical():
         straight.snapshot(), sort_keys=True
     )
     assert network_array_digest(fresh) == network_array_digest(straight)
+
+
+BURST = """
+global count = new Array<<32>>(4);
+memop plus(int stored, int x) { return stored + x; }
+event burst();
+event sub();
+handle burst() {
+  generate sub(); generate sub(); generate sub(); generate Event.delay(sub(), 250us);
+}
+handle sub() { Array.set(count, 0, plus, 1); }
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_recirculation_queue_counters_survive_a_checkpoint(engine):
+    """The queue depth is scheduler state: a snapshot taken with local events
+    in flight restores it, whatever engine runs the handlers."""
+    def build():
+        network = Network(engine=engine)
+        network.add_switch(0, BURST)
+        network.inject(0, EventInstance("burst", ()))
+        return network
+
+    interrupted = build()
+    interrupted.run(max_events=2)  # burst and one sub: three subs still in flight
+    assert interrupted.switches[0].stats.queue_depth == 3
+    state = json.loads(json.dumps(interrupted.snapshot()))
+    assert state["version"] == SNAPSHOT_VERSION == 3
+    assert state["switches"]["0"]["stats"]["queue_depth"] == 3
+
+    resumed = build()
+    resumed.restore(state)
+    resumed.run()
+    straight = build()
+    straight.run()
+    stats = resumed.switches[0].stats
+    assert stats == straight.switches[0].stats
+    assert (stats.queue_depth, stats.peak_queue_depth, stats.recirculated_events) == (0, 4, 4)
+    assert stats.recirculations == 3 + 3  # 250 us parked over three releases
+
+    # version 2 kept a pisa run's queue depth in engine_state: refused, not half-read
+    with pytest.raises(SimulationError, match="unsupported snapshot version 2"):
+        build().restore({**state, "version": 2})
 
 
 def test_snapshot_refuses_control_actions_in_heap():
@@ -384,27 +428,29 @@ def test_restore_invariant_states_length_checked():
 # telemetry
 # ---------------------------------------------------------------------------
 def test_telemetry_emitter_schema():
-    network = Network(engine="pisa")
-    network.add_switch(0, RELAY)
-    network.inject(0, EventInstance("pkt", (0, 3)), at_ns=0)
-    network.run()
-    out = io.StringIO()
-    emitter = TelemetryEmitter(out, "relay", "pisa", seed=1)
-    emitter.emit(network, handled_total=4, injected_total=1, phase="run")
-    emitter.emit(network, handled_total=4, injected_total=1, phase="final",
-                 invariants=[], extra={"ok": True})
-    lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert len(lines) == 2
+    lines = []
+    for engine in ("pisa", "codegen"):
+        network = Network(engine=engine)
+        network.add_switch(0, RELAY)
+        network.inject(0, EventInstance("pkt", (0, 3)), at_ns=0)
+        network.run()
+        out = io.StringIO()
+        emitter = TelemetryEmitter(out, "relay", engine, seed=1)
+        emitter.emit(network, handled_total=4, injected_total=1, phase="run")
+        emitter.emit(network, handled_total=4, injected_total=1, phase="final",
+                     invariants=[], extra={"ok": True})
+        lines += [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(lines) == 4
     for record in lines:
         assert record["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
         assert record["scenario"] == "relay"
         assert record["events_handled"] == 4
         # schema v2: the generate-statement total rides along
         assert record["events_generated"] == network.total_stats().events_generated
-        # the pisa switch reports queue depths
-        assert "peak_queue_depth" in record
-    assert lines[0]["phase"] == "run"
-    assert lines[1]["phase"] == "final" and lines[1]["ok"] is True
+        # the scheduler keeps the queue depths, so every engine reports them
+        assert (record["queue_depth"], record["peak_queue_depth"]) == (0, 0)
+    assert lines[0]["phase"] == lines[2]["phase"] == "run"
+    assert lines[1]["phase"] == lines[3]["phase"] == "final" and lines[3]["ok"] is True
 
 
 def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monkeypatch):

@@ -20,11 +20,11 @@ merging pass lays out:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.backend.tables import AtomicTable, TableKind
 from repro.frontend.ast import BinOp
-from repro.midend.normalize import Const
+from repro.midend.normalize import Const, operand_vars
 
 
 @dataclass
@@ -90,12 +90,17 @@ class DataflowGraph:
         return (max(depth.values()) + 1) if depth else 0
 
 
-def _conditions_disjoint(first: AtomicTable, second: AtomicTable) -> bool:
-    """True when the two tables' path conditions can never hold together, i.e.
-    the tables come from mutually exclusive branches and may share a stage."""
-    for c1 in first.path_conditions:
-        for c2 in second.path_conditions:
+def _conditions_disjoint(tables: Sequence[AtomicTable], j: int, i: int) -> bool:
+    """True when the path conditions of ``tables[j]`` and ``tables[i]`` (in
+    program order) can never hold together, i.e. the tables come from mutually
+    exclusive branches and may share a stage.  Two tests are of one value only
+    while no table from the first up to the second overwrites it."""
+    for c1 in tables[j].path_conditions:
+        for c2 in tables[i].path_conditions:
             if c1.lhs != c2.lhs:
+                continue
+            tested = operand_vars(c1.lhs, c1.rhs, c2.rhs)
+            if any(name in tables[k].writes for k in range(j, i) for name in tested):
                 continue
             # x == a  vs  x == b  with a != b
             if (
@@ -121,8 +126,8 @@ def build_dataflow_graph(tables: List[AtomicTable]) -> DataflowGraph:
     for i, later in enumerate(tables):
         later_reads = later.all_reads()
         later_writes = later.writes
-        for earlier in tables[:i]:
-            if _conditions_disjoint(earlier, later):
+        for j, earlier in enumerate(tables[:i]):
+            if _conditions_disjoint(tables, j, i):
                 # the two tables lie on mutually exclusive control paths; no
                 # packet ever executes both, so no ordering is required
                 continue

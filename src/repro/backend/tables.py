@@ -34,6 +34,8 @@ from repro.midend.normalize import (
     Operand,
     Var,
     operand_vars,
+    stmt_reads,
+    stmt_writes,
 )
 
 
@@ -192,90 +194,41 @@ class _GraphBuilder:
             handler=self.handler.name,
             stmt=stmt,
             condition=stmt.cond,
-            reads=set(operand_vars(stmt.cond.lhs, stmt.cond.rhs)),
+            reads=set(stmt_reads(stmt)),
         )
         self.graph.add_table(table)
         return table
 
     def _make_table(self, stmt: NStmt) -> Optional[AtomicTable]:
         uid = self.fresh_uid()
-        name = f"{self.handler.name}"
-        if isinstance(stmt, NOp):
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_op_{stmt.dst}",
-                kind=TableKind.OPERATION,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=set(operand_vars(stmt.lhs, stmt.rhs)),
-                writes={stmt.dst},
-            )
-        elif isinstance(stmt, NCopy):
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_copy_{stmt.dst}",
-                kind=TableKind.OPERATION,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=set(operand_vars(stmt.src)),
-                writes={stmt.dst},
-            )
+        name = self.handler.name
+        writes = stmt_writes(stmt)
+        if isinstance(stmt, (NOp, NCopy)):
+            kind, name = TableKind.OPERATION, (
+                f"{name}_{'op' if isinstance(stmt, NOp) else 'copy'}_{stmt.dst}")
         elif isinstance(stmt, NHash):
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_hash_{stmt.dst}",
-                kind=TableKind.HASH,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=set(operand_vars(*stmt.args)),
-                writes={stmt.dst},
-            )
+            kind, name = TableKind.HASH, f"{name}_hash_{stmt.dst}"
         elif isinstance(stmt, NArrayOp):
-            reads = set(operand_vars(stmt.index, *stmt.args))
-            writes = {stmt.dst} if stmt.dst else set()
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_{stmt.array}_{stmt.method.split('.')[-1]}_{uid}",
-                kind=TableKind.MEMORY,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=reads,
-                writes=writes,
-                array=stmt.array,
-                memops=list(stmt.memops),
-            )
+            kind, name = TableKind.MEMORY, f"{name}_{stmt.array}_{stmt.method.split('.')[-1]}_{uid}"
         elif isinstance(stmt, NGenerate):
-            reads = set(operand_vars(stmt.delay, stmt.location, *stmt.args))
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_gen_{stmt.event}_{uid}",
-                kind=TableKind.GENERATE,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=reads,
-                writes={f"__ev_{stmt.event}"},
-            )
+            kind, name = TableKind.GENERATE, f"{name}_gen_{stmt.event}_{uid}"
+            # generates of one event keep their program order (a WAW chain)
+            writes = {f"__ev_{stmt.event}"}
         elif isinstance(stmt, NPrim):
-            # Sys.* primitives publish their result through a well-known
-            # metadata field; recording the write gives the copy that reads
-            # it a RAW dependency, so dataflow reordering cannot hoist the
-            # consumer ahead of the producer (or swap two Sys.random draws)
-            writes = (
-                {f"__{stmt.prim.replace('.', '_')}"}
-                if stmt.prim in ("Sys.time", "Sys.self", "Sys.random")
-                else set()
-            )
-            table = AtomicTable(
-                uid=uid,
-                name=f"{name}_{stmt.prim.replace(':', '_').replace('.', '_')}_{uid}",
-                kind=TableKind.PRIMITIVE,
-                handler=self.handler.name,
-                stmt=stmt,
-                reads=set(operand_vars(*stmt.args)),
-                writes=writes,
-            )
+            # a Sys.* primitive's write of its well-known metadata field gives
+            # the copy that reads it a RAW dependency, so dataflow reordering
+            # cannot hoist the consumer ahead of the producer (or swap two
+            # Sys.random draws)
+            kind, name = TableKind.PRIMITIVE, (
+                f"{name}_{stmt.prim.replace(':', '_').replace('.', '_')}_{uid}")
         else:  # pragma: no cover - defensive
             return None
+        table = AtomicTable(
+            uid=uid, name=name, kind=kind, handler=self.handler.name, stmt=stmt,
+            reads=set(stmt_reads(stmt)), writes=writes,
+        )
+        if isinstance(stmt, NArrayOp):
+            table.array, table.memops = stmt.array, list(stmt.memops)
         self.graph.add_table(table)
         return table
 

@@ -1,10 +1,14 @@
 """The generated-module format: what every source-emitting engine writes.
 
 Two emitters lower a program to Python source — :mod:`repro.interp.codegen`
-from the checked handler AST, :mod:`repro.pisa.pipeline` from the compiled
-:class:`~repro.backend.layout.PipelineLayout` — and both write the *same
-kind of module*.  This file owns that format and nothing else; the emitters
-are visitors over their own IR that subclass :class:`ModuleEmitter`:
+from the :class:`~repro.midend.normalize.NormalizedHandler`,
+:mod:`repro.pisa.pipeline` from the compiled
+:class:`~repro.backend.layout.PipelineLayout`, whose tables wrap the same
+normalised statements — and both write the *same kind of module*, with the
+*same text for every statement*.  This file owns that format and the
+statement printers; the emitters subclass :class:`ModuleEmitter` and differ
+only in control: nested ``if`` / ``else`` for codegen, stages and path
+conditions for the plan.
 
 .. code-block:: python
 
@@ -27,19 +31,37 @@ their cell lists, group members, externs, the clock and PRNG) is read off
 the :class:`~repro.interp.interpreter.SwitchRuntime` handed to ``_bind``;
 the module itself is compiled once and ``exec``'d into a namespace seeded
 with ``_IE`` (InterpError), ``_EV`` (EventInstance), the hash helpers the
-handlers use (``_c32``, ``_pk<N>``) and the visitor's own seeds.  A state
-access has one spelling here too: :meth:`ModuleEmitter._array_rmw`.
+handlers use (``_c32``, ``_pk<N>``) and the visitor's own seeds.
+
+One normalised statement has one spelling, :meth:`ModuleEmitter._statement`:
+operands are atoms (:meth:`ModuleEmitter._atom` — a local of
+:attr:`ModuleEmitter.locals`, a constant, or the default of a field nothing
+wrote), ALU and hash operations are the ``repro.ops`` templates, a state
+access is :meth:`ModuleEmitter._array_rmw`, a ``generate`` is one pre-shaped
+``_EV(...)``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import InterpError
+from repro.errors import InterpError, SimulationError
 from repro.frontend.symbols import ProgramInfo
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import MemopShape, memop_template
-from repro.ops import MASK32, hash_namespace
+from repro.interp.interpreter import MemopShape, memop_shape, memop_template
+from repro.midend.normalize import (
+    Const,
+    NArrayOp,
+    NCond,
+    NCopy,
+    NGenerate,
+    NHash,
+    NOp,
+    NPrim,
+    NStmt,
+    Operand,
+)
+from repro.ops import CMP_OPS, MASK32, binop_template, hash_namespace, hash_template
 
 #: one emitted line: (indent level relative to its ``def``, text)
 Line = Tuple[int, str]
@@ -60,11 +82,9 @@ EFFECTS = (
 _BINDINGS = {
     "self": ("_SELF", "_rt.switch_id"),
     "externs": ("_EXT", "_rt.externs"),
-    "arrays": ("_ARRAYS", "_rt.arrays"),
     "array": ("_A_{0}", "_rt.array({0!r})"),
     "cells": ("_C_{0}", "_A_{0}.cells"),
     "group": ("_G_{0}", "tuple(int(m) for m in _rt.info.consts.groups[{0!r}])"),
-    "memop": ("_M_{0}", "_rt.memop_fn({0!r})"),
 }
 
 _GETS = ("Array.get", "Array.getm")
@@ -76,12 +96,22 @@ def render(lines: Sequence[Line], level: int = 0) -> str:
     return "\n".join("    " * (lv + level) + tx for lv, tx in lines)
 
 
+def effect_of(stmt: NStmt) -> Optional[str]:
+    """Which field of the handler's result ``stmt`` contributes to, if any."""
+    if isinstance(stmt, NGenerate):
+        return "gen"
+    if isinstance(stmt, NPrim):
+        return {"printf": "prints", "drop": "drop", "flood": "flood",
+                "forward": "fwd"}.get(stmt.prim)
+    return None
+
+
 class ModuleEmitter:
     """The format's writer: a line buffer with indent and numbered temps,
     the program-wide binding registry and hash-arity set (with mark /
     rollback, for a visitor that abandons a handler half way), the handler
-    prologue and result, the event and printf renderings, the array
-    read-modify-write, and module assembly."""
+    prologue and result, the statement printers over one ``locals`` map, and
+    module assembly."""
 
     def __init__(self, info: ProgramInfo):
         self.info = info
@@ -91,6 +121,8 @@ class ModuleEmitter:
         self.lines: List[Line] = []
         self.indent = 1
         self._temp_n = 0
+        #: the handler being written: normalised local -> Python local
+        self.locals: Dict[str, str] = {}
 
     # -- bindings -----------------------------------------------------------
     def _bind(self, kind: str, name: str = "") -> str:
@@ -124,19 +156,6 @@ class ModuleEmitter:
         self._line(f"{t} = {s}")
         return t
 
-    def _buffered(self, fn, *args):
-        """Run ``fn`` capturing emitted lines into a private buffer."""
-        saved = self.lines
-        self.lines = []
-        try:
-            result = fn(*args)
-            return result, self.lines
-        finally:
-            self.lines = saved
-
-    def _flush(self, buf: List[Line], delta: int = 0) -> None:
-        self.lines.extend((lv + delta, tx) for lv, tx in buf)
-
     # -- one handler: prologue, effects, result -----------------------------
     @staticmethod
     def _handler_head(name: str, params: Sequence[Optional[str]]) -> List[Line]:
@@ -164,18 +183,126 @@ class ModuleEmitter:
         fields = [var if kind in effects else absent for kind, var, _, absent in EFFECTS]
         return f"{ctor}({', '.join([*fields, *counts])})"
 
-    def _event(self, name: str, args: Sequence[str], delay: str = "0",
-               location: str = "-1", group: str = "None") -> str:
-        """``_EV(name, args, delay_ns, location, group, source)``."""
-        tup = f"({', '.join(f'({a})' for a in args)},)" if args else "()"
-        return f"_EV({name!r}, {tup}, {delay}, {location}, {group}, {self._bind('self')})"
-
     @staticmethod
     def _printf(args: Sequence[str]) -> str:
         """The line ``printf(args...)`` prints: its arguments, space-joined."""
         if len(args) < 2:
             return f"str({args[0]})" if args else '""'
         return f'" ".join(({", ".join(f"str({a})" for a in args)},))'
+
+    # -- operands and conditions -------------------------------------------
+    def _use_locals(self, names: Sequence[str]) -> None:
+        """Start a handler whose normalised locals are ``names``."""
+        self.locals = {name: f"v_{name}" for name in names}
+
+    def _default(self, name: str) -> str:
+        """What a field no statement has written reads as."""
+        if name == "SELF" or name == "__Sys_self":
+            return self._bind("self")
+        if name == "__Sys_time":
+            # the ingress timestamp metadata field, truncated like Sys.time()
+            return "(_rt.time_ns & 4294967295)"
+        const = self.info.consts.lookup(name)
+        if const is not None:
+            return repr(int(const))
+        # uninitialised metadata reads as zero, as it does in hardware
+        return "0"
+
+    def _atom(self, operand: Operand) -> str:
+        if isinstance(operand, Const):
+            return repr(int(operand.value))
+        return self.locals.get(operand.name) or self._default(operand.name)
+
+    def _test(self, cond: NCond) -> str:
+        left, right = self._atom(cond.lhs), self._atom(cond.rhs)
+        py = CMP_OPS.get(cond.op)
+        if py is not None:
+            return f"{left} {py} {right}"
+        return binop_template(cond.op, left, right)
+
+    # -- one normalised statement -------------------------------------------
+    def _statement(self, stmt: NStmt, gen_uid: Optional[int] = None,
+                   print_uid: Optional[int] = None) -> None:
+        """The text of ``stmt``.  A visitor that may emit generates (prints)
+        out of program order passes their ``uid`` to tag and re-sort them."""
+        atom = self._atom
+        if isinstance(stmt, NOp):
+            value = binop_template(stmt.op, atom(stmt.lhs), atom(stmt.rhs))
+            self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NCopy):
+            self._line(f"{self.locals[stmt.dst]} = {atom(stmt.src)}")
+        elif isinstance(stmt, NHash):
+            self.hash_arities.add(len(stmt.args) + 1)
+            value = hash_template(stmt.width, [atom(a) for a in stmt.args])
+            self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NArrayOp):
+            # operands are atoms and cannot raise: what is used once stays
+            # inline, and the destination (which may also be an argument) is
+            # assigned only after the store
+            value = self._array_rmw(
+                self._named, stmt.method, stmt.array, atom(stmt.index),
+                [memop_shape(self.info, memop) for memop in stmt.memops],
+                [atom(a) for a in stmt.args])
+            if stmt.dst:
+                self._line(f"{self.locals[stmt.dst]} = {value}")
+        elif isinstance(stmt, NGenerate):
+            self._tagged("_gen", self._generated(stmt), gen_uid)
+        elif isinstance(stmt, NPrim):
+            self._prim(stmt, print_uid)
+        else:
+            raise SimulationError(f"cannot lower statement {stmt!r}")  # pragma: no cover
+
+    def _named(self, name: str, expr: str, uses: int) -> str:
+        if uses == 1:
+            return expr
+        self._line(f"{name} = {expr}")
+        return name
+
+    def _tagged(self, var: str, item: str, uid: Optional[int]) -> None:
+        self._line(f"{var}.append({item if uid is None else f'({uid}, {item})'})")
+
+    def _generated(self, stmt: NGenerate) -> str:
+        """One pre-shaped ``_EV(name, args, delay_ns, location, group,
+        source)``: place and group as the program set them (the scheduler
+        treats a location naming the origin as local); a group constant's
+        members are bound per switch, a literal's are text."""
+        args = "".join(f"({self._atom(a)}), " for a in stmt.args)
+        group = "None"
+        if isinstance(stmt.group, str):
+            group = self._bind("group", stmt.group)
+        elif stmt.group is not None:
+            group = repr(tuple(stmt.group))
+        return (f"_EV({stmt.event!r}, ({args.rstrip()}), {self._atom(stmt.delay)}, "
+                f"{self._atom(stmt.location)}, {group}, {self._bind('self')})")
+
+    def _prim(self, stmt: NPrim, print_uid: Optional[int]) -> None:
+        prim = stmt.prim
+        args = [self._atom(a) for a in stmt.args]
+        if prim == "drop":
+            self._line("_drop = True")
+        elif prim == "forward":
+            self._line(f"_fwd = {args[0]}" if args else "pass")
+        elif prim == "flood":
+            self._line("_flood = True")
+        elif prim == "printf":
+            self._tagged("_prints", self._printf(args), print_uid)
+        elif prim == "Sys.time":
+            self._line(f"{self.locals['__Sys_time']} = _rt.time_ns & 4294967295")
+        elif prim == "Sys.self":
+            self._line(f"{self.locals['__Sys_self']} = {self._bind('self')}")
+        elif prim == "Sys.random":
+            # advances the shared xorshift state exactly once, like the
+            # interpreter does at the corresponding call site; the optional
+            # bound operand reduces the draw exactly as Sys.random(bound) does
+            self._line(f"{self.locals['__Sys_random']} = _rt.random({', '.join(args[:1])})")
+        elif prim.startswith("extern:"):
+            # looked up per call: bind_extern may come after the first event
+            self._line(f"_fn = {self._bind('externs')}.get({prim.split(':', 1)[1]!r})")
+            self._line(f"{self.locals[stmt.dst]} = "
+                       f"0 if _fn is None else int(_fn({', '.join(args)}))")
+        else:
+            # unknown primitives are inert metadata, as unprogrammed actions are
+            self._line("pass")
 
     # -- the state access ---------------------------------------------------
     def _array_rmw(self, temp: Callable[[str, str, int], str], method: str,

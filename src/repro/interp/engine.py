@@ -26,12 +26,15 @@ returns what it produced.  Three engines ship with the repository:
 
 ``codegen``
     The source-generating fast path (:mod:`repro.interp.codegen`): each
-    handler body is emitted as flat Python source — slot-free locals,
-    inlined memops and ALU helpers, constant-folded operands, pre-bound
-    array cell lists — compiled once per program digest with
-    :func:`compile`/``exec`` and shared by every switch running the same
-    program.  Behaviourally identical to ``reference`` and several times
-    faster.  The default.
+    handler goes through the compiler's midend (inlining, normalisation
+    into atomic statements — the lowering ``pisa`` and the P4 start from
+    too) and is printed as flat Python source, *the stage plan without
+    stages*: plain locals, inlined memops and ALU templates, pre-bound
+    array cell lists, nested ``if`` where the plan has path conditions.
+    Compiled once per program digest with :func:`compile`/``exec`` and
+    shared by every switch running the same program.  A handler the midend
+    refuses runs on the tree walker, counted by reason.  Behaviourally
+    identical to ``reference`` and several times faster.  The default.
 
 All three produce :class:`~repro.interp.interpreter.ExecutionResult`
 values, so the network scheduler is engine-agnostic: generated events —
@@ -125,8 +128,8 @@ class ReferenceEngine(SwitchEngine):
 
 
 class CodegenEngine(SwitchEngine):
-    """Source-generated handlers: each handler body is emitted as flat
-    Python source, compiled once per program digest, and shared across
+    """Source-generated handlers: each normalised handler body is printed as
+    flat Python source, compiled once per program digest, and shared across
     switches (see :mod:`repro.interp.codegen`)."""
 
     name = "codegen"

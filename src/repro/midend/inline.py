@@ -6,7 +6,8 @@ self-contained slice of tables.  Inlining proceeds per call site:
 
 1. every formal parameter becomes a fresh local bound to the actual argument
    (array-typed formals are substituted *syntactically*, because arrays are
-   compile-time objects, not runtime values);
+   compile-time objects, not runtime values; so is a literal or variable
+   argument of a parameter the callee never assigns);
 2. the callee body is copied with locals renamed to fresh names;
 3. ``return`` statements are rewritten to assign a fresh result variable
    (after a *returnify* pass that pushes trailing statements into the
@@ -15,14 +16,25 @@ self-contained slice of tables.  Inlining proceeds per call site:
 
 The pass is applied to innermost calls first and repeats until no user
 function calls remain, so functions that call functions are handled.
+
+What an inlined call must keep, because the tree walker — the oracle of
+every engine — does: **a callee has one flat scope** (one rename map per
+callee body, so a local declared in a branch arm is the same local after
+the arm; a path that reads it unassigned is refused by the normaliser's
+definite-assignment pass, not given a value); **parameters are by value**
+(one the callee assigns is always copied); **a call right of ``&&`` /
+``||`` runs only when the left operand does not decide**; and **effects keep
+their left-to-right order** (a ``Sys.random`` or extern call left of a
+hoisted callee body is bound to a temp ahead of it).
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import TypeError_
 from repro.frontend import ast
@@ -62,19 +74,7 @@ def _match_has_wildcard(stmt: ast.SMatch) -> bool:
 
 def _contains_return(stmts: List[ast.Stmt]) -> bool:
     """True when any path through ``stmts`` contains a return."""
-    for stmt in stmts:
-        if isinstance(stmt, ast.SReturn):
-            return True
-        if isinstance(stmt, ast.SIf):
-            if _contains_return(stmt.then_body) or _contains_return(stmt.else_body):
-                return True
-        if isinstance(stmt, ast.SMatch):
-            if any(_contains_return(body) for _, body in stmt.branches):
-                return True
-        if isinstance(stmt, ast.SSeq):
-            if _contains_return(stmt.body):
-                return True
-    return False
+    return any(isinstance(stmt, ast.SReturn) for stmt in ast.walk_stmts(stmts))
 
 
 def _block_returns(stmts: List[ast.Stmt]) -> bool:
@@ -175,8 +175,9 @@ def eliminate_returns(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
     tail-position) and then drop the bare returns.  Handlers may only use
     bare ``return;`` (the type checker rejects value returns), so this loses
     nothing — but without it, normalisation would silently *drop* an early
-    return and let the trailing statements run on the PISA pipeline."""
-    return _replace_returns(returnify(copy.deepcopy(stmts)), None)
+    return and let the trailing statements run.  ``stmts`` is left as it is
+    (``returnify`` builds every block anew)."""
+    return _replace_returns(returnify(stmts), None)
 
 
 # ---------------------------------------------------------------------------
@@ -204,85 +205,65 @@ def _rename_expr(expr: ast.Expr, renames: Dict[str, ast.Expr]) -> ast.Expr:
     return expr
 
 
-def _rename_stmts(
-    stmts: List[ast.Stmt], renames: Dict[str, ast.Expr], fresh: FreshNames
-) -> List[ast.Stmt]:
-    """Copy ``stmts`` substituting ``renames`` and freshening local declarations."""
-    renames = dict(renames)
-    out: List[ast.Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, ast.SLocal):
-            new_name = fresh.fresh(stmt.name)
-            init = _rename_expr(stmt.init, renames)
-            renames[stmt.name] = ast.EVar(span=stmt.span, name=new_name)
-            out.append(ast.SLocal(span=stmt.span, ty=stmt.ty, name=new_name, init=init))
-        elif isinstance(stmt, ast.SAssign):
+def _map_exprs(stmt: ast.Stmt, fn: Callable[[ast.Expr], ast.Expr]) -> None:
+    """Replace every immediate expression of ``stmt`` by ``fn`` of it."""
+    if isinstance(stmt, ast.SLocal):
+        stmt.init = fn(stmt.init)
+    elif isinstance(stmt, ast.SAssign):
+        stmt.value = fn(stmt.value)
+    elif isinstance(stmt, ast.SIf):
+        stmt.cond = fn(stmt.cond)
+    elif isinstance(stmt, ast.SMatch):
+        stmt.scrutinees = [fn(e) for e in stmt.scrutinees]
+    elif isinstance(stmt, ast.SReturn) and stmt.value is not None:
+        stmt.value = fn(stmt.value)
+    elif isinstance(stmt, ast.SGenerate):
+        stmt.event = fn(stmt.event)
+    elif isinstance(stmt, ast.SExpr):
+        stmt.expr = fn(stmt.expr)
+
+
+def _child_blocks(stmt: ast.Stmt) -> List[List[ast.Stmt]]:
+    """The statement lists nested directly in ``stmt``."""
+    if isinstance(stmt, ast.SIf):
+        return [stmt.then_body, stmt.else_body]
+    if isinstance(stmt, ast.SMatch):
+        return [body for _, body in stmt.branches]
+    return [stmt.body] if isinstance(stmt, ast.SSeq) else []
+
+
+def _rename_stmts(stmts: List[ast.Stmt], renames: Dict[str, ast.Expr], fresh: FreshNames) -> None:
+    """Substitute ``renames`` in ``stmts`` (in place, in textual order),
+    freshening local declarations.  ``renames`` is the callee's one flat
+    scope: it grows whatever block declares a name, and a name declared
+    twice (or a parameter declared again — :meth:`Inliner._inline_call` has
+    copied every parameter the callee writes) stays one local."""
+    for stmt in ast.walk_stmts(stmts):
+        _map_exprs(stmt, lambda expr: _rename_expr(expr, renames))
+        if isinstance(stmt, ast.SLocal) and stmt.name not in renames:
+            renames[stmt.name] = ast.EVar(span=stmt.span, name=fresh.fresh(stmt.name))
+        if isinstance(stmt, (ast.SLocal, ast.SAssign)):
             target = renames.get(stmt.name)
-            name = target.name if isinstance(target, ast.EVar) else stmt.name
-            out.append(ast.SAssign(span=stmt.span, name=name, value=_rename_expr(stmt.value, renames)))
-        elif isinstance(stmt, ast.SIf):
-            out.append(
-                ast.SIf(
-                    span=stmt.span,
-                    cond=_rename_expr(stmt.cond, renames),
-                    then_body=_rename_stmts(stmt.then_body, renames, fresh),
-                    else_body=_rename_stmts(stmt.else_body, renames, fresh),
-                )
-            )
-        elif isinstance(stmt, ast.SMatch):
-            out.append(
-                ast.SMatch(
-                    span=stmt.span,
-                    scrutinees=[_rename_expr(e, renames) for e in stmt.scrutinees],
-                    branches=[
-                        (list(pat), _rename_stmts(body, renames, fresh))
-                        for pat, body in stmt.branches
-                    ],
-                )
-            )
-        elif isinstance(stmt, ast.SReturn):
-            value = _rename_expr(stmt.value, renames) if stmt.value is not None else None
-            out.append(ast.SReturn(span=stmt.span, value=value))
-        elif isinstance(stmt, ast.SGenerate):
-            out.append(
-                ast.SGenerate(
-                    span=stmt.span, event=_rename_expr(stmt.event, renames), multicast=stmt.multicast
-                )
-            )
-        elif isinstance(stmt, ast.SExpr):
-            out.append(ast.SExpr(span=stmt.span, expr=_rename_expr(stmt.expr, renames)))
-        elif isinstance(stmt, ast.SSeq):
-            out.append(ast.SSeq(span=stmt.span, body=_rename_stmts(stmt.body, renames, fresh)))
-        else:
-            out.append(copy.deepcopy(stmt))
-    return out
+            stmt.name = target.name if isinstance(target, ast.EVar) else stmt.name
+
+
+def assigned_names(stmts: List[ast.Stmt]) -> Set[str]:
+    """Every name ``stmts`` declare or assign."""
+    return {s.name for s in ast.walk_stmts(stmts) if isinstance(s, (ast.SLocal, ast.SAssign))}
 
 
 def _replace_returns(stmts: List[ast.Stmt], result_var: Optional[str]) -> List[ast.Stmt]:
+    """``stmts`` (rewritten in place) with every ``return e;`` assigning
+    ``result_var`` — or dropped, when there is no value or no variable."""
     out: List[ast.Stmt] = []
     for stmt in stmts:
         if isinstance(stmt, ast.SReturn):
             if stmt.value is not None and result_var is not None:
                 out.append(ast.SAssign(span=stmt.span, name=result_var, value=stmt.value))
-        elif isinstance(stmt, ast.SIf):
-            out.append(
-                ast.SIf(
-                    span=stmt.span,
-                    cond=stmt.cond,
-                    then_body=_replace_returns(stmt.then_body, result_var),
-                    else_body=_replace_returns(stmt.else_body, result_var),
-                )
-            )
-        elif isinstance(stmt, ast.SMatch):
-            out.append(
-                ast.SMatch(
-                    span=stmt.span,
-                    scrutinees=stmt.scrutinees,
-                    branches=[(pat, _replace_returns(body, result_var)) for pat, body in stmt.branches],
-                )
-            )
-        else:
-            out.append(stmt)
+            continue
+        for block in _child_blocks(stmt):
+            block[:] = _replace_returns(block, result_var)
+        out.append(stmt)
     return out
 
 
@@ -298,9 +279,17 @@ class Inliner:
     max_depth: int = 64
 
     def inline_handler(self, handler: ast.DHandler) -> ast.DHandler:
+        self._check_names(assigned_names(handler.body) | {p.name for p in handler.params}, handler)
         body = copy.deepcopy(handler.body)
         body = self._inline_block(body, depth=0)
         return ast.DHandler(span=handler.span, name=handler.name, params=handler.params, body=body)
+
+    @staticmethod
+    def _check_names(names: Set[str], decl: ast.Decl) -> None:
+        """Refuse a user's name that could be one the midend mints."""
+        for name in names:
+            if re.match(r"_inl\d|_n\d|__", name):
+                raise TypeError_(f"'{name}' is a name of the compiler's own making", decl.span)
 
     # -- statements -------------------------------------------------------
     def _inline_block(self, stmts: List[ast.Stmt], depth: int) -> List[ast.Stmt]:
@@ -311,25 +300,12 @@ class Inliner:
 
     def _inline_stmt(self, stmt: ast.Stmt, depth: int) -> List[ast.Stmt]:
         prefix: List[ast.Stmt] = []
-        if isinstance(stmt, ast.SLocal):
-            stmt.init = self._inline_expr(stmt.init, prefix, depth)
-        elif isinstance(stmt, ast.SAssign):
-            stmt.value = self._inline_expr(stmt.value, prefix, depth)
-        elif isinstance(stmt, ast.SIf):
-            stmt.cond = self._inline_expr(stmt.cond, prefix, depth)
-            stmt.then_body = self._inline_block(stmt.then_body, depth)
-            stmt.else_body = self._inline_block(stmt.else_body, depth)
-        elif isinstance(stmt, ast.SMatch):
-            stmt.scrutinees = [self._inline_expr(e, prefix, depth) for e in stmt.scrutinees]
-            stmt.branches = [(pat, self._inline_block(body, depth)) for pat, body in stmt.branches]
-        elif isinstance(stmt, ast.SReturn) and stmt.value is not None:
-            stmt.value = self._inline_expr(stmt.value, prefix, depth)
-        elif isinstance(stmt, ast.SGenerate):
-            stmt.event = self._inline_expr(stmt.event, prefix, depth)
-        elif isinstance(stmt, ast.SExpr):
-            stmt.expr = self._inline_expr(stmt.expr, prefix, depth)
-        elif isinstance(stmt, ast.SSeq):
-            stmt.body = self._inline_block(stmt.body, depth)
+        if isinstance(stmt, ast.SMatch):
+            stmt.scrutinees = self._inline_siblings(stmt.scrutinees, prefix, depth)
+        else:
+            _map_exprs(stmt, lambda expr: self._inline_expr(expr, prefix, depth))
+        for block in _child_blocks(stmt):
+            block[:] = self._inline_block(block, depth)
         return prefix + [stmt]
 
     # -- expressions ------------------------------------------------------
@@ -338,58 +314,98 @@ class Inliner:
             raise TypeError_("function inlining exceeded the maximum depth", expr.span)
         if isinstance(expr, ast.EUnary):
             expr.operand = self._inline_expr(expr.operand, prefix, depth)
-            return expr
-        if isinstance(expr, ast.EBinary):
-            expr.left = self._inline_expr(expr.left, prefix, depth)
-            expr.right = self._inline_expr(expr.right, prefix, depth)
-            return expr
-        if isinstance(expr, ast.EGroup):
-            expr.members = [self._inline_expr(m, prefix, depth) for m in expr.members]
-            return expr
-        if isinstance(expr, ast.EEvent):
-            expr.args = [self._inline_expr(a, prefix, depth) for a in expr.args]
-            return expr
-        if isinstance(expr, ast.ECall):
-            expr.args = [self._inline_expr(a, prefix, depth) for a in expr.args]
-            if self.info.is_function(expr.func):
+        elif isinstance(expr, ast.EBinary) and expr.op in (ast.BinOp.AND, ast.BinOp.OR):
+            return self._inline_short_circuit(expr, prefix, depth)
+        elif isinstance(expr, ast.EBinary):
+            expr.left, expr.right = self._inline_siblings([expr.left, expr.right], prefix, depth)
+        elif isinstance(expr, ast.EGroup):
+            expr.members = self._inline_siblings(expr.members, prefix, depth)
+        elif isinstance(expr, (ast.EEvent, ast.ECall)):
+            expr.args = self._inline_siblings(expr.args, prefix, depth)
+            if isinstance(expr, ast.ECall) and self.info.is_function(expr.func):
                 return self._inline_call(expr, prefix, depth)
-            return expr
         return expr
+
+    def _inline_siblings(
+        self, exprs: List[ast.Expr], prefix: List[ast.Stmt], depth: int
+    ) -> List[ast.Expr]:
+        """Inline sibling expressions, which evaluate left to right.  A callee
+        body lands in ``prefix``, ahead of the whole statement; an earlier
+        sibling whose evaluation is observable (it draws from the PRNG or
+        calls an extern) is bound to a temp ahead of it, to keep its place."""
+        done: List[ast.Expr] = []
+        for expr in exprs:
+            mark = len(prefix)
+            expr = self._inline_expr(expr, prefix, depth)
+            if len(prefix) > mark:
+                for i, earlier in enumerate(done):
+                    if any(isinstance(sub, ast.ECall)
+                           and (sub.func == "Sys.random" or sub.func in self.info.externs)
+                           for sub in ast.walk_expr(earlier)):
+                        done[i] = self._bind(earlier, "arg", prefix, at=mark)
+                        mark += 1
+            done.append(expr)
+        return done
+
+    def _bind(self, value: ast.Expr, hint: str, prefix: List[ast.Stmt],
+              at: Optional[int] = None) -> ast.EVar:
+        """``prefix`` gains ``auto <fresh local> = value`` (at index ``at``)."""
+        name = self.fresh.fresh(hint)
+        auto = ast.TNamed(span=value.span, name="auto")
+        prefix.insert(len(prefix) if at is None else at,
+                      ast.SLocal(span=value.span, ty=auto, name=name, init=value))
+        return ast.EVar(span=value.span, name=name)
+
+    def _inline_short_circuit(
+        self, expr: ast.EBinary, prefix: List[ast.Stmt], depth: int
+    ) -> ast.Expr:
+        """``a && f(x)`` / ``a || f(x)``: the callee's body runs only when
+        ``a`` does not decide the result, as in the tree walker — ``t = 0; if
+        (a) { <body>; t = (f(x) != 0); }`` (``t = 1; if (!a)`` for ``||``)."""
+        expr.left = self._inline_expr(expr.left, prefix, depth)
+        guarded: List[ast.Stmt] = []
+        expr.right = self._inline_expr(expr.right, guarded, depth)
+        if not guarded:
+            return expr
+        decided = 0 if expr.op is ast.BinOp.AND else 1
+        result = self._bind(ast.EInt(span=expr.span, value=decided), "sc", prefix)
+        truth = ast.EBinary(span=expr.span, op=ast.BinOp.NEQ, left=expr.right,
+                            right=ast.EInt(span=expr.span, value=0))
+        guarded.append(ast.SAssign(span=expr.span, name=result.name, value=truth))
+        undecided = expr.left if decided == 0 else ast.EUnary(
+            span=expr.span, op=ast.UnOp.NOT, operand=expr.left)
+        prefix.append(ast.SIf(span=expr.span, cond=undecided, then_body=guarded, else_body=[]))
+        return result
 
     def _inline_call(self, call: ast.ECall, prefix: List[ast.Stmt], depth: int) -> ast.Expr:
         fun = self.info.functions[call.func]
+        written = assigned_names(fun.body)
+        self._check_names(written | {p.name for p in fun.params}, fun)
         renames: Dict[str, ast.Expr] = {}
         for param, arg in zip(fun.params, call.args):
-            if isinstance(param.ty, ast.TArray) or (
+            by_name = isinstance(param.ty, ast.TArray) or (
                 isinstance(arg, ast.EVar) and self.info.is_global(arg.name)
+            )
+            if by_name and param.name in written:
+                raise TypeError_(
+                    f"function '{fun.name}' assigns its array parameter '{param.name}'", call.span
+                )
+            if by_name or (
+                isinstance(arg, (ast.EInt, ast.EBool, ast.EVar)) and param.name not in written
             ):
-                # arrays (and direct global references) substitute syntactically
-                renames[param.name] = arg
-            elif isinstance(arg, (ast.EInt, ast.EBool, ast.EVar)):
+                # arrays (and direct global references) substitute syntactically;
+                # so does an atom nothing in the callee can overwrite
                 renames[param.name] = arg
             else:
-                tmp = self.fresh.fresh(param.name)
-                prefix.append(ast.SLocal(span=call.span, ty=param.ty, name=tmp, init=arg))
-                renames[param.name] = ast.EVar(span=call.span, name=tmp)
+                renames[param.name] = self._bind(arg, param.name, prefix)
 
-        body = _rename_stmts(copy.deepcopy(fun.body), renames, self.fresh)
-        body = returnify(body)
-        body = self._inline_block(body, depth + 1)
+        body = copy.deepcopy(fun.body)
+        _rename_stmts(body, renames, self.fresh)
+        body = self._inline_block(returnify(body), depth + 1)
 
         if isinstance(fun.ret, ast.TVoid):
             prefix.extend(_replace_returns(body, None))
             return ast.EInt(span=call.span, value=0)
-        result_var = self.fresh.fresh(f"{fun.name}_ret")
-        prefix.append(
-            ast.SLocal(
-                span=call.span, ty=fun.ret, name=result_var, init=ast.EInt(span=call.span, value=0)
-            )
-        )
-        prefix.extend(_replace_returns(body, result_var))
-        return ast.EVar(span=call.span, name=result_var)
-
-
-def inline_program_functions(info: ProgramInfo) -> Dict[str, ast.DHandler]:
-    """Return a mapping of handler name -> handler with all functions inlined."""
-    inliner = Inliner(info)
-    return {name: inliner.inline_handler(handler) for name, handler in info.handlers.items()}
+        result = self._bind(ast.EInt(span=call.span, value=0), f"{fun.name}_ret", prefix)
+        prefix.extend(_replace_returns(body, result.name))
+        return result

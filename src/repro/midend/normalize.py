@@ -12,24 +12,41 @@ to execute with at most one Tofino ALU".  This module performs that reduction:
   constant or another operand;
 * ``match`` statements are lowered to nested ``if`` chains;
 * ``generate`` statements are resolved to the event being generated, its
-  argument operands, and its delay / location operands (tracking event-typed
-  locals and the ``Event.delay`` / ``Event.locate`` combinators).
+  argument operands, and its delay / location operands (tracking event- and
+  group-typed locals and the ``Event.delay`` / ``Event.locate`` combinators).
 
-The result, a :class:`NormalizedHandler`, is the input of the backend's atomic
-table construction.
+The result, a :class:`NormalizedHandler`, is the one lowering input of every
+engine but the tree walker: the backend's atomic table construction (and so
+the ``pisa`` engine and the P4) and the ``codegen`` engine's printer.
+
+**Express or refuse.**  A handler is lowered to exactly what the tree walker
+(:mod:`repro.interp.interpreter`) computes, or :class:`TypeError_` is raised
+naming the construct; nothing is silently lowered to something else.  What is
+refused: an event- or group-typed local re-bound in a branch arm, or a local
+assigned while an event-typed local holds it (such values are tracked
+symbolically, in textual order, their operands read at the ``generate``); an
+event, group or array used where an integer operand is needed; a local that
+shadows a constant; a local read on a path that has not assigned it
+(uninitialised metadata reads as zero on hardware, as an error or a shadowed
+constant in the tree walker); an Array method on anything but a global; a
+group literal with a non-constant member.  One documented width: a sum of
+``Event.delay`` amounts with a non-constant part is a 32-bit ALU add.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
-from repro.midend.inline import eliminate_returns, inline_program_functions
+from repro.midend.inline import Inliner, assigned_names, eliminate_returns
+from repro.ops import CMP_OPS
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +127,17 @@ class NArrayOp(NStmt):
 
 @dataclass
 class NPrim(NStmt):
-    """A primitive action: drop(), forward(port), flood(), printf(...)."""
+    """A primitive action: drop(), forward(port), flood(), printf(...), a
+    ``Sys.*`` read, or ``extern:<name>`` — a call of an extern function, whose
+    result (0 while the extern is unbound) goes to ``dst``."""
 
     prim: str = "drop"
     args: List[Operand] = field(default_factory=list)
+    dst: Optional[str] = None
+
+
+#: a multicast group: the name of a ``const group``, or a literal's members
+Group = Union[str, Tuple[int, ...]]
 
 
 @dataclass
@@ -125,7 +149,7 @@ class NGenerate(NStmt):
     args: List[Operand] = field(default_factory=list)
     delay: Operand = Const(0)
     location: Operand = Const(-1)  # -1 == SELF / local
-    group: Optional[str] = None  # named group for multicast
+    group: Optional[Group] = None  # set by a locate on a group: a multicast
     multicast: bool = False
 
 
@@ -161,6 +185,30 @@ class NIf(NStmt):
     else_body: List[NStmt] = field(default_factory=list)
 
 
+def stmt_reads(stmt: NStmt) -> List[str]:
+    """The locals ``stmt`` itself reads (of an ``NIf``: its condition's)."""
+    if isinstance(stmt, NIf):
+        return operand_vars(stmt.cond.lhs, stmt.cond.rhs)
+    if isinstance(stmt, NOp):
+        return operand_vars(stmt.lhs, stmt.rhs)
+    if isinstance(stmt, NCopy):
+        return operand_vars(stmt.src)
+    if isinstance(stmt, NArrayOp):
+        return operand_vars(stmt.index, *stmt.args)
+    if isinstance(stmt, NGenerate):
+        return operand_vars(stmt.delay, stmt.location, *stmt.args)
+    return operand_vars(*stmt.args)  # NHash, NPrim
+
+
+def stmt_writes(stmt: NStmt) -> Set[str]:
+    """The locals ``stmt`` itself writes.  A ``Sys.*`` primitive publishes its
+    result through a well-known metadata field, which the copy after it reads."""
+    names = {stmt.dst} if getattr(stmt, "dst", None) else set()
+    if isinstance(stmt, NPrim) and stmt.prim in ("Sys.time", "Sys.self", "Sys.random"):
+        names.add(f"__{stmt.prim.replace('.', '_')}")
+    return names
+
+
 @dataclass
 class NormalizedHandler:
     """A handler reduced to atomic statements."""
@@ -168,21 +216,10 @@ class NormalizedHandler:
     name: str
     params: List[str]
     body: List[NStmt]
-    event_params: List[str] = field(default_factory=list)
 
     def flat_statements(self) -> List[NStmt]:
         """All statements in the body, flattening branches (pre-order)."""
-        out: List[NStmt] = []
-
-        def visit(stmts: List[NStmt]) -> None:
-            for stmt in stmts:
-                out.append(stmt)
-                if isinstance(stmt, NIf):
-                    visit(stmt.then_body)
-                    visit(stmt.else_body)
-
-        visit(self.body)
-        return out
+        return _flatten(self.body)
 
     def array_ops(self) -> List[NArrayOp]:
         return [s for s in self.flat_statements() if isinstance(s, NArrayOp)]
@@ -192,30 +229,30 @@ class NormalizedHandler:
 
 
 # ---------------------------------------------------------------------------
-# event value tracking (for generate resolution)
-# ---------------------------------------------------------------------------
-@dataclass
-class EventValue:
-    """A symbolic event value flowing through normalisation."""
-
-    event: str
-    args: List[Operand]
-    delay: Operand = Const(0)
-    location: Operand = Const(-1)
-    group: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
 # the normaliser
 # ---------------------------------------------------------------------------
 class Normalizer:
     """Normalises one handler body; see :func:`normalize_handler`."""
 
-    def __init__(self, info: ProgramInfo, handler_name: str):
+    def __init__(self, info: ProgramInfo, handler: ast.DHandler):
         self.info = info
-        self.handler = handler_name
         self.counter = itertools.count()
-        self.event_values: Dict[str, EventValue] = {}
+        #: how often the handler's text reads each name (our own temporaries:
+        #: never); a binding may absorb the definition of what only it reads
+        self.reads = collections.Counter(
+            sub.name
+            for stmt in ast.walk_stmts(handler.body)
+            for expr in ast.stmt_exprs(stmt)
+            for sub in ast.walk_expr(expr)
+            if isinstance(sub, ast.EVar)
+        )
+        #: event- and group-typed locals are not materialised: a name maps to
+        #: the value it holds (an event: the ``generate`` it would become)
+        #: *in textual order*, which is execution order only while no branch
+        #: arm re-binds a name bound outside it
+        self.symbolic: Dict[str, Union[NGenerate, Group]] = {}
+        #: the names an enclosing arm found bound on entry
+        self.frozen: FrozenSet[str] = frozenset()
 
     def fresh(self, hint: str = "t") -> str:
         return f"_n{next(self.counter)}_{hint}"
@@ -226,12 +263,12 @@ class Normalizer:
             return expr.value
         if isinstance(expr, ast.EBool):
             return 1 if expr.value else 0
-        if isinstance(expr, ast.EVar):
-            value = self.info.consts.lookup(expr.name)
-            if value is not None and expr.name not in self.info.globals:
-                return value
-            if expr.name == "SELF":
-                return None
+        if (
+            isinstance(expr, ast.EVar)
+            and expr.name not in self.info.globals
+            and expr.name not in self.info.consts.groups  # whose stand-in is member 0
+        ):
+            return self.info.consts.lookup(expr.name)
         return None
 
     def to_operand(self, expr: ast.Expr, out: List[NStmt]) -> Operand:
@@ -240,18 +277,25 @@ class Normalizer:
         if const is not None:
             return Const(const)
         if isinstance(expr, ast.EVar):
+            if (
+                expr.name in self.symbolic
+                or expr.name in self.info.consts.groups
+                or self.info.is_global(expr.name)
+            ):
+                raise TypeError_(
+                    f"'{expr.name}' is an event, group or array: it has no integer operand form",
+                    expr.span,
+                )
             return Var(expr.name)
         if isinstance(expr, ast.EUnary):
             inner = self.to_operand(expr.operand, out)
+            op, lhs, rhs = {
+                ast.UnOp.NEG: (ast.BinOp.SUB, Const(0), inner),
+                ast.UnOp.BITNOT: (ast.BinOp.BITXOR, inner, Const(0xFFFFFFFF)),
+                ast.UnOp.NOT: (ast.BinOp.EQ, inner, Const(0)),
+            }[expr.op]
             dst = self.fresh("un")
-            if expr.op is ast.UnOp.NEG:
-                out.append(NOp(span=expr.span, dst=dst, op=ast.BinOp.SUB, lhs=Const(0), rhs=inner))
-            elif expr.op is ast.UnOp.BITNOT:
-                out.append(
-                    NOp(span=expr.span, dst=dst, op=ast.BinOp.BITXOR, lhs=inner, rhs=Const(0xFFFFFFFF))
-                )
-            else:  # NOT
-                out.append(NOp(span=expr.span, dst=dst, op=ast.BinOp.EQ, lhs=inner, rhs=Const(0)))
+            out.append(NOp(span=expr.span, dst=dst, op=op, lhs=lhs, rhs=rhs))
             return Var(dst)
         if isinstance(expr, ast.EBinary):
             if expr.op in (ast.BinOp.AND, ast.BinOp.OR) and self._has_side_effects(expr.right):
@@ -261,14 +305,11 @@ class Normalizer:
             dst = self.fresh("op")
             out.append(NOp(span=expr.span, dst=dst, op=expr.op, lhs=lhs, rhs=rhs))
             return Var(dst)
-        if isinstance(expr, ast.ECall):
+        if isinstance(expr, ast.ECall) and expr.func not in EVENT_COMBINATORS:
             return self._call_to_operand(expr, out)
-        if isinstance(expr, ast.EEvent):
-            # a bare event value used as an operand: materialise and remember it
-            name = self.fresh("ev")
-            self.event_values[name] = self._event_value(expr, out)
-            return Var(name)
-        raise TypeError_("expression cannot be normalised to an operand", getattr(expr, "span", None))
+        raise TypeError_(
+            "an event or group value has no integer operand form", getattr(expr, "span", None)
+        )
 
     def _has_side_effects(self, expr: ast.Expr) -> bool:
         """True when evaluating ``expr`` mutates observable state: register
@@ -296,32 +337,23 @@ class Normalizer:
         branch: List[NStmt] = []
         rhs = self.to_operand(expr.right, branch)
         branch.append(NOp(span=expr.span, dst=dst, op=ast.BinOp.NEQ, lhs=rhs, rhs=Const(0)))
-        if expr.op is ast.BinOp.AND:
-            # dst = 0; if (lhs != 0) { dst = (rhs != 0); }
-            out.append(NCopy(span=expr.span, dst=dst, src=Const(0)))
-            cond = NCond(lhs, ast.BinOp.NEQ, Const(0))
-        else:
-            # dst = 1; if (lhs == 0) { dst = (rhs != 0); }
-            out.append(NCopy(span=expr.span, dst=dst, src=Const(1)))
-            cond = NCond(lhs, ast.BinOp.EQ, Const(0))
+        # dst = 0; if (lhs != 0) { dst = (rhs != 0); }  — for ||: dst = 1; if (lhs == 0)
+        decided = 0 if expr.op is ast.BinOp.AND else 1
+        out.append(NCopy(span=expr.span, dst=dst, src=Const(decided)))
+        cond = NCond(lhs, ast.BinOp.EQ if decided else ast.BinOp.NEQ, Const(0))
         out.append(NIf(span=expr.span, cond=cond, then_body=branch, else_body=[]))
         return Var(dst)
 
     def _call_to_operand(self, expr: ast.ECall, out: List[NStmt]) -> Operand:
         func = expr.func
         if func in ARRAY_METHODS:
-            stmt = self._array_call(expr, out, want_result=True)
-            return Var(stmt.dst) if stmt.dst else Const(0)
+            return Var(self._array_call(expr, out, want_result=True).dst)
         if func == "hash":
             args = [self.to_operand(a, out) for a in expr.args]
             dst = self.fresh("hash")
             width = expr.size_args[0] if expr.size_args else 32
             out.append(NHash(span=expr.span, dst=dst, width=width, args=args))
             return Var(dst)
-        if func in EVENT_COMBINATORS:
-            name = self.fresh("ev")
-            self.event_values[name] = self._combinator_value(expr, out)
-            return Var(name)
         if func in ("Sys.time", "Sys.self", "Sys.random"):
             # Sys.random's optional bound argument must ride along: dropping
             # it would make the pipeline draw unbounded values while the
@@ -334,8 +366,7 @@ class Normalizer:
         if func in self.info.externs:
             args = [self.to_operand(a, out) for a in expr.args]
             dst = self.fresh(func)
-            out.append(NPrim(span=expr.span, prim=f"extern:{func}", args=args))
-            out.append(NCopy(span=expr.span, dst=dst, src=Const(0)))
+            out.append(NPrim(span=expr.span, prim=f"extern:{func}", args=args, dst=dst))
             return Var(dst)
         raise TypeError_(f"call to '{func}' should have been inlined or is unsupported", expr.span)
 
@@ -371,47 +402,57 @@ class Normalizer:
         return stmt
 
     # -- event values ------------------------------------------------------
-    def _event_value(self, expr: ast.EEvent, out: List[NStmt]) -> EventValue:
+    def _event_value(self, expr: ast.EEvent, out: List[NStmt]) -> NGenerate:
         args = [self.to_operand(a, out) for a in expr.args]
-        return EventValue(event=expr.name, args=args)
+        return NGenerate(event=expr.name, args=args)
 
-    def _combinator_value(self, expr: ast.ECall, out: List[NStmt]) -> EventValue:
+    def _combinator_value(self, expr: ast.ECall, out: List[NStmt]) -> NGenerate:
         base = self._resolve_event_expr(expr.args[0], out)
-        value = EventValue(
-            event=base.event,
-            args=list(base.args),
-            delay=base.delay,
-            location=base.location,
-            group=base.group,
-        )
+        value = dataclasses.replace(base)
         if expr.func == "Event.delay":
-            value.delay = self.to_operand(expr.args[1], out)
-        else:  # Event.locate / Event.sslocate
-            loc = expr.args[1]
-            if isinstance(loc, ast.EVar) and loc.name in self.info.consts.groups:
-                value.group = loc.name
-            elif isinstance(loc, ast.EGroup):
-                group_name = self.fresh("grp")
-                members = []
-                for member in loc.members:
-                    const = self._const_of(member)
-                    if const is None:
-                        raise TypeError_("group literals must contain constants", member.span)
-                    members.append(const)
-                self.info.consts.groups[group_name] = members
-                value.group = group_name
+            # delays add up (EventInstance.delay); constants fold exactly
+            extra = self.to_operand(expr.args[1], out)
+            if isinstance(base.delay, Const) and isinstance(extra, Const):
+                value.delay = Const(base.delay.value + extra.value)
+            elif base.delay == Const(0):
+                value.delay = extra
+            elif extra != Const(0):
+                value.delay = Var(self.fresh("delay"))
+                out.append(NOp(span=expr.span, dst=value.delay.name, op=ast.BinOp.ADD,
+                               lhs=base.delay, rhs=extra))
+        else:  # Event.locate / Event.sslocate: a group sets the group, an int the place
+            group = self._group_of(expr.args[1])
+            if group is not None:
+                value.group = group
             else:
-                value.location = self.to_operand(loc, out)
+                value.location = self.to_operand(expr.args[1], out)
         return value
 
-    def _resolve_event_expr(self, expr: ast.Expr, out: List[NStmt]) -> EventValue:
+    def _group_of(self, expr: ast.Expr) -> Optional[Group]:
+        """The group ``expr`` denotes — a literal's members, a group constant
+        by name (its members are bound per switch), what a group-typed local
+        holds — or None when it denotes no group."""
+        if isinstance(expr, ast.EGroup):
+            members = tuple(self._const_of(member) for member in expr.members)
+            if None in members:
+                raise TypeError_("group literals must contain constants", expr.span)
+            return members
+        if isinstance(expr, ast.EVar):
+            held = self.symbolic.get(expr.name)
+            if isinstance(held, (str, tuple)):
+                return held
+            if expr.name in self.info.consts.groups:
+                return expr.name
+        return None
+
+    def _resolve_event_expr(self, expr: ast.Expr, out: List[NStmt]) -> NGenerate:
         if isinstance(expr, ast.EEvent):
             return self._event_value(expr, out)
         if isinstance(expr, ast.ECall) and expr.func in EVENT_COMBINATORS:
             return self._combinator_value(expr, out)
         if isinstance(expr, ast.EVar):
-            if expr.name in self.event_values:
-                return self.event_values[expr.name]
+            if isinstance(self.symbolic.get(expr.name), NGenerate):
+                return self.symbolic[expr.name]
             raise TypeError_(
                 f"'{expr.name}' does not name an event value created in this handler",
                 expr.span,
@@ -420,14 +461,7 @@ class Normalizer:
 
     # -- conditions --------------------------------------------------------
     def _cond_of(self, expr: ast.Expr, out: List[NStmt]) -> NCond:
-        if isinstance(expr, ast.EBinary) and expr.op in (
-            ast.BinOp.EQ,
-            ast.BinOp.NEQ,
-            ast.BinOp.LT,
-            ast.BinOp.GT,
-            ast.BinOp.LE,
-            ast.BinOp.GE,
-        ):
+        if isinstance(expr, ast.EBinary) and expr.op in CMP_OPS:
             lhs = self.to_operand(expr.left, out)
             rhs = self.to_operand(expr.right, out)
             return NCond(lhs, expr.op, rhs)
@@ -445,6 +479,16 @@ class Normalizer:
             self._normalize_stmt(stmt, out)
         return out
 
+    def _arm(self, stmts: List[ast.Stmt]) -> List[NStmt]:
+        """One branch arm: what it binds symbolically ends with it, and it may
+        not re-bind what was bound on entry (see :attr:`symbolic`)."""
+        saved = self.symbolic, self.frozen
+        self.symbolic, self.frozen = dict(self.symbolic), frozenset(self.symbolic)
+        try:
+            return self.normalize_block(stmts)
+        finally:
+            self.symbolic, self.frozen = saved
+
     def _normalize_stmt(self, stmt: ast.Stmt, out: List[NStmt]) -> None:
         if isinstance(stmt, ast.SNoop):
             return
@@ -456,30 +500,17 @@ class Normalizer:
             return
         if isinstance(stmt, ast.SIf):
             cond = self._cond_of(stmt.cond, out)
-            then_body = self.normalize_block(stmt.then_body)
-            else_body = self.normalize_block(stmt.else_body)
+            then_body = self._arm(stmt.then_body)
+            else_body = self._arm(stmt.else_body)
             out.append(NIf(span=stmt.span, cond=cond, then_body=then_body, else_body=else_body))
             return
         if isinstance(stmt, ast.SMatch):
             out.extend(self._normalize_match(stmt))
             return
-        if isinstance(stmt, ast.SReturn):
-            if stmt.value is not None:
-                self.to_operand(stmt.value, out)
-            return
         if isinstance(stmt, ast.SGenerate):
             value = self._resolve_event_expr(stmt.event, out)
-            out.append(
-                NGenerate(
-                    span=stmt.span,
-                    event=value.event,
-                    args=list(value.args),
-                    delay=value.delay,
-                    location=value.location,
-                    group=value.group,
-                    multicast=stmt.multicast or value.group is not None,
-                )
-            )
+            multicast = stmt.multicast or value.group is not None
+            out.append(dataclasses.replace(value, span=stmt.span, multicast=multicast))
             return
         if isinstance(stmt, ast.SExpr):
             self._normalize_effect_expr(stmt.expr, out)
@@ -490,23 +521,33 @@ class Normalizer:
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _normalize_binding(self, name: str, init: ast.Expr, span, out: List[NStmt]) -> None:
-        # event-typed bindings are tracked symbolically, not materialised
-        if isinstance(init, ast.EEvent):
-            self.event_values[name] = self._event_value(init, out)
+        # event- and group-typed bindings are tracked symbolically, not materialised
+        held: Union[NGenerate, Group, None] = self._group_of(init)
+        if isinstance(init, ast.EEvent) or (
+            isinstance(init, ast.ECall) and init.func in EVENT_COMBINATORS
+        ) or (isinstance(init, ast.EVar) and isinstance(self.symbolic.get(init.name), NGenerate)):
+            held = self._resolve_event_expr(init, out)
+        if name in self.frozen and (held is not None or name in self.symbolic):
+            raise TypeError_(
+                f"event- or group-typed local '{name}' is re-bound in a branch arm: "
+                "its value would depend on the path taken",
+                span,
+            )
+        self.symbolic.pop(name, None)
+        if held is not None:
+            self.symbolic[name] = held
             return
-        if isinstance(init, ast.ECall) and init.func in EVENT_COMBINATORS:
-            self.event_values[name] = self._combinator_value(init, out)
-            return
-        if isinstance(init, ast.EVar) and init.name in self.event_values:
-            self.event_values[name] = self.event_values[init.name]
-            return
+        if any(isinstance(v, NGenerate) and name in stmt_reads(v) for v in self.symbolic.values()):
+            raise TypeError_(f"'{name}' is assigned while an event-typed local holds it", span)
         operand = self.to_operand(init, out)
-        # collapse `x = tmp` where tmp was just computed, by renaming in place
+        # collapse `x = tmp` where tmp was just computed and nothing else
+        # reads it, by renaming in place
         if (
             isinstance(operand, Var)
+            and self.reads[operand.name] <= 1
             and out
-            and isinstance(out[-1], (NOp, NHash, NCopy, NArrayOp))
-            and getattr(out[-1], "dst", None) == operand.name
+            and isinstance(out[-1], (NOp, NHash, NCopy, NArrayOp, NPrim))
+            and out[-1].dst == operand.name
         ):
             out[-1].dst = name
         else:
@@ -519,16 +560,8 @@ class Normalizer:
                 self._array_call(expr, out, want_result=False)
                 return
             if func in ("drop", "forward", "flood", "printf"):
-                args = [
-                    self.to_operand(a, out)
-                    for a in expr.args
-                    if not isinstance(a, ast.EVar) or a.name not in self.event_values
-                ]
-                out.append(NPrim(span=expr.span, prim=func, args=args))
-                return
-            if func in self.info.externs:
                 args = [self.to_operand(a, out) for a in expr.args]
-                out.append(NPrim(span=expr.span, prim=f"extern:{func}", args=args))
+                out.append(NPrim(span=expr.span, prim=func, args=args))
                 return
         # any other expression: evaluate for its (non-)effect
         self.to_operand(expr, out)
@@ -551,7 +584,7 @@ class Normalizer:
                 for scrutinee, value in zip(scrutinees, pattern)
                 if value is not None
             ]
-            body_norm = self.normalize_block(body)
+            body_norm = self._arm(body)
             if not conds:
                 chain = body_norm
                 continue
@@ -570,21 +603,91 @@ class Normalizer:
         return out
 
 
+    # -- passes over the normalised body -----------------------------------
+    def snapshot_conditions(self, stmts: List[NStmt]) -> List[NStmt]:
+        """Branch elimination (:mod:`repro.backend.branch_elim`) re-tests an
+        ``if``'s condition at every table of both arms, and the arms' tables
+        run in one pass: where an arm overwrites a condition operand and any
+        table of the ``if`` can run after that write, test a snapshot taken
+        ahead of the ``if`` instead."""
+        out: List[NStmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, NIf):
+                stmt.then_body = self.snapshot_conditions(stmt.then_body)
+                stmt.else_body = self.snapshot_conditions(stmt.else_body)
+                arms = [
+                    [s for s in _flatten(arm) if not isinstance(s, NIf)]
+                    for arm in (stmt.then_body, stmt.else_body)
+                ]
+                for side in ("lhs", "rhs"):
+                    operand = getattr(stmt.cond, side)
+                    if isinstance(operand, Var) and any(
+                        operand.name in stmt_writes(s) and (i + 1 < len(arm) or other)
+                        for arm, other in (arms, arms[::-1])
+                        for i, s in enumerate(arm)
+                    ):
+                        held = Var(self.fresh(operand.name))
+                        out.append(NCopy(span=stmt.span, dst=held.name, src=operand))
+                        stmt.cond = dataclasses.replace(stmt.cond, **{side: held})
+            out.append(stmt)
+        return out
+
+
+def _flatten(stmts: List[NStmt]) -> List[NStmt]:
+    """Every statement under ``stmts``, branches included, pre-order."""
+    out: List[NStmt] = []
+    for stmt in stmts:
+        out.append(stmt)
+        if isinstance(stmt, NIf):
+            out += _flatten(stmt.then_body) + _flatten(stmt.else_body)
+    return out
+
+
+def _check_assigned(stmts: List[NStmt], assigned: Set[str], written: Set[str]) -> Set[str]:
+    """Definite assignment: refuse a body in which a local some statement
+    writes can be read on a path that has not written it.  Returns what is
+    assigned on every path through ``stmts``."""
+    for stmt in stmts:
+        for name in stmt_reads(stmt):
+            if name in written and name not in assigned:
+                raise TypeError_(
+                    f"local '{name}' can be read on a path that has not assigned it", stmt.span
+                )
+        if isinstance(stmt, NIf):
+            assigned = _check_assigned(stmt.then_body, set(assigned), written) & _check_assigned(
+                stmt.else_body, set(assigned), written
+            )
+        else:
+            assigned |= stmt_writes(stmt)
+    return assigned
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 def normalize_handler(info: ProgramInfo, handler: ast.DHandler) -> NormalizedHandler:
-    """Normalise one (already inlined) handler."""
-    normalizer = Normalizer(info, handler.name)
+    """Normalise one (already inlined) handler, or refuse it (see the module
+    docstring) with a :class:`TypeError_`."""
+    params = [p.name for p in handler.params]
+    for name in sorted({*params, *assigned_names(handler.body)}):
+        # the handler's scope is flat, and an inlined callee reads the constant
+        if name == "SELF" or name in info.consts or info.is_global(name):
+            raise TypeError_(f"local '{name}' shadows a constant or a global", handler.span)
+    normalizer = Normalizer(info, handler)
     # handlers may exit early with a bare `return;` — restructure so the
     # statements it skips are actually skipped (a pipeline has no "return",
     # only branches), instead of silently dropping the return
     body = normalizer.normalize_block(eliminate_returns(handler.body))
-    params = [p.name for p in handler.params]
-    return NormalizedHandler(name=handler.name, params=params, body=body, event_params=params)
+    body = normalizer.snapshot_conditions(body)
+    written = set().union(*(stmt_writes(stmt) for stmt in _flatten(body)))
+    _check_assigned(body, set(params), written)
+    return NormalizedHandler(name=handler.name, params=params, body=body)
 
 
 def normalize_program(info: ProgramInfo) -> Dict[str, NormalizedHandler]:
     """Inline functions and normalise every handler of a checked program."""
-    inlined = inline_program_functions(info)
-    return {name: normalize_handler(info, handler) for name, handler in inlined.items()}
+    inliner = Inliner(info)
+    return {
+        name: normalize_handler(info, inliner.inline_handler(handler))
+        for name, handler in info.handlers.items()
+    }

@@ -22,10 +22,15 @@ arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table —
 so every switch running one compiled program shares the code objects.  The
 plan is a module in the generated-module format of :mod:`repro.interp.emit`
 (``_bind(_P, _rt)``, one ``_h_<event>`` per handler), which the codegen
-engine writes too; :class:`_PlanEmitter` is that format's visitor over the
-layout.  A stateful table is part of its stage like any other: the format's
-one straight-line read-modify-write on the array's cell list, its memops
-rendered in place, exactly one per table, like the hardware stateful ALU.
+engine writes too — from the same normalised statements, through the same
+statement printers (``ModuleEmitter._statement``: operands, ALU and hash
+templates, the read-modify-write, the pre-shaped ``_EV(...)``).
+:class:`_PlanEmitter` adds only what is the plan's own: stages, path
+conditions, uid tags for effects that data-flow reordering may have moved,
+and the ``_st`` / ``_tb`` / stage-profiler accounting.  A stateful table is
+part of its stage like any other: the format's one straight-line
+read-modify-write on the array's cell list, its memops rendered in place,
+exactly one per table, like the hardware stateful ALU.
 
 Running the same program through this pipeline executor and through the
 AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
@@ -50,25 +55,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.backend.compiler import CompiledProgram
 from repro.backend.layout import PipelineLayout
 from repro.backend.tables import AtomicTable
-from repro.errors import SimulationError
 from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
-from repro.interp.emit import Line, ModuleEmitter, render
-from repro.interp.events import LOCAL, EventInstance
-from repro.interp.interpreter import ExecutionResult, SwitchRuntime, memop_shape
-from repro.midend.normalize import (
-    Const,
-    NArrayOp,
-    NCond,
-    NCopy,
-    NGenerate,
-    NHash,
-    NOp,
-    NPrim,
-    Operand,
-)
+from repro.interp.emit import Line, ModuleEmitter, effect_of, render
+from repro.interp.events import EventInstance
+from repro.interp.interpreter import ExecutionResult, SwitchRuntime
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import CMP_OPS, binop_template, hash_template
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_PLAN_CACHE_HITS = _REGISTRY.counter(
@@ -156,7 +148,8 @@ _HEADER = """\
 
 
 class _PlanEmitter(ModuleEmitter):
-    """Walks the layout once and writes one function per handler."""
+    """Walks the layout once and writes one function per handler: the
+    shared statement text, placed in stages under its path conditions."""
 
     def __init__(self, compiled: CompiledProgram):
         super().__init__(compiled.checked.info)
@@ -170,8 +163,6 @@ class _PlanEmitter(ModuleEmitter):
                     by_handler.setdefault(table.handler, []).append(table)
             for handler, tables in by_handler.items():
                 self.staged.setdefault(handler, []).append((stage_index, tables))
-        # per-handler state (reset by _handler)
-        self.locals: Dict[str, str] = {}
 
     # -- program assembly ---------------------------------------------------
     def lower(self) -> StagePlan:
@@ -198,15 +189,15 @@ class _PlanEmitter(ModuleEmitter):
         # a metadata field is a local iff some table may write it (handler
         # parameters arrive written); every other name reads as its default
         names = sorted(set(params) | written)
-        self.locals = {name: f"m_{name}" for name in names}
+        self._use_locals(names)
 
-        effects = {_effect(table.stmt) for table in tables}
+        effects = {effect_of(table.stmt) for table in tables}
         # generated events and printed lines are observable in program order
         # (table uid order); data-flow reordering may place them otherwise, in
         # which case they are tagged with their table uid and re-sorted
         tag = {}
         for kind in ("gen", "prints"):
-            uids = [t.uid for t in tables if _effect(t.stmt) == kind]
+            uids = [t.uid for t in tables if effect_of(t.stmt) == kind]
             tag[kind] = uids != sorted(uids)
 
         self.lines = self._handler_head(
@@ -259,122 +250,11 @@ class _PlanEmitter(ModuleEmitter):
         self._line("if _sp is not None:", deeper)
         self._line(f"_sp.record({stage_index}, {count}, _pc() - _t0)", deeper + 1)
 
-    # -- operands and conditions -------------------------------------------
-    def _default(self, name: str) -> str:
-        """What a metadata field no table has written reads as."""
-        if name == "SELF" or name == "__Sys_self":
-            return self._bind("self")
-        if name == "__Sys_time":
-            # the ingress timestamp metadata field, truncated like Sys.time()
-            return "(_rt.time_ns & 4294967295)"
-        const = self.info.consts.lookup(name)
-        if const is not None:
-            return repr(int(const))
-        # uninitialised metadata reads as zero, as it does in hardware
-        return "0"
-
-    def _atom(self, operand: Operand) -> str:
-        if isinstance(operand, Const):
-            return repr(int(operand.value))
-        return self.locals.get(operand.name) or self._default(operand.name)
-
-    def _test(self, cond: NCond) -> str:
-        left, right = self._atom(cond.lhs), self._atom(cond.rhs)
-        py = CMP_OPS.get(cond.op)
-        if py is not None:
-            return f"{left} {py} {right}"
-        return binop_template(cond.op, left, right)
-
-    # -- one table's action ---------------------------------------------------
     def _table(self, table: AtomicTable, tag: Dict[str, bool]) -> None:
-        stmt = table.stmt
-        atom = self._atom
-        if isinstance(stmt, NOp):
-            value = binop_template(stmt.op, atom(stmt.lhs), atom(stmt.rhs))
-            self._line(f"{self.locals[stmt.dst]} = {value}")
-        elif isinstance(stmt, NCopy):
-            self._line(f"{self.locals[stmt.dst]} = {atom(stmt.src)}")
-        elif isinstance(stmt, NHash):
-            self.hash_arities.add(len(stmt.args) + 1)
-            value = hash_template(stmt.width, [atom(a) for a in stmt.args])
-            self._line(f"{self.locals[stmt.dst]} = {value}")
-        elif isinstance(stmt, NArrayOp):
-            # metadata operands cannot raise: what is used once stays inline,
-            # and the destination (which may also be an argument) is assigned
-            # only after the store
-            value = self._array_rmw(
-                self._named, stmt.method, stmt.array, atom(stmt.index),
-                [memop_shape(self.info, memop) for memop in stmt.memops],
-                [atom(a) for a in stmt.args])
-            if stmt.dst:
-                self._line(f"{self.locals[stmt.dst]} = {value}")
-        elif isinstance(stmt, NGenerate):
-            self._tagged("_gen", self._generated(stmt), table.uid if tag["gen"] else None)
-        elif isinstance(stmt, NPrim):
-            self._prim(stmt, table.uid if tag["prints"] else None)
-        else:
-            raise SimulationError(f"cannot lower table {table.name}")  # pragma: no cover
-
-    def _named(self, name: str, expr: str, uses: int) -> str:
-        if uses == 1:
-            return expr
-        self._line(f"{name} = {expr}")
-        return name
-
-    def _tagged(self, var: str, item: str, uid: Optional[int]) -> None:
-        self._line(f"{var}.append({item if uid is None else f'({uid}, {item})'})")
-
-    def _generated(self, stmt: NGenerate) -> str:
-        args = [self._atom(a) for a in stmt.args]
-        delay = self._atom(stmt.delay)
-        if stmt.group is not None:
-            members = self.info.consts.groups.get(stmt.group, [])
-            return self._event(stmt.event, args, delay,
-                               group=repr(tuple(int(member) for member in members)))
-        where = self._atom(stmt.location)
-        if where != repr(LOCAL):
-            # an event located at this very switch is a local one
-            where = f"({LOCAL} if {where} == {self._bind('self')} else {where})"
-        return self._event(stmt.event, args, delay, where)
-
-    def _prim(self, stmt: NPrim, print_uid: Optional[int]) -> None:
-        prim = stmt.prim
-        args = [self._atom(a) for a in stmt.args]
-        if prim == "drop":
-            self._line("_drop = True")
-        elif prim == "forward":
-            self._line(f"_fwd = {args[0]}" if args else "pass")
-        elif prim == "flood":
-            self._line("_flood = True")
-        elif prim == "printf":
-            self._tagged("_prints", self._printf(args), print_uid)
-        elif prim == "Sys.time":
-            self._line(f"{self.locals['__Sys_time']} = _rt.time_ns & 4294967295")
-        elif prim == "Sys.self":
-            self._line(f"{self.locals['__Sys_self']} = {self._bind('self')}")
-        elif prim == "Sys.random":
-            # advances the shared xorshift state exactly once, like the
-            # interpreter does at the corresponding call site; the optional
-            # bound operand reduces the draw exactly as Sys.random(bound) does
-            self._line(f"{self.locals['__Sys_random']} = _rt.random({', '.join(args[:1])})")
-        elif prim.startswith("extern:"):
-            # looked up per call: bind_extern may come after the first event
-            self._line(f"_fn = {self._bind('externs')}.get({prim.split(':', 1)[1]!r})")
-            self._line("if _fn is not None:")
-            self._line(f"_fn({', '.join(args)})", 1)
-        else:
-            # unknown primitives are inert metadata, as unprogrammed actions are
-            self._line("pass")
-
-
-def _effect(stmt) -> Optional[str]:
-    """Which field of the pass result ``stmt`` contributes to, if any."""
-    if isinstance(stmt, NGenerate):
-        return "gen"
-    if isinstance(stmt, NPrim):
-        return {"printf": "prints", "drop": "drop", "flood": "flood",
-                "forward": "fwd"}.get(stmt.prim)
-    return None
+        """One table's action: its statement, tagged with the table's uid
+        where data-flow reordering may have moved it (see :meth:`_handler`)."""
+        self._statement(table.stmt, table.uid if tag["gen"] else None,
+                        table.uid if tag["prints"] else None)
 
 
 # ---------------------------------------------------------------------------

@@ -270,20 +270,13 @@ def test_apps_emit_one_preshaped_event_per_static_generate(key):
     info = checked.info
     assert not any(isinstance(n, ast.SGenerate)
                    for fun in info.functions.values() for n in _walk(fun.body))
-
-    def is_ctor(expr):
-        return isinstance(expr, ast.EEvent) or (
-            isinstance(expr, ast.ECall) and info.is_event(expr.func))
-
-    nodes = [n for handler in info.handlers.values() for n in _walk(handler.body)]
-    static_generates = sum(1 for n in nodes
-                           if isinstance(n, ast.SGenerate) and is_ctor(_chain_base(n.event)))
-    method_chains = sum(1 for n in nodes
-                        if isinstance(n, ast.ECall) and n.func.startswith("Event.")
-                        and not is_ctor(_chain_base(n)))
+    generates = sum(1 for handler in info.handlers.values() for n in _walk(handler.body)
+                    if isinstance(n, ast.SGenerate))
+    # the midend resolves every chain, whatever its base: one pre-shaped
+    # _EV(...) per generate, no combinator left to call at run time
     source = dump_program_source(checked)
-    assert source.count("_gen.append(_EV(") == static_generates
-    assert source.count(".locate(") + source.count(".delay(") == method_chains
+    assert source.count("_gen.append(_EV(") == generates
+    assert source.count(".locate(") + source.count(".delay(") == 0
     assert compile_program(checked).fallback_names == []
     network = Network(engine="codegen")
     assert network.add_switch(0, checked).interpreter.fallback_handler_names == []
@@ -295,7 +288,13 @@ def test_the_apps_exercise_both_chain_kinds():
     assert len(sources) == 10
     assert "_EV('write_ordered', ((v_key), (v_value), (v_seq),), 0, -1, _G_REPLICAS, _SELF)" \
         in sources["SRO"]
-    assert any(".locate(" in source for source in sources.values())
+    # a chain over an event-typed local (CM's `event record`) is resolved too
+    assert not any(".locate(" in source or ".delay(" in source for source in sources.values())
+    assert any(isinstance(n, ast.ECall) and n.func.startswith("Event.")
+               and isinstance(_chain_base(n), ast.EVar)
+               for app in ALL_APPLICATIONS.values()
+               for handler in check_program(app.source).info.handlers.values()
+               for n in _walk(handler.body))
 
 
 CHAINS = """
@@ -318,17 +317,20 @@ handle e(int a, int b) {
 def test_chain_folding_matches_the_reference_engine():
     checked = check_program(CHAINS, name="chains")
     source = dump_program_source(checked)
-    assert "_EV('out', ((v_a),), 100 + ((((v_a) + (1)) & 4294967295)), v_b, None, _SELF)" in source
+    # delays add (constants fold, the rest is one ALU add); place and group
+    # are kept as set; an event- or group-typed local is resolved like a literal
+    assert "v__n1_delay = (((100) + (v__n0_op)) & 4294967295)" in source
+    assert "_EV('out', ((v_a),), v__n1_delay, v_b, None, _SELF)" in source
     assert "_EV('out', ((v_b),), 0, 2, _G_PAIR, _SELF)" in source
+    assert "_EV('out', ((7),), 0, v_b, None, _SELF)" in source
     assert "_EV('out', ((1),), 0, v_b2, None, _SELF)" in source
-    # a non-constructor base, or a locate argument of unknown shape, keeps the call
-    assert "v_held.locate(v_b)" in source and ".locate(v_where)" in source
-    assert source.count(".locate(") == 2
+    assert "_EV('out', ((2),), 0, -1, _G_PAIR, _SELF)" in source
+    assert source.count("_gen.append(_EV(") == 5 and ".locate(" not in source
     results = {}
-    for engine in ("reference", "codegen"):
+    for engine in ENGINES:
         network = Network(engine=engine)
         switch = network.add_switch(0, checked)
         results[engine] = switch.engine.run(EventInstance("e", (3, 4))).generated
-    assert results["codegen"] == results["reference"]
+    assert results["codegen"] == results["reference"] == results["pisa"]
     assert [(ev.delay_ns, ev.location, ev.group) for ev in results["codegen"]] == [
         (104, 4, None), (0, 2, (1, 2)), (0, 4, None), (0, 5, None), (0, -1, (1, 2))]

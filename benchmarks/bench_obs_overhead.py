@@ -34,11 +34,10 @@ import argparse
 import ast
 import contextlib
 import inspect
+import json
 import sys
 import textwrap
-import time
 
-from bench_common import write_report
 from repro.interp import network as network_module
 from repro.interp.network import Network
 from repro.obs import disable, enable
@@ -160,18 +159,17 @@ def main(argv=None) -> int:
         events = args.events
         rounds = args.rounds
 
-    start = time.perf_counter()
     rows = [measure(args.scenario, events, args.seed, eng, rounds) for eng in engines]
-    wall_s = time.perf_counter() - start
     print(f"=== observability overhead on {args.scenario} "
           f"(best of {rounds} interleaved rounds) ===")
     print_rows(rows)
 
     if args.out:
-        write_report(
-            args.out, "obs-overhead", ",".join(engines), wall_s, rows,
-            scenario=args.scenario, seed=args.seed, rounds=rounds,
-        )
+        report = {"scenario": args.scenario, "seed": args.seed, "rounds": rounds, "results": rows}
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
 
     if args.smoke:
         worst = max(rows, key=lambda r: r["disabled_overhead"])

@@ -1,52 +1,40 @@
 #!/usr/bin/env python3
 """The stateful-firewall case study (Section 7.4 / Figure 17) on a laptop.
 
-Replays a flow workload through the Lucid stateful firewall running in the
-interpreter, measures flow-installation latency, and compares it against the
-Mantis-style remote-control baseline.
+Streams 640 new flows through the Lucid stateful firewall with the
+``sfw-install-latency`` scenario, which measures flow-installation latency in
+the data plane and replays the same arrivals through the Mantis-style
+remote-control baseline.
 
 Run with::
 
     python examples/stateful_firewall_demo.py
 """
 
-import statistics
-
 from repro.apps import ALL_APPLICATIONS
-from repro.apps.stateful_firewall import FirewallExperiment
-from repro.workloads import FlowWorkload
-
-
-def percentile(values, q):
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+from repro.scenarios import SCENARIOS, run_scenario
 
 
 def main() -> None:
-    app = ALL_APPLICATIONS["SFW"]
-    compiled = app.compile()
+    compiled = ALL_APPLICATIONS["SFW"].compile()
     print(f"Stateful firewall: {compiled.lucid_loc()} lines of Lucid, "
           f"{compiled.naive_p4_loc()} lines of baseline P4, {compiled.stages()} pipeline stages")
 
-    # 1000 flows into a 2x1024-slot cuckoo table -> load factor ~0.3 as in the paper
-    workload = FlowWorkload.generate(num_flows=640, flow_rate_per_s=100_000, seed=17)
-    experiment = FirewallExperiment(table_slots=1024)
+    # 640 flows x 2 packets into a 2x1024-slot cuckoo table -> load factor ~0.3 as in the paper
+    result = run_scenario(SCENARIOS["sfw-install-latency"], 1_280, 17, engine="pisa")
+    if not result.ok:
+        raise SystemExit(f"invariant violated: {result.invariants}")
+    s = result.details
 
-    data_plane = experiment.run_data_plane(workload)
-    remote = experiment.run_remote_control(workload)
-
-    dp = [m.latency_ns for m in data_plane]
-    rc = [m.latency_ns for m in remote]
-    print("\nflow installation time (data-plane integrated control):")
-    print(f"  mean {statistics.mean(dp):8.1f} ns   p50 {percentile(dp, 0.5)} ns   "
-          f"p90 {percentile(dp, 0.9)} ns   max {max(dp)} ns")
+    print(f"\nflow installation time over {s['flows']} flows (data-plane integrated control):")
+    print(f"  mean {s['dataplane_mean_install_ns']:8.1f} ns   p50 {s['dataplane_p50_install_ns']} ns   "
+          f"p90 {s['dataplane_p90_install_ns']} ns   max {s['dataplane_max_install_ns']} ns")
     print("flow installation time (remote control baseline):")
-    print(f"  mean {statistics.mean(rc)/1000:8.1f} us   min {min(rc)/1000:.1f} us   "
-          f"max {max(rc)/1000:.1f} us")
-    print(f"\nspeedup of integrated control: {statistics.mean(rc)/max(1.0, statistics.mean(dp)):.0f}x")
-
-    zero_fraction = sum(1 for l in dp if l == 0) / len(dp)
-    print(f"flows installed during their first packet's pass: {zero_fraction*100:.1f}%")
+    print(f"  mean {s['remote_mean_install_ns'] / 1000:8.1f} us   "
+          f"min {s['remote_min_install_ns'] / 1000:.1f} us")
+    speedup = s["remote_mean_install_ns"] / max(1.0, s["dataplane_mean_install_ns"])
+    print(f"\nspeedup of integrated control: {speedup:.0f}x")
+    print(f"flows installed during their first packet's pass: {s['first_pass_share'] * 100:.1f}%")
 
 
 if __name__ == "__main__":

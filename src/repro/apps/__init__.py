@@ -22,7 +22,6 @@ from repro.apps import (
     starflow,
     stateful_firewall,
 )
-from repro.apps.stateful_firewall import FirewallExperiment
 
 #: every application of Figure 9, in the paper's order
 ALL_APPLICATIONS: Dict[str, Application] = {
@@ -41,4 +40,4 @@ ALL_APPLICATIONS: Dict[str, Application] = {
     )
 }
 
-__all__ = ["Application", "ALL_APPLICATIONS", "FirewallExperiment"]
+__all__ = ["Application", "ALL_APPLICATIONS"]

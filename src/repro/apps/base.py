@@ -1,15 +1,15 @@
 """Common infrastructure for the example applications (Figure 9).
 
-Every application module defines a Lucid source program plus a small Python
-driver that knows how to exercise it in the interpreter.  The
-:class:`Application` record ties the pieces together and is what the
-benchmarks iterate over.
+Every application module defines a Lucid source program; the
+:class:`Application` record ties it to the paper's reported numbers and the
+invariants it upholds, and is what the evaluation (:mod:`repro.figures`) and
+the scenario catalogue iterate over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from repro.backend.compiler import CompiledProgram, CompilerOptions, compile_program
 
@@ -41,8 +41,7 @@ class Application:
         self, options: Optional[CompilerOptions] = None, emit_naive_p4: bool = True
     ) -> CompiledProgram:
         """Compile this application with the Lucid compiler."""
-        if options is None:
-            options = CompilerOptions(emit_naive_p4=emit_naive_p4)
+        options = replace(options or CompilerOptions(), emit_naive_p4=emit_naive_p4)
         return compile_program(self.source, name=self.key, options=options)
 
     def make_invariants(self) -> List[object]:

@@ -6,24 +6,14 @@ if their (reversed) flow key is present.  Control events perform cuckoo
 installation (with bounded re-install recursion) and a periodic timeout scan
 that ages out idle entries — both entirely in the data plane.
 
-The module also provides :class:`FirewallExperiment`, the driver used by the
-Figure 17 benchmark: it replays a flow workload through the interpreter,
-measures per-flow installation time (data-plane integrated control), and
-compares against the Mantis-style remote controller model.
+Figure 17 (flow-installation time against the Mantis-style remote controller)
+is measured by the ``sfw-install-latency`` scenario in
+:mod:`repro.scenarios.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
 from repro.apps.base import Application
-from repro.control import ControlPlaneConfig, RemoteController
-from repro.frontend.type_checker import check_program
-from repro.interp import EventInstance, Network, SchedulerConfig, single_switch_network
-from repro.interp.engine import DEFAULT_ENGINE
-from repro.interp.interpreter import lucid_hash
-from repro.workloads import FlowWorkload
 
 SOURCE = r"""
 // Stateful firewall with a data-plane cuckoo hash table (Section 7.4).
@@ -159,119 +149,3 @@ APP = Application(
     paper_stages=10,
     invariants=("firewall-solicited-only",),
 )
-
-
-# ---------------------------------------------------------------------------
-# Figure 17 driver
-# ---------------------------------------------------------------------------
-@dataclass
-class InstallMeasurement:
-    """Flow-installation latency for one flow."""
-
-    flow_key: int
-    first_packet_ns: int
-    installed_ns: int
-
-    @property
-    def latency_ns(self) -> int:
-        return self.installed_ns - self.first_packet_ns
-
-
-@dataclass
-class FirewallExperiment:
-    """Replays a flow workload through the Lucid stateful firewall and
-    measures flow-installation time (the Figure 17 metric)."""
-
-    table_slots: int = 1024
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: execution engine name ("reference", "pisa", or "codegen"); the
-    #: codegen engine is several times faster than the reference
-    #: interpreter and behaviourally identical
-    engine: str = DEFAULT_ENGINE
-
-    def _flow_key(self, src: int, dst: int) -> int:
-        return lucid_hash(32, [src, dst, 10398247])
-
-    def run_data_plane(self, workload: FlowWorkload) -> List[InstallMeasurement]:
-        """Integrated control: install happens via data-plane events."""
-        checked = check_program(
-            SOURCE, name="SFW", symbolic_bindings={"TBL_SLOTS": self.table_slots}
-        )
-        network, switch = single_switch_network(
-            checked, config=self.scheduler, engine=self.engine
-        )
-        first_packet: Dict[int, int] = {}
-        installed: Dict[int, int] = {}
-        keys1 = switch.array("keys1")
-        keys2 = switch.array("keys2")
-        stash = switch.array("stash")
-
-        def _is_installed(key: int) -> bool:
-            h1 = lucid_hash(10, [key, 10398247])
-            h2 = lucid_hash(10, [key, 1295981879])
-            return (
-                keys1.cells[h1 % keys1.size] == key
-                or keys2.cells[h2 % keys2.size] == key
-                or stash.cells[0] == key
-            )
-
-        def on_handle(entry) -> None:
-            # an install completes at the end of whichever pass wrote the key:
-            # the first packet's own pass (0 ns) or a later cuckoo recirculation
-            if entry.event.name == "pkt_out":
-                key = self._flow_key(entry.event.args[0], entry.event.args[1])
-            elif entry.event.name == "install":
-                key = entry.event.args[0]
-            else:
-                return
-            if key not in installed and _is_installed(key):
-                installed[key] = entry.time_ns
-
-        network.on_handle = on_handle
-        for flow in workload:
-            if not flow.outbound:
-                continue
-            key = self._flow_key(flow.src, flow.dst)
-            first_packet.setdefault(key, flow.start_ns)
-            for t in flow.packet_times():
-                network.inject(0, EventInstance("pkt_out", (flow.src, flow.dst)), at_ns=t)
-        network.run()
-        measurements = []
-        for key, first_ns in first_packet.items():
-            done_ns = installed.get(key)
-            if done_ns is None:
-                # installed during the first packet's own pipeline pass
-                done_ns = first_ns
-            measurements.append(
-                InstallMeasurement(flow_key=key, first_packet_ns=first_ns, installed_ns=max(done_ns, first_ns))
-            )
-        return measurements
-
-    def run_remote_control(
-        self, workload: FlowWorkload, config: Optional[ControlPlaneConfig] = None
-    ) -> List[InstallMeasurement]:
-        """Baseline: every new flow is installed by the switch-CPU controller."""
-        controller = RemoteController(config=config)
-        measurements = []
-        seen: Dict[int, int] = {}
-        for flow in sorted((f for f in workload if f.outbound), key=lambda f: f.start_ns):
-            key = self._flow_key(flow.src, flow.dst)
-            if key in seen:
-                continue
-            seen[key] = flow.start_ns
-            record = controller.install_flow(key, flow.start_ns)
-            measurements.append(
-                InstallMeasurement(
-                    flow_key=key,
-                    first_packet_ns=flow.start_ns,
-                    installed_ns=record.completed_at_ns,
-                )
-            )
-        return measurements
-
-    @staticmethod
-    def latency_cdf(measurements: List[InstallMeasurement]) -> List[Tuple[int, float]]:
-        """(latency_ns, cumulative probability) points for a CDF plot."""
-        latencies = sorted(m.latency_ns for m in measurements)
-        n = len(latencies)
-        return [(lat, (i + 1) / n) for i, lat in enumerate(latencies)]

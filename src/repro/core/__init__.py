@@ -19,14 +19,16 @@ The submodules group the functionality the same way the paper does:
 * :mod:`repro.interp`   — the interpreter and multi-switch simulation;
 * :mod:`repro.pisa`     — the PISA/Tofino hardware substrate models;
 * :mod:`repro.apps`     — the ten applications of Figure 9;
-* :mod:`repro.analysis`, :mod:`repro.workloads`, :mod:`repro.control` — the
-  evaluation's models, workload generators, and the remote-control baseline;
+* :mod:`repro.analysis`, :mod:`repro.control` — the evaluation's models and
+  the remote-control baseline;
 * :mod:`repro.scenarios` — the scenario engine: topologies, streaming
   traffic models, invariants, and the ``python -m repro.scenarios`` CLI;
+* :mod:`repro.figures`  — ``python -m repro.figures`` regenerates Section 7
+  into ``RESULTS.md``;
 * :mod:`repro.formal`   — the Appendix A core calculus.
 """
 
-from repro.apps import ALL_APPLICATIONS, Application, FirewallExperiment
+from repro.apps import ALL_APPLICATIONS, Application
 from repro.backend import (
     CompiledProgram,
     CompilerOptions,
@@ -76,7 +78,6 @@ from repro.scenarios import (
     run_scenario_all_engines,
     run_scenario_engines,
 )
-from repro.workloads import DnsTrafficMix, FlowWorkload, LinkFailureSchedule
 
 __all__ = [
     # language frontend
@@ -117,12 +118,8 @@ __all__ = [
     # applications and evaluation support
     "ALL_APPLICATIONS",
     "Application",
-    "FirewallExperiment",
     "RemoteController",
     "ControlPlaneConfig",
-    "FlowWorkload",
-    "DnsTrafficMix",
-    "LinkFailureSchedule",
     # scenario engine
     "SCENARIOS",
     "Scenario",

@@ -8,8 +8,8 @@ a small pending heap for request/response pairs, and per-heavy-hitter
 counters bounded by the host population, not the event count).
 
 Models compose: :func:`merge` interleaves any number of sorted streams, and
-:func:`link_failure_actions` turns a :class:`~repro.workloads.failures`
-schedule into scheduled control actions that fail/restore links mid-run.
+:func:`link_failure_actions` turns a schedule of :class:`LinkFailure`
+records into scheduled control actions that fail/restore links mid-run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,15 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.interp.events import EventInstance
 from repro.interp.network import CONTROL, Network, SourceItem
-from repro.workloads.failures import LinkFailure
+
+
+@dataclass(frozen=True)
+class LinkFailure:
+    """One link failing (and optionally recovering)."""
+
+    link: Tuple[int, int]
+    fail_at_ns: int
+    recover_at_ns: Optional[int] = None
 
 
 def merge(*streams: Iterable[SourceItem]) -> Iterator[SourceItem]:
@@ -272,11 +280,89 @@ class ScanBurstTraffic:
             t += self.gap_ns
 
 
+@dataclass(frozen=True)
+class DnsPacket:
+    """One DNS packet: (time, client, server, is_response)."""
+
+    time_ns: int
+    client: int
+    server: int
+    is_response: bool
+    reflected: bool = False
+
+
+def stream_dns_mix(
+    total_packets: int,
+    reflected_share: float = 0.3,
+    clients: int = 64,
+    servers: int = 16,
+    victim: int = 7,
+    mean_gap_ns: int = 20_000,
+    response_delay_ns: int = 50_000,
+    seed: int = 11,
+) -> Iterator[DnsPacket]:
+    """Stream a benign-query/reflected-response mix in time order, lazily.
+
+    Arrivals follow a Poisson process so the stream is ordered by
+    construction.  Pending responses (a query's answer arrives
+    ``response_delay_ns`` later) sit in a small heap bounded by the number of
+    queries in flight during one response delay — independent of
+    ``total_packets``.  Reflected responses target ``victim`` with no matching
+    query.  Deterministic for a fixed seed.
+    """
+    rng = random.Random(seed)
+    pending: List[Tuple[int, int, DnsPacket]] = []  # (time, tiebreak, response)
+    emitted = 0
+    tiebreak = 0
+    now = 0.0
+    while emitted < total_packets:
+        now += rng.expovariate(1.0 / mean_gap_ns)
+        arrival = int(now)
+        # release responses that come due before this arrival
+        while pending and pending[0][0] <= arrival and emitted < total_packets:
+            yield heapq.heappop(pending)[2]
+            emitted += 1
+        if emitted >= total_packets:
+            break
+        if rng.random() < reflected_share:
+            server = rng.randrange(servers)
+            yield DnsPacket(
+                time_ns=arrival, client=victim, server=server,
+                is_response=True, reflected=True,
+            )
+            emitted += 1
+        else:
+            client = rng.randrange(clients)
+            server = rng.randrange(servers)
+            yield DnsPacket(
+                time_ns=arrival, client=client, server=server, is_response=False
+            )
+            emitted += 1
+            tiebreak += 1
+            heapq.heappush(
+                pending,
+                (
+                    arrival + response_delay_ns,
+                    tiebreak,
+                    DnsPacket(
+                        time_ns=arrival + response_delay_ns,
+                        client=client,
+                        server=server,
+                        is_response=True,
+                    ),
+                ),
+            )
+    # drain whatever responses remain due, still in time order
+    while pending and emitted < total_packets:
+        yield heapq.heappop(pending)[2]
+        emitted += 1
+
+
 @dataclass
 class DnsReflectionTraffic:
     """The DNS-defense workload: benign query/response pairs mixed with
-    reflected responses aimed at a victim (streaming version of
-    :class:`repro.workloads.dns.DnsTrafficMix`)."""
+    reflected responses aimed at a victim (:func:`stream_dns_mix` as
+    scenario events)."""
 
     reflected_share: float = 0.3
     clients: int = 64
@@ -291,8 +377,6 @@ class DnsReflectionTraffic:
     def events(
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
-        from repro.workloads.dns import stream_dns_mix
-
         self.reflected_emitted = 0
         for i, packet in enumerate(
             stream_dns_mix(

@@ -4,9 +4,9 @@ and behave correctly when executed in the interpreter."""
 import pytest
 
 from repro.apps import ALL_APPLICATIONS
-from repro.apps.stateful_firewall import FirewallExperiment
+from repro.backend import CompilerOptions
 from repro.core import EventInstance, Network, single_switch_network
-from repro.workloads import FlowWorkload
+from repro.scenarios import SCENARIOS, run_scenario
 
 APP_KEYS = list(ALL_APPLICATIONS)
 
@@ -19,6 +19,16 @@ def compiled_apps():
 # ---------------------------------------------------------------------------
 # compilation properties (Figure 9 shape)
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("emit_naive_p4", [True, False])
+def test_compile_honours_emit_naive_p4_beside_options(emit_naive_p4):
+    app = ALL_APPLICATIONS["SRO"]
+    options = CompilerOptions(emit_p4=False, emit_naive_p4=not emit_naive_p4)
+    compiled = app.compile(options=options, emit_naive_p4=emit_naive_p4)
+    assert (compiled.naive_p4 is not None) == emit_naive_p4
+    assert compiled.p4 is None  # the rest of ``options`` is kept
+    assert options.emit_naive_p4 == (not emit_naive_p4)  # and the caller's object untouched
+
+
 def test_all_ten_applications_present():
     assert set(APP_KEYS) == {
         "SFW", "RR", "DNS", "*Flow", "SRO", "DFW", "DFW(a)", "RIP", "NAT", "CM",
@@ -106,14 +116,20 @@ def test_firewall_allows_return_traffic_after_outbound():
 
 
 def test_firewall_install_latency_distribution():
-    experiment = FirewallExperiment(table_slots=1024)
-    workload = FlowWorkload.generate(num_flows=200, flow_rate_per_s=50_000, seed=5)
-    data_plane = experiment.run_data_plane(workload)
-    remote = experiment.run_remote_control(workload)
-    dp_mean = sum(m.latency_ns for m in data_plane) / len(data_plane)
-    rc_mean = sum(m.latency_ns for m in remote) / len(remote)
+    # 200 flows x 2 packets through the Figure 17 scenario
+    result = run_scenario(SCENARIOS["sfw-install-latency"], 400, 5)
+    assert result.ok
+    summary = result.details
+    assert summary["flows"] >= 200 and summary["never_installed"] == 0
+    dp_mean = summary["dataplane_mean_install_ns"]
+    rc_mean = summary["remote_mean_install_ns"]
     assert dp_mean < 1_000  # nanoseconds
-    assert rc_mean >= 12_000  # the Mantis lower bound
+    assert summary["dataplane_p50_install_ns"] == 0  # most flows install in their own pass
+    assert summary["dataplane_p50_install_ns"] <= summary["dataplane_p90_install_ns"]
+    assert summary["dataplane_p90_install_ns"] <= summary["dataplane_max_install_ns"]
+    assert summary["first_pass_share"] > 0.9
+    assert summary["remote_min_install_ns"] >= 12_000  # the Mantis lower bound
+    assert rc_mean >= summary["remote_min_install_ns"]
     assert rc_mean / max(dp_mean, 1) > 100  # the paper reports >300x
 
 

@@ -13,7 +13,7 @@ from repro.apps import ALL_APPLICATIONS
 from repro.backend import compile_program
 from repro.control import ControlPlaneConfig, RemoteController
 from repro.core import EventInstance, SchedulerConfig, single_switch_network
-from repro.interp.network import SwitchStats
+from repro.interp.network import Network, SwitchStats
 from repro.pisa import (
     DelayedEvent,
     PausableDelayQueue,
@@ -21,8 +21,12 @@ from repro.pisa import (
     PisaPipeline,
     simulate_concurrent_delays,
 )
-from repro.workloads import DnsTrafficMix, FlowWorkload, LinkFailureSchedule
-from repro.workloads.flows import poisson_flow_arrivals
+from repro.scenarios.traffic import (
+    FirewallFlowTraffic,
+    LinkFailure,
+    link_failure_actions,
+    stream_dns_mix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +147,51 @@ def test_remote_controller_serialisation_queues_requests():
 # ---------------------------------------------------------------------------
 # workload generators
 # ---------------------------------------------------------------------------
+def _flow_keys(name, count, seed):
+    stream = FirewallFlowTraffic().events([0], count, seed)
+    return [event.args for _, _, event in stream if event.name == name]
+
+
 def test_flow_workload_is_deterministic_per_seed():
-    a = FlowWorkload.generate(num_flows=20, seed=9)
-    b = FlowWorkload.generate(num_flows=20, seed=9)
-    assert [f.key() for f in a] == [f.key() for f in b]
+    assert _flow_keys("pkt_out", 80, seed=9) == _flow_keys("pkt_out", 80, seed=9)
 
 
 def test_flow_workload_pairs_outbound_with_return_flows():
-    workload = FlowWorkload.generate(num_flows=10, seed=1)
-    outbound = [f for f in workload if f.outbound]
-    inbound = [f for f in workload if not f.outbound]
-    assert len(outbound) == len(inbound) == 10
-    assert {f.key() for f in inbound} == {f.reverse_key() for f in outbound}
+    outbound = set(_flow_keys("pkt_out", 400, seed=1))
+    inbound = set(_flow_keys("pkt_in", 400, seed=1))
+    assert inbound
+    assert {(dst, src) for src, dst in inbound} <= outbound
 
 
 def test_poisson_arrivals_have_expected_rate():
-    times = poisson_flow_arrivals(rate_per_s=10_000, duration_s=0.5, seed=4)
-    assert 4_000 <= len(times) <= 6_000
+    traffic = FirewallFlowTraffic(flow_rate_per_s=10_000, packets_per_flow=1, with_returns=False)
+    times = [t for t, _, _ in traffic.events([0], 5_000, seed=4)]
     assert times == sorted(times)
+    assert 0.4e9 <= times[-1] <= 0.6e9  # 5,000 arrivals at 10K flows/s take about 0.5 s
 
 
 def test_link_failure_schedule_reports_down_links():
-    schedule = LinkFailureSchedule.random_failures([(0, 1), (1, 2)], count=5, window_ns=1_000_000, seed=2)
-    assert len(schedule.failures) == 5
-    some_time = schedule.failures[0].fail_at_ns
-    assert schedule.failed_links(some_time)
+    network = Network()
+    network.add_link(0, 1)
+    network.add_link(1, 2)
+    reported = []
+    schedule = [LinkFailure(link=(1, 2), fail_at_ns=300 * i, recover_at_ns=300 * i + 100) for i in range(5)]
+    actions = link_failure_actions(
+        schedule, on_fail=lambda net, f: reported.append((net.now_ns, net.link_is_down(*f.link)))
+    )
+    network.run(source=actions)
+    assert reported == [(300 * i, True) for i in range(5)]
+    assert not network.link_is_down(1, 2)
 
 
 def test_dns_traffic_mix_composition():
-    mix = DnsTrafficMix.generate(benign_queries=50, reflected_responses=25, seed=3)
-    assert len(mix.reflected()) == 25
-    assert len(mix.benign()) == 100  # query + response per benign exchange
-    assert all(p.is_response for p in mix.reflected())
+    packets = list(stream_dns_mix(150, reflected_share=0.5, seed=3))
+    reflected = [p for p in packets if p.reflected]
+    benign = [p for p in packets if not p.reflected]
+    assert len(reflected) + len(benign) == 150
+    # a benign exchange is two packets, so half the arrivals are a third of the packets
+    assert 30 <= len(reflected) <= 70
+    assert all(p.is_response for p in reflected)
 
 
 # ---------------------------------------------------------------------------

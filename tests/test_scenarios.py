@@ -306,8 +306,6 @@ class TestTrafficModels:
         assert all(event.name == "bump" and event.args[0] < 4 for _, _, event in items)
 
     def test_link_failure_actions_fail_and_recover(self):
-        from repro.workloads import LinkFailure
-
         network = Network()
         network.trace_enabled = False
         network.add_switch(0, REMOTE_PROGRAM)
@@ -315,7 +313,7 @@ class TestTrafficModels:
         network.add_link(0, 1)
         observed = []
         actions = tm.link_failure_actions(
-            [LinkFailure(link=(0, 1), fail_at_ns=100, recover_at_ns=300)],
+            [tm.LinkFailure(link=(0, 1), fail_at_ns=100, recover_at_ns=300)],
             on_fail=lambda net, f: observed.append(("down", net.now_ns, f.link)),
             on_recover=lambda net, f: observed.append(("up", net.now_ns, f.link)),
         )

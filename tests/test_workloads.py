@@ -1,25 +1,30 @@
-"""Direct unit tests for the workload generators (repro.workloads).
+"""Direct unit tests for the streaming workload generators in
+``repro.scenarios.traffic``: the firewall flow stream, the DNS mix and
+link-failure schedules.
 
-Until now these modules were only exercised indirectly through the benchmark
-harnesses; this suite pins their contracts directly: determinism under a
-fixed seed, flow key/reverse-key symmetry, packet timing, the DNS mix
-composition, link-failure schedules, and the equivalence of the streaming
-generators with their materialising counterparts.
+These pinned the standalone workload generators until they were folded into
+the scenario traffic models; each test keeps its id and asserts the same contract
+— determinism under a fixed seed, reversed-key return traffic one RTT later,
+packet timing, time order, laziness, the DNS mix composition, the link
+fail/recover lifecycle — on the implementation that survives.
 """
 
 import itertools
 
-from repro.workloads import (
-    DnsTrafficMix,
-    Flow,
-    FlowWorkload,
+from repro.interp.network import Network
+from repro.scenarios.traffic import (
+    DnsReflectionTraffic,
+    FirewallFlowTraffic,
     LinkFailure,
-    LinkFailureSchedule,
-    iter_flows,
-    iter_random_failures,
-    poisson_flow_arrivals,
+    control_action,
+    link_failure_actions,
+    merge,
     stream_dns_mix,
 )
+
+
+def flow_events(count, seed, **model):
+    return list(FirewallFlowTraffic(**model).events([0], count, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -27,59 +32,59 @@ from repro.workloads import (
 # ---------------------------------------------------------------------------
 class TestFlowWorkload:
     def test_deterministic_under_fixed_seed(self):
-        a = FlowWorkload.generate(50, seed=42)
-        b = FlowWorkload.generate(50, seed=42)
-        assert a.flows == b.flows
+        assert flow_events(200, seed=42) == flow_events(200, seed=42)
 
     def test_different_seeds_differ(self):
-        a = FlowWorkload.generate(50, seed=1)
-        b = FlowWorkload.generate(50, seed=2)
-        assert a.flows != b.flows
+        assert flow_events(200, seed=1) != flow_events(200, seed=2)
 
     def test_iter_flows_streams_the_same_sequence(self):
-        materialised = FlowWorkload.generate(40, seed=7).flows
-        streamed = list(iter_flows(40, seed=7))
-        assert streamed == materialised
+        # the stream does not depend on how much of it is asked for: a short
+        # run is a prefix of a long one
+        long_run = FirewallFlowTraffic().events([0], 10_000, seed=7)
+        assert list(itertools.islice(long_run, 160)) == flow_events(160, seed=7)
 
     def test_iter_flows_is_lazy(self):
-        stream = iter_flows(10**9, seed=3)
+        stream = FirewallFlowTraffic().events([0], 10**9, seed=3)
         first = list(itertools.islice(stream, 4))
         assert len(first) == 4  # a materialising generator would never return
 
     def test_key_reverse_key_symmetry(self):
-        flow = Flow(flow_id=0, src=11, dst=22, start_ns=0)
-        assert flow.key() == (11, 22)
-        assert flow.reverse_key() == (22, 11)
-        assert flow.key() == tuple(reversed(flow.reverse_key()))
+        traffic = FirewallFlowTraffic()
+        events = [event for _, _, event in traffic.events([0], 400, seed=11)]
+        inbound = [event.args for event in events if event.name == "pkt_in"]
+        assert inbound
+        # a return packet's key, reversed, is the key of a recorded outbound flow
+        assert all((dst, src) in traffic.first_packet_ns for src, dst in inbound)
 
     def test_return_flow_reverses_outbound_key(self):
-        workload = FlowWorkload.generate(20, seed=5)
-        for outbound, inbound in zip(workload.flows[::2], workload.flows[1::2]):
-            assert outbound.outbound and not inbound.outbound
-            assert inbound.key() == outbound.reverse_key()
-            assert inbound.start_ns == outbound.start_ns + 200_000
+        items = flow_events(400, seed=5)
+        outbound = {(t, event.args) for t, _, event in items if event.name == "pkt_out"}
+        inbound = [(t, event.args) for t, _, event in items if event.name == "pkt_in"]
+        assert inbound
+        for t, (src, dst) in inbound:
+            assert (t - 200_000, (dst, src)) in outbound  # one RTT after its outbound packet
 
     def test_packet_times_spacing(self):
-        flow = Flow(flow_id=0, src=1, dst=2, start_ns=100, packets=3, inter_packet_ns=50)
-        assert flow.packet_times() == [100, 150, 200]
+        traffic = FirewallFlowTraffic(
+            packets_per_flow=3, inter_packet_ns=50, with_returns=False, flow_rate_per_s=1_000.0
+        )
+        times = {}
+        for t, _, event in traffic.events([0], 30, seed=1):
+            times.setdefault(event.args, []).append(t)
+        for key, start in list(traffic.first_packet_ns.items())[:5]:
+            assert times[key] == [start, start + 50, start + 100]
 
     def test_outbound_arrivals_are_monotone(self):
-        workload = FlowWorkload.generate(30, seed=9)
-        outbound = [f.start_ns for f in workload.flows if f.outbound]
-        assert outbound == sorted(outbound)
-
-    def test_duration_covers_last_packet(self):
-        workload = FlowWorkload.generate(10, seed=1)
-        assert workload.duration_ns == max(
-            t for f in workload.flows for t in f.packet_times()
-        )
+        times = [t for t, _, _ in flow_events(600, seed=9)]
+        assert times == sorted(times)
 
     def test_poisson_arrivals_deterministic_and_monotone(self):
-        a = poisson_flow_arrivals(10_000.0, 0.01, seed=3)
-        b = poisson_flow_arrivals(10_000.0, 0.01, seed=3)
-        assert a == b
-        assert a == sorted(a)
-        assert all(t <= 0.01 * 1e9 for t in a)
+        a, b = FirewallFlowTraffic(), FirewallFlowTraffic()
+        for traffic in (a, b):
+            list(traffic.events([0], 400, seed=3))
+        assert a.first_packet_ns == b.first_packet_ns
+        arrivals = list(a.first_packet_ns.values())  # insertion order = arrival order
+        assert arrivals == sorted(arrivals)
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +92,26 @@ class TestFlowWorkload:
 # ---------------------------------------------------------------------------
 class TestDnsTraffic:
     def test_generate_deterministic(self):
-        a = DnsTrafficMix.generate(seed=11)
-        b = DnsTrafficMix.generate(seed=11)
-        assert a.packets == b.packets
+        a = list(DnsReflectionTraffic().events([0, 1], 300, seed=11))
+        b = list(DnsReflectionTraffic().events([0, 1], 300, seed=11))
+        assert a == b
 
     def test_generate_sorted_and_partitioned(self):
-        mix = DnsTrafficMix.generate(benign_queries=50, reflected_responses=25, seed=2)
-        times = [p.time_ns for p in mix.packets]
+        traffic = DnsReflectionTraffic(reflected_share=0.4, victim=5)
+        items = list(traffic.events([0], 500, seed=2))
+        times = [t for t, _, _ in items]
         assert times == sorted(times)
-        assert len(mix.reflected()) == 25
-        # every benign query gets exactly one benign response
-        benign = mix.benign()
-        assert len([p for p in benign if not p.is_response]) == 50
-        assert len([p for p in benign if p.is_response]) == 50
+        queries = [event for _, _, event in items if event.name == "dns_query"]
+        responses = [event for _, _, event in items if event.name == "dns_response"]
+        assert len(queries) + len(responses) == 500
+        # responses are the reflected ones plus at most one answer per query
+        assert 0 < traffic.reflected_emitted < len(responses)
+        assert len(responses) - traffic.reflected_emitted <= len(queries)
 
     def test_reflected_target_the_victim(self):
-        mix = DnsTrafficMix.generate(victim=9, seed=4)
-        assert all(p.client == 9 and p.is_response for p in mix.reflected())
+        reflected = [p for p in stream_dns_mix(300, victim=9, seed=4) if p.reflected]
+        assert reflected
+        assert all(p.client == 9 and p.is_response for p in reflected)
 
     def test_stream_is_deterministic_and_time_ordered(self):
         a = list(stream_dns_mix(400, seed=13))
@@ -134,38 +142,34 @@ class TestDnsTraffic:
 class TestLinkFailures:
     LINKS = [(0, 1), (1, 2), (2, 3)]
 
-    def test_random_failures_deterministic(self):
-        a = LinkFailureSchedule.random_failures(self.LINKS, 10, 1_000_000, seed=7)
-        b = LinkFailureSchedule.random_failures(self.LINKS, 10, 1_000_000, seed=7)
-        assert a.failures == b.failures
-
-    def test_random_failures_sorted_and_within_window(self):
-        schedule = LinkFailureSchedule.random_failures(self.LINKS, 20, 500_000, seed=3)
-        times = [f.fail_at_ns for f in schedule.failures]
-        assert times == sorted(times)
-        assert all(0 <= t < 500_000 for t in times)
-        assert all(f.link in self.LINKS for f in schedule.failures)
-
     def test_failed_links_lifecycle(self):
-        schedule = LinkFailureSchedule(
-            failures=[LinkFailure(link=(0, 1), fail_at_ns=100, recover_at_ns=200)]
-        )
-        assert schedule.failed_links(50) == []
-        assert schedule.failed_links(100) == [(0, 1)]
-        assert schedule.failed_links(150) == [(0, 1)]
-        assert schedule.failed_links(200) == []
+        network = Network()
+        for a, b in self.LINKS:
+            network.add_link(a, b)
+        down_at = {}
+
+        def probe(time_ns):
+            return control_action(
+                time_ns, lambda net: down_at.update({time_ns: net.link_is_down(0, 1)})
+            )
+
+        actions = link_failure_actions([LinkFailure(link=(0, 1), fail_at_ns=100, recover_at_ns=200)])
+        network.run(source=merge(actions, [probe(t) for t in (50, 150, 250)]))
+        assert down_at == {50: False, 150: True, 250: False}
 
     def test_iter_random_failures_streams_sorted(self):
-        a = list(iter_random_failures(self.LINKS, 15, seed=5))
-        b = list(iter_random_failures(self.LINKS, 15, seed=5))
-        assert a == b
-        assert len(a) == 15
-        times = [f.fail_at_ns for f in a]
+        # overlapping downtimes: recoveries interleave with later failures in time order
+        schedule = [
+            LinkFailure(link=self.LINKS[i % 3], fail_at_ns=100 * i, recover_at_ns=100 * i + 250)
+            for i in range(15)
+        ]
+        times = [t for t, _, _ in link_failure_actions(schedule)]
+        assert len(times) == 30
         assert times == sorted(times)
-        for failure in a:
-            assert failure.recover_at_ns >= failure.fail_at_ns
-            assert failure.link in self.LINKS
 
     def test_iter_random_failures_is_lazy(self):
-        stream = iter_random_failures(self.LINKS, 10**9, seed=1)
-        assert len(list(itertools.islice(stream, 3))) == 3
+        endless = (
+            LinkFailure(link=(0, 1), fail_at_ns=100 * i, recover_at_ns=100 * i + 50)
+            for i in itertools.count()
+        )
+        assert len(list(itertools.islice(link_failure_actions(endless), 3))) == 3

@@ -11,8 +11,8 @@ from repro.backend.compiler import (
 from repro.backend.layout import MergedTable, PipelineLayout, StageLayout
 from repro.backend.merge import MergeOptions, build_layout
 from repro.backend.p4gen import P4Program, generate_p4
-from repro.backend.resources import DEFAULT_TOFINO, TofinoModel
-from repro.backend.tables import AtomicTable, TableGraph, TableKind, build_table_graph
+from repro.backend.resources import TofinoModel
+from repro.backend.tables import AtomicTable, TableKind, atomic_tables
 
 __all__ = [
     "compile_program",
@@ -28,9 +28,7 @@ __all__ = [
     "P4Program",
     "generate_p4",
     "TofinoModel",
-    "DEFAULT_TOFINO",
     "AtomicTable",
-    "TableGraph",
     "TableKind",
-    "build_table_graph",
+    "atomic_tables",
 ]

@@ -24,22 +24,11 @@ from repro.midend.normalize import NormalizedHandler, normalize_program
 class CompilerOptions:
     """All compiler knobs in one place."""
 
-    optimize: bool = True
-    merge_tables: bool = True
-    reorder: bool = True
     enforce_stage_limit: bool = False
     emit_p4: bool = True
     emit_naive_p4: bool = False
     symbolic_bindings: Optional[Dict[str, int]] = None
     target: TofinoModel = field(default_factory=TofinoModel)
-
-    def merge_options(self) -> MergeOptions:
-        return MergeOptions(
-            optimize=self.optimize,
-            merge_tables=self.merge_tables,
-            reorder=self.reorder,
-            enforce_stage_limit=self.enforce_stage_limit,
-        )
 
 
 @dataclass
@@ -133,7 +122,10 @@ def compile_checked(
     options = options or CompilerOptions()
     normalized = normalize_program(checked.info)
     layout = build_layout(
-        checked.info, normalized, model=options.target, options=options.merge_options()
+        checked.info,
+        normalized,
+        model=options.target,
+        options=MergeOptions(enforce_stage_limit=options.enforce_stage_limit),
     )
     compiled = CompiledProgram(
         checked=checked,
@@ -148,7 +140,7 @@ def compile_checked(
             checked.info,
             normalized,
             model=options.target,
-            options=MergeOptions(optimize=False, merge_tables=False, reorder=False),
+            options=MergeOptions(optimize=False),
         )
         compiled.naive_p4 = generate_p4(checked.info, naive_layout, style="naive")
     return compiled

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.backend.resources import TofinoModel
-from repro.backend.tables import AtomicTable, TableKind
+from repro.backend.tables import AtomicTable
 
 
 @dataclass
@@ -59,9 +59,6 @@ class StageLayout:
         """Number of Lucid statements (ALU instructions) mapped to this stage —
         the quantity plotted in Figure 13."""
         return len(self.atomic_tables())
-
-    def salu_instructions(self) -> int:
-        return sum(1 for t in self.atomic_tables() if t.kind is TableKind.MEMORY)
 
 
 @dataclass

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.backend.branch_elim import inline_branch_conditions
 from repro.backend.layout import MergedTable, PipelineLayout, StageLayout
 from repro.backend.reorder import DataflowGraph, Dependency, build_dataflow_graph
 from repro.backend.resources import StageResources, TofinoModel
-from repro.backend.tables import AtomicTable, TableGraph, TableKind, build_table_graph
+from repro.backend.tables import AtomicTable, TableKind, atomic_tables
 from repro.errors import LayoutError
 from repro.frontend.symbols import ProgramInfo
 from repro.midend.normalize import NormalizedHandler
@@ -45,12 +44,10 @@ class _PinConflict(Exception):
 class MergeOptions:
     """Knobs for the layout pass — used by the optimisation ablations."""
 
-    #: apply branch inlining + data-flow reordering + merging; when False the
-    #: layout is the unoptimised baseline (one atomic table per stage along
-    #: program order), as in Figure 12's denominator.
+    #: apply data-flow reordering + merging; when False the layout is the
+    #: hand-written-style baseline: one atomic table per stage along program
+    #: order, nothing merged.
     optimize: bool = True
-    #: merge independent tables into shared stages.
-    merge_tables: bool = True
     #: reorder tables by data flow; when False, program order is kept as a
     #: chain of strict dependencies (ablation: merging without reordering).
     reorder: bool = True
@@ -110,7 +107,7 @@ class _Layouter:
         return g.size if g is not None else 0
 
     def _find_merged_table(self, layout: StageLayout, table: AtomicTable) -> Optional[MergedTable]:
-        if not self.options.merge_tables:
+        if not self.options.optimize:
             return None
         for merged in layout.merged_tables:
             if len(merged.members) >= self.model.max_merge_width:
@@ -183,15 +180,10 @@ class _Layouter:
                     )
             self._place(table, stage)
 
-    def layout_handler_unoptimized(self, tables: List[AtomicTable], branch_count: int) -> None:
+    def layout_handler_unoptimized(self, tables: List[AtomicTable]) -> None:
         """One atomic table per stage, program order (the unoptimised baseline)."""
-        stage = 0
-        for table in tables:
-            if table.kind is TableKind.MEMORY and table.array in self.array_pins:
-                stage = max(stage, self.array_pins[table.array])
-            self._ensure_stage(stage)
+        for stage, table in enumerate(tables):
             self._place(table, stage)
-            stage += 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +226,14 @@ def build_layout(
     options = options or MergeOptions()
     layout = PipelineLayout(program_name=info.program.name, model=model)
 
-    graphs: Dict[str, TableGraph] = {}
-    ordered_tables: Dict[str, List[AtomicTable]] = {}
-    dataflows: Dict[str, DataflowGraph] = {}
+    tables: Dict[str, List[AtomicTable]] = {}
     for name, handler in normalized.items():
-        graph = build_table_graph(handler)
-        graphs[name] = graph
-        layout.unoptimized_stages_per_handler[name] = graph.longest_path_length()
-        ordered = inline_branch_conditions(graph)
-        ordered_tables[name] = ordered
-        if options.optimize and options.reorder:
-            dataflows[name] = build_dataflow_graph(ordered)
-        else:
-            dataflows[name] = _program_order_dataflow(ordered)
-
-    array_pins = _compute_array_pins(info, dataflows) if options.optimize else {}
+        tables[name], layout.unoptimized_stages_per_handler[name] = atomic_tables(handler)
 
     if options.optimize:
+        build = build_dataflow_graph if options.reorder else _program_order_dataflow
+        dataflows = {name: build(ordered) for name, ordered in tables.items()}
+        array_pins = _compute_array_pins(info, dataflows)
         # The ASAP fixpoint is a *lower bound*: actual placement can push a
         # table past its ASAP depth when a stage runs out of ALUs/tables, so a
         # pinned stage may prove infeasible only once real placement runs.
@@ -260,8 +243,8 @@ def build_layout(
         for _ in range(max_retries):
             layouter = _Layouter(info, model, options, dict(array_pins))
             try:
-                for name in normalized:
-                    layouter.layout_handler(dataflows[name])
+                for graph in dataflows.values():
+                    layouter.layout_handler(graph)
             except _PinConflict as conflict:
                 if conflict.required > 64:
                     raise LayoutError(
@@ -277,9 +260,8 @@ def build_layout(
             raise LayoutError("table placement did not converge")
     else:
         layouter = _Layouter(info, model, options, {})
-        for name in normalized:
-            branch_count = len(graphs[name].branch_tables())
-            layouter.layout_handler_unoptimized(ordered_tables[name], branch_count)
+        for ordered in tables.values():
+            layouter.layout_handler_unoptimized(ordered)
 
     layout.stages = layouter.stage_layouts
     layout.array_stages = {
@@ -299,10 +281,7 @@ def build_layout(
 def _program_order_dataflow(tables: List[AtomicTable]) -> DataflowGraph:
     """A degenerate data-flow graph that chains tables in program order
     (used by the merging-without-reordering ablation)."""
-    graph = DataflowGraph(tables=list(tables))
-    for earlier, later in zip(tables, tables[1:]):
-        graph.deps.append(Dependency(src=earlier.uid, dst=later.uid, kind="raw", strict=True))
-    for table in tables:
-        if table.kind is TableKind.MEMORY and table.array:
-            graph.array_groups.setdefault(table.array, []).append(table.uid)
-    return graph
+    return DataflowGraph(tables, [
+        Dependency(src=earlier.uid, dst=later.uid, kind="raw", strict=True)
+        for earlier, later in zip(tables, tables[1:])
+    ])

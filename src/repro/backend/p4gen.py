@@ -33,7 +33,9 @@ from typing import Dict, List, Optional
 
 from repro.backend.layout import MergedTable, PipelineLayout
 from repro.backend.tables import AtomicTable, TableKind
+from repro.errors import MemopError
 from repro.frontend import ast
+from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ProgramInfo
 from repro.midend.normalize import (
     Const,
@@ -191,14 +193,8 @@ def _gen_parser(info: ProgramInfo) -> str:
     return "\n".join(lines)
 
 
-def _memop_body(info: ProgramInfo, memop_name: str, value_expr: str) -> List[str]:
-    """Render a memop's body as RegisterAction statements."""
-    memop = info.memops.get(memop_name)
-    lines: List[str] = []
-    if memop is None:
-        lines.append(f"            mem = {value_expr};")
-        return lines
-    stored, local = (p.name for p in memop.params)
+def _memop_body(info: ProgramInfo, shape: MemopShape, value_expr: str) -> List[str]:
+    """Render a memop's checked body as RegisterAction statements."""
 
     def render_expr(expr: ast.Expr) -> str:
         if isinstance(expr, ast.EInt):
@@ -206,32 +202,27 @@ def _memop_body(info: ProgramInfo, memop_name: str, value_expr: str) -> List[str
         if isinstance(expr, ast.EBool):
             return "1" if expr.value else "0"
         if isinstance(expr, ast.EVar):
-            if expr.name == stored:
+            if expr.name == shape.stored:
                 return "mem"
-            if expr.name == local:
+            if expr.name == shape.local:
                 return value_expr
             const = info.consts.lookup(expr.name)
             return str(const) if const is not None else expr.name
         if isinstance(expr, ast.EBinary):
             return f"{render_expr(expr.left)} {_P4_BINOPS[expr.op]} {render_expr(expr.right)}"
-        return "0"
+        raise MemopError(
+            f"memop '{shape.name}': a RegisterAction cannot express this expression", expr.span
+        )
 
-    body = [s for s in memop.body if not isinstance(s, ast.SNoop)]
-    if len(body) == 1 and isinstance(body[0], ast.SReturn):
-        lines.append(f"            mem = {render_expr(body[0].value)};")
-        return lines
-    if len(body) == 1 and isinstance(body[0], ast.SIf):
-        if_stmt = body[0]
-        then_ret = if_stmt.then_body[0]
-        else_ret = if_stmt.else_body[0]
-        lines.append(f"            if ({render_expr(if_stmt.cond)}) {{")
-        lines.append(f"                mem = {render_expr(then_ret.value)};")
-        lines.append("            } else {")
-        lines.append(f"                mem = {render_expr(else_ret.value)};")
-        lines.append("            }")
-        return lines
-    lines.append(f"            mem = {value_expr};")
-    return lines
+    if shape.cond is None:
+        return [f"            mem = {render_expr(shape.value)};"]
+    return [
+        f"            if ({render_expr(shape.cond)}) {{",
+        f"                mem = {render_expr(shape.value)};",
+        "            } else {",
+        f"                mem = {render_expr(shape.orelse)};",
+        "            }",
+    ]
 
 
 def _gen_registers(
@@ -258,9 +249,10 @@ def _gen_registers(
         lines.append(f"        void apply(inout bit<{g.cell_width}> mem, out bit<{g.cell_width}> rv) {{")
         if stmt.method in ("Array.get", "Array.getm", "Array.update"):
             lines.append("            rv = mem;")
-        if stmt.method in ("Array.set", "Array.setm", "Array.update") or stmt.memops:
-            memop_name = stmt.memops[-1] if stmt.memops else ""
-            lines.extend(_memop_body(info, memop_name, value_expr))
+        if stmt.memops:
+            lines.extend(_memop_body(info, memop_shape(info, stmt.memops[-1]), value_expr))
+        elif stmt.method == "Array.set":
+            lines.append(f"            mem = {value_expr};")
         lines.append("        }")
         lines.append("    };")
     return "\n".join(lines)

@@ -12,17 +12,18 @@ merging pass lays out:
   program order (later stage);
 * write-after-read (WAR): a writer may share a stage with an earlier reader
   (PISA stages operate on a copy of the packet header vector), so the
-  dependency is "same stage or later";
-* stateful tables that access the same register array are recorded as a
-  *same-stage group* — a register array lives in exactly one stage.
+  dependency is "same stage or later".
+
+That a register array lives in exactly one stage is not an edge of this DAG:
+:mod:`repro.backend.merge` pins every array to one stage across all handlers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from repro.backend.tables import AtomicTable, TableKind
+from repro.backend.tables import AtomicTable
 from repro.frontend.ast import BinOp
 from repro.midend.normalize import Const, operand_vars
 
@@ -37,26 +38,26 @@ class Dependency:
     strict: bool  # True when dst must be in a strictly later stage
 
 
-@dataclass
 class DataflowGraph:
-    """The data-flow DAG over the non-branch tables of one handler."""
+    """The data-flow DAG over the tables of one handler (in program order),
+    indexed once by table uid and by each edge's two ends."""
 
-    tables: List[AtomicTable] = field(default_factory=list)
-    deps: List[Dependency] = field(default_factory=list)
-    #: array name -> uids of tables accessing it (same-stage constraint)
-    array_groups: Dict[str, List[int]] = field(default_factory=dict)
+    def __init__(self, tables: Sequence[AtomicTable], deps: Sequence[Dependency]):
+        self.tables = list(tables)
+        self.deps = list(deps)
+        self._by_uid: Dict[int, AtomicTable] = {t.uid: t for t in self.tables}
+        self._preds: Dict[int, List[Dependency]] = {uid: [] for uid in self._by_uid}
+        self._succs: Dict[int, List[Dependency]] = {uid: [] for uid in self._by_uid}
+        for dep in self.deps:
+            self._preds[dep.dst].append(dep)
+            self._succs[dep.src].append(dep)
 
     def predecessors(self, uid: int) -> List[Dependency]:
-        return [d for d in self.deps if d.dst == uid]
-
-    def successors(self, uid: int) -> List[Dependency]:
-        return [d for d in self.deps if d.src == uid]
+        return self._preds[uid]
 
     def topological_order(self) -> List[AtomicTable]:
         """Tables in dependency order, breaking ties by program order."""
-        indegree: Dict[int, int] = {t.uid: 0 for t in self.tables}
-        for dep in self.deps:
-            indegree[dep.dst] += 1
+        indegree: Dict[int, int] = {uid: len(deps) for uid, deps in self._preds.items()}
         order: List[AtomicTable] = []
         ready = [t for t in self.tables if indegree[t.uid] == 0]
         position = {t.uid: i for i, t in enumerate(self.tables)}
@@ -64,30 +65,11 @@ class DataflowGraph:
             ready.sort(key=lambda t: position[t.uid])
             table = ready.pop(0)
             order.append(table)
-            for dep in self.successors(table.uid):
+            for dep in self._succs[table.uid]:
                 indegree[dep.dst] -= 1
                 if indegree[dep.dst] == 0:
-                    ready.append(self.by_uid(dep.dst))
+                    ready.append(self._by_uid[dep.dst])
         return order
-
-    def by_uid(self, uid: int) -> AtomicTable:
-        for table in self.tables:
-            if table.uid == uid:
-                return table
-        raise KeyError(uid)
-
-    def critical_path_length(self) -> int:
-        """Length of the longest chain of strict dependencies + 1 per table."""
-        order = self.topological_order()
-        depth: Dict[int, int] = {}
-        for table in order:
-            preds = self.predecessors(table.uid)
-            best = 0
-            for dep in preds:
-                d = depth[dep.src] + (1 if dep.strict else 0)
-                best = max(best, d)
-            depth[table.uid] = best
-        return (max(depth.values()) + 1) if depth else 0
 
 
 def _conditions_disjoint(tables: Sequence[AtomicTable], j: int, i: int) -> bool:
@@ -122,7 +104,7 @@ def _conditions_disjoint(tables: Sequence[AtomicTable], j: int, i: int) -> bool:
 
 def build_dataflow_graph(tables: List[AtomicTable]) -> DataflowGraph:
     """Build the data-flow DAG over ``tables`` (given in program order)."""
-    graph = DataflowGraph(tables=list(tables))
+    deps: List[Dependency] = []
     for i, later in enumerate(tables):
         later_reads = later.all_reads()
         later_writes = later.writes
@@ -139,10 +121,5 @@ def build_dataflow_graph(tables: List[AtomicTable]) -> DataflowGraph:
             if earlier.all_reads() & later_writes:
                 kinds.append(("war", False))
             for kind, strict in kinds:
-                graph.deps.append(
-                    Dependency(src=earlier.uid, dst=later.uid, kind=kind, strict=strict)
-                )
-    for table in tables:
-        if table.kind is TableKind.MEMORY and table.array:
-            graph.array_groups.setdefault(table.array, []).append(table.uid)
-    return graph
+                deps.append(Dependency(src=earlier.uid, dst=later.uid, kind=kind, strict=strict))
+    return DataflowGraph(tables, deps)

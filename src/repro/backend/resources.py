@@ -10,7 +10,7 @@ stages, with 2-13 ALU instructions mapped per stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,6 @@ class TofinoModel:
     hash_units_per_stage: int = 6
     #: SRAM available to register arrays per stage, in 32-bit words
     sram_words_per_stage: int = 128 * 1024
-    #: TCAM entries per stage (not heavily used by Lucid programs)
-    tcam_entries_per_stage: int = 2048
     #: maximum atomic tables the greedy pass merges into one physical table
     max_merge_width: int = 16
 
@@ -63,6 +61,3 @@ class StageResources:
         self.alus += alus
         self.hash_units += hash_units
         self.sram_words += sram_words
-
-
-DEFAULT_TOFINO = TofinoModel()

@@ -1,15 +1,17 @@
-"""Atomic P4 tables and the table control graph (Section 6.1, Figure 6).
+"""Atomic P4 tables (Sections 6.1-6.2, Figures 6 and 7).
 
 The backend's unit of work is the *atomic table*: a match-action table simple
-enough to execute with at most one Tofino ALU.  There are three kinds in the
-paper — operation tables, memory-operation tables, and branch tables — plus,
-in this implementation, explicit kinds for hash computations, event
-generation, and primitive actions, which the paper folds into operation
-tables.
+enough to execute with at most one Tofino ALU.  The paper has operation,
+memory-operation and branch tables; this implementation adds explicit kinds
+for hash computations, event generation and primitive actions, which the
+paper folds into operation tables, and never materialises a branch table.
 
-:func:`build_table_graph` turns a normalised handler into the table *control*
-graph of Figure 6(1): one node per atomic statement, edges following program
-order, with branch tables fanning out to their arms.
+The paper builds a control graph with branch tables (Figure 6(1)) and then
+deletes them by making every other table test the conditions necessary for
+its own execution (Figure 6(2)).  The midend hands the backend a pure ``NIf``
+tree — no early return, no join other than the end of an arm — so those
+conditions are those of a statement's enclosing ``NIf`` chain, in order,
+and :func:`atomic_tables` reads both figures off that tree in one walk.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.midend.normalize import (
-    Const,
     NArrayOp,
     NCond,
     NCopy,
@@ -31,8 +32,6 @@ from repro.midend.normalize import (
     NPrim,
     NStmt,
     NormalizedHandler,
-    Operand,
-    Var,
     operand_vars,
     stmt_reads,
     stmt_writes,
@@ -44,7 +43,6 @@ class TableKind(enum.Enum):
 
     OPERATION = "operation"
     MEMORY = "memory"
-    BRANCH = "branch"
     HASH = "hash"
     GENERATE = "generate"
     PRIMITIVE = "primitive"
@@ -58,181 +56,74 @@ class AtomicTable:
     name: str
     kind: TableKind
     handler: str
-    stmt: Optional[NStmt] = None
+    stmt: NStmt
     #: local variables read / written by the table's action
     reads: Set[str] = field(default_factory=set)
     writes: Set[str] = field(default_factory=set)
-    #: for MEMORY tables: the global array accessed and the memops used
+    #: for MEMORY tables: the global array accessed
     array: Optional[str] = None
-    memops: List[str] = field(default_factory=list)
-    #: for BRANCH tables: the condition tested
-    condition: Optional[NCond] = None
-    #: path condition accumulated by branch inlining (Section 6.2)
+    #: the conditions of the enclosing ``NIf`` chain, outermost first (negated
+    #: in an else arm): the table's static match rules (Section 6.2)
     path_conditions: List[NCond] = field(default_factory=list)
 
-    def is_stateful(self) -> bool:
-        return self.kind is TableKind.MEMORY
-
-    def condition_reads(self) -> Set[str]:
-        names: Set[str] = set()
+    def all_reads(self) -> Set[str]:
+        """The locals the action reads plus those the match rules test."""
+        names = set(self.reads)
         for cond in self.path_conditions:
             names.update(operand_vars(cond.lhs, cond.rhs))
-        if self.condition is not None:
-            names.update(operand_vars(self.condition.lhs, self.condition.rhs))
         return names
 
-    def all_reads(self) -> Set[str]:
-        return self.reads | self.condition_reads()
 
-    def describe(self) -> str:
-        return f"{self.name} [{self.kind.value}]"
-
-
-@dataclass
-class TableGraph:
-    """A control graph over atomic tables (one per handler)."""
-
-    handler: str
-    tables: List[AtomicTable] = field(default_factory=list)
-    #: uid -> list of (successor uid, edge label); labels: None, "true", "false"
-    edges: Dict[int, List[Tuple[int, Optional[str]]]] = field(default_factory=dict)
-    roots: List[int] = field(default_factory=list)
-
-    def by_uid(self, uid: int) -> AtomicTable:
-        return self._index[uid]
-
-    def __post_init__(self) -> None:
-        self._index: Dict[int, AtomicTable] = {t.uid: t for t in self.tables}
-
-    def add_table(self, table: AtomicTable) -> None:
-        self.tables.append(table)
-        self._index[table.uid] = table
-        self.edges.setdefault(table.uid, [])
-
-    def add_edge(self, src: int, dst: int, label: Optional[str] = None) -> None:
-        self.edges.setdefault(src, []).append((dst, label))
-
-    def successors(self, uid: int) -> List[int]:
-        return [dst for dst, _ in self.edges.get(uid, [])]
-
-    def non_branch_tables(self) -> List[AtomicTable]:
-        return [t for t in self.tables if t.kind is not TableKind.BRANCH]
-
-    def branch_tables(self) -> List[AtomicTable]:
-        return [t for t in self.tables if t.kind is TableKind.BRANCH]
-
-    def longest_path_length(self) -> int:
-        """Length (in tables) of the longest control path — the paper's
-        "number of atomic P4 tables in the longest code path" used as the
-        unoptimised stage count in Figure 12."""
-        memo: Dict[int, int] = {}
-
-        def depth(uid: int) -> int:
-            if uid in memo:
-                return memo[uid]
-            memo[uid] = 0  # guard against accidental cycles
-            succ = self.successors(uid)
-            best = 1 + max((depth(s) for s in succ), default=0)
-            memo[uid] = best
-            return best
-
-        return max((depth(root) for root in self.roots), default=0)
+def _make_table(handler: str, uid: int, stmt: NStmt, conditions: List[NCond]) -> AtomicTable:
+    writes = stmt_writes(stmt)
+    if isinstance(stmt, (NOp, NCopy)):
+        kind, name = TableKind.OPERATION, (
+            f"{handler}_{'op' if isinstance(stmt, NOp) else 'copy'}_{stmt.dst}")
+    elif isinstance(stmt, NHash):
+        kind, name = TableKind.HASH, f"{handler}_hash_{stmt.dst}"
+    elif isinstance(stmt, NArrayOp):
+        kind, name = TableKind.MEMORY, f"{handler}_{stmt.array}_{stmt.method.split('.')[-1]}_{uid}"
+    elif isinstance(stmt, NGenerate):
+        kind, name = TableKind.GENERATE, f"{handler}_gen_{stmt.event}_{uid}"
+        # generates of one event keep their program order (a WAW chain)
+        writes = {f"__ev_{stmt.event}"}
+    elif isinstance(stmt, NPrim):
+        # a Sys.* primitive's write of its well-known metadata field gives
+        # the copy that reads it a RAW dependency, so dataflow reordering
+        # cannot hoist the consumer ahead of the producer (or swap two
+        # Sys.random draws)
+        kind, name = TableKind.PRIMITIVE, (
+            f"{handler}_{stmt.prim.replace(':', '_').replace('.', '_')}_{uid}")
+    else:
+        raise TypeError(f"no atomic table for {type(stmt).__name__}")
+    return AtomicTable(
+        uid=uid, name=name, kind=kind, handler=handler, stmt=stmt,
+        reads=set(stmt_reads(stmt)), writes=writes, path_conditions=conditions,
+        array=stmt.array if isinstance(stmt, NArrayOp) else None,
+    )
 
 
-# ---------------------------------------------------------------------------
-# construction from a normalised handler
-# ---------------------------------------------------------------------------
-class _GraphBuilder:
-    def __init__(self, handler: NormalizedHandler):
-        self.handler = handler
-        self.graph = TableGraph(handler=handler.name)
-        self.counter = itertools.count()
+def atomic_tables(handler: NormalizedHandler) -> Tuple[List[AtomicTable], int]:
+    """The handler's atomic tables in program order, each carrying the
+    conditions of its enclosing ``NIf`` chain, and the handler's unoptimised
+    depth: the atomic tables on the longest code path with the branch tables
+    still counted — Figure 12's denominator.  Uids are pre-order over the
+    tree, an ``NIf`` consuming the one its branch table would have had."""
+    tables: List[AtomicTable] = []
+    uids = itertools.count()
 
-    def fresh_uid(self) -> int:
-        return next(self.counter)
-
-    def build(self) -> TableGraph:
-        exits = self._build_block(self.handler.body, preds=[])
-        return self.graph
-
-    # preds: list of (uid, label) that should point at the next table created
-    def _build_block(
-        self, stmts: Sequence[NStmt], preds: List[Tuple[int, Optional[str]]]
-    ) -> List[Tuple[int, Optional[str]]]:
-        current = list(preds)
+    def walk(stmts: Sequence[NStmt], conditions: List[NCond]) -> int:
+        depth = 0
         for stmt in stmts:
-            current = self._build_stmt(stmt, current)
-        return current
+            uid = next(uids)
+            depth += 1
+            if isinstance(stmt, NIf):
+                depth += max(
+                    walk(stmt.then_body, conditions + [stmt.cond]),
+                    walk(stmt.else_body, conditions + [stmt.cond.negate()]),
+                )
+            else:
+                tables.append(_make_table(handler.name, uid, stmt, conditions))
+        return depth
 
-    def _link(self, preds: List[Tuple[int, Optional[str]]], uid: int) -> None:
-        if not preds and uid not in self.graph.roots:
-            self.graph.roots.append(uid)
-        for src, label in preds:
-            self.graph.add_edge(src, uid, label)
-
-    def _build_stmt(
-        self, stmt: NStmt, preds: List[Tuple[int, Optional[str]]]
-    ) -> List[Tuple[int, Optional[str]]]:
-        if isinstance(stmt, NIf):
-            branch = self._make_branch(stmt)
-            self._link(preds, branch.uid)
-            then_exits = self._build_block(stmt.then_body, [(branch.uid, "true")])
-            else_exits = self._build_block(stmt.else_body, [(branch.uid, "false")])
-            return then_exits + else_exits
-        table = self._make_table(stmt)
-        if table is None:
-            return preds
-        self._link(preds, table.uid)
-        return [(table.uid, None)]
-
-    def _make_branch(self, stmt: NIf) -> AtomicTable:
-        uid = self.fresh_uid()
-        table = AtomicTable(
-            uid=uid,
-            name=f"{self.handler.name}_if_{uid}",
-            kind=TableKind.BRANCH,
-            handler=self.handler.name,
-            stmt=stmt,
-            condition=stmt.cond,
-            reads=set(stmt_reads(stmt)),
-        )
-        self.graph.add_table(table)
-        return table
-
-    def _make_table(self, stmt: NStmt) -> Optional[AtomicTable]:
-        uid = self.fresh_uid()
-        name = self.handler.name
-        writes = stmt_writes(stmt)
-        if isinstance(stmt, (NOp, NCopy)):
-            kind, name = TableKind.OPERATION, (
-                f"{name}_{'op' if isinstance(stmt, NOp) else 'copy'}_{stmt.dst}")
-        elif isinstance(stmt, NHash):
-            kind, name = TableKind.HASH, f"{name}_hash_{stmt.dst}"
-        elif isinstance(stmt, NArrayOp):
-            kind, name = TableKind.MEMORY, f"{name}_{stmt.array}_{stmt.method.split('.')[-1]}_{uid}"
-        elif isinstance(stmt, NGenerate):
-            kind, name = TableKind.GENERATE, f"{name}_gen_{stmt.event}_{uid}"
-            # generates of one event keep their program order (a WAW chain)
-            writes = {f"__ev_{stmt.event}"}
-        elif isinstance(stmt, NPrim):
-            # a Sys.* primitive's write of its well-known metadata field gives
-            # the copy that reads it a RAW dependency, so dataflow reordering
-            # cannot hoist the consumer ahead of the producer (or swap two
-            # Sys.random draws)
-            kind, name = TableKind.PRIMITIVE, (
-                f"{name}_{stmt.prim.replace(':', '_').replace('.', '_')}_{uid}")
-        else:  # pragma: no cover - defensive
-            return None
-        table = AtomicTable(
-            uid=uid, name=name, kind=kind, handler=self.handler.name, stmt=stmt,
-            reads=set(stmt_reads(stmt)), writes=writes,
-        )
-        if isinstance(stmt, NArrayOp):
-            table.array, table.memops = stmt.array, list(stmt.memops)
-        self.graph.add_table(table)
-        return table
-
-
-def build_table_graph(handler: NormalizedHandler) -> TableGraph:
-    """Build the atomic table control graph (Figure 6(1)) for one handler."""
-    return _GraphBuilder(handler).build()
+    return tables, walk(handler.body, [])

@@ -46,9 +46,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError, SimulationError
+from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ProgramInfo
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import MemopShape, memop_shape, memop_template
+from repro.interp.interpreter import memop_template
 from repro.midend.normalize import (
     Const,
     NArrayOp,

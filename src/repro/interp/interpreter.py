@@ -10,10 +10,11 @@ events the handler generated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import InterpError
 from repro.frontend import ast
+from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
 from repro.interp.arrays import RuntimeArray
@@ -159,66 +160,6 @@ class SwitchRuntime:
         if bound:
             return self.random_state % bound
         return self.random_state
-
-
-class MemopShape(NamedTuple):
-    """A validated memop body: ``return value;`` when ``cond`` is ``None``,
-    else ``if (cond) { return value; } else { return orelse; }``."""
-
-    name: str
-    stored: str  # the parameter bound to the cell's old value
-    local: str  # the parameter bound to the call's argument
-    cond: Optional[ast.Expr]
-    value: ast.Expr
-    orelse: Optional[ast.Expr]
-
-
-def memop_shape(info: ProgramInfo, name: str) -> MemopShape:
-    """Validate memop ``name`` into its body shape, so a malformed
-    declaration (an empty body, a missing branch, a non-``return``
-    statement) surfaces as an :class:`InterpError` naming the memop when it
-    is lowered, not as an ``IndexError`` when it first runs."""
-    decl = info.memops.get(name)
-    if decl is None:
-        raise InterpError(f"no memop named '{name}'")
-    if len(decl.params) != 2:
-        raise InterpError(
-            f"memop '{name}' must take exactly two parameters "
-            f"(found {len(decl.params)})"
-        )
-    stored, local = (p.name for p in decl.params)
-    if stored == local:
-        raise InterpError(
-            f"memop '{name}' declares both parameters with the same name '{stored}'"
-        )
-
-    def returned(stmts: List[ast.Stmt], where: str) -> ast.Expr:
-        if not isinstance(stmts[0], ast.SReturn) or stmts[0].value is None:
-            raise InterpError(
-                f"memop '{name}': the {where} must be a 'return <expr>;' statement"
-            )
-        return stmts[0].value
-
-    body = [s for s in decl.body if not isinstance(s, ast.SNoop)]
-    if not body:
-        raise InterpError(f"memop '{name}' has an empty body")
-    stmt = body[0]
-    if isinstance(stmt, ast.SReturn):
-        return MemopShape(name, stored, local, None, returned(body, "body"), None)
-    if not isinstance(stmt, ast.SIf):
-        raise InterpError(
-            f"memop '{name}' body must be a single return statement or an if "
-            "statement with one return in each branch"
-        )
-    then_body = [s for s in stmt.then_body if not isinstance(s, ast.SNoop)]
-    else_body = [s for s in stmt.else_body if not isinstance(s, ast.SNoop)]
-    if not then_body or not else_body:
-        raise InterpError(
-            f"memop '{name}' must return a value in both branches of its if statement"
-        )
-    return MemopShape(name, stored, local, stmt.cond,
-                      returned(then_body, "then-branch"),
-                      returned(else_body, "else-branch"))
 
 
 def memop_template(shape: MemopShape, info: ProgramInfo, stored: str, local: str) -> str:

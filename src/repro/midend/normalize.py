@@ -605,7 +605,7 @@ class Normalizer:
 
     # -- passes over the normalised body -----------------------------------
     def snapshot_conditions(self, stmts: List[NStmt]) -> List[NStmt]:
-        """Branch elimination (:mod:`repro.backend.branch_elim`) re-tests an
+        """The backend (:func:`repro.backend.tables.atomic_tables`) re-tests an
         ``if``'s condition at every table of both arms, and the arms' tables
         run in one pass: where an arm overwrites a condition operand and any
         table of the ``if`` can run after that write, test a snapshot taken

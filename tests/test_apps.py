@@ -1,14 +1,19 @@
 """Tests for the ten Figure 9 applications: they compile, fit sensible layouts,
 and behave correctly when executed in the interpreter."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from p4_golden_recorder import p4_summary
 from repro.apps import ALL_APPLICATIONS
 from repro.backend import CompilerOptions
 from repro.core import EventInstance, Network, single_switch_network
 from repro.scenarios import SCENARIOS, run_scenario
 
 APP_KEYS = list(ALL_APPLICATIONS)
+P4_GOLDEN = json.loads((Path(__file__).parent / "golden" / "p4_sha256.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,14 @@ def test_application_compiles(compiled_apps, key):
     compiled = compiled_apps[key]
     assert compiled.stages() > 0
     assert compiled.layout.total_atomic_tables() > 0
+
+
+@pytest.mark.parametrize("key", APP_KEYS)
+def test_generated_p4_matches_golden(compiled_apps, key):
+    assert p4_summary(compiled_apps[key]) == P4_GOLDEN[key], (
+        f"{key}: the layout or the P4 text moved; if that is intended, re-record "
+        "tests/golden/p4_sha256.json with tests/p4_golden_recorder.py"
+    )
 
 
 @pytest.mark.parametrize("key", APP_KEYS)

@@ -1,5 +1,8 @@
-"""Tests for the mid-end and backend: inlining, normalisation, table graphs,
-branch inlining, data-flow reordering, greedy merging, and P4 generation."""
+"""Tests for the mid-end and backend: inlining, normalisation, atomic tables,
+path conditions, data-flow reordering, greedy merging, and P4 generation."""
+
+import os
+import time
 
 import pytest
 
@@ -7,17 +10,20 @@ from repro.backend import (
     CompilerOptions,
     MergeOptions,
     TableKind,
+    atomic_tables,
     build_layout,
-    build_table_graph,
     compile_program,
     count_lucid_loc,
 )
-from repro.backend.branch_elim import inline_branch_conditions
 from repro.backend.reorder import build_dataflow_graph
 from repro.errors import LayoutError
 from repro.frontend import check_program
+from repro.fuzz.case import load_case
+from repro.interp.events import EventInstance
+from repro.interp.network import single_switch_network
 from repro.midend import normalize_program
 from repro.midend.normalize import NArrayOp, NGenerate, NIf, NOp
+from repro.pisa.pipeline import lower_layout
 
 
 FIGURE6 = """
@@ -110,22 +116,26 @@ def test_generate_resolution_tracks_delay_and_location():
     assert gens[1].group == "PEERS" and gens[1].multicast
 
 
-# -- table graph ---------------------------------------------------------------------
+# -- atomic tables ---------------------------------------------------------------------
 def test_table_graph_kinds_and_longest_path(figure6_normalized):
     _, normalized = figure6_normalized
-    graph = build_table_graph(normalized["count_pkt"])
-    kinds = [t.kind for t in graph.tables]
+    handler = normalized["count_pkt"]
+    tables, depth = atomic_tables(handler)
+    kinds = [t.kind for t in tables]
     assert kinds.count(TableKind.MEMORY) == 3
-    assert kinds.count(TableKind.BRANCH) >= 2
+    # an ``if`` takes a uid (its branch table's, in Figure 6(1)) but no table
+    flat = handler.flat_statements()
+    assert sum(isinstance(s, NIf) for s in flat) >= 2
+    assert [(t.uid, t.stmt) for t in tables] == [
+        (uid, s) for uid, s in enumerate(flat) if not isinstance(s, NIf)]
     # the longest control path includes the branch tables (unoptimised cost)
-    assert graph.longest_path_length() >= 6
+    assert depth >= 6
 
 
 def test_branch_inlining_removes_branch_tables(figure6_normalized):
     _, normalized = figure6_normalized
-    graph = build_table_graph(normalized["count_pkt"])
-    ordered = inline_branch_conditions(graph)
-    assert all(t.kind is not TableKind.BRANCH for t in ordered)
+    ordered, _ = atomic_tables(normalized["count_pkt"])
+    assert all(not isinstance(t.stmt, NIf) for t in ordered)
     # the idx adjustments only run on non-TCP paths
     conditional = [t for t in ordered if t.path_conditions]
     assert conditional, "some tables should carry path conditions"
@@ -133,19 +143,60 @@ def test_branch_inlining_removes_branch_tables(figure6_normalized):
 
 def test_table_after_join_has_no_conditions(figure6_normalized):
     _, normalized = figure6_normalized
-    graph = build_table_graph(normalized["count_pkt"])
-    ordered = inline_branch_conditions(graph)
+    ordered, _ = atomic_tables(normalized["count_pkt"])
     pcts_tables = [t for t in ordered if t.array == "pcts"]
     assert pcts_tables and pcts_tables[0].path_conditions == []
 
 
 def test_dataflow_graph_orders_raw_dependencies(figure6_normalized):
     _, normalized = figure6_normalized
-    graph = build_table_graph(normalized["count_pkt"])
-    ordered = inline_branch_conditions(graph)
+    ordered, _ = atomic_tables(normalized["count_pkt"])
     dataflow = build_dataflow_graph(ordered)
     raw = [d for d in dataflow.deps if d.kind == "raw"]
     assert raw, "reading idx after writing it must create RAW dependencies"
+
+
+def test_sibling_if_repeats_enclosing_test_once():
+    """A table's path conditions are its enclosing ``if`` chain: a repeat
+    survives only where the program nests the same test."""
+    case = load_case(os.path.join(
+        os.path.dirname(__file__), "regressions", "sibling-if-repeats-enclosing-test.json"))
+    handler = normalize_program(check_program(case.source).info)["e"]
+    shown = {t.array: [c.show() for c in t.path_conditions]
+             for t in atomic_tables(handler)[0]}
+    assert shown == {
+        "ta": ["h > 0", "h > 0"],  # really nested under the test twice
+        "tb": ["h > 0", "h <= 0"],
+        "tc": ["h > 0"],  # after the inner if: only the enclosing test
+    }
+
+
+def test_wide_handler_compiles_in_linear_time():
+    """24 sequential ``if``s are 2**24 control paths; the layout reads the
+    tree and never enumerates them."""
+    ifs = "\n".join(f"  if (x == {i}) {{ acc = acc + {i + 1}; }}" for i in range(24))
+    source = (
+        "global hits = new Array<<32>>(4);\nevent pkt(int x, int y);\n"
+        f"handle pkt(int x, int y) {{\n  int acc = y;\n{ifs}\n  Array.set(hits, 0, acc);\n}}\n"
+    )
+    started = time.perf_counter()
+    compiled = compile_program(source, options=CompilerOptions(emit_naive_p4=True))
+    plan = lower_layout(compiled)
+    elapsed = time.perf_counter() - started
+    assert compiled.unoptimized_stages() == 1 + 2 * 24 + 1
+    assert compiled.p4 is not None and compiled.naive_p4 is not None
+    assert plan.source.count("if v_x == ") == 24
+    assert elapsed < 2.0, f"compiling and lowering 24 sequential ifs took {elapsed:.2f} s"
+
+    def run(engine):
+        network, switch = single_switch_network(compiled.checked, engine=engine)
+        for x, y in ((0, 7), (23, 1), (24, 5), (11, 0)):
+            network.inject(0, EventInstance("pkt", (x, y)))
+            network.run()
+        return [switch.array("hits").snapshot(), network.trace]
+
+    assert run("pisa") == run("reference")
+    assert run("reference")[0][0] == 0 + 12  # the last event: y = 0, x == 11 adds 12
 
 
 def test_mutually_exclusive_branches_share_a_stage(figure6_compiled):
@@ -168,7 +219,7 @@ def test_array_stages_follow_declaration_order(figure6_compiled):
 def test_unoptimized_option_places_one_table_per_stage():
     checked = check_program(FIGURE6)
     normalized = normalize_program(checked.info)
-    layout = build_layout(checked.info, normalized, options=MergeOptions(optimize=False, merge_tables=False))
+    layout = build_layout(checked.info, normalized, options=MergeOptions(optimize=False))
     assert layout.num_stages() >= layout.total_atomic_tables() - 2  # branch-free tables, 1 per stage
 
 

@@ -8,7 +8,7 @@ evaluation benchmarks (Figures 9, 12, and 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.backend.resources import TofinoModel
 from repro.backend.tables import AtomicTable

@@ -29,9 +29,9 @@ Two generation styles are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.backend.layout import MergedTable, PipelineLayout
+from repro.backend.layout import PipelineLayout
 from repro.backend.tables import AtomicTable, TableKind
 from repro.errors import MemopError
 from repro.frontend import ast
@@ -201,15 +201,16 @@ def _memop_body(info: ProgramInfo, shape: MemopShape, value_expr: str) -> List[s
             return str(expr.value)
         if isinstance(expr, ast.EBool):
             return "1" if expr.value else "0"
+        if isinstance(expr, ast.EBinary):
+            return f"{render_expr(expr.left)} {_P4_BINOPS[expr.op]} {render_expr(expr.right)}"
         if isinstance(expr, ast.EVar):
             if expr.name == shape.stored:
                 return "mem"
             if expr.name == shape.local:
                 return value_expr
             const = info.consts.lookup(expr.name)
-            return str(const) if const is not None else expr.name
-        if isinstance(expr, ast.EBinary):
-            return f"{render_expr(expr.left)} {_P4_BINOPS[expr.op]} {render_expr(expr.right)}"
+            if const is not None:
+                return str(const)
         raise MemopError(
             f"memop '{shape.name}': a RegisterAction cannot express this expression", expr.span
         )

@@ -105,8 +105,9 @@ def _conditions_disjoint(tables: Sequence[AtomicTable], j: int, i: int) -> bool:
 def build_dataflow_graph(tables: List[AtomicTable]) -> DataflowGraph:
     """Build the data-flow DAG over ``tables`` (given in program order)."""
     deps: List[Dependency] = []
+    reads = [table.all_reads() for table in tables]
     for i, later in enumerate(tables):
-        later_reads = later.all_reads()
+        later_reads = reads[i]
         later_writes = later.writes
         for j, earlier in enumerate(tables[:i]):
             if _conditions_disjoint(tables, j, i):
@@ -118,7 +119,7 @@ def build_dataflow_graph(tables: List[AtomicTable]) -> DataflowGraph:
                 kinds.append(("raw", True))
             if earlier.writes & later_writes:
                 kinds.append(("waw", True))
-            if earlier.all_reads() & later_writes:
+            if reads[j] & later_writes:
                 kinds.append(("war", False))
             for kind, strict in kinds:
                 deps.append(Dependency(src=earlier.uid, dst=later.uid, kind=kind, strict=strict))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.frontend.source import Span, dummy_span
 
@@ -487,6 +487,25 @@ def stmt_exprs(stmt: Stmt) -> List[Expr]:
     if isinstance(stmt, SExpr):
         return [stmt.expr]
     return []
+
+
+def clone(node):
+    """A structural copy of ``node`` — an expression, a statement, or a list
+    or tuple of them: every mutable node (a non-frozen dataclass, which
+    covers the normalised statements of :mod:`repro.midend.normalize` too),
+    list and tuple below it is fresh; spans, frozen type expressions and
+    operands, enums, ints and strings are immutable and stay shared."""
+    cls = type(node)
+    if cls is list:
+        return [clone(item) for item in node]
+    if cls is tuple:
+        return tuple([clone(item) for item in node])
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or params.frozen:
+        return node
+    copy = cls.__new__(cls)
+    copy.__dict__.update({name: clone(value) for name, value in node.__dict__.items()})
+    return copy
 
 
 def expr_calls(expr: Expr) -> List[ECall]:

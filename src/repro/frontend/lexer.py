@@ -1,14 +1,20 @@
-"""A hand-written lexer for Lucid source text.
+"""The lexer for Lucid source text: one compiled pattern.
 
 The concrete syntax follows the snippets in the paper: C-like statements,
 ``//`` and ``/* */`` comments, decimal / hexadecimal / binary integer
 literals, time-suffixed literals (``10ms``, ``100us``, ``1s``) which are
 normalised to nanoseconds, and the ``<<`` ``>>`` size brackets used by
 ``Array<<32>>`` and ``hash<<16>>``.
+
+Each step of the scan is one ``match`` of :data:`_TOKEN` at the current
+offset: it skips whitespace and comments and then takes exactly one
+alternative — an identifier, an operator, a literal, or one of the error
+shapes — so the cost is per token, not per character.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexError
@@ -23,25 +29,42 @@ TIME_SUFFIXES = {
     "s": 1_000_000_000,
 }
 
-_SINGLE_CHAR = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "~": TokenKind.TILDE,
-    "^": TokenKind.CARET,
-    "#": TokenKind.HASH,
+#: every operator and punctuation mark, by its text
+_OPERATORS = {
+    kind.value: kind
+    for kind in (
+        TokenKind.EQ, TokenKind.NEQ, TokenKind.LE, TokenKind.GE, TokenKind.AND,
+        TokenKind.OR, TokenKind.LSHIFT_SIZE, TokenKind.RSHIFT_SIZE,
+        TokenKind.ASSIGN, TokenKind.LT, TokenKind.GT, TokenKind.BANG,
+        TokenKind.AMP, TokenKind.PIPE, TokenKind.LPAREN, TokenKind.RPAREN,
+        TokenKind.LBRACE, TokenKind.RBRACE, TokenKind.LBRACKET,
+        TokenKind.RBRACKET, TokenKind.SEMI, TokenKind.COMMA, TokenKind.DOT,
+        TokenKind.PLUS, TokenKind.MINUS, TokenKind.STAR, TokenKind.SLASH,
+        TokenKind.PERCENT, TokenKind.TILDE, TokenKind.CARET, TokenKind.HASH,
+    )
 }
+
+# ``\w`` is "alphanumeric or underscore" and ``\d`` the digits ``int()``
+# accepts, in any script; ``[^\W_]`` is ``str.isalnum``.  A letter outside
+# ASCII starts an identifier only if ``str.isalpha`` says so (``word``).
+_TOKEN = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ )*
+    (?: (?P<ident>   [A-Za-z_]\w* )
+      | (?P<comment> /\* )
+      | (?P<op>      OPERATORS )
+      | (?P<hex>     0[xX][^\W_]* )
+      | (?P<bin>     0[bB][^\W_]* )
+      | (?P<dec>     (?P<digits>\d+) (?P<suffix>[^\W\d_]*) )
+      | (?P<string>  "[^"\n]*" )
+      | (?P<word>    [^\W\d]\w* )
+      | (?P<other>   . )
+    )?
+    """.replace(  # longest operators first
+        "OPERATORS", "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    ),
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class Lexer:
@@ -49,171 +72,60 @@ class Lexer:
 
     def __init__(self, source: SourceFile):
         self.source = source
-        self.text = source.text
-        self.pos = 0
-        self.tokens: List[Token] = []
 
-    # -- helpers ---------------------------------------------------------
-    def _span(self, start: int) -> Span:
-        return Span(self.source, start, self.pos)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.text[idx] if idx < len(self.text) else ""
-
-    def _error(self, message: str, start: int) -> LexError:
-        return LexError(message, self._span(start))
-
-    # -- main loop -------------------------------------------------------
     def tokenize(self) -> List[Token]:
         """Lex the whole input, returning tokens terminated by ``EOF``."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                self._skip_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            elif ch.isdigit():
-                self._lex_number()
-            elif ch.isalpha() or ch == "_":
-                self._lex_ident()
-            elif ch == '"':
-                self._lex_string()
+        source, text = self.source, self.source.text
+        match = _TOKEN.match
+        keyword = KEYWORDS.get
+        ident, integer = TokenKind.IDENT, TokenKind.INT
+        tokens: List[Token] = []
+        emit = tokens.append
+        pos = 0
+        while True:
+            found = match(text, pos)
+            group = found.lastgroup
+            if group is None:  # nothing but whitespace and comments is left
+                break
+            start, pos = found.span(group)
+            lexeme = text[start:pos]
+            if group == "ident":
+                emit(Token(keyword(lexeme, ident), lexeme, Span(source, start, pos)))
+            elif group == "op":
+                emit(Token(_OPERATORS[lexeme], lexeme, Span(source, start, pos)))
+            elif group == "dec":
+                value = int(found["digits"])
+                suffix = found["suffix"]
+                if suffix in TIME_SUFFIXES:
+                    value *= TIME_SUFFIXES[suffix]
+                elif suffix and suffix != "w":  # a width, as in P4's 32w: ignored
+                    raise LexError(f"unknown numeric suffix {suffix!r}", Span(source, start, pos))
+                emit(Token(integer, lexeme, Span(source, start, pos), value))
+            elif group in ("hex", "bin"):
+                base, what = (16, "hexadecimal") if group == "hex" else (2, "binary")
+                try:
+                    value = int(lexeme, base)
+                except ValueError:
+                    raise LexError(
+                        f"invalid {what} literal {lexeme!r}", Span(source, start, pos)
+                    ) from None
+                emit(Token(integer, lexeme, Span(source, start, pos), value))
+            elif group == "string":
+                emit(Token(TokenKind.STRING, lexeme, Span(source, start, pos)))
+            elif group == "word" and lexeme[0].isalpha():
+                emit(Token(ident, lexeme, Span(source, start, pos)))
+            elif group == "comment":
+                raise LexError("unterminated block comment", Span(source, start, len(text)))
+            elif text[start] == '"':
+                line_end = text.find("\n", start)
+                raise LexError(
+                    "unterminated string literal",
+                    Span(source, start, len(text) if line_end < 0 else line_end),
+                )
             else:
-                self._lex_operator()
-        eof_span = Span(self.source, len(self.text), len(self.text))
-        self.tokens.append(Token(TokenKind.EOF, "", eof_span))
-        return self.tokens
-
-    # -- token scanners --------------------------------------------------
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.text) and self._peek() != "\n":
-            self.pos += 1
-
-    def _skip_block_comment(self) -> None:
-        start = self.pos
-        self.pos += 2
-        while self.pos < len(self.text):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self.pos += 2
-                return
-            self.pos += 1
-        raise self._error("unterminated block comment", start)
-
-    def _lex_number(self) -> None:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self.pos += 2
-            while self._peek().isalnum():
-                self.pos += 1
-            text = self.text[start : self.pos]
-            try:
-                value = int(text, 16)
-            except ValueError:
-                raise self._error(f"invalid hexadecimal literal {text!r}", start) from None
-            self.tokens.append(Token(TokenKind.INT, text, self._span(start), value))
-            return
-        if self._peek() == "0" and self._peek(1) in "bB":
-            self.pos += 2
-            while self._peek().isalnum():
-                self.pos += 1
-            text = self.text[start : self.pos]
-            try:
-                value = int(text, 2)
-            except ValueError:
-                raise self._error(f"invalid binary literal {text!r}", start) from None
-            self.tokens.append(Token(TokenKind.INT, text, self._span(start), value))
-            return
-        while self._peek().isdigit():
-            self.pos += 1
-        digits_end = self.pos
-        # time suffix? (ns, us, ms, s)
-        suffix_start = self.pos
-        while self._peek().isalpha():
-            self.pos += 1
-        suffix = self.text[suffix_start : self.pos]
-        text = self.text[start : self.pos]
-        value = int(self.text[start:digits_end])
-        if suffix:
-            if suffix in TIME_SUFFIXES:
-                value *= TIME_SUFFIXES[suffix]
-            elif suffix == "w":  # width suffix, e.g. 32w in P4-ish code; ignore
-                pass
-            else:
-                raise self._error(f"unknown numeric suffix {suffix!r}", start)
-        self.tokens.append(Token(TokenKind.INT, text, self._span(start), value))
-
-    def _lex_ident(self) -> None:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self.pos += 1
-        text = self.text[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        self.tokens.append(Token(kind, text, self._span(start)))
-
-    def _lex_string(self) -> None:
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and self._peek() != '"':
-            if self._peek() == "\n":
-                raise self._error("unterminated string literal", start)
-            self.pos += 1
-        if self.pos >= len(self.text):
-            raise self._error("unterminated string literal", start)
-        self.pos += 1
-        text = self.text[start : self.pos]
-        self.tokens.append(Token(TokenKind.STRING, text, self._span(start)))
-
-    def _lex_operator(self) -> None:
-        start = self.pos
-        two = self.text[self.pos : self.pos + 2]
-        two_char = {
-            "==": TokenKind.EQ,
-            "!=": TokenKind.NEQ,
-            "<=": TokenKind.LE,
-            ">=": TokenKind.GE,
-            "&&": TokenKind.AND,
-            "||": TokenKind.OR,
-            "<<": TokenKind.LSHIFT_SIZE,
-            ">>": TokenKind.RSHIFT_SIZE,
-        }
-        if two in two_char:
-            self.pos += 2
-            self.tokens.append(Token(two_char[two], two, self._span(start)))
-            return
-        ch = self._peek()
-        if ch == "=":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.ASSIGN, "=", self._span(start)))
-            return
-        if ch == "<":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.LT, "<", self._span(start)))
-            return
-        if ch == ">":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.GT, ">", self._span(start)))
-            return
-        if ch == "!":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.BANG, "!", self._span(start)))
-            return
-        if ch == "&":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.AMP, "&", self._span(start)))
-            return
-        if ch == "|":
-            self.pos += 1
-            self.tokens.append(Token(TokenKind.PIPE, "|", self._span(start)))
-            return
-        if ch in _SINGLE_CHAR:
-            self.pos += 1
-            self.tokens.append(Token(_SINGLE_CHAR[ch], ch, self._span(start)))
-            return
-        self.pos += 1
-        raise self._error(f"unexpected character {ch!r}", start)
+                raise LexError(f"unexpected character {text[start]!r}", Span(source, start, start + 1))
+        emit(Token(TokenKind.EOF, "", Span(source, len(text), len(text))))
+        return tokens
 
 
 def tokenize(text: str, name: str = "<string>") -> List[Token]:

@@ -29,24 +29,33 @@ interpreter's closure, the engines' source template, the P4 printer — as one
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Container, Dict, List, NamedTuple, Optional
 
 from repro.errors import InterpError, MemopError
 from repro.frontend import ast
 from repro.frontend.ast import SALU_ARITH_OPS, SALU_CMP_OPS
+from repro.frontend.const_eval import BUILTIN_CONSTS
 from repro.frontend.symbols import ProgramInfo
 
+#: whether a name may be read in the memop being checked
+Scope = Callable[[str], bool]
 
-def check_memop(memop: ast.DMemop) -> None:
-    """Validate one memop declaration; raise :class:`MemopError` on failure."""
+
+def check_memop(memop: ast.DMemop, consts: Container[str] = BUILTIN_CONSTS) -> None:
+    """Validate one memop declaration; raise :class:`MemopError` on failure.
+    Its body may read its two parameters and the constants in ``consts``."""
     _check_params(memop)
-    param_names = {p.name for p in memop.params}
+    params = {p.name for p in memop.params}
+
+    def scope(name: str) -> bool:
+        return name in params or name in consts
+
     body = [s for s in memop.body if not isinstance(s, ast.SNoop)]
     if len(body) == 1 and isinstance(body[0], ast.SReturn):
-        _check_return(body[0], param_names)
+        _check_return(body[0], scope)
         return
     if len(body) == 1 and isinstance(body[0], ast.SIf):
-        _check_if_body(body[0], param_names)
+        _check_if_body(body[0], scope)
         return
     span = memop.body[0].span if memop.body else memop.span
     raise MemopError(
@@ -56,10 +65,10 @@ def check_memop(memop: ast.DMemop) -> None:
     )
 
 
-def check_all_memops(program: ast.Program) -> None:
+def check_all_memops(program: ast.Program, consts: Container[str] = BUILTIN_CONSTS) -> None:
     """Validate every memop declared in ``program``."""
     for memop in program.memops():
-        check_memop(memop)
+        check_memop(memop, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +101,8 @@ def _check_params(memop: ast.DMemop) -> None:
 # ---------------------------------------------------------------------------
 # rule 1: body shape
 # ---------------------------------------------------------------------------
-def _check_if_body(stmt: ast.SIf, param_names: set) -> None:
-    _check_condition(stmt.cond, param_names)
+def _check_if_body(stmt: ast.SIf, scope: Scope) -> None:
+    _check_condition(stmt.cond, scope)
     for branch_name, branch in (("then", stmt.then_body), ("else", stmt.else_body)):
         stmts = [s for s in branch if not isinstance(s, ast.SNoop)]
         if len(stmts) != 1 or not isinstance(stmts[0], ast.SReturn):
@@ -103,19 +112,19 @@ def _check_if_body(stmt: ast.SIf, param_names: set) -> None:
                 "exactly one return statement",
                 span,
             )
-        _check_return(stmts[0], param_names)
+        _check_return(stmts[0], scope)
 
 
-def _check_return(stmt: ast.SReturn, param_names: set) -> None:
+def _check_return(stmt: ast.SReturn, scope: Scope) -> None:
     if stmt.value is None:
         raise MemopError("a memop must return a value", stmt.span)
-    _check_value_expr(stmt.value, param_names)
+    _check_value_expr(stmt.value, scope)
 
 
 # ---------------------------------------------------------------------------
 # rules 2, 3, 5: expression restrictions
 # ---------------------------------------------------------------------------
-def _check_condition(cond: ast.Expr, param_names: set) -> None:
+def _check_condition(cond: ast.Expr, scope: Scope) -> None:
     """Conditions must be a single comparison between ALU operands."""
     if isinstance(cond, ast.EBinary) and cond.op in (ast.BinOp.AND, ast.BinOp.OR):
         raise MemopError(
@@ -125,26 +134,24 @@ def _check_condition(cond: ast.Expr, param_names: set) -> None:
             cond.span,
         )
     if isinstance(cond, ast.EBinary) and cond.op in SALU_CMP_OPS:
-        _check_operand(cond.left, param_names)
-        _check_operand(cond.right, param_names)
-        _check_single_use(cond, param_names)
-        return
-    if isinstance(cond, (ast.EVar, ast.EBool)):
-        return
-    raise MemopError(
-        "a memop condition must be a single comparison between the stored value, "
-        "the local argument, or constants",
-        cond.span,
-    )
+        _check_operand(cond.left)
+        _check_operand(cond.right)
+    elif not isinstance(cond, (ast.EVar, ast.EBool)):
+        raise MemopError(
+            "a memop condition must be a single comparison between the stored value, "
+            "the local argument, or constants",
+            cond.span,
+        )
+    _check_variables(cond, scope)
 
 
-def _check_value_expr(expr: ast.Expr, param_names: set) -> None:
+def _check_value_expr(expr: ast.Expr, scope: Scope) -> None:
     """Returned values must be evaluable by the sALU arithmetic unit."""
-    _check_single_use(expr, param_names)
-    _check_value_expr_rec(expr, param_names, depth=0)
+    _check_variables(expr, scope)
+    _check_value_expr_rec(expr, depth=0)
 
 
-def _check_value_expr_rec(expr: ast.Expr, param_names: set, depth: int) -> None:
+def _check_value_expr_rec(expr: ast.Expr, depth: int) -> None:
     if isinstance(expr, (ast.EInt, ast.EBool, ast.EVar)):
         return
     if isinstance(expr, ast.EBinary):
@@ -160,10 +167,10 @@ def _check_value_expr_rec(expr: ast.Expr, param_names: set, depth: int) -> None:
                 "operator (a single stateful-ALU instruction)",
                 expr.span,
             )
-        _check_operand(expr.left, param_names)
-        _check_operand(expr.right, param_names)
-        _check_value_expr_rec(expr.left, param_names, depth + 1)
-        _check_value_expr_rec(expr.right, param_names, depth + 1)
+        _check_operand(expr.left)
+        _check_operand(expr.right)
+        _check_value_expr_rec(expr.left, depth + 1)
+        _check_value_expr_rec(expr.right, depth + 1)
         return
     if isinstance(expr, ast.ECall):
         raise MemopError("function calls are not allowed inside memops", expr.span)
@@ -174,13 +181,9 @@ def _check_value_expr_rec(expr: ast.Expr, param_names: set, depth: int) -> None:
     raise MemopError("expression is too complex for a stateful ALU", expr.span)
 
 
-def _check_operand(expr: ast.Expr, param_names: set) -> None:
-    if isinstance(expr, (ast.EInt, ast.EBool)):
-        return
-    if isinstance(expr, ast.EVar):
-        return
-    if isinstance(expr, ast.EBinary):
-        # nested binary: handled by depth check in _check_value_expr_rec
+def _check_operand(expr: ast.Expr) -> None:
+    # a nested binary is left to the depth check in _check_value_expr_rec
+    if isinstance(expr, (ast.EInt, ast.EBool, ast.EVar, ast.EBinary)):
         return
     raise MemopError(
         "memop operands must be the stored value, the local argument, or constants",
@@ -188,11 +191,18 @@ def _check_operand(expr: ast.Expr, param_names: set) -> None:
     )
 
 
-def _check_single_use(expr: ast.Expr, param_names: set) -> None:
-    """Rule 2: each variable may be used at most once per expression."""
+def _check_variables(expr: ast.Expr, scope: Scope) -> None:
+    """Every variable is in scope — a stateful ALU reads the cell, one local
+    value and immediates, nothing else — and (rule 2) used at most once per
+    expression."""
     counts: Dict[str, List[ast.EVar]] = {}
     for sub in ast.walk_expr(expr):
         if isinstance(sub, ast.EVar):
+            if not scope(sub.name):
+                raise MemopError(
+                    f"'{sub.name}' is neither a parameter of the memop nor a declared constant",
+                    sub.span,
+                )
             counts.setdefault(sub.name, []).append(sub)
     for name, uses in counts.items():
         if len(uses) > 1:

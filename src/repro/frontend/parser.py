@@ -28,18 +28,20 @@ class Parser:
 
     def __init__(self, source: SourceFile):
         self.source = source
-        self.tokens = Lexer(source).tokenize()
+        tokens = Lexer(source).tokenize()
+        # ``pos`` never passes the one ``EOF`` and no rule looks further than
+        # three tokens ahead (``_looks_like_size_args``): pad, don't clamp
+        self.tokens = tokens + tokens[-1:] * 3
         self.pos = 0
 
     # ------------------------------------------------------------------
     # token-stream helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def _at(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self._peek(offset).kind is kind
+        return self.tokens[self.pos + offset].kind is kind
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -472,11 +474,16 @@ class Parser:
             left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
         return left
 
+    _MULT_OPS = {
+        TokenKind.STAR: ast.BinOp.MUL,
+        TokenKind.SLASH: ast.BinOp.DIV,
+        TokenKind.PERCENT: ast.BinOp.MOD,
+    }
+
     def _parse_mult(self) -> ast.Expr:
         left = self._parse_unary()
-        ops = {TokenKind.STAR: ast.BinOp.MUL, TokenKind.SLASH: ast.BinOp.DIV, TokenKind.PERCENT: ast.BinOp.MOD}
-        while self._peek().kind in ops:
-            op = ops[self._advance().kind]
+        while self._peek().kind in self._MULT_OPS:
+            op = self._MULT_OPS[self._advance().kind]
             right = self._parse_unary()
             left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
         return left

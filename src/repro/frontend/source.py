@@ -8,8 +8,8 @@ exactly what is wrong" (Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,19 @@ class SourceFile:
             end = len(self.text)
         return self.text[begin:end]
 
+    def __deepcopy__(self, memo) -> "SourceFile":
+        return self  # immutable: a copied AST shares its source text
 
-@dataclass(frozen=True)
-class Span:
+
+class Span(NamedTuple):
     """A half-open range ``[start, end)`` of characters in a source file."""
 
     source: SourceFile
     start: int
     end: int
+
+    def __deepcopy__(self, memo) -> "Span":
+        return self
 
     @property
     def line(self) -> int:

@@ -729,6 +729,6 @@ def check_program(
     """
     program = parse_program(source, name=name) if isinstance(source, str) else source
     info = collect_program_info(program, symbolic_bindings, group_bindings)
-    check_all_memops(program)
+    check_all_memops(program, info.consts)
     checker = TypeChecker(info)
     return checker.check()

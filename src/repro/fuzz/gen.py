@@ -68,7 +68,8 @@ _CMP_OPS = (
     ast.BinOp.LE,
     ast.BinOp.GE,
 )
-_SALU_OPS = tuple(ast.SALU_ARITH_OPS)
+# declaration order: a frozenset of enums iterates in hash-seed order
+_SALU_OPS = tuple(op for op in ast.BinOp if op in ast.SALU_ARITH_OPS)
 
 _INT_LITERALS = (0, 1, 2, 3, 5, 7, 10, 255, 4096, 0xFFFF, 0xDEADBEEF)
 

@@ -18,7 +18,7 @@ from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
 from repro.interp.arrays import RuntimeArray
-from repro.interp.events import LOCAL, EventInstance
+from repro.interp.events import EventInstance
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.ops import apply_binop, binop_template, lucid_hash, mask32
 

@@ -30,7 +30,6 @@ hoisted callee body is bound to a temp ahead of it).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -119,9 +118,9 @@ def returnify(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
                 then_body = stmt.then_body
                 else_body = stmt.else_body
                 if rest and not _block_returns(then_body):
-                    then_body = then_body + copy.deepcopy(rest)
+                    then_body = then_body + ast.clone(rest)
                 if rest and not _block_returns(else_body):
-                    else_body = else_body + copy.deepcopy(rest)
+                    else_body = else_body + ast.clone(rest)
                 result.append(
                     ast.SIf(
                         span=stmt.span,
@@ -137,7 +136,7 @@ def returnify(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
                 new_branches = []
                 for pat, body in branches:
                     if rest and not _block_returns(body):
-                        body = body + copy.deepcopy(rest)
+                        body = body + ast.clone(rest)
                     new_branches.append((pat, returnify(body)))
                 result.append(
                     ast.SMatch(span=stmt.span, scrutinees=stmt.scrutinees, branches=new_branches)
@@ -184,10 +183,11 @@ def eliminate_returns(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
 # renaming / substitution helpers
 # ---------------------------------------------------------------------------
 def _rename_expr(expr: ast.Expr, renames: Dict[str, ast.Expr]) -> ast.Expr:
-    expr = copy.copy(expr)
+    """``expr``, rewritten in place, with every renamed variable replaced by
+    a copy of what it is renamed to."""
     if isinstance(expr, ast.EVar):
         if expr.name in renames:
-            return copy.deepcopy(renames[expr.name])
+            return ast.clone(renames[expr.name])
         return expr
     if isinstance(expr, ast.EUnary):
         expr.operand = _rename_expr(expr.operand, renames)
@@ -280,7 +280,7 @@ class Inliner:
 
     def inline_handler(self, handler: ast.DHandler) -> ast.DHandler:
         self._check_names(assigned_names(handler.body) | {p.name for p in handler.params}, handler)
-        body = copy.deepcopy(handler.body)
+        body = ast.clone(handler.body)
         body = self._inline_block(body, depth=0)
         return ast.DHandler(span=handler.span, name=handler.name, params=handler.params, body=body)
 
@@ -399,7 +399,7 @@ class Inliner:
             else:
                 renames[param.name] = self._bind(arg, param.name, prefix)
 
-        body = copy.deepcopy(fun.body)
+        body = ast.clone(fun.body)
         _rename_stmts(body, renames, self.fresh)
         body = self._inline_block(returnify(body), depth + 1)
 

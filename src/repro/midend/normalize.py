@@ -36,7 +36,6 @@ group literal with a non-constant member.  One documented width: a sum of
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
@@ -574,7 +573,7 @@ class Normalizer:
         # of its literal patterns hold, so every nested condition level must
         # fall through to the remaining arm chain, not to an empty else —
         # otherwise `match (x, y) with | 2, 0 -> A | _, _ -> B` silently runs
-        # neither body when x == 2 but y != 0.  The chain is deep-copied per
+        # neither body when x == 2 but y != 0.  The chain is copied per
         # level: branch paths are mutually exclusive at runtime, so each copy
         # can execute at most once per pass.
         chain: List[NStmt] = []
@@ -595,7 +594,7 @@ class Normalizer:
                         span=stmt.span,
                         cond=extra,
                         then_body=current,
-                        else_body=copy.deepcopy(chain),
+                        else_body=ast.clone(chain),
                     )
                 ]
             chain = [NIf(span=stmt.span, cond=conds[0], then_body=current, else_body=chain)]

@@ -2,6 +2,11 @@
 determinism, unparse round-tripping, the differential runner's observables,
 the shrinker's contract, and the ``python -m repro.fuzz`` CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.frontend.parser import parse_program
@@ -25,6 +30,23 @@ def test_generator_is_deterministic():
     assert a.events == b.events
     assert a.switches == b.switches
     assert a.links == b.links
+
+
+def test_generator_does_not_depend_on_the_hash_seed():
+    """A set of enums iterates in an order drawn from ``PYTHONHASHSEED``."""
+    script = (
+        "from repro.fuzz.gen import CaseGenerator\n"
+        "for i in range(20):\n"
+        "    print(CaseGenerator(seed=0).generate(i).source)\n"
+    )
+    printed = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                              capture_output=True, text=True, check=True)
+        printed.append(done.stdout)
+    assert "memop" in printed[0] and printed[0] == printed[1]
 
 
 def test_generator_seeds_differ():

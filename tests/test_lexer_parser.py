@@ -1,10 +1,17 @@
 """Tests for the lexer and parser."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import LexError, ParseError
 from repro.frontend import ast, parse_expression, parse_program, tokenize
 from repro.frontend.tokens import TokenKind
+from token_golden_recorder import sources, token_summary
+
+TOKEN_GOLDEN = json.loads((Path(__file__).parent / "golden" / "tokens_sha256.json").read_text())
+TOKEN_SOURCES = sources()
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +87,47 @@ def test_lex_unexpected_character():
 def test_lex_positions_are_tracked():
     toks = tokenize("a\n  b")
     assert toks[1].span.line == 2 and toks[1].span.column == 3
+
+
+@pytest.mark.parametrize(
+    "text,message,start",
+    [
+        ("a /* never closed", "unterminated block comment", 2),
+        ('x = "abc', "unterminated string literal", 4),
+        ('x = "ab\nc";', "unterminated string literal", 4),
+        ("y = 0xZZ;", "invalid hexadecimal literal '0xZZ'", 4),
+        ("y = 0x;", "invalid hexadecimal literal '0x'", 4),
+        ("y = 0b102;", "invalid binary literal '0b102'", 4),
+        ("t = 10parsecs;", "unknown numeric suffix 'parsecs'", 4),
+        ("int x = $1;", "unexpected character '$'", 8),
+        ("a\fb", "unexpected character '\\x0c'", 1),
+        # str.isdigit() takes a superscript for a digit, int() does not
+        ("int x = \u00b2;", "unexpected character '\u00b2'", 8),
+        ("\u00bd", "unexpected character '\u00bd'", 0),
+    ],
+)
+def test_lex_errors_keep_their_message_and_position(text, message, start):
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert (err.value.message, err.value.span.start) == (message, start)
+
+
+def test_lex_ends_in_exactly_one_eof():
+    for text in ("", "  // only a comment", "a b", "0"):
+        toks = tokenize(text)
+        assert [t.kind for t in toks].count(TokenKind.EOF) == 1 and toks[-1].kind is TokenKind.EOF
+        assert toks[-1].span.start == toks[-1].span.end == len(text)
+
+
+@pytest.mark.parametrize("label", sorted(TOKEN_GOLDEN))
+def test_tokens_match_golden(label):
+    """Recorded from the hand-written scanner this one replaced; regenerate
+    only on purpose, with tests/token_golden_recorder.py."""
+    assert token_summary(TOKEN_SOURCES[label]) == TOKEN_GOLDEN[label]
+
+
+def test_token_golden_covers_every_bundled_source():
+    assert sorted(TOKEN_SOURCES) == sorted(TOKEN_GOLDEN)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +285,52 @@ def test_parser_spans_cover_declarations():
     handler = program.handlers()[0]
     assert handler.span.source.name == "prog.lucid"
     assert "handle pkt" in handler.span.text
+
+
+# ---------------------------------------------------------------------------
+# ast.clone
+# ---------------------------------------------------------------------------
+def _scramble(node, seen):
+    """Mutate every list and attribute reachable from ``node`` in place."""
+    if isinstance(node, list):
+        for item in node:
+            _scramble(item, seen)
+        node.append("scrambled")
+    elif type(node) is tuple:
+        for item in node:
+            _scramble(item, seen)
+    elif isinstance(node, (ast.Expr, ast.Stmt)) and id(node) not in seen:
+        seen.add(id(node))
+        for name, value in list(vars(node).items()):
+            _scramble(value, seen)
+            if not isinstance(value, list):
+                setattr(node, name, "scrambled")
+
+
+def test_clone_shares_no_mutable_state():
+    source = """
+    event e(int a, int b);
+    handle e(int a, int b) {
+        int h = hash<<16>>(a, b);
+        match (a, h) with
+        | 1, _ -> { if (b > 2 && !(a == 3)) { generate e(h, -b); } else { return; } }
+        | _, _ -> { h = h + {1, 2}; }
+    }
+    """
+    body = parse_program(source).handlers()[0].body
+    reference = parse_program(source).handlers()[0].body
+    copy = ast.clone(body)
+    assert copy == body and copy is not body
+    original_nodes = {id(s) for s in ast.walk_stmts(body)} | {
+        id(x) for s in ast.walk_stmts(body) for e in ast.stmt_exprs(s) for x in ast.walk_expr(e)
+    }
+    copied_nodes = {id(s) for s in ast.walk_stmts(copy)} | {
+        id(x) for s in ast.walk_stmts(copy) for e in ast.stmt_exprs(s) for x in ast.walk_expr(e)
+    }
+    assert len(copied_nodes) == len(original_nodes) and not copied_nodes & original_nodes
+    pattern, _ = copy[1].branches[0]
+    assert pattern == [1, None] and pattern is not body[1].branches[0][0]
+    assert copy[0].init.size_args == [16] and copy[0].init.size_args is not body[0].init.size_args
+    assert copy[0].span is body[0].span and copy[0].ty is body[0].ty  # immutable: shared
+    _scramble(copy, set())
+    assert copy != body and body == reference

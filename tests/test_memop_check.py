@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.backend.compiler import compile_program
+from repro.backend.p4gen import generate_p4
 from repro.errors import MemopError
-from repro.frontend import parse_program
+from repro.frontend import check_program, parse_program
 from repro.frontend.memop_check import check_all_memops, check_memop
 
 
@@ -139,3 +141,43 @@ def test_check_all_memops_walks_every_declaration():
     )
     with pytest.raises(MemopError):
         check_all_memops(parse_program(source))
+
+
+# -- scope: the two parameters and declared constants ------------------------
+UNDECLARED = """
+const int K = 3;
+global cells = new Array<<32>>(8);
+memop m(int stored, int x) { BODY }
+event e(int i);
+handle e(int i) { int v = Array.update(cells, i, m, 1, m, 2); }
+"""
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return stored + zz;",
+        "return zz;",
+        "if (zz) { return x; } else { return stored; }",
+        "if (stored < zz) { return x; } else { return stored; }",
+        "if (stored < x) { return x; } else { return cells; }",
+    ],
+)
+def test_undeclared_name_in_memop_is_a_memop_error_at_the_name(body):
+    source = UNDECLARED.replace("BODY", body)
+    with pytest.raises(MemopError, match="neither a parameter of the memop nor a declared") as err:
+        check_program(source)
+    assert err.value.span.text in ("zz", "cells")
+
+
+@pytest.mark.parametrize("name", ["K", "TCP"])  # a declared and a built-in constant
+def test_constants_are_in_scope_of_a_memop(name):
+    compiled = compile_program(UNDECLARED.replace("BODY", f"return stored + {name};"))
+    assert f"mem = mem + {3 if name == 'K' else 6};" in compiled.p4.full_text()
+
+
+def test_p4_printer_refuses_a_name_it_cannot_resolve():
+    compiled = compile_program(UNDECLARED.replace("BODY", "return stored + K;"))
+    del compiled.checked.info.consts.values["K"]
+    with pytest.raises(MemopError, match="cannot express"):
+        generate_p4(compiled.checked.info, compiled.layout)

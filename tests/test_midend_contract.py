@@ -11,6 +11,7 @@ counted, explained tree-walker fallback.  Shapes the midend *fixed* live in
 stages.
 """
 
+import copy
 import re
 
 import pytest
@@ -18,12 +19,13 @@ import pytest
 from repro.apps import ALL_APPLICATIONS
 from repro.backend.compiler import CompilerOptions, compile_checked
 from repro.errors import TypeError_
-from repro.frontend import check_program
+from repro.frontend import ast, check_program
 from repro.fuzz.gen import CaseGenerator
 from repro.interp.codegen import compile_program, dump_program_source
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import Network
+from repro.midend.normalize import normalize_program
 from repro.obs import REGISTRY, disable, enable
 from repro.pisa.pipeline import lower_layout
 
@@ -204,3 +206,20 @@ def test_every_statement_codegen_prints_is_a_line_of_the_stage_plan(key):
     # and no lowering of its own is left in the text
     for gone in ("_UNDEF", "_chk(", "_undef(", "_resolve(", ".locate(", ".delay(", "while True"):
         assert gone not in module
+
+
+# ---------------------------------------------------------------------------
+# the midend copies what it rewrites
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("key", ["SFW", "DNS"])  # the two apps that inline most
+def test_inliner_and_normaliser_leave_their_input_alone(key):
+    info = check_program(ALL_APPLICATIONS[key].source, name=key).info
+    handlers, functions = copy.deepcopy((info.handlers, info.functions))
+    assert functions and any(
+        info.is_function(call.func)
+        for decl in handlers.values() for stmt in ast.walk_stmts(decl.body)
+        for expr in ast.stmt_exprs(stmt) for call in ast.expr_calls(expr))
+    first = normalize_program(info)
+    second = normalize_program(info)
+    assert info.handlers == handlers and info.functions == functions
+    assert first == second and first.keys() == info.handlers.keys()

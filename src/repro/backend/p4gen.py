@@ -48,28 +48,7 @@ from repro.midend.normalize import (
     Operand,
     Var,
 )
-
-_P4_BINOPS = {
-    ast.BinOp.ADD: "+",
-    ast.BinOp.SUB: "-",
-    ast.BinOp.MUL: "*",
-    ast.BinOp.DIV: "/",
-    ast.BinOp.MOD: "%",
-    ast.BinOp.BITAND: "&",
-    ast.BinOp.BITOR: "|",
-    ast.BinOp.BITXOR: "^",
-    ast.BinOp.SHL: "<<",
-    ast.BinOp.SHR: ">>",
-    ast.BinOp.EQ: "==",
-    ast.BinOp.NEQ: "!=",
-    ast.BinOp.LT: "<",
-    ast.BinOp.GT: ">",
-    ast.BinOp.LE: "<=",
-    ast.BinOp.GE: ">=",
-    # boolean connectives over 0/1-valued metadata flags compile to bitwise ops
-    ast.BinOp.AND: "&",
-    ast.BinOp.OR: "|",
-}
+from repro.ops import p4_spelling
 
 
 @dataclass
@@ -202,7 +181,7 @@ def _memop_body(info: ProgramInfo, shape: MemopShape, value_expr: str) -> List[s
         if isinstance(expr, ast.EBool):
             return "1" if expr.value else "0"
         if isinstance(expr, ast.EBinary):
-            return f"{render_expr(expr.left)} {_P4_BINOPS[expr.op]} {render_expr(expr.right)}"
+            return f"{render_expr(expr.left)} {p4_spelling(expr.op)} {render_expr(expr.right)}"
         if isinstance(expr, ast.EVar):
             if expr.name == shape.stored:
                 return "mem"
@@ -265,7 +244,7 @@ def _action_body(table: AtomicTable) -> List[str]:
     if isinstance(stmt, NOp):
         lines.append(
             f"        md.{_sanitize(stmt.dst)} = {_operand(stmt.lhs)} "
-            f"{_P4_BINOPS[stmt.op]} {_operand(stmt.rhs)};"
+            f"{p4_spelling(stmt.op)} {_operand(stmt.rhs)};"
         )
     elif isinstance(stmt, NCopy):
         lines.append(f"        md.{_sanitize(stmt.dst)} = {_operand(stmt.src)};")

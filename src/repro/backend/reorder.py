@@ -26,6 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.backend.tables import AtomicTable
 from repro.frontend.ast import BinOp
 from repro.midend.normalize import Const, operand_vars
+from repro.ops import BINOPS
 
 
 @dataclass
@@ -93,11 +94,8 @@ def _conditions_disjoint(tables: Sequence[AtomicTable], j: int, i: int) -> bool:
                 and c1.rhs != c2.rhs
             ):
                 return True
-            # x == a  vs  x != a (and symmetrically)
-            if c1.rhs == c2.rhs and {c1.op, c2.op} == {BinOp.EQ, BinOp.NEQ}:
-                return True
-            # x < a vs x >= a, x > a vs x <= a
-            if c1.rhs == c2.rhs and {c1.op, c2.op} in ({BinOp.LT, BinOp.GE}, {BinOp.GT, BinOp.LE}):
+            # a test and its negation: x == a vs x != a, x < a vs x >= a, ...
+            if c1.rhs == c2.rhs and c2.op is BINOPS[c1.op].negation:
                 return True
     return False
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.frontend.const_eval import STAGE_REGISTER_CELLS
+
 
 @dataclass(frozen=True)
 class TofinoModel:
@@ -28,7 +30,7 @@ class TofinoModel:
     #: hash distribution units per stage
     hash_units_per_stage: int = 6
     #: SRAM available to register arrays per stage, in 32-bit words
-    sram_words_per_stage: int = 128 * 1024
+    sram_words_per_stage: int = STAGE_REGISTER_CELLS
     #: maximum atomic tables the greedy pass merges into one physical table
     max_merge_width: int = 16
 

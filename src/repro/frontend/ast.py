@@ -79,7 +79,8 @@ class TNamed(TypeExpr):
 # Expressions
 # ---------------------------------------------------------------------------
 class BinOp(enum.Enum):
-    """Binary operators of the expression language."""
+    """Binary operators of the expression language, spelled as their tokens;
+    what each one means is :data:`repro.ops.BINOPS`."""
 
     ADD = "+"
     SUB = "-"
@@ -107,32 +108,6 @@ class UnOp(enum.Enum):
     NOT = "!"
     NEG = "-"
     BITNOT = "~"
-
-
-#: Operators a Tofino ALU can evaluate in a (stateless) action.
-ALU_BINOPS = frozenset(
-    {
-        BinOp.ADD,
-        BinOp.SUB,
-        BinOp.BITAND,
-        BinOp.BITOR,
-        BinOp.BITXOR,
-        BinOp.SHL,
-        BinOp.SHR,
-        BinOp.EQ,
-        BinOp.NEQ,
-        BinOp.LT,
-        BinOp.GT,
-        BinOp.LE,
-        BinOp.GE,
-    }
-)
-
-#: Arithmetic operators a *stateful* ALU supports inside a memop.
-SALU_ARITH_OPS = frozenset({BinOp.ADD, BinOp.SUB, BinOp.BITAND, BinOp.BITOR, BinOp.BITXOR})
-
-#: Comparison operators a stateful ALU supports inside a memop condition.
-SALU_CMP_OPS = frozenset({BinOp.EQ, BinOp.NEQ, BinOp.LT, BinOp.GT, BinOp.LE, BinOp.GE})
 
 
 @dataclass

@@ -14,6 +14,11 @@ from typing import Dict, Optional, Sequence
 
 from repro.errors import ConstError
 from repro.frontend import ast
+from repro.ops import BINOPS, apply_binop, apply_unop
+
+#: the most cells one register array may have: one stage's register SRAM
+#: (the Tofino resource model's per-stage default, in 32-bit words)
+STAGE_REGISTER_CELLS = 128 * 1024
 
 
 #: Built-in constants available to every program.  ``SELF`` is the switch's
@@ -45,7 +50,10 @@ class ConstEnv:
 
 
 def eval_const_expr(expr: ast.Expr, env: ConstEnv) -> int:
-    """Evaluate ``expr`` to an integer using only compile-time information."""
+    """Evaluate ``expr`` to an integer using only compile-time information,
+    in the engines' 32-bit arithmetic (:mod:`repro.ops`): a constant means
+    what its expression computes at runtime.  Refused: a name that is not a
+    constant, and a zero divisor."""
     if isinstance(expr, ast.EInt):
         return expr.value
     if isinstance(expr, ast.EBool):
@@ -56,63 +64,16 @@ def eval_const_expr(expr: ast.Expr, env: ConstEnv) -> int:
             raise ConstError(f"'{expr.name}' is not a compile-time constant", expr.span)
         return value
     if isinstance(expr, ast.EUnary):
-        val = eval_const_expr(expr.operand, env)
-        if expr.op is ast.UnOp.NEG:
-            return -val
-        if expr.op is ast.UnOp.BITNOT:
-            return ~val & 0xFFFFFFFF
-        if expr.op is ast.UnOp.NOT:
-            return 0 if val else 1
+        return apply_unop(expr.op, eval_const_expr(expr.operand, env))
     if isinstance(expr, ast.EBinary):
         left = eval_const_expr(expr.left, env)
         right = eval_const_expr(expr.right, env)
-        return _apply_binop(expr, left, right)
+        if right == 0 and BINOPS[expr.op].divides:
+            raise ConstError(
+                f"division by zero ('{expr.op.value}') in constant expression", expr.span
+            )
+        return apply_binop(expr.op, left, right)
     raise ConstError("expression is not a compile-time constant", expr.span)
-
-
-def _apply_binop(expr: ast.EBinary, left: int, right: int) -> int:
-    op = expr.op
-    if op is ast.BinOp.ADD:
-        return left + right
-    if op is ast.BinOp.SUB:
-        return left - right
-    if op is ast.BinOp.MUL:
-        return left * right
-    if op is ast.BinOp.DIV:
-        if right == 0:
-            raise ConstError("division by zero in constant expression", expr.span)
-        return left // right
-    if op is ast.BinOp.MOD:
-        if right == 0:
-            raise ConstError("modulo by zero in constant expression", expr.span)
-        return left % right
-    if op is ast.BinOp.BITAND:
-        return left & right
-    if op is ast.BinOp.BITOR:
-        return left | right
-    if op is ast.BinOp.BITXOR:
-        return left ^ right
-    if op is ast.BinOp.SHL:
-        return left << right
-    if op is ast.BinOp.SHR:
-        return left >> right
-    if op is ast.BinOp.EQ:
-        return int(left == right)
-    if op is ast.BinOp.NEQ:
-        return int(left != right)
-    if op is ast.BinOp.LT:
-        return int(left < right)
-    if op is ast.BinOp.GT:
-        return int(left > right)
-    if op is ast.BinOp.LE:
-        return int(left <= right)
-    if op is ast.BinOp.GE:
-        return int(left >= right)
-    if op is ast.BinOp.AND:
-        return int(bool(left) and bool(right))
-    if op is ast.BinOp.OR:
-        return int(bool(left) or bool(right))
-    raise ConstError(f"operator {op.value!r} not allowed in constant expressions", expr.span)
 
 
 def build_const_env(
@@ -155,11 +116,18 @@ def build_const_env(
 
 
 def resolve_global_sizes(program: ast.Program, env: ConstEnv) -> None:
-    """Fill in the ``size`` field of every global declaration, in place."""
+    """Fill in the ``size`` field of every global declaration, in place.  An
+    array lives in one stage, so it may not outgrow that stage's SRAM."""
     for decl in program.globals():
         size = eval_const_expr(decl.size_expr, env)
         if size <= 0:
             raise ConstError(
                 f"global '{decl.name}' has non-positive size {size}", decl.span
+            )
+        if size > STAGE_REGISTER_CELLS:
+            raise ConstError(
+                f"global '{decl.name}' has {size} cells, more than the "
+                f"{STAGE_REGISTER_CELLS} of one stage's register SRAM",
+                decl.span,
             )
         decl.size = size

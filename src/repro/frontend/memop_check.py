@@ -33,9 +33,9 @@ from typing import Callable, Container, Dict, List, NamedTuple, Optional
 
 from repro.errors import InterpError, MemopError
 from repro.frontend import ast
-from repro.frontend.ast import SALU_ARITH_OPS, SALU_CMP_OPS
 from repro.frontend.const_eval import BUILTIN_CONSTS
 from repro.frontend.symbols import ProgramInfo
+from repro.ops import BINOPS, OpKind, binops
 
 #: whether a name may be read in the memop being checked
 Scope = Callable[[str], bool]
@@ -125,17 +125,19 @@ def _check_return(stmt: ast.SReturn, scope: Scope) -> None:
 # rules 2, 3, 5: expression restrictions
 # ---------------------------------------------------------------------------
 def _check_condition(cond: ast.Expr, scope: Scope) -> None:
-    """Conditions must be a single comparison between ALU operands."""
-    if isinstance(cond, ast.EBinary) and cond.op in (ast.BinOp.AND, ast.BinOp.OR):
+    """Conditions must be a single comparison between two sides that are
+    each what a return value may be."""
+    kind = BINOPS[cond.op].kind if isinstance(cond, ast.EBinary) else None
+    if kind is OpKind.LOGICAL:
         raise MemopError(
             "compound conditional expressions (&&, ||) are not allowed in memops: "
             "an Array.update call packs two memops into one stateful ALU and "
             "cannot also evaluate a compound condition",
             cond.span,
         )
-    if isinstance(cond, ast.EBinary) and cond.op in SALU_CMP_OPS:
-        _check_operand(cond.left)
-        _check_operand(cond.right)
+    if kind is OpKind.COMPARISON:
+        _check_value_expr_rec(cond.left, depth=0)
+        _check_value_expr_rec(cond.right, depth=0)
     elif not isinstance(cond, (ast.EVar, ast.EBool)):
         raise MemopError(
             "a memop condition must be a single comparison between the stored value, "
@@ -155,10 +157,11 @@ def _check_value_expr_rec(expr: ast.Expr, depth: int) -> None:
     if isinstance(expr, (ast.EInt, ast.EBool, ast.EVar)):
         return
     if isinstance(expr, ast.EBinary):
-        if expr.op not in SALU_ARITH_OPS:
+        if BINOPS[expr.op].kind is not OpKind.SALU_ARITHMETIC:
+            supported = " ".join(op.value for op in binops(OpKind.SALU_ARITHMETIC))
             raise MemopError(
                 f"operator '{expr.op.value}' is not supported by the stateful ALU "
-                "(supported: + - & | ^)",
+                f"(supported: {supported})",
                 expr.span,
             )
         if depth >= 1:

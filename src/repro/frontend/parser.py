@@ -21,6 +21,11 @@ from repro.frontend import ast
 from repro.frontend.lexer import Lexer
 from repro.frontend.source import SourceFile, Span
 from repro.frontend.tokens import Token, TokenKind
+from repro.ops import BINOPS
+
+#: operators are spelled as their tokens: token kind -> (operator, precedence)
+_BINARY = {TokenKind(op.value): (op, BINOPS[op].level) for op in ast.BinOp}
+_UNARY = {TokenKind(op.value): op for op in ast.UnOp}
 
 
 class Parser:
@@ -398,111 +403,26 @@ class Parser:
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
-    def parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at(TokenKind.OR):
-            op_tok = self._advance()
-            right = self._parse_and()
-            left = ast.EBinary(span=left.span.merge(right.span), op=ast.BinOp.OR, left=left, right=right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_cmp()
-        while self._at(TokenKind.AND):
-            self._advance()
-            right = self._parse_cmp()
-            left = ast.EBinary(span=left.span.merge(right.span), op=ast.BinOp.AND, left=left, right=right)
-        return left
-
-    _CMP_OPS = {
-        TokenKind.EQ: ast.BinOp.EQ,
-        TokenKind.NEQ: ast.BinOp.NEQ,
-        TokenKind.LT: ast.BinOp.LT,
-        TokenKind.GT: ast.BinOp.GT,
-        TokenKind.LE: ast.BinOp.LE,
-        TokenKind.GE: ast.BinOp.GE,
-    }
-
-    def _parse_cmp(self) -> ast.Expr:
-        left = self._parse_bitor()
-        while self._peek().kind in self._CMP_OPS:
-            op = self._CMP_OPS[self._advance().kind]
-            right = self._parse_bitor()
-            left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
-        return left
-
-    def _parse_bitor(self) -> ast.Expr:
-        left = self._parse_bitxor()
-        while self._at(TokenKind.PIPE):
-            self._advance()
-            right = self._parse_bitxor()
-            left = ast.EBinary(span=left.span.merge(right.span), op=ast.BinOp.BITOR, left=left, right=right)
-        return left
-
-    def _parse_bitxor(self) -> ast.Expr:
-        left = self._parse_bitand()
-        while self._at(TokenKind.CARET):
-            self._advance()
-            right = self._parse_bitand()
-            left = ast.EBinary(span=left.span.merge(right.span), op=ast.BinOp.BITXOR, left=left, right=right)
-        return left
-
-    def _parse_bitand(self) -> ast.Expr:
-        left = self._parse_shift()
-        while self._at(TokenKind.AMP):
-            self._advance()
-            right = self._parse_shift()
-            left = ast.EBinary(span=left.span.merge(right.span), op=ast.BinOp.BITAND, left=left, right=right)
-        return left
-
-    def _parse_shift(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().kind in (TokenKind.LSHIFT_SIZE, TokenKind.RSHIFT_SIZE):
-            op = ast.BinOp.SHL if self._advance().kind is TokenKind.LSHIFT_SIZE else ast.BinOp.SHR
-            right = self._parse_additive()
-            left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_mult()
-        while self._peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op = ast.BinOp.ADD if self._advance().kind is TokenKind.PLUS else ast.BinOp.SUB
-            right = self._parse_mult()
-            left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
-        return left
-
-    _MULT_OPS = {
-        TokenKind.STAR: ast.BinOp.MUL,
-        TokenKind.SLASH: ast.BinOp.DIV,
-        TokenKind.PERCENT: ast.BinOp.MOD,
-    }
-
-    def _parse_mult(self) -> ast.Expr:
+    def parse_expr(self, min_level: int = 1) -> ast.Expr:
+        """An expression whose binary operators all bind at ``min_level`` or
+        tighter; operators of one level associate left."""
         left = self._parse_unary()
-        while self._peek().kind in self._MULT_OPS:
-            op = self._MULT_OPS[self._advance().kind]
-            right = self._parse_unary()
-            left = ast.EBinary(span=left.span.merge(right.span), op=op, left=left, right=right)
-        return left
+        while True:
+            binary = _BINARY.get(self.tokens[self.pos].kind)
+            if binary is None or binary[1] < min_level:
+                return left
+            self.pos += 1
+            right = self.parse_expr(binary[1] + 1)
+            left = ast.EBinary(span=left.span.merge(right.span), op=binary[0], left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.BANG:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.EUnary(span=tok.span.merge(operand.span), op=ast.UnOp.NOT, operand=operand)
-        if tok.kind is TokenKind.MINUS:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.EUnary(span=tok.span.merge(operand.span), op=ast.UnOp.NEG, operand=operand)
-        if tok.kind is TokenKind.TILDE:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.EUnary(span=tok.span.merge(operand.span), op=ast.UnOp.BITNOT, operand=operand)
-        return self._parse_primary()
+        tok = self.tokens[self.pos]
+        op = _UNARY.get(tok.kind)
+        if op is None:
+            return self._parse_primary()
+        self.pos += 1
+        operand = self._parse_unary()
+        return ast.EUnary(span=tok.span.merge(operand.span), op=op, operand=operand)
 
     def _parse_group_literal(self) -> ast.Expr:
         start = self._expect(TokenKind.LBRACE)

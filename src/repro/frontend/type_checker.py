@@ -53,6 +53,7 @@ from repro.frontend.types import (
     compatible,
     from_surface,
 )
+from repro.ops import BINOPS, UNOPS, OpKind
 
 
 # ---------------------------------------------------------------------------
@@ -446,29 +447,25 @@ class TypeChecker:
 
     def _check_unary(self, expr: ast.EUnary, ctx: _BodyContext) -> Tuple[Ty, EffectSummary]:
         ty, effects = self._check_expr(expr.operand, ctx)
-        if expr.op is ast.UnOp.NOT:
+        if UNOPS[expr.op].kind is OpKind.LOGICAL:
             if not isinstance(ty, (BoolTy, IntTy)):
-                raise TypeError_(f"'!' expects a boolean, found {ty}", expr.span)
+                raise TypeError_(f"'{expr.op.value}' expects a boolean, found {ty}", expr.span)
             return BoolTy(), effects
         if not isinstance(ty, IntTy):
             raise TypeError_(f"'{expr.op.value}' expects an integer, found {ty}", expr.span)
         return ty, effects
 
-    _BOOL_OPS = frozenset({ast.BinOp.AND, ast.BinOp.OR})
-    _CMP_OPS = frozenset(
-        {ast.BinOp.EQ, ast.BinOp.NEQ, ast.BinOp.LT, ast.BinOp.GT, ast.BinOp.LE, ast.BinOp.GE}
-    )
-
     def _check_binary(self, expr: ast.EBinary, ctx: _BodyContext) -> Tuple[Ty, EffectSummary]:
         left_ty, effects = self._check_expr(expr.left, ctx)
         right_ty, right_effects = self._check_expr(expr.right, ctx)
         effects.extend(right_effects)
-        if expr.op in self._BOOL_OPS:
+        kind = BINOPS[expr.op].kind
+        if kind is OpKind.LOGICAL:
             for ty, side in ((left_ty, expr.left), (right_ty, expr.right)):
                 if not isinstance(ty, (BoolTy, IntTy)):
                     raise TypeError_(f"'{expr.op.value}' expects booleans, found {ty}", side.span)
             return BoolTy(), effects
-        if expr.op in self._CMP_OPS:
+        if kind is OpKind.COMPARISON:
             if isinstance(left_ty, (ArrayTy, EventTy)) or isinstance(right_ty, (ArrayTy, EventTy)):
                 raise TypeError_(
                     f"cannot compare values of type {left_ty} and {right_ty}", expr.span

@@ -94,6 +94,31 @@ def _build_network(case: FuzzCase, engine: str, checked: CheckedProgram) -> Netw
     return network
 
 
+def _inject(network: Network, case: FuzzCase) -> Network:
+    for time_ns, switch_id, name, args in case.events:
+        network.inject(switch_id, EventInstance(name=name, args=tuple(args)), at_ns=time_ns)
+    return network
+
+
+def _trace_rows(network: Network) -> List[TraceRow]:
+    return [
+        (entry.time_ns, entry.switch_id, entry.event.name, tuple(entry.event.args))
+        for entry in network.trace
+    ]
+
+
+def _observe(result: CaseResult, network: Network, trace_prefix: List[TraceRow]) -> CaseResult:
+    """Fill ``result`` with what ``network`` ends in; its trace follows
+    ``trace_prefix`` (what an earlier segment of the run handled)."""
+    result.digest = network_array_digest(network)
+    result.trace = trace_prefix + _trace_rows(network)
+    for switch_id in sorted(network.switches):
+        switch = network.switches[switch_id]
+        result.stats[switch_id] = {key: getattr(switch.stats, key) for key in _STAT_KEYS}
+        result.logs[switch_id] = list(switch.log)
+    return result
+
+
 def run_case(case: FuzzCase, engine: str, checked: Optional[CheckedProgram] = None) -> CaseResult:
     """Execute ``case`` under one engine and collect its observables.
 
@@ -105,25 +130,12 @@ def run_case(case: FuzzCase, engine: str, checked: Optional[CheckedProgram] = No
     try:
         if checked is None:
             checked = check_program(case.source)
-        network = _build_network(case, engine, checked)
-        for time_ns, switch_id, name, args in case.events:
-            network.inject(switch_id, EventInstance(name=name, args=tuple(args)), at_ns=time_ns)
+        network = _inject(_build_network(case, engine, checked), case)
         network.run(max_events=MAX_EVENTS_PER_RUN)
     except Exception as error:  # noqa: BLE001 - crash capture is the point
         result.error = f"{type(error).__name__}: {error}"
         return result
-    result.digest = network_array_digest(network)
-    result.trace = [
-        (entry.time_ns, entry.switch_id, entry.event.name, tuple(entry.event.args))
-        for entry in network.trace
-    ]
-    for switch_id in sorted(network.switches):
-        switch = network.switches[switch_id]
-        result.stats[switch_id] = {
-            key: getattr(switch.stats, key) for key in _STAT_KEYS
-        }
-        result.logs[switch_id] = list(switch.log)
-    return result
+    return _observe(result, network, [])
 
 
 def _first_diff_index(a: List, b: List) -> int:
@@ -175,14 +187,9 @@ def run_case_checkpointed(
     try:
         if checked is None:
             checked = check_program(case.source)
-        network = _build_network(case, engine, checked)
-        for time_ns, switch_id, name, args in case.events:
-            network.inject(switch_id, EventInstance(name=name, args=tuple(args)), at_ns=time_ns)
+        network = _inject(_build_network(case, engine, checked), case)
         handled = network.run(max_events=split)
-        trace_prefix: List[TraceRow] = [
-            (entry.time_ns, entry.switch_id, entry.event.name, tuple(entry.event.args))
-            for entry in network.trace
-        ]
+        trace_prefix = _trace_rows(network)
         state = json.loads(json.dumps(network.snapshot()))
         network = _build_network(case, engine, checked)
         network.restore(state)
@@ -190,18 +197,7 @@ def run_case_checkpointed(
     except Exception as error:  # noqa: BLE001 - crash capture is the point
         result.error = f"{type(error).__name__}: {error}"
         return result
-    result.digest = network_array_digest(network)
-    result.trace = trace_prefix + [
-        (entry.time_ns, entry.switch_id, entry.event.name, tuple(entry.event.args))
-        for entry in network.trace
-    ]
-    for switch_id in sorted(network.switches):
-        switch = network.switches[switch_id]
-        result.stats[switch_id] = {
-            key: getattr(switch.stats, key) for key in _STAT_KEYS
-        }
-        result.logs[switch_id] = list(switch.log)
-    return result
+    return _observe(result, network, trace_prefix)
 
 
 def run_checkpoint_differential(

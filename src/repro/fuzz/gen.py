@@ -38,6 +38,7 @@ from repro.frontend.source import dummy_span
 from repro.frontend.type_checker import check_program
 from repro.frontend.unparse import unparse
 from repro.fuzz.case import FuzzCase, Injection
+from repro.ops import OpKind, binops
 
 _SPAN = dummy_span()
 
@@ -48,28 +49,12 @@ DELAYS = (1_000, 50_000, 250_000)
 #: Sys.random bounds — non-powers-of-two and 0 (= unbounded) included
 RANDOM_BOUNDS = (0, 3, 5, 7, 8, 16)
 
-_ARITH_OPS = (
-    ast.BinOp.ADD,
-    ast.BinOp.SUB,
-    ast.BinOp.MUL,
-    ast.BinOp.DIV,
-    ast.BinOp.MOD,
-    ast.BinOp.BITAND,
-    ast.BinOp.BITOR,
-    ast.BinOp.BITXOR,
-    ast.BinOp.SHL,
-    ast.BinOp.SHR,
-)
-_CMP_OPS = (
-    ast.BinOp.EQ,
-    ast.BinOp.NEQ,
-    ast.BinOp.LT,
-    ast.BinOp.GT,
-    ast.BinOp.LE,
-    ast.BinOp.GE,
-)
-# declaration order: a frozenset of enums iterates in hash-seed order
-_SALU_OPS = tuple(op for op in ast.BinOp if op in ast.SALU_ARITH_OPS)
+# the operators to draw from, each in declaration order (so a seed names the
+# same programs whatever the hash seed)
+_ARITHMETIC = binops(OpKind.ARITHMETIC, OpKind.SALU_ARITHMETIC)
+_COMPARISONS = binops(OpKind.COMPARISON)
+_LOGICAL = binops(OpKind.LOGICAL)
+_SALU = binops(OpKind.SALU_ARITHMETIC)
 
 _INT_LITERALS = (0, 1, 2, 3, 5, 7, 10, 255, 4096, 0xFFFF, 0xDEADBEEF)
 
@@ -210,7 +195,7 @@ class _ProgramBuilder:
         vars_left = ["stored", "x"]
         if rng.random() < 0.8:
             return _bin(
-                rng.choice(_SALU_OPS),
+                rng.choice(_SALU),
                 self._memop_atom(vars_left),
                 self._memop_atom(vars_left),
             )
@@ -227,7 +212,7 @@ class _ProgramBuilder:
         else:
             cond_vars = ["stored", "x"]
             cond = _bin(
-                rng.choice(_CMP_OPS),
+                rng.choice(_COMPARISONS),
                 self._memop_atom(cond_vars),
                 self._memop_atom(cond_vars),
             )
@@ -320,14 +305,14 @@ class _ProgramBuilder:
                 return _var(rng.choice(state.locals))
             return _int(rng.choice(_INT_LITERALS))
         return _bin(
-            rng.choice(_ARITH_OPS),
+            rng.choice(_ARITHMETIC),
             self._pure_expr(state, depth - 1),
             self._pure_expr(state, depth - 1),
         )
 
     def _pure_cond(self, state: _HandlerState) -> ast.Expr:
         return _bin(
-            self.rng.choice(_CMP_OPS),
+            self.rng.choice(_COMPARISONS),
             self._pure_expr(state, 1),
             self._pure_expr(state, 1),
         )
@@ -370,7 +355,7 @@ class _ProgramBuilder:
         draw = rng.random()
         if depth > 0 and draw < 0.4:
             return _bin(
-                rng.choice(_ARITH_OPS),
+                rng.choice(_ARITHMETIC),
                 self._int_expr(state, depth - 1, effects),
                 self._int_expr(state, depth - 1, effects),
             )
@@ -409,7 +394,7 @@ class _ProgramBuilder:
         if depth > 0 and draw < 0.35:
             # &&/|| — with effects on the right operand this is exactly where
             # short-circuit vs strict evaluation becomes observable
-            op = rng.choice((ast.BinOp.AND, ast.BinOp.OR))
+            op = rng.choice(_LOGICAL)
             return _bin(
                 op,
                 self._bool_expr(state, depth - 1, effects=False),
@@ -420,7 +405,7 @@ class _ProgramBuilder:
                 span=_SPAN, op=ast.UnOp.NOT, operand=self._bool_expr(state, 0, effects)
             )
         return _bin(
-            rng.choice(_CMP_OPS),
+            rng.choice(_COMPARISONS),
             self._int_expr(state, 1, effects),
             self._int_expr(state, 0, effects=False),
         )

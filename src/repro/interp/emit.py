@@ -62,7 +62,7 @@ from repro.midend.normalize import (
     NStmt,
     Operand,
 )
-from repro.ops import CMP_OPS, MASK32, binop_template, hash_namespace, hash_template
+from repro.ops import MASK32, binop_template, hash_namespace, hash_template
 
 #: one emitted line: (indent level relative to its ``def``, text)
 Line = Tuple[int, str]
@@ -215,11 +215,8 @@ class ModuleEmitter:
         return self.locals.get(operand.name) or self._default(operand.name)
 
     def _test(self, cond: NCond) -> str:
-        left, right = self._atom(cond.lhs), self._atom(cond.rhs)
-        py = CMP_OPS.get(cond.op)
-        if py is not None:
-            return f"{left} {py} {right}"
-        return binop_template(cond.op, left, right)
+        # a condition is a comparison, which Python spells as Lucid does
+        return f"{self._atom(cond.lhs)} {cond.op.value} {self._atom(cond.rhs)}"
 
     # -- one normalised statement -------------------------------------------
     def _statement(self, stmt: NStmt, gen_uid: Optional[int] = None,

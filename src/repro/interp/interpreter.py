@@ -20,7 +20,7 @@ from repro.frontend.type_checker import CheckedProgram
 from repro.interp.arrays import RuntimeArray
 from repro.interp.events import EventInstance
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from repro.ops import apply_binop, binop_template, lucid_hash, mask32
+from repro.ops import apply_binop, apply_unop, binop_template, lucid_hash, mask32
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics);
 # counts codegen-engine fallbacks too — every tree-walked event lands here
@@ -184,13 +184,6 @@ def memop_template(shape: MemopShape, info: ProgramInfo, stored: str, local: str
             raise InterpError(
                 f"undefined variable '{expr.name}' in memop '{shape.name}'"
             )
-        if isinstance(expr, ast.EUnary):
-            operand = render(expr.operand)
-            if expr.op is ast.UnOp.NEG:
-                return f"(-({operand}))"  # unmasked, as in the closure
-            if expr.op is ast.UnOp.BITNOT:
-                return f"((~({operand})) & 4294967295)"
-            return f"(0 if ({operand}) else 1)"
         if isinstance(expr, ast.EBinary):
             return binop_template(expr.op, render(expr.left), render(expr.right))
         raise InterpError(f"expression is not allowed in memop '{shape.name}'")
@@ -227,13 +220,6 @@ def _compile_memop_expr(
         raise InterpError(
             f"undefined variable '{expr.name}' in memop '{memop_name}'"
         )
-    if isinstance(expr, ast.EUnary):
-        operand = _compile_memop_expr(expr.operand, memop_name, stored_name, local_name, info)
-        if expr.op is ast.UnOp.NEG:
-            return lambda stored, local: -operand(stored, local)
-        if expr.op is ast.UnOp.BITNOT:
-            return lambda stored, local: ~operand(stored, local) & 0xFFFFFFFF
-        return lambda stored, local: 0 if operand(stored, local) else 1
     if isinstance(expr, ast.EBinary):
         left = _compile_memop_expr(expr.left, memop_name, stored_name, local_name, info)
         right = _compile_memop_expr(expr.right, memop_name, stored_name, local_name, info)
@@ -352,12 +338,7 @@ class HandlerInterpreter:
         if isinstance(expr, ast.EVar):
             return self._eval_var(expr, env)
         if isinstance(expr, ast.EUnary):
-            value = self._as_int(self._eval(expr.operand, env, result))
-            if expr.op is ast.UnOp.NEG:
-                return mask32(-value)
-            if expr.op is ast.UnOp.BITNOT:
-                return ~value & 0xFFFFFFFF
-            return 0 if value else 1
+            return apply_unop(expr.op, self._as_int(self._eval(expr.operand, env, result)))
         if isinstance(expr, ast.EBinary):
             left = self._as_int(self._eval(expr.left, env, result))
             # short-circuit booleans

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.symbols import ProgramInfo
+from repro.ops import BINOPS, OpKind
 
 
 class FreshNames:
@@ -314,7 +315,7 @@ class Inliner:
             raise TypeError_("function inlining exceeded the maximum depth", expr.span)
         if isinstance(expr, ast.EUnary):
             expr.operand = self._inline_expr(expr.operand, prefix, depth)
-        elif isinstance(expr, ast.EBinary) and expr.op in (ast.BinOp.AND, ast.BinOp.OR):
+        elif isinstance(expr, ast.EBinary) and BINOPS[expr.op].kind is OpKind.LOGICAL:
             return self._inline_short_circuit(expr, prefix, depth)
         elif isinstance(expr, ast.EBinary):
             expr.left, expr.right = self._inline_siblings([expr.left, expr.right], prefix, depth)

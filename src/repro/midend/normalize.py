@@ -6,6 +6,8 @@ to execute with at most one Tofino ALU".  This module performs that reduction:
 
 * every expression is flattened into three-address form — a binary operation
   over two *operands* (locals or constants) assigned to a destination local;
+  a ``&&``/``||`` takes 0/1 operands (others are tested ``!= 0`` first), so
+  the P4's bitwise ``&``/``|`` compute it;
 * every Array method call becomes a single memory operation whose index is an
   operand;
 * every ``if`` condition becomes a simple comparison between an operand and a
@@ -45,7 +47,7 @@ from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.midend.inline import Inliner, assigned_names, eliminate_returns
-from repro.ops import CMP_OPS
+from repro.ops import BINOPS, UNOPS, OpKind
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +163,7 @@ class NCond:
     rhs: Operand
 
     def negate(self) -> "NCond":
-        negations = {
-            ast.BinOp.EQ: ast.BinOp.NEQ,
-            ast.BinOp.NEQ: ast.BinOp.EQ,
-            ast.BinOp.LT: ast.BinOp.GE,
-            ast.BinOp.GE: ast.BinOp.LT,
-            ast.BinOp.GT: ast.BinOp.LE,
-            ast.BinOp.LE: ast.BinOp.GT,
-        }
-        return NCond(self.lhs, negations[self.op], self.rhs)
+        return NCond(self.lhs, BINOPS[self.op].negation, self.rhs)
 
     def show(self) -> str:
         return f"{self.lhs.show()} {self.op.value} {self.rhs.show()}"
@@ -288,19 +282,20 @@ class Normalizer:
             return Var(expr.name)
         if isinstance(expr, ast.EUnary):
             inner = self.to_operand(expr.operand, out)
-            op, lhs, rhs = {
-                ast.UnOp.NEG: (ast.BinOp.SUB, Const(0), inner),
-                ast.UnOp.BITNOT: (ast.BinOp.BITXOR, inner, Const(0xFFFFFFFF)),
-                ast.UnOp.NOT: (ast.BinOp.EQ, inner, Const(0)),
-            }[expr.op]
+            op, const, operand_first = UNOPS[expr.op].alu
+            lhs, rhs = (inner, Const(const)) if operand_first else (Const(const), inner)
             dst = self.fresh("un")
             out.append(NOp(span=expr.span, dst=dst, op=op, lhs=lhs, rhs=rhs))
             return Var(dst)
         if isinstance(expr, ast.EBinary):
-            if expr.op in (ast.BinOp.AND, ast.BinOp.OR) and self._has_side_effects(expr.right):
-                return self._short_circuit(expr, out)
-            lhs = self.to_operand(expr.left, out)
-            rhs = self.to_operand(expr.right, out)
+            if BINOPS[expr.op].kind is OpKind.LOGICAL:
+                if self._has_side_effects(expr.right):
+                    return self._short_circuit(expr, out)
+                lhs = self._truth(expr.left, out)
+                rhs = self._truth(expr.right, out)
+            else:
+                lhs = self.to_operand(expr.left, out)
+                rhs = self.to_operand(expr.right, out)
             dst = self.fresh("op")
             out.append(NOp(span=expr.span, dst=dst, op=expr.op, lhs=lhs, rhs=rhs))
             return Var(dst)
@@ -309,6 +304,22 @@ class Normalizer:
         raise TypeError_(
             "an event or group value has no integer operand form", getattr(expr, "span", None)
         )
+
+    def _truth(self, expr: ast.Expr, out: List[NStmt]) -> Operand:
+        """An operand of a strict ``&&``/``||``, made 0/1-valued (``!= 0``)
+        unless it is already — a comparison, ``!``, ``&&``/``||``, a boolean
+        literal, the constants 0 and 1 — so that the P4's bitwise ``&``/``|``
+        computes the logical connective."""
+        operand = self.to_operand(expr, out)
+        if isinstance(operand, Const) and operand.value in (0, 1):
+            return operand
+        if isinstance(expr, ast.EBinary) and BINOPS[expr.op].kind.truth_valued:
+            return operand
+        if isinstance(expr, ast.EUnary) and UNOPS[expr.op].kind.truth_valued:
+            return operand
+        dst = self.fresh("truth")
+        out.append(NOp(span=expr.span, dst=dst, op=ast.BinOp.NEQ, lhs=operand, rhs=Const(0)))
+        return Var(dst)
 
     def _has_side_effects(self, expr: ast.Expr) -> bool:
         """True when evaluating ``expr`` mutates observable state: register
@@ -460,7 +471,7 @@ class Normalizer:
 
     # -- conditions --------------------------------------------------------
     def _cond_of(self, expr: ast.Expr, out: List[NStmt]) -> NCond:
-        if isinstance(expr, ast.EBinary) and expr.op in CMP_OPS:
+        if isinstance(expr, ast.EBinary) and BINOPS[expr.op].kind is OpKind.COMPARISON:
             lhs = self.to_operand(expr.left, out)
             rhs = self.to_operand(expr.right, out)
             return NCond(lhs, expr.op, rhs)

@@ -1,10 +1,12 @@
 """Tests for the lexer and parser."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from ast_golden_recorder import ast_summary, sources as ast_sources
 from repro.errors import LexError, ParseError
 from repro.frontend import ast, parse_expression, parse_program, tokenize
 from repro.frontend.tokens import TokenKind
@@ -12,6 +14,7 @@ from token_golden_recorder import sources, token_summary
 
 TOKEN_GOLDEN = json.loads((Path(__file__).parent / "golden" / "tokens_sha256.json").read_text())
 TOKEN_SOURCES = sources()
+AST_GOLDEN = json.loads((Path(__file__).parent / "golden" / "ast_sha256.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,75 @@ def test_parse_nested_event_combinators():
 def test_parse_dotted_name_must_be_called():
     with pytest.raises(ParseError):
         parse_expression("Array.get")
+
+
+#: the binary operators by binding strength, loosest first
+LEVELS = [
+    ["||"],
+    ["&&"],
+    ["==", "!=", "<", ">", "<=", ">="],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["<<", ">>"],
+    ["+", "-"],
+    ["*", "/", "%"],
+]
+
+
+def _shape(expr):
+    if isinstance(expr, ast.EBinary):
+        return f"({_shape(expr.left)} {expr.op.value} {_shape(expr.right)})"
+    return expr.name
+
+
+def test_level_list_covers_every_operator():
+    assert sorted(op for level in LEVELS for op in level) == sorted(op.value for op in ast.BinOp)
+
+
+@pytest.mark.parametrize(
+    "first,second", [(i, j) for i in range(len(LEVELS)) for j in range(len(LEVELS))]
+)
+def test_parse_precedence_follows_the_level_list(first, second):
+    """``a o1 b o2 c`` groups the tighter operator first; within one level,
+    operators associate left."""
+    for o1 in LEVELS[first]:
+        for o2 in LEVELS[second]:
+            expected = f"(a {o1} (b {o2} c))" if second > first else f"((a {o1} b) {o2} c)"
+            assert _shape(parse_expression(f"a {o1} b {o2} c")) == expected
+
+
+@pytest.mark.parametrize(
+    "text,message,start",
+    [
+        ("a + * b", "expected an expression, found '*'", 4),
+        ("(a", "expected ), found end of input", 2),
+        ("a <<", "expected an expression, found ''", 4),
+        ("!", "expected an expression, found ''", 1),
+        ("a == == b", "expected an expression, found '=='", 5),
+        ("1 +", "expected an expression, found ''", 3),
+    ],
+)
+def test_parse_errors_keep_their_message_and_position(text, message, start):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.message, err.value.span.start) == (message, start)
+
+
+@functools.lru_cache(maxsize=None)
+def _ast_sources():
+    return ast_sources()
+
+
+@pytest.mark.parametrize("label", sorted(AST_GOLDEN))
+def test_ast_matches_golden(label):
+    """Trees and spans as the per-level parser built them; regenerate only
+    on purpose, with tests/ast_golden_recorder.py."""
+    assert ast_summary(_ast_sources()[label]) == AST_GOLDEN[label]
+
+
+def test_ast_golden_covers_every_bundled_source():
+    assert sorted(_ast_sources()) == sorted(AST_GOLDEN)
 
 
 # ---------------------------------------------------------------------------

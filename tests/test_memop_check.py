@@ -113,6 +113,33 @@ def test_division_rejected():
         check("memop m(int stored, int x) { return stored / x; }")
 
 
+@pytest.mark.parametrize(
+    "cond,message",
+    [
+        ("s * x / 3 < 5", "not supported"),
+        ("s * x < 5", "not supported"),
+        ("s + x + 1 < 5", "at most one"),
+        ("5 > x / 2", "not supported"),
+        ("hash<<8>>(s) == x", "calls"),
+        ("-s < x", "unary"),
+    ],
+)
+def test_memop_condition_sides_are_checked_like_return_values(cond, message):
+    """Each side of a memop's comparison is an atom or one stateful-ALU
+    operator over two atoms, as a return value is."""
+    source = (
+        "memop m(int s, int x) {"
+        f"  if ({cond}) {{ return s + 1; }} else {{ return s; }}"
+        "}"
+    )
+    with pytest.raises(MemopError, match=message):
+        check(source)
+
+
+def test_memop_condition_may_apply_one_salu_operator_per_side():
+    check("memop m(int s, int x) { if (s + 1 < x - 2) { return s; } else { return x; } }")
+
+
 def test_non_int_parameter_rejected():
     with pytest.raises(MemopError):
         check("memop m(bool stored, int x) { return x; }")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import OrderError, TypeError_
+from repro.backend.resources import TofinoModel
+from repro.errors import ConstError, OrderError, TypeError_
 from repro.frontend import check_program
 
 PRELUDE = """
@@ -116,6 +117,24 @@ def test_symbolic_sizes_can_be_bound():
     source = "symbolic size N = 4; global t = new Array<<32>>(N); event e(int i); handle e(int i) { Array.set(t, i, 1); }"
     cp = check_program(source, symbolic_bindings={"N": 128})
     assert cp.info.globals["t"].size == 128
+
+
+@pytest.mark.parametrize(
+    "size,cells",
+    [("200000", 200000), ("0 - 1", 0xFFFFFFFF), ("N", 131073)],
+)
+def test_array_larger_than_one_stage_is_a_const_error(size, cells):
+    """An array lives in one stage: a size past that stage's register SRAM is
+    refused where it is declared, naming the size and the limit."""
+    source = f"symbolic size N = 4; global t = new Array<<32>>({size}); event e(int i); handle e(int i) {{ Array.set(t, i, 1); }}"
+    with pytest.raises(ConstError, match=f"{cells} cells, more than the 131072"):
+        check_program(source, symbolic_bindings={"N": 131073})
+
+
+def test_array_of_one_full_stage_is_accepted():
+    source = "global t = new Array<<32>>(131072); event e(int i); handle e(int i) { Array.set(t, i, 1); }"
+    assert check_program(source).info.globals["t"].size == 131072
+    assert TofinoModel().sram_words_per_stage == 131072
 
 
 def test_group_constants_are_recorded():

@@ -17,7 +17,9 @@ from repro.backend.merge import MergeOptions, build_layout
 from repro.backend.p4gen import P4Program, generate_p4
 from repro.backend.resources import TofinoModel
 from repro.frontend.type_checker import CheckedProgram, check_program
-from repro.midend.normalize import NormalizedHandler, normalize_program
+# normalize_program runs inside check_program; the name stays here for the
+# per-layer spans of e2ebench/layers.py, which wrap it by this module's name
+from repro.midend.normalize import NormalizedHandler, normalize_program  # noqa: F401
 
 
 @dataclass
@@ -118,9 +120,11 @@ def compile_checked(
     execution engines (notably :class:`~repro.interp.engine.PisaEngine`) can
     lower a :class:`CheckedProgram` that was checked with per-switch group
     bindings or symbolic bindings — re-checking from source would lose them.
+    Both layouts start from the lowering checking produced,
+    ``checked.normalized``: a checked program always has one.
     """
     options = options or CompilerOptions()
-    normalized = normalize_program(checked.info)
+    normalized = checked.normalized
     layout = build_layout(
         checked.info,
         normalized,

@@ -403,13 +403,6 @@ class Program:
                 return d
         return None
 
-    def global_index(self, name: str) -> Optional[int]:
-        """Return the declaration index (abstract stage) of a global."""
-        for i, g in enumerate(self.globals()):
-            if g.name == name:
-                return i
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Generic traversal helpers

@@ -94,26 +94,6 @@ class EffectSummary:
                 result.append(access)
         return result
 
-    def concrete_stages(self) -> List[int]:
-        stages: List[int] = []
-        for access in self.items:
-            if isinstance(access, ConcreteAccess):
-                stages.append(access.stage)
-            elif isinstance(access, BranchAccess):
-                for alt in access.alternatives:
-                    stages.extend(alt.concrete_stages())
-        return stages
-
-    def globals_used(self) -> List[str]:
-        names: List[str] = []
-        for access in self.items:
-            if isinstance(access, ConcreteAccess):
-                names.append(access.global_name)
-            elif isinstance(access, BranchAccess):
-                for alt in access.alternatives:
-                    names.extend(alt.globals_used())
-        return names
-
     def __len__(self) -> int:
         return len(self.items)
 

@@ -93,15 +93,6 @@ class ProgramInfo:
     def is_global(self, name: str) -> bool:
         return name in self.globals
 
-    def is_builtin(self, name: str) -> bool:
-        return name in BUILTIN_FUNCTIONS
-
-    def stage_of(self, global_name: str) -> int:
-        return self.globals[global_name].stage
-
-    def num_globals(self) -> int:
-        return len(self.global_order)
-
 
 def collect_program_info(
     program: ast.Program,

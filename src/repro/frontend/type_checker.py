@@ -1,6 +1,8 @@
 """Lucid's type checker and ordered effect checker (Sections 4 and 5).
 
-The checker performs, in one pass over each handler / function body:
+:func:`check_program` is the whole check: parsing, memop checks, this
+checker, then the midend, so that a program it accepts compiles.  The
+checker performs, in one pass over each handler / function body:
 
 * ordinary type checking (undefined variables, arity and argument types of
   calls, event payloads, return types, condition types, ...);
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import OrderError, TypeError_
 from repro.frontend import ast
@@ -55,6 +57,9 @@ from repro.frontend.types import (
 )
 from repro.ops import BINOPS, UNOPS, OpKind
 
+if TYPE_CHECKING:  # pragma: no cover - the midend imports the frontend
+    from repro.midend.normalize import NormalizedHandler
+
 
 # ---------------------------------------------------------------------------
 # results
@@ -72,12 +77,16 @@ class HandlerCheckResult:
 
 @dataclass
 class CheckedProgram:
-    """A program that passed all frontend checks."""
+    """A program that passed all frontend checks and the midend: every
+    handler has a lowering, which the engines and the backend share."""
 
     program: ast.Program
     info: ProgramInfo
     handler_results: Dict[str, HandlerCheckResult] = field(default_factory=dict)
     fun_summaries: Dict[str, EffectSummary] = field(default_factory=dict)
+    #: handler name -> its inlined, normalised body (:func:`check_program`)
+    normalized: Dict[str, NormalizedHandler] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -721,11 +730,18 @@ def check_program(
     (e.g. ``NEIGHBORS``) so the same program text can be instantiated
     per-switch against a concrete topology.
 
+    Checking ends with the midend (:func:`~repro.midend.normalize.normalize_program`):
+    a handler it cannot lower exactly is refused here, with its
+    :class:`~repro.errors.TypeError_`, so a program that checks compiles.
+
     Raises :class:`~repro.errors.LucidError` subclasses on any failure; returns
     a :class:`CheckedProgram` on success.
     """
+    from repro.midend.normalize import normalize_program  # the midend imports the frontend
+
     program = parse_program(source, name=name) if isinstance(source, str) else source
     info = collect_program_info(program, symbolic_bindings, group_bindings)
     check_all_memops(program, info.consts)
-    checker = TypeChecker(info)
-    return checker.check()
+    checked = TypeChecker(info).check()
+    checked.normalized = normalize_program(info)
+    return checked

@@ -6,15 +6,15 @@ re-interprets the AST on every event, this module prints every handler as
 :func:`compile`/``exec``.  A handler dispatch is then a single Python
 function call with no interpretation overhead at all.
 
-It has no lowering of its own.  Each handler goes through the compiler's
-midend — :class:`~repro.midend.inline.Inliner`, then
-:func:`~repro.midend.normalize.normalize_handler` — and
-:class:`HandlerSourceCompiler` prints the resulting
-:class:`~repro.midend.normalize.NormalizedHandler`: a nested ``if`` /
-``else`` for each ``NIf``, every other statement through the printers of
-:mod:`repro.interp.emit`, which the PISA stage plan uses too.  The module is
-*the stage plan without stages*: no layout, no path conditions, no backend
-import; its statement lines are lines of the plan.
+It has no lowering of its own.  :func:`~repro.frontend.type_checker.check_program`
+ends with the compiler's midend (inlining, then normalisation into atomic
+statements) and keeps each handler's
+:class:`~repro.midend.normalize.NormalizedHandler` on
+``CheckedProgram.normalized``; :class:`HandlerSourceCompiler` prints those: a
+nested ``if`` / ``else`` for each ``NIf``, every other statement through the
+printers of :mod:`repro.interp.emit`, which the PISA stage plan uses too.
+The module is *the stage plan without stages*: no layout, no path
+conditions, no backend import; its statement lines are lines of the plan.
 
 The generated module is keyed by :meth:`CheckedProgram.digest
 <repro.frontend.type_checker.CheckedProgram.digest>` and cached process-wide,
@@ -26,11 +26,12 @@ off the switch's runtime, one ``_h_<event>`` per handler — is the
 generated-module format of :mod:`repro.interp.emit`.
 
 Semantics are the midend's, which lowers a handler to exactly what the tree
-walker computes or refuses it (see :mod:`repro.midend.normalize`).  A handler
-the midend refuses, or whose text does not compile, runs on the tree walker
-instead; :attr:`CodegenModule.fallback_reasons` says why, and the
-differential suites in ``tests/test_compiled_interp.py``,
-``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
+walker computes or refuses the program at ``check_program`` (see
+:mod:`repro.midend.normalize`), so every handler of a checked program is
+printed.  A malformed memop, or a printer bug, fails when the module is
+built, as it does on ``pisa``.  The differential suites in
+``tests/test_compiled_interp.py``, ``tests/test_engines.py`` and
+``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
 :func:`dump_program_source`) to inspect the generated text.
@@ -38,29 +39,21 @@ Use ``repro.scenarios --engine codegen --dump-source`` (or
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
-from repro.frontend import ast
 from repro.frontend.symbols import ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
-from repro.interp.emit import Line, ModuleEmitter, effect_of, render
+from repro.interp.emit import Line, ModuleEmitter, effect_of
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import ExecutionResult, HandlerInterpreter, SwitchRuntime
-from repro.midend.inline import Inliner
-from repro.midend.normalize import NIf, NStmt, normalize_handler, stmt_writes
+from repro.interp.interpreter import ExecutionResult, SwitchRuntime
+from repro.midend.normalize import NIf, NormalizedHandler, NStmt, stmt_writes
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_CODEGEN_EVENTS = _REGISTRY.counter(
     "repro_engine_codegen_events_total",
     "Events executed through source-generated handler functions.")
-_M_CODEGEN_FALLBACKS = _REGISTRY.counter(
-    "repro_engine_codegen_fallbacks_total",
-    "Events handled by the tree-walker because the handler did not codegen.")
-_M_FALLBACK_HANDLERS = _REGISTRY.counter(
-    "repro_engine_codegen_fallback_handlers_total",
-    "Handlers left to the tree walker when a module was compiled, by reason.",
-    labelnames=("reason",))
 _M_MODULE_CACHE_HITS = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_hits_total",
     "Switches bound to a generated module already compiled for their digest.")
@@ -73,9 +66,6 @@ _M_MODULE_CACHE_MISSES = _REGISTRY.counter(
 #: only read it, so one immutable instance serves every such invocation.
 _EMPTY_RESULT = ExecutionResult((), ())
 
-#: dictionary sentinel distinguishing "no handler" from "tree-walk fallback"
-_NO_HANDLER = object()
-
 #: what every generated module opens with, ahead of its ``_bind`` factory
 _HEADER = """\
 # Generated by repro.interp.codegen for program {name!r}:
@@ -86,27 +76,17 @@ _HEADER = """\
 """
 
 
+@dataclass(frozen=True)
 class CodegenModule:
     """One generated module: shared by every switch whose checked program has
     the same digest."""
 
-    __slots__ = ("name", "digest", "source", "bind", "fallback_reasons",
-                 "handler_names")
-
-    def __init__(self, name: str, digest: str, source: str, bind: Callable,
-                 fallback_reasons: Dict[str, str], handler_names: List[str]):
-        self.name = name
-        self.digest = digest
-        self.source = source
-        #: the module's ``_bind(_rt)`` factory: one switch's handler functions
-        self.bind = bind
-        #: handler left to the tree walker -> first line of why
-        self.fallback_reasons = fallback_reasons
-        self.handler_names = handler_names
-
-    @property
-    def fallback_names(self) -> List[str]:
-        return sorted(self.fallback_reasons)
+    name: str
+    digest: str
+    source: str
+    #: the module's ``_bind(_rt)`` factory: one switch's handler functions
+    bind: Callable
+    handler_names: List[str]
 
 
 #: process-wide digest -> generated-module cache, oldest digest first.  A
@@ -125,8 +105,6 @@ def compile_program(checked: CheckedProgram) -> CodegenModule:
         module = _MODULE_CACHE[key] = HandlerSourceCompiler(checked).compile()
         if _OBS.enabled:
             _M_MODULE_CACHE_MISSES.inc()
-            for reason in module.fallback_reasons.values():
-                _M_FALLBACK_HANDLERS.labels(reason).inc()
     elif _OBS.enabled:
         _M_MODULE_CACHE_HITS.inc()
     return module
@@ -146,38 +124,17 @@ class HandlerSourceCompiler(ModuleEmitter):
 
     # -- program assembly ---------------------------------------------------
     def compile(self) -> CodegenModule:
-        handlers: Dict[str, List[Line]] = {}
-        reasons: Dict[str, str] = {}
-        # one inliner for the program, as in normalize_program: the fresh
-        # names, and so the statement text, are the stage plan's
-        inliner = Inliner(self.info)
-        for name, handler in self.info.handlers.items():
-            mark = self._mark()
-            try:
-                handlers[name] = self._emit_handler(inliner.inline_handler(handler))
-            except Exception as error:
-                # the midend refused the handler, a memop is malformed, or the
-                # text does not compile: the tree walker runs it.  Roll back
-                # what it registered so the runtime never materialises it
-                self._rollback(mark)
-                reasons[name] = (str(error) or type(error).__name__).splitlines()[0]
-        header = _HEADER.format(name=self.checked.name) + "".join(
-            f"# fallback {name}: {reason}\n" for name, reason in sorted(reasons.items()))
-        source, bind = self._module(
-            self.checked.name, "codegen", header, "_rt", handlers,
-            {"_ER": ExecutionResult, "_EMPTY_R": _EMPTY_RESULT})
-        return CodegenModule(
-            name=self.checked.name,
-            digest=self.checked.digest(),
-            source=source,
-            bind=bind,
-            fallback_reasons=reasons,
-            handler_names=sorted(handlers),
-        )
+        name = self.checked.name
+        handlers: Dict[str, List[Line]] = {
+            event: self._emit_handler(handler)
+            for event, handler in self.checked.normalized.items()
+        }
+        source, bind = self._module(name, "codegen", _HEADER.format(name=name), "_rt", handlers,
+                                    {"_ER": ExecutionResult, "_EMPTY_R": _EMPTY_RESULT})
+        return CodegenModule(name, self.checked.digest(), source, bind, sorted(handlers))
 
     # -- per-handler emission ----------------------------------------------
-    def _emit_handler(self, inlined: ast.DHandler) -> List[Line]:
-        handler = normalize_handler(self.info, inlined)
+    def _emit_handler(self, handler: NormalizedHandler) -> List[Line]:
         stmts = handler.flat_statements()
         written = set().union(*map(stmt_writes, stmts))
         self._use_locals([*handler.params, *sorted(written)])
@@ -190,9 +147,6 @@ class HandlerSourceCompiler(ModuleEmitter):
         # invocation produces the same empty result, so return a shared
         # immutable singleton — consumers only read results
         self._line(f"return {self._result('_ER', effects) if effects else '_EMPTY_R'}")
-        # compile the handler in isolation: a printer bug becomes a tree
-        # walker fallback instead of a broken module
-        compile(render(self.lines), f"<codegen-probe:{handler.name}>", "exec")
         return self.lines
 
     def _block(self, stmts: Sequence[NStmt], keyword: str = "if") -> None:
@@ -230,39 +184,31 @@ class CodegenSwitchRuntime:
     compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
 
     The generated module is shared across every switch whose checked program
-    has the same digest; this wrapper only binds it to its switch's runtime
-    and keeps the tree walker around for handlers the emitter could not lower.
+    has the same digest; this wrapper only binds it to its switch's runtime.
     """
 
     def __init__(self, runtime: SwitchRuntime):
         self.runtime = runtime
         self.info: ProgramInfo = runtime.info
-        self._tree_walker = HandlerInterpreter(runtime)
         self.module = compile_program(runtime.checked)
-        built = self.module.bind(runtime)
-        self._handlers: Dict[str, Optional[Callable]] = {
-            name: built.get(name) for name in self.info.handlers
-        }
+        #: event name -> this switch's handler function
+        self._handlers: Dict[str, Callable] = self.module.bind(runtime)
         self.run_fast = self._make_run_fast()
 
     @property
     def fallback_handler_names(self) -> List[str]:
-        """Handlers the emitter could not lower (they run through the tree
-        walker instead).  Empty for every bundled application — asserted by
-        the differential suite."""
-        return sorted(name for name, h in self._handlers.items() if h is None)
+        """Handlers of the program missing from the bound module: none, since
+        a checked program always lowers (``codegen.fallback_handlers`` in
+        ``e2ebench/`` reads it)."""
+        return sorted(self.info.handlers.keys() - self._handlers.keys())
 
     # -- public entry --------------------------------------------------------
     def run(self, event: EventInstance) -> ExecutionResult:
         """Run the handler for ``event`` once, atomically."""
-        fn = self._handlers.get(event.name, _NO_HANDLER)
-        if fn is _NO_HANDLER:
+        fn = self._handlers.get(event.name)
+        if fn is None:
             # events without handlers are legal: they exit the switch
             return _EMPTY_RESULT
-        if fn is None:
-            if _OBS.enabled:
-                _M_CODEGEN_FALLBACKS.inc()
-            return self._tree_walker.run(event)
         if _OBS.enabled:
             _M_CODEGEN_EVENTS.inc()
         return fn(event.args)
@@ -275,19 +221,11 @@ class CodegenSwitchRuntime:
         (and the attribute lookups) out of the per-event path.  Behaviour is
         otherwise identical to :meth:`run`."""
         get = self._handlers.get
-        walker_run = self._tree_walker.run
 
         def run_fast(event: EventInstance) -> ExecutionResult:
-            fn = get(event.name, _NO_HANDLER)
-            if fn is _NO_HANDLER:
-                return _EMPTY_RESULT
+            fn = get(event.name)
             if fn is None:
-                return walker_run(event)
+                return _EMPTY_RESULT
             return fn(event.args)
 
         return run_fast
-
-    def call_function(self, name: str, args: Sequence[int]) -> int:
-        """Call a ``fun`` directly (useful for tests); the tree walker is
-        semantically identical, so no source is generated for this path."""
-        return self._tree_walker.call_function(name, args)

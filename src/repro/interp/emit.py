@@ -109,8 +109,7 @@ def effect_of(stmt: NStmt) -> Optional[str]:
 
 class ModuleEmitter:
     """The format's writer: a line buffer with indent and numbered temps,
-    the program-wide binding registry and hash-arity set (with mark /
-    rollback, for a visitor that abandons a handler half way), the handler
+    the program-wide binding registry and hash-arity set, the handler
     prologue and result, the statement printers over one ``locals`` map, and
     module assembly."""
 
@@ -133,16 +132,6 @@ class ModuleEmitter:
             entry = self._bindings[kind, name] = tuple(
                 text.format(name) for text in _BINDINGS[kind])
         return entry[0]
-
-    def _mark(self) -> tuple:
-        return len(self._bindings), set(self.hash_arities)
-
-    def _rollback(self, mark: tuple) -> None:
-        """Forget every binding and hash arity registered since ``mark``, so
-        ``_bind`` never materialises what only an abandoned handler used."""
-        count, self.hash_arities = mark
-        for key in list(self._bindings)[count:]:
-            del self._bindings[key]
 
     # -- the line buffer ----------------------------------------------------
     def _line(self, text: str, deeper: int = 0) -> None:

@@ -12,7 +12,8 @@ returns what it produced.  Three engines ship with the repository:
 ``pisa``
     The hardware-accurate model: the program is lowered **once** through
     the full compiler backend (:func:`repro.backend.compiler.compile_checked`
-    — normalisation, branch elimination, table merging, stage layout), the
+    — atomic tables over the checked program's normalised handlers,
+    reordering, table merging, stage layout), the
     resulting :class:`~repro.backend.layout.PipelineLayout` is lowered
     **once** into a stage plan (one flat function per handler: its tables
     in stage order, path conditions as inline tests — see
@@ -26,15 +27,17 @@ returns what it produced.  Three engines ship with the repository:
 
 ``codegen``
     The source-generating fast path (:mod:`repro.interp.codegen`): each
-    handler goes through the compiler's midend (inlining, normalisation
-    into atomic statements — the lowering ``pisa`` and the P4 start from
-    too) and is printed as flat Python source, *the stage plan without
-    stages*: plain locals, inlined memops and ALU templates, pre-bound
-    array cell lists, nested ``if`` where the plan has path conditions.
-    Compiled once per program digest with :func:`compile`/``exec`` and
-    shared by every switch running the same program.  A handler the midend
-    refuses runs on the tree walker, counted by reason.  Behaviourally
-    identical to ``reference`` and several times faster.  The default.
+    handler's midend lowering (inlining, normalisation into atomic
+    statements — done once by ``check_program``, and the lowering ``pisa``
+    and the P4 start from too) is printed as flat Python source, *the stage
+    plan without stages*: plain locals, inlined memops and ALU templates,
+    pre-bound array cell lists, nested ``if`` where the plan has path
+    conditions.  Compiled once per program digest with
+    :func:`compile`/``exec`` and shared by every switch running the same
+    program.  A shape the midend cannot lower is refused by
+    ``check_program``, so every handler of a checked program runs here.
+    Behaviourally identical to ``reference`` and several times faster.  The
+    default.
 
 All three produce :class:`~repro.interp.interpreter.ExecutionResult`
 values, so the network scheduler is engine-agnostic: generated events —

@@ -10,7 +10,7 @@ events the handler generated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import InterpError
 from repro.frontend import ast
@@ -22,12 +22,10 @@ from repro.interp.events import EventInstance
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.ops import apply_binop, apply_unop, binop_template, lucid_hash, mask32
 
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics);
-# counts codegen-engine fallbacks too — every tree-walked event lands here
+# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
 _M_TREEWALK_EVENTS = _REGISTRY.counter(
     "repro_engine_reference_events_total",
-    "Events executed by the tree-walking interpreter "
-    "(including codegen-engine fallbacks).")
+    "Events executed by the tree-walking interpreter (the reference engine).")
 
 __all__ = [
     "ExecutionResult",
@@ -259,17 +257,6 @@ class HandlerInterpreter:
         except _ReturnValue:
             pass
         return result
-
-    def call_function(self, name: str, args: Sequence[int]) -> int:
-        """Call a ``fun`` directly (useful for tests)."""
-        fun = self.info.functions[name]
-        env: Dict[str, object] = {p.name: a for p, a in zip(fun.params, args)}
-        result = ExecutionResult()
-        try:
-            self._exec_block(fun.body, env, result)
-        except _ReturnValue as ret:
-            return ret.value if ret.value is not None else 0
-        return 0
 
     # -- statements ------------------------------------------------------------
     def _exec_block(self, stmts: List[ast.Stmt], env: Dict[str, object], result: ExecutionResult) -> None:

@@ -278,6 +278,9 @@ class Inliner:
     info: ProgramInfo
     fresh: FreshNames = field(default_factory=lambda: FreshNames(prefix="_inl"))
     max_depth: int = 64
+    #: a callee's local or copied parameter, by its fresh name -> how a
+    #: refusal names it: ``'C' of function 'f'``
+    origins: Dict[str, str] = field(default_factory=dict)
 
     def inline_handler(self, handler: ast.DHandler) -> ast.DHandler:
         self._check_names(assigned_names(handler.body) | {p.name for p in handler.params}, handler)
@@ -383,6 +386,7 @@ class Inliner:
         written = assigned_names(fun.body)
         self._check_names(written | {p.name for p in fun.params}, fun)
         renames: Dict[str, ast.Expr] = {}
+        substituted: Set[str] = set()
         for param, arg in zip(fun.params, call.args):
             by_name = isinstance(param.ty, ast.TArray) or (
                 isinstance(arg, ast.EVar) and self.info.is_global(arg.name)
@@ -397,11 +401,14 @@ class Inliner:
                 # arrays (and direct global references) substitute syntactically;
                 # so does an atom nothing in the callee can overwrite
                 renames[param.name] = arg
+                substituted.add(param.name)
             else:
                 renames[param.name] = self._bind(arg, param.name, prefix)
 
         body = ast.clone(fun.body)
         _rename_stmts(body, renames, self.fresh)
+        self.origins.update((target.name, f"'{name}' of function '{fun.name}'")
+                            for name, target in renames.items() if name not in substituted)
         body = self._inline_block(returnify(body), depth + 1)
 
         if isinstance(fun.ret, ast.TVoid):

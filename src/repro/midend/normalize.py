@@ -20,13 +20,19 @@ to execute with at most one Tofino ALU".  This module performs that reduction:
 The result, a :class:`NormalizedHandler`, is the one lowering input of every
 engine but the tree walker: the backend's atomic table construction (and so
 the ``pisa`` engine and the P4) and the ``codegen`` engine's printer.
+:func:`~repro.frontend.type_checker.check_program` runs
+:func:`normalize_program` as its last step and keeps the result on
+``CheckedProgram.normalized``, so every consumer reads one lowering.
 
 **Express or refuse.**  A handler is lowered to exactly what the tree walker
 (:mod:`repro.interp.interpreter`) computes, or :class:`TypeError_` is raised
-naming the construct; nothing is silently lowered to something else.  What is
-refused: an event- or group-typed local re-bound in a branch arm, or a local
-assigned while an event-typed local holds it (such values are tracked
-symbolically, in textual order, their operands read at the ``generate``); an
+naming the construct, with the user's names and the span of the offending
+statement; nothing is silently lowered to something else, and the refusal
+surfaces at ``check_program``, so no engine sees a program the pipeline
+cannot run.  What is refused: an event- or group-typed local re-bound in a
+branch arm, or a local assigned while an event-typed local holds it (such
+values are tracked symbolically, in textual order, their operands read at
+the ``generate``); an
 event, group or array used where an integer operand is needed; a local that
 shadows a constant; a local read on a path that has not assigned it
 (uninitialised metadata reads as zero on hardware, as an error or a shadowed
@@ -41,12 +47,13 @@ import collections
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
-from repro.midend.inline import Inliner, assigned_names, eliminate_returns
+from repro.midend.inline import Inliner, eliminate_returns
 from repro.ops import BINOPS, UNOPS, OpKind
 
 
@@ -227,8 +234,9 @@ class NormalizedHandler:
 class Normalizer:
     """Normalises one handler body; see :func:`normalize_handler`."""
 
-    def __init__(self, info: ProgramInfo, handler: ast.DHandler):
+    def __init__(self, info: ProgramInfo, handler: ast.DHandler, origins: Mapping[str, str]):
         self.info = info
+        self.origins = origins
         self.counter = itertools.count()
         #: how often the handler's text reads each name (our own temporaries:
         #: never); a binding may absorb the definition of what only it reads
@@ -249,6 +257,11 @@ class Normalizer:
 
     def fresh(self, hint: str = "t") -> str:
         return f"_n{next(self.counter)}_{hint}"
+
+    def spell(self, name: str) -> str:
+        """Local ``name`` as a refusal shows it: an inlined callee's by its
+        own name (:attr:`Inliner.origins`)."""
+        return self.origins.get(name, f"'{name}'")
 
     # -- expressions -> operands -----------------------------------------
     def _const_of(self, expr: ast.Expr) -> Optional[int]:
@@ -276,7 +289,8 @@ class Normalizer:
                 or self.info.is_global(expr.name)
             ):
                 raise TypeError_(
-                    f"'{expr.name}' is an event, group or array: it has no integer operand form",
+                    f"{self.spell(expr.name)} is an event, group or array: "
+                    "it has no integer operand form",
                     expr.span,
                 )
             return Var(expr.name)
@@ -464,7 +478,7 @@ class Normalizer:
             if isinstance(self.symbolic.get(expr.name), NGenerate):
                 return self.symbolic[expr.name]
             raise TypeError_(
-                f"'{expr.name}' does not name an event value created in this handler",
+                f"{self.spell(expr.name)} does not name an event value created in this handler",
                 expr.span,
             )
         raise TypeError_("generate expects an event expression", getattr(expr, "span", None))
@@ -539,7 +553,7 @@ class Normalizer:
             held = self._resolve_event_expr(init, out)
         if name in self.frozen and (held is not None or name in self.symbolic):
             raise TypeError_(
-                f"event- or group-typed local '{name}' is re-bound in a branch arm: "
+                f"event- or group-typed local {self.spell(name)} is re-bound in a branch arm: "
                 "its value would depend on the path taken",
                 span,
             )
@@ -548,7 +562,8 @@ class Normalizer:
             self.symbolic[name] = held
             return
         if any(isinstance(v, NGenerate) and name in stmt_reads(v) for v in self.symbolic.values()):
-            raise TypeError_(f"'{name}' is assigned while an event-typed local holds it", span)
+            raise TypeError_(
+                f"{self.spell(name)} is assigned while an event-typed local holds it", span)
         operand = self.to_operand(init, out)
         # collapse `x = tmp` where tmp was just computed and nothing else
         # reads it, by renaming in place
@@ -642,6 +657,22 @@ class Normalizer:
             out.append(stmt)
         return out
 
+    def check_assigned(self, stmts: List[NStmt], assigned: Set[str], written: Set[str]) -> Set[str]:
+        """Definite assignment: refuse a body in which a local some statement
+        writes can be read on a path that has not written it.  Returns what is
+        assigned on every path through ``stmts``."""
+        for stmt in stmts:
+            for name in stmt_reads(stmt):
+                if name in written and name not in assigned:
+                    raise TypeError_(f"local {self.spell(name)} can be read on a path "
+                                     "that has not assigned it", stmt.span)
+            if isinstance(stmt, NIf):
+                assigned = (self.check_assigned(stmt.then_body, set(assigned), written)
+                            & self.check_assigned(stmt.else_body, set(assigned), written))
+            else:
+                assigned |= stmt_writes(stmt)
+        return assigned
+
 
 def _flatten(stmts: List[NStmt]) -> List[NStmt]:
     """Every statement under ``stmts``, branches included, pre-order."""
@@ -653,51 +684,38 @@ def _flatten(stmts: List[NStmt]) -> List[NStmt]:
     return out
 
 
-def _check_assigned(stmts: List[NStmt], assigned: Set[str], written: Set[str]) -> Set[str]:
-    """Definite assignment: refuse a body in which a local some statement
-    writes can be read on a path that has not written it.  Returns what is
-    assigned on every path through ``stmts``."""
-    for stmt in stmts:
-        for name in stmt_reads(stmt):
-            if name in written and name not in assigned:
-                raise TypeError_(
-                    f"local '{name}' can be read on a path that has not assigned it", stmt.span
-                )
-        if isinstance(stmt, NIf):
-            assigned = _check_assigned(stmt.then_body, set(assigned), written) & _check_assigned(
-                stmt.else_body, set(assigned), written
-            )
-        else:
-            assigned |= stmt_writes(stmt)
-    return assigned
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
-def normalize_handler(info: ProgramInfo, handler: ast.DHandler) -> NormalizedHandler:
+def normalize_handler(info: ProgramInfo, handler: ast.DHandler,
+                      origins: Mapping[str, str] = MappingProxyType({})) -> NormalizedHandler:
     """Normalise one (already inlined) handler, or refuse it (see the module
-    docstring) with a :class:`TypeError_`."""
+    docstring) with a :class:`TypeError_`; ``origins`` names the inlined
+    callees' locals (:attr:`Inliner.origins`)."""
     params = [p.name for p in handler.params]
-    for name in sorted({*params, *assigned_names(handler.body)}):
+    declared = [(p.name, p.span) for p in handler.params] + [
+        (stmt.name, stmt.span) for stmt in ast.walk_stmts(handler.body)
+        if isinstance(stmt, (ast.SLocal, ast.SAssign))]
+    for name, span in declared:
         # the handler's scope is flat, and an inlined callee reads the constant
         if name == "SELF" or name in info.consts or info.is_global(name):
-            raise TypeError_(f"local '{name}' shadows a constant or a global", handler.span)
-    normalizer = Normalizer(info, handler)
+            raise TypeError_(f"local '{name}' shadows a constant or a global", span)
+    normalizer = Normalizer(info, handler, origins)
     # handlers may exit early with a bare `return;` — restructure so the
     # statements it skips are actually skipped (a pipeline has no "return",
     # only branches), instead of silently dropping the return
     body = normalizer.normalize_block(eliminate_returns(handler.body))
     body = normalizer.snapshot_conditions(body)
     written = set().union(*(stmt_writes(stmt) for stmt in _flatten(body)))
-    _check_assigned(body, set(params), written)
+    normalizer.check_assigned(body, set(params), written)
     return NormalizedHandler(name=handler.name, params=params, body=body)
 
 
 def normalize_program(info: ProgramInfo) -> Dict[str, NormalizedHandler]:
-    """Inline functions and normalise every handler of a checked program."""
+    """Inline functions and normalise every handler of a checked program
+    (the last step of :func:`~repro.frontend.type_checker.check_program`)."""
     inliner = Inliner(info)
     return {
-        name: normalize_handler(info, inliner.inline_handler(handler))
+        name: normalize_handler(info, inliner.inline_handler(handler), inliner.origins)
         for name, handler in info.handlers.items()
     }

@@ -7,7 +7,6 @@ from repro.pisa.queues import (
     DelayedEvent,
     DelayMechanismResult,
     PausableDelayQueue,
-    RecirculatingDelayBaseline,
     simulate_concurrent_delays,
 )
 from repro.pisa.recirculation import PipelineBudget
@@ -17,7 +16,6 @@ __all__ = [
     "PisaPipeline",
     "PipelinePassResult",
     "PausableDelayQueue",
-    "RecirculatingDelayBaseline",
     "DelayedEvent",
     "DelayMechanismResult",
     "simulate_concurrent_delays",

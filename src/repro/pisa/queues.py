@@ -82,10 +82,6 @@ class DelayMechanismResult:
             return 0.0
         return self.recirculated_bytes * 8 / (self.duration_ns * 1e-9) / 1e9
 
-    def mean_abs_error_ns(self) -> float:
-        errors = [abs(e.delay_error_ns) for e in self.events if e.delay_error_ns is not None]
-        return sum(errors) / len(errors) if errors else 0.0
-
     def max_abs_error_ns(self) -> int:
         errors = [abs(e.delay_error_ns) for e in self.events if e.delay_error_ns is not None]
         return max(errors) if errors else 0
@@ -166,25 +162,6 @@ class PausableDelayQueue:
                 still_queued.append((event, deadline))
         self.queue = still_queued
         self._update_peak()
-
-
-class RecirculatingDelayBaseline:
-    """Delaying events by continuous recirculation (no pausable queue)."""
-
-    def __init__(self, timing: TofinoTiming = DEFAULT_TIMING):
-        self.timing = timing
-        self.delivered: List[DelayedEvent] = []
-        self.recirculation_passes = 0
-        self.recirculated_bytes = 0
-
-    def delay(self, event: DelayedEvent) -> None:
-        passes = max(1, -(-event.requested_delay_ns // self.timing.recirculation_latency_ns))
-        self.recirculation_passes += passes
-        self.recirculated_bytes += passes * event.size_bytes
-        event.released_at_ns = (
-            event.enqueued_at_ns + passes * self.timing.recirculation_latency_ns
-        )
-        self.delivered.append(event)
 
 
 def simulate_concurrent_delays(

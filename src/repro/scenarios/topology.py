@@ -50,9 +50,6 @@ class Topology:
     def neighbors(self, switch_id: int) -> List[int]:
         return sorted(self._adj[switch_id])
 
-    def degree(self, switch_id: int) -> int:
-        return len(self._adj[switch_id])
-
     def distances_from(self, source: int) -> Dict[int, int]:
         """Dijkstra latencies (ns) from ``source`` to every switch."""
         dist = {source: 0}

@@ -110,7 +110,7 @@ def test_switches_share_one_module_but_not_state():
 def test_bundled_apps_lower_without_fallback(key):
     app = ALL_APPLICATIONS[key]
     checked = check_program(app.source, name=key)
-    assert compile_program(checked).fallback_names == []
+    assert compile_program(checked).handler_names == sorted(checked.info.handlers)
     network, switch = single_switch_network(checked, engine="codegen")
     assert switch.engine.executor.fallback_handler_names == []
 

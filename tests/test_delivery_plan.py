@@ -277,7 +277,7 @@ def test_apps_emit_one_preshaped_event_per_static_generate(key):
     source = dump_program_source(checked)
     assert source.count("_gen.append(_EV(") == generates
     assert source.count(".locate(") + source.count(".delay(") == 0
-    assert compile_program(checked).fallback_names == []
+    assert compile_program(checked).handler_names == sorted(info.handlers)
     network = Network(engine="codegen")
     assert network.add_switch(0, checked).interpreter.fallback_handler_names == []
 

@@ -1,7 +1,8 @@
 """The generated-module format (:mod:`repro.interp.emit`) and its two
 visitors: the one array read-modify-write against the ``RuntimeArray``
 oracle, codegen's handler bodies pinned to the commit before the format
-moved, the one factory shape of both dumps, and per-handler rollback.
+moved, the one factory shape of both dumps, and a malformed memop failing
+both visitors alike.
 """
 
 import hashlib
@@ -18,12 +19,10 @@ from repro.errors import InterpError
 from repro.frontend import check_program
 from repro.fuzz.case import load_case
 from repro.interp.arrays import RuntimeArray
-from repro.interp.codegen import CodegenSwitchRuntime, HandlerSourceCompiler, dump_program_source
+from repro.interp.codegen import CodegenSwitchRuntime, dump_program_source
 from repro.interp.emit import ModuleEmitter
-from repro.interp.events import EventInstance
 from repro.interp.interpreter import SwitchRuntime, memop_shape
-from repro.interp.network import Network
-from repro.pisa.pipeline import _PlanEmitter, lower_layout
+from repro.pisa.pipeline import PisaPipeline, _PlanEmitter, lower_layout
 
 from test_compiled_interp import BOUNDARY
 
@@ -175,9 +174,9 @@ def test_both_dumps_have_the_one_factory_shape(key):
 
 
 # ---------------------------------------------------------------------------
-# (d) a handler that fails to emit takes what it registered with it
+# (d) a malformed memop stops the module, as it stops the stage plan
 # ---------------------------------------------------------------------------
-ROLLBACK = """
+MALFORMED = """
 global only_bad = new Array<<32>>(4);
 global shared = new Array<<32>>(4);
 memop bad(int stored, int x) { return stored + x; }
@@ -194,45 +193,22 @@ handle fine(int i) { Array.set(shared, i, good, 2); }
 
 
 def _malformed():
-    checked = check_program(ROLLBACK, name="rollback")
+    checked = check_program(MALFORMED, name="malformed")
     checked.info.memops["bad"].body.clear()
     return checked
 
 
-def test_a_failed_handler_rolls_back_its_bindings_and_hash_arities():
-    compiler = HandlerSourceCompiler(_malformed())
-    module = compiler.compile()
-    assert module.fallback_names == ["broken"] and module.handler_names == ["fine"]
-    factory = module.source[module.source.index("def _bind(_rt):"):]
-    assert "only_bad" not in factory and "_pk" not in factory
-    assert factory.count("_A_shared = _rt.array('shared')") == 1
-    assert compiler.hash_arities == set()
-
-
 def test_a_malformed_memop_is_never_materialised_at_bind_time():
-    network = {engine: Network(engine=engine) for engine in ("reference", "codegen")}
-    asked = []
-    for engine, net in network.items():
-        switch = net.add_switch(0, _malformed())
-        if engine == "codegen":
-            assert switch.interpreter.fallback_handler_names == ["broken"]
-            runtime = switch.runtime
-            memop_fn = runtime.memop_fn
-            runtime.memop_fn = lambda name: asked.append(name) or memop_fn(name)
-            CodegenSwitchRuntime(runtime)           # binding again asks for nothing
-            assert asked == []
-        for i in range(6):
-            net.inject(0, EventInstance("fine", (i,)), at_ns=i * 1_000)
-        net.run()
-        net.inject(0, EventInstance("broken", (1,)), at_ns=10_000)
+    """The declaration is mutated after checking: the front end stops it.
+    Building the switch fails on codegen with the error the stage plan and
+    ``memop_fn`` raise, so no switch ever binds a handler that cannot run."""
+    checked = _malformed()
+    builds = {
+        "codegen": lambda: CodegenSwitchRuntime(SwitchRuntime(checked)),
+        "pisa": lambda: PisaPipeline(compile_checked(checked, CompilerOptions(emit_p4=False))),
+        "memop_fn": lambda: SwitchRuntime(checked).memop_fn("bad"),
+    }
+    for build in builds.values():
         with pytest.raises(InterpError) as error:
-            net.run()
+            build()
         assert error.value.message == "memop 'bad' has an empty body"
-    assert asked == ["bad"]                         # the tree walker, per event
-    states = [
-        {name: (array.snapshot(), array.reads, array.writes)
-         for name, array in net.switches[0].runtime.arrays.items()}
-        for net in network.values()
-    ]
-    assert states[0] == states[1]
-    assert states[0]["shared"][0] == [4, 4, 2, 2]

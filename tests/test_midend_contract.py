@@ -1,11 +1,12 @@
-"""One midend, express or refuse.
+"""One midend, express or refuse; well-typed means compilable.
 
 ``codegen`` and ``pisa`` (and the P4) start from the same
-:class:`~repro.midend.normalize.NormalizedHandler`.  This file pins the
-contract that makes that safe: the midend lowers a handler to exactly what
-the tree walker computes, or refuses it with a ``TypeError_`` naming the
-construct — which ``compile_checked`` raises and ``codegen`` turns into a
-counted, explained tree-walker fallback.  Shapes the midend *fixed* live in
+:class:`~repro.midend.normalize.NormalizedHandler`, which ``check_program``
+computes once as its last step.  This file pins the contract that makes
+that safe: the midend lowers a handler to exactly what the tree walker
+computes, or ``check_program`` refuses the program with a ``TypeError_``
+naming the construct in the user's names, on the offending line — so every
+program that checks compiles.  Shapes the midend *fixed* live in
 ``tests/regressions/`` (replayed on all three engines); the shapes it
 *refuses* are below, with the codegen module read as the stage plan without
 stages.
@@ -13,6 +14,7 @@ stages.
 
 import copy
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,14 +22,17 @@ from repro.apps import ALL_APPLICATIONS
 from repro.backend.compiler import CompilerOptions, compile_checked
 from repro.errors import TypeError_
 from repro.frontend import ast, check_program
+from repro.fuzz.case import load_case
 from repro.fuzz.gen import CaseGenerator
-from repro.interp.codegen import compile_program, dump_program_source
+from repro.interp import codegen
+from repro.interp.codegen import dump_program_source
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import Network
+from repro.midend.inline import Inliner
 from repro.midend.normalize import normalize_program
-from repro.obs import REGISTRY, disable, enable
 from repro.pisa.pipeline import lower_layout
+from repro.scenarios import SCENARIOS
 
 
 def _run(checked, engine, events, externs=None, switches=1):
@@ -48,7 +53,7 @@ def _run(checked, engine, events, externs=None, switches=1):
 
 
 # ---------------------------------------------------------------------------
-# refused: a TypeError_ naming the construct, a counted fallback = reference
+# refused: check_program raises a TypeError_ naming the construct
 # ---------------------------------------------------------------------------
 PRELUDE = """
 const int C = 7;
@@ -59,88 +64,127 @@ event g(int v);
 handle g(int v) { printf(v); }
 """
 
+#: the mark on the line a refusal's span must sit on
+HERE = "// refused here"
+
 #: name -> (declarations + ``handle e``, what the refusal must say)
 REFUSED = {
-    # (c) a callee local declared in an arm shadows a constant: the tree
-    # walker reads the local on one path, the constant on the other
+    # a callee local declared in an arm shadows a constant: the tree walker
+    # reads the local on one path, the constant on the other
     "callee-local-unassigned-on-a-path": (
-        "fun int f(int a) { if (a == 1) { int C = 99; } return C; }"
-        "handle e(int v) { printf(f(v)); }",
-        "can be read on a path that has not assigned it"),
-    # (d) an event-typed local re-bound in an arm: its value depends on the path
+        """fun int f(int a) {
+          if (a == 1) { int C = 99; }
+          return C; // refused here
+        }
+        handle e(int v) { printf(f(v)); }""",
+        "local 'C' of function 'f' can be read on a path that has not assigned it"),
+    # an event-typed local re-bound in an arm: its value depends on the path
     "event-local-rebound-in-an-arm": (
-        "handle e(int v) { event out = g(v); if (v == 1) { out = Event.delay(out, 5000); }"
-        " generate out; }",
+        """handle e(int v) {
+          event out = g(v);
+          if (v == 1) { out = Event.delay(out, 5000); } // refused here
+          generate out;
+        }""",
         "'out' is re-bound in a branch arm"),
     "group-local-rebound-in-an-arm": (
-        "handle e(int v) { auto where = PAIR; if (v == 1) { where = {0}; }"
-        " generate Event.locate(g(v), where); }",
+        """handle e(int v) {
+          auto where = PAIR;
+          if (v == 1) { where = {0}; } // refused here
+          generate Event.locate(g(v), where);
+        }""",
         "'where' is re-bound in a branch arm"),
     "local-shadows-a-constant": (
-        "fun int f() { return C; } handle e(int v) { int C = 99; printf(C); printf(f()); }",
+        """fun int f() { return C; }
+        handle e(int v) {
+          int C = 99; // refused here
+          printf(C); printf(f());
+        }""",
         "local 'C' shadows a constant"),
     "event-printed": (
-        "handle e(int v) { event held = g(v); printf(held); }",
+        """handle e(int v) {
+          event held = g(v);
+          printf(held); // refused here
+        }""",
         "'held' is an event, group or array"),
     "group-printed": (
-        "handle e(int v) { printf(PAIR); }",
+        """handle e(int v) {
+          printf(PAIR); // refused here
+        }""",
         "'PAIR' is an event, group or array"),
     "array-held-in-a-local": (
-        "handle e(int v) { auto arr = t; Array.set(arr, 0, v); printf(arr); }",
+        """handle e(int v) {
+          auto arr = t; // refused here
+          Array.set(arr, 0, v); printf(arr);
+        }""",
         "'t' is an event, group or array"),
 }
+
+#: a name only the midend mints: an inlined callee's local, a normaliser
+#: temporary, a ``Sys.*`` metadata field
+COMPILER_NAME = re.compile(r"_inl\d|_n\d|'__")
 
 
 @pytest.mark.parametrize("name", REFUSED)
 def test_a_refused_shape_is_named_counted_and_runs_as_the_reference(name):
+    """The shape never reaches an engine: ``check_program`` refuses it, with
+    the midend's message in the user's names, on the offending line."""
     body, needle = REFUSED[name]
-    checked = check_program(PRELUDE + body, name=name)
     with pytest.raises(TypeError_) as refusal:
-        compile_checked(checked, CompilerOptions(emit_p4=False))
-    assert needle in refusal.value.message
-    module = compile_program(checked)
-    assert module.fallback_names == ["e"] and module.handler_names == ["g"]
-    assert needle in module.fallback_reasons["e"]
-    assert f"# fallback e: {module.fallback_reasons['e']}\n" in module.source
-    assert "def _h_e(" not in module.source
-    events = [("e", (0,)), ("e", (1,))]
-    reference = _run(checked, "reference", events, switches=3)
-    assert reference[1][0]                       # it printed something
-    assert _run(checked, "codegen", events, switches=3) == reference
+        check_program(PRELUDE + body, name=name)
+    message, span = refusal.value.message, refusal.value.span
+    assert needle in message and not COMPILER_NAME.search(message)
+    assert span.source.line_text(span.line).endswith(HERE)
 
 
-def test_fallback_handlers_are_counted_by_reason_once_per_module():
-    body, needle = REFUSED["event-printed"]
-    checked = check_program(PRELUDE + body + "event counted();", name="counted")
-    REGISTRY.reset()
-    enable()
-    try:
-        network = Network(engine="codegen")
-        switches = [network.add_switch(sid, checked) for sid in range(3)]
-        reason = switches[0].interpreter.module.fallback_reasons["e"]
-        assert needle in reason
-        # at module compile time, not per switch and not per event
-        assert REGISTRY.value("repro_engine_codegen_fallback_handlers_total", [reason]) == 1
-        network.inject(0, EventInstance("e", (1,)))
-        network.run()
-        assert REGISTRY.value("repro_engine_codegen_fallback_handlers_total", [reason]) == 1
-        assert REGISTRY.value("repro_engine_codegen_fallbacks_total") == 1
-    finally:
-        disable()
-        REGISTRY.reset()
-    assert [s.interpreter.fallback_handler_names for s in switches] == [["e"]] * 3
+def _scenario_programs():
+    """Every checked program a scenario builds (one per group-binding set)."""
+    for name in sorted(SCENARIOS):
+        network = SCENARIOS[name].build(50, 1).make_network("reference")
+        yield from {id(s.runtime.checked): s.runtime.checked
+                    for s in network.switches.values()}.values()
 
 
-def test_zero_fallbacks_over_the_fuzzers_first_200_cases():
-    """Refusals are for shapes no app and no generated program has (the apps:
-    ``test_bundled_apps_lower_without_fallback``)."""
-    generator = CaseGenerator(0)
-    handlers = 0
-    for index in range(200):
-        checked = check_program(generator.generate(index).source)
-        assert compile_program(checked).fallback_reasons == {}, index
-        handlers += len(checked.info.handlers)
-    assert handlers > 300
+def _fuzz_programs(seed, count):
+    generator = CaseGenerator(seed)
+    return (check_program(generator.generate(i).source) for i in range(count))
+
+
+#: corpus part -> (its checked programs, at least how many)
+CORPUS = {
+    "apps": (lambda: (check_program(app.source, name=key)
+                      for key, app in ALL_APPLICATIONS.items()), 10),
+    "scenarios": (_scenario_programs, len(SCENARIOS)),
+    "regressions": (lambda: (check_program(load_case(str(path)).source, name=path.name)
+                             for path in (Path(__file__).parent / "regressions").glob("*.json")),
+                    18),
+    "fuzz-seed0": (lambda: _fuzz_programs(0, 300), 300),
+    "fuzz-seed3": (lambda: _fuzz_programs(3, 120), 120),
+}
+
+
+@pytest.mark.parametrize("part", CORPUS)
+def test_every_checked_program_in_the_corpus_compiles_to_both_p4_styles(part):
+    """A program that checks compiles (the refused shapes are above)."""
+    programs, at_least = CORPUS[part]
+    compiled = [compile_checked(checked, CompilerOptions(emit_naive_p4=True))
+                for checked in programs()]
+    assert len(compiled) >= at_least
+    assert all(c.p4 is not None and c.naive_p4 is not None for c in compiled)
+
+
+def test_one_checked_program_is_inlined_once_per_handler(monkeypatch):
+    """Checking inlines; codegen, pisa and both P4 styles reuse its result."""
+    inlined = []
+    inline_handler = Inliner.inline_handler
+    monkeypatch.setattr(Inliner, "inline_handler",
+                        lambda self, handler: inlined.append(handler.name)
+                        or inline_handler(self, handler))
+    monkeypatch.setattr(codegen, "_MODULE_CACHE", {})
+    checked = check_program(ALL_APPLICATIONS["SFW"].source, name="SFW")
+    for engine in ("codegen", "pisa"):
+        Network(engine=engine).add_switch(0, checked)
+    compile_checked(checked, CompilerOptions(emit_naive_p4=True))
+    assert sorted(inlined) == sorted(checked.info.handlers)
 
 
 # ---------------------------------------------------------------------------

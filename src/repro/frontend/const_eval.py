@@ -10,7 +10,7 @@ interpreter, backend) consult.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.errors import ConstError
 from repro.frontend import ast
@@ -79,20 +79,18 @@ def eval_const_expr(expr: ast.Expr, env: ConstEnv) -> int:
 def build_const_env(
     program: ast.Program,
     symbolic_bindings: Optional[Dict[str, int]] = None,
-    group_bindings: Optional[Dict[str, Sequence[int]]] = None,
 ) -> ConstEnv:
     """Fold all ``const`` and ``symbolic`` declarations of ``program``.
 
     ``symbolic_bindings`` lets a harness override the default value of
     ``symbolic size`` declarations (e.g. to sweep table sizes in benchmarks).
-    ``group_bindings`` likewise overrides the members of ``const group``
-    declarations, which is how the scenario engine binds each switch's
-    neighbour set (``NEIGHBORS``, ``PEERS``, ``REPLICAS``, ...) from a
-    topology instead of the literal written in the program text.
+    A ``const group`` records its literal's members in :attr:`ConstEnv.groups`
+    and is no integer constant: a switch may bind other members
+    (:class:`~repro.interp.interpreter.SwitchRuntime`), as a Tofino's control
+    plane writes a multicast group's members into the replication engine.
     """
     env = ConstEnv()
     bindings = symbolic_bindings or {}
-    groups = group_bindings or {}
     for decl in program.decls:
         if isinstance(decl, ast.DSymbolic):
             env.values[decl.name] = bindings.get(decl.name, decl.default)
@@ -103,13 +101,7 @@ def build_const_env(
                         f"group constant '{decl.name}' must be initialised with a group literal",
                         decl.span,
                     )
-                if decl.name in groups:
-                    env.groups[decl.name] = [int(m) for m in groups[decl.name]]
-                else:
-                    env.groups[decl.name] = [eval_const_expr(m, env) for m in decl.value.members]
-                # groups also get a scalar stand-in (their first member) so
-                # they can appear in integer contexts such as comparisons.
-                env.values[decl.name] = env.groups[decl.name][0] if env.groups[decl.name] else 0
+                env.groups[decl.name] = [eval_const_expr(m, env) for m in decl.value.members]
             else:
                 env.values[decl.name] = eval_const_expr(decl.value, env)
     return env

@@ -97,11 +97,10 @@ class ProgramInfo:
 def collect_program_info(
     program: ast.Program,
     symbolic_bindings: Optional[Dict[str, int]] = None,
-    group_bindings: Optional[Dict[str, List[int]]] = None,
 ) -> ProgramInfo:
     """Build a :class:`ProgramInfo`, checking for duplicate declarations and
     handler/event consistency."""
-    consts = build_const_env(program, symbolic_bindings, group_bindings)
+    consts = build_const_env(program, symbolic_bindings)
     resolve_global_sizes(program, consts)
     info = ProgramInfo(program=program, consts=consts)
 

@@ -21,7 +21,6 @@ checked once and reused at any call site whose argument stages are compatible
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -78,7 +77,14 @@ class HandlerCheckResult:
 @dataclass
 class CheckedProgram:
     """A program that passed all frontend checks and the midend: every
-    handler has a lowering, which the engines and the backend share."""
+    handler has a lowering, which the engines and the backend share.
+
+    One checked program serves every switch running it: what differs between
+    them (``SELF``, group members, externs, state) is each switch's
+    :class:`~repro.interp.interpreter.SwitchRuntime`.  So each further
+    lowering is cached on the object it comes from — the layout and
+    codegen's module on this one, the stage plan on the layout's
+    :class:`~repro.backend.compiler.CompiledProgram`."""
 
     program: ast.Program
     info: ProgramInfo
@@ -91,38 +97,6 @@ class CheckedProgram:
     @property
     def name(self) -> str:
         return self.program.name
-
-    def digest(self) -> str:
-        """A stable hash of everything that determines compiled-handler
-        semantics: the resolved AST, scalar constants, and global array
-        shapes.  Multicast *group members* are deliberately excluded (they
-        are bound per switch from the topology and supplied at engine-build
-        time), so every switch of a fat-tree running the same app under the
-        same symbolic bindings shares one digest — which is what lets the
-        codegen module cache compile each app once per network instead of
-        once per switch."""
-        cached = getattr(self, "_digest", None)
-        if cached is not None:
-            return cached
-        consts = self.info.consts
-        scalars = sorted(
-            (k, v) for k, v in consts.values.items() if k not in consts.groups
-        )
-        globals_sig = [
-            (g.name, g.stage, g.cell_width, g.size, g.kind)
-            for g in self.info.globals.values()
-        ]
-        basis = "\x1f".join(
-            [
-                repr(self.program.decls),
-                repr(scalars),
-                repr(sorted(consts.groups)),
-                repr(globals_sig),
-            ]
-        )
-        cached = hashlib.sha256(basis.encode("utf-8")).hexdigest()
-        self._digest = cached
-        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +415,9 @@ class TypeChecker:
         if self.info.is_global(name):
             g = self.info.globals[name]
             return ArrayTy(width=g.cell_width, stage=g.stage, global_name=name)
-        if name in self.info.consts or name in self.info.consts.groups:
-            if name in self.info.consts.groups:
-                return GroupTy()
+        if name in self.info.consts.groups:
+            return GroupTy()
+        if name in self.info.consts:
             return IntTy(32)
         if name == "SELF":
             return IntTy(32)
@@ -722,13 +696,8 @@ def check_program(
     source: "str | ast.Program",
     name: str = "<string>",
     symbolic_bindings: Optional[Dict[str, int]] = None,
-    group_bindings: Optional[Dict[str, List[int]]] = None,
 ) -> CheckedProgram:
     """Parse (if needed) and fully check a Lucid program.
-
-    ``group_bindings`` overrides the members of ``const group`` declarations
-    (e.g. ``NEIGHBORS``) so the same program text can be instantiated
-    per-switch against a concrete topology.
 
     Checking ends with the midend (:func:`~repro.midend.normalize.normalize_program`):
     a handler it cannot lower exactly is refused here, with its
@@ -740,7 +709,7 @@ def check_program(
     from repro.midend.normalize import normalize_program  # the midend imports the frontend
 
     program = parse_program(source, name=name) if isinstance(source, str) else source
-    info = collect_program_info(program, symbolic_bindings, group_bindings)
+    info = collect_program_info(program, symbolic_bindings)
     check_all_memops(program, info.consts)
     checked = TypeChecker(info).check()
     checked.normalized = normalize_program(info)

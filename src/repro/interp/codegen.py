@@ -16,11 +16,10 @@ printers of :mod:`repro.interp.emit`, which the PISA stage plan uses too.
 The module is *the stage plan without stages*: no layout, no path
 conditions, no backend import; its statement lines are lines of the plan.
 
-The generated module is keyed by :meth:`CheckedProgram.digest
-<repro.frontend.type_checker.CheckedProgram.digest>` and cached process-wide,
-so a fat-tree network running one application compiles each handler exactly
+The generated module is cached on the checked program, as the layout is, so
+a fat-tree network running one checked program compiles each handler exactly
 once no matter how many switches instantiate it.  The module's shape —
-``_bind(_rt)`` reading whatever differs between switches sharing a digest
+``_bind(_rt)`` reading whatever differs between switches sharing it
 (``SELF``, group members, extern tables, array handles, the clock and PRNG)
 off the switch's runtime, one ``_h_<event>`` per handler — is the
 generated-module format of :mod:`repro.interp.emit`.
@@ -54,12 +53,12 @@ from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 _M_CODEGEN_EVENTS = _REGISTRY.counter(
     "repro_engine_codegen_events_total",
     "Events executed through source-generated handler functions.")
-_M_MODULE_CACHE_HITS = _REGISTRY.counter(
+_M_MODULE_HITS = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_hits_total",
-    "Switches bound to a generated module already compiled for their digest.")
-_M_MODULE_CACHE_MISSES = _REGISTRY.counter(
+    "Switches bound to a generated module already compiled for their checked program.")
+_M_MODULE_MISSES = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_misses_total",
-    "Generated modules emitted and compiled (once per program digest).")
+    "Generated modules emitted and compiled (once per checked program).")
 
 #: shared result for handlers that provably produce no effects (and for
 #: events with no handler at all).  Consumers of :class:`ExecutionResult`
@@ -78,35 +77,27 @@ _HEADER = """\
 
 @dataclass(frozen=True)
 class CodegenModule:
-    """One generated module: shared by every switch whose checked program has
-    the same digest."""
+    """One generated module: shared by every switch running its checked
+    program."""
 
     name: str
-    digest: str
     source: str
     #: the module's ``_bind(_rt)`` factory: one switch's handler functions
     bind: Callable
     handler_names: List[str]
 
 
-#: process-wide digest -> generated-module cache, oldest digest first.  A
-#: switch holds its own ``.module``, so eviction only costs a re-emit.
-_MODULE_CACHE: Dict[str, CodegenModule] = {}
-_MODULE_CACHE_CAP = 64
-
-
 def compile_program(checked: CheckedProgram) -> CodegenModule:
-    """Emit (or fetch the cached) generated module for ``checked``."""
-    key = checked.digest()
-    module = _MODULE_CACHE.get(key)
+    """The generated module of ``checked``, emitted on first use and cached
+    on the checked program, beside its layout
+    (:func:`repro.interp.engine._compiled_for`)."""
+    module = getattr(checked, "_codegen_module", None)
     if module is None:
-        if len(_MODULE_CACHE) >= _MODULE_CACHE_CAP:
-            del _MODULE_CACHE[next(iter(_MODULE_CACHE))]
-        module = _MODULE_CACHE[key] = HandlerSourceCompiler(checked).compile()
+        module = checked._codegen_module = HandlerSourceCompiler(checked).compile()
         if _OBS.enabled:
-            _M_MODULE_CACHE_MISSES.inc()
+            _M_MODULE_MISSES.inc()
     elif _OBS.enabled:
-        _M_MODULE_CACHE_HITS.inc()
+        _M_MODULE_HITS.inc()
     return module
 
 
@@ -131,7 +122,7 @@ class HandlerSourceCompiler(ModuleEmitter):
         }
         source, bind = self._module(name, "codegen", _HEADER.format(name=name), "_rt", handlers,
                                     {"_ER": ExecutionResult, "_EMPTY_R": _EMPTY_RESULT})
-        return CodegenModule(name, self.checked.digest(), source, bind, sorted(handlers))
+        return CodegenModule(name, source, bind, sorted(handlers))
 
     # -- per-handler emission ----------------------------------------------
     def _emit_handler(self, handler: NormalizedHandler) -> List[Line]:
@@ -183,8 +174,8 @@ class CodegenSwitchRuntime:
     """Executes handlers through source-generated functions; drop-in
     compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
 
-    The generated module is shared across every switch whose checked program
-    has the same digest; this wrapper only binds it to its switch's runtime.
+    The generated module is shared across every switch running one checked
+    program; this wrapper only binds it to its switch's runtime.
     """
 
     def __init__(self, runtime: SwitchRuntime):

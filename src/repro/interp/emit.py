@@ -85,7 +85,7 @@ _BINDINGS = {
     "externs": ("_EXT", "_rt.externs"),
     "array": ("_A_{0}", "_rt.array({0!r})"),
     "cells": ("_C_{0}", "_A_{0}.cells"),
-    "group": ("_G_{0}", "tuple(int(m) for m in _rt.info.consts.groups[{0!r}])"),
+    "group": ("_G_{0}", "_rt.groups[{0!r}]"),
 }
 
 _GETS = ("Array.get", "Array.getm")

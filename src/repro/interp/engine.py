@@ -32,10 +32,10 @@ returns what it produced.  Three engines ship with the repository:
     and the P4 start from too) is printed as flat Python source, *the stage
     plan without stages*: plain locals, inlined memops and ALU templates,
     pre-bound array cell lists, nested ``if`` where the plan has path
-    conditions.  Compiled once per program digest with
-    :func:`compile`/``exec`` and shared by every switch running the same
-    program.  A shape the midend cannot lower is refused by
-    ``check_program``, so every handler of a checked program runs here.
+    conditions.  Compiled once per checked program with
+    :func:`compile`/``exec`` and shared by every switch running it.  A
+    shape the midend cannot lower is refused by ``check_program``, so
+    every handler of a checked program runs here.
     Behaviourally identical to ``reference`` and several times faster.  The
     default.
 
@@ -132,8 +132,8 @@ class ReferenceEngine(SwitchEngine):
 
 class CodegenEngine(SwitchEngine):
     """Source-generated handlers: each normalised handler body is printed as
-    flat Python source, compiled once per program digest, and shared across
-    switches (see :mod:`repro.interp.codegen`)."""
+    flat Python source, compiled once per checked program, and shared across
+    its switches (see :mod:`repro.interp.codegen`)."""
 
     name = "codegen"
 
@@ -151,19 +151,15 @@ class CodegenEngine(SwitchEngine):
 
 def _compiled_for(checked) -> "object":
     """Lower ``checked`` through the backend once, caching the result on the
-    checked program itself — switches sharing one checked program (every
-    switch of a topology with identical group bindings) share one layout,
-    and with it the stage plan :func:`repro.pisa.pipeline.lower_layout`
-    caches on the compiled program."""
+    checked program itself — the switches running one checked program (every
+    switch of a topology) share one layout, and with it the stage plan
+    :func:`repro.pisa.pipeline.lower_layout` caches on the compiled program."""
     compiled = getattr(checked, "_engine_compiled", None)
     if compiled is None:
         from repro.backend.compiler import CompilerOptions, compile_checked
 
-        compiled = compile_checked(checked, options=CompilerOptions(emit_p4=False))
-        try:
-            checked._engine_compiled = compiled
-        except AttributeError:  # pragma: no cover - exotic frozen subclasses
-            pass
+        compiled = checked._engine_compiled = compile_checked(
+            checked, options=CompilerOptions(emit_p4=False))
     return compiled
 
 

@@ -10,7 +10,7 @@ events the handler generated.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InterpError
 from repro.frontend import ast
@@ -90,9 +90,16 @@ class ExecutionResult:
 
 
 class SwitchRuntime:
-    """Per-switch runtime state: arrays, memops, externs, and the clock."""
+    """Per-switch runtime state: arrays, memops, externs, group members, and
+    the clock.
 
-    def __init__(self, checked: CheckedProgram, switch_id: int = 0):
+    ``groups`` binds this switch's members of ``const group`` declarations
+    (e.g. a topology's ``{"NEIGHBORS": [4, 5]}``), as a control plane writes
+    a multicast group into the replication engine; a group it does not name
+    keeps the members of the program's literal."""
+
+    def __init__(self, checked: CheckedProgram, switch_id: int = 0,
+                 groups: Optional[Mapping[str, Sequence[int]]] = None):
         self.checked = checked
         self.info: ProgramInfo = checked.info
         self.switch_id = switch_id
@@ -101,6 +108,17 @@ class SwitchRuntime:
             g.name: RuntimeArray(name=g.name, size=g.size, cell_width=g.cell_width)
             for g in self.info.globals.values()
         }
+        #: group name -> this switch's members
+        self.groups: Dict[str, Tuple[int, ...]] = {
+            name: tuple(members) for name, members in self.info.consts.groups.items()
+        }
+        for name, members in (groups or {}).items():
+            if name not in self.groups:
+                raise InterpError(f"program declares no group named '{name}' "
+                                  f"(declared: {', '.join(self.groups) or 'none'})")
+            if not all(isinstance(m, int) for m in members):
+                raise InterpError(f"group '{name}' members must be integers, got {members!r}")
+            self.groups[name] = tuple(members)
         self.externs: Dict[str, Callable[..., int]] = {}
         self.random_state = 0x12345678
         self._memop_cache: Dict[str, Callable[[int, int], int]] = {}
@@ -350,8 +368,8 @@ class HandlerInterpreter:
             return env[name]
         if name == "SELF":
             return self.runtime.switch_id
-        if name in self.info.consts.groups:
-            return tuple(self.info.consts.groups[name])
+        if name in self.runtime.groups:
+            return self.runtime.groups[name]
         const = self.info.consts.lookup(name)
         if const is not None:
             return const

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.frontend.type_checker import CheckedProgram, check_program
@@ -175,12 +175,14 @@ class Switch:
     against) or ``"pisa"`` (the compiled pipeline layout, with stage and
     table counts); see :mod:`repro.interp.engine`.  All
     engines are behaviourally identical (pinned by the differential
-    conformance and scenario-parity suites).
+    conformance and scenario-parity suites).  ``groups`` binds this
+    switch's multicast-group members (see :class:`SwitchRuntime`).
     """
 
-    def __init__(self, switch_id: int, checked: CheckedProgram, engine: str = DEFAULT_ENGINE):
+    def __init__(self, switch_id: int, checked: CheckedProgram, engine: str = DEFAULT_ENGINE,
+                 groups: Optional[Mapping[str, Sequence[int]]] = None):
         self.id = switch_id
-        self.runtime = SwitchRuntime(checked, switch_id=switch_id)
+        self.runtime = SwitchRuntime(checked, switch_id=switch_id, groups=groups)
         self.engine: SwitchEngine = make_engine(engine, self.runtime)
         self.engine_name = engine
         #: backwards-compatible alias for the engine's executor object
@@ -323,18 +325,21 @@ class Network:
 
     # -- topology -------------------------------------------------------------
     def add_switch(self, switch_id: int, program: "CheckedProgram | str",
-                   engine: Optional[str] = None) -> Switch:
+                   engine: Optional[str] = None,
+                   groups: Optional[Mapping[str, Sequence[int]]] = None) -> Switch:
         """Add a switch running ``program`` (source text or a checked program).
 
         ``engine`` overrides the network-wide engine default for this switch
         (``"reference"``, ``"pisa"``, or ``"codegen"``) — networks may mix
         engines freely, e.g. one PISA-modelled switch inside an interpreted
-        fabric.
+        fabric.  ``groups`` binds the members of the program's ``const
+        group`` declarations on this switch (e.g. ``{"NEIGHBORS": [4, 5]}``);
+        a group it does not name keeps its literal's members.
         """
         if switch_id in self.switches:
             raise SimulationError(f"switch {switch_id} already exists")
         checked = check_program(program) if isinstance(program, str) else program
-        switch = Switch(switch_id, checked, engine=engine or self.engine)
+        switch = Switch(switch_id, checked, engine=engine or self.engine, groups=groups)
         self.switches[switch_id] = switch
         return switch
 

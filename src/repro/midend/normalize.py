@@ -269,11 +269,7 @@ class Normalizer:
             return expr.value
         if isinstance(expr, ast.EBool):
             return 1 if expr.value else 0
-        if (
-            isinstance(expr, ast.EVar)
-            and expr.name not in self.info.globals
-            and expr.name not in self.info.consts.groups  # whose stand-in is member 0
-        ):
+        if isinstance(expr, ast.EVar) and expr.name not in self.info.globals:
             return self.info.consts.lookup(expr.name)
         return None
 

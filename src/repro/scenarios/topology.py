@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.frontend import ast, parse_program
+from repro.frontend import parse_program
 from repro.frontend.type_checker import check_program
 from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.network import Network, SchedulerConfig
@@ -101,7 +101,7 @@ class Topology:
         return ports
 
     # -- network construction ----------------------------------------------
-    def group_bindings_for(self, switch_id: int, group_names: Sequence[str]) -> Dict[str, List[int]]:
+    def neighbor_groups(self, switch_id: int, group_names: Iterable[str]) -> Dict[str, List[int]]:
         """Default per-switch group bindings: every named group becomes this
         switch's neighbour set (the common case for NEIGHBORS-style groups)."""
         return {name: self.neighbors(switch_id) for name in group_names}
@@ -121,35 +121,20 @@ class Topology:
         ``groups`` maps a switch id to that switch's group bindings (e.g.
         ``{"NEIGHBORS": [4, 5]}``); when omitted, every ``const group`` the
         program declares is bound to the switch's neighbour set.  The program
-        is parsed once and re-checked per binding set.  ``engine`` selects
-        the execution engine for every switch; switches sharing a binding set
-        share one checked program — and, under the PISA engine, one compiled
-        layout.
+        is parsed and checked once: every switch runs that one checked
+        program — and so one generated module, or under the PISA engine one
+        compiled layout — with its own group members.  ``engine`` selects
+        the execution engine for every switch.
         """
-        parsed = parse_program(program, name=name)
-        declared_groups = [
-            decl.name
-            for decl in parsed.decls
-            if isinstance(decl, ast.DConst) and isinstance(decl.ty, ast.TGroup)
-        ]
+        checked = check_program(
+            parse_program(program, name=name), name=name, symbolic_bindings=symbolic_bindings)
         network = Network(config=config, engine=engine)
-        checked_cache: Dict[Tuple[Tuple[str, Tuple[int, ...]], ...], object] = {}
         for switch_id in range(self.num_switches):
             if groups is not None:
                 bindings = groups(switch_id)
             else:
-                bindings = self.group_bindings_for(switch_id, declared_groups)
-            cache_key = tuple(sorted((k, tuple(v)) for k, v in bindings.items()))
-            checked = checked_cache.get(cache_key)
-            if checked is None:
-                checked = check_program(
-                    parsed,
-                    name=name,
-                    symbolic_bindings=symbolic_bindings,
-                    group_bindings=bindings,
-                )
-                checked_cache[cache_key] = checked
-            network.add_switch(switch_id, checked)
+                bindings = self.neighbor_groups(switch_id, checked.info.consts.groups)
+            network.add_switch(switch_id, checked, groups=bindings)
         for a, b, latency in self.links:
             network.add_link(a, b, latency_ns=latency)
         return network

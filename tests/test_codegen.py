@@ -1,6 +1,6 @@
-"""Codegen-engine specifics: generated-source shape, digest-keyed module
-sharing across switches, native coverage of the bundled applications, and
-inlined-vs-``_dispatch`` drain equivalence (``batch=``).
+"""Codegen-engine specifics: generated-source shape, one module shared by
+the switches of one checked program, native coverage of the bundled
+applications, and inlined-vs-``_dispatch`` drain equivalence (``batch=``).
 
 Cross-engine *behavioural* parity (verdicts, digests, traces, fuzz corpus)
 lives in test_engines.py / test_fuzz.py — this file covers what is unique
@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.frontend import check_program
-from repro.interp import codegen
 from repro.interp.codegen import compile_program, dump_program_source
 from repro.interp.events import EventInstance
 from repro.interp.network import Network, single_switch_network
@@ -58,41 +57,15 @@ def test_dump_source_cli(capsys):
 
 
 # ---------------------------------------------------------------------------
-# digest-keyed module sharing
+# one module per checked program
 # ---------------------------------------------------------------------------
-def test_module_cache_shared_across_checked_copies():
-    """Two independently parsed+checked copies of the same program share one
-    generated module (the cache keys on the program digest, not object
-    identity) — a fat tree compiles each application once."""
-    assert compile_program(_checked_cm()) is compile_program(_checked_cm())
-
-
-def test_module_cache_is_bounded_and_eviction_spares_live_switches(monkeypatch):
-    """The cache drops its oldest digest at the cap; a switch holds its own
-    module, so one whose digest was evicted keeps running, and the next
-    switch of that program re-emits the same source."""
-    monkeypatch.setattr(codegen, "_MODULE_CACHE", {})
-    monkeypatch.setattr(codegen, "_MODULE_CACHE_CAP", 3)
-    network, switch = single_switch_network(_checked_cm(), engine="codegen")
-    module = switch.engine.executor.module
-    assert list(codegen._MODULE_CACHE.values()) == [module]
-    for n in range(1, 6):
-        compile_program(check_program(f"event e(int x); handle e(int x) {{ printf(x + {n}); }}"))
-        assert len(codegen._MODULE_CACHE) <= 3
-    assert module.digest not in codegen._MODULE_CACHE
-    network.inject(0, EventInstance("pkt", (0xDEADBEEF, 64)))
-    network.run()
-    assert any(arr.nonzero_entries() for arr in switch.runtime.arrays.values())
-    again = compile_program(_checked_cm())
-    assert again is not module and again.source == module.source
-
-
 def test_switches_share_one_module_but_not_state():
     network = Network(engine="codegen")
-    network.add_switch(0, CM.source)
-    network.add_switch(1, CM.source)
+    checked = _checked_cm()
+    network.add_switch(0, checked)
+    network.add_switch(1, checked)
     ex0, ex1 = (network.switches[sid].engine.executor for sid in (0, 1))
-    assert ex0.module is ex1.module
+    assert ex0.module is ex1.module is compile_program(checked)
     # per-switch bindings stay isolated: state on one switch is invisible
     # to the other even though both run the same code object
     network.inject(0, EventInstance("pkt", (0xDEADBEEF, 64)))

@@ -149,7 +149,7 @@ def test_codegen_handler_bodies_are_byte_identical_to_the_parent(key):
 # ---------------------------------------------------------------------------
 BINDING = re.compile(
     r"    _(SELF|EXT|ARRAYS|[ACGM]_\w+) = "
-    r"(_rt\.\w+(\('\w+'\))?|_A_\w+\.cells|tuple\(int\(m\) for m in _rt\.info\.consts\.groups\['\w+'\]\))$"
+    r"(_rt\.\w+(\('\w+'\))?|_A_\w+\.cells|_rt\.groups\['\w+'\])$"
 )
 
 

@@ -24,7 +24,6 @@ from repro.errors import TypeError_
 from repro.frontend import ast, check_program
 from repro.fuzz.case import load_case
 from repro.fuzz.gen import CaseGenerator
-from repro.interp import codegen
 from repro.interp.codegen import dump_program_source
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
@@ -179,7 +178,6 @@ def test_one_checked_program_is_inlined_once_per_handler(monkeypatch):
     monkeypatch.setattr(Inliner, "inline_handler",
                         lambda self, handler: inlined.append(handler.name)
                         or inline_handler(self, handler))
-    monkeypatch.setattr(codegen, "_MODULE_CACHE", {})
     checked = check_program(ALL_APPLICATIONS["SFW"].source, name="SFW")
     for engine in ("codegen", "pisa"):
         Network(engine=engine).add_switch(0, checked)

@@ -8,7 +8,10 @@ import itertools
 
 import pytest
 
+from repro.backend import compiler
+from repro.errors import InterpError
 from repro.frontend import check_program
+from repro.frontend.type_checker import TypeChecker
 from repro.interp import ENGINE_NAMES, EventInstance, Network
 from repro.scenarios import (
     SCENARIOS,
@@ -112,20 +115,35 @@ handle pong(int sender_id) {
 
 
 class TestGroupBindings:
-    def test_check_program_accepts_group_bindings(self):
-        checked = check_program(GROUP_PROGRAM, group_bindings={"NEIGHBORS": [5, 9]})
-        assert checked.info.consts.groups["NEIGHBORS"] == [5, 9]
+    def test_add_switch_accepts_group_bindings(self):
+        checked = check_program(GROUP_PROGRAM)
+        switch = Network().add_switch(0, checked, groups={"NEIGHBORS": [5, 9]})
+        assert switch.runtime.groups["NEIGHBORS"] == (5, 9)
+        # the program is untouched: its literal stays what it says
+        assert checked.info.consts.groups["NEIGHBORS"] == [1, 2, 3]
 
     def test_default_literal_still_used(self):
-        checked = check_program(GROUP_PROGRAM)
-        assert checked.info.consts.groups["NEIGHBORS"] == [1, 2, 3]
+        switch = Network().add_switch(0, check_program(GROUP_PROGRAM))
+        assert switch.runtime.groups["NEIGHBORS"] == (1, 2, 3)
 
     def test_build_network_binds_neighbor_groups_per_switch(self):
         topo = line(3)
         network = topo.build_network(GROUP_PROGRAM)
-        assert network.switch(0).runtime.info.consts.groups["NEIGHBORS"] == [1]
-        assert network.switch(1).runtime.info.consts.groups["NEIGHBORS"] == [0, 2]
-        assert network.switch(2).runtime.info.consts.groups["NEIGHBORS"] == [1]
+        assert network.switch(0).runtime.groups["NEIGHBORS"] == (1,)
+        assert network.switch(1).runtime.groups["NEIGHBORS"] == (0, 2)
+        assert network.switch(2).runtime.groups["NEIGHBORS"] == (1,)
+        # one checked program serves all three switches
+        assert len({id(network.switch(s).runtime.checked) for s in range(3)}) == 1
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_a_binding_for_an_undeclared_group_is_refused(self, engine):
+        checked = check_program(GROUP_PROGRAM)
+        with pytest.raises(InterpError, match=r"no group named 'NEIGHBOURS' \(declared: NEIGHBORS\)"):
+            Network(engine=engine).add_switch(0, checked, groups={"NEIGHBOURS": [2]})
+
+    def test_a_non_integer_member_is_refused(self):
+        with pytest.raises(InterpError, match="group 'NEIGHBORS' members must be integers"):
+            Network().add_switch(0, check_program(GROUP_PROGRAM), groups={"NEIGHBORS": [1, "2"]})
 
     def test_bound_groups_drive_multicast(self):
         topo = line(3)
@@ -137,6 +155,21 @@ class TestGroupBindings:
         assert network.switch(1).stats.remote_sends == 2
         assert network.switch(0).log == ["1"]
         assert network.switch(2).log == ["1"]
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_building_a_network_checks_its_program_once(engine, monkeypatch):
+    """Five switches, five different NEIGHBORS sets: one check, and on pisa
+    one backend compile — the members are each switch's runtime data."""
+    calls = []
+    check, compile_checked = TypeChecker.check, compiler.compile_checked
+    monkeypatch.setattr(TypeChecker, "check",
+                        lambda self: calls.append("check") or check(self))
+    monkeypatch.setattr(compiler, "compile_checked",
+                        lambda *a, **k: calls.append("compile") or compile_checked(*a, **k))
+    network = SCENARIOS["rip-line-convergence"].build(100, 1).make_network(engine)
+    assert len({network.switch(s).runtime.groups["NEIGHBORS"] for s in range(5)}) == 5
+    assert calls == ["check"] + ["compile"] * (engine == "pisa")
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
-from repro.interp.network import Network, SchedulerConfig, SwitchStats
+from repro.interp.network import Network, SchedulerConfig, Switch, SwitchStats
 from repro.scenarios import topology as topo
 from repro.scenarios.registry import SCENARIOS, Scenario, get, register
 from repro.scenarios.runner import ScenarioResult, ScenarioSetup, run_scenario
-from repro.shard import partition_topology, run_sharded
+from repro.shard import coordinator, partition_topology, run_sharded
 
 #: the worker rebuilds its scenario from the registry; a scenario registered
 #: by a test is only visible to children under the fork start method
@@ -135,6 +135,32 @@ def test_sharded_mixed_engines_match_single_process():
     assert sharded.details["shards"]["engines"] == [
         "codegen", "reference", "pisa", "codegen"
     ]
+
+
+@fork_only
+def test_sharded_mixed_engines_keep_each_switchs_group_members(monkeypatch):
+    """DFW's PEERS differ on every switch of the ring.  Workers build their
+    own networks; the coordinator rebuilds the switches of shards that run
+    another engine than its own, and each must keep its members."""
+    rebuilt = []
+    monkeypatch.setattr(coordinator, "Switch",
+                        lambda *a, **k: rebuilt.append(Switch(*a, **k)) or rebuilt[-1])
+    scenario = get("dfw-ring-roaming")
+    single = run_scenario(scenario, 1_500, seed=3, engine="codegen")
+    sharded = run_sharded(scenario, 1_500, seed=3, num_shards=2,
+                          engines=["pisa", "codegen"])
+    assert rebuilt and all(
+        switch.runtime.groups["PEERS"] == tuple(s for s in range(4) if s != switch.id)
+        for switch in rebuilt)
+    assert sharded.array_digest == single.array_digest
+    assert sharded.verdict_signature() == single.verdict_signature()
+
+    def scheduler_stats(result):  # without the engine's name and pipeline
+        return {int(sid): {k: v for k, v in stats.items() if k not in ("engine", "pipeline")}
+                for sid, stats in result.switch_stats.items()}
+
+    assert scheduler_stats(sharded) == scheduler_stats(single)
+    assert {s["engine"] for s in sharded.switch_stats.values()} == {"pisa", "codegen"}
 
 
 def test_one_shard_degenerates_to_plain_runner():

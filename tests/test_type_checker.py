@@ -144,6 +144,14 @@ def test_group_constants_are_recorded():
     assert cp.info.consts.groups["PEERS"] == [7, 8]
 
 
+@pytest.mark.parametrize("use", ["const int FIRST = PEERS;", "global t = new Array<<32>>(PEERS);"])
+def test_a_group_is_not_an_integer_constant(use):
+    """A switch binds its own members, so a group has no compile-time value
+    (not even its literal's first member)."""
+    with pytest.raises(ConstError, match="'PEERS' is not a compile-time constant"):
+        check_program(f"const group PEERS = {{7, 8}}; {use} event e(int x); handle e(int x) {{ printf(x); }}")
+
+
 # -- the ordered effect system -----------------------------------------------------
 def test_in_order_accesses_accepted():
     cp = check(

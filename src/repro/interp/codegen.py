@@ -50,9 +50,6 @@ from repro.midend.normalize import NIf, NormalizedHandler, NStmt, stmt_writes
 from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 
 # only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
-_M_CODEGEN_EVENTS = _REGISTRY.counter(
-    "repro_engine_codegen_events_total",
-    "Events executed through source-generated handler functions.")
 _M_MODULE_HITS = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_hits_total",
     "Switches bound to a generated module already compiled for their checked program.")
@@ -184,7 +181,7 @@ class CodegenSwitchRuntime:
         self.module = compile_program(runtime.checked)
         #: event name -> this switch's handler function
         self._handlers: Dict[str, Callable] = self.module.bind(runtime)
-        self.run_fast = self._make_run_fast()
+        self.run = self._make_run()
 
     @property
     def fallback_handler_names(self) -> List[str]:
@@ -194,29 +191,17 @@ class CodegenSwitchRuntime:
         return sorted(self.info.handlers.keys() - self._handlers.keys())
 
     # -- public entry --------------------------------------------------------
-    def run(self, event: EventInstance) -> ExecutionResult:
-        """Run the handler for ``event`` once, atomically."""
-        fn = self._handlers.get(event.name)
-        if fn is None:
-            # events without handlers are legal: they exit the switch
-            return _EMPTY_RESULT
-        if _OBS.enabled:
-            _M_CODEGEN_EVENTS.inc()
-        return fn(event.args)
-
-    def _make_run_fast(self) -> Callable[[EventInstance], ExecutionResult]:
-        """Build the obs-free dispatch used by the network's inlined batch
-        drain.  The drain only engages when obs metrics are disabled (see
-        ``Network._observers``), so the per-event ``_OBS.enabled`` checks
-        in :meth:`run` would always be false there — this closure hoists them
-        (and the attribute lookups) out of the per-event path.  Behaviour is
-        otherwise identical to :meth:`run`."""
+    def _make_run(self) -> Callable[[EventInstance], ExecutionResult]:
+        """This switch's ``run(event)``: the handler for ``event``, once,
+        atomically — a closure over the bound handler table's ``get``, so a
+        dispatch is one lookup and one call."""
         get = self._handlers.get
 
-        def run_fast(event: EventInstance) -> ExecutionResult:
+        def run(event: EventInstance) -> ExecutionResult:
             fn = get(event.name)
             if fn is None:
+                # events without handlers are legal: they exit the switch
                 return _EMPTY_RESULT
             return fn(event.args)
 
-        return run_fast
+        return run

@@ -57,18 +57,6 @@ from typing import Dict, Optional, Type
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult, HandlerInterpreter, SwitchRuntime
-from repro.obs.metrics import OBS as _OBS, REGISTRY
-
-# PISA-engine instruments; only touched behind an ``if _OBS.enabled:`` guard
-_M_PISA_EVENTS = REGISTRY.counter(
-    "repro_engine_pisa_events_total",
-    "Events executed through the PISA pipeline engine.")
-_M_PISA_STAGES = REGISTRY.counter(
-    "repro_engine_pisa_stages_traversed_total",
-    "Physical stages traversed by PISA-engine events.")
-_M_PISA_TABLES = REGISTRY.counter(
-    "repro_engine_pisa_tables_executed_total",
-    "Match-action tables executed by PISA-engine events.")
 
 
 class SwitchEngine:
@@ -144,9 +132,6 @@ class CodegenEngine(SwitchEngine):
 
         self.executor = CodegenSwitchRuntime(runtime)
         self.run = self.executor.run
-        # obs-free dispatch for the network's inlined batch drain (which only
-        # engages when nothing — tracer, profiler, obs — watches per-event)
-        self.run_fast = self.executor.run_fast
 
 
 def _compiled_for(checked) -> "object":
@@ -165,7 +150,8 @@ def _compiled_for(checked) -> "object":
 
 class PisaEngine(SwitchEngine):
     """Execute events through the compiled pipeline layout, counting the
-    stages and tables each pass touches."""
+    stages and tables each pass touches — what only the pipeline knows; the
+    events it ran are the switch's ``SwitchStats.events_handled``."""
 
     name = "pisa"
 
@@ -175,7 +161,6 @@ class PisaEngine(SwitchEngine):
 
         self.pipeline = PisaPipeline(_compiled_for(runtime.checked), runtime=runtime)
         # counters
-        self.events = 0
         self.stages_traversed = 0
         self.max_stages_traversed = 0
         self.tables_executed = 0
@@ -183,21 +168,15 @@ class PisaEngine(SwitchEngine):
     # -- execution ---------------------------------------------------------
     def run(self, event: EventInstance) -> ExecutionResult:
         passed = self.pipeline.process(event)
-        self.events += 1
         self.stages_traversed += passed.stages_traversed
         if passed.stages_traversed > self.max_stages_traversed:
             self.max_stages_traversed = passed.stages_traversed
         self.tables_executed += passed.tables_executed
-        if _OBS.enabled:
-            _M_PISA_EVENTS.inc()
-            _M_PISA_STAGES.inc(passed.stages_traversed)
-            _M_PISA_TABLES.inc(passed.tables_executed)
         # the pass result is itself the ExecutionResult the scheduler reads
         return passed
 
     # -- lifecycle / reporting --------------------------------------------
     def reset(self) -> None:
-        self.events = 0
         self.stages_traversed = 0
         self.max_stages_traversed = 0
         self.tables_executed = 0
@@ -205,7 +184,6 @@ class PisaEngine(SwitchEngine):
     # -- checkpointing -----------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
         return {
-            "events": self.events,
             "stages_traversed": self.stages_traversed,
             "max_stages_traversed": self.max_stages_traversed,
             "tables_executed": self.tables_executed,
@@ -217,7 +195,6 @@ class PisaEngine(SwitchEngine):
                 "pisa engine restore requires the engine state captured by "
                 "snapshot_state (got none)"
             )
-        self.events = state["events"]
         self.stages_traversed = state["stages_traversed"]
         self.max_stages_traversed = state["max_stages_traversed"]
         self.tables_executed = state["tables_executed"]
@@ -225,7 +202,6 @@ class PisaEngine(SwitchEngine):
     def pipeline_stats(self) -> Dict[str, object]:
         return {
             "stages": self.pipeline.layout.num_stages(),
-            "events": self.events,
             "stages_traversed": self.stages_traversed,
             "max_stages_traversed": self.max_stages_traversed,
             "tables_executed": self.tables_executed,

@@ -19,13 +19,7 @@ from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
 from repro.interp.arrays import RuntimeArray
 from repro.interp.events import EventInstance
-from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.ops import apply_binop, apply_unop, binop_template, lucid_hash, mask32
-
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
-_M_TREEWALK_EVENTS = _REGISTRY.counter(
-    "repro_engine_reference_events_total",
-    "Events executed by the tree-walking interpreter (the reference engine).")
 
 __all__ = [
     "ExecutionResult",
@@ -259,8 +253,6 @@ class HandlerInterpreter:
             # events without handlers are legal: they exit the switch (e.g.
             # packets forwarded to end hosts); nothing happens locally.
             return ExecutionResult()
-        if _OBS.enabled:
-            _M_TREEWALK_EVENTS.inc()
         if len(event.args) != len(handler.params):
             raise InterpError(
                 f"event '{event.name}' carries {len(event.args)} arguments but the handler "

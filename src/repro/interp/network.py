@@ -18,7 +18,8 @@ switch, whatever engine runs its handlers: :meth:`Network._schedule_generated`
 charges each local generate its passes and a queue slot (refusing it when
 ``SchedulerConfig.recirc_queue_capacity`` is reached), the drain releases the
 slot when the event comes back, and :class:`SwitchStats` is the one ledger —
-the source of the overhead figures of Sections 7.2-7.3.
+the source of the overhead figures of Sections 7.2-7.3, and of the obs
+metrics, which are read from it rather than counted beside it.
 """
 
 from __future__ import annotations
@@ -30,63 +31,98 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.errors import SimulationError
 from repro.frontend.type_checker import CheckedProgram, check_program
-from repro.interp.engine import DEFAULT_ENGINE, SwitchEngine, make_engine
+from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES, SwitchEngine, make_engine
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import ExecutionResult, SwitchRuntime
-from repro.obs.metrics import DEFAULT_NS_BUCKETS, OBS as _OBS, REGISTRY
+from repro.obs.metrics import OBS as _OBS, REGISTRY
 
 
 class _Metrics:
-    """Scheduler-owned instruments, declared once at import time.  Hot paths
-    touch these only behind an ``if _OBS.enabled:`` guard — see
-    :mod:`repro.obs.metrics` for the cost model."""
+    """The scheduler's instruments in the global registry, *collected*, not
+    counted: nothing on the dispatch path touches them.  Before every read of
+    the registry, :meth:`collect` sets them from the one ledger — each
+    switch's :class:`SwitchStats`, and a pisa switch's pipeline counters — of
+    the networks that ran or were restored while obs was enabled (a sharded
+    run's coordinator restores the merged ledger of every worker, so its
+    metrics are the fleet's).  ``REGISTRY.reset()`` forgets those networks.
+    """
 
+    #: id -> network, held until ``REGISTRY.reset()``
+    networks: Dict[int, "Network"] = {}
+    #: (instrument, SwitchStats field): ledger counters summed over switches
+    ledger = [
+        (REGISTRY.counter(name, text), stat) for name, stat, text in (
+            ("repro_network_events_generated_total", "events_generated",
+             "Events produced by generate statements."),
+            ("repro_network_events_dropped_total", "drops",
+             "Events whose handler declared them dropped."),
+            ("repro_network_remote_sends_total", "remote_sends",
+             "Events serialised into packets and sent over a link."),
+            ("repro_network_link_drops_total", "link_drops",
+             "Remote events lost because the link to their target was down."),
+            ("repro_network_recirc_drops_total", "recirc_drops",
+             "Local events refused admission by a bounded recirculation queue."),
+            ("repro_network_orphan_events_total", "orphan_events",
+             "Queued events skipped because their target switch does not exist."),
+            ("repro_network_recirculations_total", "recirculations",
+             "Passes through a recirculation port."),
+            ("repro_network_recirc_bytes_total", "recirculated_bytes",
+             "Bytes carried through recirculation ports."),
+        )
+    ]
     events_handled = REGISTRY.counter(
         "repro_network_events_handled_total",
         "Events dispatched to a handler, by event name.", labelnames=("event",))
-    events_generated = REGISTRY.counter(
-        "repro_network_events_generated_total",
-        "Events produced by generate statements.")
-    events_dropped = REGISTRY.counter(
-        "repro_network_events_dropped_total",
-        "Events whose handler declared them dropped.")
-    remote_sends = REGISTRY.counter(
-        "repro_network_remote_sends_total",
-        "Events serialised into packets and sent over a link.")
-    link_drops = REGISTRY.counter(
-        "repro_network_link_drops_total",
-        "Remote events lost because the link to their target was down.")
-    recirc_drops = REGISTRY.counter(
-        "repro_network_recirc_drops_total",
-        "Local events refused admission by a bounded recirculation queue.")
     recirc_queue_depth = REGISTRY.gauge(
         "repro_network_recirc_queue_depth",
         "Peak in-flight local events of any one switch's recirculation queue.")
-    orphan_events = REGISTRY.counter(
-        "repro_network_orphan_events_total",
-        "Queued events skipped because their target switch does not exist.")
-    recirculations = REGISTRY.counter(
-        "repro_network_recirculations_total",
-        "Passes through a recirculation port.")
-    recirc_bytes = REGISTRY.counter(
-        "repro_network_recirc_bytes_total",
-        "Bytes carried through recirculation ports.")
-    delay_parks = REGISTRY.counter(
-        "repro_network_delay_parks_total",
-        "Delayed local events parked in the pausable delay queue.")
-    event_delay_ns = REGISTRY.histogram(
-        "repro_network_event_delay_ns",
-        "Requested delay of parked events, simulated ns.",
-        buckets=DEFAULT_NS_BUCKETS)
     heap_depth = REGISTRY.gauge(
         "repro_network_heap_depth",
-        "Pending events in the scheduler heap after the last dispatch.")
+        "Pending events in the scheduler heaps.")
     sim_time_ns = REGISTRY.gauge(
         "repro_network_sim_time_ns",
-        "Simulated clock at the last dispatch.")
-    dispatch_seconds = REGISTRY.histogram(
-        "repro_network_dispatch_seconds",
-        "Wall-clock seconds one engine.run() call took.")
+        "Simulated clock, the latest of the observed networks.")
+    engine_events = {
+        name: REGISTRY.counter(f"repro_engine_{name}_events_total",
+                               f"Events dispatched to switches running the {name} engine.")
+        for name in ENGINE_NAMES
+    }
+    pisa_stages = REGISTRY.counter(
+        "repro_engine_pisa_stages_traversed_total",
+        "Physical stages traversed by PISA-engine events.")
+    pisa_tables = REGISTRY.counter(
+        "repro_engine_pisa_tables_executed_total",
+        "Match-action tables executed by PISA-engine events.")
+
+    @classmethod
+    def watch(cls, network: "Network") -> None:
+        cls.networks.setdefault(id(network), network)
+
+    @classmethod
+    def collect(cls) -> None:
+        networks = list(cls.networks.values())
+        switches = [switch for network in networks for switch in network.switches.values()]
+        for counter, stat in cls.ledger:
+            counter.load(sum(getattr(switch.stats, stat) for switch in switches))
+        cls.events_handled.reset()  # a reset network's event names are gone
+        for switch in switches:
+            for name, count in switch.stats.handled_by_event.items():
+                child = cls.events_handled.labels(name)
+                child.load(child.value + count)
+        for name, counter in cls.engine_events.items():
+            counter.load(sum(switch.stats.events_handled for switch in switches
+                             if switch.engine_name == name))
+        pipelines = [switch.engine.pipeline_stats() for switch in switches]
+        pipelines = [pipeline for pipeline in pipelines if pipeline is not None]
+        cls.pisa_stages.load(sum(pipeline["stages_traversed"] for pipeline in pipelines))
+        cls.pisa_tables.load(sum(pipeline["tables_executed"] for pipeline in pipelines))
+        cls.recirc_queue_depth.load(
+            max((switch.stats.peak_queue_depth for switch in switches), default=0))
+        cls.heap_depth.load(sum(len(network._queue) for network in networks))
+        cls.sim_time_ns.load(max((network.now_ns for network in networks), default=0))
+
+
+REGISTRY.add_collector(_Metrics.collect, _Metrics.networks.clear)
 
 
 @dataclass
@@ -309,7 +345,7 @@ class Network:
         #: parent links carried on ``EventInstance.trace_parent``
         self.tracer = None
         #: optional :class:`repro.obs.profile.HandlerProfiler` — per-handler
-        #: wall/sim-time accounting, fed by :meth:`_dispatch`
+        #: wall/sim-time accounting, fed by :meth:`run`
         self.profiler = None
         #: the streaming source of the last interrupted :meth:`run`, if it
         #: was left partially consumed (guards :meth:`reset`, see there)
@@ -475,8 +511,7 @@ class Network:
         stats = source.stats
         stats.events_generated += 1
         delay_ns = event.delay_ns
-        parked = delay_ns > 0 and config.use_delay_queue
-        if parked:
+        if delay_ns > 0 and config.use_delay_queue:
             # a parked packet recirculates once per release until its delay
             # has expired (the PausableDelayQueue behaviour)
             interval = config.delay_release_interval_ns
@@ -543,66 +578,8 @@ class Network:
             passes = local * local_passes
             stats.recirculations += passes
             stats.recirculated_bytes += passes * event.payload_bytes()
-        if _OBS.enabled:
-            _Metrics.events_generated.inc()
-            _Metrics.remote_sends.inc(sends)
-            _Metrics.link_drops.inc(link_drops)
-            _Metrics.recirc_drops.inc(recirc_drops)
-            if local:
-                _Metrics.recirculations.inc(passes)
-                _Metrics.recirc_bytes.inc(passes * event.payload_bytes())
-                _Metrics.recirc_queue_depth.set_max(stats.queue_depth)
-                if parked:
-                    _Metrics.delay_parks.inc(local)
-                    for _ in range(local):
-                        _Metrics.event_delay_ns.observe(delay_ns)
 
     # -- execution -----------------------------------------------------------------
-    def _dispatch(self, switch: Switch, event: EventInstance) -> ExecutionResult:
-        """Run one event on one switch and apply all per-event accounting
-        (stats, logs, generated-event scheduling) plus every observation hook
-        (tracer span, profiler sample, obs metrics).  :meth:`run` inlines the
-        accounting half of this when nothing observes."""
-        switch.runtime.time_ns = self.now_ns
-        stats = switch.stats
-        if event.source == switch.id:
-            # the event was generated here and came back through the
-            # recirculation port: it releases its queue slot (an injected
-            # event may name this switch as its source and hold none)
-            stats.recirculated_events += 1
-            if stats.queue_depth > 0:
-                stats.queue_depth -= 1
-        tracer = self.tracer
-        span_id = None if tracer is None else tracer.begin_handle(
-            event, switch.id, self.now_ns, self.config.pipeline_latency_ns)
-        prof = self.profiler
-        obs_on = _OBS.enabled
-        if prof is not None or obs_on:
-            start = perf_counter()
-            result = switch.engine.run(event)
-            wall_s = perf_counter() - start
-            if prof is not None:
-                prof.record(event.name, wall_s, self.config.pipeline_latency_ns)
-            if obs_on:
-                _Metrics.dispatch_seconds.observe(wall_s)
-        else:
-            result = switch.engine.run(event)
-        stats.events_handled += 1
-        stats.handled_by_event[event.name] = stats.handled_by_event.get(event.name, 0) + 1
-        if result.dropped:
-            stats.drops += 1
-        if result.prints:
-            switch.log.extend(result.prints)
-        if obs_on:
-            _Metrics.events_handled.labels(event.name).inc()
-            _Metrics.heap_depth.set(len(self._queue))
-            _Metrics.sim_time_ns.set(self.now_ns)
-            if result.dropped:
-                _Metrics.events_dropped.inc()
-        for generated in result.generated:
-            self._schedule_generated(switch, generated, span_id)
-        return result
-
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None,
             source: Optional[Iterable[SourceItem]] = None, batch: bool = True) -> int:
         """Run the simulation until the queue drains, ``until_ns`` is reached,
@@ -634,14 +611,15 @@ class Network:
         resumes — a checkpoint/restore requirement) and onto the queue
         otherwise, so it is not lost.
 
-        Who observes a dispatch is resolved by :meth:`_observers` on entry
-        and again after every control action.  While no tracer, profiler or
-        obs metric watches, the per-event accounting of :meth:`_dispatch` is
-        inlined with the per-switch lookups hoisted out of the loop;
-        ``batch=False`` routes every event through :meth:`_dispatch` instead
-        (behaviourally identical — useful for A/B-ing the scheduler itself).
-        A :class:`TraceEntry` is built only when :attr:`trace` or
-        ``on_handle`` consumes it.
+        Every event takes the one dispatch body below, with the per-switch
+        lookups hoisted out of the loop.  It writes the one ledger,
+        :class:`SwitchStats` — obs metrics are read from it, not counted
+        beside it (see :class:`_Metrics`).  Who observes a dispatch — a
+        :attr:`tracer` span, a :attr:`profiler` sample, a :class:`TraceEntry`
+        for :attr:`trace` / ``on_handle`` — is resolved by :meth:`_observers`
+        on entry and again after every control action; each costs one
+        ``is None`` test per event when absent.  ``batch`` is accepted and
+        ignored: there is no second dispatch path to route events through.
         """
         handled = 0
         items = iter(source) if source is not None else None
@@ -655,7 +633,9 @@ class Network:
         switches = self.switches
         pop = heapq.heappop
         hoisted: Dict[int, tuple] = {}
-        plain, trace, on_handle = self._observers(batch)
+        tracer, profiler, trace, on_handle = self._observers()
+        if _OBS.enabled:
+            _Metrics.watch(self)
         while True:
             if pending is None and not exhausted:
                 pending = next(items, None)
@@ -687,7 +667,7 @@ class Network:
                 # the action may have attached or detached an observer, or
                 # reset the network (new stats objects) — resolve the
                 # observers again and drop the stale hoists
-                plain, trace, on_handle = self._observers(batch)
+                tracer, profiler, trace, on_handle = self._observers()
                 hoisted.clear()
                 continue
             cached = hoisted.get(switch_id)
@@ -701,31 +681,36 @@ class Network:
                     sender = switches.get(event.source)
                     if sender is not None:
                         sender.stats.orphan_events += 1
-                    if _OBS.enabled:
-                        _Metrics.orphan_events.inc()
                     continue
                 cached = hoisted[switch_id] = self._hoist(switch)
             switch, runtime, run, stats, by_event, log = cached
-            if plain:
-                # _dispatch minus its observation hooks
-                runtime.time_ns = self.now_ns
-                if event.source == switch_id:
-                    stats.recirculated_events += 1
-                    if stats.queue_depth > 0:
-                        stats.queue_depth -= 1
+            runtime.time_ns = self.now_ns
+            if event.source == switch_id:
+                # the event was generated here and came back through the
+                # recirculation port: it releases its queue slot (an injected
+                # event may name this switch as its source and hold none)
+                stats.recirculated_events += 1
+                if stats.queue_depth > 0:
+                    stats.queue_depth -= 1
+            span_id = None if tracer is None else tracer.begin_handle(
+                event, switch_id, self.now_ns, self.config.pipeline_latency_ns)
+            if profiler is None:
                 result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
             else:
-                result = self._dispatch(switch, event)
+                start = perf_counter()
+                result = run(event)
+                profiler.record(event.name, perf_counter() - start,
+                                self.config.pipeline_latency_ns)
+            stats.events_handled += 1
+            name = event.name
+            by_event[name] = by_event.get(name, 0) + 1
+            if result.dropped:
+                stats.drops += 1
+            if result.prints:
+                log.extend(result.prints)
+            if result.generated:
+                for generated in result.generated:
+                    self._schedule_generated(switch, generated, span_id)
             handled += 1
             if trace is not None or on_handle is not None:
                 entry = TraceEntry(self.now_ns, switch_id, event, result)
@@ -748,38 +733,18 @@ class Network:
             self.now_ns = max(self.now_ns, until_ns)
         return handled
 
-    def _observers(
-        self, batch: bool
-    ) -> Tuple[bool, Optional[List[TraceEntry]], Optional[Callable[[TraceEntry], None]]]:
-        """Resolve who observes dispatches, for :meth:`run`: ``(plain, trace,
-        on_handle)``.  ``plain`` — no tracer, profiler or obs metric watches,
-        so the drain may inline :meth:`_dispatch` (per-event accounting still
-        happens; only the observation hooks are skipped).  ``trace`` — the
-        list to append entries to, or None with tracing off.  ``on_handle`` —
-        the per-entry callback, or None."""
-        plain = (
-            batch
-            and self.tracer is None
-            and self.profiler is None
-            and not _OBS.enabled
-        )
-        return plain, (self.trace if self.trace_enabled else None), self.on_handle
+    def _observers(self) -> tuple:
+        """Who observes dispatches, for :meth:`run`: ``(tracer, profiler,
+        trace, on_handle)``, each None when absent — ``trace`` is the list to
+        append entries to, None with tracing off."""
+        return (self.tracer, self.profiler,
+                self.trace if self.trace_enabled else None, self.on_handle)
 
     def _hoist(self, switch: Switch) -> tuple:
         """Per-switch lookups hoisted out of the drain: the switch, its
         runtime, bound engine.run, stats fields and log."""
-        engine = switch.engine
-        return (
-            switch,
-            switch.runtime,
-            # engines may expose an obs-free ``run_fast`` for the inlined
-            # dispatch (it only engages when obs/tracing is off, so the
-            # per-event observability checks inside ``run`` are dead weight)
-            getattr(engine, "run_fast", engine.run),
-            switch.stats,
-            switch.stats.handled_by_event,
-            switch.log,
-        )
+        return (switch, switch.runtime, switch.engine.run, switch.stats,
+                switch.stats.handled_by_event, switch.log)
 
     def pending_events(self) -> int:
         return len(self._queue)
@@ -926,6 +891,8 @@ class Network:
             sw.stats = SwitchStats.from_dict(sw_state["stats"])
             sw.log[:] = sw_state["log"]
             sw.engine.restore_state(sw_state.get("engine_state"))
+        if _OBS.enabled:
+            _Metrics.watch(self)
 
     # -- reuse -------------------------------------------------------------------
     def reset(self, arrays: bool = True, drop_source: bool = False) -> None:
@@ -1006,8 +973,8 @@ class Network:
     def stats(self) -> Dict[int, Dict[str, object]]:
         """Per-switch counters, engine names, and — for engines that model a
         pipeline — a ``"pipeline"`` dict: the engine's stage occupancy next
-        to this switch's recirculation-port view (passes, bytes, bandwidth,
-        queue depths), read from the same :class:`SwitchStats`.
+        to this switch's events and recirculation-port view (passes, bytes,
+        bandwidth, queue depths), read from the same :class:`SwitchStats`.
         """
         out: Dict[int, Dict[str, object]] = {}
         for sid in sorted(self.switches):
@@ -1018,6 +985,7 @@ class Network:
             pipeline = switch.engine.pipeline_stats()
             if pipeline is not None:
                 pipeline.update(
+                    events=stats.events_handled,
                     recirculated_events=stats.recirculated_events,
                     queue_depth=stats.queue_depth,
                     peak_queue_depth=stats.peak_queue_depth,

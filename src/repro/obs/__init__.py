@@ -2,10 +2,12 @@
 
 Three cooperating layers, all off by default and (near) free when disabled:
 
-* :mod:`repro.obs.metrics` — a Prometheus-style registry.  Hot loops guard
-  entire instrument blocks behind one ``if OBS.enabled:`` check against the
-  module-level :data:`~repro.obs.metrics.OBS` singleton, so the disabled
-  cost is a single attribute load + branch per event.
+* :mod:`repro.obs.metrics` — a Prometheus-style registry.  The scheduler's
+  metrics are *collected*: read from each switch's ``SwitchStats`` when the
+  registry is read, so the dispatch path counts nothing beside that ledger.
+  The few counted sites (compile caches, the delay-queue model) guard their
+  block behind one ``if OBS.enabled:`` check against the module-level
+  :data:`~repro.obs.metrics.OBS` singleton.
 * :mod:`repro.obs.trace` — span trees over simulated time.  A
   :class:`Tracer` attached to a network records one span per dispatched
   event, linked parent→child through ``EventInstance.trace_parent``, and
@@ -32,7 +34,8 @@ Metric naming convention
   ``engine`` (one of reference/pisa/codegen).  Never label by per-run
   values (switch count is fine as a gauge; switch *id* is not a label).
 
-Catalogue (declared at import time in their owning modules): see the
+Catalogue (declared at import time in their owning modules; the scheduler's
+and the per-engine event counts in :mod:`repro.interp.network`): see the
 README's Observability section for the full table with meanings.
 """
 

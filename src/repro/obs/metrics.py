@@ -1,17 +1,19 @@
 """Metrics registry: counters, gauges, histograms with Prometheus-style text
 exposition and a near-zero-cost disabled mode.
 
-Hot loops (``Network._dispatch`` runs ~100k times/sec) cannot afford per-event
-attribute chains or method calls when nobody is looking.  The design therefore
-splits the cost into two tiers:
+An instrument is fed in one of two ways:
 
-* a module-level :class:`ObsState` singleton (:data:`OBS`) whose single
-  ``enabled`` bool is the *only* thing hot paths read when observability is
-  off.  Instrumented call sites hoist one ``if _OBS.enabled:`` check around
-  the whole metric block, so the disabled cost is one attribute load + branch
-  (~30ns against a ~10µs dispatch).
-* instrument objects (created once at import time via get-or-create
-  registration) that do real work only inside that guard.
+* **counted** — a call site bumps it behind one ``if _OBS.enabled:`` check
+  on the module-level :class:`ObsState` singleton (:data:`OBS`), so the
+  disabled cost is one attribute load + branch.  Compile caches and the
+  delay-queue model count this way; none of these sites is on the
+  scheduler's dispatch path.
+* **collected** — a collector registered with
+  :meth:`MetricsRegistry.add_collector` sets the values right before the
+  registry is read, from wherever the truth already lives.  The scheduler's
+  metrics are collected from each switch's ``SwitchStats`` (see
+  :mod:`repro.interp.network`), so the dispatch path holds no metric site at
+  all and the exposition cannot disagree with ``Network.stats()``.
 
 A registry constructed with ``enabled=True`` owns a private, always-on state
 object — the telemetry emitter uses one so service-mode sampling works even
@@ -25,8 +27,7 @@ modules.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "OBS",
@@ -52,20 +53,14 @@ class ObsState:
         self.enabled = enabled
 
 
-#: process-global switch guarded by hot call sites; off by default so the
-#: simulator pays (almost) nothing unless observability is requested
+#: process-global switch guarded by counted call sites and read by the
+#: scheduler once per ``Network.run``; off by default
 OBS = ObsState(False)
 
 
-# Default histogram buckets, in seconds — tuned for per-event dispatch times
-# that range from ~2µs (generated handlers) to ~100µs (pisa stage walk).
+# Default histogram buckets, in seconds, from 1µs to 10ms.
 DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2,
-)
-
-# Buckets for simulated delays, in nanoseconds.
-DEFAULT_NS_BUCKETS: Tuple[float, ...] = (
-    1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 )
 
 _LABEL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
@@ -176,6 +171,11 @@ class Counter(_Instrument):
     # alias: reads better at call sites accumulating batch quantities
     add = inc
 
+    def load(self, value) -> None:
+        """Overwrite the value with one read from elsewhere — a collector's
+        write, recorded whether or not the registry is enabled."""
+        self._value = value
+
     @property
     def value(self):
         return self._value
@@ -217,6 +217,11 @@ class Gauge(_Instrument):
     def set_max(self, value) -> None:
         if self._state.enabled and value > self._value:
             self._value = value
+
+    def load(self, value) -> None:
+        """Overwrite the value with one read from elsewhere (see
+        :meth:`Counter.load`)."""
+        self._value = value
 
     @property
     def value(self):
@@ -307,6 +312,7 @@ class MetricsRegistry:
             state.enabled = enabled
         self.state = state
         self._instruments: Dict[str, _Instrument] = {}
+        self._collectors: List[Tuple[Callable[[], None], Callable[[], None]]] = []
 
     # -- switches ---------------------------------------------------------
     @property
@@ -348,14 +354,27 @@ class MetricsRegistry:
         return self._register("histogram", name, help, labelnames,
                               buckets=buckets)
 
+    def add_collector(self, collect: Callable[[], None], reset: Callable[[], None]) -> None:
+        """Register a collector: ``collect()`` runs before every read of this
+        registry (:meth:`get`, :meth:`value`, :meth:`render_text`) and
+        ``load``s the instruments whose values live elsewhere; ``reset()``
+        runs with :meth:`reset`, so the collector forgets what it reads."""
+        self._collectors.append((collect, reset))
+
+    def _collect(self) -> None:
+        for collect, _ in self._collectors:
+            collect()
+
     # -- introspection ----------------------------------------------------
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
     def get(self, name: str) -> Optional[_Instrument]:
+        self._collect()
         return self._instruments.get(name)
 
     def value(self, name: str, labels: Optional[Sequence[str]] = None):
+        self._collect()
         instrument = self._instruments[name]
         if labels:
             instrument = instrument.labels(*labels)
@@ -363,58 +382,15 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every value in place; instrument references stay valid."""
+        for _, reset in self._collectors:
+            reset()
         for instrument in self._instruments.values():
             instrument.reset()
-
-    # -- cross-process aggregation ----------------------------------------
-    def dump_values(self) -> Dict[str, Dict[str, object]]:
-        """Serialise every instrument's raw values (parents and label
-        children) for transport across a process boundary — the shard
-        workers ship these to the coordinator, which folds them back in
-        with :meth:`merge_values`."""
-        out: Dict[str, Dict[str, object]] = {}
-        for name, instrument in self._instruments.items():
-            entry: Dict[str, object] = {"kind": instrument.kind}
-            nodes = [((), instrument)] + [
-                (key, child) for key, child in instrument._children.items()
-            ]
-            values = {}
-            for key, node in nodes:
-                if node.kind == "histogram":
-                    values[key] = (list(node._counts), node._sum, node._count)
-                else:
-                    values[key] = node._value
-            entry["values"] = values
-            out[name] = entry
-        return out
-
-    def merge_values(self, dump: Dict[str, Dict[str, object]]) -> None:
-        """Fold a worker's :meth:`dump_values` into this registry: counters
-        and histograms add, gauges keep the max (they are point-in-time
-        levels — heap depth, sim clock — where the fleet-wide peak is the
-        meaningful aggregate).  Unknown instruments are skipped (the worker
-        may have registered metrics this process never imported).  Mutates
-        raw values directly, so it works with the registry disabled."""
-        for name, entry in dump.items():
-            instrument = self._instruments.get(name)
-            if instrument is None or instrument.kind != entry["kind"]:
-                continue
-            for key, value in entry["values"].items():
-                node = instrument if key == () else instrument.labels(*key)
-                if node.kind == "histogram":
-                    counts, total, count = value
-                    if len(counts) == len(node._counts):
-                        node._counts = [a + b for a, b in zip(node._counts, counts)]
-                        node._sum += total
-                        node._count += count
-                elif node.kind == "counter":
-                    node._value += value
-                else:  # gauge
-                    node._value = max(node._value, value)
 
     # -- exposition -------------------------------------------------------
     def render_text(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
+        self._collect()
         lines: List[str] = []
         for name in sorted(self._instruments):
             instrument = self._instruments[name]

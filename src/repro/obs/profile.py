@@ -2,7 +2,7 @@
 accounting.
 
 :class:`HandlerProfiler` attaches to a :class:`~repro.interp.network.Network`
-(``network.profiler = HandlerProfiler()``) and is fed by ``_dispatch`` with
+(``network.profiler = HandlerProfiler()``) and is fed by ``Network.run`` with
 one sample per handled event: the handler name, the wall-clock seconds the
 engine spent executing it, and the simulated nanoseconds the event occupies
 (one pipeline pass).  :class:`StageProfiler` attaches to a

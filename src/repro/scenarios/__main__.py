@@ -37,8 +37,8 @@ text exposition after the run.
 conservative-lookahead barrier (see :mod:`repro.shard`); results are
 byte-identical to ``--shards 1``.  ``--shard-engines`` optionally names one
 engine per shard (comma-separated).  Sharding composes with ``--metrics``
-(worker registries are merged) but not with ``--trace``/``--profile`` or
-``--all-engines``.
+(the registry reads the merged ledger the coordinator restores) but not
+with ``--trace``/``--profile`` or ``--all-engines``.
 
 ``serve`` runs the scenario as a long-lived process: traffic streams in
 bounded chunks, JSON-lines telemetry goes to ``--telemetry`` (stderr by

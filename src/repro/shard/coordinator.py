@@ -42,7 +42,6 @@ from repro.interp.network import (
     Switch,
     TraceEntry,
 )
-from repro.obs.metrics import OBS, REGISTRY
 from repro.scenarios.invariants import observer_callback
 from repro.scenarios.runner import ScenarioResult, build_result, run_setup
 from repro.shard.partition import partition_topology
@@ -143,7 +142,6 @@ def run_sharded(
     t2 = perf_counter()
 
     record_obs = any(inv.observes() for inv in setup.invariants)
-    metrics = OBS.enabled
 
     ctx = _mp_context()
     workers = []
@@ -158,7 +156,6 @@ def run_sharded(
                 shard_index=shard,
                 owned=tuple(plan.shards[shard]),
                 record_obs=record_obs,
-                metrics=metrics,
             )
             proc = ctx.Process(
                 target=worker_main, args=(child_conn, spec), daemon=True
@@ -190,6 +187,8 @@ def run_sharded(
         start = perf_counter()
         lookahead = plan.lookahead_ns
         pending: List[List[tuple]] = [[] for _ in range(num_shards)]
+        # sender -> its exports for a switch id that does not exist
+        orphans: Dict[int, int] = {}
         rounds = 0
         while True:
             candidates = [t for t in nexts if t is not None]
@@ -217,8 +216,11 @@ def run_sharded(
                         )
                     owner = plan.owner.get(switch_id)
                     if owner is None:
-                        # a generate to a switch id that does not exist; the
-                        # single-process drain would pop and skip it
+                        # a generate to a switch id that does not exist: the
+                        # single-process drain pops it by the horizon, skips
+                        # it and counts it against its sender
+                        if time_ns <= horizon:
+                            orphans[event.source] = orphans.get(event.source, 0) + 1
                         continue
                     pending[owner].append((time_ns, key, switch_id, event))
             rounds += 1
@@ -239,6 +241,8 @@ def run_sharded(
     switch_entries: Dict[str, dict] = {}
     for payload in finals:
         switch_entries.update(payload["switches"])
+    for sender, count in orphans.items():
+        switch_entries[str(sender)]["stats"]["orphan_events"] += count
     handled = sum(
         entry["stats"]["events_handled"] for entry in switch_entries.values()
     )
@@ -257,11 +261,6 @@ def run_sharded(
         inv.reset(network, setup.topology)
     _replay_observations(network, setup, control_items, finals)
     network.restore(combined)
-
-    if metrics:
-        for payload in finals:
-            if payload["metrics"]:
-                REGISTRY.merge_values(payload["metrics"])
 
     result = build_result(
         setup,

@@ -23,7 +23,6 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro.interp.network import CONTROL, SourceItem
-from repro.obs.metrics import REGISTRY, enable as obs_enable
 
 
 @dataclass
@@ -38,8 +37,6 @@ class ShardSpec:
     owned: Tuple[int, ...]
     #: record per-dispatch observation tuples for invariant replay
     record_obs: bool = False
-    #: enable the obs metrics registry and ship a value dump at finish
-    metrics: bool = False
 
 
 class ShardSource:
@@ -88,8 +85,6 @@ def _worker_loop(conn, spec: ShardSpec) -> None:
     from repro.scenarios import registry
 
     t0 = perf_counter()
-    if spec.metrics:
-        obs_enable()
     scenario = registry.get(spec.scenario)
     setup = scenario.build(spec.events, spec.seed)
     network = setup.make_network(spec.engine)
@@ -177,7 +172,6 @@ def _worker_loop(conn, spec: ShardSpec) -> None:
             conn.send(("window_done", batch, min(candidates) if candidates else None))
         elif cmd == "finish":
             snap = network.snapshot()
-            dump = REGISTRY.dump_values() if spec.metrics else None
             conn.send(
                 (
                     "finished",
@@ -187,7 +181,6 @@ def _worker_loop(conn, spec: ShardSpec) -> None:
                         },
                         "down_links": snap["down_links"],
                         "records": records,
-                        "metrics": dump,
                         "injected": injected,
                     },
                 )

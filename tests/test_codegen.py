@@ -1,6 +1,6 @@
 """Codegen-engine specifics: generated-source shape, one module shared by
 the switches of one checked program, native coverage of the bundled
-applications, and inlined-vs-``_dispatch`` drain equivalence (``batch=``).
+applications, and observed-vs-plain drain equivalence.
 
 Cross-engine *behavioural* parity (verdicts, digests, traces, fuzz corpus)
 lives in test_engines.py / test_fuzz.py — this file covers what is unique
@@ -92,17 +92,26 @@ def test_bundled_apps_lower_without_fallback(key):
 # drain-mode equivalence
 # ---------------------------------------------------------------------------
 def test_batched_and_stepped_drains_agree():
-    """batch=False routes every event through Network._dispatch (the
-    observed path) where batch=True inlines it; inside the one drain loop
-    both must leave identical array state and stats on the codegen engine."""
-    def run(batch):
+    """Every event takes the one dispatch body of Network.run; a tracer and a
+    profiler only add their samples.  An observed drain must leave the same
+    array state, stats and trace as a plain one on the codegen engine, and
+    ``batch=`` changes nothing."""
+    from repro.obs import HandlerProfiler, Tracer
+
+    def run(observed, batch=True):
         network, switch = single_switch_network(CM.source, engine="codegen")
-        network.trace_enabled = False
+        if observed:
+            network.tracer = Tracer(seed=1)
+            network.profiler = HandlerProfiler()
         for i in range(200):
             network.inject(
                 0, EventInstance("pkt", (i * 2654435761 % 2**32, 64)), at_ns=i * 10
             )
-        network.run(batch=batch)
-        return network_array_digest(network), switch.stats.events_handled
+        assert network.run(batch=batch) == 200
+        if observed:
+            assert len(network.tracer.spans) == network.profiler.total_calls == 200
+        return network_array_digest(network), network.stats(), network.trace
 
-    assert run(batch=True) == run(batch=False)
+    plain = run(observed=False)
+    assert run(observed=True) == plain
+    assert run(observed=False, batch=False) == plain

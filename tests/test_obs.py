@@ -176,7 +176,7 @@ def test_network_hot_loop_metrics(global_metrics):
 def test_orphan_events_and_flushed_scheduler_counters(global_metrics):
     """A send to a switch id that does not exist is counted when the drain
     skips it, and the counters `_schedule_generated` flushes once per generate
-    agree with the per-switch stats."""
+    read the same in the registry as in the per-switch stats."""
     network = Network(engine="codegen")
     network.trace_enabled = False
     network.add_switch(0, check_program(RELAY2, name="relay2"))  # no switch 1
@@ -188,22 +188,114 @@ def test_orphan_events_and_flushed_scheduler_counters(global_metrics):
     assert REGISTRY.value("repro_network_remote_sends_total") == totals.remote_sends == 1
     assert REGISTRY.value("repro_network_recirculations_total") == totals.recirculations == 1
     assert REGISTRY.value("repro_network_recirc_bytes_total") == totals.recirculated_bytes
-    assert REGISTRY.value("repro_network_delay_parks_total") == 1
     assert REGISTRY.value("repro_network_recirc_queue_depth") == totals.peak_queue_depth == 1
     assert "repro_network_orphan_events_total 1" in REGISTRY.render_text()
 
 
-def test_a_parked_event_counts_one_park_and_a_pass_per_release(global_metrics):
+def test_a_parked_event_counts_a_pass_per_release(global_metrics):
     network = Network(engine="codegen")
     network.add_switch(0, "event tick(); event noop(); "
                           "handle tick() { generate Event.delay(noop(), 350us); }")
     network.inject(0, EventInstance("tick", ()))
     network.run()
-    assert REGISTRY.value("repro_network_delay_parks_total") == 1
-    delays = REGISTRY.get("repro_network_event_delay_ns")
-    assert (delays.count, delays.sum) == (1, 350_000)
     assert REGISTRY.value("repro_network_recirculations_total") == 4
     assert REGISTRY.value("repro_network_recirc_bytes_total") == 4 * 64
+
+
+#: (metric, SwitchStats field): every ledger counter the registry exposes
+LEDGER_METRICS = [
+    ("repro_network_events_generated_total", "events_generated"),
+    ("repro_network_events_dropped_total", "drops"),
+    ("repro_network_remote_sends_total", "remote_sends"),
+    ("repro_network_link_drops_total", "link_drops"),
+    ("repro_network_recirc_drops_total", "recirc_drops"),
+    ("repro_network_orphan_events_total", "orphan_events"),
+    ("repro_network_recirculations_total", "recirculations"),
+    ("repro_network_recirc_bytes_total", "recirculated_bytes"),
+]
+
+
+def _relay_network(engine: str) -> Network:
+    checked = check_program(RELAY2, name="relay2")
+    network = Network(engine=engine)
+    network.add_switch(0, checked)
+    network.add_switch(1, checked)
+    network.add_link(0, 1)
+    network.inject(0, EventInstance("pkt", (0, 5)), at_ns=0)
+    network.inject(1, EventInstance("pkt", (1, 3)), at_ns=1000)
+    return network
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_scheduler_metrics_are_read_from_the_ledger(global_metrics, engine):
+    """Every scheduler metric is the sum of one SwitchStats field (the pisa
+    stage and table counts: of the engine's pipeline counters), whatever the
+    engine, and the gauges read the network itself."""
+    network = _relay_network(engine)
+    network.run(until_ns=2_000)  # leaves the delayed relays queued
+    totals = network.total_stats()
+    for metric, stat in LEDGER_METRICS:
+        assert REGISTRY.value(metric) == getattr(totals, stat), metric
+    assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) \
+        == totals.events_handled > 0
+    assert REGISTRY.value("repro_network_recirc_queue_depth") == totals.peak_queue_depth
+    assert REGISTRY.value("repro_network_heap_depth") == network.pending_events() > 0
+    assert REGISTRY.value("repro_network_sim_time_ns") == network.now_ns == 2_000
+    for name in ENGINE_NAMES:
+        expected = totals.events_handled if name == engine else 0
+        assert REGISTRY.value(f"repro_engine_{name}_events_total") == expected, name
+    pipelines = [s["pipeline"] for s in network.stats().values() if "pipeline" in s]
+    assert bool(pipelines) == (engine == "pisa")
+    for metric, key in (("repro_engine_pisa_stages_traversed_total", "stages_traversed"),
+                        ("repro_engine_pisa_tables_executed_total", "tables_executed")):
+        assert REGISTRY.value(metric) == sum(p[key] for p in pipelines), metric
+
+
+def test_metrics_follow_the_ledger_through_reset_and_restore(global_metrics):
+    """The registry reads the ledger when it is read: a reset network reads
+    zero (its event names are gone), and a network that restores a snapshot
+    under obs reads the ledger the snapshot carried without running."""
+    network = _relay_network("codegen")
+    network.run()
+    snapshot = network.snapshot()
+    handled = network.total_stats().events_handled
+    network.reset()
+    assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) == 0
+    assert REGISTRY.value("repro_network_events_generated_total") == 0
+
+    REGISTRY.reset()  # forgets the networks it read
+    assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) == 0
+    restored = _relay_network("codegen")
+    restored.restore(snapshot)
+    assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) == handled
+
+
+def test_the_dispatch_path_holds_no_metric_site():
+    """What an event runs through — the scheduler's loop and generate
+    scheduling, and each engine's run — names no obs state: metrics are
+    collected from the ledger, so obs costs nothing per event, enabled or
+    not.  (``Network.run`` enrols its network once, before the loop.)"""
+    import ast
+    import inspect
+    import textwrap
+
+    from repro.interp.codegen import CodegenSwitchRuntime
+    from repro.interp.engine import PisaEngine
+    from repro.interp.interpreter import HandlerInterpreter
+    from repro.pisa.pipeline import PisaPipeline
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    obs_names = {"_OBS", "_Metrics", "REGISTRY", "_REGISTRY"}
+    run = ast.parse(textwrap.dedent(inspect.getsource(Network.run)))
+    (loop,) = [n for n in ast.walk(run) if isinstance(n, ast.While)]
+    assert not names(loop) & obs_names
+    assert names(run) & obs_names == {"_OBS", "_Metrics"}
+    for fn in (Network._schedule_generated, Network._hoist, CodegenSwitchRuntime._make_run,
+               PisaEngine.run, PisaPipeline.process, HandlerInterpreter.run):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not names(tree) & obs_names, fn.__qualname__
 
 
 @pytest.mark.parametrize("engine, prefix", [
@@ -211,8 +303,8 @@ def test_a_parked_event_counts_one_park_and_a_pass_per_release(global_metrics):
     ("codegen", "repro_engine_codegen_module_cache"),
 ])
 def test_lowering_cache_metrics(global_metrics, engine, prefix):
-    # a program text no other test lowers: the codegen cache is keyed by
-    # digest process-wide, the stage-plan cache rides on the compiled program
+    # both lowerings are cached on the checked program: three switches
+    # built from one emit (or lower) once
     source = RELAY2.replace("idx + 1", "idx + 3")
     assert source != RELAY2
     checked = check_program(source, name=f"relay2-{engine}")

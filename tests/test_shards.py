@@ -287,6 +287,91 @@ def test_simultaneous_cross_boundary_events_keep_tiebreak_order():
 
 
 # ---------------------------------------------------------------------------
+# one ledger: orphan sends and the obs metrics under shards
+# ---------------------------------------------------------------------------
+# Every ping generates an event for switch 9, which does not exist: even
+# pings now, odd pings after a delay that carries the later ones past the
+# settle horizon, where the single-process drain leaves them queued.
+_ORPHAN_APP = """
+event ping(int r);
+event lost(int r);
+handle ping(int r) {
+  if (r % 2 == 0) {
+    generate Event.locate(lost(r), 9);
+  } else {
+    generate Event.delay(Event.locate(lost(r), 9), 50us);
+  }
+}
+"""
+
+
+def _build_orphans(events: int, seed: int) -> ScenarioSetup:
+    topology = topo.line(2)
+
+    def traffic():
+        for r in range(events):
+            yield (r * 1_000, r % 2, EventInstance("ping", (r,)))
+
+    return ScenarioSetup(
+        topology=topology,
+        make_network=lambda engine: topology.build_network(
+            _ORPHAN_APP, engine=engine, name="orphans"),
+        traffic=traffic,
+        invariants=[],
+        settle_ns=10_000,
+    )
+
+
+@fork_only
+def test_sharded_ledger_counts_orphan_sends():
+    """A send to a switch id no shard owns reaches the coordinator, which
+    dropped it uncounted: the merged ledger read 0 ``orphan_events`` where
+    the single-process run counts one per send popped by the horizon."""
+    scenario = Scenario(name="_test-shard-orphans", title="orphan-send fixture",
+                        app_key="CM", topology="line-2",
+                        description="every ping generates for a missing switch",
+                        build=_build_orphans)
+    register(scenario)
+    try:
+        single = run_scenario(scenario, 200, seed=1, engine="codegen")
+        sharded = run_sharded(scenario, 200, seed=1, num_shards=2, engine="codegen")
+    finally:
+        SCENARIOS.pop(scenario.name, None)
+    orphans = {sid: stats["orphan_events"] for sid, stats in single.switch_stats.items()}
+    assert 100 < sum(orphans.values()) < 200, orphans  # the horizon cut some
+    _assert_parity(single, sharded)
+
+
+@fork_only
+def test_sharded_metrics_read_the_merged_ledger():
+    """With obs on, ``run_sharded`` ships no metrics from its workers: the
+    coordinator restores their merged ledger, and the registry reads it —
+    the same values as the single-process run."""
+    from repro.obs import REGISTRY, disable, enable, parse_text_exposition
+
+    scenario = get("sro-replicated-writes")
+    runs = (lambda: run_scenario(scenario, 800, seed=7, engine="codegen"),
+            lambda: run_sharded(scenario, 800, seed=7, num_shards=3, engine="codegen"))
+    values = []
+    for run in runs:
+        REGISTRY.reset()
+        enable()
+        try:
+            run()
+            parsed = parse_text_exposition(REGISTRY.render_text())
+        finally:
+            disable()
+            REGISTRY.reset()
+        values.append({name: samples for name, samples in parsed.items()
+                       if name.startswith("repro_network_") and name != "repro_network_heap_depth"
+                       or name.endswith("_events_total")})
+    single, sharded = values
+    assert sharded == single
+    assert single["repro_network_remote_sends_total"][()] > 0
+    assert single["repro_engine_codegen_events_total"][()] > 0
+
+
+# ---------------------------------------------------------------------------
 # satellites: picklability and reset hygiene
 # ---------------------------------------------------------------------------
 def test_switch_stats_round_trips_through_dict_and_pickle():

@@ -21,8 +21,11 @@ a fat-tree network running one checked program compiles each handler exactly
 once no matter how many switches instantiate it.  The module's shape —
 ``_bind(_rt)`` reading whatever differs between switches sharing it
 (``SELF``, group members, extern tables, array handles, the clock and PRNG)
-off the switch's runtime, one ``_h_<event>`` per handler — is the
-generated-module format of :mod:`repro.interp.emit`.
+off the switch's runtime, one ``_h_<event>`` per handler returning a plain
+``ExecutionResult`` — is the generated-module format of
+:mod:`repro.interp.emit`.  :class:`~repro.interp.engine.CodegenEngine` binds
+it to its switch and runs it through :func:`repro.interp.emit.dispatcher`,
+as the ``pisa`` engine runs its stage plan.
 
 Semantics are the midend's, which lowers a handler to exactly what the tree
 walker computes or refuses the program at ``check_program`` (see
@@ -38,29 +41,20 @@ Use ``repro.scenarios --engine codegen --dump-source`` (or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.frontend.symbols import ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
-from repro.interp.emit import Line, ModuleEmitter, effect_of
-from repro.interp.events import EventInstance
-from repro.interp.interpreter import ExecutionResult, SwitchRuntime
+from repro.interp.emit import GeneratedModule, Line, ModuleEmitter, cached_module, effect_of
 from repro.midend.normalize import NIf, NormalizedHandler, NStmt, stmt_writes
-from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
+from repro.obs.metrics import REGISTRY as _REGISTRY
 
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
+# bumped by ``cached_module`` behind an ``if _OBS.enabled:`` guard
 _M_MODULE_HITS = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_hits_total",
     "Switches bound to a generated module already compiled for their checked program.")
 _M_MODULE_MISSES = _REGISTRY.counter(
     "repro_engine_codegen_module_cache_misses_total",
     "Generated modules emitted and compiled (once per checked program).")
-
-#: shared result for handlers that provably produce no effects (and for
-#: events with no handler at all).  Consumers of :class:`ExecutionResult`
-#: only read it, so one immutable instance serves every such invocation.
-_EMPTY_RESULT = ExecutionResult((), ())
 
 #: what every generated module opens with, ahead of its ``_bind`` factory
 _HEADER = """\
@@ -72,30 +66,13 @@ _HEADER = """\
 """
 
 
-@dataclass(frozen=True)
-class CodegenModule:
-    """One generated module: shared by every switch running its checked
-    program."""
-
-    name: str
-    source: str
-    #: the module's ``_bind(_rt)`` factory: one switch's handler functions
-    bind: Callable
-    handler_names: List[str]
-
-
-def compile_program(checked: CheckedProgram) -> CodegenModule:
+def compile_program(checked: CheckedProgram) -> GeneratedModule:
     """The generated module of ``checked``, emitted on first use and cached
     on the checked program, beside its layout
     (:func:`repro.interp.engine._compiled_for`)."""
-    module = getattr(checked, "_codegen_module", None)
-    if module is None:
-        module = checked._codegen_module = HandlerSourceCompiler(checked).compile()
-        if _OBS.enabled:
-            _M_MODULE_MISSES.inc()
-    elif _OBS.enabled:
-        _M_MODULE_HITS.inc()
-    return module
+    return cached_module(checked, "_codegen_module",
+                         lambda: HandlerSourceCompiler(checked).compile(),
+                         _M_MODULE_HITS, _M_MODULE_MISSES)
 
 
 def dump_program_source(checked: CheckedProgram) -> str:
@@ -111,15 +88,13 @@ class HandlerSourceCompiler(ModuleEmitter):
         self.checked = checked
 
     # -- program assembly ---------------------------------------------------
-    def compile(self) -> CodegenModule:
+    def compile(self) -> GeneratedModule:
         name = self.checked.name
         handlers: Dict[str, List[Line]] = {
             event: self._emit_handler(handler)
             for event, handler in self.checked.normalized.items()
         }
-        source, bind = self._module(name, "codegen", _HEADER.format(name=name), "_rt", handlers,
-                                    {"_ER": ExecutionResult, "_EMPTY_R": _EMPTY_RESULT})
-        return CodegenModule(name, source, bind, sorted(handlers))
+        return self._module(name, "codegen", _HEADER.format(name=name), "_rt", handlers, {})
 
     # -- per-handler emission ----------------------------------------------
     def _emit_handler(self, handler: NormalizedHandler) -> List[Line]:
@@ -131,10 +106,7 @@ class HandlerSourceCompiler(ModuleEmitter):
         self.lines += self._effect_inits(effects)
         self.indent = 1
         self._block(handler.body)
-        # no generate/printf/drop/forward/flood anywhere in the handler: every
-        # invocation produces the same empty result, so return a shared
-        # immutable singleton — consumers only read results
-        self._line(f"return {self._result('_ER', effects) if effects else '_EMPTY_R'}")
+        self._line(f"return {self._result(effects)}")
         return self.lines
 
     def _block(self, stmts: Sequence[NStmt], keyword: str = "if") -> None:
@@ -165,43 +137,3 @@ class HandlerSourceCompiler(ModuleEmitter):
         if len(self.lines) == mark:
             self._line("pass")
         self.indent -= 1
-
-
-class CodegenSwitchRuntime:
-    """Executes handlers through source-generated functions; drop-in
-    compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
-
-    The generated module is shared across every switch running one checked
-    program; this wrapper only binds it to its switch's runtime.
-    """
-
-    def __init__(self, runtime: SwitchRuntime):
-        self.runtime = runtime
-        self.info: ProgramInfo = runtime.info
-        self.module = compile_program(runtime.checked)
-        #: event name -> this switch's handler function
-        self._handlers: Dict[str, Callable] = self.module.bind(runtime)
-        self.run = self._make_run()
-
-    @property
-    def fallback_handler_names(self) -> List[str]:
-        """Handlers of the program missing from the bound module: none, since
-        a checked program always lowers (``codegen.fallback_handlers`` in
-        ``e2ebench/`` reads it)."""
-        return sorted(self.info.handlers.keys() - self._handlers.keys())
-
-    # -- public entry --------------------------------------------------------
-    def _make_run(self) -> Callable[[EventInstance], ExecutionResult]:
-        """This switch's ``run(event)``: the handler for ``event``, once,
-        atomically — a closure over the bound handler table's ``get``, so a
-        dispatch is one lookup and one call."""
-        get = self._handlers.get
-
-        def run(event: EventInstance) -> ExecutionResult:
-            fn = get(event.name)
-            if fn is None:
-                # events without handlers are legal: they exit the switch
-                return _EMPTY_RESULT
-            return fn(event.args)
-
-        return run

@@ -5,10 +5,12 @@ from the :class:`~repro.midend.normalize.NormalizedHandler`,
 :mod:`repro.pisa.pipeline` from the compiled
 :class:`~repro.backend.layout.PipelineLayout`, whose tables wrap the same
 normalised statements — and both write the *same kind of module*, with the
-*same text for every statement*.  This file owns that format and the
-statement printers; the emitters subclass :class:`ModuleEmitter` and differ
-only in control: nested ``if`` / ``else`` for codegen, stages and path
-conditions for the plan.
+*same text for every statement*, and both are run the same way.  This file
+owns that format, the statement printers, the module value
+(:class:`GeneratedModule`), its cache (:func:`cached_module`) and the one
+per-switch dispatch (:func:`dispatcher`); the emitters subclass
+:class:`ModuleEmitter` and differ only in control: nested ``if`` / ``else``
+for codegen, stages and path conditions for the plan.
 
 .. code-block:: python
 
@@ -22,7 +24,7 @@ conditions for the plan.
             <local> = int(_args[i])              # parameter binds
             _gen = []                            # effect locals (EFFECTS)
             ...                                  # the visitor's body
-            return <ctor>(_gen, (), False, None, False, ...)
+            return _ER(_gen, (), False, None, False)  # or _EMPTY_R
 
         return {'<event>': _h_<event>, ...}
 
@@ -30,8 +32,12 @@ Whatever differs between switches sharing one module (``SELF``, arrays and
 their cell lists, group members, externs, the clock and PRNG) is read off
 the :class:`~repro.interp.interpreter.SwitchRuntime` handed to ``_bind``;
 the module itself is compiled once and ``exec``'d into a namespace seeded
-with ``_IE`` (InterpError), ``_EV`` (EventInstance), the hash helpers the
-handlers use (``_c32``, ``_pk<N>``) and the visitor's own seeds.
+with ``_IE`` (InterpError), ``_EV`` (EventInstance), ``_ER``
+(ExecutionResult), ``_EMPTY_R`` (:data:`EMPTY_RESULT`), the hash helpers the
+handlers use (``_c32``, ``_pk<N>``) and the visitor's own seeds.  A handler
+returns a plain :class:`~repro.interp.interpreter.ExecutionResult`, and a
+switch runs its bound table through :func:`dispatcher`, whichever engine
+emitted it.
 
 One normalised statement has one spelling, :meth:`ModuleEmitter._statement`:
 operands are atoms (:meth:`ModuleEmitter._atom` — a local of
@@ -43,13 +49,14 @@ access is :meth:`ModuleEmitter._array_rmw`, a ``generate`` is one pre-shaped
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError, SimulationError
 from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ProgramInfo
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import memop_template
+from repro.interp.interpreter import ExecutionResult, memop_template
 from repro.midend.normalize import (
     Const,
     NArrayOp,
@@ -62,6 +69,7 @@ from repro.midend.normalize import (
     NStmt,
     Operand,
 )
+from repro.obs.metrics import OBS as _OBS, Counter
 from repro.ops import MASK32, binop_template, hash_namespace, hash_template
 
 #: one emitted line: (indent level relative to its ``def``, text)
@@ -88,8 +96,60 @@ _BINDINGS = {
     "group": ("_G_{0}", "_rt.groups[{0!r}]"),
 }
 
+#: the result of every handler that provably produces no effects, and of
+#: every event with no handler: consumers only read results, so one
+#: immutable instance serves every such invocation
+EMPTY_RESULT = ExecutionResult((), ())
+
 _GETS = ("Array.get", "Array.getm")
 _SETS = ("Array.set", "Array.setm")
+
+
+@dataclass(frozen=True)
+class GeneratedModule:
+    """One program's generated module, compiled once and shared by every
+    switch running the program."""
+
+    source: str
+    #: the module's ``_bind`` factory: one switch's ``{event: handler}``
+    bind: Callable[..., Dict[str, Callable]]
+    #: event -> the source of its handler function
+    handler_sources: Dict[str, str]
+
+    @property
+    def handler_names(self) -> List[str]:
+        return sorted(self.handler_sources)
+
+
+def cached_module(owner: object, attr: str, build: Callable[[], GeneratedModule],
+                  hits: Counter, misses: Counter) -> GeneratedModule:
+    """The module cached on ``owner`` as ``attr``, built on first use; the
+    checked (or compiled) program it is cached on is shared by every switch
+    running it, so each is emitted once however many switches there are."""
+    module = getattr(owner, attr, None)
+    if module is None:
+        module = build()
+        setattr(owner, attr, module)
+        if _OBS.enabled:
+            misses.inc()
+    elif _OBS.enabled:
+        hits.inc()
+    return module
+
+
+def dispatcher(handlers: Dict[str, Callable]) -> Callable[[EventInstance], ExecutionResult]:
+    """A switch's ``run(event)`` over its bound handler table: the handler for
+    ``event``, once, atomically — one lookup and one call."""
+    get = handlers.get
+
+    def run(event: EventInstance) -> ExecutionResult:
+        fn = get(event.name)
+        if fn is None:
+            # events without handlers are legal: they exit the switch
+            return EMPTY_RESULT
+        return fn(event.args)
+
+    return run
 
 
 def render(lines: Sequence[Line], level: int = 0) -> str:
@@ -168,10 +228,14 @@ class ModuleEmitter:
         return [(1, f"{var} = {init}") for kind, var, init, _ in EFFECTS if kind in effects]
 
     @staticmethod
-    def _result(ctor: str, effects: Set[str], *counts: str) -> str:
-        """``ctor(...)`` over the five effect fields, then ``counts``."""
+    def _result(effects: Set[str]) -> str:
+        """What a handler with ``effects`` returns: its ``_ER(...)`` over the
+        five effect fields, or the shared ``_EMPTY_R`` when it has none —
+        every invocation of such a handler produces the same empty result."""
+        if not effects:
+            return "_EMPTY_R"
         fields = [var if kind in effects else absent for kind, var, _, absent in EFFECTS]
-        return f"{ctor}({', '.join([*fields, *counts])})"
+        return f"_ER({', '.join(fields)})"
 
     @staticmethod
     def _printf(args: Sequence[str]) -> str:
@@ -344,10 +408,11 @@ class ModuleEmitter:
 
     # -- module assembly ----------------------------------------------------
     def _module(self, program: str, label: str, header: str, params: str,
-                handlers: Dict[str, List[Line]], seeds: Dict[str, object]):
-        """Assemble, compile and ``exec`` the module; returns its source and
-        its ``_bind`` factory.  Fixed order: ``header``, ``def
-        _bind(params):``, the bindings, the handlers, the dispatch table."""
+                handlers: Dict[str, List[Line]],
+                seeds: Dict[str, object]) -> GeneratedModule:
+        """Assemble, compile and ``exec`` the module.  Fixed order:
+        ``header``, ``def _bind(params):``, the bindings, the handlers, the
+        handler table."""
         out = [header, f"def _bind({params}):"]
         out += [f"    {var} = {value}" for var, value in self._bindings.values()]
         for lines in handlers.values():
@@ -360,8 +425,11 @@ class ModuleEmitter:
             "__name__": f"{type(self).__module__}.<{program}>",
             "_IE": InterpError,
             "_EV": EventInstance,
+            "_ER": ExecutionResult,
+            "_EMPTY_R": EMPTY_RESULT,
             **hash_namespace(self.hash_arities),
             **seeds,
         }
         exec(compile(source, f"<{label}:{program}>", "exec"), namespace)
-        return source, namespace["_bind"]
+        return GeneratedModule(source, namespace["_bind"], {
+            name: render(lines) + "\n" for name, lines in handlers.items()})

@@ -21,7 +21,8 @@ returns what it produced.  Three engines ship with the repository:
     plan via :class:`~repro.pisa.pipeline.PisaPipeline`, over the *same*
     :class:`~repro.interp.interpreter.SwitchRuntime` (register file, clock,
     PRNG, externs) the network simulation owns.  It models what only it
-    knows — the pipeline (events, stages traversed, tables executed); the
+    knows — the pipeline (stages traversed, tables executed, which each
+    plan adds into its pipeline's counters); the events it ran, the
     recirculation port and the delay queue belong to the event scheduler
     (:class:`~repro.interp.network.Network`), for every engine alike.
 
@@ -39,8 +40,10 @@ returns what it produced.  Three engines ship with the repository:
     Behaviourally identical to ``reference`` and several times faster.  The
     default.
 
-All three produce :class:`~repro.interp.interpreter.ExecutionResult`
-values, so the network scheduler is engine-agnostic: generated events —
+All three return plain :class:`~repro.interp.interpreter.ExecutionResult`
+values, the two compiled engines through the one ``run(event)`` closure
+:func:`repro.interp.emit.dispatcher` builds over a switch's bound handler
+table, so the network scheduler is engine-agnostic: generated events —
 including delayed and multicast ones — round-trip through the same
 scheduler heap regardless of the substrate that produced them.  Identical
 invariant verdicts and final array digests across engines are pinned by
@@ -52,7 +55,7 @@ Engines are looked up by name in :data:`ENGINES`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
@@ -81,7 +84,8 @@ class SwitchEngine:
 
     # -- lifecycle / reporting --------------------------------------------
     def reset(self) -> None:
-        """Clear engine-side accounting (called by ``Network.reset()``)."""
+        """Clear engine-side accounting and detach engine-side profilers
+        (called by ``Network.reset()``)."""
 
     def pipeline_stats(self) -> Optional[Dict[str, object]]:
         """Per-switch pipeline statistics, or ``None`` when the engine does
@@ -120,18 +124,27 @@ class ReferenceEngine(SwitchEngine):
 
 class CodegenEngine(SwitchEngine):
     """Source-generated handlers: each normalised handler body is printed as
-    flat Python source, compiled once per checked program, and shared across
-    its switches (see :mod:`repro.interp.codegen`)."""
+    flat Python source, compiled once per checked program, shared across its
+    switches (see :mod:`repro.interp.codegen`), and bound here to this one."""
 
     name = "codegen"
 
     def __init__(self, runtime: SwitchRuntime):
         super().__init__(runtime)
         # imported lazily to keep module import order flexible
-        from repro.interp.codegen import CodegenSwitchRuntime
+        from repro.interp.codegen import compile_program
+        from repro.interp.emit import dispatcher
 
-        self.executor = CodegenSwitchRuntime(runtime)
-        self.run = self.executor.run
+        self.module = compile_program(runtime.checked)
+        self._handlers = self.module.bind(runtime)
+        self.run = dispatcher(self._handlers)
+
+    @property
+    def fallback_handler_names(self) -> List[str]:
+        """Handlers of the program missing from the bound module: none, since
+        a checked program always lowers (``codegen.fallback_handlers`` in
+        ``e2ebench/`` reads it through ``Switch.interpreter``)."""
+        return sorted(self.runtime.info.handlers.keys() - self._handlers.keys())
 
 
 def _compiled_for(checked) -> "object":
@@ -149,8 +162,8 @@ def _compiled_for(checked) -> "object":
 
 
 class PisaEngine(SwitchEngine):
-    """Execute events through the compiled pipeline layout, counting the
-    stages and tables each pass touches — what only the pipeline knows; the
+    """Execute events through the compiled pipeline layout; the pipeline
+    counts the stages and tables each pass touches — what only it knows; the
     events it ran are the switch's ``SwitchStats.events_handled``."""
 
     name = "pisa"
@@ -160,34 +173,20 @@ class PisaEngine(SwitchEngine):
         from repro.pisa.pipeline import PisaPipeline
 
         self.pipeline = PisaPipeline(_compiled_for(runtime.checked), runtime=runtime)
-        # counters
-        self.stages_traversed = 0
-        self.max_stages_traversed = 0
-        self.tables_executed = 0
-
-    # -- execution ---------------------------------------------------------
-    def run(self, event: EventInstance) -> ExecutionResult:
-        passed = self.pipeline.process(event)
-        self.stages_traversed += passed.stages_traversed
-        if passed.stages_traversed > self.max_stages_traversed:
-            self.max_stages_traversed = passed.stages_traversed
-        self.tables_executed += passed.tables_executed
-        # the pass result is itself the ExecutionResult the scheduler reads
-        return passed
+        self.run = self.pipeline.run
 
     # -- lifecycle / reporting --------------------------------------------
     def reset(self) -> None:
-        self.stages_traversed = 0
-        self.max_stages_traversed = 0
-        self.tables_executed = 0
+        self.restore_state(dict.fromkeys(self.pipeline.counters(), 0))
+        # a profiler attached for the last run would time the next one
+        self.pipeline.stage_prof = None
+
+    def pipeline_stats(self) -> Dict[str, object]:
+        return {"stages": self.pipeline.layout.num_stages(), **self.pipeline.counters()}
 
     # -- checkpointing -----------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
-        return {
-            "stages_traversed": self.stages_traversed,
-            "max_stages_traversed": self.max_stages_traversed,
-            "tables_executed": self.tables_executed,
-        }
+        return self.pipeline.counters()
 
     def restore_state(self, state: Optional[Dict[str, object]]) -> None:
         if not state:
@@ -195,17 +194,9 @@ class PisaEngine(SwitchEngine):
                 "pisa engine restore requires the engine state captured by "
                 "snapshot_state (got none)"
             )
-        self.stages_traversed = state["stages_traversed"]
-        self.max_stages_traversed = state["max_stages_traversed"]
-        self.tables_executed = state["tables_executed"]
-
-    def pipeline_stats(self) -> Dict[str, object]:
-        return {
-            "stages": self.pipeline.layout.num_stages(),
-            "stages_traversed": self.stages_traversed,
-            "max_stages_traversed": self.max_stages_traversed,
-            "tables_executed": self.tables_executed,
-        }
+        self.pipeline.stages_traversed = state["stages_traversed"]
+        self.pipeline.max_stages_traversed = state["max_stages_traversed"]
+        self.pipeline.tables_executed = state["tables_executed"]
 
 
 #: engine registry: name -> constructor ``(runtime) -> SwitchEngine``

@@ -40,10 +40,10 @@ class ExecutionResult:
     """What one handler invocation produced.
 
     A hand-written ``__slots__`` class (one is allocated per dispatched
-    event, so construction cost is hot-path cost).  ``generated`` and
-    ``prints`` may be any sequence — the codegen engine reuses shared empty
-    tuples for handlers that provably generate/print nothing — so equality
-    normalises both sides to lists.
+    event, so construction cost is hot-path cost), and what every engine
+    returns.  ``generated`` and ``prints`` may be any sequence — the compiled
+    engines reuse shared empty tuples for handlers that provably
+    generate/print nothing — so equality normalises both sides to lists.
     """
 
     __slots__ = ("generated", "prints", "dropped", "forwarded_port", "flooded")
@@ -70,8 +70,6 @@ class ExecutionResult:
         )
 
     def __eq__(self, other: object) -> bool:
-        # any engine's result: the pisa engine returns a subclass whose two
-        # pass counters are not part of what a handler produced
         if not isinstance(other, ExecutionResult):
             return NotImplemented
         return (

@@ -973,8 +973,9 @@ class Network:
     def stats(self) -> Dict[int, Dict[str, object]]:
         """Per-switch counters, engine names, and — for engines that model a
         pipeline — a ``"pipeline"`` dict: the engine's stage occupancy next
-        to this switch's events and recirculation-port view (passes, bytes,
-        bandwidth, queue depths), read from the same :class:`SwitchStats`.
+        to this switch's events and recirculation-port view (passes, drops,
+        bytes, bandwidth, queue depths), read from the same
+        :class:`SwitchStats`.
         """
         out: Dict[int, Dict[str, object]] = {}
         for sid in sorted(self.switches):
@@ -990,6 +991,7 @@ class Network:
                     queue_depth=stats.queue_depth,
                     peak_queue_depth=stats.peak_queue_depth,
                     recirc_passes=stats.recirculations,
+                    recirc_drops=stats.recirc_drops,
                     recirc_bytes=stats.recirculated_bytes,
                 )
                 if self.now_ns > 0:

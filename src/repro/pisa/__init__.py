@@ -2,7 +2,7 @@
 budget, the pausable delay queue, and a pipeline executor for compiled
 layouts."""
 
-from repro.pisa.pipeline import PipelinePassResult, PisaPipeline
+from repro.pisa.pipeline import PisaPipeline
 from repro.pisa.queues import (
     DelayedEvent,
     DelayMechanismResult,
@@ -14,7 +14,6 @@ from repro.pisa.tofino import DEFAULT_TIMING, MIN_FRAME_BYTES, TofinoTiming
 
 __all__ = [
     "PisaPipeline",
-    "PipelinePassResult",
     "PausableDelayQueue",
     "DelayedEvent",
     "DelayMechanismResult",

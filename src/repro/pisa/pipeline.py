@@ -15,29 +15,31 @@ into a *stage plan* (:func:`lower_layout`): one flat Python function per
 handler holding only that handler's tables in stage order, with path
 conditions as inline tests, metadata fields as plain locals, ALU and hash
 operations as the ``repro.ops`` source templates, and the per-stage
-accounting (``stages_traversed``, ``tables_executed``, the optional
+accounting (the pass's ``_st`` stages and ``_tb`` tables, the optional
 :class:`~repro.obs.profile.StageProfiler`) written out per stage.  A
 :class:`PisaPipeline` only binds the plan to its own switch state — register
-arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table —
-so every switch running one compiled program shares the code objects.  The
-plan is a module in the generated-module format of :mod:`repro.interp.emit`
-(``_bind(_P, _rt)``, one ``_h_<event>`` per handler), which the codegen
-engine writes too — from the same normalised statements, through the same
-statement printers (``ModuleEmitter._statement``: operands, ALU and hash
-templates, the read-modify-write, the pre-shaped ``_EV(...)``).
-:class:`_PlanEmitter` adds only what is the plan's own: stages, path
-conditions, uid tags for effects that data-flow reordering may have moved,
-and the ``_st`` / ``_tb`` / stage-profiler accounting.  A stateful table is
-part of its stage like any other: the format's one straight-line
-read-modify-write on the array's cell list, its memops rendered in place,
-exactly one per table, like the hardware stateful ALU.
+arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table,
+its pass counters — so every switch running one compiled program shares the
+code objects.  The plan is a module in the generated-module format of
+:mod:`repro.interp.emit` (``_bind(_P, _rt)``, one ``_h_<event>`` per
+handler returning a plain ``ExecutionResult``, run through the shared
+:func:`~repro.interp.emit.dispatcher`), which the codegen engine writes and
+runs too — from the same normalised statements, through the same statement
+printers (``ModuleEmitter._statement``).  :class:`_PlanEmitter` adds only
+what is the plan's own: stages, path conditions, uid tags for effects that
+data-flow reordering may have moved, the ``_st`` / ``_tb`` /
+stage-profiler accounting, and an epilogue adding the pass's counts into
+the :class:`PisaPipeline`'s own.  A stateful table is part of its stage like
+any other: the format's one straight-line read-modify-write on the array's
+cell list, its memops rendered in place, exactly one per table, like the
+hardware stateful ALU.
 
 Running the same program through this pipeline executor and through the
 AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
 register state is the repository's main end-to-end check that compilation
 preserves semantics.  The executor is also *load-bearing*:
 :class:`~repro.interp.engine.PisaEngine` drives whole scenario workloads
-through it, one pipeline pass per handled event, over a
+through :attr:`PisaPipeline.run`, one pipeline pass per handled event, over a
 :class:`~repro.interp.interpreter.SwitchRuntime` shared with the network
 simulation (pass ``runtime=`` to share arrays, externs, the clock, and the
 PRNG with a live :class:`~repro.interp.network.Switch`).
@@ -50,19 +52,18 @@ from __future__ import annotations
 
 from operator import itemgetter
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.backend.compiler import CompiledProgram
 from repro.backend.layout import PipelineLayout
 from repro.backend.tables import AtomicTable
 from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
-from repro.interp.emit import Line, ModuleEmitter, effect_of, render
-from repro.interp.events import EventInstance
-from repro.interp.interpreter import ExecutionResult, SwitchRuntime
-from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
+from repro.interp.emit import GeneratedModule, Line, ModuleEmitter, cached_module, dispatcher, effect_of
+from repro.interp.interpreter import SwitchRuntime
+from repro.obs.metrics import REGISTRY as _REGISTRY
 
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
+# bumped by ``cached_module`` behind an ``if _OBS.enabled:`` guard
 _M_PLAN_CACHE_HITS = _REGISTRY.counter(
     "repro_engine_pisa_plan_cache_hits_total",
     "Pipelines bound to a stage plan already lowered for their program.")
@@ -70,80 +71,27 @@ _M_PLAN_CACHE_MISSES = _REGISTRY.counter(
     "repro_engine_pisa_plan_cache_misses_total",
     "Stage plans lowered from a layout (once per compiled program).")
 
-
-class PipelinePassResult(ExecutionResult):
-    """What one packet's pass through the pipeline produced: the handler's
-    :class:`~repro.interp.interpreter.ExecutionResult` plus the pass's own
-    two counts, so the engine hands the scheduler this very object.
-
-    One is built per pass, by the stage plan, with all seven fields at once:
-    the base class's five, in its order, then the counts."""
-
-    __slots__ = ("stages_traversed", "tables_executed")
-
-    def __init__(
-        self,
-        generated: Optional[List[EventInstance]] = None,
-        prints: Optional[List[str]] = None,
-        dropped: bool = False,
-        forwarded_port: Optional[int] = None,
-        flooded: bool = False,
-        stages_traversed: int = 0,
-        tables_executed: int = 0,
-    ) -> None:
-        self.generated = [] if generated is None else generated
-        self.prints = [] if prints is None else prints
-        self.dropped = dropped
-        self.forwarded_port = forwarded_port
-        self.flooded = flooded
-        self.stages_traversed = stages_traversed
-        self.tables_executed = tables_executed
-
-    def __repr__(self) -> str:
-        names = ExecutionResult.__slots__ + self.__slots__
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
-        return f"PipelinePassResult({fields})"
-
-
 # ---------------------------------------------------------------------------
 # lowering: PipelineLayout -> stage plan
 # ---------------------------------------------------------------------------
-class StagePlan:
-    """One compiled program's layout as Python source, compiled once.
-
-    ``bind(pipeline, runtime)`` returns the per-switch handler functions
-    (closures over that switch's state, sharing the plan's code objects)."""
-
-    __slots__ = ("source", "handler_sources", "bind")
-
-    def __init__(self, source: str, handler_sources: Dict[str, str], bind: Callable):
-        self.source = source
-        self.handler_sources = handler_sources
-        self.bind = bind
-
-
-def lower_layout(compiled: CompiledProgram) -> StagePlan:
+def lower_layout(compiled: CompiledProgram) -> GeneratedModule:
     """The stage plan of ``compiled``, lowered on first use and cached on the
     compiled program — beside the layout it is derived from, so the switches
     sharing one layout (:func:`repro.interp.engine._compiled_for`) lower it
     once however many of them there are."""
-    plan = getattr(compiled, "_stage_plan", None)
-    if plan is None:
-        plan = compiled._stage_plan = _PlanEmitter(compiled).lower()
-        if _OBS.enabled:
-            _M_PLAN_CACHE_MISSES.inc()
-    elif _OBS.enabled:
-        _M_PLAN_CACHE_HITS.inc()
-    return plan
+    return cached_module(compiled, "_stage_plan", lambda: _PlanEmitter(compiled).lower(),
+                         _M_PLAN_CACHE_HITS, _M_PLAN_CACHE_MISSES)
 
 
 _HEADER = """\
 # Stage plan lowered by repro.pisa.pipeline for program {name!r}:
 # one function per handler, its tables in stage order.
 # Seeded globals: _IE (InterpError), _EV (EventInstance),
-# _PR (PipelinePassResult), _pc (perf_counter), _uid (itemgetter(0)),
+# _ER (ExecutionResult), _EMPTY_R (shared no-effect result),
+# _pc (perf_counter), _uid (itemgetter(0)),
 # _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).  Bound per switch:
-# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list).
+# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list);
+# _P is the pipeline, which sums the pass counts.
 """
 
 
@@ -165,16 +113,13 @@ class _PlanEmitter(ModuleEmitter):
                 self.staged.setdefault(handler, []).append((stage_index, tables))
 
     # -- program assembly ---------------------------------------------------
-    def lower(self) -> StagePlan:
+    def lower(self) -> GeneratedModule:
         handlers = {
             name: self._handler(decl) for name, decl in self.info.handlers.items()
         }
-        source, bind = self._module(
+        return self._module(
             self.program_name, "stage-plan", _HEADER.format(name=self.program_name),
-            "_P, _rt", handlers,
-            {"_PR": PipelinePassResult, "_pc": perf_counter, "_uid": itemgetter(0)})
-        return StagePlan(
-            source, {name: render(lines) + "\n" for name, lines in handlers.items()}, bind)
+            "_P, _rt", handlers, {"_pc": perf_counter, "_uid": itemgetter(0)})
 
     # -- one handler --------------------------------------------------------
     def _handler(self, decl: ast.DHandler) -> List[Line]:
@@ -216,8 +161,13 @@ class _PlanEmitter(ModuleEmitter):
                 self._line(f"if len({var}) > 1:")
                 self._line(f"{var}.sort(key=_uid)", 1)
                 self._line(f"{var} = [_item for _, _item in {var}]")
-        counts = ("_st", "_tb") if staged else ("0", "0")
-        self._line(f"return {self._result('_PR', effects, *counts)}")
+        if staged:
+            # the pass's counts into the pipeline's
+            self._line("_P.stages_traversed += _st")
+            self._line("_P.tables_executed += _tb")
+            self._line("if _st > _P.max_stages_traversed:")
+            self._line("_P.max_stages_traversed = _st", 1)
+        self._line(f"return {self._result(effects)}")
         return self.lines
 
     def _stage(self, stage_index: int, tables: List[AtomicTable],
@@ -282,12 +232,28 @@ class PisaPipeline:
         #: stage wall-time and table accounting; read at the start of every
         #: pass, so it may be attached at any time
         self.stage_prof = None
+        #: stages and tables summed over every pass, and the most stages of
+        #: any one pass — the plan's epilogue adds each pass in
+        self.stages_traversed = 0
+        self.max_stages_traversed = 0
+        self.tables_executed = 0
         self.plan = lower_layout(compiled)
-        self._handlers: Dict[str, Callable] = self.plan.bind(self, self.runtime)
+        self._handlers = self.plan.bind(self, self.runtime)
+        #: ``run(event)``: one pass of ``event`` through its handler's plan —
+        #: what the pisa engine dispatches to
+        self.run = dispatcher(self._handlers)
 
     # -- state access ---------------------------------------------------------
     def array(self, name: str) -> RuntimeArray:
         return self.runtime.array(name)
+
+    def counters(self) -> Dict[str, int]:
+        """The pass counters by name."""
+        return {
+            "stages_traversed": self.stages_traversed,
+            "max_stages_traversed": self.max_stages_traversed,
+            "tables_executed": self.tables_executed,
+        }
 
     def source(self, handler: Optional[str] = None) -> str:
         """The lowered stage plan as Python source: the whole module, or the
@@ -295,18 +261,3 @@ class PisaPipeline:
         if handler is None:
             return self.plan.source
         return self.plan.handler_sources[handler]
-
-    # -- execution --------------------------------------------------------------
-    def process(self, event: EventInstance, time_ns: Optional[int] = None) -> PipelinePassResult:
-        """Run one event packet through the pipeline (one ingress pass).
-
-        ``time_ns`` stamps the runtime clock before execution; ``None`` keeps
-        the clock wherever the caller (e.g. the network scheduler) set it.
-        """
-        if time_ns is not None:
-            self.runtime.time_ns = time_ns
-        run = self._handlers.get(event.name)
-        if run is None:
-            # events without handlers are legal: they exit the switch
-            return PipelinePassResult()
-        return run(event.args)

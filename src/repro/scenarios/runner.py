@@ -184,13 +184,9 @@ def _aggregate_pipeline_totals(switch_stats: Dict[int, Dict[str, object]]) -> Di
     """Sum the per-switch ``"pipeline"`` dicts of :meth:`Network.stats` into
     a network-wide summary (max for depth/stage peaks).  Heterogeneous
     networks aggregate only the switches whose engines model a pipeline."""
+    pipelines = [entry["pipeline"] for entry in switch_stats.values() if "pipeline" in entry]
     totals: Dict[str, object] = {}
-    switches = 0
-    for entry in switch_stats.values():
-        stats = entry.get("pipeline")
-        if stats is None:
-            continue
-        switches += 1
+    for stats in pipelines:
         for key, value in stats.items():
             if not isinstance(value, (int, float)):
                 continue
@@ -198,11 +194,8 @@ def _aggregate_pipeline_totals(switch_stats: Dict[int, Dict[str, object]]) -> Di
                 totals[key] = max(totals.get(key, 0), value)
             else:
                 totals[key] = totals.get(key, 0) + value
-    if switches:
-        totals["switches"] = switches
-        totals["recirc_drops"] = sum(
-            entry["recirc_drops"] for entry in switch_stats.values()
-        )
+    if pipelines:
+        totals["switches"] = len(pipelines)
     return totals
 
 

@@ -1,9 +1,14 @@
 """Per-pass observables of the PISA pipeline, for pinning against a golden.
 
-Wraps :meth:`PisaPipeline.process` (public API only, so the same recorder
-runs against any checkout) and summarises every pass a run makes: the
-handled event, the stages traversed, the tables executed, the generated
-events and the printed lines, in dispatch order.
+Records every pass a run makes through a :class:`PisaPipeline` (public API
+only) and summarises it: the handled event, the stages traversed, the tables
+executed, the generated events and the printed lines, in dispatch order.
+
+A pipeline with ``counters()`` sums its passes' counts itself: its ``run``
+is wrapped, and a pass's counts are its deltas of those counters.  Older
+trees, whose passes all go through ``process`` and return the counts on the
+result, are recorded from that result, so the recorder runs against them
+too.
 """
 
 import hashlib
@@ -19,24 +24,48 @@ from repro.scenarios.runner import run_scenario
 @contextmanager
 def recorded_passes():
     records = []
-    original = PisaPipeline.process
 
-    def recording(self, event, time_ns=None):
-        result = original(self, event, time_ns)
+    def record(pipeline, event, result, stages, tables):
         records.append((
-            self.switch_id, event.name, tuple(event.args),
-            result.stages_traversed, result.tables_executed,
+            pipeline.switch_id, event.name, tuple(event.args), stages, tables,
             [(g.name, tuple(g.args), g.delay_ns, g.location, g.group, g.source)
              for g in result.generated],
             list(result.prints),
         ))
-        return result
 
-    PisaPipeline.process = recording
+    if hasattr(PisaPipeline, "counters"):
+        original = PisaPipeline.__init__
+
+        def patched(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            run = self.run
+
+            def recording(event):
+                before = self.counters()
+                result = run(event)
+                after = self.counters()
+                record(self, event, result,
+                       after["stages_traversed"] - before["stages_traversed"],
+                       after["tables_executed"] - before["tables_executed"])
+                return result
+
+            self.run = recording
+
+        attr = "__init__"
+    else:
+        original = PisaPipeline.process
+
+        def patched(self, event, time_ns=None):
+            result = original(self, event, time_ns)
+            record(self, event, result, result.stages_traversed, result.tables_executed)
+            return result
+
+        attr = "process"
+    setattr(PisaPipeline, attr, patched)
     try:
         yield records
     finally:
-        PisaPipeline.process = original
+        setattr(PisaPipeline, attr, original)
 
 
 def summarise(records):

@@ -4,7 +4,7 @@
 Every bundled application (the ten Figure 9 programs) and the quickstart
 example program are driven through both execution engines — the tree-walking
 :class:`HandlerInterpreter` (``reference``, the oracle) and the
-source-generating :class:`CodegenSwitchRuntime` (``codegen``) — on identical
+source-generating :class:`CodegenEngine` (``codegen``) — on identical
 deterministic event sequences, and the suite asserts the engines are
 observationally identical:
 
@@ -32,7 +32,7 @@ from repro.interp import (
     SwitchRuntime,
     lucid_hash,
 )
-from repro.interp.codegen import CodegenSwitchRuntime
+from repro.interp.engine import CodegenEngine
 from repro.apps import ALL_APPLICATIONS
 from repro.ops import apply_binop
 
@@ -120,7 +120,7 @@ def test_every_application_handler_actually_compiles(key):
     handler is a function of the generated module, not the tree walker."""
     app = ALL_APPLICATIONS[key]
     checked = check_program(app.source, name=key)
-    engine = CodegenSwitchRuntime(SwitchRuntime(checked))
+    engine = CodegenEngine(SwitchRuntime(checked))
     assert engine.fallback_handler_names == []
     assert engine.module.handler_names == sorted(checked.info.handlers)
 
@@ -371,7 +371,7 @@ def test_compiled_engine_is_drop_in_for_handler_interpreter():
     """
     checked = check_program(source)
     slow_rt, fast_rt = SwitchRuntime(checked), SwitchRuntime(checked)
-    slow, fast = HandlerInterpreter(slow_rt), CodegenSwitchRuntime(fast_rt)
+    slow, fast = HandlerInterpreter(slow_rt), CodegenEngine(fast_rt)
     for engine, rt in ((slow, slow_rt), (fast, fast_rt)):
         result = engine.run(EventInstance("e", (21,)))
         assert list(result.generated) == [] and not result.dropped
@@ -380,7 +380,7 @@ def test_compiled_engine_is_drop_in_for_handler_interpreter():
 
 def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenEngine(SwitchRuntime(checked))
     slow = HandlerInterpreter(SwitchRuntime(checked))
     for engine in (fast, slow):
         with pytest.raises(InterpError):
@@ -389,7 +389,7 @@ def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
 
 def test_compiled_engine_ignores_events_without_handlers():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenEngine(SwitchRuntime(checked))
     result = fast.run(EventInstance("unknown", (1,)))
     assert list(result.generated) == [] and not result.dropped
 

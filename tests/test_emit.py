@@ -19,8 +19,9 @@ from repro.errors import InterpError
 from repro.frontend import check_program
 from repro.fuzz.case import load_case
 from repro.interp.arrays import RuntimeArray
-from repro.interp.codegen import CodegenSwitchRuntime, dump_program_source
+from repro.interp.codegen import dump_program_source
 from repro.interp.emit import ModuleEmitter
+from repro.interp.engine import CodegenEngine
 from repro.interp.interpreter import SwitchRuntime, memop_shape
 from repro.pisa.pipeline import PisaPipeline, _PlanEmitter, lower_layout
 
@@ -70,10 +71,9 @@ def _emitted_op(checked, policy, method, array, memops, nargs):
         policy(emitter), method, array, "idx",
         [memop_shape(checked.info, memop) for memop in memops], ["a", "b"][:nargs])
     emitter._line(f"return {value}")
-    source, bind = emitter._module(checked.name, "test-emit", "", "_rt",
-                                   {"op": emitter.lines}, {})
-    assert f"_A_{array} = _rt.array({array!r})\n    _C_{array} = _A_{array}.cells" in source
-    return bind
+    module = emitter._module(checked.name, "test-emit", "", "_rt", {"op": emitter.lines}, {})
+    assert f"_A_{array} = _rt.array({array!r})\n    _C_{array} = _A_{array}.cells" in module.source
+    return module.bind
 
 
 def _oracle_op(array, runtime, method, memops, nargs, idx, a, b):
@@ -204,7 +204,7 @@ def test_a_malformed_memop_is_never_materialised_at_bind_time():
     ``memop_fn`` raise, so no switch ever binds a handler that cannot run."""
     checked = _malformed()
     builds = {
-        "codegen": lambda: CodegenSwitchRuntime(SwitchRuntime(checked)),
+        "codegen": lambda: CodegenEngine(SwitchRuntime(checked)),
         "pisa": lambda: PisaPipeline(compile_checked(checked, CompilerOptions(emit_p4=False))),
         "memop_fn": lambda: SwitchRuntime(checked).memop_fn("bad"),
     }

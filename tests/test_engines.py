@@ -19,10 +19,10 @@ from repro.interp.engine import (
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult
 from repro.interp.network import Network, SchedulerConfig, single_switch_network
-from repro.pisa import DelayedEvent, PausableDelayQueue, PipelinePassResult
+from repro.pisa import DelayedEvent, PausableDelayQueue
 from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
 from repro.scenarios import traffic as tm
-from repro.scenarios.runner import network_array_digest
+from repro.scenarios.runner import _aggregate_pipeline_totals, network_array_digest
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +97,21 @@ def test_switch_engine_classes_and_interpreter_alias():
     assert Network().engine == "codegen"
 
 
+ONE_EVENT = """
+event e(int x); event f(int x);
+handle e(int x) { printf(x); generate f(x + 1); forward(3); }
+"""
+
+
 def test_one_event_yields_equal_results_on_every_engine():
-    """The pisa engine returns its pass result, a subclass carrying two pass
-    counters; what the handler produced compares equal whoever ran it."""
-    source = """
-    event e(int x); event f(int x);
-    handle e(int x) { printf(x); generate f(x + 1); forward(3); }
-    """
+    """What the handler produced compares equal whoever ran it; the pisa
+    engine's pass counts are on its pipeline, not on the result."""
     results = {}
     for name in ENGINE_NAMES:
-        _, switch = single_switch_network(source, engine=name)
+        _, switch = single_switch_network(ONE_EVENT, engine=name)
         results[name] = switch.engine.run(EventInstance("e", (5,)))
-    assert results["pisa"].stages_traversed > 0
+        if name == "pisa":
+            assert switch.engine.pipeline_stats()["stages_traversed"] > 0
     for left in ENGINE_NAMES:
         for right in ENGINE_NAMES:
             assert results[left] == results[right], (left, right)
@@ -116,10 +119,19 @@ def test_one_event_yields_equal_results_on_every_engine():
     results["reference"].prints.append("more")
     assert results["pisa"] != results["reference"]
     assert results["reference"] != results["pisa"]
-    # built by position, the subclass takes the base's field order
-    flooded = PipelinePassResult([], [], False, None, True)
-    assert flooded == ExecutionResult([], [], False, None, True)
-    assert (flooded.forwarded_port, flooded.flooded) == (None, True)
+    # shared empty tuples compare equal to fresh lists
+    assert ExecutionResult((), (), False, None, True) == ExecutionResult([], [], False, None, True)
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_every_engine_returns_a_plain_execution_result(name):
+    """One dispatch shape: a handled event and an event with no handler both
+    come back as an ``ExecutionResult`` itself, on every engine."""
+    _, switch = single_switch_network(ONE_EVENT, engine=name)
+    handled = switch.engine.run(EventInstance("e", (5,)))
+    unhandled = switch.engine.run(EventInstance("f", (6,)))
+    assert type(handled) is type(unhandled) is ExecutionResult
+    assert unhandled == ExecutionResult()
 
 
 def test_pisa_layout_is_compiled_once_per_checked_program():
@@ -215,6 +227,29 @@ def test_heterogeneous_network_reset_clears_engine_accounting():
     assert network_array_digest(network) == digest_before
 
 
+def test_reset_detaches_the_stage_profiler():
+    """Like the tracer and the handler profiler: a stage profiler attached
+    for one run times none of the next."""
+    from repro.obs.profile import HandlerProfiler, StageProfiler
+
+    network, switch = single_switch_network(RELAY, engine="pisa")
+    pipeline = switch.engine.pipeline
+    stage_prof = pipeline.stage_prof = StageProfiler(pipeline.layout.num_stages())
+    network.profiler = HandlerProfiler()
+    for i in range(5):
+        network.inject(0, EventInstance("pkt", (i, 0)))
+    network.run()
+    rows = stage_prof.rows()
+    assert rows[0]["events"] == network.profiler.total_calls == 5
+    network.reset()
+    network.profiler = profiler = HandlerProfiler()
+    network.inject(0, EventInstance("pkt", (0, 0)))
+    network.run()
+    assert profiler.total_calls == 1
+    assert pipeline.stage_prof is None
+    assert stage_prof.rows() == rows
+
+
 # ---------------------------------------------------------------------------
 # the recirculation queue: overflow drops and depth accounting
 # ---------------------------------------------------------------------------
@@ -240,6 +275,25 @@ def test_pisa_recirc_queue_overflow_counts_recirc_drops():
     assert network.total_stats().recirc_drops == 3
     assert switch.stats.peak_queue_depth == 2
     assert network.stats()[0]["pipeline"]["peak_queue_depth"] == 2
+    assert network.stats()[0]["pipeline"]["recirc_drops"] == 3
+
+
+def test_pipeline_totals_count_only_pipeline_switches_drops():
+    """A mixed network's pipeline totals aggregate the pisa switches alone —
+    the drops of a codegen switch's queue are not the pipeline's."""
+    network = Network(config=SchedulerConfig(recirc_queue_capacity=1))
+    codegen = network.add_switch(0, BURST, engine="codegen")
+    pisa = network.add_switch(1, BURST, engine="pisa")
+    network.inject(0, EventInstance("burst", ()))
+    network.inject(1, EventInstance("sub", ()))
+    network.run()
+    assert codegen.stats.recirc_drops > 0 == pisa.stats.recirc_drops
+    stats = network.stats()
+    assert stats[1]["pipeline"]["recirc_drops"] == 0
+    totals = _aggregate_pipeline_totals(stats)
+    assert totals["switches"] == 1
+    assert totals["recirc_drops"] == 0
+    assert totals["events"] == pisa.stats.events_handled == 1
 
 
 def test_bounded_recirc_queue_drops_alike_on_every_engine():

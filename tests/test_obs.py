@@ -272,17 +272,17 @@ def test_metrics_follow_the_ledger_through_reset_and_restore(global_metrics):
 
 def test_the_dispatch_path_holds_no_metric_site():
     """What an event runs through — the scheduler's loop and generate
-    scheduling, and each engine's run — names no obs state: metrics are
-    collected from the ledger, so obs costs nothing per event, enabled or
-    not.  (``Network.run`` enrols its network once, before the loop.)"""
+    scheduling, each engine's run (the tree walker, or the one dispatcher of
+    both compiled engines and the handlers it calls, the stage plan's ending
+    in its counter epilogue) — names no obs state: metrics are collected
+    from the ledger, so obs costs nothing per event, enabled or not.
+    (``Network.run`` enrols its network once, before the loop.)"""
     import ast
     import inspect
     import textwrap
 
-    from repro.interp.codegen import CodegenSwitchRuntime
-    from repro.interp.engine import PisaEngine
+    from repro.interp.emit import dispatcher
     from repro.interp.interpreter import HandlerInterpreter
-    from repro.pisa.pipeline import PisaPipeline
 
     def names(node):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
@@ -292,10 +292,16 @@ def test_the_dispatch_path_holds_no_metric_site():
     (loop,) = [n for n in ast.walk(run) if isinstance(n, ast.While)]
     assert not names(loop) & obs_names
     assert names(run) & obs_names == {"_OBS", "_Metrics"}
-    for fn in (Network._schedule_generated, Network._hoist, CodegenSwitchRuntime._make_run,
-               PisaEngine.run, PisaPipeline.process, HandlerInterpreter.run):
+    for fn in (Network._schedule_generated, Network._hoist, dispatcher,
+               HandlerInterpreter.run):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not names(tree) & obs_names, fn.__qualname__
+    pisa, codegen = (_relay_network(name).switches[0].engine for name in ("pisa", "codegen"))
+    for engine in (pisa, codegen):
+        assert engine.run.__code__ is dispatcher({}).__code__, engine.name
+    assert "_P.stages_traversed += _st" in pisa.pipeline.plan.source
+    for module in (pisa.pipeline.plan, codegen.module):
+        assert not names(ast.parse(module.source)) & obs_names
 
 
 @pytest.mark.parametrize("engine, prefix", [

@@ -228,7 +228,7 @@ def test_pipeline_executor_matches_interpreter(proto):
     network, switch = single_switch_network(compiled.checked)
     packets = [(3, proto), (5, proto), (3, proto)]
     for dst, pr in packets:
-        pipeline.process(EventInstance("count_pkt", (dst, pr)))
+        pipeline.run(EventInstance("count_pkt", (dst, pr)))
         network.inject(0, EventInstance("count_pkt", (dst, pr)))
     network.run()
     for array in ("nexthops", "pcts", "hcts"):
@@ -238,9 +238,11 @@ def test_pipeline_executor_matches_interpreter(proto):
 def test_pipeline_executor_reports_stages_traversed():
     compiled = compile_program(EQUIV_PROGRAM, name="equiv")
     pipeline = PisaPipeline(compiled)
-    result = pipeline.process(EventInstance("count_pkt", (1, 6)))
-    assert 1 <= result.stages_traversed <= compiled.stages()
-    assert result.tables_executed >= 2
+    pipeline.run(EventInstance("count_pkt", (1, 6)))
+    counters = pipeline.counters()
+    assert 1 <= counters["stages_traversed"] <= compiled.stages()
+    assert counters["max_stages_traversed"] == counters["stages_traversed"]
+    assert counters["tables_executed"] >= 2
 
 
 def test_pipeline_executor_generates_events_from_layout():
@@ -251,7 +253,7 @@ def test_pipeline_executor_generates_events_from_layout():
     """
     compiled = compile_program(source, name="gen")
     pipeline = PisaPipeline(compiled)
-    result = pipeline.process(EventInstance("a", (4,)))
+    result = pipeline.run(EventInstance("a", (4,)))
     assert [e.name for e in result.generated] == ["b"]
     assert result.generated[0].args == (5,)
 

@@ -27,10 +27,10 @@ from repro.errors import InterpError
 from repro.frontend import ast, check_program
 from repro.frontend.source import dummy_span
 from repro.fuzz.case import load_case
-from repro.interp.codegen import CodegenSwitchRuntime, dump_program_source
-from repro.interp.engine import ENGINE_NAMES
+from repro.interp.codegen import dump_program_source
+from repro.interp.engine import CodegenEngine, ENGINE_NAMES
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import SwitchRuntime, memop_shape, memop_template
+from repro.interp.interpreter import ExecutionResult, SwitchRuntime, memop_shape, memop_template
 from repro.interp.network import Network
 from repro.midend.normalize import NOp, Var
 from repro.obs.profile import StageProfiler
@@ -42,7 +42,7 @@ from repro.ops import (
     hash_template,
     lucid_hash,
 )
-from repro.pisa.pipeline import PipelinePassResult, PisaPipeline
+from repro.pisa.pipeline import PisaPipeline
 from repro.scenarios import registry
 from repro.scenarios.runner import network_array_digest, prepare_run, settle_horizon
 
@@ -186,6 +186,35 @@ def test_regression_passes_match_golden(case):
     assert pass_summary_for_case(path) == GOLDEN["regressions"][case]
 
 
+def test_pisa_counters_are_the_sums_of_the_passes():
+    """A pisa switch's counters are the sums (the peak: the maximum) of its
+    passes' counts, each pass's read off the stage profiler, which the plan
+    feeds stage by stage, apart from the epilogue that adds up the counters."""
+    setup = registry.get("sfw-install-latency").build(1000, 1)
+    network, source = prepare_run(setup, "pisa", profile=True)
+    passes = {}
+    for sid, switch in network.switches.items():
+        def profiled(event, run=switch.engine.run, rows=switch.engine.pipeline.stage_prof.rows,
+                     out=passes.setdefault(sid, [])):
+            before = rows()
+            result = run(event)
+            out.append([sum(after[key] - row[key] for row, after in zip(before, rows()))
+                        for key in ("events", "tables_executed")])
+            return result
+
+        switch.engine.run = profiled
+    network.run(source=list(source))
+    network.run(until_ns=settle_horizon(setup, network, source))
+    for sid, switch in network.switches.items():
+        stages = [count for count, _ in passes[sid]]
+        assert len(stages) == switch.stats.events_handled > 0
+        assert switch.engine.pipeline.counters() == {
+            "stages_traversed": sum(stages),
+            "max_stages_traversed": max(stages),
+            "tables_executed": sum(tables for _, tables in passes[sid]),
+        }
+
+
 # ---------------------------------------------------------------------------
 # (d) the metadata model, and what is looked up per pass rather than bound
 # ---------------------------------------------------------------------------
@@ -231,7 +260,7 @@ def test_metadata_defaults_const_then_written_then_zero():
     ops["w"].stmt.rhs = Var("ghost")                   # w = x + ghost  (never written)
     ops["w"].reads = {"x", "ghost"}
     pipeline = PisaPipeline(compiled)
-    pipeline.process(EventInstance("e", (1,)))
+    pipeline.run(EventInstance("e", (1,)))
     assert pipeline.array("a").snapshot()[0] == 1 + 5
     assert pipeline.array("b").snapshot()[0] == (1 + 5) + 2 + 3
     assert pipeline.array("c").snapshot()[0] == 1 + 0
@@ -247,39 +276,49 @@ handle e(int v) { int x = probe(v); Array.set(seen, 0, v); }
 
 def test_extern_and_stage_profiler_attached_after_the_first_event():
     pipeline = PisaPipeline(compile_program(EXTERN, name="extern"))
-    first = pipeline.process(EventInstance("e", (7,)))       # unbound: inert
+    pipeline.run(EventInstance("e", (7,)))                   # unbound: inert
+    first = pipeline.counters()
     calls = []
     pipeline.runtime.bind_extern("probe", lambda v: calls.append(v) or 0)
     pipeline.stage_prof = StageProfiler(len(pipeline.layout.stages))
-    second = pipeline.process(EventInstance("e", (8,)))
+    pipeline.run(EventInstance("e", (8,)))
+    second = {name: count - first[name] for name, count in pipeline.counters().items()}
     assert calls == [8]
-    assert first.tables_executed == second.tables_executed > 0
+    assert first["tables_executed"] == second["tables_executed"] > 0
     rows = pipeline.stage_prof.rows()
-    assert sum(row["events"] for row in rows) == second.stages_traversed
-    assert sum(row["tables_executed"] for row in rows) == second.tables_executed
+    assert sum(row["events"] for row in rows) == second["stages_traversed"]
+    assert sum(row["tables_executed"] for row in rows) == second["tables_executed"]
 
 
 def test_process_stamps_the_clock():
+    """A pass reads the runtime clock wherever its owner set it."""
     source = """
     global at = new Array<<32>>(2);
     event e(int i);
     handle e(int i) { int now = Sys.time(); Array.set(at, i, now); }
     """
     pipeline = PisaPipeline(compile_program(source, name="clock"))
-    pipeline.process(EventInstance("e", (0,)), time_ns=1234)
-    pipeline.process(EventInstance("e", (1,)))               # keeps the clock
+    pipeline.runtime.time_ns = 1234
+    pipeline.run(EventInstance("e", (0,)))
+    pipeline.run(EventInstance("e", (1,)))                   # keeps the clock
     assert pipeline.runtime.time_ns == 1234
     assert pipeline.array("at").snapshot() == [1234, 1234]
 
 
 def test_pass_result_fields_and_unhandled_events():
+    """A pass returns a plain ExecutionResult; its counts go to the pipeline,
+    and an event with no handler counts nothing."""
     pipeline = PisaPipeline(compile_program(SHARED, name="shared"))
-    result = pipeline.process(EventInstance("nobody_handles_this", (1, 2)))
-    assert isinstance(result, PipelinePassResult)
-    assert (result.generated, result.prints, result.dropped, result.flooded,
-            result.forwarded_port, result.stages_traversed,
-            result.tables_executed) == ([], [], False, False, None, 0, 0)
+    result = pipeline.run(EventInstance("nobody_handles_this", (1, 2)))
+    assert type(result) is ExecutionResult
+    assert (list(result.generated), list(result.prints), result.dropped, result.flooded,
+            result.forwarded_port) == ([], [], False, False, None)
     assert not hasattr(result, "__dict__")
+    assert pipeline.counters() == {
+        "stages_traversed": 0, "max_stages_traversed": 0, "tables_executed": 0}
+    pipeline.run(EventInstance("pkt", (1,)))
+    assert pipeline.counters() == {
+        "stages_traversed": 1, "max_stages_traversed": 1, "tables_executed": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +485,7 @@ def test_malformed_memop_fails_at_plan_lowering_like_memop_fn(mutate, message):
     assert closure.value.message == message
     # codegen prints the memop into its module: it fails when the switch is built
     with pytest.raises(InterpError) as printing:
-        CodegenSwitchRuntime(runtime)
+        CodegenEngine(runtime)
     assert printing.value.message == message
 
 

@@ -125,6 +125,13 @@ class _Metrics:
 REGISTRY.add_collector(_Metrics.collect, _Metrics.networks.clear)
 
 
+def watch_metrics(network: "Network") -> None:
+    """Have the global registry read ``network``'s ledger from now on (until
+    ``REGISTRY.reset()``), whether or not obs is enabled — how serve mode's
+    SIGUSR1 dump shows the network it drives."""
+    _Metrics.watch(network)
+
+
 @dataclass
 class SchedulerConfig:
     """Timing constants of the event scheduler and the simulated hardware."""

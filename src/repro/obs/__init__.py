@@ -24,7 +24,7 @@ Metric naming convention
 
 * ``<subsystem>`` is the owning module family: ``network`` (the event
   scheduler), ``engine`` (per-engine dispatch), ``pisa`` (pipeline, delay
-  queue, recirculation port), ``telemetry`` (service-mode sampling gauges).
+  queue, recirculation port).
 * counters end in ``_total`` and only ever increase; gauges carry no
   suffix; histograms carry the unit (``_seconds``, ``_ns``) and expose
   ``_bucket``/``_sum``/``_count`` samples.

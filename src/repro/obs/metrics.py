@@ -15,9 +15,9 @@ An instrument is fed in one of two ways:
   :mod:`repro.interp.network`), so the dispatch path holds no metric site at
   all and the exposition cannot disagree with ``Network.stats()``.
 
-A registry constructed with ``enabled=True`` owns a private, always-on state
-object — the telemetry emitter uses one so service-mode sampling works even
-while the global registry stays dark.
+:data:`REGISTRY` is the one registry the package builds: ``run --metrics``
+prints it, and so does a serve process on SIGUSR1 (collected values are
+written whether or not the registry is enabled).
 
 Values survive ``enable()``/``disable()`` flips; :meth:`MetricsRegistry.reset`
 zeroes values in place without invalidating instrument references held by
@@ -168,9 +168,6 @@ class Counter(_Instrument):
         if self._state.enabled:
             self._value += amount
 
-    # alias: reads better at call sites accumulating batch quantities
-    add = inc
-
     def load(self, value) -> None:
         """Overwrite the value with one read from elsewhere — a collector's
         write, recorded whether or not the registry is enabled."""
@@ -204,18 +201,6 @@ class Gauge(_Instrument):
 
     def set(self, value) -> None:
         if self._state.enabled:
-            self._value = value
-
-    def inc(self, amount=1) -> None:
-        if self._state.enabled:
-            self._value += amount
-
-    def dec(self, amount=1) -> None:
-        if self._state.enabled:
-            self._value -= amount
-
-    def set_max(self, value) -> None:
-        if self._state.enabled and value > self._value:
             self._value = value
 
     def load(self, value) -> None:
@@ -304,12 +289,7 @@ class MetricsRegistry:
     or label set is a programming error and raises.
     """
 
-    def __init__(self, enabled: Optional[bool] = None,
-                 state: Optional[ObsState] = None) -> None:
-        if state is None:
-            state = ObsState(bool(enabled))
-        elif enabled is not None:
-            state.enabled = enabled
+    def __init__(self, state: ObsState) -> None:
         self.state = state
         self._instruments: Dict[str, _Instrument] = {}
         self._collectors: List[Tuple[Callable[[], None], Callable[[], None]]] = []
@@ -415,7 +395,7 @@ def parse_text_exposition(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ..
 
     Returns ``{sample_name: {((label, value), ...): number}}`` where the
     sample name includes histogram suffixes (``_bucket``/``_sum``/``_count``).
-    Used by tests to round-trip exposition through the telemetry emitter.
+    Used by tests to read an exposition back into numbers.
     """
     out: Dict[str, Dict[Tuple[Tuple[str, str], ...], float]] = {}
     for line in text.splitlines():
@@ -466,7 +446,7 @@ def _split_labels(blob: str) -> Iterable[str]:
 
 #: process-global registry wired to :data:`OBS`; instruments declared at
 #: module import time all hang off this object
-REGISTRY = MetricsRegistry(state=OBS)
+REGISTRY = MetricsRegistry(OBS)
 
 
 def enable() -> None:

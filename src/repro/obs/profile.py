@@ -9,9 +9,9 @@ engine spent executing it, and the simulated nanoseconds the event occupies
 :class:`~repro.pisa.pipeline.PisaPipeline` (``pipeline.stage_prof``) and
 times each physical stage's table walk.
 
-Both are pull-based: nothing is printed until :meth:`format_report` /
-:meth:`top` is asked for, so benchmarks can embed the numbers in their JSON
-reports and the CLI can print a top-N table.
+Both are pull-based: nothing is printed until :meth:`HandlerProfiler.top`
+is asked for, so benchmarks can embed the numbers in their JSON reports and
+the CLI can print a top-N table.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ class HandlerProfiler:
             })
         return rows
 
-    def format_report(self, n: int = 10) -> str:
-        rows = self.top(n)
-        if not rows:
-            return "(no handler samples)"
-        headers = ["handler", "calls", "wall_s", "wall_share", "us_per_call", "sim_ns"]
-        cells = [[str(row[h]) for h in headers] for row in rows]
-        widths = [
-            max(len(h), *(len(row[i]) for row in cells))
-            for i, h in enumerate(headers)
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        for row in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
 
 
 class StageProfiler:

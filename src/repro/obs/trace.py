@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["Span", "Tracer", "validate_chrome_trace"]
 
@@ -83,28 +83,6 @@ class Tracer:
             delay_ns=event.delay_ns,
         ))
         return span_id
-
-    # -- tree views -------------------------------------------------------
-    def span_tree(self) -> List[dict]:
-        """Nested {span, children} dicts, roots first, in dispatch order."""
-        nodes: Dict[int, dict] = {}
-        roots: List[dict] = []
-        for span in self.spans:
-            node = {
-                "id": _hex_id(span.span_id),
-                "name": span.name,
-                "switch": span.switch,
-                "ts_ns": span.ts_ns,
-                "hop": span.hop,
-                "children": [],
-            }
-            nodes[span.span_id] = node
-            parent = nodes.get(span.parent_id) if span.parent_id is not None else None
-            if parent is None:
-                roots.append(node)
-            else:
-                parent["children"].append(node)
-        return roots
 
     # -- chrome export ----------------------------------------------------
     def chrome_trace(self) -> dict:

@@ -82,10 +82,6 @@ class DelayMechanismResult:
             return 0.0
         return self.recirculated_bytes * 8 / (self.duration_ns * 1e-9) / 1e9
 
-    def max_abs_error_ns(self) -> int:
-        errors = [abs(e.delay_error_ns) for e in self.events if e.delay_error_ns is not None]
-        return max(errors) if errors else 0
-
     def mean_relative_error(self) -> float:
         errors = [e.relative_error for e in self.events if e.relative_error is not None]
         return sum(errors) / len(errors) if errors else 0.0

@@ -13,7 +13,6 @@
                                   [--seed S] [--engine E]
                                   [--checkpoint-dir DIR] [--checkpoint-every N]
                                   [--telemetry PATH] [--telemetry-every N]
-                                  [--telemetry-flush-every N]
                                   [--chunk N] [--keep N] [--max-events N]
                                   [--fresh]
     python -m repro.scenarios soak [<name> ...] [--events N] [--seed S]
@@ -43,8 +42,9 @@ with ``--trace``/``--profile`` or ``--all-engines``.
 ``serve`` runs the scenario as a long-lived process: traffic streams in
 bounded chunks, JSON-lines telemetry goes to ``--telemetry`` (stderr by
 default), rolling checkpoints land in ``--checkpoint-dir``, SIGTERM/SIGINT
-stop cleanly after writing a checkpoint, and a restarted serve resumes from
-the newest checkpoint (``--fresh`` ignores it).  Exit code: 0 when stopped
+stop cleanly after writing a checkpoint, SIGUSR1 prints the same metrics
+exposition ``--metrics`` prints to stderr, and a restarted serve resumes
+from the newest checkpoint (``--fresh`` ignores it).  Exit code: 0 when stopped
 mid-stream or finished with all invariants holding, 1 on violations.
 
 ``soak`` is the checkpoint/restore determinism gate: for each named
@@ -60,6 +60,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.errors import SimulationError
 from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.scenarios.registry import SCENARIOS, get
 from repro.scenarios.runner import (
@@ -158,25 +159,25 @@ def _serve(args) -> int:
     except KeyError as exc:
         print(exc.args[0])
         return 2
-    telemetry_stream = None
+    try:
+        config = ServiceConfig(
+            engine=args.engine,
+            seed=args.seed,
+            events=UNBOUNDED_EVENTS if args.unbounded else args.events,
+            checkpoint_dir=args.checkpoint_dir or None,
+            checkpoint_every=args.checkpoint_every,
+            keep_checkpoints=args.keep,
+            telemetry_every=args.telemetry_every,
+            chunk_events=args.chunk,
+            max_events=args.max_events,
+            resume=not args.fresh,
+        )
+    except SimulationError as exc:
+        print(exc)
+        return 2
     telemetry_file = None
     if args.telemetry and args.telemetry != "-":
-        telemetry_file = open(args.telemetry, "a")
-        telemetry_stream = telemetry_file
-    config = ServiceConfig(
-        engine=args.engine,
-        seed=args.seed,
-        events=UNBOUNDED_EVENTS if args.unbounded else args.events,
-        checkpoint_dir=args.checkpoint_dir or None,
-        checkpoint_every=args.checkpoint_every,
-        keep_checkpoints=args.keep,
-        telemetry_every=args.telemetry_every,
-        telemetry_flush_every=args.telemetry_flush_every,
-        chunk_events=args.chunk,
-        max_events=args.max_events,
-        resume=not args.fresh,
-        telemetry_stream=telemetry_stream,
-    )
+        telemetry_file = config.telemetry_stream = open(args.telemetry, "a")
     service = ScenarioService(scenario, config)
     service.install_signal_handlers()
     try:
@@ -309,9 +310,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_parser.add_argument("--telemetry-every", type=int, default=25_000,
                               help="handled events between telemetry records "
                               "(default 25000)")
-    serve_parser.add_argument("--telemetry-flush-every", type=int, default=1,
-                              help="telemetry records buffered before a "
-                              "stream flush (default 1: flush each record)")
     serve_parser.add_argument("--chunk", type=int, default=5_000,
                               help="handled events per scheduler chunk — the "
                               "signal/checkpoint granularity (default 5000)")

@@ -133,39 +133,6 @@ class ScenarioResult:
             **({"profile": self.profile} if self.profile else {}),
         }
 
-    @classmethod
-    def from_dict(cls, state: Dict[str, object]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output (worker→coordinator
-        transport, JSON archives).  ``switch_stats`` and the attached tracer
-        are not part of the dict form and come back empty/None; the float
-        fields carry the dict's rounding."""
-        return cls(
-            scenario=state["scenario"],
-            engine=state["engine"],
-            seed=state["seed"],
-            events_injected=state["events_injected"],
-            events_handled=state["events_handled"],
-            sim_ns=state["sim_ns"],
-            wall_s=state["wall_s"],
-            setup_s=state.get("setup_s", 0.0),
-            traffic_s=state.get("traffic_s", 0.0),
-            events_per_sec=state["events_per_sec"],
-            invariants=[
-                InvariantReport(
-                    name=r["name"],
-                    ok=r["ok"],
-                    violations=r["violations"],
-                    messages=list(r["messages"]),
-                )
-                for r in state["invariants"]
-            ],
-            switch_stats={},
-            array_digest=state["array_digest"],
-            details=dict(state.get("details") or {}),
-            pipeline_totals=dict(state.get("pipeline") or {}),
-            profile=dict(state.get("profile") or {}),
-        )
-
 
 def network_array_digest(network: Network) -> str:
     """CRC32 over every switch's final array cells, switch/array-name
@@ -182,15 +149,18 @@ def network_array_digest(network: Network) -> str:
 
 def _aggregate_pipeline_totals(switch_stats: Dict[int, Dict[str, object]]) -> Dict[str, object]:
     """Sum the per-switch ``"pipeline"`` dicts of :meth:`Network.stats` into
-    a network-wide summary (max for depth/stage peaks).  Heterogeneous
-    networks aggregate only the switches whose engines model a pipeline."""
+    a network-wide summary (max for depth/stage peaks, and for
+    ``recirc_utilisation``: each switch has its own recirculation port, so
+    the total is the busiest port's).  Heterogeneous networks aggregate only
+    the switches whose engines model a pipeline."""
     pipelines = [entry["pipeline"] for entry in switch_stats.values() if "pipeline" in entry]
     totals: Dict[str, object] = {}
     for stats in pipelines:
         for key, value in stats.items():
             if not isinstance(value, (int, float)):
                 continue
-            if key in ("max_stages_traversed", "peak_queue_depth", "stages"):
+            if key in ("max_stages_traversed", "peak_queue_depth", "stages",
+                       "recirc_utilisation"):
                 totals[key] = max(totals.get(key, 0), value)
             else:
                 totals[key] = totals.get(key, 0) + value

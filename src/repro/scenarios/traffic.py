@@ -439,57 +439,3 @@ class NatChurnTraffic:
             else:
                 src, dst = active[rng.randrange(len(active))]
                 yield (t, switch, EventInstance("pkt_internal", (src, dst)))
-
-
-@dataclass
-class DiurnalRampTraffic:
-    """A diurnal load ramp wrapped around another model: time is warped so
-    the instantaneous event rate follows ``1 + depth*sin(...)`` over
-    ``period_ns`` — mornings quiet, evenings busy.  The wrapped model's
-    event *sequence* is unchanged; only arrival times stretch, so invariants
-    that depend on ordering are unaffected."""
-
-    inner: object = None
-    period_ns: int = 50_000_000
-    depth: float = 0.8
-
-    def events(
-        self, edge: Sequence[int], count: int, seed: int
-    ) -> Iterator[SourceItem]:
-        import math
-
-        if self.inner is None:
-            raise ValueError("DiurnalRampTraffic needs an inner traffic model")
-        if not 0.0 <= self.depth <= 1.0:
-            # depth > 1 would make the time warp non-monotone, violating the
-            # non-decreasing-time contract of streaming sources
-            raise ValueError("DiurnalRampTraffic depth must be in [0, 1]")
-        two_pi = 2.0 * math.pi
-        for time_ns, switch, event in self.inner.events(edge, count, seed):
-            phase = (time_ns % self.period_ns) / self.period_ns
-            # rate(t) = 1 + depth*sin(2*pi*t): integrate to warp timestamps
-            warped = time_ns + self.depth * (self.period_ns / two_pi) * (
-                1.0 - math.cos(two_pi * phase)
-            )
-            yield (int(warped), switch, event)
-
-
-@dataclass
-class EventMixTraffic:
-    """Round-robin over explicit event templates — the escape hatch for
-    custom scenarios: each template is ``(event_name, argument_ranges)`` and
-    arguments are drawn uniformly from their range."""
-
-    templates: Sequence[Tuple[str, Sequence[int]]] = ()
-    mean_gap_ns: int = 1_000
-
-    def events(
-        self, edge: Sequence[int], count: int, seed: int
-    ) -> Iterator[SourceItem]:
-        rng = random.Random(seed)
-        now = 0.0
-        for i in range(count):
-            now += rng.expovariate(1.0 / self.mean_gap_ns)
-            name, ranges = self.templates[i % len(self.templates)]
-            args = tuple(rng.randrange(r) for r in ranges)
-            yield (int(now), edge[i % len(edge)], EventInstance(name, args))

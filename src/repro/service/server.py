@@ -8,6 +8,9 @@ the batch runner, then drains it in bounded chunks instead of one call:
   (:mod:`repro.service.checkpoint`);
 * SIGTERM/SIGINT request a stop; the loop finishes its current chunk,
   writes a final checkpoint, and exits cleanly;
+* SIGUSR1 asks for the global registry's Prometheus text on stderr after
+  the current chunk — the same ``repro_network_*`` / ``repro_engine_*``
+  exposition ``run --metrics`` prints, read from this network's ledger;
 * on start-up, ``--resume`` (the default) loads the newest checkpoint in
   the checkpoint directory and continues from it.
 
@@ -39,7 +42,8 @@ from typing import Dict, List, Optional, TextIO
 
 from repro.errors import SimulationError
 from repro.interp.engine import DEFAULT_ENGINE
-from repro.interp.network import Network
+from repro.interp.network import Network, watch_metrics
+from repro.obs.metrics import REGISTRY
 from repro.scenarios.invariants import (
     capture_invariant_states,
     evaluate,
@@ -84,7 +88,7 @@ class ServiceConfig:
     #: handled events between telemetry records (also the streaming-invariant
     #: evaluation cadence)
     telemetry_every: int = 25_000
-    #: handled events per ``Network.run`` call — the stop-signal and
+    #: handled events per ``Network.run`` call (>= 1) — the stop-signal and
     #: checkpoint granularity
     chunk_events: int = 5_000
     #: stop the service after this many handled events (``None`` = only the
@@ -94,10 +98,12 @@ class ServiceConfig:
     resume: bool = True
     #: telemetry sink (defaults to stderr so stdout stays machine-readable)
     telemetry_stream: Optional[TextIO] = None
-    #: telemetry records buffered between stream flushes (1 = every record);
-    #: the stop path flushes explicitly before the final checkpoint, so a
-    #: larger window never loses records on SIGTERM
-    telemetry_flush_every: int = 1
+
+    def __post_init__(self) -> None:
+        # a chunk of 0 events never advances the stream: the loop would spin
+        if self.chunk_events < 1:
+            raise SimulationError(
+                f"ServiceConfig.chunk_events must be >= 1, got {self.chunk_events}")
 
 
 @dataclass
@@ -188,8 +194,9 @@ class ScenarioService:
         self.stop_requested = True
 
     def request_metrics_dump(self, signum=None, frame=None) -> None:
-        """Ask the serve loop to dump its metrics registry (Prometheus text
-        exposition) to stderr after the current chunk (signal-safe)."""
+        """Ask the serve loop to print the global metrics registry
+        (Prometheus text exposition, read from its network's ledger) to
+        stderr after the current chunk (signal-safe)."""
         self.metrics_dump_requested = True
 
     def install_signal_handlers(self) -> None:
@@ -213,7 +220,6 @@ class ScenarioService:
             self.scenario.name,
             cfg.engine,
             cfg.seed,
-            flush_every=cfg.telemetry_flush_every,
         )
 
         handled = 0
@@ -235,47 +241,42 @@ class ScenarioService:
         since_telemetry = 0
         checkpoint_path: Optional[str] = None
         stopped = False
-        try:
-            while True:
-                if self.metrics_dump_requested:
-                    self.metrics_dump_requested = False
-                    sys.stderr.write(telemetry.render_text())
-                    sys.stderr.flush()
-                if self.stop_requested:
-                    stopped = True
-                    break
-                if cfg.max_events is not None and handled >= cfg.max_events:
-                    stopped = True
-                    break
-                # peek before every chunk: a run() call on an already-exhausted
-                # source would degenerate to a full drain, which never returns
-                # for self-perpetuating control loops
-                if source.peek() is None:
-                    break
-                chunk = cfg.chunk_events
-                if cfg.max_events is not None:
-                    chunk = min(chunk, cfg.max_events - handled)
-                n = network.run(source=source, max_events=chunk)
-                handled += n
-                since_checkpoint += n
-                since_telemetry += n
-                if since_telemetry >= cfg.telemetry_every:
-                    since_telemetry = 0
-                    reports = evaluate(setup.invariants, network, streaming_only=True)
-                    telemetry.emit(network, handled, source.injected,
-                                   phase="run", invariants=reports)
-                if store is not None and since_checkpoint >= cfg.checkpoint_every:
-                    since_checkpoint = 0
-                    checkpoint_path = str(store.save(_checkpoint_payload(
-                        self.scenario.name, cfg, setup, network, source, handled)))
-                    telemetry.emit(network, handled, source.injected,
-                                   phase="checkpoint",
-                                   extra={"checkpoint": checkpoint_path})
-        finally:
-            # buffered records must reach the sink before the final checkpoint
-            # below (and even if a chunk raised): a stop must not lose the
-            # partial flush window
-            telemetry.flush()
+        while True:
+            if self.metrics_dump_requested:
+                self.metrics_dump_requested = False
+                watch_metrics(network)
+                sys.stderr.write(REGISTRY.render_text())
+                sys.stderr.flush()
+            if self.stop_requested:
+                stopped = True
+                break
+            if cfg.max_events is not None and handled >= cfg.max_events:
+                stopped = True
+                break
+            # peek before every chunk: a run() call on an already-exhausted
+            # source would degenerate to a full drain, which never returns
+            # for self-perpetuating control loops
+            if source.peek() is None:
+                break
+            chunk = cfg.chunk_events
+            if cfg.max_events is not None:
+                chunk = min(chunk, cfg.max_events - handled)
+            n = network.run(source=source, max_events=chunk)
+            handled += n
+            since_checkpoint += n
+            since_telemetry += n
+            if since_telemetry >= cfg.telemetry_every:
+                since_telemetry = 0
+                reports = evaluate(setup.invariants, network, streaming_only=True)
+                telemetry.emit(network, handled, source.injected,
+                               phase="run", invariants=reports)
+            if store is not None and since_checkpoint >= cfg.checkpoint_every:
+                since_checkpoint = 0
+                checkpoint_path = str(store.save(_checkpoint_payload(
+                    self.scenario.name, cfg, setup, network, source, handled)))
+                telemetry.emit(network, handled, source.injected,
+                               phase="checkpoint",
+                               extra={"checkpoint": checkpoint_path})
 
         if stopped:
             # interrupted mid-stream: persist a resumable checkpoint and
@@ -286,7 +287,6 @@ class ScenarioService:
             telemetry.emit(network, handled, source.injected, phase="checkpoint",
                            extra={"stopped": True,
                                   "checkpoint": checkpoint_path})
-            telemetry.flush()
             return ServiceOutcome(
                 handled=handled,
                 injected=source.injected,
@@ -310,7 +310,6 @@ class ScenarioService:
                        invariants=result.invariants,
                        extra={"ok": result.ok,
                               "array_digest": result.array_digest})
-        telemetry.flush()
         return ServiceOutcome(
             handled=handled,
             injected=source.injected,

@@ -421,6 +421,16 @@ def test_recirculation_port_accounts_streaming_run():
     assert 0.0 < totals["recirc_utilisation"] <= 1.0
 
 
+def test_recirc_utilisation_total_is_the_busiest_port():
+    """Each switch has its own recirculation port: a multi-switch run's
+    total utilisation is the busiest port's, not the sum of the ports'."""
+    result = run_scenario(SCENARIOS["sro-replicated-writes"], 3000, 1, engine="pisa")
+    ports = [s["pipeline"]["recirc_utilisation"] for s in result.switch_stats.values()]
+    assert len(ports) > 1 and sum(ports) > max(ports) > 0
+    assert result.pipeline_totals["recirc_utilisation"] == max(ports)
+    assert result.pipeline_totals["switches"] == len(ports)
+
+
 def test_scenario_cli_all_engines(capsys):
     from repro.scenarios.__main__ import main
 

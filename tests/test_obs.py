@@ -19,6 +19,7 @@ import pytest
 
 from repro.frontend import check_program
 from repro.interp import EventInstance, Network
+from repro.interp.network import watch_metrics
 from repro.interp.engine import ENGINE_NAMES
 from repro.obs import (
     REGISTRY,
@@ -31,7 +32,7 @@ from repro.obs import (
     parse_text_exposition,
     validate_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, ObsState
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.__main__ import main as cli_main
 from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter
@@ -88,18 +89,17 @@ def global_metrics():
 # metrics registry
 # ---------------------------------------------------------------------------
 def test_counter_gauge_histogram_basics():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry(ObsState(True))
     c = reg.counter("c_total", "a counter")
     c.inc()
-    c.add(4)
+    c.inc(4)
     assert c.value == 5
     g = reg.gauge("g", "a gauge")
     g.set(10)
-    g.inc(2)
-    g.dec()
-    g.set_max(5)   # below current value: no-op
-    g.set_max(99)
+    g.set(99)
     assert g.value == 99
+    g.load(3)   # a collector's write
+    assert g.value == 3
     h = reg.histogram("h_seconds", "a histogram", buckets=(0.1, 1.0))
     for v in (0.05, 0.5, 5.0):
         h.observe(v)
@@ -107,7 +107,7 @@ def test_counter_gauge_histogram_basics():
 
 
 def test_disabled_registry_records_nothing():
-    reg = MetricsRegistry(enabled=False)
+    reg = MetricsRegistry(ObsState(False))
     c = reg.counter("c_total")
     g = reg.gauge("g")
     h = reg.histogram("h", buckets=(1.0,))
@@ -121,7 +121,7 @@ def test_disabled_registry_records_nothing():
 
 
 def test_registration_is_idempotent_and_kind_checked():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry(ObsState(True))
     a = reg.counter("repro_x_total", "help")
     b = reg.counter("repro_x_total")
     assert a is b
@@ -135,7 +135,7 @@ def test_registration_is_idempotent_and_kind_checked():
 
 
 def test_render_text_parse_round_trip():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry(ObsState(True))
     reg.counter("repro_a_total", "events", labelnames=("event",)).labels("pkt").inc(12)
     reg.gauge("repro_b", "depth").set(3)
     h = reg.histogram("repro_c_seconds", "latency", buckets=(0.001, 0.01))
@@ -356,13 +356,13 @@ def test_span_tree_and_hops():
     # span ids embed the seed and are dispatch-ordinal unique
     assert all(s.span_id >> 48 == 7 for s in spans)
     assert len({s.span_id for s in spans}) == len(spans)
-    roots = tracer.span_tree()
-    assert len(roots) == 2
-
-    def count(node):
-        return 1 + sum(count(c) for c in node["children"])
-
-    assert sum(count(r) for r in roots) == len(spans)
+    # the two injected events are the roots; every other span's parent was
+    # dispatched before it
+    assert [s.hop for s in spans if s.parent_id is None] == ["inject", "inject"]
+    seen = set()
+    for span in spans:
+        assert span.parent_id is None or span.parent_id in seen
+        seen.add(span.span_id)
 
 
 def test_validate_chrome_trace_accepts_and_rejects():
@@ -401,7 +401,8 @@ def test_handler_profiler_top_and_report():
     assert [r["handler"] for r in rows] == ["tick", "pkt"]
     assert rows[0]["wall_share"] == pytest.approx(0.625, abs=1e-3)
     assert rows[1]["calls"] == 3 and rows[1]["sim_ns"] == 1800
-    assert "tick" in prof.format_report()
+    assert [r["handler"] for r in prof.top(1)] == ["tick"]
+    assert prof.total_calls == 4
 
 
 def test_stage_profiler_merge():
@@ -459,44 +460,79 @@ def test_cli_metrics_exposition(capsys):
 
 
 # ---------------------------------------------------------------------------
-# telemetry v2 round-trip
+# telemetry v2: records read the ledger, and so does the serve dump
 # ---------------------------------------------------------------------------
-def test_telemetry_render_text_round_trips_record():
-    checked = check_program(RELAY2, name="relay2")
-    for engine in ("pisa", "codegen"):
-        network = Network(engine=engine)
-        network.trace_enabled = False
-        network.add_switch(0, checked)
-        network.add_switch(1, checked)
-        network.add_link(0, 1)
-        network.inject(0, EventInstance("pkt", (0, 5)), at_ns=0)
-        network.run()
-        out = io.StringIO()
-        emitter = TelemetryEmitter(out, "relay2", engine, seed=7)
-        record = emitter.emit(network, handled_total=10, injected_total=2)
-        assert record["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
-        # the delayed local generate held one recirculation-queue slot
-        assert (record["queue_depth"], record["peak_queue_depth"]) == (0, 1)
-        parsed = parse_text_exposition(emitter.render_text())
-        for key in ("sim_ns", "events_handled", "events_injected", "events_generated",
-                    "recirculations", "remote_sends", "queue_depth", "peak_queue_depth"):
-            assert parsed[f"repro_telemetry_{key}"][()] == record[key], key
+#: (record field, SwitchStats field) after the header, in v2 record order
+V2_FIELDS = [
+    ("sim_ns", None),
+    ("events_handled", "events_handled"),
+    ("events_injected", None),
+    ("events_per_sec", None),
+    ("pending_events", None),
+    ("events_generated", "events_generated"),
+    ("recirculations", "recirculations"),
+    ("recirc_bytes", "recirculated_bytes"),
+    ("remote_sends", "remote_sends"),
+    ("drops", "drops"),
+    ("link_drops", "link_drops"),
+    ("recirc_drops", "recirc_drops"),
+    ("queue_depth", "queue_depth"),
+    ("peak_queue_depth", "peak_queue_depth"),
+]
 
 
-def test_telemetry_flush_batching():
-    checked = check_program(RELAY2, name="relay2")
-    network = Network(engine="codegen")
-    network.add_switch(0, checked)
-    network.inject(0, EventInstance("pkt", (0, 0)), at_ns=0)
-    network.run()
+def _relay_emit(engine: str):
+    network = _relay_network(engine)
+    network.trace_enabled = False
+    network.run(until_ns=2_000)  # leaves the delayed relays queued
     out = io.StringIO()
-    emitter = TelemetryEmitter(out, "relay2", "codegen", seed=1, flush_every=3)
-    emitter.emit(network, 1, 1)
-    emitter.emit(network, 1, 1)
-    assert out.getvalue() == "" and emitter.buffered_records == 2
-    emitter.emit(network, 1, 1)
-    assert emitter.buffered_records == 0
-    assert len(out.getvalue().splitlines()) == 3
-    emitter.emit(network, 1, 1)
-    emitter.flush()
-    assert len(out.getvalue().splitlines()) == 4
+    emitter = TelemetryEmitter(out, "relay2", engine, seed=7)
+    totals = network.total_stats()
+    record = emitter.emit(network, handled_total=totals.events_handled,
+                          injected_total=2)
+    assert json.loads(out.getvalue()) == record  # written and flushed at once
+    return network, record
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_telemetry_record_is_the_ledger(engine):
+    network, record = _relay_emit(engine)
+    totals = network.total_stats()
+    assert list(record) == ["schema_version", "scenario", "engine", "seed",
+                            "phase", "t_wall_s"] + [name for name, _ in V2_FIELDS]
+    assert record["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
+    for name, stat in V2_FIELDS:
+        if stat is not None:
+            assert record[name] == getattr(totals, stat), name
+    assert record["sim_ns"] == network.now_ns == 2_000
+    assert record["pending_events"] == network.pending_events() > 0
+    assert record["events_handled"] > 0 and record["recirculations"] > 0
+
+
+def test_telemetry_render_text_round_trips_record():
+    """The registry's exposition of a watched network carries every ledger
+    field of a telemetry record of that network, on every engine."""
+    for engine in ENGINE_NAMES:
+        network, record = _relay_emit(engine)
+        REGISTRY.reset()
+        try:
+            watch_metrics(network)
+            parsed = parse_text_exposition(REGISTRY.render_text())
+        finally:
+            REGISTRY.reset()
+        assert sum(parsed["repro_network_events_handled_total"].values()) \
+            == record["events_handled"]
+        assert parsed[f"repro_engine_{engine}_events_total"][()] == record["events_handled"]
+        for metric, key in (
+            ("repro_network_events_generated_total", "events_generated"),
+            ("repro_network_recirculations_total", "recirculations"),
+            ("repro_network_recirc_bytes_total", "recirc_bytes"),
+            ("repro_network_remote_sends_total", "remote_sends"),
+            ("repro_network_events_dropped_total", "drops"),
+            ("repro_network_link_drops_total", "link_drops"),
+            ("repro_network_recirc_drops_total", "recirc_drops"),
+            ("repro_network_recirc_queue_depth", "peak_queue_depth"),
+            ("repro_network_heap_depth", "pending_events"),
+            ("repro_network_sim_time_ns", "sim_ns"),
+        ):
+            assert parsed[metric][()] == record[key], (engine, metric)

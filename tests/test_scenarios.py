@@ -313,31 +313,6 @@ class TestStreamingRun:
 # traffic model combinators
 # ---------------------------------------------------------------------------
 class TestTrafficModels:
-    def test_diurnal_ramp_preserves_order_and_sequence(self):
-        inner = tm.ZipfPacketTraffic(event_name="pkt", hosts=64)
-        ramp = tm.DiurnalRampTraffic(inner=inner, period_ns=1_000_000, depth=0.9)
-        items = list(ramp.events([0], 2_000, seed=4))
-        times = [t for t, _, _ in items]
-        assert times == sorted(times)
-        # the warp stretches time, never the event sequence itself
-        plain = list(tm.ZipfPacketTraffic(event_name="pkt", hosts=64).events([0], 2_000, seed=4))
-        assert [e for _, _, e in items] == [e for _, _, e in plain]
-
-    def test_diurnal_ramp_rejects_non_monotone_depth(self):
-        ramp = tm.DiurnalRampTraffic(inner=tm.ZipfPacketTraffic(), depth=1.5)
-        with pytest.raises(ValueError):
-            next(ramp.events([0], 1, seed=1))
-
-    def test_event_mix_round_robins_templates(self):
-        mix = tm.EventMixTraffic(
-            templates=[("bump", [4]), ("bump", [2])], mean_gap_ns=100
-        )
-        items = list(mix.events([0], 40, seed=6))
-        assert len(items) == 40
-        times = [t for t, _, _ in items]
-        assert times == sorted(times)
-        assert all(event.name == "bump" and event.args[0] < 4 for _, _, event in items)
-
     def test_link_failure_actions_fail_and_recover(self):
         network = Network()
         network.trace_enabled = False

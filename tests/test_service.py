@@ -21,6 +21,7 @@ from repro.errors import SimulationError
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import CONTROL, Network, SNAPSHOT_VERSION
+from repro.obs import REGISTRY, parse_text_exposition
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.invariants import (
     Invariant,
@@ -30,6 +31,7 @@ from repro.scenarios.invariants import (
 )
 from repro.scenarios.runner import network_array_digest
 from repro.service.checkpoint import CheckpointStore, load_checkpoint
+import repro.service.server as server
 from repro.service.server import (
     ScenarioService,
     ServiceConfig,
@@ -454,17 +456,16 @@ def test_telemetry_emitter_schema():
 
 
 def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monkeypatch):
-    """Regression: with ``telemetry_flush_every`` > 1 the signal-stop path
-    used to write the final checkpoint while run records were still sitting
-    in the emitter's buffer — a SIGTERM lost up to flush_every-1 records.
-    The buffered lines must be in the sink *before* the final save."""
+    """Every run record is in the sink *before* the final checkpoint save of
+    a stopped serve — a SIGTERM loses no record — and the stopped-path record
+    is in it before the loop returns."""
     scenario = SCENARIOS["nat-churn"]
     stream = io.StringIO()
     config = ServiceConfig(
         engine="codegen", seed=5, events=2_000,
         checkpoint_dir=str(tmp_path / "ck"), checkpoint_every=10**9,
         telemetry_every=200, chunk_events=100, max_events=900,
-        telemetry_stream=stream, telemetry_flush_every=50,
+        telemetry_stream=stream,
     )
     lines_at_save = []
     real_save = CheckpointStore.save
@@ -476,9 +477,8 @@ def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monk
     monkeypatch.setattr(CheckpointStore, "save", spy_save)
     outcome = ScenarioService(scenario, config).run()
     assert outcome.stopped
-    # 900 handled / telemetry_every=200 -> 4 run records, all buffered
-    # (the 50-record flush window never fills); the stop path must flush
-    # them before the one and only (final) checkpoint save
+    # 900 handled / telemetry_every=200 -> 4 run records, all written
+    # before the one and only (final) checkpoint save
     assert lines_at_save == [4]
     # ... and the stopped-path record itself is flushed before returning
     records = [json.loads(line) for line in stream.getvalue().splitlines()]
@@ -486,21 +486,67 @@ def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monk
     assert records[-1]["phase"] == "checkpoint" and records[-1]["stopped"] is True
 
 
-def test_serve_metrics_dump_request(capsys):
+def test_serve_metrics_dump_request(capsys, monkeypatch):
     """``request_metrics_dump`` (the SIGUSR1 handler) makes the serve loop
-    print the telemetry registry's Prometheus exposition to stderr."""
+    print the global registry's Prometheus exposition to stderr — the
+    ``repro_network_*`` instruments ``run --metrics`` prints — and their
+    values are the serve network's ledger at the dump point, with obs
+    disabled."""
     scenario = SCENARIOS["heavy-hitter-single"]
     config = ServiceConfig(
         engine="codegen", seed=1, events=2_000, telemetry_every=500,
         chunk_events=250, max_events=1_000, telemetry_stream=io.StringIO(),
     )
     service = ScenarioService(scenario, config)
-    service.request_metrics_dump()
-    outcome = service.run()
+    emit = TelemetryEmitter.emit
+    at_dump = []
+
+    def emit_then_request(self, network, *args, **kwargs):
+        record = emit(self, network, *args, **kwargs)
+        if not at_dump:
+            service.request_metrics_dump()  # mid-run, after 500 handled
+        return record
+
+    real_watch = server.watch_metrics
+
+    def watch_and_capture(network):
+        at_dump.append((network.total_stats(), network.now_ns))
+        real_watch(network)
+
+    monkeypatch.setattr(TelemetryEmitter, "emit", emit_then_request)
+    monkeypatch.setattr(server, "watch_metrics", watch_and_capture)
+    REGISTRY.reset()
+    try:
+        outcome = service.run()
+    finally:
+        REGISTRY.reset()
     assert outcome.stopped
+    assert not service.metrics_dump_requested and not REGISTRY.enabled
     err = capsys.readouterr().err
-    assert "# TYPE repro_telemetry_events_handled gauge" in err
-    assert not service.metrics_dump_requested
+    assert "# TYPE repro_network_events_handled_total counter" in err
+    (totals, now_ns), = at_dump
+    assert totals.events_handled == 500
+    parsed = parse_text_exposition(err)
+    assert sum(parsed["repro_network_events_handled_total"].values()) == 500
+    assert parsed["repro_engine_codegen_events_total"][()] == 500
+    for metric, stat in (
+        ("repro_network_events_generated_total", "events_generated"),
+        ("repro_network_events_dropped_total", "drops"),
+        ("repro_network_remote_sends_total", "remote_sends"),
+        ("repro_network_recirculations_total", "recirculations"),
+        ("repro_network_recirc_bytes_total", "recirculated_bytes"),
+        ("repro_network_recirc_queue_depth", "peak_queue_depth"),
+    ):
+        assert parsed[metric][()] == getattr(totals, stat), metric
+    assert parsed["repro_network_sim_time_ns"][()] == now_ns > 0
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_service_config_rejects_empty_chunks(chunk):
+    """A chunk of fewer than one event never advances the stream (each
+    ``Network.run(max_events=0)`` returns 0), so the loop would spin."""
+    with pytest.raises(SimulationError, match="chunk_events"):
+        ServiceConfig(chunk_events=chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,3 @@ class RemoteController:
     def min_latency_ns(self) -> int:
         lat = self.latencies_ns()
         return min(lat) if lat else 0
-
-    def reset(self) -> None:
-        self.records.clear()
-        self._busy_until_ns = 0

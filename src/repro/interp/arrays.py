@@ -92,14 +92,3 @@ class RuntimeArray:
 
     def nonzero_entries(self) -> int:
         return sum(1 for cell in self.cells if cell != 0)
-
-    def reset(self) -> None:
-        """Zero every cell and the read/write counters (fresh-switch state).
-
-        Mutates ``cells`` in place rather than rebinding it: the codegen
-        engine binds the cell list itself into generated module namespaces,
-        so the list identity must survive resets (and restores — see
-        :meth:`repro.interp.network.Network.restore`)."""
-        self.cells[:] = [0] * self.size
-        self.reads = 0
-        self.writes = 0

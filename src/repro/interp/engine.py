@@ -82,11 +82,7 @@ class SwitchEngine:
     def run(self, event: EventInstance) -> ExecutionResult:
         raise NotImplementedError
 
-    # -- lifecycle / reporting --------------------------------------------
-    def reset(self) -> None:
-        """Clear engine-side accounting and detach engine-side profilers
-        (called by ``Network.reset()``)."""
-
+    # -- reporting ---------------------------------------------------------
     def pipeline_stats(self) -> Optional[Dict[str, object]]:
         """Per-switch pipeline statistics, or ``None`` when the engine does
         not model a pipeline (the interpreter engines)."""
@@ -175,12 +171,7 @@ class PisaEngine(SwitchEngine):
         self.pipeline = PisaPipeline(_compiled_for(runtime.checked), runtime=runtime)
         self.run = self.pipeline.run
 
-    # -- lifecycle / reporting --------------------------------------------
-    def reset(self) -> None:
-        self.restore_state(dict.fromkeys(self.pipeline.counters(), 0))
-        # a profiler attached for the last run would time the next one
-        self.pipeline.stage_prof = None
-
+    # -- reporting ---------------------------------------------------------
     def pipeline_stats(self) -> Dict[str, object]:
         return {"stages": self.pipeline.layout.num_stages(), **self.pipeline.counters()}
 

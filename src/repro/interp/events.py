@@ -106,14 +106,6 @@ class EventInstance:
                              self.source, self.trace_parent)
 
     # -- helpers -------------------------------------------------------------
-    def targets(self, self_id: int) -> List[int]:
-        """The switch ids this event must be delivered to."""
-        if self.group is not None:
-            return list(self.group)
-        if self.location == LOCAL:
-            return [self_id]
-        return [self.location]
-
     def payload_bytes(self) -> int:
         """Wire size of the serialised event packet (used by the recirculation
         and bandwidth models): Ethernet + Lucid header + 4 bytes per argument,

@@ -104,7 +104,7 @@ class _Metrics:
         switches = [switch for network in networks for switch in network.switches.values()]
         for counter, stat in cls.ledger:
             counter.load(sum(getattr(switch.stats, stat) for switch in switches))
-        cls.events_handled.reset()  # a reset network's event names are gone
+        cls.events_handled.reset()  # re-summed from zero on every read
         for switch in switches:
             for name, count in switch.stats.handled_by_event.items():
                 child = cls.events_handled.labels(name)
@@ -163,6 +163,10 @@ class SchedulerConfig:
             if getattr(self, name) < floor:
                 raise SimulationError(
                     f"SchedulerConfig.{name} must be >= {floor}, got {getattr(self, name)}")
+        if self.recirc_bandwidth_bps <= 0:
+            raise SimulationError(
+                "SchedulerConfig.recirc_bandwidth_bps must be > 0, "
+                f"got {self.recirc_bandwidth_bps}")
         if self.recirc_queue_capacity is not None and self.recirc_queue_capacity < 0:
             raise SimulationError(
                 "SchedulerConfig.recirc_queue_capacity must be None or >= 0, "
@@ -201,7 +205,7 @@ class SwitchStats:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form; round-trips through :meth:`from_dict`
-        (used by :meth:`Network.snapshot` and the shard worker transport)."""
+        (used by :meth:`Network.snapshot`)."""
         return {**self.__dict__, "handled_by_event": dict(self.handled_by_event)}
 
     @classmethod
@@ -250,23 +254,24 @@ class Switch:
 #
 # The key is *content-derived*, not execution-order-derived, so the same
 # seed produces the same pop order no matter how the network is executed —
-# in one process or partitioned across shard workers (repro.shard):
+# in one process, resumed from a snapshot, or partitioned across shard
+# workers (repro.shard ships heap entries between workers verbatim):
 #
 # * externally pushed entries (inject(), re-queued control actions) use a
 #   small network-level serial, always < 2**GEN_KEY_SHIFT;
 # * generated events use ``((origin_switch + 1) << GEN_KEY_SHIFT) | seq``
 #   where ``seq`` is the origin switch's push counter
-#   (:attr:`Switch.origin_seq`) — computable locally by whichever shard
-#   owns the origin switch.  The copies of one multicast take consecutive
-#   ``seq`` values in group order.
+#   (:attr:`Switch.origin_seq`) — computed by whoever runs the origin
+#   switch.  The copies of one multicast take consecutive ``seq`` values in
+#   group order.
 #
 # Externals therefore always win time ties against generated events
 # (matching the drain's "source item first" rule), and two
-# generated events order by (origin switch, per-origin push order).  Both
-# are exactly reproducible across any shard partitioning: an event's key
-# depends only on dispatches at strictly earlier timestamps (every
-# scheduling latency is positive — SchedulerConfig and add_link enforce
-# it), so induction over timestamps gives one global (time, key) order.
+# generated events order by (origin switch, per-origin push order).  An
+# event's key depends only on dispatches at strictly earlier timestamps
+# (every scheduling latency is positive — SchedulerConfig and add_link
+# enforce it), so induction over timestamps gives one global (time, key)
+# order, whichever process pushed the entry.
 #
 # A generated entry carries the *delivered* instance that
 # Network._schedule_generated builds once per ``generate`` and shares between
@@ -354,17 +359,10 @@ class Network:
         #: optional :class:`repro.obs.profile.HandlerProfiler` — per-handler
         #: wall/sim-time accounting, fed by :meth:`run`
         self.profiler = None
-        #: the streaming source of the last interrupted :meth:`run`, if it
-        #: was left partially consumed (guards :meth:`reset`, see there)
-        self._partial_source: Optional[Iterable[SourceItem]] = None
         #: key of the heap entry behind the event most recently handed to
         #: ``on_handle``/:attr:`trace` (None for streamed source items) —
         #: lets shard workers reconstruct the global dispatch order
         self._last_pop_key: Optional[int] = None
-        #: shard mode (see :meth:`set_shard`): the set of switch ids this
-        #: process owns, and the export callback for events bound elsewhere
-        self._shard_owned: Optional[frozenset] = None
-        self._shard_export: Optional[Callable[[int, int, int, EventInstance], None]] = None
 
     # -- topology -------------------------------------------------------------
     def add_switch(self, switch_id: int, program: "CheckedProgram | str",
@@ -453,14 +451,8 @@ class Network:
         """Queue an *external* entry — an injected event or a re-queued source
         item — under the next network-level serial key (see the _QueuedEvent
         comment; generated events are pushed by :meth:`_schedule_generated`).
-        In shard mode, events bound for a switch another worker owns are
-        handed to the export callback instead of entering the local heap.
         """
         self._serial += 1
-        owned = self._shard_owned
-        if owned is not None and switch_id != CONTROL and switch_id not in owned:
-            self._shard_export(time_ns, self._serial, switch_id, event)
-            return
         heapq.heappush(self._queue, (time_ns, self._serial, switch_id, event))
 
     def inject(self, switch_id: int, event: EventInstance, at_ns: Optional[int] = None) -> None:
@@ -470,30 +462,12 @@ class Network:
         time_ns = self.now_ns if at_ns is None else at_ns
         self._push(max(time_ns, self.now_ns), switch_id, event)
 
-    # -- sharding ----------------------------------------------------------------
-    def set_shard(self, owned: Optional[Iterable[int]],
-                  export: Optional[Callable[[int, int, int, EventInstance], None]] = None) -> None:
-        """Put the network in shard-worker mode (or leave it: ``owned=None``).
-
-        ``owned`` is the set of switch ids this process executes; any event
-        scheduled for a switch outside it is routed to ``export(time_ns, key,
-        switch_id, event)`` instead of the local heap.  The owning worker
-        re-injects such events verbatim via :meth:`enqueue_remote`, so the
-        merged heap order across all shards equals the single-process order
-        (keys are content-derived — see the _QueuedEvent comment).  Used by
-        :mod:`repro.shard`; link-failure state is global, so control actions
-        must be replayed on every shard.
-        """
-        if owned is not None and export is None:
-            raise SimulationError("set_shard: an export callback is required")
-        self._shard_owned = None if owned is None else frozenset(owned)
-        self._shard_export = None if owned is None else export
-
     def enqueue_remote(self, time_ns: int, key: int, switch_id: int, event: EventInstance) -> None:
-        """Deliver an event exported by another shard, preserving the exact
-        heap key it would have carried in a single-process run.  The barrier
-        protocol guarantees ``time_ns`` is still in this shard's future, so
-        no clock clamping is applied."""
+        """Queue a heap entry another process took from its own heap — a
+        shard worker's delivery from a peer — under the exact key it carried
+        there (see the _QueuedEvent comment).  The barrier protocol
+        guarantees ``time_ns`` is still in this network's future, so no
+        clock clamping is applied."""
         heapq.heappush(self._queue, (time_ns, key, switch_id, event))
 
     def _schedule_generated(self, source: Switch, event: EventInstance,
@@ -509,9 +483,8 @@ class Network:
         slot of the origin's recirculation queue, else the origin's
         delivery-table entry (pipeline + link; see the _QueuedEvent comment)
         unless the link is down — bumps the content-derived key, and pushes
-        onto the heap, or hands the entry to the shard export when another
-        worker owns the target.  Counters accumulate in locals and are
-        flushed once after the loop.
+        onto the heap.  Counters accumulate in locals and are flushed once
+        after the loop.
         """
         config = self.config
         origin = source.id
@@ -539,7 +512,6 @@ class Network:
         if table is None:
             table = self._delivery[origin] = {}
         down = self._down_links
-        owned = self._shard_owned
         queue = self._queue
         delivered = EventInstance(event.name, event.args, 0, LOCAL, None, origin, trace_parent)
         key_base = source._key_base
@@ -571,10 +543,7 @@ class Network:
                 arrival = base + latency
                 sends += 1
             seq += 1
-            if owned is not None and target not in owned:
-                self._shard_export(arrival, key_base | seq, target, delivered)
-            else:
-                heapq.heappush(queue, (arrival, key_base | seq, target, delivered))
+            heapq.heappush(queue, (arrival, key_base | seq, target, delivered))
         source.origin_seq = seq
         if sends:
             stats.remote_sends += sends
@@ -671,9 +640,8 @@ class Network:
                 break
             if switch_id == CONTROL:
                 event(self)
-                # the action may have attached or detached an observer, or
-                # reset the network (new stats objects) — resolve the
-                # observers again and drop the stale hoists
+                # the action may have attached or detached an observer —
+                # resolve the observers again and drop the stale hoists
                 tracer, profiler, trace, on_handle = self._observers()
                 hoisted.clear()
                 continue
@@ -732,10 +700,6 @@ class Network:
                 push_back(pending)
             else:
                 self._push(max(pending[0], self.now_ns), pending[1], pending[2])
-        if source is not None:
-            # remember a partially consumed source so reset() cannot silently
-            # replay the same stream from a mid-stream cursor
-            self._partial_source = None if (exhausted and pending is None) else source
         if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return handled
@@ -881,7 +845,6 @@ class Network:
             (a, b): count for a, b, count in state.get("down_links", [])
         }
         self.trace.clear()
-        self._partial_source = None
         for sid_key, sw_state in state["switches"].items():
             sw = self.switches[int(sid_key)]
             sw.runtime.time_ns = sw_state["time_ns"]
@@ -900,69 +863,6 @@ class Network:
             sw.engine.restore_state(sw_state.get("engine_state"))
         if _OBS.enabled:
             _Metrics.watch(self)
-
-    # -- reuse -------------------------------------------------------------------
-    def reset(self, arrays: bool = True, drop_source: bool = False) -> None:
-        """Reset all simulation state so the same topology (switches, links,
-        compiled programs) can be reused for another run from time zero.
-
-        Clears the event queue, clock, trace, per-switch stats and logs, and
-        restored failed links.  With ``arrays=True`` (the default) every
-        switch's persistent arrays are zeroed as well — in place, so the
-        cell lists the codegen engine bound into its generated modules stay
-        valid.  Without ``reset()``, consecutive
-        :meth:`run` calls *accumulate*: stats, traces, and array state carry
-        over (see ``tests/test_scenarios.py``).
-
-        Per-run observers are detached too: an attached tracer, profiler, or
-        ``on_handle`` callback belongs to the run that installed it, and
-        leaving it wired up would
-        leak spans and handler timings from one run (or shard epoch) into the
-        next — the caller re-attaches fresh instances per run, as the
-        scenario runner does.
-
-        **Streaming sources do not rewind.**  If the last streaming
-        :meth:`run` was interrupted (``max_events``/``until_ns``) and left its
-        ``source=`` partially consumed, re-running that source after a reset
-        would silently replay from the mid-stream cursor — time-zero network
-        state fed with mid-stream traffic.  ``reset()`` therefore refuses,
-        unless the source exposes a ``rewind()`` re-seed hook (e.g.
-        :class:`repro.service.source.ReplayableSource` built from a factory),
-        which is called so the next run replays from the beginning, or
-        ``drop_source=True`` explicitly abandons the cursor (the caller keeps
-        using the source at its own risk, e.g. to hand the remainder to a
-        different network).
-        """
-        if self._partial_source is not None:
-            source, self._partial_source = self._partial_source, None
-            if not drop_source:
-                rewind = getattr(source, "rewind", None)
-                if rewind is None:
-                    raise SimulationError(
-                        "reset() while the last streaming run left its source "
-                        "partially consumed: re-running it would replay from a "
-                        "mid-stream cursor.  Pass drop_source=True to abandon "
-                        "the cursor, or use a source with a rewind() hook."
-                    )
-                rewind()
-        self.now_ns = 0
-        self._queue.clear()
-        self._serial = 0
-        self._down_links.clear()
-        self.trace.clear()
-        self.tracer = None
-        self.profiler = None
-        self.on_handle = None
-        self._last_pop_key = None
-        for switch in self.switches.values():
-            switch.stats = SwitchStats()
-            switch.log.clear()
-            switch.origin_seq = 0
-            switch.runtime.time_ns = 0
-            switch.engine.reset()
-            if arrays:
-                for arr in switch.runtime.arrays.values():
-                    arr.reset()
 
     # -- convenience -------------------------------------------------------------
     def total_stats(self) -> SwitchStats:

@@ -5,8 +5,8 @@ Three cooperating layers, all off by default and (near) free when disabled:
 * :mod:`repro.obs.metrics` — a Prometheus-style registry.  The scheduler's
   metrics are *collected*: read from each switch's ``SwitchStats`` when the
   registry is read, so the dispatch path counts nothing beside that ledger.
-  The few counted sites (compile caches, the delay-queue model) guard their
-  block behind one ``if OBS.enabled:`` check against the module-level
+  The few counted sites (the compile caches) guard their block behind one
+  ``if OBS.enabled:`` check against the module-level
   :data:`~repro.obs.metrics.OBS` singleton.
 * :mod:`repro.obs.trace` — span trees over simulated time.  A
   :class:`Tracer` attached to a network records one span per dispatched
@@ -23,11 +23,10 @@ Metric naming convention
 ``repro_<subsystem>_<quantity>[_<unit>][_total]``
 
 * ``<subsystem>`` is the owning module family: ``network`` (the event
-  scheduler), ``engine`` (per-engine dispatch), ``pisa`` (pipeline, delay
-  queue, recirculation port).
+  scheduler and its recirculation ports), ``engine`` (per-engine dispatch,
+  the PISA pipeline's stage and table counts, the compile caches).
 * counters end in ``_total`` and only ever increase; gauges carry no
-  suffix; histograms carry the unit (``_seconds``, ``_ns``) and expose
-  ``_bucket``/``_sum``/``_count`` samples.
+  suffix.
 * units are base SI: seconds for wall time, nanoseconds (``_ns``) for
   simulated time, bytes for payload volume.
 * labels are few and low-cardinality by design: ``event`` (handler name),
@@ -44,7 +43,6 @@ from repro.obs.metrics import (
     REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     disable,
     enable,
@@ -59,7 +57,6 @@ __all__ = [
     "REGISTRY",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "HandlerProfiler",
     "StageProfiler",

@@ -1,13 +1,12 @@
-"""Metrics registry: counters, gauges, histograms with Prometheus-style text
+"""Metrics registry: counters and gauges with Prometheus-style text
 exposition and a near-zero-cost disabled mode.
 
 An instrument is fed in one of two ways:
 
 * **counted** — a call site bumps it behind one ``if _OBS.enabled:`` check
   on the module-level :class:`ObsState` singleton (:data:`OBS`), so the
-  disabled cost is one attribute load + branch.  Compile caches and the
-  delay-queue model count this way; none of these sites is on the
-  scheduler's dispatch path.
+  disabled cost is one attribute load + branch.  The compile caches count
+  this way; no such site is on the scheduler's dispatch path.
 * **collected** — a collector registered with
   :meth:`MetricsRegistry.add_collector` sets the values right before the
   registry is read, from wherever the truth already lives.  The scheduler's
@@ -26,7 +25,6 @@ modules.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "REGISTRY",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ObsState",
     "enable",
@@ -58,11 +55,6 @@ class ObsState:
 OBS = ObsState(False)
 
 
-# Default histogram buckets, in seconds, from 1µs to 10ms.
-DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
-    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2,
-)
-
 _LABEL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 
 
@@ -79,17 +71,14 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _format_le(bound: float) -> str:
-    if bound == float("inf"):
-        return "+Inf"
-    return _format_value(bound)
-
-
 class _Instrument:
-    """Common parent-child label bookkeeping for all instrument kinds."""
+    """One named value, or a family of them by label values; ``load`` writes
+    it — a collector's write, recorded whether or not the registry is
+    enabled."""
 
     kind = "untyped"
-    __slots__ = ("name", "help", "_state", "_labelnames", "_children", "_labelvalues")
+    __slots__ = ("name", "help", "_state", "_labelnames", "_children", "_labelvalues",
+                 "_value")
 
     def __init__(
         self,
@@ -105,6 +94,7 @@ class _Instrument:
         self._labelnames = tuple(labelnames)
         self._labelvalues = labelvalues
         self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
+        self._value = 0
 
     def labels(self, *values) -> "_Instrument":
         key = tuple(str(v) for v in values)
@@ -115,35 +105,29 @@ class _Instrument:
                     f"{self.name}: expected {len(self._labelnames)} label values, "
                     f"got {len(key)}"
                 )
-            child = type(self)._make_child(self, key)
+            child = type(self)(self.name, self.help, self._state, self._labelnames, key)
             self._children[key] = child
         return child
 
-    @classmethod
-    def _make_child(cls, parent: "_Instrument", key: Tuple[str, ...]):
-        raise NotImplementedError
+    def load(self, value) -> None:
+        self._value = value
 
-    def _reset_value(self) -> None:
-        raise NotImplementedError
+    @property
+    def value(self):
+        return self._value
 
     def reset(self) -> None:
-        self._reset_value()
+        self._value = 0
         for child in self._children.values():
             child.reset()
 
-    def _samples(self) -> List[Tuple[Dict[str, str], str, float]]:
-        """Yield (labels, name-suffix, value) rows for text exposition."""
-        raise NotImplementedError
-
-    def _label_dict(self) -> Dict[str, str]:
-        if self._labelvalues is None:
-            return {}
-        return dict(zip(self._labelnames, self._labelvalues))
-
-    def collect(self) -> List[Tuple[Dict[str, str], str, float]]:
-        rows: List[Tuple[Dict[str, str], str, float]] = []
-        if self._labelvalues is not None or not self._labelnames:
-            rows.extend(self._samples())
+    def collect(self) -> List[Tuple[Dict[str, str], float]]:
+        """(labels, value) rows for text exposition."""
+        rows: List[Tuple[Dict[str, str], float]] = []
+        if self._labelvalues is not None:
+            rows.append((dict(zip(self._labelnames, self._labelvalues)), self._value))
+        elif not self._labelnames:
+            rows.append(({}, self._value))
         for key in sorted(self._children):
             rows.extend(self._children[key].collect())
         return rows
@@ -153,131 +137,21 @@ class Counter(_Instrument):
     """Monotonically increasing count.  ``inc`` is a no-op while disabled."""
 
     kind = "counter"
-    __slots__ = ("_value",)
-
-    def __init__(self, name, help, state, labelnames=(), labelvalues=None):
-        super().__init__(name, help, state, labelnames, labelvalues)
-        self._value = 0
-
-    @classmethod
-    def _make_child(cls, parent, key):
-        return cls(parent.name, parent.help, parent._state,
-                   parent._labelnames, key)
+    __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
         if self._state.enabled:
             self._value += amount
-
-    def load(self, value) -> None:
-        """Overwrite the value with one read from elsewhere — a collector's
-        write, recorded whether or not the registry is enabled."""
-        self._value = value
-
-    @property
-    def value(self):
-        return self._value
-
-    def _reset_value(self) -> None:
-        self._value = 0
-
-    def _samples(self):
-        return [(self._label_dict(), "", self._value)]
 
 
 class Gauge(_Instrument):
     """Point-in-time value (heap depth, sim clock, queue occupancy)."""
 
     kind = "gauge"
-    __slots__ = ("_value",)
-
-    def __init__(self, name, help, state, labelnames=(), labelvalues=None):
-        super().__init__(name, help, state, labelnames, labelvalues)
-        self._value = 0
-
-    @classmethod
-    def _make_child(cls, parent, key):
-        return cls(parent.name, parent.help, parent._state,
-                   parent._labelnames, key)
-
-    def set(self, value) -> None:
-        if self._state.enabled:
-            self._value = value
-
-    def load(self, value) -> None:
-        """Overwrite the value with one read from elsewhere (see
-        :meth:`Counter.load`)."""
-        self._value = value
-
-    @property
-    def value(self):
-        return self._value
-
-    def _reset_value(self) -> None:
-        self._value = 0
-
-    def _samples(self):
-        return [(self._label_dict(), "", self._value)]
+    __slots__ = ()
 
 
-class Histogram(_Instrument):
-    """Fixed-boundary histogram with cumulative bucket exposition."""
-
-    kind = "histogram"
-    __slots__ = ("buckets", "_counts", "_sum", "_count")
-
-    def __init__(self, name, help, state, labelnames=(), labelvalues=None,
-                 buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS):
-        super().__init__(name, help, state, labelnames, labelvalues)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"{name}: histogram needs at least one bucket")
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # final slot is +Inf
-        self._sum = 0.0
-        self._count = 0
-
-    @classmethod
-    def _make_child(cls, parent, key):
-        return cls(parent.name, parent.help, parent._state,
-                   parent._labelnames, key, buckets=parent.buckets)
-
-    def observe(self, value: float) -> None:
-        if self._state.enabled:
-            self._counts[bisect_left(self.buckets, value)] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def _reset_value(self) -> None:
-        self._counts = [0] * (len(self.buckets) + 1)
-        self._sum = 0.0
-        self._count = 0
-
-    def _samples(self):
-        labels = self._label_dict()
-        rows = []
-        cumulative = 0
-        for bound, count in zip(self.buckets, self._counts):
-            cumulative += count
-            row_labels = dict(labels)
-            row_labels["le"] = _format_le(bound)
-            rows.append((row_labels, "_bucket", cumulative))
-        row_labels = dict(labels)
-        row_labels["le"] = "+Inf"
-        rows.append((row_labels, "_bucket", self._count))
-        rows.append((labels, "_sum", self._sum))
-        rows.append((labels, "_count", self._count))
-        return rows
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "gauge": Gauge}
 
 
 class MetricsRegistry:
@@ -306,7 +180,7 @@ class MetricsRegistry:
         self.state.enabled = False
 
     # -- registration -----------------------------------------------------
-    def _register(self, kind: str, name: str, help: str, labelnames, **kwargs):
+    def _register(self, kind: str, name: str, help: str, labelnames):
         existing = self._instruments.get(name)
         if existing is not None:
             if existing.kind != kind:
@@ -318,8 +192,7 @@ class MetricsRegistry:
                     f"metric {name!r} label names {existing._labelnames} != "
                     f"{tuple(labelnames)}")
             return existing
-        instrument = _KINDS[kind](name, help, self.state,
-                                  labelnames=labelnames, **kwargs)
+        instrument = _KINDS[kind](name, help, self.state, labelnames=labelnames)
         self._instruments[name] = instrument
         return instrument
 
@@ -328,11 +201,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "", labelnames=()) -> Gauge:
         return self._register("gauge", name, help, labelnames)
-
-    def histogram(self, name: str, help: str = "", labelnames=(),
-                  buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS) -> Histogram:
-        return self._register("histogram", name, help, labelnames,
-                              buckets=buckets)
 
     def add_collector(self, collect: Callable[[], None], reset: Callable[[], None]) -> None:
         """Register a collector: ``collect()`` runs before every read of this
@@ -377,25 +245,24 @@ class MetricsRegistry:
             if instrument.help:
                 lines.append(f"# HELP {name} {instrument.help}")
             lines.append(f"# TYPE {name} {instrument.kind}")
-            for labels, suffix, value in instrument.collect():
+            for labels, value in instrument.collect():
                 if labels:
                     rendered = ",".join(
                         f'{key}="{_escape_label(str(val))}"'
                         for key, val in labels.items()
                     )
                     lines.append(
-                        f"{name}{suffix}{{{rendered}}} {_format_value(value)}")
+                        f"{name}{{{rendered}}} {_format_value(value)}")
                 else:
-                    lines.append(f"{name}{suffix} {_format_value(value)}")
+                    lines.append(f"{name} {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
 
 def parse_text_exposition(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ...], float]]:
     """Parse :meth:`MetricsRegistry.render_text` output back into values.
 
-    Returns ``{sample_name: {((label, value), ...): number}}`` where the
-    sample name includes histogram suffixes (``_bucket``/``_sum``/``_count``).
-    Used by tests to read an exposition back into numbers.
+    Returns ``{metric_name: {((label, value), ...): number}}``.  Used by
+    tests to read an exposition back into numbers.
     """
     out: Dict[str, Dict[Tuple[Tuple[str, str], ...], float]] = {}
     for line in text.splitlines():
@@ -414,8 +281,7 @@ def parse_text_exposition(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ..
         else:
             name = body
             key_tuple = ()
-        number = float(value_text) if value_text != "+Inf" else float("inf")
-        out.setdefault(name, {})[key_tuple] = number
+        out.setdefault(name, {})[key_tuple] = float(value_text)
     return out
 
 

@@ -225,7 +225,7 @@ class PisaPipeline:
         # reuse the interpreter's runtime for arrays and compiled memops; an
         # externally supplied runtime shares its state (and its switch id)
         # with whoever else holds it — this is how the PISA engine keeps its
-        # register file visible to Network.reset() and the array digests
+        # register file visible to snapshots and the array digests
         self.runtime = runtime or SwitchRuntime(compiled.checked, switch_id=switch_id)
         self.switch_id = self.runtime.switch_id
         #: optional :class:`repro.obs.profile.StageProfiler` — per-physical-

@@ -22,19 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from repro.pisa.tofino import MIN_FRAME_BYTES, DEFAULT_TIMING, TofinoTiming
-
-# only touched behind an ``if _OBS.enabled:`` guard (see repro.obs.metrics)
-_M_DELAYQ_PARKS = _REGISTRY.counter(
-    "repro_pisa_delayq_parks_total",
-    "Event packets parked in a pausable delay queue.")
-_M_DELAYQ_RELEASES = _REGISTRY.counter(
-    "repro_pisa_delayq_releases_total",
-    "Delay-queue release windows (PFC unpause cycles).")
-_M_DELAYQ_PASSES = _REGISTRY.counter(
-    "repro_pisa_delayq_passes_total",
-    "Recirculation passes made by parked packets during releases.")
 
 
 @dataclass
@@ -119,8 +107,6 @@ class PausableDelayQueue:
             raise SimulationError("cannot delay an event by a negative time")
         deadline = event.enqueued_at_ns + event.requested_delay_ns
         self.queue.append((event, deadline))
-        if _OBS.enabled:
-            _M_DELAYQ_PARKS.inc()
         self._update_peak()
 
     def _update_peak(self) -> None:
@@ -139,9 +125,6 @@ class PausableDelayQueue:
             self._release()
 
     def _release(self) -> None:
-        if _OBS.enabled:
-            _M_DELAYQ_RELEASES.inc()
-            _M_DELAYQ_PASSES.inc(len(self.queue))
         still_queued: List[Tuple[DelayedEvent, int]] = []
         for event, deadline in self.queue:
             if self.now_ns >= deadline:

@@ -253,8 +253,8 @@ class ScenarioService:
             if cfg.max_events is not None and handled >= cfg.max_events:
                 stopped = True
                 break
-            # peek before every chunk: a run() call on an already-exhausted
-            # source would degenerate to a full drain, which never returns
+            # peek before every chunk: a run() call on a source that has
+            # run dry would degenerate to a full drain, which never returns
             # for self-perpetuating control loops
             if source.peek() is None:
                 break

@@ -9,16 +9,11 @@ settle-time invariants read.
 
 :class:`ReplayableSource` wraps a factory (or a bare iterable) and tracks
 that position while behaving as a normal iterator, so it plugs straight into
-``Network.run(source=...)``.  It also implements the two hooks the simulator
-looks for:
-
-* ``push_back(item)`` — an interrupted run returns the one not-yet-due item
-  it holds, instead of pushing it onto the event heap.  This keeps
-  source-vs-heap tie-breaking identical when the run resumes, and keeps
-  CONTROL callables (which cannot be snapshotted) out of the heap.
-* ``rewind()`` — re-seeds the stream from the factory so
-  :meth:`Network.reset` can reuse the topology for a fresh run even after an
-  interrupted streaming run left the cursor mid-stream.
+``Network.run(source=...)``.  It also implements the ``push_back(item)`` hook
+the simulator looks for: an interrupted run returns the one not-yet-due item
+it holds, instead of pushing it onto the event heap.  This keeps
+source-vs-heap tie-breaking identical when the run resumes, and keeps
+CONTROL callables (which cannot be snapshotted) out of the heap.
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ class ReplayableSource:
     """Iterate a traffic stream while tracking a replayable cursor.
 
     ``source`` is either a zero-arg factory returning a fresh iterable (the
-    scenario ``traffic`` convention — enables :meth:`rewind` and
-    :meth:`skip`-based replay) or a bare iterable (counting only).
+    scenario ``traffic`` convention), called once, or a bare iterable.
 
     Counters: ``consumed`` is every item yielded (including CONTROL
     actions), ``injected`` counts only events, ``last_ns`` is the largest
@@ -44,12 +38,7 @@ class ReplayableSource:
     """
 
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
-        if callable(source):
-            self._factory: Optional[Callable[[], Iterable[SourceItem]]] = source
-            self._items: Iterator[SourceItem] = iter(source())
-        else:
-            self._factory = None
-            self._items = iter(source)
+        self._items: Iterator[SourceItem] = iter(source() if callable(source) else source)
         self.consumed = 0
         self.injected = 0
         self.last_ns = 0
@@ -57,7 +46,6 @@ class ReplayableSource:
         #: counters before the most recent pull — the one-step undo that
         #: lets cursor() exclude a pushed-back item
         self._prev = (0, 0, 0)
-        self._stopped = False
 
     # -- iteration -----------------------------------------------------------
     def __iter__(self) -> "ReplayableSource":
@@ -67,11 +55,7 @@ class ReplayableSource:
         if self._pushed_back is not None:
             item, self._pushed_back = self._pushed_back, None
             return item
-        try:
-            item = next(self._items)
-        except StopIteration:
-            self._stopped = True
-            raise
+        item = next(self._items)
         self._count(item)
         return item
 
@@ -92,24 +76,10 @@ class ReplayableSource:
             raise SimulationError("push_back: an item is already held")
         self._pushed_back = item
 
-    def rewind(self) -> None:
-        """Re-seed the stream from the factory and zero the cursor."""
-        if self._factory is None:
-            raise SimulationError(
-                "this source wraps a bare iterable and cannot rewind; build "
-                "it from a zero-arg factory to make it replayable"
-            )
-        self._items = iter(self._factory())
-        self.consumed = 0
-        self.injected = 0
-        self.last_ns = 0
-        self._prev = (0, 0, 0)
-        self._pushed_back = None
-        self._stopped = False
-
     # -- cursor --------------------------------------------------------------
     def peek(self) -> Optional[SourceItem]:
-        """The next item without consuming it (``None`` when exhausted)."""
+        """The next item without consuming it (``None`` once the stream has
+        run dry)."""
         if self._pushed_back is not None:
             return self._pushed_back
         try:
@@ -118,11 +88,6 @@ class ReplayableSource:
             return None
         self.push_back(item)
         return item
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the stream has ended and no pushed-back item remains."""
-        return self._stopped and self._pushed_back is None
 
     def cursor(self) -> Dict[str, int]:
         """The replayable position: pass ``cursor()["consumed"]`` to

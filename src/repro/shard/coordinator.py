@@ -5,9 +5,10 @@ drain; the coordinator grants lockstep *windows*.  A window starting at the
 global minimum next-event time ``T`` extends to ``T + lookahead - 1``: the
 lookahead (from :func:`repro.shard.partition.partition_topology`) is the
 minimum simulated time any event needs to cross a shard boundary, so
-nothing a peer does inside the window can land in it — events exported
-during the window arrive strictly after it and are delivered before the
-next window is granted.  This is the classic conservative parallel
+nothing a peer does inside the window can land in it — an event one shard
+generates for another arrives strictly after the window; the sender takes
+it from its heap when the window ends, and it is queued at its owner before
+the next window is granted.  This is the classic conservative parallel
 discrete-event scheme (Chandy–Misra–Bryant lookahead, coordinator-mediated
 instead of null messages), specialised to our fixed link latencies.
 
@@ -18,11 +19,12 @@ from the workers' records to replay observing invariants.  The parity
 tests pin ``--shards N`` against the single-process run for digests,
 stats, and verdicts.
 
-Known limits (documented, guarded where possible): invariants whose
-``observe`` reads *live* array state (only ``DataPlaneBeatsRemote``, a
-single-switch scenario) cannot be replayed after the fact, and CONTROL
-actions that ``inject()`` new events mid-run would get per-worker serial
-keys; no bundled scenario does either on a multi-switch topology.
+Known limits: invariants whose ``observe`` reads *live* array state (only
+``DataPlaneBeatsRemote``, a single-switch scenario) cannot be replayed after
+the fact, and a CONTROL action that ``inject()``s is a
+:class:`SimulationError` (it runs on every shard, so the shards that do not
+own its target would inject too); no bundled scenario does either on a
+multi-switch topology.
 """
 
 from __future__ import annotations
@@ -187,8 +189,6 @@ def run_sharded(
         start = perf_counter()
         lookahead = plan.lookahead_ns
         pending: List[List[tuple]] = [[] for _ in range(num_shards)]
-        # sender -> its exports for a switch id that does not exist
-        orphans: Dict[int, int] = {}
         rounds = 0
         while True:
             candidates = [t for t in nexts if t is not None]
@@ -207,22 +207,8 @@ def run_sharded(
             for shard, (_, conn) in enumerate(workers):
                 _, batch, nxt = _recv(conn)
                 nexts[shard] = nxt
-                for time_ns, key, switch_id, event in batch:
-                    if time_ns <= until:
-                        raise SimulationError(
-                            f"lookahead violated: shard {shard} exported an "
-                            f"event at {time_ns} ns inside its own window "
-                            f"(until {until} ns)"
-                        )
-                    owner = plan.owner.get(switch_id)
-                    if owner is None:
-                        # a generate to a switch id that does not exist: the
-                        # single-process drain pops it by the horizon, skips
-                        # it and counts it against its sender
-                        if time_ns <= horizon:
-                            orphans[event.source] = orphans.get(event.source, 0) + 1
-                        continue
-                    pending[owner].append((time_ns, key, switch_id, event))
+                for entry in batch:
+                    pending[plan.owner[entry[2]]].append(entry)
             rounds += 1
         wall = perf_counter() - start
 
@@ -241,8 +227,6 @@ def run_sharded(
     switch_entries: Dict[str, dict] = {}
     for payload in finals:
         switch_entries.update(payload["switches"])
-    for sender, count in orphans.items():
-        switch_entries[str(sender)]["stats"]["orphan_events"] += count
     handled = sum(
         entry["stats"]["events_handled"] for entry in switch_entries.values()
     )

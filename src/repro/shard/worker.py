@@ -4,9 +4,11 @@ Each worker rebuilds the scenario from the registry (name + events + seed —
 deterministic, so no closures cross the process boundary), filters the full
 traffic stream down to the switches it owns (keeping *every* CONTROL action,
 since link state is global), and then executes barrier windows on command
-from the coordinator: deliver the peers' exported events, drain up to the
-window end with the ordinary streaming drain, and ship back whatever its
-own switches generated for switches it does not own.
+from the coordinator: deliver the peers' events, drain up to the window end
+with the ordinary streaming drain, and ship back the heap entries that
+window left queued for switches another shard owns (:func:`_take_foreign`).
+The worker's network is an ordinary one — it holds every switch and knows
+nothing of shards.
 
 For scenarios with observing invariants the worker also records each
 dispatch's ``(time, tie-break key)`` plus the fields those invariants read
@@ -17,12 +19,14 @@ replays them through fresh invariant instances.
 
 from __future__ import annotations
 
+import heapq
 import traceback
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.interp.network import CONTROL, SourceItem
+from repro.errors import SimulationError
+from repro.interp.network import CONTROL, GEN_KEY_SHIFT, Network, SourceItem, Switch
 
 
 @dataclass
@@ -80,6 +84,39 @@ class ShardSource:
         return None
 
 
+def _take_foreign(network: Network, foreign: Sequence[Switch]) -> List[tuple]:
+    """Move the heap entries bound for the ``foreign`` switches (those other
+    shards own) out of ``network``'s heap and return them, the same
+    ``(time, key, switch, event)`` tuples, for their owners to queue.
+
+    The lookahead makes every such entry due after the window that queued
+    it, so a foreign switch that ran was handed an event inside the window,
+    and an injected (external-key) entry for one was queued by its owner
+    too: both come from a CONTROL action's ``inject()``, which every shard
+    runs, and both are errors rather than a silently wrong run.  Entries
+    for a switch id no shard owns stay: the drain skips and counts them, as
+    in one process."""
+    for switch in foreign:
+        if switch.stats.events_handled:
+            raise SimulationError(
+                f"switch {switch.id} handled an event in a shard that does not "
+                f"own it: an event reached it inside the barrier window (a "
+                f"CONTROL action's inject(), or a send shorter than the lookahead)")
+    queue = network._queue
+    foreign_ids = {switch.id for switch in foreign}
+    batch = [entry for entry in queue if entry[2] in foreign_ids]
+    if batch:
+        queue[:] = [entry for entry in queue if entry[2] not in foreign_ids]
+        heapq.heapify(queue)
+        for time_ns, key, switch_id, _ in batch:
+            if key < 1 << GEN_KEY_SHIFT:
+                raise SimulationError(
+                    f"an event injected for switch {switch_id} at {time_ns} ns is "
+                    f"queued in a shard that does not own it: CONTROL actions "
+                    f"run on every shard and must not inject()")
+    return batch
+
+
 def _worker_loop(conn, spec: ShardSpec) -> None:
     # imported here so a spawned child only pays for what it uses
     from repro.scenarios import registry
@@ -91,17 +128,10 @@ def _worker_loop(conn, spec: ShardSpec) -> None:
     if setup.prepare is not None:
         setup.prepare(network)
     network.trace_enabled = False
-
-    exports: List[Tuple[int, int, int, object]] = []
-    network.set_shard(
-        spec.owned,
-        lambda time_ns, key, switch_id, event: exports.append(
-            (time_ns, key, switch_id, event)
-        ),
-    )
+    owned = frozenset(spec.owned)
+    foreign = [switch for sid, switch in network.switches.items() if sid not in owned]
 
     t1 = perf_counter()
-    owned = frozenset(spec.owned)
     items: List[Tuple[int, SourceItem]] = []
     last_ns = 0
     injected = 0
@@ -164,8 +194,7 @@ def _worker_loop(conn, spec: ShardSpec) -> None:
             for time_ns, key, switch_id, event in incoming:
                 network.enqueue_remote(time_ns, key, switch_id, event)
             network.run(source=source, until_ns=until_ns)
-            batch = list(exports)
-            exports.clear()
+            batch = _take_foreign(network, foreign)
             heap_next = network._queue[0][0] if network._queue else None
             src_next = source.peek_time()
             candidates = [t for t in (heap_next, src_next) if t is not None]

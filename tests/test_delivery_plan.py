@@ -189,6 +189,8 @@ def test_delay_without_the_queue_charges_extra_recirculation_passes():
     ("pipeline_latency_ns", 0), ("recirculation_latency_ns", 0),
     ("delay_release_interval_ns", 0), ("delay_release_interval_ns", -5),
     ("link_latency_ns", -1), ("recirc_queue_capacity", -1),
+    # Network.stats() divides by it
+    ("recirc_bandwidth_bps", 0), ("recirc_bandwidth_bps", -1.0),
 ])
 def test_scheduler_config_rejects_non_positive_latencies(field, value):
     with pytest.raises(SimulationError, match=field):
@@ -204,7 +206,7 @@ def test_zero_link_latency_is_allowed_but_negative_links_are_not():
 
 
 # ---------------------------------------------------------------------------
-# (e) the shared instance survives snapshots and the shard export pipe
+# (e) the shared instance survives snapshots and the shard pipe
 # ---------------------------------------------------------------------------
 def _fan_network(engine):
     network = _network(engine)

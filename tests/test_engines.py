@@ -211,45 +211,6 @@ def test_heterogeneous_network_mixing_codegen_agrees():
     assert mixed.switches[0].engine.executor.fallback_handler_names == []
 
 
-def test_heterogeneous_network_reset_clears_engine_accounting():
-    network = _run_relay(["pisa", "codegen", "pisa"])
-    assert network.stats()[0]["pipeline"]["events"] > 0
-    digest_before = network_array_digest(network)
-    network.reset()
-    stats = network.stats()
-    assert stats[0]["pipeline"]["events"] == 0
-    assert stats[0]["pipeline"]["recirc_passes"] == 0
-    assert stats[0]["pipeline"]["peak_queue_depth"] == 0
-    # a rerun from time zero reproduces the original digest exactly
-    for i in range(30):
-        network.inject(i % 3, EventInstance("pkt", (i % 8, 5)), at_ns=i * 1_000)
-    network.run()
-    assert network_array_digest(network) == digest_before
-
-
-def test_reset_detaches_the_stage_profiler():
-    """Like the tracer and the handler profiler: a stage profiler attached
-    for one run times none of the next."""
-    from repro.obs.profile import HandlerProfiler, StageProfiler
-
-    network, switch = single_switch_network(RELAY, engine="pisa")
-    pipeline = switch.engine.pipeline
-    stage_prof = pipeline.stage_prof = StageProfiler(pipeline.layout.num_stages())
-    network.profiler = HandlerProfiler()
-    for i in range(5):
-        network.inject(0, EventInstance("pkt", (i, 0)))
-    network.run()
-    rows = stage_prof.rows()
-    assert rows[0]["events"] == network.profiler.total_calls == 5
-    network.reset()
-    network.profiler = profiler = HandlerProfiler()
-    network.inject(0, EventInstance("pkt", (0, 0)))
-    network.run()
-    assert profiler.total_calls == 1
-    assert pipeline.stage_prof is None
-    assert stage_prof.rows() == rows
-
-
 # ---------------------------------------------------------------------------
 # the recirculation queue: overflow drops and depth accounting
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.errors import InterpError
 from repro.frontend import check_program
 from repro.interp import (
     ENGINE_NAMES,
+    LOCAL,
     EventInstance,
     Network,
     RuntimeArray,
@@ -70,12 +71,13 @@ def test_event_delay_accumulates():
 
 
 def test_event_locate_single_and_group():
-    assert EventInstance("x").locate(4).targets(0) == [4]
-    assert EventInstance("x").locate((1, 2, 3)).targets(0) == [1, 2, 3]
+    single = EventInstance("x").locate(4)
+    assert (single.location, single.group) == (4, None)
+    assert EventInstance("x").locate((1, 2, 3)).group == (1, 2, 3)
 
 
 def test_event_local_targets_self():
-    assert EventInstance("x").targets(9) == [9]
+    assert (EventInstance("x").location, EventInstance("x").group) == (LOCAL, None)
 
 
 def test_event_payload_has_minimum_frame_size():

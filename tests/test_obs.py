@@ -95,26 +95,15 @@ def test_counter_gauge_histogram_basics():
     c.inc(4)
     assert c.value == 5
     g = reg.gauge("g", "a gauge")
-    g.set(10)
-    g.set(99)
-    assert g.value == 99
     g.load(3)   # a collector's write
     assert g.value == 3
-    h = reg.histogram("h_seconds", "a histogram", buckets=(0.1, 1.0))
-    for v in (0.05, 0.5, 5.0):
-        h.observe(v)
-    assert h.count == 3 and h.sum == pytest.approx(5.55)
 
 
 def test_disabled_registry_records_nothing():
     reg = MetricsRegistry(ObsState(False))
     c = reg.counter("c_total")
-    g = reg.gauge("g")
-    h = reg.histogram("h", buckets=(1.0,))
     c.inc()
-    g.set(7)
-    h.observe(0.5)
-    assert c.value == 0 and g.value == 0 and h.count == 0
+    assert c.value == 0
     reg.enable()
     c.inc()
     assert c.value == 1
@@ -137,19 +126,13 @@ def test_registration_is_idempotent_and_kind_checked():
 def test_render_text_parse_round_trip():
     reg = MetricsRegistry(ObsState(True))
     reg.counter("repro_a_total", "events", labelnames=("event",)).labels("pkt").inc(12)
-    reg.gauge("repro_b", "depth").set(3)
-    h = reg.histogram("repro_c_seconds", "latency", buckets=(0.001, 0.01))
-    h.observe(0.002)
-    h.observe(0.5)
+    reg.gauge("repro_b", "depth").load(3)
     text = reg.render_text()
     assert "# TYPE repro_a_total counter" in text
     assert "# HELP repro_b depth" in text
     parsed = parse_text_exposition(text)
     assert parsed["repro_a_total"][(("event", "pkt"),)] == 12
     assert parsed["repro_b"][()] == 3
-    assert parsed["repro_c_seconds_count"][()] == 2
-    assert parsed["repro_c_seconds_bucket"][(("le", "0.01"),)] == 1
-    assert parsed["repro_c_seconds_bucket"][(("le", "+Inf"),)] == 2
 
 
 def test_network_hot_loop_metrics(global_metrics):
@@ -251,18 +234,14 @@ def test_scheduler_metrics_are_read_from_the_ledger(global_metrics, engine):
         assert REGISTRY.value(metric) == sum(p[key] for p in pipelines), metric
 
 
-def test_metrics_follow_the_ledger_through_reset_and_restore(global_metrics):
-    """The registry reads the ledger when it is read: a reset network reads
-    zero (its event names are gone), and a network that restores a snapshot
-    under obs reads the ledger the snapshot carried without running."""
+def test_metrics_follow_the_ledger_through_restore(global_metrics):
+    """The registry reads the ledger when it is read: a network that
+    restores a snapshot under obs reads the ledger the snapshot carried
+    without running."""
     network = _relay_network("codegen")
     network.run()
     snapshot = network.snapshot()
     handled = network.total_stats().events_handled
-    network.reset()
-    assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) == 0
-    assert REGISTRY.value("repro_network_events_generated_total") == 0
-
     REGISTRY.reset()  # forgets the networks it read
     assert REGISTRY.value("repro_network_events_handled_total", labels=("pkt",)) == 0
     restored = _relay_network("codegen")

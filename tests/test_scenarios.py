@@ -1,5 +1,5 @@
 """Tests for the scenario engine: topology generators, per-switch group
-binding, the streaming network drain, link failures, ``Network.reset``, the
+binding, the streaming network drain, link failures, accumulating runs, the
 invariant machinery, the bundled scenario catalogue (on both engines), and
 the CLI.
 """
@@ -400,32 +400,13 @@ class TestLinkFailureSimulation:
 
 
 # ---------------------------------------------------------------------------
-# Network.reset
+# consecutive runs of one network
 # ---------------------------------------------------------------------------
 class TestNetworkReset:
     def _run_once(self, network):
         for i in range(50):
             network.inject(0, EventInstance("bump", (1,)), at_ns=i * 10)
         network.run()
-
-    def test_reset_restores_fresh_state(self):
-        network = Network()
-        network.trace_enabled = False
-        network.add_switch(0, COUNTER_PROGRAM)
-        self._run_once(network)
-        first_stats = network.switch(0).stats
-        first_digest = network_array_digest(network)
-        assert network.switch(0).array("total").cells[0] == 50
-
-        network.reset()
-        assert network.now_ns == 0
-        assert network.pending_events() == 0
-        assert network.switch(0).array("total").cells[0] == 0
-        assert network.switch(0).array("total").reads == 0
-
-        self._run_once(network)
-        assert network.switch(0).stats == first_stats
-        assert network_array_digest(network) == first_digest
 
     def test_without_reset_runs_accumulate(self):
         network = Network()
@@ -436,25 +417,6 @@ class TestNetworkReset:
         # documented accumulate semantics: state and stats carry over
         assert network.switch(0).array("total").cells[0] == 100
         assert network.switch(0).stats.events_handled == 100
-
-    def test_reset_works_on_both_engines(self):
-        for engine in ("codegen", "reference"):
-            network = Network(engine=engine)
-            network.trace_enabled = False
-            network.add_switch(0, COUNTER_PROGRAM)
-            self._run_once(network)
-            network.reset()
-            self._run_once(network)
-            assert network.switch(0).array("total").cells[0] == 50
-
-    def test_reset_keeping_arrays(self):
-        network = Network()
-        network.trace_enabled = False
-        network.add_switch(0, COUNTER_PROGRAM)
-        self._run_once(network)
-        network.reset(arrays=False)
-        assert network.switch(0).array("total").cells[0] == 50
-        assert network.switch(0).stats.events_handled == 0
 
 
 # ---------------------------------------------------------------------------

@@ -261,46 +261,13 @@ def test_interpreter_engines_refuse_foreign_engine_state():
 
 
 # ---------------------------------------------------------------------------
-# Network.reset vs partially consumed streaming sources
+# ReplayableSource
 # ---------------------------------------------------------------------------
 def _plain_stream(n=100):
     for i in range(n):
         yield (i * 1_000, 0, EventInstance("pkt", (i % 8, 0)))
 
 
-def test_reset_refuses_partially_consumed_source():
-    network = Network()
-    network.add_switch(0, RELAY)
-    network.run(source=_plain_stream(), max_events=5)
-    with pytest.raises(SimulationError, match="partially consumed"):
-        network.reset()
-    # the refusal is not sticky: drop the cursor explicitly and reset works
-    network.run(source=_plain_stream(), max_events=5)
-    network.reset(drop_source=True)
-    assert network.now_ns == 0 and network.pending_events() == 0
-
-
-def test_reset_rewinds_replayable_source():
-    network = Network()
-    network.add_switch(0, RELAY)
-    source = ReplayableSource(lambda: _plain_stream(40))
-    network.run(source=source, max_events=5)
-    network.reset()  # rewind() hook: no error, cursor back to zero
-    assert source.consumed == 0
-    handled = network.run(source=source)
-    assert handled == 40  # the full stream again, not the remainder
-
-
-def test_exhausted_source_does_not_block_reset():
-    network = Network()
-    network.add_switch(0, RELAY)
-    network.run(source=_plain_stream(10))
-    network.reset()  # fully consumed: nothing to guard
-
-
-# ---------------------------------------------------------------------------
-# ReplayableSource
-# ---------------------------------------------------------------------------
 def test_replayable_source_counts_and_skips():
     items = lambda: _plain_stream(20)  # noqa: E731
     a = ReplayableSource(items)
@@ -321,7 +288,7 @@ def test_replayable_source_push_back_excluded_from_cursor():
     assert a.cursor()["consumed"] == 1  # the held item is not yet delivered
     assert next(a) is held  # re-delivered, not re-counted
     assert a.cursor()["consumed"] == 2
-    assert a.peek() is not None and not a.exhausted
+    assert a.peek() is not None
 
 
 def test_replayable_source_control_items_not_injected():
@@ -333,13 +300,10 @@ def test_replayable_source_control_items_not_injected():
     src = ReplayableSource(stream)
     list(src)
     assert src.consumed == 3 and src.injected == 2 and src.last_ns == 9
-    assert src.exhausted
+    assert src.peek() is None
 
 
 def test_replayable_source_errors():
-    bare = ReplayableSource(_plain_stream(3))
-    with pytest.raises(SimulationError, match="cannot rewind"):
-        bare.rewind()
     with pytest.raises(SimulationError, match="ended after"):
         ReplayableSource(lambda: _plain_stream(3)).skip(10)
     used = ReplayableSource(lambda: _plain_stream(3))

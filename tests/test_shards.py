@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
-from repro.interp.network import Network, SchedulerConfig, Switch, SwitchStats
+from repro.interp.network import CONTROL, Network, SchedulerConfig, Switch, SwitchStats
 from repro.scenarios import topology as topo
 from repro.scenarios.registry import SCENARIOS, Scenario, get, register
 from repro.scenarios.runner import ScenarioResult, ScenarioSetup, run_scenario
@@ -325,9 +325,9 @@ def _build_orphans(events: int, seed: int) -> ScenarioSetup:
 
 @fork_only
 def test_sharded_ledger_counts_orphan_sends():
-    """A send to a switch id no shard owns reaches the coordinator, which
-    dropped it uncounted: the merged ledger read 0 ``orphan_events`` where
-    the single-process run counts one per send popped by the horizon."""
+    """A send to a switch id no shard owns stays in its sender's heap, and
+    the worker's drain skips and counts it by the horizon: the merged ledger
+    reads the ``orphan_events`` of the single-process run."""
     scenario = Scenario(name="_test-shard-orphans", title="orphan-send fixture",
                         app_key="CM", topology="line-2",
                         description="every ping generates for a missing switch",
@@ -341,6 +341,62 @@ def test_sharded_ledger_counts_orphan_sends():
     orphans = {sid: stats["orphan_events"] for sid, stats in single.switch_stats.items()}
     assert 100 < sum(orphans.values()) < 200, orphans  # the horizon cut some
     _assert_parity(single, sharded)
+
+
+# A CONTROL action that inject()s runs on every shard, so the shards that do
+# not own its target inject too: due now, the foreign switch runs it inside
+# the window; due later, the entry is still queued when the window ends.
+_INJECT_APP = """
+global hits = new Array<<32>>(4);
+memop plus(int stored, int x) { return stored + x; }
+event ping(int r);
+handle ping(int r) { Array.set(hits, r % 4, plus, 1); }
+"""
+
+
+def _build_control_inject(offset_ns: int):
+    def build(events: int, seed: int) -> ScenarioSetup:
+        topology = topo.line(2)
+
+        def inject(network):
+            network.inject(1, EventInstance("ping", (3,)),
+                           at_ns=network.now_ns + offset_ns)
+
+        def traffic():
+            for r in range(events):
+                yield (r * 1_000, r % 2, EventInstance("ping", (r,)))
+                if r == 2:
+                    yield (r * 1_000 + 500, CONTROL, inject)
+
+        return ScenarioSetup(
+            topology=topology,
+            make_network=lambda engine: topology.build_network(
+                _INJECT_APP, engine=engine, name="control-inject"),
+            traffic=traffic,
+            invariants=[],
+            settle_ns=10_000,
+        )
+
+    return build
+
+
+@fork_only
+@pytest.mark.parametrize("offset_ns", [0, 5_000])
+def test_sharded_control_inject_into_a_foreign_switch_is_an_error(offset_ns):
+    """One process runs the injected ping once; two shards must refuse the
+    run, never return a digest that counts it twice or not at all."""
+    scenario = Scenario(name="_test-shard-control-inject", title="control inject fixture",
+                        app_key="CM", topology="line-2",
+                        description="a CONTROL action injects into switch 1",
+                        build=_build_control_inject(offset_ns))
+    register(scenario)
+    try:
+        single = run_scenario(scenario, 20, seed=1, engine="codegen")
+        assert single.events_handled == 21
+        with pytest.raises(SimulationError, match="does not own"):
+            run_sharded(scenario, 20, seed=1, num_shards=2, engine="codegen")
+    finally:
+        SCENARIOS.pop(scenario.name, None)
 
 
 @fork_only
@@ -373,7 +429,7 @@ def test_sharded_metrics_read_the_merged_ledger():
 
 
 # ---------------------------------------------------------------------------
-# satellites: picklability and reset hygiene
+# satellites: picklability
 # ---------------------------------------------------------------------------
 def test_switch_stats_round_trips_through_dict_and_pickle():
     stats = SwitchStats()
@@ -393,21 +449,6 @@ def test_scenario_result_round_trips_through_dict_and_pickle():
     pickled = pickle.loads(pickle.dumps(result))
     assert pickled.verdict_signature() == result.verdict_signature()
     assert pickled.switch_stats == result.switch_stats
-
-
-def test_reset_detaches_tracer_and_profiler():
-    scenario = get("heavy-hitter-single")
-    setup = scenario.build(200, 1)
-    network = setup.make_network("codegen")
-    network.tracer = object()
-    network.profiler = object()
-    network.on_handle = lambda entry: None
-    network.reset()
-    assert network.tracer is None
-    assert network.profiler is None
-    assert network.on_handle is None
-    for switch in network.switches.values():
-        assert switch.origin_seq == 0
 
 
 # ---------------------------------------------------------------------------

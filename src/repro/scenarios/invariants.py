@@ -224,7 +224,8 @@ class FirewallSolicitedOnly(Invariant):
 
     def snapshot_state(self) -> Dict[str, object]:
         return {
-            "outbound": sorted(list(pair) for pair in self._outbound),
+            # tuples encode as the JSON lists they are restored from
+            "outbound": sorted(self._outbound),
             "violations": list(self._violations),
             "count": self._count,
         }

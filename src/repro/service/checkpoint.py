@@ -18,7 +18,9 @@ needs, under a versioned envelope:
 Files are named ``checkpoint-<handled, zero-padded>.json`` so lexicographic
 order is progress order, written atomically (temp file + ``os.replace``) so
 a SIGKILL mid-write never leaves a truncated latest checkpoint, and pruned
-to the ``keep`` most recent.
+to the ``keep`` most recent.  The bytes are those of
+``json.dumps(state, separators=(",", ":"))``, written by :func:`write_json`
+in bounded pieces.
 """
 
 from __future__ import annotations
@@ -26,12 +28,53 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import SimulationError
 
 CHECKPOINT_FORMAT = "repro-service-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: elements per ``json.dumps`` call on a flat list: large enough that the C
+#: encoder does the work, small enough that its accumulator stays small
+SLICE = 2048
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_json(write: Callable[[str], object], value: object) -> None:
+    """Write ``value`` as ``json.dumps(value, separators=(",", ":"))`` does,
+    through ``write``, one bounded piece at a time.
+
+    ``json.dump`` streams through the pure-Python encoder, and one
+    ``json.dumps`` of a whole checkpoint holds every fragment of it in
+    memory at once.  This writer emits the braces, keys and commas of dicts
+    and of lists that hold dicts itself, and hands every other list to the C
+    encoder in slices of :data:`SLICE` elements."""
+    if isinstance(value, dict):
+        write("{")
+        sep = ""
+        for key, item in value.items():
+            # '{"key":0}' → '"key":', with json's own rules for non-str keys
+            write(sep + _dumps({key: 0})[1:-2])
+            write_json(write, item)
+            sep = ","
+        write("}")
+    elif isinstance(value, (list, tuple)):
+        write("[")
+        if dict in map(type, value):
+            for index, item in enumerate(value):
+                if index:
+                    write(",")
+                write_json(write, item)
+        else:
+            for start in range(0, len(value), SLICE):
+                if start:
+                    write(",")
+                write(_dumps(value[start:start + SLICE])[1:-1])
+        write("]")
+    else:
+        write(_dumps(value))
 
 
 def validate_checkpoint(state: Dict[str, object]) -> Dict[str, object]:
@@ -56,9 +99,18 @@ def validate_checkpoint(state: Dict[str, object]) -> Dict[str, object]:
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, object]:
-    """Read and validate one checkpoint file."""
-    with open(path) as fh:
-        return validate_checkpoint(json.load(fh))
+    """Read and validate one checkpoint file.  A file that is truncated, not
+    UTF-8 or not a JSON object raises :class:`SimulationError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SimulationError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
+    if not isinstance(state, dict):
+        raise SimulationError(
+            f"checkpoint {path} is not a JSON object (got {type(state).__name__})"
+        )
+    return validate_checkpoint(state)
 
 
 class CheckpointStore:
@@ -89,7 +141,7 @@ class CheckpointStore:
         path = self.directory / f"checkpoint-{int(state['handled']):015d}.json"
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w") as fh:
-            json.dump(state, fh, separators=(",", ":"))
+            write_json(fh.write, state)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -31,10 +31,12 @@ class ReplayableSource:
     scenario ``traffic`` convention), called once, or a bare iterable.
 
     Counters: ``consumed`` is every item yielded (including CONTROL
-    actions), ``injected`` counts only events, ``last_ns`` is the largest
-    timestamp seen.  An item returned via :meth:`push_back` is *uncounted*
-    by :meth:`cursor` until it is pulled again, so a checkpoint taken while
-    the simulator holds a pending item replays that item on resume.
+    actions), ``injected`` counts only events, ``last_ns`` is the latest
+    timestamp seen.  Timestamps must not decrease: an item earlier than
+    ``last_ns`` raises :class:`SimulationError`.  An item returned via
+    :meth:`push_back` is *uncounted* by :meth:`cursor` until it is pulled
+    again, so a checkpoint taken while the simulator holds a pending item
+    replays that item on resume.
     """
 
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
@@ -60,12 +62,16 @@ class ReplayableSource:
         return item
 
     def _count(self, item: SourceItem) -> None:
+        if item[0] < self.last_ns:
+            raise SimulationError(
+                f"source went backwards in time: item {self.consumed} is at "
+                f"{item[0]} ns, after an item at {self.last_ns} ns"
+            )
         self._prev = (self.consumed, self.injected, self.last_ns)
         self.consumed += 1
         if item[1] != CONTROL:
             self.injected += 1
-        if item[0] > self.last_ns:
-            self.last_ns = item[0]
+        self.last_ns = item[0]
 
     # -- simulator hooks -----------------------------------------------------
     def push_back(self, item: SourceItem) -> None:

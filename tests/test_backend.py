@@ -15,14 +15,17 @@ from repro.backend import (
     compile_program,
     count_lucid_loc,
 )
-from repro.backend.reorder import build_dataflow_graph
+from repro.backend.reorder import _conditions_disjoint, build_dataflow_graph
+from repro.backend.tables import AtomicTable
 from repro.errors import LayoutError
 from repro.frontend import check_program
+from repro.frontend.ast import BinOp
 from repro.fuzz.case import load_case
 from repro.interp.events import EventInstance
 from repro.interp.network import single_switch_network
 from repro.midend import normalize_program
-from repro.midend.normalize import NArrayOp, NGenerate, NIf, NOp
+from repro.midend.normalize import Const, NArrayOp, NCond, NGenerate, NIf, NOp, Var
+from repro.ops import OpKind, apply_binop, binops
 from repro.pisa.pipeline import lower_layout
 
 
@@ -229,6 +232,58 @@ def test_merge_without_reordering_is_worse_or_equal():
     full = build_layout(checked.info, normalized, options=MergeOptions())
     no_reorder = build_layout(checked.info, normalized, options=MergeOptions(reorder=False))
     assert no_reorder.num_stages() >= full.num_stages()
+
+
+COMPARISONS = binops(OpKind.COMPARISON)
+
+
+def _table(uid, conditions=(), writes=()):
+    return AtomicTable(uid=uid, name=f"t{uid}", kind=TableKind.OPERATION, handler="h",
+                       stmt=NOp(), writes=set(writes), path_conditions=list(conditions))
+
+
+@pytest.mark.parametrize("op2", COMPARISONS, ids=lambda op: op.name)
+@pytest.mark.parametrize("op1", COMPARISONS, ids=lambda op: op.name)
+def test_conditions_disjoint_is_sound(op1, op2):
+    """Brute force over ``x op1 a`` then ``x op2 b``: when the rule lets the
+    two tables share a stage, no value may satisfy both tests.  A table that
+    writes ``x`` in between (or the first table itself) makes the second test
+    one of a new value, so then neither test may be satisfiable at all."""
+    values = range(8)
+    for a in range(4):
+        for b in range(4):
+            first = NCond(Var("x"), op1, Const(a))
+            second = NCond(Var("x"), op2, Const(b))
+            for writer in (None, "first", "between"):
+                tables = [
+                    _table(0, [first], writes={"x"} if writer == "first" else ()),
+                    _table(1, writes={"x"} if writer == "between" else ()),
+                    _table(2, [second]),
+                ]
+                if not _conditions_disjoint(tables, 0, 2):
+                    continue
+                if writer is None:
+                    both = [x for x in values
+                            if apply_binop(op1, x, a) and apply_binop(op2, x, b)]
+                else:
+                    both = [(x, y) for x in values for y in values
+                            if apply_binop(op1, x, a) and apply_binop(op2, y, b)]
+                assert not both, (
+                    f"x {op1.value} {a} and x {op2.value} {b} (writer {writer}) "
+                    f"share a stage, yet both hold at {both[0]}"
+                )
+
+
+def test_conditions_disjoint_finds_exclusive_arms():
+    """The oracle above is not vacuous: each comparison and its negation, and
+    two equalities with different constants, are found exclusive."""
+    for op in COMPARISONS:
+        tables = [_table(0, [NCond(Var("x"), op, Const(2))]),
+                  _table(1, [NCond(Var("x"), op, Const(2)).negate()])]
+        assert _conditions_disjoint(tables, 0, 1)
+    tables = [_table(0, [NCond(Var("x"), BinOp.EQ, Const(1))]),
+              _table(1, [NCond(Var("x"), BinOp.EQ, Const(2))])]
+    assert _conditions_disjoint(tables, 0, 1)
 
 
 def test_stage_limit_enforcement():

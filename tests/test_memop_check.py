@@ -45,7 +45,7 @@ def test_paper_incr_memop_is_valid():
 
 # -- appendix C: the three invalid examples -----------------------------------
 def test_compound_condition_rejected():
-    with pytest.raises(MemopError, match="compound"):
+    with pytest.raises(MemopError, match=r"compound conditional expressions \(&&, \|\|\)"):
         check(
             "memop compoundCondition(int memval, int y) {"
             "  if (memval == 1 || memval == 2) { return memval; } else { return y; }"

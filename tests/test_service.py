@@ -30,7 +30,8 @@ from repro.scenarios.invariants import (
     restore_invariant_states,
 )
 from repro.scenarios.runner import network_array_digest
-from repro.service.checkpoint import CheckpointStore, load_checkpoint
+import repro.service.checkpoint as checkpoint
+from repro.service.checkpoint import CheckpointStore, load_checkpoint, write_json
 import repro.service.server as server
 from repro.service.server import (
     ScenarioService,
@@ -312,6 +313,22 @@ def test_replayable_source_errors():
         used.skip(1)
 
 
+def test_replayable_source_refuses_time_going_backwards():
+    items = [
+        (0, 0, EventInstance("pkt", (0, 0))),
+        (5, 0, EventInstance("pkt", (1, 0))),
+        (5, CONTROL, lambda net: None),  # a tie is not backwards
+        (3, 0, EventInstance("pkt", (2, 0))),
+    ]
+    src = ReplayableSource(items)
+    for _ in range(3):
+        next(src)
+    with pytest.raises(SimulationError, match=r"item 3 is at 3 ns, after an item at 5 ns"):
+        next(src)
+    with pytest.raises(SimulationError, match="backwards"):
+        ReplayableSource(items).skip(4)
+
+
 # ---------------------------------------------------------------------------
 # CheckpointStore
 # ---------------------------------------------------------------------------
@@ -354,6 +371,118 @@ def test_checkpoint_store_validates(tmp_path):
     del incomplete["cursor"]
     with pytest.raises(SimulationError, match="missing"):
         store.save(incomplete)
+
+
+def _written(value):
+    pieces = []
+    write_json(pieces.append, value)
+    return "".join(pieces)
+
+
+SLICE = checkpoint.SLICE
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}},
+    list(range(SLICE)), list(range(SLICE + 1)), list(range(2 * SLICE + 1)),
+    [[i, i + 1] for i in range(SLICE + 1)],
+    tuple((i, -i) for i in range(SLICE)),
+    [None, {"x": list(range(SLICE + 1))}, None, {}],
+    {1: "one", None: 0, True: 1, False: [], 2.5: None, -7: {}},
+    {"n": None, "t": True, "f": False, "x": 1.5, "big": 2**70, "neg": -0.0},
+    [0.1, 1e300, float("inf"), float("-inf"), float("nan")],
+    ["é\n\"", "\u2603", ""],
+    None, True, 0, 3.25, "s",
+], ids=lambda value: type(value).__name__)
+def test_write_json_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, separators=(",", ":"))
+
+
+def test_write_json_refuses_keys_json_refuses():
+    with pytest.raises(TypeError):
+        _written({(1, 2): 0})
+
+
+def test_checkpoint_files_are_json_dumps_of_the_state(tmp_path, monkeypatch):
+    """The bytes on disk of a real run's checkpoints are those of one
+    ``json.dumps`` of the state, also when every list crosses slices."""
+    states = []
+    save = CheckpointStore.save
+
+    def capturing_save(self, state):
+        states.append(state)
+        return save(self, state)
+
+    monkeypatch.setattr(CheckpointStore, "save", capturing_save)
+    config = ServiceConfig(
+        engine="codegen", seed=1, events=3_000, checkpoint_dir=str(tmp_path),
+        checkpoint_every=1_000, keep_checkpoints=10, chunk_events=500,
+        telemetry_stream=io.StringIO(),
+    )
+    ScenarioService(SCENARIOS["dfw-ring-roaming"], config).run()
+    paths = CheckpointStore(tmp_path).paths()
+    assert len(states) == len(paths) >= 3
+    assert any(inv and inv.get("outbound") for inv in states[-1]["invariants"])
+    for state, path in zip(states, paths):
+        assert path.read_text() == json.dumps(state, separators=(",", ":"))
+    monkeypatch.setattr(checkpoint, "SLICE", 3)
+    for state in states:
+        assert _written(state) == json.dumps(state, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"format": "repro-service-checkpoint", "vers', "truncated or corrupt"),
+    (b"\xff\xfe{}", "truncated or corrupt"),
+    (b"[1, 2]", "not a JSON object"),
+])
+def test_load_checkpoint_refuses_undecodable_files(tmp_path, content, reason):
+    path = tmp_path / "checkpoint-000000000000001.json"
+    path.write_bytes(content)
+    with pytest.raises(SimulationError, match=reason) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+
+
+def _serve_config(ck, **overrides):
+    return ServiceConfig(
+        engine="codegen", seed=5, events=2_000, checkpoint_dir=str(ck),
+        checkpoint_every=400, keep_checkpoints=3, telemetry_every=500,
+        chunk_events=200, telemetry_stream=io.StringIO(), **overrides,
+    )
+
+
+def test_truncated_latest_checkpoint_is_refused_and_older_ones_kept(tmp_path):
+    scenario = SCENARIOS["nat-churn"]
+    ScenarioService(scenario, _serve_config(tmp_path, max_events=1_300)).run()
+    *older, newest = CheckpointStore(tmp_path).paths()
+    assert older
+    before = {path: path.read_bytes() for path in older}
+    data = newest.read_bytes()
+    newest.write_bytes(data[: len(data) // 2])
+    with pytest.raises(SimulationError, match="truncated") as caught:
+        ScenarioService(scenario, _serve_config(tmp_path, resume=True)).run()
+    assert str(newest) in str(caught.value)
+    assert {path: path.read_bytes() for path in older} == before
+
+
+def test_kill_between_tmp_write_and_rename_resumes_from_last_complete(tmp_path):
+    """A run killed after writing ``checkpoint-<n>.json.tmp`` but before
+    renaming it leaves that file behind: the store ignores it, and resume
+    continues from the last complete checkpoint to the batch run's verdict."""
+    scenario = SCENARIOS["nat-churn"]
+    first = ScenarioService(scenario, _serve_config(tmp_path, max_events=900)).run()
+    store = CheckpointStore(tmp_path)
+    complete = store.latest()
+    assert str(complete) == first.checkpoint_path
+    text = complete.read_text()
+    tmp = tmp_path / f"checkpoint-{10**6:015d}.json.tmp"
+    tmp.write_text(text[: len(text) // 2])
+    assert store.latest() == complete
+
+    second = ScenarioService(scenario, _serve_config(tmp_path)).run()
+    assert second.resumed_from == str(complete)
+    straight = run_scenario(scenario, 2_000, 5, engine="codegen")
+    assert second.result.verdict_signature() == straight.verdict_signature()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,9 @@ class _PlanEmitter(ModuleEmitter):
                 for table in merged.members:
                     by_handler.setdefault(table.handler, []).append(table)
             for handler, tables in by_handler.items():
+                # program order: a stage may hold a read and a later overwrite
+                # (WAR is not strict), and the read must see the stage's input
+                tables.sort(key=lambda table: table.uid)
                 self.staged.setdefault(handler, []).append((stage_index, tables))
 
     # -- program assembly ---------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import log
 from typing import Callable, Dict, Iterator, List
 
 import random
@@ -425,11 +426,13 @@ def _build_rip_line(events: int, seed: int) -> ScenarioSetup:
         # packets across the convergence window
         for sid in range(n):
             yield (0, sid, EventInstance("periodic_advertise", ()))
-        rng = random.Random(seed)
+        draw = random.Random(seed).random
+        lambd = 1.0 / 2_000
+        packet = EventInstance("data_pkt", (0,))
         now = 0.0
         for i in range(events):
-            now += rng.expovariate(1.0 / 2_000)
-            yield (int(now), i % n, EventInstance("data_pkt", (0,)))
+            now += -log(1.0 - draw()) / lambd
+            yield (int(now), i % n, packet)
 
     return ScenarioSetup(
         topology=topology,
@@ -500,13 +503,17 @@ def _build_reroute_linkfail(events: int, seed: int) -> ScenarioSetup:
 
     def data_packets() -> Iterator[SourceItem]:
         rng = random.Random(seed)
+        draw, randrange = rng.random, rng.randrange
+        lambd = 1.0 / mean_gap_ns
+        width = len(leaves)
+        # per source leaf: the other leaves, as the data_pkt each one is sent
+        others = [[EventInstance("data_pkt", (dst,)) for dst in leaves if dst != leaf]
+                  for leaf in leaves]
         now = 0.0
         for i in range(events):
-            now += rng.expovariate(1.0 / mean_gap_ns)
-            leaf = leaves[i % len(leaves)]
-            others = [l for l in leaves if l != leaf]
-            dst = others[rng.randrange(len(others))]
-            yield (int(now), leaf, EventInstance("data_pkt", (dst,)))
+            now += -log(1.0 - draw()) / lambd
+            packets = others[i % width]
+            yield (int(now), leaves[i % width], packets[randrange(len(packets))])
 
     schedule = [
         tm.LinkFailure(link=(failed_leaf, dead_spine), fail_at_ns=fail_at, recover_at_ns=None)
@@ -553,18 +560,20 @@ def _build_sro_writes(events: int, seed: int) -> ScenarioSetup:
 
     def traffic() -> Iterator[SourceItem]:
         rng = random.Random(seed)
+        draw, randrange = rng.random, rng.randrange
+        lambd = 1.0 / 5_000
         now = 0.0
-        for i in range(events):
-            now += rng.expovariate(1.0 / 5_000)
-            if rng.random() < 0.75:
-                key = rng.randrange(256)
-                value = 1 + rng.randrange(1 << 16)
+        for _ in range(events):
+            now += -log(1.0 - draw()) / lambd
+            if draw() < 0.75:
+                key = randrange(256)
+                value = 1 + randrange(1 << 16)
                 # all writes enter through the sequencer (switch 0)
                 yield (int(now), 0, EventInstance("write_req", (key, value)))
             else:
-                key = rng.randrange(256)
-                client = rng.randrange(n)
-                yield (int(now), rng.randrange(n), EventInstance("read_req", (key, client)))
+                key = randrange(256)
+                client = randrange(n)
+                yield (int(now), randrange(n), EventInstance("read_req", (key, client)))
 
     return ScenarioSetup(
         topology=topology,

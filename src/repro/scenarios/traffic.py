@@ -10,6 +10,16 @@ counters bounded by the host population, not the event count).
 Models compose: :func:`merge` interleaves any number of sorted streams, and
 :func:`link_failure_actions` turns a schedule of :class:`LinkFailure`
 records into scheduled control actions that fail/restore links mid-run.
+
+Two contracts hold for every model.  **The RNG call order is the stream**:
+items and side state are a pure function of the draws a model makes from its
+seeded ``random.Random``, so a faster generator must make the same draws in
+the same order with the same float operations (``expovariate(lambd)`` is
+spelled inline as ``-log(1.0 - random()) / lambd``, exactly what
+``random.py`` computes); ``tests/test_workloads.py`` pins every scenario's
+stream by digest.  **Injected instances may be shared**: events are
+immutable, so items carrying the same event may hold one instance (one per
+Zipf rank, per firewall flow direction, per active NAT flow).
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ import heapq
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import cycle, islice
+from math import log
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.interp.events import EventInstance
@@ -94,26 +106,20 @@ def link_failure_actions(
         yield heapq.heappop(pending)[2]
 
 
-class _ZipfSampler:
-    """Discrete power-law sampler over ``n`` ranks: P(rank i) ~ 1/(i+1)^alpha.
-
-    O(n) memory for the cumulative table, O(log n) per draw — independent of
-    how many samples are drawn.
-    """
-
-    def __init__(self, n: int, alpha: float):
-        weights = [1.0 / (i + 1) ** alpha for i in range(n)]
-        total = sum(weights)
-        cumulative = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
-
-    def sample(self, rng: random.Random) -> int:
-        return bisect_left(self._cumulative, rng.random())
+def _zipf_cumulative(n: int, alpha: float) -> List[float]:
+    """The cumulative table of a discrete power law over ``n`` ranks,
+    P(rank i) ~ 1/(i+1)^alpha: ``bisect_left(table, rng.random())`` draws a
+    rank.  O(n) memory, O(log n) per draw — independent of how many samples
+    are drawn."""
+    weights = [1.0 / (i + 1) ** alpha for i in range(n)]
+    total = sum(weights)
+    cumulative = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cumulative.append(acc)
+    cumulative[-1] = 1.0
+    return cumulative
 
 
 @dataclass
@@ -122,10 +128,11 @@ class ZipfPacketTraffic:
     uniform-ish tail — the canonical sketch/telemetry workload.
 
     Emits ``event_name(src, dst)`` (``extra_args`` appended) round-robin over
-    the topology's edge switches with exponential inter-arrival gaps.  The
-    per-flow emission counts of the ``track_top`` heaviest ranks are recorded
-    in :attr:`emitted`, keyed by switch then flow, so invariants can compare
-    sketch estimates against ground truth without observing every event.
+    the topology's edge switches with exponential inter-arrival gaps; every
+    item of one rank carries the same instance.  The per-flow emission counts
+    of the ``track_top`` heaviest ranks are recorded in :attr:`emitted`,
+    keyed by switch then flow, so invariants can compare sketch estimates
+    against ground truth without observing every event.
     """
 
     event_name: str = "pkt"
@@ -146,23 +153,26 @@ class ZipfPacketTraffic:
     def events(
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
-        sampler = _ZipfSampler(self.hosts, self.alpha)
-        rng = random.Random(seed)
-        self.emitted.clear()
+        cumulative = _zipf_cumulative(self.hosts, self.alpha)
+        draw = random.Random(seed).random
+        lambd = 1.0 / self.mean_gap_ns
+        emitted = self.emitted
+        emitted.clear()
+        top = self.track_top
+        by_rank = [EventInstance(self.event_name, self.flow_for_rank(rank) + self.extra_args)
+                   for rank in range(self.hosts)]
+        flows = [self.flow_for_rank(rank) for rank in range(top)]
         now = 0.0
-        for i in range(count):
-            now += rng.expovariate(1.0 / self.mean_gap_ns)
-            rank = sampler.sample(rng)
-            src, dst = self.flow_for_rank(rank)
-            switch = edge[i % len(edge)]
-            if rank < self.track_top:
-                per_switch = self.emitted.setdefault(switch, {})
-                per_switch[(src, dst)] = per_switch.get((src, dst), 0) + 1
-            yield (
-                int(now),
-                switch,
-                EventInstance(self.event_name, (src, dst) + self.extra_args),
-            )
+        for switch in islice(cycle(edge), count):
+            now += -log(1.0 - draw()) / lambd
+            rank = bisect_left(cumulative, draw())
+            if rank < top:
+                per_switch = emitted.get(switch)
+                if per_switch is None:
+                    per_switch = emitted[switch] = {}
+                flow = flows[rank]
+                per_switch[flow] = per_switch.get(flow, 0) + 1
+            yield (int(now), switch, by_rank[rank])
 
 
 @dataclass
@@ -197,55 +207,49 @@ class FirewallFlowTraffic:
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
         rng = random.Random(seed)
+        draw, randrange = rng.random, rng.randrange
         self.first_packet_ns.clear()
+        rate, hosts, external = self.flow_rate_per_s, self.hosts, self.external_hosts
+        packets, gap, rtt = self.packets_per_flow, self.inter_packet_ns, self.rtt_ns
+        with_returns, roam = self.with_returns, self.roam_returns
+        width = len(edge)
+        push, pop = heapq.heappush, heapq.heappop
         pending: List[Tuple[int, int, int, EventInstance]] = []
-        serial = 0
-        emitted = 0
-        flow_index = 0
+        serial = emitted = flow_index = 0
         now = 0.0
         while emitted < count:
-            now += rng.expovariate(self.flow_rate_per_s) * 1e9
+            now += -log(1.0 - draw()) / rate * 1e9
             start = int(now)
-            src = rng.randrange(self.hosts)
-            dst = self.hosts + rng.randrange(self.external_hosts)
-            switch = edge[flow_index % len(edge)]
-            return_switch = (
-                edge[(flow_index + 1) % len(edge)] if self.roam_returns else switch
-            )
+            src = randrange(hosts)
+            dst = hosts + randrange(external)
+            switch = edge[flow_index % width]
+            return_switch = edge[(flow_index + 1) % width] if roam else switch
             flow_index += 1
             while pending and pending[0][0] <= start and emitted < count:
-                t, _, sw, event = heapq.heappop(pending)
+                t, _, sw, event = pop(pending)
                 yield (t, sw, event)
                 emitted += 1
             if emitted >= count:
                 break
             self.first_packet_ns.setdefault((src, dst), start)
-            for p in range(self.packets_per_flow):
-                t_out = start + p * self.inter_packet_ns
+            # every packet of the flow carries one instance per direction
+            out = EventInstance(self.out_event, (src, dst))
+            back = EventInstance(self.in_event, (dst, src)) if with_returns else None
+            for p in range(packets):
+                t_out = start + p * gap
                 serial += 1
                 if p == 0:
-                    yield (t_out, switch, EventInstance(self.out_event, (src, dst)))
+                    yield (t_out, switch, out)
                     emitted += 1
                 else:
-                    heapq.heappush(
-                        pending,
-                        (t_out, serial, switch, EventInstance(self.out_event, (src, dst))),
-                    )
-                if self.with_returns:
+                    push(pending, (t_out, serial, switch, out))
+                if with_returns:
                     serial += 1
-                    heapq.heappush(
-                        pending,
-                        (
-                            t_out + self.rtt_ns,
-                            serial,
-                            return_switch,
-                            EventInstance(self.in_event, (dst, src)),
-                        ),
-                    )
+                    push(pending, (t_out + rtt, serial, return_switch, back))
                 if emitted >= count:
                     break
         while pending and emitted < count:
-            t, _, sw, event = heapq.heappop(pending)
+            t, _, sw, event = pop(pending)
             yield (t, sw, event)
             emitted += 1
 
@@ -266,18 +270,15 @@ class ScanBurstTraffic:
     def events(
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
-        rng = random.Random(seed)
+        randrange = random.Random(seed).randrange
+        base, attackers, targets = self.attacker_base, self.attackers, self.target_hosts
+        name, gap, width = self.in_event, self.gap_ns, len(edge)
         t = self.start_ns
         for i in range(count):
-            attacker = self.attacker_base + rng.randrange(self.attackers)
-            target = i % self.target_hosts
+            attacker = base + randrange(attackers)
             # an inbound probe arrives with the attacker as its source
-            yield (
-                t,
-                edge[i % len(edge)],
-                EventInstance(self.in_event, (attacker, target)),
-            )
-            t += self.gap_ns
+            yield (t, edge[i % width], EventInstance(name, (attacker, i % targets)))
+            t += gap
 
 
 @dataclass(frozen=True)
@@ -311,35 +312,38 @@ def stream_dns_mix(
     query.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
+    lambd = 1.0 / mean_gap_ns
+    push, pop = heapq.heappush, heapq.heappop
     pending: List[Tuple[int, int, DnsPacket]] = []  # (time, tiebreak, response)
     emitted = 0
     tiebreak = 0
     now = 0.0
     while emitted < total_packets:
-        now += rng.expovariate(1.0 / mean_gap_ns)
+        now += -log(1.0 - draw()) / lambd
         arrival = int(now)
         # release responses that come due before this arrival
         while pending and pending[0][0] <= arrival and emitted < total_packets:
-            yield heapq.heappop(pending)[2]
+            yield pop(pending)[2]
             emitted += 1
         if emitted >= total_packets:
             break
-        if rng.random() < reflected_share:
-            server = rng.randrange(servers)
+        if draw() < reflected_share:
+            server = randrange(servers)
             yield DnsPacket(
                 time_ns=arrival, client=victim, server=server,
                 is_response=True, reflected=True,
             )
             emitted += 1
         else:
-            client = rng.randrange(clients)
-            server = rng.randrange(servers)
+            client = randrange(clients)
+            server = randrange(servers)
             yield DnsPacket(
                 time_ns=arrival, client=client, server=server, is_response=False
             )
             emitted += 1
             tiebreak += 1
-            heapq.heappush(
+            push(
                 pending,
                 (
                     arrival + response_delay_ns,
@@ -354,7 +358,7 @@ def stream_dns_mix(
             )
     # drain whatever responses remain due, still in time order
     while pending and emitted < total_packets:
-        yield heapq.heappop(pending)[2]
+        yield pop(pending)[2]
         emitted += 1
 
 
@@ -418,24 +422,30 @@ class NatChurnTraffic:
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
         rng = random.Random(seed)
+        draw, randrange = rng.random, rng.randrange
+        lambd = 1.0 / self.mean_gap_ns
+        internal, external = self.internal_hosts, self.external_hosts
+        churn_every, max_active = self.churn_every, self.active_flows
+        probe_share, first_port = self.probe_share, self.first_port
+        width = len(edge)
         now = 0.0
         next_flow = 0
-        active: List[Tuple[int, int]] = []
+        # the active flows' pkt_internal instances, oldest first
+        active: List[EventInstance] = []
         for i in range(count):
-            now += rng.expovariate(1.0 / self.mean_gap_ns)
+            now += -log(1.0 - draw()) / lambd
             t = int(now)
-            switch = edge[i % len(edge)]
-            if i % self.churn_every == 0 or not active:
-                src = next_flow % self.internal_hosts
-                dst = self.internal_hosts + (next_flow * 13 + 5) % self.external_hosts
+            switch = edge[i % width]
+            if i % churn_every == 0 or not active:
+                src = next_flow % internal
+                dst = internal + (next_flow * 13 + 5) % external
                 next_flow += 1
-                active.append((src, dst))
-                if len(active) > self.active_flows:
+                active.append(EventInstance("pkt_internal", (src, dst)))
+                if len(active) > max_active:
                     active.pop(0)
-            if rng.random() < self.probe_share:
-                port = self.first_port + rng.randrange(max(1, next_flow + 8))
-                dst_ext = self.internal_hosts + rng.randrange(self.external_hosts)
+            if draw() < probe_share:
+                port = first_port + randrange(max(1, next_flow + 8))
+                dst_ext = internal + randrange(external)
                 yield (t, switch, EventInstance("pkt_external", (dst_ext, port)))
             else:
-                src, dst = active[rng.randrange(len(active))]
-                yield (t, switch, EventInstance("pkt_internal", (src, dst)))
+                yield (t, switch, active[randrange(len(active))])

@@ -39,39 +39,44 @@ class ReplayableSource:
     replays that item on resume.
     """
 
+    __slots__ = ("_items", "consumed", "last_ns", "_controls", "_prev_ns", "_pushed_back")
+
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
         self._items: Iterator[SourceItem] = iter(source() if callable(source) else source)
         self.consumed = 0
-        self.injected = 0
         self.last_ns = 0
+        #: CONTROL actions among the consumed items
+        self._controls = 0
+        #: ``last_ns`` before the latest pull: cursor()'s undo of a held item
+        self._prev_ns = 0
         self._pushed_back: Optional[SourceItem] = None
-        #: counters before the most recent pull — the one-step undo that
-        #: lets cursor() exclude a pushed-back item
-        self._prev = (0, 0, 0)
+
+    @property
+    def injected(self) -> int:
+        return self.consumed - self._controls
 
     # -- iteration -----------------------------------------------------------
     def __iter__(self) -> "ReplayableSource":
         return self
 
     def __next__(self) -> SourceItem:
-        if self._pushed_back is not None:
-            item, self._pushed_back = self._pushed_back, None
+        item = self._pushed_back
+        if item is not None:
+            self._pushed_back = None
             return item
         item = next(self._items)
-        self._count(item)
-        return item
-
-    def _count(self, item: SourceItem) -> None:
-        if item[0] < self.last_ns:
+        time_ns = item[0]
+        if time_ns < self.last_ns:
             raise SimulationError(
                 f"source went backwards in time: item {self.consumed} is at "
-                f"{item[0]} ns, after an item at {self.last_ns} ns"
+                f"{time_ns} ns, after an item at {self.last_ns} ns"
             )
-        self._prev = (self.consumed, self.injected, self.last_ns)
+        self._prev_ns = self.last_ns
+        self.last_ns = time_ns
         self.consumed += 1
-        if item[1] != CONTROL:
-            self.injected += 1
-        self.last_ns = item[0]
+        if item[1] == CONTROL:
+            self._controls += 1
+        return item
 
     # -- simulator hooks -----------------------------------------------------
     def push_back(self, item: SourceItem) -> None:
@@ -100,11 +105,11 @@ class ReplayableSource:
         :meth:`skip` on a freshly built source to reach the same point.
         ``injected``/``last_ns`` are recorded for replay validation.  A
         pushed-back (pulled but undelivered) item is excluded."""
-        if self._pushed_back is not None:
-            consumed, injected, last_ns = self._prev
-        else:
-            consumed, injected, last_ns = self.consumed, self.injected, self.last_ns
-        return {"consumed": consumed, "injected": injected, "last_ns": last_ns}
+        held = self._pushed_back
+        undo = held is not None
+        return {"consumed": self.consumed - undo,
+                "injected": self.injected - (undo and held[1] != CONTROL),
+                "last_ns": self._prev_ns if undo else self.last_ns}
 
     def skip(self, count: int) -> "ReplayableSource":
         """Advance a *fresh* source past ``count`` items without delivering
@@ -116,12 +121,11 @@ class ReplayableSource:
             raise SimulationError("skip() requires a freshly built source")
         for _ in range(count):
             try:
-                item = next(self._items)
+                next(self)
             except StopIteration:
                 raise SimulationError(
                     f"source ended after {self.consumed} items while replaying "
                     f"a cursor of {count}: the traffic stream differs from the "
                     f"one that was checkpointed"
                 ) from None
-            self._count(item)
         return self

@@ -1,6 +1,6 @@
 """Direct unit tests for the streaming workload generators in
-``repro.scenarios.traffic``: the firewall flow stream, the DNS mix and
-link-failure schedules.
+``repro.scenarios.traffic``: the firewall flow stream, the DNS mix,
+link-failure schedules, and every registered scenario's stream by digest.
 
 These pinned the standalone workload generators until they were folded into
 the scenario traffic models; each test keeps its id and asserts the same contract
@@ -9,9 +9,13 @@ packet timing, time order, laziness, the DNS mix composition, the link
 fail/recover lifecycle — on the implementation that survives.
 """
 
+import hashlib
+import inspect
 import itertools
 
-from repro.interp.network import Network
+from repro.interp.network import CONTROL, Network
+from repro.scenarios import SCENARIOS
+from repro.scenarios import traffic as tm
 from repro.scenarios.traffic import (
     DnsReflectionTraffic,
     FirewallFlowTraffic,
@@ -173,3 +177,74 @@ class TestLinkFailures:
             for i in itertools.count()
         )
         assert len(list(itertools.islice(link_failure_actions(endless), 3))) == 3
+
+
+# ---------------------------------------------------------------------------
+# every scenario's stream, pinned
+# ---------------------------------------------------------------------------
+#: sha256 prefixes of each scenario's first 2,000-event stream, recorded
+#: before the generators were rewritten for speed: a rewrite that changes
+#: one draw, its order, or the float operations on it moves the digest
+STREAM_SHA256 = {
+    ("dfw-ring-roaming", 1): "3ac0fd3c1a21dcce",
+    ("dfw-ring-roaming", 2): "b7942887dc376bbd",
+    ("dns-reflection", 1): "59ad586f43c2e161",
+    ("dns-reflection", 2): "09d73f75cb957285",
+    ("heavy-hitter-fattree", 1): "7f814ccf4a65dc7d",
+    ("heavy-hitter-fattree", 2): "086d6f0ec534252f",
+    ("heavy-hitter-fattree8", 1): "3c9c3be088c37140",
+    ("heavy-hitter-fattree8", 2): "86425168430ce219",
+    ("heavy-hitter-single", 1): "a42b6ed6ce732e0e",
+    ("heavy-hitter-single", 2): "5656b32c8daec54b",
+    ("nat-churn", 1): "fc95194f8250ffee",
+    ("nat-churn", 2): "ddba0481dd5c7309",
+    ("reroute-leafspine-linkfail", 1): "2fcac2587824c048",
+    ("reroute-leafspine-linkfail", 2): "b5a0e56722715090",
+    ("rip-line-convergence", 1): "62bb4aa9a0fbb83c",
+    ("rip-line-convergence", 2): "2b48fe83700db26a",
+    ("sfw-install-latency", 1): "b87b36f0c9e5f775",
+    ("sfw-install-latency", 2): "035099f5943cc892",
+    ("sfw-scan-burst", 1): "d1a800599ee697cb",
+    ("sfw-scan-burst", 2): "9e60c48142829711",
+    ("sro-replicated-writes", 1): "6c41eb94348d19c3",
+    ("sro-replicated-writes", 2): "dd2694c3e0ea7261",
+}
+
+#: what a model records while streaming, for the invariants to read
+SIDE_STATE = ("emitted", "first_packet_ns", "reflected_emitted")
+
+
+def stream_digest(setup):
+    """sha256 prefix over every ``(time, switch, name, args)`` item of the
+    setup's traffic (a CONTROL action by its function's name), then the side
+    state of the traffic models its factory closes over."""
+    digest = hashlib.sha256()
+    for time_ns, switch, what in setup.traffic():
+        if switch == CONTROL:
+            record = (time_ns, switch, what.__qualname__)
+        else:
+            record = (time_ns, switch, what.name, what.args)
+        digest.update(repr(record).encode())
+    models = inspect.getclosurevars(setup.traffic).nonlocals
+    for key in sorted(models):
+        if type(models[key]).__module__ == tm.__name__:
+            for attr in SIDE_STATE:
+                if hasattr(models[key], attr):
+                    state = (key, attr, getattr(models[key], attr))
+                    digest.update(repr(state).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_traffic_streams_match_recorded_digests():
+    assert {name for name, _ in STREAM_SHA256} == set(SCENARIOS)
+    moved = {
+        (name, seed): digest
+        for (name, seed), want in sorted(STREAM_SHA256.items())
+        if (digest := stream_digest(SCENARIOS[name].build(2_000, seed))) != want
+    }
+    assert not moved, f"traffic streams moved: {moved}"
+    # one immutable instance per Zipf rank: equal flows are the same object
+    by_flow = {}
+    for _, _, event in tm.ZipfPacketTraffic().events([0, 1], 2_000, seed=1):
+        assert by_flow.setdefault(event.args, event) is event
+    assert len(by_flow) < 2_000

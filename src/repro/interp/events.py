@@ -22,6 +22,9 @@ from typing import Dict, List, Optional, Tuple, Union
 #: sentinel location meaning "the switch that generated the event"
 LOCAL = -1
 
+#: minimum Ethernet frame size used for event packets (Section 7.2)
+MIN_FRAME_BYTES = 64
+
 
 class EventInstance:
     """A concrete event awaiting (or undergoing) handling.
@@ -109,9 +112,9 @@ class EventInstance:
     def payload_bytes(self) -> int:
         """Wire size of the serialised event packet (used by the recirculation
         and bandwidth models): Ethernet + Lucid header + 4 bytes per argument,
-        subject to the 64 B minimum frame size."""
+        subject to the minimum frame size."""
         raw = 14 + 13 + 4 * len(self.args)
-        return max(64, raw)
+        return max(MIN_FRAME_BYTES, raw)
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -210,7 +210,6 @@ class SwitchStats:
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "SwitchStats":
-        # counters a snapshot predates (``orphan_events``) keep their default
         return cls(**{**state, "handled_by_event": dict(state["handled_by_event"])})
 
 

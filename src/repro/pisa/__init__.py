@@ -1,7 +1,8 @@
-"""The PISA hardware substrate: timing constants, the pipeline's packet
-budget, the pausable delay queue, and a pipeline executor for compiled
-layouts."""
+"""The PISA hardware substrate: the pipeline's packet budget, the pausable
+delay queue, and a pipeline executor for compiled layouts.  The timing
+constants are the scheduler's (:class:`repro.interp.network.SchedulerConfig`)."""
 
+from repro.interp.events import MIN_FRAME_BYTES
 from repro.pisa.pipeline import PisaPipeline
 from repro.pisa.queues import (
     DelayedEvent,
@@ -10,7 +11,6 @@ from repro.pisa.queues import (
     simulate_concurrent_delays,
 )
 from repro.pisa.recirculation import PipelineBudget
-from repro.pisa.tofino import DEFAULT_TIMING, MIN_FRAME_BYTES, TofinoTiming
 
 __all__ = [
     "PisaPipeline",
@@ -19,7 +19,5 @@ __all__ = [
     "DelayMechanismResult",
     "simulate_concurrent_delays",
     "PipelineBudget",
-    "TofinoTiming",
-    "DEFAULT_TIMING",
     "MIN_FRAME_BYTES",
 ]

@@ -22,7 +22,20 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.pisa.tofino import MIN_FRAME_BYTES, DEFAULT_TIMING, TofinoTiming
+from repro.interp.events import MIN_FRAME_BYTES
+from repro.interp.network import SchedulerConfig
+
+#: the scheduler's timing constants: recirculation latency and port
+#: bandwidth, and the delay queue's release interval
+_TIMING = SchedulerConfig()
+
+# the Figure 14 experiment: each event re-delays itself by 1 ms for 1 s; a
+# release keeps the queue open for 7 us; a baseline loop (recirculation wire
+# and queueing, without a pipeline pass) takes 480 ns
+REQUESTED_DELAY_NS = 1_000_000
+DURATION_NS = 1_000_000_000
+RELEASE_WINDOW_NS = 7_000
+BASELINE_LOOP_NS = 480
 
 
 @dataclass
@@ -84,16 +97,11 @@ class PausableDelayQueue:
     (consuming one recirculation pass) and re-enters the queue.
     """
 
-    def __init__(
-        self,
-        release_interval_ns: Optional[int] = None,
-        timing: TofinoTiming = DEFAULT_TIMING,
-    ):
-        self.timing = timing
+    def __init__(self, release_interval_ns: Optional[int] = None):
         self.release_interval_ns = (
             release_interval_ns
             if release_interval_ns is not None
-            else timing.delay_queue_release_interval_ns
+            else _TIMING.delay_release_interval_ns
         )
         self.queue: List[Tuple[DelayedEvent, int]] = []  # (event, deliver_not_before)
         self.now_ns = 0
@@ -144,20 +152,12 @@ class PausableDelayQueue:
 
 
 def simulate_concurrent_delays(
-    concurrent_events: int,
-    requested_delay_ns: int = 1_000_000,
-    duration_ns: int = 1_000_000_000,
-    event_size_bytes: int = MIN_FRAME_BYTES,
-    release_interval_ns: int = 100_000,
-    release_window_ns: int = 7_000,
-    baseline_loop_ns: int = 480,
-    use_delay_queue: bool = True,
-    timing: TofinoTiming = DEFAULT_TIMING,
+    concurrent_events: int, use_delay_queue: bool = True
 ) -> DelayMechanismResult:
     """Reproduce one point of Figure 14.
 
     ``concurrent_events`` events are kept perpetually delayed for
-    ``duration_ns`` (each event, when its delay expires, is immediately
+    ``DURATION_NS`` (each event, when its delay expires, is immediately
     re-delayed - this models the steady state of "delaying N concurrent events
     indefinitely").  Returns the bandwidth consumed on the recirculation port
     and the delay error statistics.
@@ -165,32 +165,32 @@ def simulate_concurrent_delays(
     Mechanism details:
 
     * With the pausable queue, the queue is unpaused once per
-      ``release_interval_ns`` by the first PFC frame of a pair and re-paused
-      ``release_window_ns`` later by the second.  While the queue is open,
+      release interval by the first PFC frame of a pair and re-paused
+      ``RELEASE_WINDOW_NS`` later by the second.  While the queue is open,
       parked event packets drain, recirculate (one loop takes roughly the
       recirculation latency) and re-enter the queue, so each parked event makes
       ``ceil(release_window / recirculation_latency)`` passes per release.
     * Without the queue (the baseline), every delayed packet loops through the
-      recirculation port back-to-back; one loop takes ``baseline_loop_ns``
+      recirculation port back-to-back; one loop takes ``BASELINE_LOOP_NS``
       (the recirculation wire + queueing time, without a full pipeline pass),
-      so N concurrent events offer ``N * size / baseline_loop_ns`` of load,
+      so N concurrent events offer ``N * size / BASELINE_LOOP_NS`` of load,
       capped at the port bandwidth.
     """
     result = DelayMechanismResult(
-        mechanism="delay_queue" if use_delay_queue else "baseline", duration_ns=duration_ns
+        mechanism="delay_queue" if use_delay_queue else "baseline", duration_ns=DURATION_NS
     )
     if concurrent_events <= 0:
         return result
 
     if use_delay_queue:
-        releases = duration_ns // release_interval_ns
+        releases = DURATION_NS // _TIMING.delay_release_interval_ns
         passes_per_release = max(
-            1, -(-release_window_ns // timing.recirculation_latency_ns)
+            1, -(-RELEASE_WINDOW_NS // _TIMING.recirculation_latency_ns)
         )
         passes = releases * concurrent_events * passes_per_release
         result.recirculation_passes = passes
-        result.recirculated_bytes = passes * event_size_bytes
-        result.buffer_bytes_peak = concurrent_events * event_size_bytes
+        result.recirculated_bytes = passes * MIN_FRAME_BYTES
+        result.buffer_bytes_peak = concurrent_events * MIN_FRAME_BYTES
         # Delay error: a parked event becomes ready somewhere between two
         # releases and waits for the next one.  Because the events that request
         # new delays are themselves triggered by released events, their phase
@@ -200,37 +200,37 @@ def simulate_concurrent_delays(
         for i in range(concurrent_events):
             event = DelayedEvent(
                 event_id=i,
-                requested_delay_ns=requested_delay_ns,
+                requested_delay_ns=REQUESTED_DELAY_NS,
                 enqueued_at_ns=0,
-                size_bytes=event_size_bytes,
+                size_bytes=MIN_FRAME_BYTES,
             )
-            error = ((i + 1) * (release_interval_ns // 2)) // max(1, concurrent_events)
-            event.released_at_ns = event.enqueued_at_ns + requested_delay_ns + error
+            error = ((i + 1) * (_TIMING.delay_release_interval_ns // 2)) // max(1, concurrent_events)
+            event.released_at_ns = event.enqueued_at_ns + REQUESTED_DELAY_NS + error
             result.events.append(event)
         return result
 
     # baseline: each delayed event recirculates continuously, back to back
-    passes_per_event = duration_ns // baseline_loop_ns
+    passes_per_event = DURATION_NS // BASELINE_LOOP_NS
     total_passes = passes_per_event * concurrent_events
-    port_pps = timing.recirc_bandwidth_bps / (event_size_bytes * 8)
-    max_passes = int(port_pps * duration_ns * 1e-9)
+    port_pps = _TIMING.recirc_bandwidth_bps / (MIN_FRAME_BYTES * 8)
+    max_passes = int(port_pps * DURATION_NS * 1e-9)
     result.recirculation_passes = min(total_passes, max_passes)
-    result.recirculated_bytes = result.recirculation_passes * event_size_bytes
-    result.buffer_bytes_peak = concurrent_events * event_size_bytes
+    result.recirculated_bytes = result.recirculation_passes * MIN_FRAME_BYTES
+    result.buffer_bytes_peak = concurrent_events * MIN_FRAME_BYTES
     saturated = total_passes > max_passes
     for i in range(concurrent_events):
         event = DelayedEvent(
             event_id=i,
-            requested_delay_ns=requested_delay_ns,
+            requested_delay_ns=REQUESTED_DELAY_NS,
             enqueued_at_ns=0,
-            size_bytes=event_size_bytes,
+            size_bytes=MIN_FRAME_BYTES,
         )
         # accuracy: quantised to one recirculation pass, unless the port is
         # saturated, in which case queueing inflates delays proportionally
-        error = timing.recirculation_latency_ns
+        error = _TIMING.recirculation_latency_ns
         if saturated:
             inflation = total_passes / max_passes
-            error = int(requested_delay_ns * (inflation - 1)) + error
-        event.released_at_ns = event.enqueued_at_ns + requested_delay_ns + error
+            error = int(REQUESTED_DELAY_NS * (inflation - 1)) + error
+        event.released_at_ns = event.enqueued_at_ns + REQUESTED_DELAY_NS + error
         result.events.append(event)
     return result

@@ -48,9 +48,10 @@ from the newest checkpoint (``--fresh`` ignores it).  Exit code: 0 when stopped
 mid-stream or finished with all invariants holding, 1 on violations.
 
 ``soak`` is the checkpoint/restore determinism gate: for each named
-scenario (default: all) it runs straight-through AND interrupted+resumed at
-``--checkpoint-at`` handled events (default: half), and exits non-zero
-unless both runs agree on every deterministic field.
+scenario (default: all) it runs straight-through AND as two serve runs over
+one checkpoint directory, the first stopped at ``--checkpoint-at`` handled
+events (default: half; past the end it resumes a finished run), and exits
+non-zero unless both runs agree on every deterministic field.
 """
 
 from __future__ import annotations

@@ -205,11 +205,13 @@ def prepare_run(
     return network, ReplayableSource(setup.traffic)
 
 
-def settle_horizon(setup: ScenarioSetup, network: Network, source: ReplayableSource) -> int:
-    """The simulated time up to which the network is drained after the
-    traffic stream ends, so in-flight control events complete before final
-    verdicts (self-perpetuating control loops are bounded by it)."""
-    return max(source.last_ns, network.now_ns) + setup.settle_ns
+def settle_horizon(setup: ScenarioSetup, last_ns: int) -> int:
+    """The simulated time up to which the network is drained after a traffic
+    stream whose last item came at ``last_ns``, so in-flight control events
+    complete before final verdicts (self-perpetuating control loops are
+    bounded by it).  It depends on the stream alone, so draining a settled
+    network to it again handles nothing."""
+    return last_ns + setup.settle_ns
 
 
 def build_result(
@@ -280,7 +282,7 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
     items = list(source)
     start = time.perf_counter()
     handled = network.run(source=items)
-    handled += network.run(until_ns=settle_horizon(setup, network, source))
+    handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
     wall = time.perf_counter() - start
     return build_result(
         setup, scenario_name, seed, engine, network,

@@ -12,13 +12,15 @@ need on top of it:
 * :mod:`repro.service.telemetry` — rolling JSON-lines telemetry;
 * :mod:`repro.service.server` — :class:`ScenarioService`, the serve loop
   (chunked streaming, periodic checkpoints, SIGTERM-safe shutdown, resume),
-  plus :func:`run_scenario_interrupted`, the checkpoint/restore parity
-  harness used by the tests and the CI soak job.
+  the only code that checkpoints and resumes a scenario; its
+  :func:`run_scenario_interrupted` (two service runs over one temporary
+  checkpoint directory) is the parity harness behind ``soak``.
 
-This ``__init__`` deliberately imports only the interpreter-level pieces;
-:mod:`repro.service.server` (which pulls in the scenario runner) is imported
-on demand, so ``repro.scenarios.runner`` can use :class:`ReplayableSource`
-without an import cycle.
+This ``__init__`` imports only the checkpoint store and the cursor, which
+need nothing from the scenario stack; :mod:`repro.service.server` (which
+pulls in the scenario runner) is imported on demand, so
+``repro.scenarios.runner`` can use :class:`ReplayableSource` without an
+import cycle.
 """
 
 from repro.service.checkpoint import (

@@ -16,10 +16,12 @@ the batch runner, then drains it in bounded chunks instead of one call:
 
 The determinism contract: a run interrupted anywhere and resumed from its
 checkpoint produces byte-identical array digests, stats, event counts, and
-invariant verdicts to the uninterrupted run.
-:func:`run_scenario_interrupted` is that contract as a harness — it
-checkpoints mid-run (through a JSON round-trip, like the on-disk path),
-restores into freshly built objects, resumes, and returns a
+invariant verdicts to the uninterrupted run, and a finished run started
+again on its checkpoint directory returns its result unchanged (the settle
+horizon depends on the traffic stream alone).
+:func:`run_scenario_interrupted` is that contract as a harness — two
+:class:`ScenarioService` runs over one temporary checkpoint directory, the
+second resuming from the file the first wrote — returning a
 :class:`~repro.scenarios.runner.ScenarioResult` directly comparable to
 :func:`~repro.scenarios.runner.run_scenario`'s.  ``tests/test_service.py``
 and the CI soak job pin it for every bundled scenario on every engine.
@@ -33,9 +35,10 @@ count), so a serve process runs until stopped.
 
 from __future__ import annotations
 
-import json
+import io
 import signal
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO
@@ -297,7 +300,7 @@ class ScenarioService:
 
         # the stream ended: drain to the settle horizon and judge
         telemetry.emit(network, handled, source.injected, phase="settle")
-        handled += network.run(until_ns=settle_horizon(setup, network, source))
+        handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
         wall = time.perf_counter() - start
         result = build_result(
             setup, self.scenario.name, cfg.seed, cfg.engine, network,
@@ -330,42 +333,29 @@ def run_scenario_interrupted(
     engine: str = DEFAULT_ENGINE,
     checkpoint_after: Optional[int] = None,
 ) -> ScenarioResult:
-    """Run ``scenario`` with a mid-run checkpoint/restore cycle.
+    """Run ``scenario`` as two :class:`ScenarioService` runs over one
+    on-disk checkpoint store.
 
-    The first segment runs until ``checkpoint_after`` events have been
-    handled (default: half the requested event count), a checkpoint is taken
-    and pushed through a JSON round-trip (exactly what the on-disk store
-    persists), and a *freshly built* scenario — new network, new traffic
-    stream, new invariant instances — is restored from it and run to
-    completion.  The returned result must equal
+    The first run stops after ``checkpoint_after`` handled events (default:
+    half the requested event count) and writes its checkpoint; the second
+    builds everything afresh — network, traffic stream, invariants — resumes
+    from that file and finishes the run.  A ``checkpoint_after`` beyond the
+    run's length lets the first run finish, so the second restarts a
+    finished run.  The returned result must equal
     :func:`~repro.scenarios.runner.run_scenario`'s in every deterministic
     field (digest, stats, verdicts, counts, sim clock)."""
     if checkpoint_after is None:
         checkpoint_after = max(1, events // 2)
-    config = ServiceConfig(engine=engine, seed=seed, events=events)
+    with tempfile.TemporaryDirectory() as directory:
+        def serve(max_events: Optional[int]) -> ServiceOutcome:
+            config = ServiceConfig(
+                engine=engine, seed=seed, events=events, checkpoint_dir=directory,
+                max_events=max_events, telemetry_stream=io.StringIO(),
+            )
+            return ScenarioService(scenario, config).run()
 
-    setup = scenario.build(events, seed)
-    network, source = prepare_run(setup, engine)
-    start = time.perf_counter()
-    handled_at_checkpoint = network.run(source=source, max_events=checkpoint_after)
-    state = _checkpoint_payload(
-        scenario.name, config, setup, network, source, handled_at_checkpoint
-    )
-    state = json.loads(json.dumps(state))
-
-    # fresh everything: the resumed run shares no Python objects with the
-    # interrupted one
-    setup2 = scenario.build(events, seed)
-    network2, source2 = prepare_run(setup2, engine)
-    handled = _restore_run(state, setup2, network2, source2)
-    if source2.peek() is not None:
-        handled += network2.run(source=source2)
-    handled += network2.run(until_ns=settle_horizon(setup2, network2, source2))
-    wall = time.perf_counter() - start
-    return build_result(
-        setup2, scenario.name, seed, engine, network2,
-        events_injected=source2.injected, events_handled=handled, wall_s=wall,
-    )
+        serve(checkpoint_after)
+        return serve(None).result
 
 
 def soak_compare(

@@ -45,7 +45,7 @@ from repro.interp.network import (
     TraceEntry,
 )
 from repro.scenarios.invariants import observer_callback
-from repro.scenarios.runner import ScenarioResult, build_result, run_setup
+from repro.scenarios.runner import ScenarioResult, build_result, run_setup, settle_horizon
 from repro.shard.partition import partition_topology
 from repro.shard.worker import ShardSpec, worker_main
 
@@ -140,7 +140,7 @@ def run_sharded(
             control_items.append((idx, item[0], item[2]))
         else:
             injected += 1
-    horizon = last_ns + setup.settle_ns
+    horizon = settle_horizon(setup, last_ns)
     t2 = perf_counter()
 
     record_obs = any(inv.observes() for inv in setup.invariants)

@@ -204,7 +204,7 @@ def test_pisa_counters_are_the_sums_of_the_passes():
 
         switch.engine.run = profiled
     network.run(source=list(source))
-    network.run(until_ns=settle_horizon(setup, network, source))
+    network.run(until_ns=settle_horizon(setup, source.last_ns))
     for sid, switch in network.switches.items():
         stages = [count for count, _ in passes[sid]]
         assert len(stages) == switch.stats.events_handled > 0
@@ -569,7 +569,7 @@ def test_read_write_counters_agree_on_the_firewall_scenario():
         setup = registry.get("sfw-install-latency").build(3000, 1)
         network, source = prepare_run(setup, engine)
         network.run(source=list(source))
-        network.run(until_ns=settle_horizon(setup, network, source))
+        network.run(until_ns=settle_horizon(setup, source.last_ns))
         return {key: counts for key, (_, *counts) in _array_state(network).items()}
 
     reference = run("reference")

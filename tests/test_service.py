@@ -3,9 +3,11 @@ cursor, the on-disk checkpoint store, streaming invariants, telemetry, and
 the serve loop (including resume and SIGTERM shutdown).
 
 The load-bearing contract: a run interrupted *anywhere* — any engine, any
-scenario, mid-stream, with the checkpoint pushed through the JSON on-disk
-format — and resumed into freshly built objects must be byte-identical to
-the uninterrupted run in every deterministic observable."""
+scenario, mid-stream, with the checkpoint written to and read back from the
+on-disk store — and resumed into freshly built objects must be
+byte-identical to the uninterrupted run in every deterministic observable;
+a finished run restarted on its checkpoint directory returns its result
+unchanged."""
 
 import io
 import json
@@ -29,7 +31,7 @@ from repro.scenarios.invariants import (
     evaluate,
     restore_invariant_states,
 )
-from repro.scenarios.runner import network_array_digest
+from repro.scenarios.runner import network_array_digest, prepare_run
 import repro.service.checkpoint as checkpoint
 from repro.service.checkpoint import CheckpointStore, load_checkpoint, write_json
 import repro.service.server as server
@@ -71,8 +73,8 @@ def _result_fingerprint(result):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_interrupted_run_matches_straight_run(name):
-    """Checkpoint mid-run (JSON round-trip), restore into a fresh network +
-    traffic stream + invariants, resume — identical result."""
+    """Checkpoint mid-run to disk, restore into a fresh network + traffic
+    stream + invariants, resume — identical result."""
     straight = run_scenario(SCENARIOS[name], 700, 3, engine="codegen")
     resumed = run_scenario_interrupted(
         SCENARIOS[name], 700, 3, engine="codegen", checkpoint_after=300
@@ -93,16 +95,49 @@ def test_interrupted_run_matches_on_every_engine(name, engine):
     assert cmp["match"], cmp["mismatches"]
 
 
-def test_checkpoint_at_stream_exhaustion_resumes_cleanly():
-    """A checkpoint taken exactly when the source runs dry must not send the
-    resumed run into a full drain (self-perpetuating control loops would
-    never return); it goes straight to the settle phase."""
-    name = "rip-line-convergence"
-    straight = run_scenario(SCENARIOS[name], 300, 3, engine="codegen")
-    resumed = run_scenario_interrupted(
-        SCENARIOS[name], 300, 3, engine="codegen", checkpoint_after=10**9
+def test_checkpoint_at_stream_exhaustion_resumes_cleanly(tmp_path):
+    """A checkpoint taken exactly when the source runs dry, before the
+    settle, must not send the resumed run into a full drain
+    (self-perpetuating control loops would never return); it goes straight
+    to the settle phase."""
+    scenario = SCENARIOS["rip-line-convergence"]
+    network, source = prepare_run(scenario.build(300, 3), "codegen")
+    items = list(source)
+    before_settle = network.run(source=items)
+    straight = run_scenario(scenario, 300, 3, engine="codegen")
+    assert straight.events_handled > before_settle
+
+    def config(**overrides):
+        return ServiceConfig(
+            engine="codegen", seed=3, events=300, checkpoint_dir=str(tmp_path),
+            telemetry_stream=io.StringIO(), **overrides,
+        )
+
+    first = ScenarioService(scenario, config(max_events=before_settle)).run()
+    assert first.stopped
+    assert load_checkpoint(first.checkpoint_path)["cursor"]["consumed"] == len(items)
+    second = ScenarioService(scenario, config()).run()
+    assert second.resumed_from == first.checkpoint_path
+    assert _result_fingerprint(second.result) == _result_fingerprint(straight)
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("name", ["rip-line-convergence", "heavy-hitter-single"])
+def test_restarting_a_finished_serve_returns_its_result_unchanged(tmp_path, name, engine):
+    """Resume is the default, so a finished serve started again on its
+    checkpoint directory resumes from its final checkpoint: it must not
+    settle a second window (RIP's advertisement rounds would run on)."""
+    config = ServiceConfig(
+        engine=engine, seed=3, events=600, checkpoint_dir=str(tmp_path),
+        telemetry_stream=io.StringIO(),
     )
-    assert _result_fingerprint(resumed) == _result_fingerprint(straight)
+    first = ScenarioService(SCENARIOS[name], config).run()
+    again = ScenarioService(SCENARIOS[name], config).run()
+    assert again.resumed_from == first.checkpoint_path
+    for outcome in (first, again):
+        assert not outcome.stopped
+    assert again.handled == first.handled
+    assert _result_fingerprint(again.result) == _result_fingerprint(first.result)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ The submodules group the functionality the same way the paper does:
 * :mod:`repro.scenarios` — the scenario engine: topologies, streaming
   traffic models, invariants, and the ``python -m repro.scenarios`` CLI;
 * :mod:`repro.figures`  — ``python -m repro.figures`` regenerates Section 7
-  into ``RESULTS.md``;
-* :mod:`repro.formal`   — the Appendix A core calculus.
+  into ``RESULTS.md``.
 """
 
 from repro.apps import ALL_APPLICATIONS, Application

@@ -8,9 +8,10 @@ Modes:
   reproducers as JSON into ``--out`` (default ``tests/regressions``).
   Exits non-zero if any case diverged.  Each agreeing case is additionally
   run through the checkpoint/restore mutation: snapshot after a
-  seed-determined number of handled events, JSON round-trip, restore into a
-  fresh network, resume — and every observable (trace, digest, stats, logs)
-  must still match the straight-through run (``--no-checkpoint`` disables).
+  seed-determined number of handled events, write it with the checkpoint
+  store's encoder and decode it, restore into a fresh network, resume — and
+  every observable (trace, digest, stats, logs) must still match the
+  straight-through run (``--no-checkpoint`` disables).
 * ``--replay PATH...``: re-run saved reproducers (files or directories of
   ``*.json``) instead of generating; exits non-zero if any diverges.  This
   is what the regression loader test and the CI smoke job call.
@@ -138,13 +139,10 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     parser.add_argument("--count", type=int, default=100, help="cases to generate")
     parser.add_argument(
-        "--shrink",
-        action="store_true",
-        default=True,
-        help="shrink failing cases to minimal reproducers (default: on)",
-    )
-    parser.add_argument(
-        "--no-shrink", dest="shrink", action="store_false", help="disable shrinking"
+        "--no-shrink",
+        dest="shrink",
+        action="store_false",
+        help="do not shrink failing cases to minimal reproducers",
     )
     parser.add_argument(
         "--max-shrink-evals",
@@ -153,17 +151,10 @@ def main(argv: List[str] = None) -> int:
         help="cap on differential re-runs during shrinking (default 600)",
     )
     parser.add_argument(
-        "--checkpoint",
-        action="store_true",
-        default=True,
-        help="also run each agreeing case through the checkpoint/restore "
-        "mutation (default: on)",
-    )
-    parser.add_argument(
         "--no-checkpoint",
         dest="checkpoint",
         action="store_false",
-        help="disable the checkpoint/restore mutation",
+        help="do not run agreeing cases through the checkpoint/restore mutation",
     )
     parser.add_argument(
         "--out",

@@ -16,6 +16,7 @@ are exactly the ones the paper's "same program, same meaning" claim is about:
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -26,6 +27,7 @@ from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import Network
 from repro.scenarios.runner import network_array_digest
+from repro.service.checkpoint import write_json
 
 #: per-switch counters compared across engines (all scheduler-maintained)
 _STAT_KEYS = (
@@ -178,10 +180,11 @@ def run_case_checkpointed(
 ) -> CaseResult:
     """Execute ``case`` with a snapshot/restore cycle after ``split`` handled
     events: the first segment's network is snapshotted, the snapshot is
-    pushed through a JSON round-trip (the on-disk checkpoint path), and a
-    *fresh* network finishes the run from the restored state.  All
-    observables — including the handled-event trace, concatenated across the
-    two segments — must equal :func:`run_case`'s."""
+    written by the checkpoint store's :func:`write_json` and decoded again
+    (the on-disk checkpoint path), and a *fresh* network finishes the run
+    from the restored state.  All observables — including the handled-event
+    trace, concatenated across the two segments — must equal
+    :func:`run_case`'s."""
     result = CaseResult(engine=f"{engine}+checkpoint")
     split = max(0, min(split, MAX_EVENTS_PER_RUN))
     try:
@@ -190,7 +193,9 @@ def run_case_checkpointed(
         network = _inject(_build_network(case, engine, checked), case)
         handled = network.run(max_events=split)
         trace_prefix = _trace_rows(network)
-        state = json.loads(json.dumps(network.snapshot()))
+        text = io.StringIO()
+        write_json(text.write, network.snapshot())
+        state = json.loads(text.getvalue())
         network = _build_network(case, engine, checked)
         network.restore(state)
         network.run(max_events=MAX_EVENTS_PER_RUN - handled)

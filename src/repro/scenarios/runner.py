@@ -225,9 +225,14 @@ def build_result(
     wall_s: float,
     setup_s: float = 0.0,
     traffic_s: float = 0.0,
+    timed_events: Optional[int] = None,
 ) -> ScenarioResult:
     """Evaluate the invariants and assemble the :class:`ScenarioResult` for
-    a finished (streamed + settled) network."""
+    a finished (streamed + settled) network.  ``events_per_sec`` divides
+    ``timed_events`` (default: ``events_handled``), the events handled
+    inside ``wall_s``, by ``wall_s``."""
+    if timed_events is None:
+        timed_events = events_handled
     reports = evaluate(setup.invariants, network)
     stats = network.stats()
     details = setup.details(network) if setup.details is not None else {}
@@ -252,7 +257,7 @@ def build_result(
         wall_s=wall_s,
         setup_s=setup_s,
         traffic_s=traffic_s,
-        events_per_sec=events_handled / wall_s if wall_s > 0 else 0.0,
+        events_per_sec=timed_events / wall_s if wall_s > 0 else 0.0,
         invariants=reports,
         switch_stats=stats,
         array_digest=network_array_digest(network),

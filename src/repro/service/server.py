@@ -225,14 +225,14 @@ class ScenarioService:
             cfg.seed,
         )
 
-        handled = 0
+        handled = restored = 0
         resumed_from: Optional[str] = None
         if store is not None and cfg.resume:
             latest = store.latest()
             if latest is not None:
                 state = store.load(latest)
                 _check_compatible(state, self.scenario.name, cfg)
-                handled = _restore_run(state, setup, network, source)
+                handled = restored = _restore_run(state, setup, network, source)
                 resumed_from = str(latest)
                 telemetry.emit(
                     network, handled, source.injected, phase="run",
@@ -305,6 +305,7 @@ class ScenarioService:
         result = build_result(
             setup, self.scenario.name, cfg.seed, cfg.engine, network,
             events_injected=source.injected, events_handled=handled, wall_s=wall,
+            timed_events=handled - restored,
         )
         if store is not None:
             checkpoint_path = str(store.save(_checkpoint_payload(

@@ -2,6 +2,8 @@
 determinism, unparse round-tripping, the differential runner's observables,
 the shrinker's contract, and the ``python -m repro.fuzz`` CLI."""
 
+import io
+import json
 import os
 import subprocess
 import sys
@@ -128,12 +130,24 @@ def test_small_fuzz_batch_has_no_divergence():
         assert outcome.ok, outcome.summary()
 
 
-def test_checkpoint_differential_agrees_on_generated_cases():
-    """The checkpoint/restore mutation: interrupt each case mid-run, JSON
-    round-trip the snapshot, restore into a fresh network, resume — every
-    observable must still match the straight-through run on all engines."""
-    from repro.fuzz.diff import run_case_checkpointed, run_checkpoint_differential
+def test_checkpoint_differential_agrees_on_generated_cases(monkeypatch):
+    """The checkpoint/restore mutation: interrupt each case mid-run, write
+    the snapshot with the checkpoint store's encoder, decode it, restore
+    into a fresh network, resume — every observable must still match the
+    straight-through run on all engines, and every snapshot's text must be
+    the bytes ``json.dumps`` gives."""
+    from repro.fuzz import diff
+    from repro.service.checkpoint import write_json
 
+    texts = []
+
+    def recording_write_json(write, value):
+        buffer = io.StringIO()
+        write_json(buffer.write, value)
+        texts.append((buffer.getvalue(), json.dumps(value, separators=(",", ":"))))
+        write(buffer.getvalue())
+
+    monkeypatch.setattr(diff, "write_json", recording_write_json)
     generator = CaseGenerator(seed=6)
     for index in range(4):
         case = generator.generate(index)
@@ -141,8 +155,12 @@ def test_checkpoint_differential_agrees_on_generated_cases():
         assert straight.ok, straight.summary()
         handled = len(next(iter(straight.results.values())).trace)
         split = max(1, handled // 2)
-        outcome = run_checkpoint_differential(case, split, straight=straight)
+        texts.clear()
+        outcome = diff.run_checkpoint_differential(case, split, straight=straight)
         assert outcome.ok, outcome.summary()
+        assert len(texts) == len(ENGINE_NAMES)
+        for written, dumped in texts:
+            assert written == dumped
         # checkpointed observables equal the straight run's, engine by engine
         for engine, base in straight.results.items():
             ck = outcome.results[f"{engine}+checkpoint"]

@@ -138,6 +138,7 @@ def test_restarting_a_finished_serve_returns_its_result_unchanged(tmp_path, name
         assert not outcome.stopped
     assert again.handled == first.handled
     assert _result_fingerprint(again.result) == _result_fingerprint(first.result)
+    assert again.result.events_per_sec == 0
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +704,10 @@ def test_service_stop_resume_matches_batch_run(tmp_path):
     assert second.resumed_from is not None
     straight = run_scenario(scenario, 2_000, 5, engine="codegen")
     assert _result_fingerprint(second.result) == _result_fingerprint(straight)
+    # the rate counts only the events this process handled after the restore
+    assert second.result.events_handled == second.handled
+    assert second.result.events_per_sec == pytest.approx(
+        (second.handled - first.handled) / second.result.wall_s)
 
 
 def test_service_telemetry_and_rolling_checkpoints(tmp_path):

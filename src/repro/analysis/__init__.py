@@ -1,19 +1,11 @@
 """Analytic models and accounting used by the evaluation (Section 7)."""
 
-from repro.analysis.loc import LocBreakdown, lucid_loc, p4_breakdown
-from repro.analysis.recirc_model import (
-    FirewallRecircModel,
-    RecircPoint,
-    firewall_overhead_table,
-)
+from repro.analysis.loc import breakdown_for_compiled
+from repro.analysis.recirc_model import firewall_overhead_table
 from repro.analysis.recirc_uses import RECIRC_USES, RecircUse, recirc_uses_table
 
 __all__ = [
-    "lucid_loc",
-    "p4_breakdown",
-    "LocBreakdown",
-    "FirewallRecircModel",
-    "RecircPoint",
+    "breakdown_for_compiled",
     "firewall_overhead_table",
     "RecircUse",
     "RECIRC_USES",

@@ -1,90 +1,38 @@
-"""Lines-of-code accounting for Figures 9 and 10.
+"""Lines-of-code accounting for Figure 10.
 
 The paper compares the length of Lucid programs against their P4 equivalents
 and breaks the P4 down by component (actions, register actions, tables,
 headers, parsers).  Here, Lucid LoC is counted from the application sources in
 :mod:`repro.apps`, and P4 LoC from the baseline-style P4 emitted by
-:mod:`repro.backend.p4gen` (see DESIGN.md for the substitution note: we do not
-have the authors' hand-written P4, so the baseline generator stands in for
-it).
+:mod:`repro.backend.p4gen`: the authors' hand-written P4 is not published, so
+the naive (hand-written-style) layout's generated P4 stands in for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.backend.compiler import CompiledProgram, count_lucid_loc
-from repro.backend.p4gen import P4Program
+from repro.backend.compiler import CompiledProgram
 
 
-@dataclass
-class LocBreakdown:
-    """Per-component line counts for one application (one bar of Figure 10)."""
-
-    application: str
-    lucid: int = 0
-    p4_actions: int = 0
-    p4_register_actions: int = 0
-    p4_tables: int = 0
-    p4_headers: int = 0
-    p4_parsers: int = 0
-    p4_other: int = 0
-
-    @property
-    def p4_total(self) -> int:
-        return (
-            self.p4_actions
-            + self.p4_register_actions
-            + self.p4_tables
-            + self.p4_headers
-            + self.p4_parsers
-            + self.p4_other
-        )
-
-    @property
-    def ratio(self) -> float:
-        return self.p4_total / self.lucid if self.lucid else 0.0
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "application": self.application,
-            "lucid_loc": self.lucid,
-            "p4_actions": self.p4_actions,
-            "p4_register_actions": self.p4_register_actions,
-            "p4_tables": self.p4_tables,
-            "p4_headers": self.p4_headers,
-            "p4_parsers": self.p4_parsers,
-            "p4_other": self.p4_other,
-            "p4_total": self.p4_total,
-            "ratio": round(self.ratio, 1),
-        }
-
-
-def lucid_loc(source: str) -> int:
-    """Lines of Lucid code (non-blank, non-comment)."""
-    return count_lucid_loc(source)
-
-
-def p4_breakdown(name: str, lucid_source: str, p4: P4Program) -> LocBreakdown:
-    """Break a generated P4 program's line count down by component."""
-    counts = p4.line_counts()
-    registers = counts.get("registers", 0)
-    return LocBreakdown(
-        application=name,
-        lucid=lucid_loc(lucid_source),
-        p4_actions=counts.get("actions", 0),
-        p4_register_actions=registers,
-        p4_tables=counts.get("tables", 0),
-        p4_headers=counts.get("headers", 0),
-        p4_parsers=counts.get("parsers", 0),
-        p4_other=counts.get("preamble", 0) + counts.get("control", 0) + counts.get("deparser", 0),
-    )
-
-
-def breakdown_for_compiled(compiled: CompiledProgram) -> LocBreakdown:
-    """Breakdown for a compiled program, preferring the naive (hand-written
-    style) P4 when it was generated."""
+def breakdown_for_compiled(compiled: CompiledProgram) -> Dict[str, object]:
+    """One bar of Figure 10: the P4's line count by component beside the
+    Lucid LoC, from the naive (hand-written style) P4 when it was
+    generated."""
     p4 = compiled.naive_p4 or compiled.p4
     assert p4 is not None, "compile with emit_p4=True"
-    return p4_breakdown(compiled.name, compiled.lucid_source or "", p4)
+    counts = p4.line_counts()
+    lucid = compiled.lucid_loc()
+    row = {
+        "application": compiled.name,
+        "lucid_loc": lucid,
+        "p4_actions": counts.get("actions", 0),
+        "p4_register_actions": counts.get("registers", 0),
+        "p4_tables": counts.get("tables", 0),
+        "p4_headers": counts.get("headers", 0),
+        "p4_parsers": counts.get("parsers", 0),
+        "p4_other": counts.get("preamble", 0) + counts.get("control", 0) + counts.get("deparser", 0),
+    }
+    row["p4_total"] = total = sum(value for key, value in row.items() if key.startswith("p4_"))
+    row["ratio"] = round(total / lucid if lucid else 0.0, 1)
+    return row

@@ -1,81 +1,50 @@
-"""The stateful firewall's recirculation-overhead model (Section 7.3, Figure 16).
+"""The stateful firewall's recirculation-overhead model (Sections 2.5 and
+7.3, Figure 16).
 
 The paper derives a simple explanatory model of the stateful firewall's
-worst-case recirculation rate on an idealised PISA processor (1 B packets/s,
-ten 100 Gb/s front-panel ports, one 100 Gb/s recirculation port):
+worst-case recirculation rate on an idealised PISA processor (1 B packets/s
+servicing ten 100 Gb/s front-panel ports, one 100 Gb/s recirculation port):
 
     r = N / i + f * log2(N)
 
 where ``N`` is the firewall table size, ``i`` the per-flow timeout-check
 interval, and ``f`` the flow-arrival rate.  The first term is the timeout
 scan; the second is the worst case for cuckoo flow installation (an install
-may require ``log2(N)`` cuckoo moves, each one recirculation).
+may require ``log2(N)`` cuckoo moves, each one recirculation).  Recirculated
+packets take pipeline slots from front-panel traffic, so the smallest average
+packet size that still runs every port at line rate grows from 125 B.  How
+much of the port a simulated run consumed is accounted by the event
+scheduler (:class:`repro.interp.network.SwitchStats`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.pisa.recirculation import PipelineBudget
-
-
-@dataclass
-class RecircPoint:
-    """One column of Figure 16."""
-
-    flow_rate_per_s: float
-    recirc_rate_pps: float
-    pipeline_utilisation: float
-    min_packet_size_bytes: float
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "flow_rate": self.flow_rate_per_s,
-            "recirc_rate_pps": self.recirc_rate_pps,
-            "pipeline_utilization_pct": self.pipeline_utilisation * 100.0,
-            "min_pkt_size_bytes": self.min_packet_size_bytes,
-        }
-
-
-@dataclass
-class FirewallRecircModel:
-    """The worst-case recirculation model of Section 7.3."""
-
-    table_size: int = 2 ** 16
-    timeout_check_interval_s: float = 0.1
-    budget: PipelineBudget = field(default_factory=PipelineBudget)
-
-    def scan_rate_pps(self) -> float:
-        """Recirculations per second spent scanning for timed-out flows."""
-        return self.table_size / self.timeout_check_interval_s
-
-    def install_rate_pps(self, flow_rate_per_s: float) -> float:
-        """Worst-case recirculations per second spent installing new flows."""
-        return flow_rate_per_s * math.log2(self.table_size)
-
-    def recirc_rate_pps(self, flow_rate_per_s: float) -> float:
-        """The paper's r = N/i + f*log2(N)."""
-        return self.scan_rate_pps() + self.install_rate_pps(flow_rate_per_s)
-
-    def evaluate(self, flow_rate_per_s: float) -> RecircPoint:
-        rate = self.recirc_rate_pps(flow_rate_per_s)
-        return RecircPoint(
-            flow_rate_per_s=flow_rate_per_s,
-            recirc_rate_pps=rate,
-            pipeline_utilisation=self.budget.pipeline_utilisation(rate),
-            min_packet_size_bytes=self.budget.min_line_rate_packet_bytes(rate),
-        )
+#: the idealised pipeline: packets per second, and total front-panel bits/s
+PIPELINE_PPS = 1e9
+FRONT_PANEL_BPS = 10 * 100e9
 
 
 def firewall_overhead_table(
     flow_rates=(10_000, 100_000, 1_000_000),
     table_size: int = 2 ** 16,
     timeout_check_interval_s: float = 0.1,
-) -> List[RecircPoint]:
-    """Reproduce Figure 16 (one :class:`RecircPoint` per flow rate)."""
-    model = FirewallRecircModel(
-        table_size=table_size, timeout_check_interval_s=timeout_check_interval_s
-    )
-    return [model.evaluate(rate) for rate in flow_rates]
+) -> List[Dict[str, float]]:
+    """Reproduce Figure 16: one row per flow rate, with the recirculation
+    rate r, the share of the pipeline's packet budget it takes, and the
+    minimum line-rate packet size."""
+    rows = []
+    for flow_rate in flow_rates:
+        rate = table_size / timeout_check_interval_s + flow_rate * math.log2(table_size)
+        available_pps = PIPELINE_PPS - rate
+        rows.append({
+            "flow_rate": flow_rate,
+            "recirc_rate_pps": rate,
+            "pipeline_utilization_pct": rate / PIPELINE_PPS * 100.0,
+            "min_pkt_size_bytes": (
+                FRONT_PANEL_BPS / 8 / available_pps if available_pps > 0 else float("inf")
+            ),
+        })
+    return rows

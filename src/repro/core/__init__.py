@@ -19,8 +19,9 @@ The submodules group the functionality the same way the paper does:
 * :mod:`repro.interp`   — the interpreter and multi-switch simulation;
 * :mod:`repro.pisa`     — the PISA/Tofino hardware substrate models;
 * :mod:`repro.apps`     — the ten applications of Figure 9;
-* :mod:`repro.analysis`, :mod:`repro.control` — the evaluation's models and
-  the remote-control baseline;
+* :mod:`repro.analysis`, :mod:`repro.control` — the evaluation's closed-form
+  models (LoC breakdown, Figures 15 and 16) and the remote-control baseline
+  (:func:`~repro.control.remote_install_latencies`);
 * :mod:`repro.scenarios` — the scenario engine: topologies, streaming
   traffic models, invariants, and the ``python -m repro.scenarios`` CLI;
 * :mod:`repro.figures`  — ``python -m repro.figures`` regenerates Section 7
@@ -40,7 +41,7 @@ from repro.backend import (
     count_lucid_loc,
     generate_p4,
 )
-from repro.control import ControlPlaneConfig, RemoteController
+from repro.control import remote_install_latencies
 from repro.errors import (
     LayoutError,
     LexError,
@@ -69,7 +70,7 @@ from repro.interp import (
     make_engine,
     single_switch_network,
 )
-from repro.pisa import PisaPipeline, simulate_concurrent_delays
+from repro.pisa import PisaPipeline, figure14_point
 from repro.scenarios import (
     SCENARIOS,
     Scenario,
@@ -113,12 +114,11 @@ __all__ = [
     "single_switch_network",
     "lucid_hash",
     "PisaPipeline",
-    "simulate_concurrent_delays",
+    "figure14_point",
     # applications and evaluation support
     "ALL_APPLICATIONS",
     "Application",
-    "RemoteController",
-    "ControlPlaneConfig",
+    "remote_install_latencies",
     # scenario engine
     "SCENARIOS",
     "Scenario",

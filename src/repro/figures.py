@@ -1,8 +1,8 @@
 """Section 7 of the paper, regenerated: ``python -m repro.figures``.
 
 Compiles the ten Figure 9 applications once, derives Figures 9-13, 15, 16 and
-the merge ablation from that one dict plus the analytic models
-(:mod:`repro.analysis`, :mod:`repro.pisa.queues`), runs the
+the merge ablation from that one dict plus the closed-form models
+(:mod:`repro.analysis`, :func:`repro.pisa.queues.figure14_point`), runs the
 ``sfw-install-latency`` scenario for Figure 17, and writes ``RESULTS.md`` into
 the current directory: first :data:`PAPER` — the one place the paper's numbers
 and our tolerances live — with our value beside each, then every figure's rows.
@@ -17,11 +17,10 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from repro.analysis import firewall_overhead_table, recirc_uses_table
-from repro.analysis.loc import breakdown_for_compiled
+from repro.analysis import breakdown_for_compiled, firewall_overhead_table, recirc_uses_table
 from repro.apps import ALL_APPLICATIONS
 from repro.backend import MergeOptions, build_layout
-from repro.pisa.queues import simulate_concurrent_delays
+from repro.pisa.queues import figure14_point
 from repro.scenarios import SCENARIOS, run_scenario
 
 Rows = List[Dict[str, object]]
@@ -100,7 +99,7 @@ def _fig09(apps):
 
 def _fig10(apps):
     """Figure 10: P4 lines of code by component"""
-    rows = [breakdown_for_compiled(c).as_row() for c in apps.values()]
+    rows = [breakdown_for_compiled(c) for c in apps.values()]
     logic = [r["p4_tables"] + r["p4_actions"] + r["p4_register_actions"] for r in rows]
     return rows, {"min_p4_minus_lucid": min(r["p4_total"] - r["lucid_loc"] for r in rows),
                   "min_logic_share": min(n / r["p4_total"] for n, r in zip(logic, rows))}
@@ -139,12 +138,13 @@ def _fig14(_apps):
     """Figure 14: pausable delay queue vs pure recirculation (model)"""
     rows = []
     for n in range(0, 100, 10):
-        queue, baseline = (simulate_concurrent_delays(n, use_delay_queue=q) for q in (True, False))
+        (queue_gbps, queue_error), (baseline_gbps, baseline_error) = (
+            figure14_point(n, use_delay_queue=q) for q in (True, False))
         rows.append({"concurrent_events": n,
-                     "queue_bw_gbps": round(queue.recirc_bandwidth_gbps(), 2),
-                     "baseline_bw_gbps": round(baseline.recirc_bandwidth_gbps(), 2),
-                     "queue_rel_error": round(queue.mean_relative_error(), 3),
-                     "baseline_rel_error": round(baseline.mean_relative_error(), 4)})
+                     "queue_bw_gbps": round(queue_gbps, 2),
+                     "baseline_bw_gbps": round(baseline_gbps, 2),
+                     "queue_rel_error": round(queue_error, 3),
+                     "baseline_rel_error": round(baseline_error, 4)})
     bw, last = [r["baseline_bw_gbps"] for r in rows], rows[-1]
     return rows, {"queue_gbps": last["queue_bw_gbps"], "baseline_gbps": last["baseline_bw_gbps"],
                   "queue_rel_error": last["queue_rel_error"],
@@ -162,11 +162,11 @@ def _fig15(apps):
 
 def _fig16(_apps):
     """Figure 16: stateful-firewall recirculation model"""
-    low, mid, high = points = firewall_overhead_table()
-    return [p.as_row() for p in points], {
-        "pps_10k": low.recirc_rate_pps, "pps_100k": mid.recirc_rate_pps,
-        "pps_1m": high.recirc_rate_pps, "util_10k": low.pipeline_utilisation * 100,
-        "util_1m": high.pipeline_utilisation * 100, "min_pkt_1m": high.min_packet_size_bytes}
+    low, mid, high = rows = firewall_overhead_table()
+    return rows, {
+        "pps_10k": low["recirc_rate_pps"], "pps_100k": mid["recirc_rate_pps"],
+        "pps_1m": high["recirc_rate_pps"], "util_10k": low["pipeline_utilization_pct"],
+        "util_1m": high["pipeline_utilization_pct"], "min_pkt_1m": high["min_pkt_size_bytes"]}
 
 
 def _fig17(_apps):

@@ -12,13 +12,15 @@ The alternative (the Figure 14 "baseline") is to recirculate delayed packets
 continuously until their delay expires, which costs one full recirculation-port
 pass every ~600 ns per delayed event.
 
-Both mechanisms are modelled here so the bandwidth/accuracy trade-off of
-Figure 14 can be reproduced.
+:class:`PausableDelayQueue` is the queue's behaviour, event by event (the
+oracle the scheduler's pass counts are tested against);
+:func:`figure14_point` is the closed form of Figure 14's bandwidth/accuracy
+trade-off for both mechanisms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -59,33 +61,6 @@ class DelayedEvent:
         if self.released_at_ns is None:
             return None
         return self.actual_delay_ns - self.requested_delay_ns
-
-    @property
-    def relative_error(self) -> Optional[float]:
-        if self.released_at_ns is None or self.requested_delay_ns <= 0:
-            return None
-        return abs(self.delay_error_ns) / self.requested_delay_ns
-
-
-@dataclass
-class DelayMechanismResult:
-    """Outcome of delaying a batch of events with one mechanism."""
-
-    mechanism: str
-    events: List[DelayedEvent] = field(default_factory=list)
-    recirculation_passes: int = 0
-    recirculated_bytes: int = 0
-    buffer_bytes_peak: int = 0
-    duration_ns: int = 0
-
-    def recirc_bandwidth_gbps(self) -> float:
-        if self.duration_ns <= 0:
-            return 0.0
-        return self.recirculated_bytes * 8 / (self.duration_ns * 1e-9) / 1e9
-
-    def mean_relative_error(self) -> float:
-        errors = [e.relative_error for e in self.events if e.relative_error is not None]
-        return sum(errors) / len(errors) if errors else 0.0
 
 
 class PausableDelayQueue:
@@ -151,18 +126,11 @@ class PausableDelayQueue:
         self._update_peak()
 
 
-def simulate_concurrent_delays(
-    concurrent_events: int, use_delay_queue: bool = True
-) -> DelayMechanismResult:
-    """Reproduce one point of Figure 14.
-
-    ``concurrent_events`` events are kept perpetually delayed for
-    ``DURATION_NS`` (each event, when its delay expires, is immediately
-    re-delayed - this models the steady state of "delaying N concurrent events
-    indefinitely").  Returns the bandwidth consumed on the recirculation port
-    and the delay error statistics.
-
-    Mechanism details:
+def figure14_point(concurrent_events: int, use_delay_queue: bool = True) -> Tuple[float, float]:
+    """One point of Figure 14: the recirculation-port bandwidth (Gb/s) and the
+    mean relative delay error of keeping ``concurrent_events`` events
+    perpetually delayed for ``DURATION_NS`` (each event, when its delay
+    expires, is immediately re-delayed by ``REQUESTED_DELAY_NS``).
 
     * With the pausable queue, the queue is unpaused once per
       release interval by the first PFC frame of a pair and re-paused
@@ -170,67 +138,41 @@ def simulate_concurrent_delays(
       parked event packets drain, recirculate (one loop takes roughly the
       recirculation latency) and re-enter the queue, so each parked event makes
       ``ceil(release_window / recirculation_latency)`` passes per release.
+      A parked event becomes ready somewhere between two releases and waits
+      for the next one.  Because the events that request new delays are
+      themselves triggered by released events, their phase is biased towards
+      "just after a release", so event ``i`` of ``n`` is late by
+      ``(i + 1) / n`` of half the release interval (the paper measures errors
+      of up to ~50 us for a 100 us release interval).
     * Without the queue (the baseline), every delayed packet loops through the
       recirculation port back-to-back; one loop takes ``BASELINE_LOOP_NS``
       (the recirculation wire + queueing time, without a full pipeline pass),
       so N concurrent events offer ``N * size / BASELINE_LOOP_NS`` of load,
-      capped at the port bandwidth.
-    """
-    result = DelayMechanismResult(
-        mechanism="delay_queue" if use_delay_queue else "baseline", duration_ns=DURATION_NS
-    )
-    if concurrent_events <= 0:
-        return result
+      capped at the port bandwidth.  A delay is quantised to one
+      recirculation pass, unless the port is saturated, in which case
+      queueing inflates delays proportionally.
 
+    Both hold ``concurrent_events`` minimum-size packets in the buffer.
+    """
+    n = max(0, concurrent_events)
     if use_delay_queue:
         releases = DURATION_NS // _TIMING.delay_release_interval_ns
         passes_per_release = max(
             1, -(-RELEASE_WINDOW_NS // _TIMING.recirculation_latency_ns)
         )
-        passes = releases * concurrent_events * passes_per_release
-        result.recirculation_passes = passes
-        result.recirculated_bytes = passes * MIN_FRAME_BYTES
-        result.buffer_bytes_peak = concurrent_events * MIN_FRAME_BYTES
-        # Delay error: a parked event becomes ready somewhere between two
-        # releases and waits for the next one.  Because the events that request
-        # new delays are themselves triggered by released events, their phase
-        # is biased towards "just after a release", so the residual error is
-        # spread over half the release interval (the paper measures errors of
-        # up to ~50 us for a 100 us release interval).
-        for i in range(concurrent_events):
-            event = DelayedEvent(
-                event_id=i,
-                requested_delay_ns=REQUESTED_DELAY_NS,
-                enqueued_at_ns=0,
-                size_bytes=MIN_FRAME_BYTES,
-            )
-            error = ((i + 1) * (_TIMING.delay_release_interval_ns // 2)) // max(1, concurrent_events)
-            event.released_at_ns = event.enqueued_at_ns + REQUESTED_DELAY_NS + error
-            result.events.append(event)
-        return result
-
-    # baseline: each delayed event recirculates continuously, back to back
-    passes_per_event = DURATION_NS // BASELINE_LOOP_NS
-    total_passes = passes_per_event * concurrent_events
-    port_pps = _TIMING.recirc_bandwidth_bps / (MIN_FRAME_BYTES * 8)
-    max_passes = int(port_pps * DURATION_NS * 1e-9)
-    result.recirculation_passes = min(total_passes, max_passes)
-    result.recirculated_bytes = result.recirculation_passes * MIN_FRAME_BYTES
-    result.buffer_bytes_peak = concurrent_events * MIN_FRAME_BYTES
-    saturated = total_passes > max_passes
-    for i in range(concurrent_events):
-        event = DelayedEvent(
-            event_id=i,
-            requested_delay_ns=REQUESTED_DELAY_NS,
-            enqueued_at_ns=0,
-            size_bytes=MIN_FRAME_BYTES,
-        )
-        # accuracy: quantised to one recirculation pass, unless the port is
-        # saturated, in which case queueing inflates delays proportionally
+        passes = releases * n * passes_per_release
+        half_interval = _TIMING.delay_release_interval_ns // 2
+        errors = [((i + 1) * half_interval) // n for i in range(n)]
+    else:
+        total_passes = DURATION_NS // BASELINE_LOOP_NS * n
+        port_pps = _TIMING.recirc_bandwidth_bps / (MIN_FRAME_BYTES * 8)
+        max_passes = int(port_pps * DURATION_NS * 1e-9)
+        passes = min(total_passes, max_passes)
         error = _TIMING.recirculation_latency_ns
-        if saturated:
+        if total_passes > max_passes:
             inflation = total_passes / max_passes
             error = int(REQUESTED_DELAY_NS * (inflation - 1)) + error
-        event.released_at_ns = event.enqueued_at_ns + REQUESTED_DELAY_NS + error
-        result.events.append(event)
-    return result
+        errors = [error] * n
+    gbps = passes * MIN_FRAME_BYTES * 8 / (DURATION_NS * 1e-9) / 1e9
+    relative = [abs(error) / REQUESTED_DELAY_NS for error in errors]
+    return gbps, sum(relative) / len(relative) if relative else 0.0

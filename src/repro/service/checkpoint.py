@@ -17,8 +17,10 @@ needs, under a versioned envelope:
 
 Files are named ``checkpoint-<handled, zero-padded>.json`` so lexicographic
 order is progress order, written atomically (temp file + ``os.replace``) so
-a SIGKILL mid-write never leaves a truncated latest checkpoint, and pruned
-to the ``keep`` most recent.  The bytes are those of
+a SIGKILL mid-write never leaves a truncated latest checkpoint (the file and
+then its directory are fsynced, so a power loss cannot lose the rename), and
+pruned to the ``keep`` most recent; the next save removes a ``.tmp`` file
+that a kill mid-write left behind.  The bytes are those of
 ``json.dumps(state, separators=(",", ":"))``, written by :func:`write_json`
 in bounded pieces.
 """
@@ -145,6 +147,12 @@ class CheckpointStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # the rename is durable only once the directory entry is on disk
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         self.prune()
         return path
 
@@ -157,7 +165,9 @@ class CheckpointStore:
         return load_checkpoint(path)
 
     def prune(self) -> None:
-        """Delete all but the ``keep`` newest checkpoints."""
+        """Delete all but the ``keep`` newest checkpoints, and any
+        ``.tmp`` file a save killed before its rename left behind."""
         paths = self.paths()
-        for stale in paths[: max(0, len(paths) - self.keep)]:
-            stale.unlink(missing_ok=True)
+        stale = paths[: max(0, len(paths) - self.keep)]
+        for path in stale + list(self.directory.glob("checkpoint-*.json.tmp")):
+            path.unlink(missing_ok=True)

@@ -218,13 +218,6 @@ class ScenarioService:
             if cfg.checkpoint_dir
             else None
         )
-        telemetry = TelemetryEmitter(
-            cfg.telemetry_stream if cfg.telemetry_stream is not None else sys.stderr,
-            self.scenario.name,
-            cfg.engine,
-            cfg.seed,
-        )
-
         handled = restored = 0
         resumed_from: Optional[str] = None
         if store is not None and cfg.resume:
@@ -234,10 +227,19 @@ class ScenarioService:
                 _check_compatible(state, self.scenario.name, cfg)
                 handled = restored = _restore_run(state, setup, network, source)
                 resumed_from = str(latest)
-                telemetry.emit(
-                    network, handled, source.injected, phase="run",
-                    extra={"resumed_from": resumed_from},
-                )
+        # the rate counts only the events this process handles
+        telemetry = TelemetryEmitter(
+            cfg.telemetry_stream if cfg.telemetry_stream is not None else sys.stderr,
+            self.scenario.name,
+            cfg.engine,
+            cfg.seed,
+            handled=restored,
+        )
+        if resumed_from is not None:
+            telemetry.emit(
+                network, handled, source.injected, phase="run",
+                extra={"resumed_from": resumed_from},
+            )
 
         start = time.perf_counter()
         since_checkpoint = 0

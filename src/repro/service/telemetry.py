@@ -20,7 +20,9 @@ Fields (schema version 2), in record order after the header
 (``schema_version``, ``scenario``, ``engine``, ``seed``, ``phase``,
 ``t_wall_s`` — seconds since the emitter started): ``sim_ns``,
 ``events_handled``, ``events_injected`` (the caller's counts),
-``events_per_sec`` (handled per wall second since the previous record),
+``events_per_sec`` (handled per wall second since the previous record, or
+since the emitter started from ``handled`` events — a resumed run's restored
+total, so its first record reads 0),
 ``pending_events``, ``events_generated``, scheduler totals
 (``recirculations``, ``recirc_bytes``, ``remote_sends``, ``drops``,
 ``link_drops``, ``recirc_drops``), the recirculation-queue depths
@@ -44,14 +46,16 @@ class TelemetryEmitter:
     """Writes telemetry records to a line-oriented stream, one line per
     :meth:`emit`, flushed as it is written."""
 
-    def __init__(self, stream: TextIO, scenario: str, engine: str, seed: int):
+    def __init__(
+        self, stream: TextIO, scenario: str, engine: str, seed: int, handled: int = 0
+    ):
         self._stream = stream
         self.scenario = scenario
         self.engine = engine
         self.seed = seed
         self._start = time.perf_counter()
         self._last_wall = self._start
-        self._last_handled = 0
+        self._last_handled = handled
 
     def emit(
         self,

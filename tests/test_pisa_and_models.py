@@ -6,21 +6,14 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import firewall_overhead_table, lucid_loc, p4_breakdown
-from repro.analysis.recirc_model import FirewallRecircModel
+from repro.analysis import breakdown_for_compiled, firewall_overhead_table
 from repro.analysis.recirc_uses import classify_application, recirc_uses_table
 from repro.apps import ALL_APPLICATIONS
-from repro.backend import compile_program
-from repro.control import ControlPlaneConfig, RemoteController
+from repro.backend import compile_program, count_lucid_loc
+from repro.control import remote_install_latencies
 from repro.core import EventInstance, SchedulerConfig, single_switch_network
 from repro.interp.network import Network, SwitchStats
-from repro.pisa import (
-    DelayedEvent,
-    PausableDelayQueue,
-    PipelineBudget,
-    PisaPipeline,
-    simulate_concurrent_delays,
-)
+from repro.pisa import DelayedEvent, PausableDelayQueue, PisaPipeline, figure14_point
 from repro.scenarios.traffic import (
     FirewallFlowTraffic,
     LinkFailure,
@@ -59,29 +52,35 @@ def test_pausable_queue_counts_recirculation_passes():
 
 
 def test_figure14_delay_queue_vs_baseline_bandwidth():
-    dq = simulate_concurrent_delays(90, use_delay_queue=True)
-    baseline = simulate_concurrent_delays(90, use_delay_queue=False)
-    assert 3.0 < dq.recirc_bandwidth_gbps() < 8.0  # paper: 5.5 Gb/s
-    assert baseline.recirc_bandwidth_gbps() > 90.0  # paper: >95 Gb/s (saturated)
-    assert baseline.recirc_bandwidth_gbps() / dq.recirc_bandwidth_gbps() > 10
+    dq_gbps, _ = figure14_point(90, use_delay_queue=True)
+    baseline_gbps, _ = figure14_point(90, use_delay_queue=False)
+    assert 3.0 < dq_gbps < 8.0  # paper: 5.5 Gb/s
+    assert baseline_gbps > 90.0  # paper: >95 Gb/s (saturated)
+    assert baseline_gbps / dq_gbps > 10
 
 
 def test_figure14_delay_queue_vs_baseline_accuracy():
-    dq = simulate_concurrent_delays(60, use_delay_queue=True)
-    baseline = simulate_concurrent_delays(60, use_delay_queue=False)
-    assert max(abs(e.delay_error_ns) for e in dq.events) <= 50_000
-    assert dq.mean_relative_error() > baseline.mean_relative_error()
-    assert baseline.mean_relative_error() < 0.01
+    _, dq_error = figure14_point(60, use_delay_queue=True)
+    _, baseline_error = figure14_point(60, use_delay_queue=False)
+    # errors of up to half a 100 us release interval on a 1 ms delay
+    assert dq_error <= 50_000 / 1_000_000
+    assert dq_error > baseline_error
+    assert baseline_error < 0.01
 
 
 def test_figure14_bandwidth_grows_with_concurrency():
-    values = [simulate_concurrent_delays(n).recirc_bandwidth_gbps() for n in (10, 40, 80)]
+    values = [figure14_point(n)[0] for n in (10, 40, 80)]
     assert values == sorted(values)
+    assert figure14_point(0) == figure14_point(0, use_delay_queue=False) == (0.0, 0.0)
 
 
 def test_delay_queue_buffer_usage_is_small():
-    dq = simulate_concurrent_delays(90, use_delay_queue=True)
-    assert dq.buffer_bytes_peak <= 90 * 64  # ~7 KB, as in Section 7.2
+    queue = PausableDelayQueue()
+    for i in range(90):
+        queue.enqueue(DelayedEvent(i, requested_delay_ns=1_000_000, enqueued_at_ns=0))
+    queue.run_until_empty()
+    assert len(queue.delivered) == 90
+    assert queue.buffer_bytes_peak <= 90 * 64  # ~7 KB, as in Section 7.2
 
 
 # ---------------------------------------------------------------------------
@@ -94,54 +93,42 @@ def test_recirculation_port_bandwidth_accounting():
 
 
 def test_pipeline_budget_min_packet_size_without_load():
-    budget = PipelineBudget()
-    assert budget.min_line_rate_packet_bytes(0) == pytest.approx(125.0)
+    # a one-entry table never scanned, no new flows: r = 0
+    (row,) = firewall_overhead_table((0,), table_size=1, timeout_check_interval_s=float("inf"))
+    assert row["recirc_rate_pps"] == 0
+    assert row["min_pkt_size_bytes"] == pytest.approx(125.0)
 
 
 def test_figure16_model_matches_paper_numbers():
     rows = firewall_overhead_table()
-    by_rate = {int(r.flow_rate_per_s): r for r in rows}
+    by_rate = {r["flow_rate"]: r for r in rows}
     # 10K flows/s: 815K pkts/s, ~0.08% utilisation, min packet ~125.3 B
-    assert by_rate[10_000].recirc_rate_pps == pytest.approx(815_360, rel=0.01)
-    assert by_rate[10_000].pipeline_utilisation * 100 == pytest.approx(0.08, abs=0.01)
-    assert by_rate[10_000].min_packet_size_bytes == pytest.approx(125.3, abs=0.7)
+    assert by_rate[10_000]["recirc_rate_pps"] == pytest.approx(815_360, rel=0.01)
+    assert by_rate[10_000]["pipeline_utilization_pct"] == pytest.approx(0.08, abs=0.01)
+    assert by_rate[10_000]["min_pkt_size_bytes"] == pytest.approx(125.3, abs=0.7)
     # 1M flows/s: 16M pkts/s, ~1.66% utilisation, min packet ~127.7 B
-    assert by_rate[1_000_000].recirc_rate_pps == pytest.approx(16_655_360, rel=0.01)
-    assert by_rate[1_000_000].pipeline_utilisation * 100 == pytest.approx(1.67, abs=0.1)
-    assert by_rate[1_000_000].min_packet_size_bytes == pytest.approx(127.7, abs=0.7)
+    assert by_rate[1_000_000]["recirc_rate_pps"] == pytest.approx(16_655_360, rel=0.01)
+    assert by_rate[1_000_000]["pipeline_utilization_pct"] == pytest.approx(1.67, abs=0.1)
+    assert by_rate[1_000_000]["min_pkt_size_bytes"] == pytest.approx(127.7, abs=0.7)
 
 
 @given(st.integers(min_value=1_000, max_value=10_000_000))
 def test_figure16_model_is_monotone_in_flow_rate(rate):
-    model = FirewallRecircModel()
-    assert model.recirc_rate_pps(rate) >= model.scan_rate_pps()
-    assert model.recirc_rate_pps(rate + 1000) > model.recirc_rate_pps(rate)
+    scan, low, high = (row["recirc_rate_pps"] for row in firewall_overhead_table((0, rate, rate + 1000)))
+    assert scan == 2 ** 16 / 0.1
+    assert low >= scan
+    assert high > low
 
 
 # ---------------------------------------------------------------------------
 # remote controller baseline
 # ---------------------------------------------------------------------------
 def test_remote_controller_latency_distribution():
-    controller = RemoteController(seed=1)
-    for i in range(500):
-        controller.install_flow(i, requested_at_ns=i * 100_000)
-    assert controller.min_latency_ns() >= 12_000
-    assert 15_000 <= controller.mean_latency_ns() <= 22_000
-
-
-def test_remote_controller_polling_adds_latency():
-    fast = RemoteController(ControlPlaneConfig(poll_interval_ns=0), seed=2)
-    polled = RemoteController(ControlPlaneConfig(poll_interval_ns=1_000_000), seed=2)
-    fast.install_flow(1, 10)
-    polled.install_flow(1, 10)
-    assert polled.records[0].latency_ns > fast.records[0].latency_ns
-
-
-def test_remote_controller_serialisation_queues_requests():
-    controller = RemoteController(ControlPlaneConfig(serialize_installs=True), seed=3)
-    first = controller.install_flow(1, 0)
-    second = controller.install_flow(2, 0)
-    assert second.completed_at_ns >= first.completed_at_ns
+    latencies = remote_install_latencies(500, seed=1)
+    assert len(latencies) == 500
+    assert min(latencies) >= 12_000
+    assert 15_000 <= statistics.mean(latencies) <= 22_000
+    assert remote_install_latencies(500, seed=1) == latencies
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +251,10 @@ def test_pipeline_executor_generates_events_from_layout():
 def test_loc_breakdown_sums_to_total():
     app = ALL_APPLICATIONS["RIP"]
     compiled = app.compile()
-    breakdown = p4_breakdown("RIP", app.source, compiled.naive_p4)
-    assert breakdown.p4_total == compiled.naive_p4.line_counts()["total"]
-    assert breakdown.lucid == lucid_loc(app.source)
-    assert breakdown.ratio > 1
+    breakdown = breakdown_for_compiled(compiled)
+    assert breakdown["p4_total"] == compiled.naive_p4.line_counts()["total"]
+    assert breakdown["lucid_loc"] == count_lucid_loc(app.source)
+    assert breakdown["ratio"] > 1
 
 
 def test_recirc_use_classification_matches_figure15():

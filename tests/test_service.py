@@ -42,6 +42,7 @@ from repro.service.server import (
     soak_compare,
 )
 from repro.service.source import ReplayableSource
+import repro.service.telemetry as telemetry_module
 from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter
 
 RELAY = """
@@ -395,6 +396,30 @@ def test_checkpoint_store_rolls_and_prunes(tmp_path):
     assert not list((tmp_path / "ck").glob("*.tmp"))  # atomic writes
 
 
+def test_checkpoint_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """``os.replace`` is durable only once the directory entry is synced: a
+    save fsyncs the file, renames it, then fsyncs the directory."""
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = CheckpointStore(tmp_path / "ck").save(_dummy_checkpoint(7))
+    assert synced == [path.stat().st_ino, (tmp_path / "ck").stat().st_ino]
+
+
+def test_prune_removes_temp_files_left_by_a_killed_save(tmp_path):
+    store = CheckpointStore(tmp_path, keep=2)
+    stale = tmp_path / f"checkpoint-{10**6:015d}.json.tmp"
+    stale.write_text('{"format": "repro-service-checkpoint", "vers')
+    store.save(_dummy_checkpoint(5))
+    assert not stale.exists()
+    assert [p.name for p in store.paths()] == [f"checkpoint-{5:015d}.json"]
+
+
 def test_checkpoint_store_validates(tmp_path):
     store = CheckpointStore(tmp_path, keep=1)
     with pytest.raises(SimulationError, match="not a service checkpoint"):
@@ -503,8 +528,9 @@ def test_truncated_latest_checkpoint_is_refused_and_older_ones_kept(tmp_path):
 
 def test_kill_between_tmp_write_and_rename_resumes_from_last_complete(tmp_path):
     """A run killed after writing ``checkpoint-<n>.json.tmp`` but before
-    renaming it leaves that file behind: the store ignores it, and resume
-    continues from the last complete checkpoint to the batch run's verdict."""
+    renaming it leaves that file behind: the store ignores it, resume
+    continues from the last complete checkpoint to the batch run's verdict,
+    and the resumed run's first save deletes it."""
     scenario = SCENARIOS["nat-churn"]
     first = ScenarioService(scenario, _serve_config(tmp_path, max_events=900)).run()
     store = CheckpointStore(tmp_path)
@@ -517,6 +543,7 @@ def test_kill_between_tmp_write_and_rename_resumes_from_last_complete(tmp_path):
 
     second = ScenarioService(scenario, _serve_config(tmp_path)).run()
     assert second.resumed_from == str(complete)
+    assert not tmp.exists()  # its first save pruned the leftover
     straight = run_scenario(scenario, 2_000, 5, engine="codegen")
     assert second.result.verdict_signature() == straight.verdict_signature()
 
@@ -582,6 +609,34 @@ def test_telemetry_emitter_schema():
         assert (record["queue_depth"], record["peak_queue_depth"]) == (0, 0)
     assert lines[0]["phase"] == lines[2]["phase"] == "run"
     assert lines[1]["phase"] == lines[3]["phase"] == "final" and lines[3]["ok"] is True
+
+
+def test_resumed_serve_rates_count_only_this_process(tmp_path, monkeypatch):
+    """The record a resumed serve writes on restore reads 0 events/s, and the
+    next record's rate counts only the events handled after the restore —
+    not the restored cumulative total."""
+    scenario = SCENARIOS["nat-churn"]
+    first = ScenarioService(scenario, _serve_config(tmp_path, max_events=900)).run()
+    assert first.stopped
+
+    class OneSecondTicks:  # every clock read is one second after the last
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += 1.0
+            return self.now
+
+    monkeypatch.setattr(telemetry_module, "time", OneSecondTicks())
+    stream = io.StringIO()
+    config = _serve_config(tmp_path, max_events=1_500)
+    config.telemetry_stream = stream
+    ScenarioService(scenario, config).run()
+    resumed, following = [json.loads(line) for line in stream.getvalue().splitlines()[:2]]
+    assert resumed["resumed_from"] == first.checkpoint_path
+    assert resumed["events_handled"] == first.handled > 0
+    assert resumed["events_per_sec"] == 0
+    assert following["events_handled"] > first.handled
+    assert following["events_per_sec"] == following["events_handled"] - first.handled
 
 
 def test_serve_flushes_buffered_telemetry_before_final_checkpoint(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.frontend.source import Span, dummy_span
 
@@ -251,18 +251,6 @@ class SExpr(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
-class SSeq(Stmt):
-    """An explicit block (used internally by some transformations)."""
-
-    body: List[Stmt] = field(default_factory=list)
-
-
-@dataclass
-class SNoop(Stmt):
-    """An empty statement, produced by some rewrites."""
-
-
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
@@ -405,56 +393,86 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Generic traversal helpers
+# Node children: the one table
 # ---------------------------------------------------------------------------
+#: The fields of each node kind that hold its direct sub-expressions, in
+#: evaluation (and source) order: an expression's operands, a statement's own
+#: expressions.  A field holds one expression, a list of them, or (only
+#: ``SReturn.value``) None.  This table and :func:`child_blocks` are the only
+#: place that says which fields of a node are its children; every traversal,
+#: mapper and address below (and the checker's, inliner's and shrinker's)
+#: reads them.
+_SUBEXPR_FIELDS = {
+    EUnary: ("operand",),
+    EBinary: ("left", "right"),
+    ECall: ("args",),
+    EEvent: ("args",),
+    EGroup: ("members",),
+    SLocal: ("init",),
+    SAssign: ("value",),
+    SIf: ("cond",),
+    SMatch: ("scrutinees",),
+    SReturn: ("value",),
+    SGenerate: ("event",),
+    SExpr: ("expr",),
+}
+
+
+def subexprs(node) -> List[Expr]:
+    """The direct sub-expressions of an expression or statement, in order
+    (not recursing into a statement's nested blocks)."""
+    out: List[Expr] = []
+    for name in _SUBEXPR_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) is list:
+            out.extend(value)
+        elif value is not None:
+            out.append(value)
+    return out
+
+
+def map_subexprs(node, fn: Callable[[Expr], Expr]) -> None:
+    """Replace each direct sub-expression of ``node`` (an expression or a
+    statement) by ``fn`` of it, in place and in order; a list field becomes
+    a new list."""
+    for name in _SUBEXPR_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) is list:
+            setattr(node, name, [fn(item) for item in value])
+        elif value is not None:
+            setattr(node, name, fn(value))
+
+
+def child_blocks(stmt: Stmt) -> List[List[Stmt]]:
+    """The statement lists nested directly in ``stmt``, in source order: an
+    ``if``'s two arms, a ``match``'s arm bodies.  The lists themselves, so a
+    caller may rewrite them in place."""
+    if type(stmt) is SIf:
+        return [stmt.then_body, stmt.else_body]
+    if type(stmt) is SMatch:
+        return [body for _, body in stmt.branches]
+    return []
+
+
 def walk_expr(expr: Expr):
     """Yield ``expr`` and every sub-expression, pre-order."""
     yield expr
-    if isinstance(expr, EUnary):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, EBinary):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, (ECall, EEvent)):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, EGroup):
-        for member in expr.members:
-            yield from walk_expr(member)
+    for sub in subexprs(expr):
+        yield from walk_expr(sub)
 
 
 def walk_stmts(stmts: Sequence[Stmt]):
-    """Yield every statement in ``stmts``, recursing into blocks."""
+    """Yield every statement in ``stmts``, recursing into blocks, pre-order."""
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, SIf):
-            yield from walk_stmts(stmt.then_body)
-            yield from walk_stmts(stmt.else_body)
-        elif isinstance(stmt, SMatch):
-            for _, body in stmt.branches:
-                yield from walk_stmts(body)
-        elif isinstance(stmt, SSeq):
-            yield from walk_stmts(stmt.body)
+        for block in child_blocks(stmt):
+            yield from walk_stmts(block)
 
 
 def stmt_exprs(stmt: Stmt) -> List[Expr]:
     """Return the immediate expressions of a statement (not recursing into
     nested statements)."""
-    if isinstance(stmt, SLocal):
-        return [stmt.init]
-    if isinstance(stmt, SAssign):
-        return [stmt.value]
-    if isinstance(stmt, SIf):
-        return [stmt.cond]
-    if isinstance(stmt, SMatch):
-        return list(stmt.scrutinees)
-    if isinstance(stmt, SReturn):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, SGenerate):
-        return [stmt.event]
-    if isinstance(stmt, SExpr):
-        return [stmt.expr]
-    return []
+    return subexprs(stmt)
 
 
 def clone(node):

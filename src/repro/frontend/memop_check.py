@@ -50,7 +50,7 @@ def check_memop(memop: ast.DMemop, consts: Container[str] = BUILTIN_CONSTS) -> N
     def scope(name: str) -> bool:
         return name in params or name in consts
 
-    body = [s for s in memop.body if not isinstance(s, ast.SNoop)]
+    body = memop.body
     if len(body) == 1 and isinstance(body[0], ast.SReturn):
         _check_return(body[0], scope)
         return
@@ -104,15 +104,14 @@ def _check_params(memop: ast.DMemop) -> None:
 def _check_if_body(stmt: ast.SIf, scope: Scope) -> None:
     _check_condition(stmt.cond, scope)
     for branch_name, branch in (("then", stmt.then_body), ("else", stmt.else_body)):
-        stmts = [s for s in branch if not isinstance(s, ast.SNoop)]
-        if len(stmts) != 1 or not isinstance(stmts[0], ast.SReturn):
-            span = stmts[0].span if stmts else stmt.span
+        if len(branch) != 1 or not isinstance(branch[0], ast.SReturn):
+            span = branch[0].span if branch else stmt.span
             raise MemopError(
                 f"the {branch_name}-branch of a memop's if statement must contain "
                 "exactly one return statement",
                 span,
             )
-        _check_return(stmts[0], scope)
+        _check_return(branch[0], scope)
 
 
 def _check_return(stmt: ast.SReturn, scope: Scope) -> None:
@@ -257,23 +256,20 @@ def memop_shape(info: ProgramInfo, name: str) -> MemopShape:
             )
         return stmts[0].value
 
-    body = [s for s in decl.body if not isinstance(s, ast.SNoop)]
-    if not body:
+    if not decl.body:
         raise InterpError(f"memop '{name}' has an empty body")
-    stmt = body[0]
+    stmt = decl.body[0]
     if isinstance(stmt, ast.SReturn):
-        return MemopShape(name, stored, local, None, returned(body, "body"), None)
+        return MemopShape(name, stored, local, None, returned(decl.body, "body"), None)
     if not isinstance(stmt, ast.SIf):
         raise InterpError(
             f"memop '{name}' body must be a single return statement or an if "
             "statement with one return in each branch"
         )
-    then_body = [s for s in stmt.then_body if not isinstance(s, ast.SNoop)]
-    else_body = [s for s in stmt.else_body if not isinstance(s, ast.SNoop)]
-    if not then_body or not else_body:
+    if not stmt.then_body or not stmt.else_body:
         raise InterpError(
             f"memop '{name}' must return a value in both branches of its if statement"
         )
     return MemopShape(name, stored, local, stmt.cond,
-                      returned(then_body, "then-branch"),
-                      returned(else_body, "else-branch"))
+                      returned(stmt.then_body, "then-branch"),
+                      returned(stmt.else_body, "else-branch"))

@@ -290,7 +290,8 @@ class Parser:
         while not self._at(TokenKind.RBRACE):
             if self._at(TokenKind.EOF):
                 raise self._error("unexpected end of input inside block")
-            body.append(self.parse_stmt())
+            if not self._accept(TokenKind.SEMI):
+                body.append(self.parse_stmt())
         end = self._expect(TokenKind.RBRACE)
         return body, end.span
 
@@ -304,9 +305,6 @@ class Parser:
             return self._parse_return()
         if tok.kind in (TokenKind.KW_GENERATE, TokenKind.KW_MGENERATE):
             return self._parse_generate()
-        if tok.kind is TokenKind.SEMI:
-            self._advance()
-            return ast.SNoop(span=tok.span)
         if self._starts_type():
             return self._parse_local()
         # assignment or expression statement
@@ -337,22 +335,21 @@ class Parser:
         self._expect(TokenKind.LPAREN)
         cond = self.parse_expr()
         self._expect(TokenKind.RPAREN)
-        if self._at(TokenKind.LBRACE):
-            then_body, end_span = self._parse_block()
-        else:
-            stmt = self.parse_stmt()
-            then_body, end_span = [stmt], stmt.span
+        then_body, end_span = self._parse_arm()
         else_body: List[ast.Stmt] = []
         if self._accept(TokenKind.KW_ELSE):
-            if self._at(TokenKind.KW_IF):
-                nested = self._parse_if()
-                else_body, end_span = [nested], nested.span
-            elif self._at(TokenKind.LBRACE):
-                else_body, end_span = self._parse_block()
-            else:
-                stmt = self.parse_stmt()
-                else_body, end_span = [stmt], stmt.span
+            else_body, end_span = self._parse_arm()
         return ast.SIf(span=start.span.merge(end_span), cond=cond, then_body=then_body, else_body=else_body)
+
+    def _parse_arm(self) -> Tuple[List[ast.Stmt], Span]:
+        """An ``if``/``else`` arm: a block, one statement (an ``else if`` is
+        one), or an empty statement ``;``, which is no statement at all."""
+        if self._at(TokenKind.LBRACE):
+            return self._parse_block()
+        if self._at(TokenKind.SEMI):
+            return [], self._advance().span
+        stmt = self.parse_stmt()
+        return [stmt], stmt.span
 
     def _parse_match(self) -> ast.Stmt:
         start = self._expect(TokenKind.KW_MATCH)

@@ -102,57 +102,19 @@ class CheckedProgram:
 # ---------------------------------------------------------------------------
 # event-constructor resolution (ECall -> EEvent)
 # ---------------------------------------------------------------------------
-def _resolve_expr(expr: ast.Expr, info: ProgramInfo) -> ast.Expr:
-    if isinstance(expr, ast.ECall):
-        expr.args = [_resolve_expr(a, info) for a in expr.args]
-        if info.is_event(expr.func):
-            return ast.EEvent(span=expr.span, name=expr.func, args=expr.args)
-        return expr
-    if isinstance(expr, ast.EEvent):
-        expr.args = [_resolve_expr(a, info) for a in expr.args]
-        return expr
-    if isinstance(expr, ast.EUnary):
-        expr.operand = _resolve_expr(expr.operand, info)
-        return expr
-    if isinstance(expr, ast.EBinary):
-        expr.left = _resolve_expr(expr.left, info)
-        expr.right = _resolve_expr(expr.right, info)
-        return expr
-    if isinstance(expr, ast.EGroup):
-        expr.members = [_resolve_expr(m, info) for m in expr.members]
-        return expr
-    return expr
-
-
-def _resolve_stmts(stmts: List[ast.Stmt], info: ProgramInfo) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, ast.SLocal):
-            stmt.init = _resolve_expr(stmt.init, info)
-        elif isinstance(stmt, ast.SAssign):
-            stmt.value = _resolve_expr(stmt.value, info)
-        elif isinstance(stmt, ast.SIf):
-            stmt.cond = _resolve_expr(stmt.cond, info)
-            _resolve_stmts(stmt.then_body, info)
-            _resolve_stmts(stmt.else_body, info)
-        elif isinstance(stmt, ast.SMatch):
-            stmt.scrutinees = [_resolve_expr(e, info) for e in stmt.scrutinees]
-            for _, body in stmt.branches:
-                _resolve_stmts(body, info)
-        elif isinstance(stmt, ast.SReturn) and stmt.value is not None:
-            stmt.value = _resolve_expr(stmt.value, info)
-        elif isinstance(stmt, ast.SGenerate):
-            stmt.event = _resolve_expr(stmt.event, info)
-        elif isinstance(stmt, ast.SExpr):
-            stmt.expr = _resolve_expr(stmt.expr, info)
-        elif isinstance(stmt, ast.SSeq):
-            _resolve_stmts(stmt.body, info)
-
-
 def resolve_event_constructors(program: ast.Program, info: ProgramInfo) -> None:
     """Rewrite calls whose callee is a declared event into event expressions."""
+
+    def resolve(expr: ast.Expr) -> ast.Expr:
+        ast.map_subexprs(expr, resolve)
+        if isinstance(expr, ast.ECall) and info.is_event(expr.func):
+            return ast.EEvent(span=expr.span, name=expr.func, args=expr.args)
+        return expr
+
     for decl in program.decls:
         if isinstance(decl, (ast.DHandler, ast.DFun, ast.DMemop)):
-            _resolve_stmts(decl.body, info)
+            for stmt in ast.walk_stmts(decl.body):
+                ast.map_subexprs(stmt, resolve)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +229,6 @@ class TypeChecker:
         return summary
 
     def _check_stmt(self, stmt: ast.Stmt, ctx: _BodyContext) -> EffectSummary:
-        if isinstance(stmt, ast.SNoop):
-            return EffectSummary()
         if isinstance(stmt, ast.SLocal):
             return self._check_local(stmt, ctx)
         if isinstance(stmt, ast.SAssign):
@@ -284,8 +244,6 @@ class TypeChecker:
         if isinstance(stmt, ast.SExpr):
             _, effects = self._check_expr(stmt.expr, ctx)
             return effects
-        if isinstance(stmt, ast.SSeq):
-            return self._check_block(stmt.body, ctx)
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _check_local(self, stmt: ast.SLocal, ctx: _BodyContext) -> EffectSummary:

@@ -79,14 +79,6 @@ def unparse_expr(expr: ast.Expr) -> str:
 # ---------------------------------------------------------------------------
 def _unparse_stmt(stmt: ast.Stmt, indent: int, out: List[str]) -> None:
     pad = "  " * indent
-    if isinstance(stmt, ast.SNoop):
-        return
-    if isinstance(stmt, ast.SSeq):
-        # the surface syntax has no bare block statement; splice the body
-        # (the language has no block scoping, so this is faithful)
-        for inner in stmt.body:
-            _unparse_stmt(inner, indent, out)
-        return
     if isinstance(stmt, ast.SLocal):
         out.append(f"{pad}{unparse_type(stmt.ty)} {stmt.name} = {unparse_expr(stmt.init)};")
         return

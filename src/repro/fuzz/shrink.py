@@ -12,16 +12,22 @@ the survivor is 1-minimal with respect to the mutation set: removing any
 single remaining piece either breaks the program or makes the bug
 disappear.
 
-Statements and expressions are addressed by *paths* (declaration index plus
-a descent of block/branch steps), so every candidate is produced by
-resolving the path against a fresh deep copy — the working AST is never
-mutated in place.
+A statement is addressed by its declaration index, a descent of block
+steps and its index in the block it ends in; a block step is (statement
+index, index into :func:`~repro.frontend.ast.child_blocks` of that
+statement).  An expression is addressed by its statement's address and its
+index in the pre-order walk of that statement's expressions.  Both orders
+are :mod:`repro.frontend.ast`'s, so every expression and every nested block
+the AST has is reachable.  Every candidate is produced by resolving an
+address against a fresh :func:`~repro.frontend.ast.clone` — the working AST
+is never mutated in place.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+import dataclasses
+import itertools
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.errors import LucidError
 from repro.frontend import ast
@@ -39,30 +45,15 @@ def _checks(case: FuzzCase) -> bool:
     return True
 
 
-def _rebuild(case: FuzzCase, **overrides) -> FuzzCase:
-    fields = dict(
-        source=case.source,
-        events=list(case.events),
-        switches=case.switches,
-        links=list(case.links),
-        name=case.name,
-        description=case.description,
-        seed=case.seed,
-    )
-    fields.update(overrides)
-    return FuzzCase(**fields)
-
-
 def _with_program(case: FuzzCase, program: ast.Program) -> FuzzCase:
-    return _rebuild(case, source=unparse(program))
+    return dataclasses.replace(case, source=unparse(program))
 
 
 # ---------------------------------------------------------------------------
-# statement addressing
+# addressing
 # ---------------------------------------------------------------------------
-#: one descent step inside a body: (statement index, branch selector) where
-#: the selector is "then", "else", or an int match-arm index
-_Step = Tuple[int, Union[str, int]]
+#: one descent step: (statement index, child-block index)
+_Step = Tuple[int, int]
 #: a statement address: (decl index, descent steps, index in final block)
 _Addr = Tuple[int, Tuple[_Step, ...], int]
 
@@ -72,12 +63,8 @@ def _block_addresses(
 ) -> Iterator[_Addr]:
     for i, stmt in enumerate(block):
         yield (decl_index, steps, i)
-        if isinstance(stmt, ast.SIf):
-            yield from _block_addresses(decl_index, steps + ((i, "then"),), stmt.then_body)
-            yield from _block_addresses(decl_index, steps + ((i, "else"),), stmt.else_body)
-        elif isinstance(stmt, ast.SMatch):
-            for k, (_, body) in enumerate(stmt.branches):
-                yield from _block_addresses(decl_index, steps + ((i, k),), body)
+        for k, body in enumerate(ast.child_blocks(stmt)):
+            yield from _block_addresses(decl_index, steps + ((i, k),), body)
 
 
 def _stmt_addresses(program: ast.Program) -> List[_Addr]:
@@ -90,107 +77,34 @@ def _stmt_addresses(program: ast.Program) -> List[_Addr]:
 
 def _resolve_block(program: ast.Program, decl_index: int, steps: Tuple[_Step, ...]) -> List[ast.Stmt]:
     block: List[ast.Stmt] = program.decls[decl_index].body  # type: ignore[union-attr]
-    for index, selector in steps:
-        stmt = block[index]
-        if selector == "then":
-            block = stmt.then_body  # type: ignore[union-attr]
-        elif selector == "else":
-            block = stmt.else_body  # type: ignore[union-attr]
-        else:
-            block = stmt.branches[selector][1]  # type: ignore[union-attr]
+    for index, arm in steps:
+        block = ast.child_blocks(block[index])[arm]
     return block
 
 
-# ---------------------------------------------------------------------------
-# expression addressing (within one statement)
-# ---------------------------------------------------------------------------
-#: root slots on a statement, by attribute name (SMatch scrutinees by index)
-def _root_slots(stmt: ast.Stmt) -> List[Union[str, int]]:
-    if isinstance(stmt, ast.SLocal):
-        return ["init"]
-    if isinstance(stmt, ast.SAssign):
-        return ["value"]
-    if isinstance(stmt, ast.SIf):
-        return ["cond"]
-    if isinstance(stmt, ast.SReturn):
-        return ["value"] if stmt.value is not None else []
-    if isinstance(stmt, ast.SExpr):
-        return ["expr"]
-    if isinstance(stmt, ast.SGenerate):
-        return ["event"]
-    if isinstance(stmt, ast.SMatch):
-        return list(range(len(stmt.scrutinees)))
-    return []
+def _stmt_expr_walk(stmt: ast.Stmt) -> List[ast.Expr]:
+    """Every expression of ``stmt`` (not of its nested blocks), pre-order:
+    an expression's address within its statement is its index here."""
+    return [sub for root in ast.stmt_exprs(stmt) for sub in ast.walk_expr(root)]
 
 
-def _get_root(stmt: ast.Stmt, slot: Union[str, int]) -> ast.Expr:
-    if isinstance(slot, int):
-        return stmt.scrutinees[slot]  # type: ignore[union-attr]
-    return getattr(stmt, slot)
+def _replace_expr(stmt: ast.Stmt, target: int, value: ast.Expr) -> None:
+    """Put ``value`` in place of the ``target``-th expression of
+    :func:`_stmt_expr_walk`."""
+    order = itertools.count()
 
+    def visit(expr: ast.Expr) -> ast.Expr:
+        if next(order) == target:
+            return value
+        ast.map_subexprs(expr, visit)
+        return expr
 
-def _set_root(stmt: ast.Stmt, slot: Union[str, int], value: ast.Expr) -> None:
-    if isinstance(slot, int):
-        stmt.scrutinees[slot] = value  # type: ignore[union-attr]
-    else:
-        setattr(stmt, slot, value)
-
-
-#: one descent step inside an expression tree
-_EStep = Union[str, int]  # "left" | "right" | "operand" | arg index
-
-
-def _expr_paths(expr: ast.Expr, prefix: Tuple[_EStep, ...] = ()) -> Iterator[Tuple[_EStep, ...]]:
-    yield prefix
-    if isinstance(expr, ast.EBinary):
-        yield from _expr_paths(expr.left, prefix + ("left",))
-        yield from _expr_paths(expr.right, prefix + ("right",))
-    elif isinstance(expr, ast.EUnary):
-        yield from _expr_paths(expr.operand, prefix + ("operand",))
-    elif isinstance(expr, (ast.ECall, ast.EEvent)):
-        for i, arg in enumerate(expr.args):
-            yield from _expr_paths(arg, prefix + (i,))
-
-
-def _get_expr(root: ast.Expr, path: Tuple[_EStep, ...]) -> ast.Expr:
-    expr = root
-    for step in path:
-        if step == "left":
-            expr = expr.left  # type: ignore[union-attr]
-        elif step == "right":
-            expr = expr.right  # type: ignore[union-attr]
-        elif step == "operand":
-            expr = expr.operand  # type: ignore[union-attr]
-        else:
-            expr = expr.args[step]  # type: ignore[union-attr]
-    return expr
-
-
-def _set_expr(stmt: ast.Stmt, slot: Union[str, int], path: Tuple[_EStep, ...], value: ast.Expr) -> None:
-    if not path:
-        _set_root(stmt, slot, value)
-        return
-    parent = _get_expr(_get_root(stmt, slot), path[:-1])
-    step = path[-1]
-    if step == "left":
-        parent.left = value  # type: ignore[union-attr]
-    elif step == "right":
-        parent.right = value  # type: ignore[union-attr]
-    elif step == "operand":
-        parent.operand = value  # type: ignore[union-attr]
-    else:
-        parent.args[step] = value  # type: ignore[union-attr]
+    ast.map_subexprs(stmt, visit)
 
 
 def _replacements_for(expr: ast.Expr) -> List[ast.Expr]:
     """Smaller expressions a given expression may shrink to."""
-    out: List[ast.Expr] = []
-    if isinstance(expr, ast.EBinary):
-        out.extend([expr.left, expr.right])
-    elif isinstance(expr, ast.EUnary):
-        out.append(expr.operand)
-    elif isinstance(expr, (ast.ECall, ast.EEvent)):
-        out.extend(expr.args)
+    out = ast.subexprs(expr)
     if not (isinstance(expr, ast.EInt) and expr.value in (0, 1)):
         out.append(ast.EInt(span=expr.span, value=0))
         out.append(ast.EInt(span=expr.span, value=1))
@@ -203,10 +117,10 @@ def _replacements_for(expr: ast.Expr) -> List[ast.Expr]:
 def _mutations(case: FuzzCase) -> Iterator[FuzzCase]:
     # 1. traffic: drop one injection
     for i in range(len(case.events)):
-        yield _rebuild(case, events=case.events[:i] + case.events[i + 1 :])
+        yield dataclasses.replace(case, events=case.events[:i] + case.events[i + 1 :])
     # 2. topology: collapse to one switch
     if case.switches > 1:
-        yield _rebuild(
+        yield dataclasses.replace(
             case,
             switches=1,
             links=[],
@@ -217,58 +131,44 @@ def _mutations(case: FuzzCase) -> Iterator[FuzzCase]:
         if time_ns != 0:
             events = list(case.events)
             events[i] = (0, switch_id, name, args)
-            yield _rebuild(case, events=events)
+            yield dataclasses.replace(case, events=events)
         if any(args):
             events = list(case.events)
             events[i] = (time_ns, switch_id, name, tuple(0 for _ in args))
-            yield _rebuild(case, events=events)
+            yield dataclasses.replace(case, events=events)
     try:
         program = parse_program(case.source)
     except LucidError:  # pragma: no cover - cases come from unparse
         return
     # 4. drop one whole declaration
     for i in range(len(program.decls)):
-        mutated = copy.deepcopy(program)
+        mutated = ast.clone(program)
         del mutated.decls[i]
         yield _with_program(case, mutated)
     addresses = _stmt_addresses(program)
     # 5. drop one statement (anywhere, deepest first so inner noise goes early)
     for decl_index, steps, index in reversed(addresses):
-        mutated = copy.deepcopy(program)
+        mutated = ast.clone(program)
         block = _resolve_block(mutated, decl_index, steps)
         del block[index]
         yield _with_program(case, mutated)
-    # 6. unwrap a branch statement into one of its bodies
+    # 6. unwrap a statement with nested blocks into one of them
     for decl_index, steps, index in addresses:
         stmt = _resolve_block(program, decl_index, steps)[index]
-        if isinstance(stmt, ast.SIf):
-            arms = [stmt.then_body, stmt.else_body]
-        elif isinstance(stmt, ast.SMatch):
-            arms = [body for _, body in stmt.branches]
-        else:
-            continue
-        for arm_index in range(len(arms)):
-            mutated = copy.deepcopy(program)
+        for arm in range(len(ast.child_blocks(stmt))):
+            mutated = ast.clone(program)
             block = _resolve_block(mutated, decl_index, steps)
-            live = block[index]
-            if isinstance(live, ast.SIf):
-                replacement = [live.then_body, live.else_body][arm_index]
-            else:
-                replacement = live.branches[arm_index][1]
-            block[index : index + 1] = replacement
+            block[index : index + 1] = ast.child_blocks(block[index])[arm]
             yield _with_program(case, mutated)
     # 7. simplify one expression
     for decl_index, steps, index in addresses:
         stmt = _resolve_block(program, decl_index, steps)[index]
-        for slot in _root_slots(stmt):
-            root = _get_root(stmt, slot)
-            for path in _expr_paths(root):
-                target = _get_expr(root, path)
-                for replacement in _replacements_for(target):
-                    mutated = copy.deepcopy(program)
-                    live_stmt = _resolve_block(mutated, decl_index, steps)[index]
-                    _set_expr(live_stmt, slot, path, copy.deepcopy(replacement))
-                    yield _with_program(case, mutated)
+        for target, expr in enumerate(_stmt_expr_walk(stmt)):
+            for replacement in _replacements_for(expr):
+                mutated = ast.clone(program)
+                live = _resolve_block(mutated, decl_index, steps)[index]
+                _replace_expr(live, target, ast.clone(replacement))
+                yield _with_program(case, mutated)
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,6 @@ class HandlerInterpreter:
             self._exec_stmt(stmt, env, result)
 
     def _exec_stmt(self, stmt: ast.Stmt, env: Dict[str, object], result: ExecutionResult) -> None:
-        if isinstance(stmt, ast.SNoop):
-            return
         if isinstance(stmt, ast.SLocal):
             env[stmt.name] = self._eval(stmt.init, env, result)
             return
@@ -307,9 +305,6 @@ class HandlerInterpreter:
             return
         if isinstance(stmt, ast.SExpr):
             self._eval(stmt.expr, env, result)
-            return
-        if isinstance(stmt, ast.SSeq):
-            self._exec_block(stmt.body, env, result)
             return
         raise InterpError(f"unhandled statement {type(stmt).__name__}")
 

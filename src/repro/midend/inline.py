@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.errors import TypeError_
 from repro.frontend import ast
@@ -56,18 +56,6 @@ class FreshNames:
 # ---------------------------------------------------------------------------
 # returnify: push trailing statements into branches so returns are tail-only
 # ---------------------------------------------------------------------------
-def _flatten_seqs(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
-    """Splice transparent ``SSeq`` blocks into their parent statement list
-    (the language has no block scoping, so this is semantics-preserving)."""
-    out: List[ast.Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, ast.SSeq):
-            out.extend(_flatten_seqs(stmt.body))
-        else:
-            out.append(stmt)
-    return out
-
-
 def _match_has_wildcard(stmt: ast.SMatch) -> bool:
     return any(all(v is None for v in pat) for pat, _ in stmt.branches)
 
@@ -92,9 +80,6 @@ def _block_returns(stmts: List[ast.Stmt]) -> bool:
                 _block_returns(body) for _, body in stmt.branches
             ):
                 return True
-        if isinstance(stmt, ast.SSeq):
-            if _block_returns(stmt.body):
-                return True
     return False
 
 
@@ -110,7 +95,6 @@ def returnify(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
     synthesised when the patterns are not exhaustive so the fall-through path
     still runs ``rest`` exactly once.
     """
-    stmts = _flatten_seqs(stmts)
     result: List[ast.Stmt] = []
     for i, stmt in enumerate(stmts):
         if isinstance(stmt, (ast.SIf, ast.SMatch)) and _contains_return([stmt]):
@@ -187,50 +171,9 @@ def _rename_expr(expr: ast.Expr, renames: Dict[str, ast.Expr]) -> ast.Expr:
     """``expr``, rewritten in place, with every renamed variable replaced by
     a copy of what it is renamed to."""
     if isinstance(expr, ast.EVar):
-        if expr.name in renames:
-            return ast.clone(renames[expr.name])
-        return expr
-    if isinstance(expr, ast.EUnary):
-        expr.operand = _rename_expr(expr.operand, renames)
-        return expr
-    if isinstance(expr, ast.EBinary):
-        expr.left = _rename_expr(expr.left, renames)
-        expr.right = _rename_expr(expr.right, renames)
-        return expr
-    if isinstance(expr, (ast.ECall, ast.EEvent)):
-        expr.args = [_rename_expr(a, renames) for a in expr.args]
-        return expr
-    if isinstance(expr, ast.EGroup):
-        expr.members = [_rename_expr(m, renames) for m in expr.members]
-        return expr
+        return ast.clone(renames[expr.name]) if expr.name in renames else expr
+    ast.map_subexprs(expr, lambda sub: _rename_expr(sub, renames))
     return expr
-
-
-def _map_exprs(stmt: ast.Stmt, fn: Callable[[ast.Expr], ast.Expr]) -> None:
-    """Replace every immediate expression of ``stmt`` by ``fn`` of it."""
-    if isinstance(stmt, ast.SLocal):
-        stmt.init = fn(stmt.init)
-    elif isinstance(stmt, ast.SAssign):
-        stmt.value = fn(stmt.value)
-    elif isinstance(stmt, ast.SIf):
-        stmt.cond = fn(stmt.cond)
-    elif isinstance(stmt, ast.SMatch):
-        stmt.scrutinees = [fn(e) for e in stmt.scrutinees]
-    elif isinstance(stmt, ast.SReturn) and stmt.value is not None:
-        stmt.value = fn(stmt.value)
-    elif isinstance(stmt, ast.SGenerate):
-        stmt.event = fn(stmt.event)
-    elif isinstance(stmt, ast.SExpr):
-        stmt.expr = fn(stmt.expr)
-
-
-def _child_blocks(stmt: ast.Stmt) -> List[List[ast.Stmt]]:
-    """The statement lists nested directly in ``stmt``."""
-    if isinstance(stmt, ast.SIf):
-        return [stmt.then_body, stmt.else_body]
-    if isinstance(stmt, ast.SMatch):
-        return [body for _, body in stmt.branches]
-    return [stmt.body] if isinstance(stmt, ast.SSeq) else []
 
 
 def _rename_stmts(stmts: List[ast.Stmt], renames: Dict[str, ast.Expr], fresh: FreshNames) -> None:
@@ -240,7 +183,7 @@ def _rename_stmts(stmts: List[ast.Stmt], renames: Dict[str, ast.Expr], fresh: Fr
     twice (or a parameter declared again — :meth:`Inliner._inline_call` has
     copied every parameter the callee writes) stays one local."""
     for stmt in ast.walk_stmts(stmts):
-        _map_exprs(stmt, lambda expr: _rename_expr(expr, renames))
+        ast.map_subexprs(stmt, lambda expr: _rename_expr(expr, renames))
         if isinstance(stmt, ast.SLocal) and stmt.name not in renames:
             renames[stmt.name] = ast.EVar(span=stmt.span, name=fresh.fresh(stmt.name))
         if isinstance(stmt, (ast.SLocal, ast.SAssign)):
@@ -262,7 +205,7 @@ def _replace_returns(stmts: List[ast.Stmt], result_var: Optional[str]) -> List[a
             if stmt.value is not None and result_var is not None:
                 out.append(ast.SAssign(span=stmt.span, name=result_var, value=stmt.value))
             continue
-        for block in _child_blocks(stmt):
+        for block in ast.child_blocks(stmt):
             block[:] = _replace_returns(block, result_var)
         out.append(stmt)
     return out
@@ -307,8 +250,8 @@ class Inliner:
         if isinstance(stmt, ast.SMatch):
             stmt.scrutinees = self._inline_siblings(stmt.scrutinees, prefix, depth)
         else:
-            _map_exprs(stmt, lambda expr: self._inline_expr(expr, prefix, depth))
-        for block in _child_blocks(stmt):
+            ast.map_subexprs(stmt, lambda expr: self._inline_expr(expr, prefix, depth))
+        for block in ast.child_blocks(stmt):
             block[:] = self._inline_block(block, depth)
         return prefix + [stmt]
 

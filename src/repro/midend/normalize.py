@@ -510,8 +510,6 @@ class Normalizer:
             self.symbolic, self.frozen = saved
 
     def _normalize_stmt(self, stmt: ast.Stmt, out: List[NStmt]) -> None:
-        if isinstance(stmt, ast.SNoop):
-            return
         if isinstance(stmt, ast.SLocal):
             self._normalize_binding(stmt.name, stmt.init, stmt.span, out)
             return
@@ -534,9 +532,6 @@ class Normalizer:
             return
         if isinstance(stmt, ast.SExpr):
             self._normalize_effect_expr(stmt.expr, out)
-            return
-        if isinstance(stmt, ast.SSeq):
-            out.extend(self.normalize_block(stmt.body))
             return
         raise AssertionError(f"unhandled statement {stmt!r}")
 

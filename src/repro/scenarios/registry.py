@@ -221,16 +221,16 @@ class DataPlaneBeatsRemote(Invariant):
     controller on the same flow arrivals.  An install completes at the end of
     whichever pass wrote the key — the first packet's own (0 ns) or a later
     cuckoo recirculation; the controller baseline draws one
-    :func:`~repro.control.remote_install_latencies` sample per flow.
-    :attr:`summary`, filled by :meth:`check`, is Figure 17's row in
-    :mod:`repro.figures`."""
+    :func:`~repro.control.remote_install_latencies` sample per flow, seeded
+    by the run's seed.  :attr:`summary`, filled by :meth:`check`, is Figure
+    17's row in :mod:`repro.figures`."""
 
     name = "dataplane-beats-remote"
     #: recent flows legitimately have installs still in flight mid-run, and
     #: they would be charged the full remaining run
     streaming = False
 
-    def __init__(self, traffic: tm.FirewallFlowTraffic, seed: int = 0xC0FFEE):
+    def __init__(self, traffic: tm.FirewallFlowTraffic, seed: int):
         self.traffic = traffic
         self.seed = seed
         self._installed: Dict[int, int] = {}
@@ -317,7 +317,7 @@ def _build_sfw_install_latency(events: int, seed: int) -> ScenarioSetup:
     traffic = tm.FirewallFlowTraffic(
         hosts=256, external_hosts=1024, with_returns=False, packets_per_flow=2
     )
-    latency = DataPlaneBeatsRemote(traffic)
+    latency = DataPlaneBeatsRemote(traffic, seed)
     return ScenarioSetup(
         topology=topology,
         make_network=lambda engine: topology.build_network(

@@ -9,6 +9,7 @@ import pytest
 from p4_golden_recorder import p4_summary
 from repro.apps import ALL_APPLICATIONS
 from repro.backend import CompilerOptions
+from repro.control import remote_install_latencies
 from repro.core import EventInstance, Network, single_switch_network
 from repro.scenarios import SCENARIOS, run_scenario
 
@@ -144,6 +145,18 @@ def test_firewall_install_latency_distribution():
     assert summary["remote_min_install_ns"] >= 12_000  # the Mantis lower bound
     assert rc_mean >= summary["remote_min_install_ns"]
     assert rc_mean / max(dp_mean, 1) > 100  # the paper reports >300x
+
+
+def test_remote_install_baseline_follows_the_run_seed():
+    """Figure 17's remote baseline is resampled with the run's seed, like its
+    traffic, not drawn from one fixed seed at every run."""
+    means = {}
+    for seed in (1, 2):
+        summary = run_scenario(SCENARIOS["sfw-install-latency"], 200, seed).details
+        remote = remote_install_latencies(summary["flows"], seed)
+        assert summary["remote_mean_install_ns"] == round(sum(remote) / len(remote), 1)
+        means[seed] = summary["remote_mean_install_ns"]
+    assert means[1] != means[2]
 
 
 def test_firewall_timeout_scan_evicts_idle_flows():

@@ -289,8 +289,7 @@ def test_memop_fn_rejects_non_return_body():
     from repro.frontend.source import dummy_span
 
     def mutate(decl):
-        decl.body[:] = [fast.SNoop(span=dummy_span()),
-                        fast.SAssign(span=dummy_span(), name="stored",
+        decl.body[:] = [fast.SAssign(span=dummy_span(), name="stored",
                                      value=fast.EInt(span=dummy_span(), value=1))]
 
     runtime = _runtime_with_mutated_memop(mutate)

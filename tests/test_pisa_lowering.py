@@ -441,8 +441,7 @@ def _empty_else(decl):
 
 
 def _else_without_return(decl):
-    decl.body[0].else_body[:] = [ast.SNoop(span=dummy_span()),
-                                 ast.SReturn(span=dummy_span(), value=None)]
+    decl.body[0].else_body[:] = [ast.SReturn(span=dummy_span(), value=None)]
 
 
 def _undefined_variable(decl):

@@ -120,8 +120,7 @@ def _gen_headers(info: ProgramInfo) -> str:
         if not event.params:
             lines.append("    bit<8> pad;")
         for param in event.params:
-            width = param.ty.width if isinstance(param.ty, ast.TInt) else 32
-            lines.append(f"    bit<{width}> {param.name};")
+            lines.append(f"    bit<32> {param.name};")
         lines.append("}")
     lines.append("struct headers_t {")
     lines.append("    ethernet_t ethernet;")

@@ -18,7 +18,7 @@ INSTALL_MIN_NS = 12_000
 INSTALL_MEAN_NS = 17_500
 
 
-def remote_install_latencies(count: int, seed: int = 0xC0FFEE) -> List[int]:
+def remote_install_latencies(count: int, seed: int) -> List[int]:
     """``count`` driver-level install latencies (ns), drawn in order from
     ``random.Random(seed)``: exponential above the minimum, with the mean at
     the measured 17.5 µs average — a conventional model for software/driver

@@ -2,7 +2,7 @@
 
 The node set covers the language as presented in the paper:
 
-* declarations: ``const``, ``global`` arrays (and counters), ``event``,
+* declarations: ``const``, ``global`` arrays, ``event``,
   ``handle``, ``fun``, ``memop``, ``const group``, ``extern``;
 * statements: local declarations, assignment, ``if``/``else``, ``return``,
   ``generate`` / ``mgenerate``, expression statements, ``match`` (a small
@@ -36,9 +36,8 @@ class TypeExpr:
 
 @dataclass(frozen=True)
 class TInt(TypeExpr):
-    """``int`` or ``int<<w>>``; width defaults to 32 bits."""
-
-    width: int = 32
+    """``int`` — a 32-bit word, the one integer type (a width is written only
+    where something masks to it: ``Array<<w>>`` cells and ``hash<<w>>``)."""
 
 
 @dataclass(frozen=True)
@@ -63,16 +62,14 @@ class TGroup(TypeExpr):
 
 @dataclass(frozen=True)
 class TArray(TypeExpr):
-    """``Array<<w>>`` — a persistent register array of w-bit cells."""
+    """``Array<<w>>`` — a persistent register array of w-bit cells, 1 <= w <= 32."""
 
     width: int = 32
 
 
 @dataclass(frozen=True)
-class TNamed(TypeExpr):
-    """A named (user / auto) type; currently resolved during checking."""
-
-    name: str = ""
+class TAuto(TypeExpr):
+    """``auto`` — a local takes the type of its initialiser."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,6 @@ class EInt(Expr):
     """Integer literal (already normalised to a plain int; times are ns)."""
 
     value: int = 0
-    width: Optional[int] = None
 
 
 @dataclass
@@ -308,7 +304,6 @@ class DGlobal(Decl):
     cell_width: int = 32
     size_expr: Expr = None  # type: ignore[assignment]
     size: Optional[int] = None  # filled by constant evaluation
-    kind: str = "array"  # "array" or "counter"
 
 
 @dataclass

@@ -7,9 +7,12 @@ conventional expression grammar with precedence climbing.
 
 The only syntactic subtlety is the ``<<w>>`` size-bracket syntax used by
 ``Array<<32>>`` and ``hash<<16>>(...)``: the token sequence ``<< INT >>`` is
-interpreted as a size argument when it immediately follows a callee name and
-is itself followed by ``(`` — otherwise ``<<`` and ``>>`` are the shift
-operators.
+a size argument when it follows ``Array`` (in a type or a constructor), or
+follows ``hash`` and is itself followed by ``(`` — otherwise ``<<`` and
+``>>`` are the shift operators, so ``a << 2 >> (b)`` is two shifts.  A width
+is written only where something masks to it, an array's cells (1 to 32
+bits) and a hash's result: every other integer is a 32-bit ``int``, and a
+sized ``int`` or a type name the language does not define is refused.
 """
 
 from __future__ import annotations
@@ -88,10 +91,8 @@ class Parser:
             return self._parse_const()
         if tok.kind is TokenKind.KW_SYMBOLIC:
             return self._parse_symbolic()
-        if tok.kind is TokenKind.KW_GLOBAL:
-            return self._parse_global(explicit_keyword=True)
-        if tok.kind is TokenKind.IDENT and tok.text == "Array":
-            return self._parse_global(explicit_keyword=False)
+        if tok.kind is TokenKind.KW_GLOBAL or (tok.kind is TokenKind.IDENT and tok.text == "Array"):
+            return self._parse_global()
         if tok.kind is TokenKind.KW_EVENT:
             return self._parse_event()
         if tok.kind is TokenKind.KW_HANDLE:
@@ -135,29 +136,23 @@ class Parser:
         semi = self._expect(TokenKind.SEMI)
         return ast.DSymbolic(span=start.span.merge(semi.span), name=name, default=default)
 
-    def _parse_global(self, explicit_keyword: bool) -> ast.Decl:
+    def _parse_global(self) -> ast.Decl:
         """Parse ``global name = new Array<<w>>(size);`` and the shorthand
-        ``Array name = new Array<<w>>(size);`` used in Figure 6."""
+        ``Array name = new Array<<w>>(size);`` used in Figure 6.  The cell
+        width is written once, on the constructor (32 when left out)."""
         start = self._advance()  # 'global' or 'Array'
-        declared_width: Optional[int] = None
-        if explicit_keyword and self._at(TokenKind.IDENT) and self._peek().text == "Array":
-            # `global Array<<w>> name = ...`
-            self._advance()
-            declared_width = self._maybe_parse_size_brackets()
-        elif not explicit_keyword:
-            declared_width = self._maybe_parse_size_brackets()
+        if self._at(TokenKind.LSHIFT_SIZE) or self._peek().text == "Array":
+            raise self._error(
+                "'Array<<w>> name' declares no global: a cell width is written once, on "
+                f"the constructor ('{start.text} name = new Array<<w>>(size)')"
+            )
         name = self._expect(TokenKind.IDENT, "global name").text
         self._expect(TokenKind.ASSIGN)
         self._expect(TokenKind.KW_NEW)
         ctor = self._expect(TokenKind.IDENT, "Array constructor")
-        kind = "array"
-        if ctor.text == "Counter":
-            kind = "counter"
-        elif ctor.text != "Array":
+        if ctor.text != "Array":
             raise self._error(f"unknown global constructor {ctor.text!r}", ctor.span)
-        width = self._maybe_parse_size_brackets()
-        if width is None:
-            width = declared_width if declared_width is not None else 32
+        width = self._array_width()
         self._expect(TokenKind.LPAREN)
         size_expr = self.parse_expr()
         self._expect(TokenKind.RPAREN)
@@ -167,17 +162,19 @@ class Parser:
             name=name,
             cell_width=width,
             size_expr=size_expr,
-            kind=kind,
         )
 
-    def _maybe_parse_size_brackets(self) -> Optional[int]:
-        """Parse ``<< INT >>`` if present, returning the integer."""
-        if not self._at(TokenKind.LSHIFT_SIZE):
-            return None
-        self._advance()
+    def _array_width(self) -> int:
+        """An ``Array``'s cell width: ``<< INT >>`` from 1 to 32, or 32 when
+        there are no size brackets."""
+        if not self._accept(TokenKind.LSHIFT_SIZE):
+            return 32
         tok = self._expect(TokenKind.INT, "bit width")
         self._expect(TokenKind.RSHIFT_SIZE)
-        return tok.value or 0
+        width = tok.value or 0
+        if not 1 <= width <= 32:
+            raise self._error(f"'Array<<{tok.text}>>': an array cell is 1 to 32 bits wide", tok.span)
+        return width
 
     def _parse_params(self) -> List[ast.Param]:
         self._expect(TokenKind.LPAREN)
@@ -237,8 +234,12 @@ class Parser:
         tok = self._peek()
         if tok.kind is TokenKind.KW_INT:
             self._advance()
-            width = self._maybe_parse_size_brackets()
-            return ast.TInt(span=tok.span, width=width if width is not None else 32)
+            if self._at(TokenKind.LSHIFT_SIZE):
+                raise self._error(
+                    "'int<<w>>' is not a type: every integer is a 32-bit 'int' (a width is "
+                    "written only on 'Array<<w>>' and 'hash<<w>>')", tok.span
+                )
+            return ast.TInt(span=tok.span)
         if tok.kind is TokenKind.KW_BOOL:
             self._advance()
             return ast.TBool(span=tok.span)
@@ -251,16 +252,11 @@ class Parser:
         if tok.kind is TokenKind.KW_GROUP:
             self._advance()
             return ast.TGroup(span=tok.span)
-        if tok.kind is TokenKind.KW_AUTO:
-            self._advance()
-            return ast.TNamed(span=tok.span, name="auto")
         if tok.kind is TokenKind.IDENT and tok.text == "Array":
             self._advance()
-            width = self._maybe_parse_size_brackets()
-            return ast.TArray(span=tok.span, width=width if width is not None else 32)
+            return ast.TArray(span=tok.span, width=self._array_width())
         if tok.kind is TokenKind.IDENT:
-            self._advance()
-            return ast.TNamed(span=tok.span, name=tok.text)
+            raise self._error(f"unknown type {tok.text!r}")
         raise self._error(f"expected a type, found {tok.text!r}")
 
     def _starts_type(self) -> bool:
@@ -315,8 +311,9 @@ class Parser:
         return ast.SExpr(span=tok.span.merge(semi.span), expr=expr)
 
     def _parse_local(self) -> ast.Stmt:
+        """``ty name = init;``, where ``auto`` takes the initialiser's type."""
         start = self._peek()
-        ty = self._parse_type()
+        ty = ast.TAuto(span=self._advance().span) if start.kind is TokenKind.KW_AUTO else self._parse_type()
         name = self._expect(TokenKind.IDENT, "variable name").text
         self._expect(TokenKind.ASSIGN)
         init = self.parse_expr()
@@ -473,7 +470,7 @@ class Parser:
             end_span = part.span
         name = ".".join(parts)
         size_args: List[int] = []
-        if self._looks_like_size_args():
+        if name == "hash" and self._looks_like_size_args():
             self._advance()  # <<
             size_tok = self._advance()
             size_args.append(size_tok.value or 0)

@@ -62,7 +62,6 @@ class GlobalInfo:
     stage: int  # declaration index == abstract pipeline stage
     cell_width: int
     size: int
-    kind: str
     decl: ast.DGlobal
 
 
@@ -132,7 +131,6 @@ def collect_program_info(
                 stage=stage,
                 cell_width=decl.cell_width,
                 size=decl.size or 0,
-                kind=decl.kind,
                 decl=decl,
             )
             info.global_order.append(decl.name)

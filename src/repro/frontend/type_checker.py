@@ -247,10 +247,8 @@ class TypeChecker:
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _check_local(self, stmt: ast.SLocal, ctx: _BodyContext) -> EffectSummary:
-        declared = from_surface(stmt.ty)
         actual, effects = self._check_expr(stmt.init, ctx)
-        if isinstance(stmt.ty, ast.TNamed) and stmt.ty.name == "auto":
-            declared = actual
+        declared = actual if isinstance(stmt.ty, ast.TAuto) else from_surface(stmt.ty)
         if not compatible(declared, actual):
             raise TypeError_(
                 f"cannot initialise '{stmt.name}' of type {declared} with a value of "
@@ -343,7 +341,7 @@ class TypeChecker:
     # -- expressions -------------------------------------------------------
     def _check_expr(self, expr: ast.Expr, ctx: _BodyContext) -> Tuple[Ty, EffectSummary]:
         if isinstance(expr, ast.EInt):
-            return IntTy(expr.width or 32), EffectSummary()
+            return IntTy(), EffectSummary()
         if isinstance(expr, ast.EBool):
             return BoolTy(), EffectSummary()
         if isinstance(expr, ast.EVar):
@@ -376,9 +374,9 @@ class TypeChecker:
         if name in self.info.consts.groups:
             return GroupTy()
         if name in self.info.consts:
-            return IntTy(32)
+            return IntTy()
         if name == "SELF":
-            return IntTy(32)
+            return IntTy()
         if self.info.is_memop(name):
             raise TypeError_(
                 f"memop '{name}' may only be used as an argument to an Array method",
@@ -418,12 +416,7 @@ class TypeChecker:
                     f"arithmetic operator '{expr.op.value}' expects integers, found {ty}",
                     side.span,
                 )
-        width = 32
-        if isinstance(left_ty, IntTy):
-            width = left_ty.width
-        if isinstance(right_ty, IntTy):
-            width = max(width, right_ty.width) if isinstance(left_ty, IntTy) else right_ty.width
-        return IntTy(width), effects
+        return IntTy(), effects
 
     def _check_event_ctor(self, expr: ast.EEvent, ctx: _BodyContext) -> Tuple[Ty, EffectSummary]:
         event = self.info.events.get(expr.name)
@@ -459,7 +452,7 @@ class TypeChecker:
             return self._check_hash(expr, ctx)
         if func in ("Sys.time", "Sys.self", "Sys.random"):
             _, effects = self._check_args(expr, ctx)
-            return IntTy(32), effects
+            return IntTy(), effects
         if func in ("drop", "forward", "flood", "printf"):
             _, effects = self._check_args(expr, ctx)
             return VoidTy(), effects
@@ -535,7 +528,7 @@ class TypeChecker:
         if not isinstance(idx_ty, (IntTy, BoolTy)):
             raise TypeError_(f"{func} index must be an integer, found {idx_ty}", expr.args[1].span)
         rest = expr.args[2:]
-        value_ty = IntTy(array_ty.width)
+        value_ty = IntTy()
         if func == "Array.get":
             # Array.get(arr, idx) | Array.get(arr, idx, memop, arg)
             if len(rest) >= 1:
@@ -611,8 +604,7 @@ class TypeChecker:
         for arg, ty in zip(expr.args, arg_tys):
             if not isinstance(ty, (IntTy, BoolTy)):
                 raise TypeError_(f"hash arguments must be integers, found {ty}", arg.span)
-        width = expr.size_args[0] if expr.size_args else 32
-        return IntTy(width), effects
+        return IntTy(), effects
 
     def _check_user_call(self, expr: ast.ECall, ctx: _BodyContext) -> Tuple[Ty, EffectSummary]:
         fun = self.info.functions[expr.func]

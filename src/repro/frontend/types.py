@@ -2,6 +2,8 @@
 
 Surface types (:mod:`repro.frontend.ast`) are what the parser produces;
 this module defines the semantic types the checker assigns to expressions.
+Every scalar is a 32-bit word, as :mod:`repro.ops` computes and the P4
+declares it, so :class:`IntTy` has no width; only an array's cells have one.
 The important addition over the surface syntax is that an array type carries
 its *stage* — the declaration index of the underlying global — which is what
 the ordered type-and-effect system reasons about (Section 5, Appendix A).
@@ -28,12 +30,10 @@ class Ty:
 
 @dataclass(frozen=True)
 class IntTy(Ty):
-    """A fixed-width integer; ``width`` defaults to 32 bits."""
-
-    width: int = 32
+    """A 32-bit integer word."""
 
     def show(self) -> str:
-        return f"int<<{self.width}>>" if self.width != 32 else "int"
+        return "int"
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ArrayTy(Ty):
 def from_surface(ty: ast.TypeExpr) -> Ty:
     """Translate a surface type annotation to a semantic type."""
     if isinstance(ty, ast.TInt):
-        return IntTy(ty.width)
+        return IntTy()
     if isinstance(ty, ast.TBool):
         return BoolTy()
     if isinstance(ty, ast.TVoid):
@@ -91,22 +91,15 @@ def from_surface(ty: ast.TypeExpr) -> Ty:
         return GroupTy()
     if isinstance(ty, ast.TArray):
         return ArrayTy(width=ty.width)
-    if isinstance(ty, ast.TNamed):
-        # 'auto' and unresolved names default to 32-bit ints; real Lucid has
-        # type inference here, which we approximate.
-        return IntTy(32)
     raise AssertionError(f"unknown surface type {ty!r}")
 
 
 def compatible(expected: Ty, actual: Ty) -> bool:
     """Structural compatibility used for argument / assignment checking.
 
-    Integer widths are checked loosely (a narrower value may flow into a wider
-    slot); arrays must match on width, and stages are checked by the effect
-    system rather than here.
+    Arrays must match on cell width; stages are checked by the effect system
+    rather than here.
     """
-    if isinstance(expected, IntTy) and isinstance(actual, IntTy):
-        return actual.width <= expected.width or expected.width == 32
     if isinstance(expected, BoolTy) and isinstance(actual, (BoolTy, IntTy)):
         # comparisons produce bools; the applications freely mix flag ints and
         # bools, as does the paper's example code.

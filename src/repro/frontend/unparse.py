@@ -27,7 +27,7 @@ from repro.frontend import ast
 # ---------------------------------------------------------------------------
 def unparse_type(ty: ast.TypeExpr) -> str:
     if isinstance(ty, ast.TInt):
-        return "int" if ty.width == 32 else f"int<<{ty.width}>>"
+        return "int"
     if isinstance(ty, ast.TBool):
         return "bool"
     if isinstance(ty, ast.TVoid):
@@ -38,8 +38,8 @@ def unparse_type(ty: ast.TypeExpr) -> str:
         return "group"
     if isinstance(ty, ast.TArray):
         return f"Array<<{ty.width}>>"
-    if isinstance(ty, ast.TNamed):
-        return ty.name
+    if isinstance(ty, ast.TAuto):
+        return "auto"
     raise ValueError(f"cannot unparse type {ty!r}")
 
 
@@ -144,11 +144,7 @@ def unparse_decl(decl: ast.Decl) -> str:
     if isinstance(decl, ast.DSymbolic):
         return f"symbolic size {decl.name} = {decl.default};"
     if isinstance(decl, ast.DGlobal):
-        ctor = "Counter" if decl.kind == "counter" else "Array"
-        return (
-            f"global {decl.name} = new {ctor}<<{decl.cell_width}>>"
-            f"({unparse_expr(decl.size_expr)});"
-        )
+        return f"global {decl.name} = new Array<<{decl.cell_width}>>({unparse_expr(decl.size_expr)});"
     if isinstance(decl, ast.DExtern):
         return f"extern fun {unparse_type(decl.ret)} {decl.name}({_unparse_params(decl.params)});"
     if isinstance(decl, ast.DEvent):

@@ -298,9 +298,8 @@ class Inliner:
               at: Optional[int] = None) -> ast.EVar:
         """``prefix`` gains ``auto <fresh local> = value`` (at index ``at``)."""
         name = self.fresh.fresh(hint)
-        auto = ast.TNamed(span=value.span, name="auto")
-        prefix.insert(len(prefix) if at is None else at,
-                      ast.SLocal(span=value.span, ty=auto, name=name, init=value))
+        local = ast.SLocal(span=value.span, ty=ast.TAuto(span=value.span), name=name, init=value)
+        prefix.insert(len(prefix) if at is None else at, local)
         return ast.EVar(span=value.span, name=name)
 
     def _inline_short_circuit(

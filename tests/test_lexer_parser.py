@@ -173,6 +173,13 @@ def test_parse_shift_still_works_outside_calls():
     assert isinstance(expr, ast.EBinary) and expr.op is ast.BinOp.SHL
 
 
+def test_parse_shifts_that_look_like_size_brackets_are_shifts():
+    """Only ``hash`` takes ``<<w>>``: after any other name, ``<< 2 >> (b)``
+    is two shifts, not a sized call of ``a``."""
+    expr = parse_expression("a << 2 >> (b)")
+    assert expr.op is ast.BinOp.SHR and expr.left.op is ast.BinOp.SHL and expr.left.right.value == 2
+
+
 def test_parse_nested_event_combinators():
     expr = parse_expression("Event.delay(Event.locate(ping(1), 3), 10ms)")
     assert expr.func == "Event.delay"
@@ -350,6 +357,63 @@ def test_parse_error_on_missing_semicolon():
 def test_parse_error_on_unclosed_block():
     with pytest.raises(ParseError):
         parse_program("event e(); handle e() { drop();")
+
+
+@pytest.mark.parametrize(
+    "text,message,at",
+    [
+        # every scalar is a 32-bit word: a sized int would be one width in the
+        # P4 and another in every engine
+        pytest.param(
+            "event pkt(int x); handle pkt(int x) { int<<8>> y = x + x; }", "'int<<w>>' is not a type", "int", id="int8-local"
+        ),
+        pytest.param(
+            "fun int f(int<<8>> x) { return x; }", "'int<<w>>' is not a type", "int", id="int8-fun-param"
+        ),
+        pytest.param(
+            "event pkt(int<<8>> x);", "'int<<w>>' is not a type", "int", id="int8-event-arg"
+        ),
+        # a type name the language does not define used to mean 'int'
+        pytest.param(
+            "event pkt(flurb x);", "unknown type 'flurb'", "flurb", id="unknown-event-arg"
+        ),
+        pytest.param(
+            "fun flurb f(int x) { return x; }", "unknown type 'flurb'", "flurb", id="unknown-fun-return"
+        ),
+        # 'auto' infers a local's type from its initialiser, and only there
+        pytest.param(
+            "event pkt(auto x);", "expected a type, found 'auto'", "auto", id="auto-param"
+        ),
+        pytest.param(
+            "global t = new Counter<<32>>(4);", "unknown global constructor 'Counter'", "Counter", id="counter"
+        ),
+        # a cell width is written once, on the constructor
+        pytest.param(
+            "global Array<<8>> t = new Array<<16>>(4);", "'Array<<w>> name' declares no global", "Array", id="global-array-width"
+        ),
+        pytest.param(
+            "Array<<8>> t = new Array(4);", "'Array<<w>> name' declares no global", "<<", id="shorthand-array-width"
+        ),
+        pytest.param(
+            "global t = new Array<<0>>(4);", "'Array<<0>>': an array cell is 1 to 32 bits wide", "0", id="array-width-0"
+        ),
+        pytest.param(
+            "global t = new Array<<40>>(4);", "'Array<<40>>': an array cell is 1 to 32 bits wide", "40", id="array-width-40"
+        ),
+        pytest.param(
+            "fun int f(Array<<33>> a) { return 0; }", "'Array<<33>>': an array cell is 1 to 32 bits wide", "33", id="array-param-width-33"
+        ),
+        # of all calls only hash takes a width
+        pytest.param(
+            "event e(int x); handle e(int x) { int y = Sys.random<<8>>(); }", "dotted name 'Sys.random' must be called", "Sys.random", id="sized-call"
+        ),
+    ],
+)
+def test_retired_type_spellings_are_refused_by_name(text, message, at):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert err.value.message.startswith(message)
+    assert err.value.span.text == at
 
 
 def test_parser_spans_cover_declarations():

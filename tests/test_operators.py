@@ -4,6 +4,7 @@ printer computes what every engine does."""
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.backend.compiler import compile_program
 from repro.errors import ConstError
@@ -11,7 +12,7 @@ from repro.frontend import ast, check_program
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import Network
-from repro.ops import apply_binop
+from repro.ops import BINOPS, UNOPS, apply_binop, apply_unop, binop_template
 
 #: the operands where 32-bit arithmetic and unbounded integers part ways
 BOUNDARY = (0, 1, 31, 32, 33, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
@@ -75,7 +76,7 @@ def test_unary_constant_folds_as_the_handler_computes(op):
 
 
 def test_comparison_negations_hold_exactly_when_the_comparison_fails():
-    from repro.ops import BINOPS, OpKind
+    from repro.ops import OpKind
 
     comparisons = [op for op in ast.BinOp if BINOPS[op].kind is OpKind.COMPARISON]
     assert [BINOPS[BINOPS[op].negation].negation for op in comparisons] == comparisons
@@ -149,3 +150,91 @@ def test_p4_logical_connectives_compute_what_engines_do(expr, x, y):
     p4_env = _run_p4_actions(compile_program(source).p4.full_text(), {"x": x, "y": y})
     for engine in ENGINE_NAMES:
         assert _run(engine, source, [("go", (x, y))]).array("r").snapshot()[0] == p4_env["z"], (engine, expr)
+
+
+# ---------------------------------------------------------------------------
+# ops.py against P4-16's bit<32>, stated without ops.py
+# ---------------------------------------------------------------------------
+_WORD = 2**32
+
+
+def _shift(scale):
+    """P4-16: shifting a ``bit<32>`` by 32 or more gives 0."""
+    return lambda a, b: scale(a, 2**b) if b < 32 else 0
+
+
+#: each operator over unsigned ``bit<32>`` operands, as P4-16 defines it; a
+#: boolean result is the word 0 or 1, and ``&&``/``||`` read a nonzero word as
+#: true.  Division and modulo by zero are the repo's rule (0), which P4-16
+#: leaves to the target.
+P4_BINARY = {
+    ast.BinOp.ADD: lambda a, b: (a + b) % _WORD,
+    ast.BinOp.SUB: lambda a, b: (a - b) % _WORD,
+    ast.BinOp.MUL: lambda a, b: (a * b) % _WORD,
+    ast.BinOp.DIV: lambda a, b: a // b if b else 0,
+    ast.BinOp.MOD: lambda a, b: a % b if b else 0,
+    ast.BinOp.BITAND: lambda a, b: sum(2**i for i in range(32) if (a >> i) % 2 and (b >> i) % 2),
+    ast.BinOp.BITOR: lambda a, b: sum(2**i for i in range(32) if (a >> i) % 2 or (b >> i) % 2),
+    ast.BinOp.BITXOR: lambda a, b: sum(2**i for i in range(32) if (a >> i) % 2 != (b >> i) % 2),
+    ast.BinOp.SHL: _shift(lambda a, p: (a * p) % _WORD),
+    ast.BinOp.SHR: _shift(lambda a, p: a // p),
+    ast.BinOp.EQ: lambda a, b: int(a == b),
+    ast.BinOp.NEQ: lambda a, b: int(a != b),
+    ast.BinOp.LT: lambda a, b: int(a < b),
+    ast.BinOp.GT: lambda a, b: int(a > b),
+    ast.BinOp.LE: lambda a, b: int(a <= b),
+    ast.BinOp.GE: lambda a, b: int(a >= b),
+    ast.BinOp.AND: lambda a, b: int(a != 0 and b != 0),
+    ast.BinOp.OR: lambda a, b: int(a != 0 or b != 0),
+}
+P4_UNARY = {
+    ast.UnOp.NOT: lambda a: int(a == 0),
+    ast.UnOp.NEG: lambda a: (_WORD - a) % _WORD,
+    ast.UnOp.BITNOT: lambda a: _WORD - 1 - a,
+}
+
+#: the full range, its boundary, and the shift amounts either side of 32
+_words = (st.integers(min_value=0, max_value=_WORD - 1) | st.sampled_from(BOUNDARY)
+          | st.integers(min_value=0, max_value=40))
+
+
+def _p4_meaning(op, a, b):
+    """What P4-16 computes for ``a op b``, but for the one named exception: a
+    shift by 32 or more.  P4-16 gives 0; every engine and every constant keeps
+    the amount's low five bits instead, as the hardware barrel shifter does
+    (``test_constant_means_its_32_bit_value`` pins ``1 << 33`` = 2)."""
+    if op in (ast.BinOp.SHL, ast.BinOp.SHR) and b >= 32:
+        b %= 32
+    return P4_BINARY[op](a, b)
+
+
+@pytest.mark.parametrize("op", list(ast.BinOp), ids=lambda op: op.name)
+@given(a=_words, b=_words)
+def test_binary_operators_mean_what_p4_bit32_means(op, a, b):
+    expected = _p4_meaning(op, a, b)
+    assert apply_binop(op, a, b) == expected
+    assert eval(binop_template(op, "a", "b"), {"a": a, "b": b}) == expected
+
+
+@pytest.mark.parametrize("op", list(ast.UnOp), ids=lambda op: op.name)
+@given(a=_words)
+def test_unary_operators_mean_what_p4_bit32_means(op, a):
+    alu_op, constant, operand_first = UNOPS[op].alu
+    lowered = apply_binop(alu_op, *((a, constant) if operand_first else (constant, a)))
+    assert apply_unop(op, a) == lowered == P4_UNARY[op](a)
+
+
+def test_every_array_width_keeps_the_low_bits_on_every_engine():
+    """``Array<<1>>`` to ``Array<<32>>``, each set once from one event
+    argument: a cell of width w reads back ``v mod 2^w``."""
+    widths = range(1, 33)
+    source = "\n".join(
+        [f"global t{w} = new Array<<{w}>>(1);" for w in widths]
+        + ["event put(int v);", "handle put(int v) {"]
+        + [f"  Array.set(t{w}, 0, v);" for w in widths]
+        + ["}"]
+    )
+    for v in BOUNDARY + (0xDEADBEEF,):
+        for engine in ENGINE_NAMES:
+            switch = _run(engine, source, [("put", (v,))])
+            assert [switch.array(f"t{w}").snapshot()[0] for w in widths] == [v % 2**w for w in widths], (engine, v)

@@ -93,6 +93,15 @@ def _operand(op: Operand, local_prefix: str = "md.") -> str:
     return f"{local_prefix}{_sanitize(op.name)}"
 
 
+def _binary(op: ast.BinOp, left: str, right: str) -> str:
+    """``left op right`` in P4.  A shift keeps its amount's low five bits, as
+    every engine and constant folding do (P4-16 shifts a ``bit<32>`` by 32
+    or more to 0): a literal amount is masked here, any other in the P4."""
+    if op in (ast.BinOp.SHL, ast.BinOp.SHR):
+        right = str(int(right) & 31) if right.isdigit() else f"({right} & 31)"
+    return f"{left} {p4_spelling(op)} {right}"
+
+
 def _sanitize(name: str) -> str:
     return name.replace(".", "_").replace("-", "_")
 
@@ -180,7 +189,7 @@ def _memop_body(info: ProgramInfo, shape: MemopShape, value_expr: str) -> List[s
         if isinstance(expr, ast.EBool):
             return "1" if expr.value else "0"
         if isinstance(expr, ast.EBinary):
-            return f"{render_expr(expr.left)} {p4_spelling(expr.op)} {render_expr(expr.right)}"
+            return _binary(expr.op, render_expr(expr.left), render_expr(expr.right))
         if isinstance(expr, ast.EVar):
             if expr.name == shape.stored:
                 return "mem"
@@ -242,8 +251,8 @@ def _action_body(table: AtomicTable) -> List[str]:
     lines: List[str] = []
     if isinstance(stmt, NOp):
         lines.append(
-            f"        md.{_sanitize(stmt.dst)} = {_operand(stmt.lhs)} "
-            f"{p4_spelling(stmt.op)} {_operand(stmt.rhs)};"
+            f"        md.{_sanitize(stmt.dst)} = "
+            f"{_binary(stmt.op, _operand(stmt.lhs), _operand(stmt.rhs))};"
         )
     elif isinstance(stmt, NCopy):
         lines.append(f"        md.{_sanitize(stmt.dst)} = {_operand(stmt.src)};")

@@ -6,11 +6,12 @@ the hardware substrate.
 
 The scenario's traffic factory yields a lazy, time-ordered stream that is
 merged with the simulator's internal event heap (:meth:`Network.run` with
-``source=``).  The batch runner materialises that stream up front so the
-timed region measures the engine alone (``traffic_s`` records the
-generation cost separately); the service mode keeps streaming lazily, since
-its checkpoints serialise the cursor, not the buffer.  After the stream is
-exhausted the network is drained for ``settle_ns`` more simulated time so
+``source=``).  The batch runner pulls that stream ``_CHUNK`` items at a
+time, so a run holds one chunk of traffic however long it is, and times
+each pull so that ``wall_s`` measures the engine alone (``traffic_s``
+records the generation cost); the service mode pulls it item by item, since
+its checkpoints serialise the cursor.  After the stream is exhausted the
+network is drained for ``settle_ns`` more simulated time so
 in-flight control events (cuckoo installs, sync updates, advertisement
 rounds) complete before invariants are checked — self-perpetuating control
 loops are bounded by the same horizon.
@@ -22,6 +23,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
@@ -34,6 +36,9 @@ from repro.scenarios.invariants import (
 )
 from repro.scenarios.topology import Topology
 from repro.service.source import ReplayableSource
+
+#: traffic items the batch runner pulls per chunk: its traffic buffer's bound
+_CHUNK = 4096
 
 
 @dataclass
@@ -279,20 +284,29 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
     Wall time is split three ways so ``events_per_sec`` measures the engine
     rather than everything around it: ``setup_s`` (network construction +
     handler compilation + preload), ``traffic_s`` (workload generation —
-    the traffic stream is materialised through the replayable cursor before
-    the clock starts), and ``wall_s`` (the drain + settle only)."""
+    the drain pulls the replayable cursor ``_CHUNK`` items at a time, and
+    each pull is timed), and ``wall_s`` (the drain + settle, less the
+    pulls)."""
     t0 = time.perf_counter()
     network, source = prepare_run(setup, engine, tracer=tracer, profile=profile)
     t1 = time.perf_counter()
-    items = list(source)
-    start = time.perf_counter()
-    handled = network.run(source=items)
+    traffic_s = 0.0
+
+    def next_chunk() -> List[SourceItem]:
+        nonlocal traffic_s
+        pulled = time.perf_counter()
+        chunk = list(islice(source, _CHUNK))
+        traffic_s += time.perf_counter() - pulled
+        return chunk
+
+    # ``chain`` drops a used-up chunk before it pulls the next one
+    handled = network.run(source=chain.from_iterable(iter(next_chunk, [])))
     handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
-    wall = time.perf_counter() - start
+    wall = time.perf_counter() - t1 - traffic_s
     return build_result(
         setup, scenario_name, seed, engine, network,
         events_injected=source.injected, events_handled=handled, wall_s=wall,
-        setup_s=t1 - t0, traffic_s=start - t1,
+        setup_s=t1 - t0, traffic_s=traffic_s,
     )
 
 

@@ -2,6 +2,7 @@
 printer computes what every engine does."""
 
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,24 +115,32 @@ def test_constant_means_its_32_bit_value():
 # ---------------------------------------------------------------------------
 # the P4's actions compute what the engines do
 # ---------------------------------------------------------------------------
-_ASSIGN = re.compile(r"^\s+md\.(\w+) = (\S+)(?: (\S+) (\S+))?;$")
+_ASSIGN = re.compile(r"^\s+md\.(\w+) = (\S+)(?: (\S+) (\(\S+ & \d+\)|\S+))?;$")
+_MASKED = re.compile(r"^\((\S+) & (\d+)\)$")
 
 
 def _run_p4_actions(p4_text, env):
     """Run a straight-line handler's P4 actions, in pipeline order, over the
-    metadata ``env``: each ``md.x = a op b;`` with ``op`` in P4's meaning on
-    ``bit<32>`` — that of the Lucid operator spelled the same way, so ``&``
-    is bitwise whatever it was printed for."""
+    metadata ``env``: each ``md.x = a op b;``, whose ``b`` may be a masked
+    ``(c & m)``, with ``op`` in P4-16's meaning on ``bit<32>`` (``P4_BINARY``
+    of the Lucid operator spelled the same way, so ``&`` is bitwise whatever
+    it was printed for)."""
+
+    def value(atom):
+        masked = _MASKED.match(atom)
+        if masked is not None:
+            return P4_BINARY[ast.BinOp.BITAND](value(masked[1]), int(masked[2]))
+        return env[atom[3:]] if atom.startswith("md.") else int(atom)
+
     for line in p4_text.splitlines():
         match = _ASSIGN.match(line)
         if match is None:
             continue
         dst, lhs, op, rhs = match.groups()
-        value = lambda atom: env[atom[3:]] if atom.startswith("md.") else int(atom)  # noqa: E731
         if op is None:
             env[dst] = value(lhs)
         else:
-            env[dst] = apply_binop(ast.BinOp(op), value(lhs), value(rhs))
+            env[dst] = P4_BINARY[ast.BinOp(op)](value(lhs), value(rhs))
     return env
 
 
@@ -198,20 +207,24 @@ _words = (st.integers(min_value=0, max_value=_WORD - 1) | st.sampled_from(BOUNDA
           | st.integers(min_value=0, max_value=40))
 
 
-def _p4_meaning(op, a, b):
-    """What P4-16 computes for ``a op b``, but for the one named exception: a
-    shift by 32 or more.  P4-16 gives 0; every engine and every constant keeps
-    the amount's low five bits instead, as the hardware barrel shifter does
-    (``test_constant_means_its_32_bit_value`` pins ``1 << 33`` = 2)."""
-    if op in (ast.BinOp.SHL, ast.BinOp.SHR) and b >= 32:
-        b %= 32
-    return P4_BINARY[op](a, b)
+@lru_cache(maxsize=None)
+def _printed(op):
+    """The P4 the compiler prints for ``z = a op b``."""
+    return compile_program(f"""
+    global r = new Array<<32>>(1);
+    event go(int a, int b);
+    handle go(int a, int b) {{ int z = a {op.value} b; Array.set(r, 0, z); }}
+    """).p4.full_text()
 
 
 @pytest.mark.parametrize("op", list(ast.BinOp), ids=lambda op: op.name)
 @given(a=_words, b=_words)
 def test_binary_operators_mean_what_p4_bit32_means(op, a, b):
-    expected = _p4_meaning(op, a, b)
+    """``a op b`` as P4-16 computes the P4 printed for it: a shift by 32 or
+    more, which P4-16 takes to 0, keeps the amount's low five bits because the
+    printer masks the amount (``test_constant_means_its_32_bit_value`` pins
+    ``1 << 33`` = 2)."""
+    expected = _run_p4_actions(_printed(op), {"a": a, "b": b})["z"]
     assert apply_binop(op, a, b) == expected
     assert eval(binop_template(op, "a", "b"), {"a": a, "b": b}) == expected
 
@@ -238,3 +251,23 @@ def test_every_array_width_keeps_the_low_bits_on_every_engine():
         for engine in ENGINE_NAMES:
             switch = _run(engine, source, [("put", (v,))])
             assert [switch.array(f"t{w}").snapshot()[0] for w in widths] == [v % 2**w for w in widths], (engine, v)
+
+
+def test_the_p4_masks_a_shift_amount():
+    """The printer masks a runtime amount with ``& 31`` and folds a literal
+    one, so the P4 shifts by what every engine shifts by."""
+    source = """
+    global ry = new Array<<32>>(1);
+    global rz = new Array<<32>>(1);
+    event go(int x, int s);
+    handle go(int x, int s) { int y = x << s; int z = x >> 33; Array.set(ry, 0, y); Array.set(rz, 0, z); }
+    """
+    p4_text = compile_program(source).p4.full_text()
+    assert "md.y = md.x << (md.s & 31);" in p4_text
+    assert "md.z = md.x >> 1;" in p4_text
+    for s in (1, 31, 32, 33, 40, 0xFFFFFFFF):
+        p4_env = _run_p4_actions(p4_text, {"x": 0x80000001, "s": s})
+        for engine in ENGINE_NAMES:
+            switch = _run(engine, source, [("go", (0x80000001, s))])
+            stored = switch.array("ry").snapshot() + switch.array("rz").snapshot()
+            assert stored == [p4_env["y"], p4_env["z"]], (engine, s)

@@ -4,7 +4,10 @@ invariant machinery, the bundled scenario catalogue (on both engines), and
 the CLI.
 """
 
+import bisect
 import itertools
+import time
+import tracemalloc
 
 import pytest
 
@@ -27,6 +30,14 @@ from repro.scenarios import (
     single_switch,
 )
 from repro.scenarios import traffic as tm
+from repro.scenarios.invariants import Invariant
+from repro.scenarios.runner import (
+    _CHUNK,
+    build_result,
+    prepare_run,
+    run_setup,
+    settle_horizon,
+)
 from repro.scenarios.__main__ import main as cli_main
 from repro.apps import ALL_APPLICATIONS
 
@@ -495,6 +506,75 @@ def test_scenario_traffic_factories_are_lazy():
         assert not isinstance(source, (list, tuple)), name
         first = list(itertools.islice(iter(source), 3))
         assert len(first) == 3, name
+
+
+# ---------------------------------------------------------------------------
+# the batch runner streams its traffic a chunk at a time
+# ---------------------------------------------------------------------------
+def _traced_peak(name, events):
+    tracemalloc.start()
+    try:
+        run_scenario(SCENARIOS[name], events, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["sro-replicated-writes", "heavy-hitter-fattree"])
+def test_batch_run_memory_does_not_grow_with_the_event_count(name):
+    """Eight times the events, at least two chunks each, in no more than a
+    quarter more memory: the run holds one chunk of traffic, not the whole
+    stream."""
+    run_scenario(SCENARIOS[name], 100, seed=1)  # compile caches off the books
+    events = 2 * _CHUNK
+    assert _traced_peak(name, 8 * events) <= 1.25 * _traced_peak(name, events)
+
+
+def test_batch_traffic_is_timed_off_the_drain_and_pulled_a_chunk_at_a_time():
+    """A traffic factory that sleeps per item: the sleeps land in
+    ``traffic_s``, not ``wall_s``, and the drain never holds more than one
+    chunk it has not delivered."""
+    pause_s, events = 1e-4, 2 * _CHUNK + 500
+    setup = SCENARIOS["heavy-hitter-single"].build(events, 1)
+    make_traffic, times, leads = setup.traffic, [], []
+
+    def slow_traffic():
+        for item in make_traffic():
+            time.sleep(pause_s)
+            times.append(item[0])
+            yield item
+
+    class Lead(Invariant):
+        name = "lead"
+
+        def observe(self, entry):
+            # every source item earlier than a handled event has been delivered
+            leads.append(len(times) - bisect.bisect_left(times, entry.time_ns))
+
+    setup.traffic = slow_traffic
+    setup.invariants.append(Lead())
+    result = run_setup(setup, "heavy-hitter-single", 1)
+    slept = pause_s * len(times)
+    assert len(times) == result.events_injected == events
+    assert result.traffic_s >= slept > result.wall_s
+    assert max(leads) <= _CHUNK
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_chunked_stream_runs_as_the_whole_list_does(name):
+    """The batch runner against the old path kept as the oracle, the whole
+    stream handed to ``Network.run`` as one list, over 10,000 events (two
+    chunk edges): nothing observable moves."""
+    scenario, events = SCENARIOS[name], 10_000
+    streamed = run_scenario(scenario, events, seed=1)
+    setup = scenario.build(events, 1)
+    network, source = prepare_run(setup, "codegen")
+    handled = network.run(source=list(source))
+    handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
+    whole = build_result(setup, name, 1, "codegen", network, source.injected, handled, 0.0)
+    assert streamed.verdict_signature() == whole.verdict_signature()
+    assert (streamed.events_handled, streamed.sim_ns, streamed.switch_stats, streamed.details) \
+        == (whole.events_handled, whole.sim_ns, whole.switch_stats, whole.details)
 
 
 def test_scan_burst_is_detected_as_unsolicited():

@@ -86,5 +86,4 @@ APP = Application(
     paper_lucid_loc=93,
     paper_p4_loc=856,
     paper_stages=5,
-    invariants=("sketch-conservation",),
 )

@@ -161,7 +161,6 @@ APP = Application(
     paper_lucid_loc=66,
     paper_p4_loc=1073,
     paper_stages=10,
-    invariants=("dfw-filters-consistent",),
 )
 
 AGING_APP = Application(

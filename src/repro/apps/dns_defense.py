@@ -123,5 +123,4 @@ APP = Application(
     paper_lucid_loc=215,
     paper_p4_loc=1874,
     paper_stages=10,
-    invariants=("dns-victim-blocked",),
 )

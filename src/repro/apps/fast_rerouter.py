@@ -118,5 +118,4 @@ APP = Application(
     paper_lucid_loc=115,
     paper_p4_loc=899,
     paper_stages=8,
-    invariants=("reroute-recovers",),
 )

@@ -87,5 +87,4 @@ APP = Application(
     paper_lucid_loc=41,
     paper_p4_loc=707,
     paper_stages=11,
-    invariants=("nat-bijective",),
 )

@@ -69,5 +69,4 @@ APP = Application(
     paper_lucid_loc=81,
     paper_p4_loc=764,
     paper_stages=8,
-    invariants=("rip-converged",),
 )

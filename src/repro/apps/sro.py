@@ -63,5 +63,4 @@ APP = Application(
     paper_lucid_loc=94,
     paper_p4_loc=897,
     paper_stages=11,
-    invariants=("sro-replicas-consistent", "sequencer-monotone"),
 )

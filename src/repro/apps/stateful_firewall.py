@@ -147,5 +147,4 @@ APP = Application(
     paper_lucid_loc=189,
     paper_p4_loc=2267,
     paper_stages=10,
-    invariants=("firewall-solicited-only",),
 )

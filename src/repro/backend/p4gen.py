@@ -29,13 +29,12 @@ Two generation styles are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.backend.layout import PipelineLayout
 from repro.backend.tables import AtomicTable, TableKind
-from repro.errors import MemopError
 from repro.frontend import ast
-from repro.frontend.memop_check import MemopShape, memop_shape
+from repro.frontend.memop_check import MemopShape
 from repro.frontend.symbols import ProgramInfo
 from repro.midend.normalize import (
     Const,
@@ -47,8 +46,9 @@ from repro.midend.normalize import (
     NPrim,
     Operand,
     Var,
+    array_call,
 )
-from repro.ops import p4_spelling
+from repro.ops import BINOPS, OpKind, p4_spelling
 
 
 @dataclass
@@ -180,35 +180,29 @@ def _gen_parser(info: ProgramInfo) -> str:
     return "\n".join(lines)
 
 
-def _memop_body(info: ProgramInfo, shape: MemopShape, value_expr: str) -> List[str]:
-    """Render a memop's checked body as RegisterAction statements."""
+def _salu_binary(op: ast.BinOp, left: str, right: str) -> str:
+    """:func:`_binary` inside a memop, where a comparison's side may itself
+    be an operation (it has a space): P4, like C, binds ``&``, ``|`` and
+    ``^`` looser than a comparison, and Lucid binds them tighter."""
+    if BINOPS[op].kind is OpKind.COMPARISON:
+        left, right = (f"({side})" if " " in side else side for side in (left, right))
+    return _binary(op, left, right)
 
-    def render_expr(expr: ast.Expr) -> str:
-        if isinstance(expr, ast.EInt):
-            return str(expr.value)
-        if isinstance(expr, ast.EBool):
-            return "1" if expr.value else "0"
-        if isinstance(expr, ast.EBinary):
-            return _binary(expr.op, render_expr(expr.left), render_expr(expr.right))
-        if isinstance(expr, ast.EVar):
-            if expr.name == shape.stored:
-                return "mem"
-            if expr.name == shape.local:
-                return value_expr
-            const = info.consts.lookup(expr.name)
-            if const is not None:
-                return str(const)
-        raise MemopError(
-            f"memop '{shape.name}': a RegisterAction cannot express this expression", expr.span
-        )
 
-    if shape.cond is None:
-        return [f"            mem = {render_expr(shape.value)};"]
+def _salu_assign(target: str, memop: Optional[MemopShape], arg: Operand,
+                 plain: str) -> List[str]:
+    """``target = memop(mem, arg)`` as RegisterAction statements; ``plain``
+    is what ``target`` takes when there is no memop."""
+    if memop is None:
+        return [f"            {target} = {plain};"]
+    cond, value, orelse = memop.render(_salu_binary, "mem", _operand(arg))
+    if cond is None:
+        return [f"            {target} = {value};"]
     return [
-        f"            if ({render_expr(shape.cond)}) {{",
-        f"                mem = {render_expr(shape.value)};",
+        f"            if ({cond}) {{",
+        f"                {target} = {value};",
         "            } else {",
-        f"                mem = {render_expr(shape.orelse)};",
+        f"                {target} = {orelse};",
         "            }",
     ]
 
@@ -223,24 +217,23 @@ def _gen_registers(
         )
     # RegisterActions: one per memory table (the compiler reuses memops, the
     # naive style re-declares an action at every use site anyway, which is
-    # what both styles structurally require in P4).
+    # what both styles structurally require in P4).  ``rv`` is assigned
+    # first, so both sides read the cell's old value, as one sALU does.
     for table in memory_tables:
         stmt = table.stmt
         assert isinstance(stmt, NArrayOp)
         g = info.globals[stmt.array]
-        action_name = f"ra_{_sanitize(table.name)}"
-        value_expr = _operand(stmt.args[0]) if stmt.args else "1"
+        call = array_call(info, stmt)
         lines.append(
             f"RegisterAction<bit<{g.cell_width}>, bit<32>, bit<{g.cell_width}>>(reg_{g.name})"
         )
-        lines.append(f"    {action_name} = {{")
+        lines.append(f"    ra_{_sanitize(table.name)} = {{")
         lines.append(f"        void apply(inout bit<{g.cell_width}> mem, out bit<{g.cell_width}> rv) {{")
-        if stmt.method in ("Array.get", "Array.getm", "Array.update"):
-            lines.append("            rv = mem;")
-        if stmt.memops:
-            lines.extend(_memop_body(info, memop_shape(info, stmt.memops[-1]), value_expr))
-        elif stmt.method == "Array.set":
-            lines.append(f"            mem = {value_expr};")
+        if call.reads:
+            lines.extend(_salu_assign("rv", call.get_memop, call.get_arg, "mem"))
+        if call.writes:
+            lines.extend(_salu_assign("mem", call.set_memop, call.set_arg,
+                                      _operand(call.set_arg)))
         lines.append("        }")
         lines.append("    };")
     return "\n".join(lines)

@@ -22,41 +22,90 @@ Violations are reported as :class:`~repro.errors.MemopError` with the exact
 span of the offending construct, reproducing the paper's "source-level error
 messages point out exactly where any such mistakes occur".
 
-:func:`memop_shape` hands a memop's body to everything downstream — the
-interpreter's closure, the engines' source template, the P4 printer — as one
-:class:`MemopShape`, so the body is taken apart in one place.
+A memop that passes comes out as its :class:`MemopShape` — the condition
+and the returned values, each constant folded to its value — which
+:func:`~repro.frontend.type_checker.check_program` keeps on
+:attr:`ProgramInfo.memop_shapes`.  Everything downstream — the interpreter's
+closure, the engines' source template, the P4 printer — reads that shape
+(:func:`memop_shape` looks it up) and spells it with
+:meth:`MemopShape.render`, so this module is the one place that takes a
+memop body apart.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Container, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import InterpError, MemopError
 from repro.frontend import ast
-from repro.frontend.const_eval import BUILTIN_CONSTS
+from repro.frontend.const_eval import ConstEnv
 from repro.frontend.symbols import ProgramInfo
 from repro.ops import BINOPS, OpKind, binops
 
 #: whether a name may be read in the memop being checked
 Scope = Callable[[str], bool]
 
+#: how a printer spells ``left op right``, over its operands' text
+Spelling = Callable[[ast.BinOp, str, str], str]
 
-def check_memop(memop: ast.DMemop, consts: Container[str] = BUILTIN_CONSTS) -> None:
-    """Validate one memop declaration; raise :class:`MemopError` on failure.
-    Its body may read its two parameters and the constants in ``consts``."""
+
+class MemopShape(NamedTuple):
+    """A checked memop body: ``return value;`` when ``cond`` is ``None``,
+    else ``if (cond) { return value; } else { return orelse; }``.  Its
+    expressions are what :func:`check_memop` admits, with every constant
+    folded to an :class:`~repro.frontend.ast.EInt`: integer literals, the
+    two parameters, and one operator over those."""
+
+    name: str
+    stored: str  # the parameter bound to the cell's old value
+    local: str  # the parameter bound to the call's argument
+    cond: Optional[ast.Expr]
+    value: ast.Expr
+    orelse: Optional[ast.Expr]
+
+    def render(self, spell: Spelling, stored: str,
+               local: str) -> Tuple[Optional[str], str, Optional[str]]:
+        """``(cond, value, orelse)`` as text, each parameter written as
+        ``stored`` / ``local`` and each operator as ``spell`` writes it."""
+
+        def text(expr: ast.Expr) -> str:
+            if isinstance(expr, ast.EBinary):
+                return spell(expr.op, text(expr.left), text(expr.right))
+            if isinstance(expr, ast.EVar):
+                return stored if expr.name == self.stored else local
+            return str(expr.value)
+
+        return (None if self.cond is None else text(self.cond), text(self.value),
+                None if self.orelse is None else text(self.orelse))
+
+
+def check_memop(memop: ast.DMemop, consts: Optional[ConstEnv] = None) -> MemopShape:
+    """Validate one memop declaration into its :class:`MemopShape`; raise
+    :class:`MemopError` on failure.  Its body may read its two parameters
+    and the constants of ``consts`` (the built-in ones when omitted)."""
+    consts = ConstEnv() if consts is None else consts
     _check_params(memop)
-    params = {p.name for p in memop.params}
+    stored, local = (p.name for p in memop.params)
 
     def scope(name: str) -> bool:
-        return name in params or name in consts
+        return name in (stored, local) or name in consts
+
+    def folded(expr: ast.Expr) -> ast.Expr:
+        if isinstance(expr, ast.EBinary):
+            return ast.EBinary(expr.span, expr.op, folded(expr.left), folded(expr.right))
+        if isinstance(expr, ast.EBool):
+            return ast.EInt(expr.span, int(expr.value))
+        if isinstance(expr, ast.EVar) and expr.name not in (stored, local):
+            return ast.EInt(expr.span, consts.lookup(expr.name))
+        return expr
 
     body = memop.body
     if len(body) == 1 and isinstance(body[0], ast.SReturn):
-        _check_return(body[0], scope)
-        return
+        value = folded(_check_return(body[0], scope))
+        return MemopShape(memop.name, stored, local, None, value, None)
     if len(body) == 1 and isinstance(body[0], ast.SIf):
-        _check_if_body(body[0], scope)
-        return
+        cond, value, orelse = map(folded, _check_if_body(body[0], scope))
+        return MemopShape(memop.name, stored, local, cond, value, orelse)
     span = memop.body[0].span if memop.body else memop.span
     raise MemopError(
         f"memop '{memop.name}' body must be a single return statement or an if "
@@ -65,10 +114,19 @@ def check_memop(memop: ast.DMemop, consts: Container[str] = BUILTIN_CONSTS) -> N
     )
 
 
-def check_all_memops(program: ast.Program, consts: Container[str] = BUILTIN_CONSTS) -> None:
-    """Validate every memop declared in ``program``."""
-    for memop in program.memops():
-        check_memop(memop, consts)
+def check_all_memops(program: ast.Program,
+                     consts: Optional[ConstEnv] = None) -> Dict[str, MemopShape]:
+    """Validate every memop declared in ``program``: name -> shape."""
+    return {memop.name: check_memop(memop, consts) for memop in program.memops()}
+
+
+def memop_shape(info: ProgramInfo, name: str) -> MemopShape:
+    """The shape :func:`~repro.frontend.type_checker.check_program` kept for
+    memop ``name``."""
+    shape = info.memop_shapes.get(name)
+    if shape is None:
+        raise InterpError(f"no memop named '{name}'")
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +159,10 @@ def _check_params(memop: ast.DMemop) -> None:
 # ---------------------------------------------------------------------------
 # rule 1: body shape
 # ---------------------------------------------------------------------------
-def _check_if_body(stmt: ast.SIf, scope: Scope) -> None:
+def _check_if_body(stmt: ast.SIf, scope: Scope) -> Tuple[ast.Expr, ast.Expr, ast.Expr]:
+    """``(cond, then value, else value)`` of a checked ``if`` body."""
     _check_condition(stmt.cond, scope)
+    values = []
     for branch_name, branch in (("then", stmt.then_body), ("else", stmt.else_body)):
         if len(branch) != 1 or not isinstance(branch[0], ast.SReturn):
             span = branch[0].span if branch else stmt.span
@@ -111,13 +171,16 @@ def _check_if_body(stmt: ast.SIf, scope: Scope) -> None:
                 "exactly one return statement",
                 span,
             )
-        _check_return(branch[0], scope)
+        values.append(_check_return(branch[0], scope))
+    return stmt.cond, values[0], values[1]
 
 
-def _check_return(stmt: ast.SReturn, scope: Scope) -> None:
+def _check_return(stmt: ast.SReturn, scope: Scope) -> ast.Expr:
+    """The value a checked ``return`` statement returns."""
     if stmt.value is None:
         raise MemopError("a memop must return a value", stmt.span)
     _check_value_expr(stmt.value, scope)
+    return stmt.value
 
 
 # ---------------------------------------------------------------------------
@@ -213,63 +276,3 @@ def _check_variables(expr: ast.Expr, scope: Scope) -> None:
                 "a stateful ALU can read each operand only once",
                 uses[1].span,
             )
-
-
-# ---------------------------------------------------------------------------
-# the checked body, as the one shape every printer and engine lowers from
-# ---------------------------------------------------------------------------
-class MemopShape(NamedTuple):
-    """A validated memop body: ``return value;`` when ``cond`` is ``None``,
-    else ``if (cond) { return value; } else { return orelse; }``."""
-
-    name: str
-    stored: str  # the parameter bound to the cell's old value
-    local: str  # the parameter bound to the call's argument
-    cond: Optional[ast.Expr]
-    value: ast.Expr
-    orelse: Optional[ast.Expr]
-
-
-def memop_shape(info: ProgramInfo, name: str) -> MemopShape:
-    """Validate memop ``name`` into its body shape, so a malformed
-    declaration (an empty body, a missing branch, a non-``return``
-    statement) surfaces as an :class:`InterpError` naming the memop when it
-    is lowered, not as an ``IndexError`` when it first runs."""
-    decl = info.memops.get(name)
-    if decl is None:
-        raise InterpError(f"no memop named '{name}'")
-    if len(decl.params) != 2:
-        raise InterpError(
-            f"memop '{name}' must take exactly two parameters "
-            f"(found {len(decl.params)})"
-        )
-    stored, local = (p.name for p in decl.params)
-    if stored == local:
-        raise InterpError(
-            f"memop '{name}' declares both parameters with the same name '{stored}'"
-        )
-
-    def returned(stmts: List[ast.Stmt], where: str) -> ast.Expr:
-        if not isinstance(stmts[0], ast.SReturn) or stmts[0].value is None:
-            raise InterpError(
-                f"memop '{name}': the {where} must be a 'return <expr>;' statement"
-            )
-        return stmts[0].value
-
-    if not decl.body:
-        raise InterpError(f"memop '{name}' has an empty body")
-    stmt = decl.body[0]
-    if isinstance(stmt, ast.SReturn):
-        return MemopShape(name, stored, local, None, returned(decl.body, "body"), None)
-    if not isinstance(stmt, ast.SIf):
-        raise InterpError(
-            f"memop '{name}' body must be a single return statement or an if "
-            "statement with one return in each branch"
-        )
-    if not stmt.then_body or not stmt.else_body:
-        raise InterpError(
-            f"memop '{name}' must return a value in both branches of its if statement"
-        )
-    return MemopShape(name, stored, local, stmt.cond,
-                      returned(stmt.then_body, "then-branch"),
-                      returned(stmt.else_body, "else-branch"))

@@ -14,11 +14,14 @@ interpreter, and the compiler backend.  It records:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.const_eval import ConstEnv, build_const_env, resolve_global_sizes
+
+if TYPE_CHECKING:  # memop_check reads ProgramInfo
+    from repro.frontend.memop_check import MemopShape
 
 
 #: Built-in module functions available in every program: name -> arity options.
@@ -75,6 +78,8 @@ class ProgramInfo:
     handlers: Dict[str, ast.DHandler] = field(default_factory=dict)
     functions: Dict[str, ast.DFun] = field(default_factory=dict)
     memops: Dict[str, ast.DMemop] = field(default_factory=dict)
+    #: each memop's checked body, filled by ``check_program``
+    memop_shapes: Dict[str, MemopShape] = field(default_factory=dict)
     externs: Dict[str, ast.DExtern] = field(default_factory=dict)
     globals: Dict[str, GlobalInfo] = field(default_factory=dict)
     global_order: List[str] = field(default_factory=list)

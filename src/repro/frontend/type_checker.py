@@ -660,7 +660,7 @@ def check_program(
 
     program = parse_program(source, name=name) if isinstance(source, str) else source
     info = collect_program_info(program, symbolic_bindings)
-    check_all_memops(program, info.consts)
+    info.memop_shapes = check_all_memops(program, info.consts)
     checked = TypeChecker(info).check()
     checked.normalized = normalize_program(info)
     return checked

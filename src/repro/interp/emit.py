@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError, SimulationError
-from repro.frontend.memop_check import MemopShape, memop_shape
+from repro.frontend.memop_check import MemopShape
 from repro.frontend.symbols import ProgramInfo
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult, memop_template
@@ -68,6 +68,7 @@ from repro.midend.normalize import (
     NPrim,
     NStmt,
     Operand,
+    array_call,
 )
 from repro.obs.metrics import OBS as _OBS, Counter
 from repro.ops import MASK32, binop_template, hash_namespace, hash_template
@@ -100,9 +101,6 @@ _BINDINGS = {
 #: every event with no handler: consumers only read results, so one
 #: immutable instance serves every such invocation
 EMPTY_RESULT = ExecutionResult((), ())
-
-_GETS = ("Array.get", "Array.getm")
-_SETS = ("Array.set", "Array.setm")
 
 
 @dataclass(frozen=True)
@@ -290,10 +288,7 @@ class ModuleEmitter:
             # operands are atoms and cannot raise: what is used once stays
             # inline, and the destination (which may also be an argument) is
             # assigned only after the store
-            value = self._array_rmw(
-                self._named, stmt.method, stmt.array, atom(stmt.index),
-                [memop_shape(self.info, memop) for memop in stmt.memops],
-                [atom(a) for a in stmt.args])
+            value = self._array_rmw(self._named, stmt)
             if stmt.dst:
                 self._line(f"{self.locals[stmt.dst]} = {value}")
         elif isinstance(stmt, NGenerate):
@@ -356,35 +351,28 @@ class ModuleEmitter:
             self._line("pass")
 
     # -- the state access ---------------------------------------------------
-    def _array_rmw(self, temp: Callable[[str, str, int], str], method: str,
-                   array: str, index: str, memops: Sequence[MemopShape],
-                   args: Sequence[str]) -> str:
+    def _array_rmw(self, temp: Callable[[str, str, int], str], stmt: NArrayOp) -> str:
         """One ``Array`` call on a global array — one stateful-ALU
-        instruction — as straight-line code on the array's bound cell list:
-        wrap the index, bump ``reads`` / ``writes``, read the old cell once,
-        apply the memop template(s) to it, mask to the cell width, store;
-        what ``RuntimeArray.get`` / ``set`` / ``update`` do per call.
-        Returns the call's value as an expression (a live cell read for a
-        get without a memop; ``"0"`` for a set).
+        instruction, routed by :func:`~repro.midend.normalize.array_call` —
+        as straight-line code on the array's bound cell list: wrap the
+        index, bump ``reads`` / ``writes``, read the old cell once, apply the
+        memop template(s) to it, mask to the cell width, store; what
+        ``RuntimeArray.get`` / ``set`` / ``update`` do per call.  Returns the
+        call's value as an expression (a live cell read for a get without a
+        memop; ``"0"`` for a set).
 
-        ``index`` and ``args`` are operands the caller has already evaluated
-        (they are repeated freely).  ``temp(name, expr, uses)`` names
-        ``expr``, which the lines after it mention ``uses`` times: a visitor
-        whose operands can raise assigns every one to a temp so evaluation
-        keeps its place, one whose operands cannot may inline what is used
-        once."""
-        register = self.info.globals[array]
-        if register.size < 1:
-            raise InterpError(f"array '{array}' has zero size")
+        The index and arguments are atoms (they are repeated freely).
+        ``temp(name, expr, uses)`` names ``expr``, which the lines after it
+        mention ``uses`` times: a visitor whose operands can raise assigns
+        every one to a temp so evaluation keeps its place, one whose
+        operands cannot may inline what is used once."""
+        call = array_call(self.info, stmt)
+        index, get_arg, set_arg = map(self._atom, (stmt.index, call.get_arg, call.set_arg))
+        register = self.info.globals[stmt.array]
         mask = MASK32 & ((1 << register.cell_width) - 1)
-        arr, cells = self._bind("array", array), self._bind("cells", array)
-        reads, writes = method not in _SETS, method not in _GETS
-        # an update takes (get, set) memops and arguments; one argument serves both
-        get_arg = args[0] if args else "0"
-        set_arg = args[1] if reads and len(args) > 1 else get_arg
-        op = memops[0] if memops else None
-        get_op = op if reads else None
-        set_op = op if not reads else memops[1] if writes and len(memops) > 1 else None
+        arr, cells = self._bind("array", stmt.array), self._bind("cells", stmt.array)
+        reads, writes = call.reads, call.writes
+        get_op, set_op = call.get_memop, call.set_memop
         named = bool(get_op or set_op or (reads and writes))
         i = temp("_i", f"({index}) % {register.size}", 2 if named and writes else 1)
         if reads:
@@ -394,7 +382,7 @@ class ModuleEmitter:
         old = temp("_o", f"{cells}[{i}]", 2) if named else f"{cells}[{i}]"
 
         def applied(memop: MemopShape, arg: str) -> str:
-            return f"(({memop_template(memop, self.info, old, arg)}) & {mask})"
+            return f"(({memop_template(memop, old, arg)}) & {mask})"
 
         value = "0"
         if reads:

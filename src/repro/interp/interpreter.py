@@ -6,6 +6,14 @@ and tested without a Tofino.  One call to :meth:`HandlerInterpreter.run`
 corresponds to one pass of an event packet through the pipeline: it runs the
 handler atomically, applies its stateful operations, and returns the list of
 events the handler generated.
+
+A memop runs as the closure :meth:`SwitchRuntime.memop_fn` compiles from the
+:class:`~repro.frontend.memop_check.MemopShape` the checker kept for it;
+:func:`memop_template` spells the same shape as Python source for the
+compiled engines, and the closure is the oracle that source is swept
+against.  An ``Array`` call is routed to ``RuntimeArray.get`` / ``set`` /
+``update`` here by the walker itself, independently of the routing the
+emitters and the P4 printer share.
 """
 
 from __future__ import annotations
@@ -137,7 +145,7 @@ class SwitchRuntime:
         shape = memop_shape(self.info, name)
 
         def compile_expr(expr: ast.Expr) -> Callable[[int, int], int]:
-            return _compile_memop_expr(expr, name, shape.stored, shape.local, self.info)
+            return _compile_memop_expr(expr, shape.stored)
 
         if shape.cond is None:
             value_fn = compile_expr(shape.value)
@@ -170,70 +178,30 @@ class SwitchRuntime:
         return self.random_state
 
 
-def memop_template(shape: MemopShape, info: ProgramInfo, stored: str, local: str) -> str:
+def memop_template(shape: MemopShape, stored: str, local: str) -> str:
     """``shape`` as a Python expression over two operand source strings: the
     cell's old value and the call's argument (each may appear several times,
     so callers pass atoms).  Like :meth:`SwitchRuntime.memop_fn`'s closure
     before its final mask, which callers fold into the cell-width mask."""
-
-    def render(expr: ast.Expr) -> str:
-        if isinstance(expr, ast.EInt):
-            return repr(expr.value)
-        if isinstance(expr, ast.EBool):
-            return "1" if expr.value else "0"
-        if isinstance(expr, ast.EVar):
-            if expr.name == shape.stored:
-                return stored
-            if expr.name == shape.local:
-                return local
-            const = info.consts.lookup(expr.name)
-            if const is not None:
-                return repr(const)
-            raise InterpError(
-                f"undefined variable '{expr.name}' in memop '{shape.name}'"
-            )
-        if isinstance(expr, ast.EBinary):
-            return binop_template(expr.op, render(expr.left), render(expr.right))
-        raise InterpError(f"expression is not allowed in memop '{shape.name}'")
-
-    if shape.cond is None:
-        return render(shape.value)
-    cond = render(shape.cond)
-    return f"(({render(shape.value)}) if ({cond}) else ({render(shape.orelse)}))"
+    cond, value, orelse = shape.render(binop_template, stored, local)
+    return value if cond is None else f"(({value}) if ({cond}) else ({orelse}))"
 
 
-def _compile_memop_expr(
-    expr: ast.Expr, memop_name: str, stored_name: str, local_name: str, info: ProgramInfo
-) -> Callable[[int, int], int]:
-    """Compile a memop-body expression into a closure over ``(stored, local)``.
-
-    Memop bodies are restricted to pure arithmetic over the two parameters
-    and program constants; the AST is walked once at compile time instead of
-    on every stateful operation.
-    """
+def _compile_memop_expr(expr: ast.Expr, stored_name: str) -> Callable[[int, int], int]:
+    """Compile a checked memop expression (a literal, a parameter, or one
+    operator over those) into a closure over ``(stored, local)``: the AST is
+    walked once at compile time instead of on every stateful operation."""
     if isinstance(expr, ast.EInt):
         value = expr.value
-        return lambda stored, local: value
-    if isinstance(expr, ast.EBool):
-        value = 1 if expr.value else 0
         return lambda stored, local: value
     if isinstance(expr, ast.EVar):
         if expr.name == stored_name:
             return lambda stored, local: stored
-        if expr.name == local_name:
-            return lambda stored, local: local
-        const = info.consts.lookup(expr.name)
-        if const is not None:
-            return lambda stored, local: const
-        raise InterpError(
-            f"undefined variable '{expr.name}' in memop '{memop_name}'"
-        )
-    if isinstance(expr, ast.EBinary):
-        left = _compile_memop_expr(expr.left, memop_name, stored_name, local_name, info)
-        right = _compile_memop_expr(expr.right, memop_name, stored_name, local_name, info)
-        op = expr.op
-        return lambda stored, local: apply_binop(op, left(stored, local), right(stored, local))
-    raise InterpError(f"expression is not allowed in memop '{memop_name}'")
+        return lambda stored, local: local
+    left = _compile_memop_expr(expr.left, stored_name)
+    right = _compile_memop_expr(expr.right, stored_name)
+    op = expr.op
+    return lambda stored, local: apply_binop(op, left(stored, local), right(stored, local))
 
 
 class HandlerInterpreter:

@@ -48,10 +48,11 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.errors import TypeError_
 from repro.frontend import ast
+from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.midend.inline import Inliner, eliminate_returns
 from repro.ops import BINOPS, UNOPS, OpKind
@@ -131,6 +132,35 @@ class NArrayOp(NStmt):
     dst: Optional[str] = None
     memops: List[str] = field(default_factory=list)
     args: List[Operand] = field(default_factory=list)
+
+
+class ArrayCall(NamedTuple):
+    """How one ``Array`` call is one stateful-ALU instruction: whether it
+    returns a value computed from the cell's old value (``reads``) and
+    whether it stores one (``writes``), and the memop and argument of each
+    side.  A read without a memop returns the old cell; a write without one
+    stores its argument."""
+
+    reads: bool
+    writes: bool
+    get_memop: Optional[MemopShape]
+    get_arg: Operand
+    set_memop: Optional[MemopShape]
+    set_arg: Operand
+
+
+def array_call(info: ProgramInfo, stmt: NArrayOp) -> ArrayCall:
+    """The routing of ``stmt``'s memops and arguments, as
+    ``RuntimeArray.get`` / ``set`` / ``update`` take them: an update takes
+    (get, set) memops and arguments, and one argument serves both sides."""
+    reads = stmt.method not in ("Array.set", "Array.setm")
+    writes = stmt.method not in ("Array.get", "Array.getm")
+    memops = [memop_shape(info, name) for name in stmt.memops] + [None, None]
+    get_arg = stmt.args[0] if stmt.args else Const(0)
+    if not reads:
+        return ArrayCall(False, True, None, get_arg, memops[0], get_arg)
+    set_arg = stmt.args[1] if len(stmt.args) > 1 else get_arg
+    return ArrayCall(True, writes, memops[0], get_arg, memops[1] if writes else None, set_arg)
 
 
 @dataclass

@@ -18,12 +18,7 @@ Traffic is streamed (`Network.run(source=...)`), so the peak memory of a run
 is independent of the event count.
 """
 
-from repro.scenarios.invariants import (
-    Invariant,
-    InvariantReport,
-    invariant_names,
-    make_invariant,
-)
+from repro.scenarios.invariants import Invariant, InvariantReport
 from repro.scenarios.registry import SCENARIOS, Scenario, get, register
 from repro.scenarios.runner import (
     ScenarioResult,
@@ -46,8 +41,6 @@ from repro.scenarios.topology import (
 __all__ = [
     "Invariant",
     "InvariantReport",
-    "invariant_names",
-    "make_invariant",
     "SCENARIOS",
     "Scenario",
     "get",

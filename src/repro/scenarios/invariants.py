@@ -16,9 +16,8 @@ so they also implement ``snapshot_state()``/``restore_state()`` — the
 checkpoint/restore contract of :mod:`repro.service`: a run resumed from a
 checkpoint must reach the same verdicts as the uninterrupted run.
 
-``make_invariant`` resolves the invariant names that applications advertise
-(:attr:`repro.apps.base.Application.invariants`) to fresh instances; scenario
-builders can also construct invariants directly with custom parameters.
+Scenario builders (:mod:`repro.scenarios.registry`) construct the instances
+they check directly, with their own parameters.
 """
 
 from __future__ import annotations
@@ -606,39 +605,3 @@ class SequencerMonotone(Invariant):
                     f"sw{sid}: holds sequence number {held} > {issued} ever issued"
                 )
         return messages
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-_FACTORIES: Dict[str, Callable[[], Invariant]] = {
-    "firewall-solicited-only": FirewallSolicitedOnly,
-    "nat-bijective": NatMappingsBijective,
-    "dns-victim-blocked": DnsVictimBlocked,
-    "sketch-conservation": SketchConservation,
-    "rip-converged": RipConverged,
-    "reroute-recovers": RerouteRecovers,
-    "no-drops": NoDrops,
-    "sequencer-monotone": SequencerMonotone,
-    "dfw-filters-consistent": lambda: ReplicasConsistent(
-        ("bloom_a", "bloom_b"), name="dfw-filters-consistent"
-    ),
-    "sro-replicas-consistent": lambda: ReplicasConsistent(
-        ("values", "seqs"), name="sro-replicas-consistent"
-    ),
-}
-
-
-def make_invariant(name: str) -> Invariant:
-    """Instantiate a registered invariant by name (fresh instance per call)."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown invariant '{name}'; known: {sorted(_FACTORIES)}"
-        ) from None
-    return factory()
-
-
-def invariant_names() -> List[str]:
-    return sorted(_FACTORIES)

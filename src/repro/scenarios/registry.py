@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import random
 
 from repro.apps import ALL_APPLICATIONS
 from repro.control import remote_install_latencies
+from repro.errors import SimulationError
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import lucid_hash
 from repro.interp.network import Network, SchedulerConfig, SourceItem
@@ -30,7 +31,13 @@ from repro.scenarios.invariants import (
     DnsVictimBlocked,
     FirewallSolicitedOnly,
     Invariant,
+    NatMappingsBijective,
     NoDrops,
+    ReplicasConsistent,
+    RerouteRecovers,
+    RipConverged,
+    SequencerMonotone,
+    SketchConservation,
     SketchOverestimates,
 )
 from repro.scenarios.runner import ScenarioSetup
@@ -73,12 +80,6 @@ def _app_source(key: str) -> str:
     return ALL_APPLICATIONS[key].source
 
 
-def _app_invariants(key: str) -> List[Invariant]:
-    """The application's own invariant hooks (the single source of truth for
-    per-app defaults); scenario builders append scenario-specific checks."""
-    return ALL_APPLICATIONS[key].make_invariants()
-
-
 # ---------------------------------------------------------------------------
 # heavy hitters (CM) — single switch and k=4 fat-tree
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def _build_heavy_hitter(topology: topo.Topology):
                 _app_source("CM"), engine=engine, name="CM"
             ),
             traffic=lambda: traffic.events(topology.edge, events, seed),
-            invariants=_app_invariants("CM") + [SketchOverestimates(traffic)],
+            invariants=[SketchConservation(), SketchOverestimates(traffic)],
             settle_ns=100_000,
         )
 
@@ -139,7 +140,7 @@ def _build_heavy_hitter_fattree8(events: int, seed: int) -> ScenarioSetup:
             _app_source("CM"), config=config, engine=engine, name="CM"
         ),
         traffic=lambda: traffic.events(topology.edge, events, seed),
-        invariants=_app_invariants("CM") + [SketchOverestimates(traffic)],
+        invariants=[SketchConservation(), SketchOverestimates(traffic)],
         settle_ns=200_000,
     )
 
@@ -181,7 +182,7 @@ def _build_sfw_scan_burst(events: int, seed: int) -> ScenarioSetup:
             benign.events(topology.edge, benign_events, seed),
             scan.events(topology.edge, scan_events, seed + 1),
         ),
-        invariants=_app_invariants("SFW"),
+        invariants=[FirewallSolicitedOnly()],
         settle_ns=1_000_000,
     )
 
@@ -218,9 +219,10 @@ def _sfw_slots(key: int, size1: int, size2: int):
 class DataPlaneBeatsRemote(Invariant):
     """The Figure 17 claim at scenario scale: mean flow-installation latency
     with data-plane integrated control beats the Mantis-style remote
-    controller on the same flow arrivals.  An install completes at the end of
-    whichever pass wrote the key — the first packet's own (0 ns) or a later
-    cuckoo recirculation; the controller baseline draws one
+    controller on the same flow arrivals.  A flow arrives with its first
+    ``pkt_out``; its install completes at the end of whichever pass wrote
+    the key — the first packet's own (0 ns) or a later cuckoo
+    recirculation; the controller baseline draws one
     :func:`~repro.control.remote_install_latencies` sample per flow, seeded
     by the run's seed.  :attr:`summary`, filled by :meth:`check`, is Figure
     17's row in :mod:`repro.figures`."""
@@ -230,14 +232,16 @@ class DataPlaneBeatsRemote(Invariant):
     #: they would be charged the full remaining run
     streaming = False
 
-    def __init__(self, traffic: tm.FirewallFlowTraffic, seed: int):
-        self.traffic = traffic
+    def __init__(self, seed: int):
         self.seed = seed
+        #: (src, dst) -> the time of the flow's first pkt_out
+        self._first: Dict[Tuple[int, int], int] = {}
         self._installed: Dict[int, int] = {}
         self._arrays = None
         self.summary: Dict[str, float] = {}
 
     def reset(self, network: Network, topology) -> None:
+        self._first.clear()
         self._installed.clear()
         switch = network.switch(0)
         self._arrays = (
@@ -258,7 +262,10 @@ class DataPlaneBeatsRemote(Invariant):
     def observe(self, entry) -> None:
         event = entry.event
         if event.name == "pkt_out":
-            key = self._flow_key(event.args[0], event.args[1])
+            flow = event.args
+            if flow not in self._first:
+                self._first[flow] = entry.time_ns
+            key = self._flow_key(flow[0], flow[1])
         elif event.name == "install":
             key = event.args[0]
         else:
@@ -267,13 +274,18 @@ class DataPlaneBeatsRemote(Invariant):
             self._installed[key] = entry.time_ns
 
     def snapshot_state(self) -> Dict[str, object]:
-        return {"installed": [[key, t] for key, t in self._installed.items()]}
+        return {"installed": [[key, t] for key, t in self._installed.items()],
+                "first_packet": [[src, dst, t] for (src, dst), t in self._first.items()]}
 
     def restore_state(self, state: Dict[str, object]) -> None:
+        if "first_packet" not in state:
+            raise SimulationError(
+                f"invariant '{self.name}': the checkpointed state has no first-packet times")
         self._installed = {key: t for key, t in state["installed"]}
+        self._first = {(src, dst): t for src, dst, t in state["first_packet"]}
 
     def check(self, network: Network) -> List[str]:
-        flows = sorted(self.traffic.first_packet_ns.items(), key=lambda kv: kv[1])
+        flows = sorted(self._first.items(), key=lambda kv: kv[1])
         if not flows:
             return []
         latencies = []
@@ -317,7 +329,7 @@ def _build_sfw_install_latency(events: int, seed: int) -> ScenarioSetup:
     traffic = tm.FirewallFlowTraffic(
         hosts=256, external_hosts=1024, with_returns=False, packets_per_flow=2
     )
-    latency = DataPlaneBeatsRemote(traffic, seed)
+    latency = DataPlaneBeatsRemote(seed)
     return ScenarioSetup(
         topology=topology,
         make_network=lambda engine: topology.build_network(
@@ -389,7 +401,7 @@ def _build_nat_churn(events: int, seed: int) -> ScenarioSetup:
             _app_source("NAT"), engine=engine, name="NAT"
         ),
         traffic=lambda: traffic.events(topology.edge, events, seed),
-        invariants=_app_invariants("NAT"),
+        invariants=[NatMappingsBijective()],
         settle_ns=200_000,
     )
 
@@ -439,7 +451,7 @@ def _build_rip_line(events: int, seed: int) -> ScenarioSetup:
         ),
         traffic=traffic,
         prepare=prepare,
-        invariants=_app_invariants("RIP"),
+        invariants=[RipConverged()],
         # the advertisement period is 1 ms; leave room for diameter+1 rounds
         settle_ns=8_000_000,
     )
@@ -485,7 +497,7 @@ def _build_reroute_linkfail(events: int, seed: int) -> ScenarioSetup:
     mean_gap_ns = 2_000
     fail_at = int(events * mean_gap_ns / 3)
     failed_leaf, dead_spine = 0, 4  # leaf 0's lowest-id uplink
-    (recovers,) = _app_invariants("RR")  # RerouteRecovers, tolerance 50 us
+    recovers = RerouteRecovers(tolerance_ns=50_000)
 
     def on_fail(network: Network, failure: tm.LinkFailure) -> None:
         # the hardware port-down signal: mark the uplink dead and invalidate
@@ -582,7 +594,8 @@ def _build_sro_writes(events: int, seed: int) -> ScenarioSetup:
             name="SRO",
         ),
         traffic=traffic,
-        invariants=_app_invariants("SRO"),
+        invariants=[ReplicasConsistent(("values", "seqs"), name="sro-replicas-consistent"),
+                    SequencerMonotone()],
         settle_ns=500_000,
     )
 
@@ -623,7 +636,8 @@ def _build_dfw_ring(events: int, seed: int) -> ScenarioSetup:
             name="DFW",
         ),
         traffic=lambda: traffic.events(topology.edge, events, seed),
-        invariants=_app_invariants("DFW") + [FirewallSolicitedOnly(), NoDrops()],
+        invariants=[ReplicasConsistent(("bloom_a", "bloom_b"), name="dfw-filters-consistent"),
+                    FirewallSolicitedOnly(), NoDrops()],
         settle_ns=500_000,
     )
 

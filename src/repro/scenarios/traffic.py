@@ -182,9 +182,8 @@ class FirewallFlowTraffic:
     packets (``pkt_in``) one RTT later.
 
     The pending-return heap holds only the flows in flight during one RTT —
-    bounded by ``rate * rtt``, independent of the total event count.  Records
-    the first-packet time of every distinct flow in :attr:`first_packet_ns`
-    (bounded by distinct flows) for install-latency measurements.
+    bounded by ``rate * rtt``, independent of the total event count; the
+    stream keeps no per-flow state.
     """
 
     hosts: int = 256
@@ -200,15 +199,12 @@ class FirewallFlowTraffic:
     roam_returns: bool = False
     out_event: str = "pkt_out"
     in_event: str = "pkt_in"
-    #: filled while streaming: {(src, dst): first outbound packet time}
-    first_packet_ns: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     def events(
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
         rng = random.Random(seed)
         draw, randrange = rng.random, rng.randrange
-        self.first_packet_ns.clear()
         rate, hosts, external = self.flow_rate_per_s, self.hosts, self.external_hosts
         packets, gap, rtt = self.packets_per_flow, self.inter_packet_ns, self.rtt_ns
         with_returns, roam = self.with_returns, self.roam_returns
@@ -231,7 +227,6 @@ class FirewallFlowTraffic:
                 emitted += 1
             if emitted >= count:
                 break
-            self.first_packet_ns.setdefault((src, dst), start)
             # every packet of the flow carries one instance per direction
             out = EventInstance(self.out_event, (src, dst))
             back = EventInstance(self.in_event, (dst, src)) if with_returns else None

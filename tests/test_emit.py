@@ -1,8 +1,8 @@
 """The generated-module format (:mod:`repro.interp.emit`) and its two
 visitors: the one array read-modify-write against the ``RuntimeArray``
 oracle, codegen's handler bodies pinned to the commit before the format
-moved, the one factory shape of both dumps, and a malformed memop failing
-both visitors alike.
+moved, the one factory shape of both dumps, and every engine running the
+memop the checker kept.
 """
 
 import hashlib
@@ -15,15 +15,18 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.backend.compiler import CompilerOptions, compile_checked
-from repro.errors import InterpError
+from repro.errors import ConstError, InterpError
 from repro.frontend import check_program
 from repro.fuzz.case import load_case
 from repro.interp.arrays import RuntimeArray
 from repro.interp.codegen import dump_program_source
 from repro.interp.emit import ModuleEmitter
-from repro.interp.engine import CodegenEngine
-from repro.interp.interpreter import SwitchRuntime, memop_shape
-from repro.pisa.pipeline import PisaPipeline, _PlanEmitter, lower_layout
+from repro.interp.engine import ENGINE_NAMES
+from repro.interp.events import EventInstance
+from repro.interp.interpreter import SwitchRuntime
+from repro.interp.network import Network
+from repro.midend.normalize import NArrayOp, Var
+from repro.pisa.pipeline import _PlanEmitter, lower_layout
 
 from test_compiled_interp import BOUNDARY
 
@@ -67,9 +70,10 @@ def _emitted_op(checked, policy, method, array, memops, nargs):
     read-modify-write, a ``_bind(_rt)`` module."""
     emitter = ModuleEmitter(checked.info)
     emitter.lines = emitter._handler_head("op", ["idx", "a", "b"])
-    value = emitter._array_rmw(
-        policy(emitter), method, array, "idx",
-        [memop_shape(checked.info, memop) for memop in memops], ["a", "b"][:nargs])
+    emitter.locals = {"idx": "idx", "a": "a", "b": "b"}
+    stmt = NArrayOp(method=method, array=array, index=Var("idx"), memops=list(memops),
+                    args=[Var("a"), Var("b")][:nargs])
+    value = emitter._array_rmw(policy(emitter), stmt)
     emitter._line(f"return {value}")
     module = emitter._module(checked.name, "test-emit", "", "_rt", {"op": emitter.lines}, {})
     assert f"_A_{array} = _rt.array({array!r})\n    _C_{array} = _A_{array}.cells" in module.source
@@ -123,11 +127,13 @@ def test_the_sweep_has_memops_to_sweep():
 
 
 def test_zero_size_array_is_rejected_by_the_emitter():
-    checked = check_program("global t = new Array<<32>>(4); event e(); handle e() {}")
-    checked.info.globals["t"].size = 0
-    emitter = ModuleEmitter(checked.info)
+    """The emitter never meets a zero-size array: the front end refuses it
+    where it is declared.  A ``RuntimeArray`` built directly through the
+    public API still refuses to be indexed."""
+    with pytest.raises(ConstError, match="global 't' has non-positive size 0"):
+        check_program("global t = new Array<<32>>(0); event e(); handle e() {}")
     with pytest.raises(InterpError) as error:
-        emitter._array_rmw(_hoist_all(emitter), "Array.get", "t", "0", [], [])
+        RuntimeArray("t", 0, 32).get(0)
     assert error.value.message == "array 't' has zero size"
 
 
@@ -174,41 +180,27 @@ def test_both_dumps_have_the_one_factory_shape(key):
 
 
 # ---------------------------------------------------------------------------
-# (d) a malformed memop stops the module, as it stops the stage plan
+# (d) the engines run the memop the checker kept, never the declaration again
 # ---------------------------------------------------------------------------
 MALFORMED = """
-global only_bad = new Array<<32>>(4);
 global shared = new Array<<32>>(4);
 memop bad(int stored, int x) { return stored + x; }
-memop good(int stored, int x) { return stored + x; }
 event broken(int i);
-event fine(int i);
-handle broken(int i) {
-  int h = hash<<32>>(i, i, i);
-  int x = Array.get(only_bad, h);
-  Array.set(shared, i, bad, x);
-}
-handle fine(int i) { Array.set(shared, i, good, 2); }
+handle broken(int i) { Array.set(shared, i, bad, i + 5); }
 """
 
 
-def _malformed():
+def test_a_malformed_memop_is_never_materialised_at_bind_time():
+    """The declaration is emptied after checking: no engine reads it again.
+    The stage plan, the codegen module and ``memop_fn`` all run the shape
+    ``check_program`` kept, so a switch never binds a body the checker did
+    not see."""
     checked = check_program(MALFORMED, name="malformed")
     checked.info.memops["bad"].body.clear()
-    return checked
-
-
-def test_a_malformed_memop_is_never_materialised_at_bind_time():
-    """The declaration is mutated after checking: the front end stops it.
-    Building the switch fails on codegen with the error the stage plan and
-    ``memop_fn`` raise, so no switch ever binds a handler that cannot run."""
-    checked = _malformed()
-    builds = {
-        "codegen": lambda: CodegenEngine(SwitchRuntime(checked)),
-        "pisa": lambda: PisaPipeline(compile_checked(checked, CompilerOptions(emit_p4=False))),
-        "memop_fn": lambda: SwitchRuntime(checked).memop_fn("bad"),
-    }
-    for build in builds.values():
-        with pytest.raises(InterpError) as error:
-            build()
-        assert error.value.message == "memop 'bad' has an empty body"
+    for engine in ENGINE_NAMES:
+        network = Network(engine=engine)
+        switch = network.add_switch(0, checked)
+        for i in (1, 2, 5):
+            network.inject(0, EventInstance("broken", (i,)))
+        network.run()
+        assert switch.array("shared").snapshot() == [0, 16, 7, 0], engine

@@ -1,9 +1,11 @@
 """Tests for the interpreter, runtime arrays, events, and the network simulator."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InterpError
+from repro.errors import InterpError, MemopError
 from repro.frontend import check_program
 from repro.interp import (
     ENGINE_NAMES,
@@ -230,14 +232,6 @@ handle e(int v) { Array.set(t, 0, m, v); }
 """
 
 
-def _runtime_with_mutated_memop(mutate):
-    from repro.interp import SwitchRuntime
-
-    checked = check_program(MEMOP_PROGRAM)
-    mutate(checked.info.memops["m"])
-    return SwitchRuntime(checked)
-
-
 def test_memop_fn_compiles_valid_memop():
     from repro.interp import SwitchRuntime
 
@@ -253,10 +247,25 @@ def test_memop_fn_rejects_unknown_name():
         runtime.memop_fn("nope")
 
 
+def _refused_then_unread(written, message, mutate):
+    """Written in the source, the malformed memop is refused by the front
+    end, so ``memop_fn`` never compiles it; built directly on a checked
+    declaration by ``mutate``, it changes nothing, because ``memop_fn``
+    compiles the shape ``check_program`` kept."""
+    from repro.interp import SwitchRuntime
+
+    well_formed = "memop m(int stored, int x) { return stored + x; }"
+    with pytest.raises(MemopError, match=re.escape(message)):
+        check_program(MEMOP_PROGRAM.replace(well_formed, written))
+    checked = check_program(MEMOP_PROGRAM)
+    mutate(checked.info.memops["m"])
+    assert SwitchRuntime(checked).memop_fn("m")(40, 2) == 42
+
+
 def test_memop_fn_rejects_empty_body():
-    runtime = _runtime_with_mutated_memop(lambda decl: decl.body.clear())
-    with pytest.raises(InterpError, match="'m'"):
-        runtime.memop_fn("m")
+    _refused_then_unread("memop m(int stored, int x) { }",
+                         "memop 'm' body must be a single return statement",
+                         lambda decl: decl.body.clear())
 
 
 def test_memop_fn_rejects_if_with_empty_branch():
@@ -270,18 +279,18 @@ def test_memop_fn_rejects_if_with_empty_branch():
                      then_body=[ret], else_body=[])
         ]
 
-    runtime = _runtime_with_mutated_memop(mutate)
-    with pytest.raises(InterpError, match="'m'"):
-        runtime.memop_fn("m")
+    _refused_then_unread(
+        "memop m(int stored, int x) { if (stored < x) { return stored + x; } else { } }",
+        "the else-branch of a memop's if statement must contain exactly one return", mutate)
 
 
 def test_memop_fn_rejects_duplicate_parameter_names():
     def mutate(decl):
         decl.params[1].name = decl.params[0].name
 
-    runtime = _runtime_with_mutated_memop(mutate)
-    with pytest.raises(InterpError, match="'m'"):
-        runtime.memop_fn("m")
+    _refused_then_unread("memop m(int stored, int stored) { return stored + 1; }",
+                         "memop 'm' declares both parameters with the same name 'stored'",
+                         mutate)
 
 
 def test_memop_fn_rejects_non_return_body():
@@ -292,9 +301,8 @@ def test_memop_fn_rejects_non_return_body():
         decl.body[:] = [fast.SAssign(span=dummy_span(), name="stored",
                                      value=fast.EInt(span=dummy_span(), value=1))]
 
-    runtime = _runtime_with_mutated_memop(mutate)
-    with pytest.raises(InterpError, match="'m'"):
-        runtime.memop_fn("m")
+    _refused_then_unread("memop m(int stored, int x) { stored = 1; }",
+                         "memop 'm' body must be a single return statement", mutate)
 
 
 def test_extern_binding_is_called():

@@ -1,5 +1,7 @@
 """Tests for the memop syntactic restrictions (Section 4.2, Appendix C)."""
 
+import re
+
 import pytest
 
 from repro.backend.compiler import compile_program
@@ -170,6 +172,41 @@ def test_check_all_memops_walks_every_declaration():
         check_all_memops(parse_program(source))
 
 
+#: id -> (memop declaration, the error's message, the text its span covers):
+#: each declaration is malformed in one way the tests above do not cover, and
+#: the front end refuses it where it is written, before anything reads a memop
+MALFORMED = {
+    "drop_a_parameter": (
+        "memop m(int stored) { if (stored < K) { return stored + 1; } else { return 0; } }",
+        "memop 'm' must take exactly two parameters", "memop m"),
+    "empty_body": (
+        "memop m(int stored, int x) { }",
+        "memop 'm' body must be a single return statement", "memop m"),
+    "assign_instead_of_return": (
+        "memop m(int stored, int x) { stored = 1; }",
+        "memop 'm' body must be a single return statement", "stored = 1;"),
+    "empty_else": (
+        "memop m(int stored, int x) { if (stored < K) { return stored + x; } }",
+        "the else-branch of a memop's if statement must contain exactly one return",
+        "if (stored < K)"),
+    "else_without_return": (
+        "memop m(int stored, int x) { if (stored < K) { return stored + x; } else { return; } }",
+        "a memop must return a value", "return;"),
+    "call_in_condition": (
+        "memop m(int stored, int x) { if (Sys.time()) { return stored + x; } else { return x; } }",
+        "a memop condition must be a single comparison", "Sys.time()"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_declaration_is_refused_at_its_span(case):
+    memop, message, at = MALFORMED[case]
+    source = f"const int K = 3; global t = new Array<<32>>(4); {memop} event e(int v); handle e(int v) {{ }}"
+    with pytest.raises(MemopError, match=re.escape(message)) as err:
+        check_program(source)
+    assert err.value.span.text.startswith(at)
+
+
 # -- scope: the two parameters and declared constants ------------------------
 UNDECLARED = """
 const int K = 3;
@@ -204,7 +241,12 @@ def test_constants_are_in_scope_of_a_memop(name):
 
 
 def test_p4_printer_refuses_a_name_it_cannot_resolve():
+    """A name the printer could not resolve never reaches it: the front end
+    refuses it at the name, and a checked memop carries its constants folded,
+    so the printer looks no name up — dropping the binding after checking
+    changes nothing it prints."""
+    with pytest.raises(MemopError, match="neither a parameter of the memop nor a declared"):
+        compile_program(UNDECLARED.replace("BODY", "return stored + ghost;"))
     compiled = compile_program(UNDECLARED.replace("BODY", "return stored + K;"))
     del compiled.checked.info.consts.values["K"]
-    with pytest.raises(MemopError, match="cannot express"):
-        generate_p4(compiled.checked.info, compiled.layout)
+    assert "mem = mem + 3;" in generate_p4(compiled.checked.info, compiled.layout).full_text()

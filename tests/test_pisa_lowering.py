@@ -4,13 +4,15 @@ Behavioural parity of the ``pisa`` engine with ``reference`` and ``codegen``
 is pinned elsewhere (``tests/test_engines.py``, the fuzz corpus, the
 scenario CLI's ``--all-engines``).  This file pins what is specific to the
 lowering in :mod:`repro.pisa.pipeline`: the shared operator, hash and memop
-templates, that plans are shared between switches while state is not, the
+templates (and the P4 ``RegisterAction`` each stateful table prints, run by a
+small P4-16 evaluator), that plans are shared between switches while state is not, the
 per-pass counts recorded from the interpretive executor this lowering
 replaced, the corners of the metadata model the interpreter used to resolve
 per read, and the stateful tables inlined on the arrays' cell lists.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -23,16 +25,19 @@ import pytest
 from pisa_pass_recorder import pass_summary_for_case, pass_summary_for_scenario
 from repro.apps import ALL_APPLICATIONS
 from repro.backend.compiler import compile_program
-from repro.errors import InterpError
+from repro.backend.p4gen import _sanitize
+from repro.backend.tables import TableKind
+from repro.errors import ConstError, InterpError, MemopError
 from repro.frontend import ast, check_program
 from repro.frontend.source import dummy_span
 from repro.fuzz.case import load_case
+from repro.interp.arrays import RuntimeArray
 from repro.interp.codegen import dump_program_source
-from repro.interp.engine import CodegenEngine, ENGINE_NAMES
+from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult, SwitchRuntime, memop_shape, memop_template
 from repro.interp.network import Network
-from repro.midend.normalize import NOp, Var
+from repro.midend.normalize import Const, NOp, Var
 from repro.obs.profile import StageProfiler
 from repro.ops import (
     MASK32,
@@ -47,6 +52,7 @@ from repro.scenarios import registry
 from repro.scenarios.runner import network_array_digest, prepare_run, settle_horizon
 
 from test_compiled_interp import BOUNDARY
+from test_emit import _oracle_op
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden" / "pisa_passes.json").read_text())
@@ -97,7 +103,7 @@ def test_memop_template_equals_memop_fn(name):
     runtime = SwitchRuntime(checked)
     for memop in checked.info.memops:
         closure = runtime.memop_fn(memop)
-        template = memop_template(memop_shape(checked.info, memop), checked.info, "s", "l")
+        template = memop_template(memop_shape(checked.info, memop), "s", "l")
         fn = eval("lambda s, l: " + template)
         for width in (8, 16, 32):
             cell = (1 << width) - 1
@@ -105,6 +111,143 @@ def test_memop_template_equals_memop_fn(name):
                 for l in BOUNDARY:
                     assert fn(s, l) & (MASK32 & cell) == closure(s, l) & cell, (
                         memop, width, s, l)
+
+
+#: P4-16's binary operators over ``bit<w>``, loosest first (C's precedence:
+#: a bitwise operator binds looser than a comparison)
+_P4_LEVELS = {op: level for level, ops in enumerate(
+    [("|",), ("^",), ("&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-")]) for op in ops}
+_P4_COMPARE = {"==": int.__eq__, "!=": int.__ne__, "<": int.__lt__, ">": int.__gt__,
+               "<=": int.__le__, ">=": int.__ge__}
+_P4_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][\w.]*|[<>=!]=|\S)")
+
+
+class RegisterAction:
+    """One printed ``RegisterAction``, run as P4-16 runs it: ``mem`` and
+    ``rv`` are ``bit<w>``, a metadata field ``bit<32>``, a literal takes the
+    width of the other operand, ``+`` / ``-`` wrap at the width, a
+    comparison is a ``bool`` (the only thing ``if`` takes) and mixing two
+    widths is an error.  The body is ``rv = e;``, ``mem = e;`` and
+    ``if (e) { ... } else { ... }``."""
+
+    def __init__(self, text):
+        self.width = int(re.search(r"inout bit<(\d+)> mem", text).group(1))
+        self.tokens = _P4_TOKEN.findall(text[text.index("{", text.index("void apply")) + 1:])
+
+    def run(self, mem, md):
+        """``(rv, mem)`` after the action, on a cell holding ``mem``, with
+        metadata field ``md.<name>`` holding ``md[name]``."""
+        self.env = {"mem": (mem, self.width), "rv": (0, self.width)}
+        self.env.update((f"md.{name}", (value, 32)) for name, value in md.items())
+        self._block(0, True)
+        return self.env["rv"][0], self.env["mem"][0]
+
+    def _block(self, i, live):
+        toks = self.tokens
+        while toks[i] != "}":
+            if toks[i] == "if":
+                assert toks[i + 1] == "(", toks[i:]
+                (cond, kind), i = self._expr(i + 2, 0)
+                assert kind == "bool" and toks[i:i + 2] == [")", "{"], toks[i:]
+                i = self._block(i + 2, live and cond)
+                if toks[i] == "else":
+                    assert toks[i + 1] == "{", toks[i:]
+                    i = self._block(i + 2, live and not cond)
+                continue
+            target = toks[i]
+            assert target in ("rv", "mem") and toks[i + 1] == "=", toks[i:]
+            (value, kind), i = self._expr(i + 2, 0)
+            assert kind in (self.width, None) and toks[i] == ";", (kind, toks[i:])
+            if live:
+                self.env[target] = (value % (1 << self.width), self.width)
+            i += 1
+        return i + 1
+
+    def _expr(self, i, level):
+        toks = self.tokens
+        if toks[i] == "(":
+            left, i = self._expr(i + 1, 0)
+            assert toks[i] == ")", toks[i:]
+            i += 1
+        elif toks[i].isdigit():
+            left, i = (int(toks[i]), None), i + 1
+        else:
+            left, i = self.env[toks[i]], i + 1
+        while _P4_LEVELS.get(toks[i], -1) >= level:
+            op = toks[i]
+            right, i = self._expr(i + 1, _P4_LEVELS[op] + 1)
+            left = self._apply(op, left, right)
+        return left, i
+
+    @staticmethod
+    def _apply(op, left, right):
+        (a, wa), (b, wb) = left, right
+        assert "bool" not in (wa, wb) and (None in (wa, wb) or wa == wb), (op, wa, wb)
+        width = wb if wa is None else wa
+        if op in _P4_COMPARE:
+            return int(_P4_COMPARE[op](a, b)), "bool"
+        value = {"+": a + b, "-": a - b, "&": a & b, "|": a | b, "^": a ^ b}[op]
+        return (value if width is None else value % (1 << width)), width
+
+
+def _register_actions(source, name):
+    """Each ``NArrayOp`` of ``source`` with the RegisterAction printed for it."""
+    compiled = compile_program(source, name=name)
+    text = compiled.p4.full_text()
+    for stage in compiled.layout.stages:
+        for merged in stage.merged_tables:
+            for table in merged.members:
+                if table.kind is TableKind.MEMORY:
+                    start = text.index(f"    ra_{_sanitize(table.name)} = {{\n")
+                    yield table.stmt, RegisterAction(text[start:text.index("\n    };", start)])
+
+
+#: Section 4.2's atomic read-modify-write with two different sides: the
+#: update returns plus(old, a) and stores lower(old, b); the get writes nothing
+TWO_SIDES = """
+global r = new Array<<32>>(4);
+global s = new Array<<32>>(4);
+memop plus(int stored, int x) { return stored + x; }
+memop lower(int stored, int x) { if (x < stored) { return x; } else { return stored; } }
+event e(int a, int b);
+handle e(int a, int b) {
+  int u = Array.update(r, 0, plus, a, lower, b);
+  int g = Array.get(s, 0, plus, a);
+  printf(u, g);
+}
+"""
+
+
+#: the printed programs: the apps, the corpus, and two that pin the printer
+PRINTED = dict(PROGRAMS, **{
+    "two-sides": TWO_SIDES,
+    # Lucid binds & tighter than ==, P4 looser: the printed side is bracketed
+    "bitwise-condition": """
+global t = new Array<<32>>(4);
+memop m(int stored, int x) { if (stored & x == 0) { return x; } else { return stored | 1; } }
+event e(int a);
+handle e(int a) { int v = Array.update(t, 0, m, a, m, a + 1); printf(v); }
+""",
+})
+
+
+@pytest.mark.parametrize("name", PRINTED)
+def test_printed_register_action_equals_runtime_array(name):
+    """Every stateful table's printed RegisterAction, run on the boundary
+    cells and arguments, returns (``rv``) and stores (``mem``) what
+    ``RuntimeArray.get`` / ``set`` / ``update`` with ``memop_fn`` do."""
+    runtime = SwitchRuntime(check_program(PRINTED[name], name=name))
+    for stmt, action in _register_actions(PRINTED[name], name):
+        fields = sorted({a.name for a in stmt.args if isinstance(a, Var)})
+        for values in itertools.product(BOUNDARY, repeat=len(fields)):
+            md = dict(zip(fields, values))
+            a, b = [md[x.name] if isinstance(x, Var) else x.value for x in stmt.args + [Const(0)] * 2][:2]
+            for cell in BOUNDARY:
+                array = RuntimeArray(stmt.array, 1, action.width)
+                array.cells[0] = cell & array.mask
+                rv = _oracle_op(array, runtime, stmt.method, stmt.memops, len(stmt.args), 0, a, b)
+                got = action.run(cell & array.mask, {_sanitize(f): v for f, v in md.items()})
+                assert got == (rv, array.cells[0]), (stmt, md, cell)
 
 
 def test_the_sweep_covers_every_memop_body_form():
@@ -399,14 +542,15 @@ def test_wrong_argument_count_is_rejected_on_every_engine(engine, args):
 
 
 # ---------------------------------------------------------------------------
-# (f) stateful tables: a malformed memop fails where and how it always did
+# (f) stateful tables: a malformed memop never reaches the plan or memop_fn
 # ---------------------------------------------------------------------------
-MEMOP = """
+MEMOP_DECL = "memop m(int stored, int x) { if (stored < K) { return stored + x; } else { return x; } }"
+MEMOP = f"""
 const int K = 3;
 global t = new Array<<32>>(4);
-memop m(int stored, int x) { if (stored < K) { return stored + x; } else { return x; } }
+{MEMOP_DECL}
 event e(int v);
-handle e(int v) { Array.set(t, 0, m, v); }
+handle e(int v) {{ Array.set(t, 0, m, v); }}
 """
 
 
@@ -453,47 +597,62 @@ def _call_in_condition(decl):
     decl.body[0].cond = ast.ECall(span=dummy_span(), func="Sys.time", args=[])
 
 
+#: (the mutation of a checked declaration, the same fault written in the
+#: source, the front end's message for it)
 MALFORMED = [
-    (_drop_a_parameter, "memop 'm' must take exactly two parameters (found 1)"),
+    (_drop_a_parameter,
+     "memop m(int stored) { if (stored < K) { return stored + 1; } else { return 0; } }",
+     "memop 'm' must take exactly two parameters"),
     (_collide_parameters,
+     "memop m(int stored, int stored) { if (stored < K) { return stored + 1; } else { return 0; } }",
      "memop 'm' declares both parameters with the same name 'stored'"),
-    (_empty_body, "memop 'm' has an empty body"),
-    (_assign_instead_of_return,
-     "memop 'm' body must be a single return statement or an if statement "
-     "with one return in each branch"),
-    (_empty_else, "memop 'm' must return a value in both branches of its if statement"),
+    (_empty_body, "memop m(int stored, int x) { }",
+     "memop 'm' body must be a single return statement"),
+    (_assign_instead_of_return, "memop m(int stored, int x) { stored = 1; }",
+     "memop 'm' body must be a single return statement"),
+    (_empty_else, "memop m(int stored, int x) { if (stored < K) { return stored + x; } else { } }",
+     "the else-branch of a memop's if statement must contain exactly one return"),
     (_else_without_return,
-     "memop 'm': the else-branch must be a 'return <expr>;' statement"),
-    (_undefined_variable, "undefined variable 'ghost' in memop 'm'"),
-    (_call_in_condition, "expression is not allowed in memop 'm'"),
+     "memop m(int stored, int x) { if (stored < K) { return stored + x; } else { return; } }",
+     "a memop must return a value"),
+    (_undefined_variable,
+     "memop m(int stored, int x) { if (stored < K) { return stored + ghost; } else { return x; } }",
+     "'ghost' is neither a parameter of the memop nor a declared constant"),
+    (_call_in_condition,
+     "memop m(int stored, int x) { if (Sys.time()) { return stored + x; } else { return x; } }",
+     "a memop condition must be a single comparison"),
 ]
 
 
-@pytest.mark.parametrize("mutate,message", MALFORMED,
-                         ids=[mutate.__name__.strip("_") for mutate, _ in MALFORMED])
-def test_malformed_memop_fails_at_plan_lowering_like_memop_fn(mutate, message):
-    """The declarations are built directly: the front end stops every one."""
+@pytest.mark.parametrize("mutate,written,message", MALFORMED,
+                         ids=[mutate.__name__.strip("_") for mutate, _, _ in MALFORMED])
+def test_malformed_memop_fails_at_plan_lowering_like_memop_fn(mutate, written, message):
+    """Written in the source, each malformed declaration is refused by the
+    front end, so neither plan lowering nor ``memop_fn`` meets it.  Built
+    directly on a checked program, it changes nothing: plan lowering,
+    ``memop_fn`` and every engine run the shape ``check_program`` kept."""
+    with pytest.raises(MemopError, match=re.escape(message)):
+        compile_program(MEMOP.replace(MEMOP_DECL, written), name="malformed")
     compiled = compile_program(MEMOP, name="malformed")
     mutate(compiled.checked.info.memops["m"])
-    with pytest.raises(InterpError) as lowering:
-        PisaPipeline(compiled)
-    assert lowering.value.message == message
-    runtime = SwitchRuntime(compiled.checked)
-    with pytest.raises(InterpError) as closure:
-        runtime.memop_fn("m")
-    assert closure.value.message == message
-    # codegen prints the memop into its module: it fails when the switch is built
-    with pytest.raises(InterpError) as printing:
-        CodegenEngine(runtime)
-    assert printing.value.message == message
+    PisaPipeline(compiled)
+    memop = SwitchRuntime(compiled.checked).memop_fn("m")
+    assert [memop(stored, 5) for stored in (0, 2, 3, 9)] == [5, 7, 5, 5]
+    for engine in ENGINE_NAMES:
+        network = Network(engine=engine)
+        switch = network.add_switch(0, compiled.checked)
+        for v in (1, 5, 2):  # then-branch 0 + 1, then-branch 1 + 5, else-branch 2
+            network.inject(0, EventInstance("e", (v,)))
+        network.run()
+        assert switch.array("t").snapshot() == [2, 0, 0, 0], engine
 
 
 def test_zero_size_array_fails_at_plan_lowering():
-    compiled = compile_program(MEMOP, name="zero-size")
-    compiled.checked.info.globals["t"].size = 0
-    with pytest.raises(InterpError) as lowering:
-        PisaPipeline(compiled)
-    assert lowering.value.message == "array 't' has zero size"
+    """A zero-size array never reaches plan lowering: the front end refuses
+    it where it is declared."""
+    with pytest.raises(ConstError, match="global 't' has non-positive size 0") as err:
+        compile_program(MEMOP.replace("Array<<32>>(4)", "Array<<32>>(0)"), name="zero-size")
+    assert err.value.span.text.startswith("global t")
 
 
 # ---------------------------------------------------------------------------

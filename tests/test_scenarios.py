@@ -6,23 +6,22 @@ the CLI.
 
 import bisect
 import itertools
+import json
 import time
 import tracemalloc
 
 import pytest
 
 from repro.backend import compiler
-from repro.errors import InterpError
+from repro.errors import InterpError, SimulationError
 from repro.frontend import check_program
 from repro.frontend.type_checker import TypeChecker
 from repro.interp import ENGINE_NAMES, EventInstance, Network
 from repro.scenarios import (
     SCENARIOS,
     fat_tree,
-    invariant_names,
     leaf_spine,
     line,
-    make_invariant,
     network_array_digest,
     ring,
     run_scenario,
@@ -30,7 +29,7 @@ from repro.scenarios import (
     single_switch,
 )
 from repro.scenarios import traffic as tm
-from repro.scenarios.invariants import Invariant
+from repro.scenarios.invariants import FirewallSolicitedOnly, Invariant
 from repro.scenarios.runner import (
     _CHUNK,
     build_result,
@@ -431,28 +430,6 @@ class TestNetworkReset:
 
 
 # ---------------------------------------------------------------------------
-# invariant machinery
-# ---------------------------------------------------------------------------
-class TestInvariantRegistry:
-    def test_every_registered_name_instantiates(self):
-        for name in invariant_names():
-            inv = make_invariant(name)
-            assert inv.name == name or inv.name  # fresh instance with a name
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            make_invariant("no-such-invariant")
-
-    def test_fresh_instance_per_call(self):
-        assert make_invariant("nat-bijective") is not make_invariant("nat-bijective")
-
-    def test_every_application_declares_resolvable_invariants(self):
-        for app in ALL_APPLICATIONS.values():
-            instances = app.make_invariants()
-            assert len(instances) == len(app.invariants)
-
-
-# ---------------------------------------------------------------------------
 # the bundled scenarios
 # ---------------------------------------------------------------------------
 #: events per scenario for the differential smoke run: enough to make the
@@ -588,7 +565,7 @@ def test_scan_burst_is_detected_as_unsolicited():
     """
     topo = single_switch()
     network = topo.build_network(permissive)
-    inv = make_invariant("firewall-solicited-only")
+    inv = FirewallSolicitedOnly()
     inv.reset(network, topo)
     network.trace_enabled = False
     network.on_handle = inv.observe
@@ -596,6 +573,29 @@ def test_scan_burst_is_detected_as_unsolicited():
     network.run(source=scan.events([0], 50, seed=2))
     violations = inv.check(network)
     assert violations, "permissive firewall must violate solicited-only"
+
+
+def test_install_latency_invariant_keeps_each_flows_first_packet():
+    """``DataPlaneBeatsRemote`` records each flow's first ``pkt_out`` as it
+    observes it, and its checkpointed state carries those times: a restored
+    copy checks to the same Figure 17 row, and a state without them is
+    refused, naming the invariant."""
+    setup = SCENARIOS["sfw-install-latency"].build(400, 1)
+    run_setup(setup, "sfw-install-latency", 1)
+    (latency,) = setup.invariants
+    state = json.loads(json.dumps(latency.snapshot_state()))
+    first = {(src, dst): t for src, dst, t in state["first_packet"]}
+    stream = {}
+    for t, _, event in setup.traffic():
+        if event.name == "pkt_out":
+            stream.setdefault(event.args, t)
+    assert first == stream and len(first) == latency.summary["flows"] > 100
+    twin = type(latency)(seed=1)
+    twin.restore_state(state)
+    assert twin._first == first
+    del state["first_packet"]
+    with pytest.raises(SimulationError, match="dataplane-beats-remote"):
+        twin.restore_state(state)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,18 @@ def test_array_larger_than_one_stage_is_a_const_error(size, cells):
         check_program(source, symbolic_bindings={"N": 131073})
 
 
+@pytest.mark.parametrize("size", ["0", "N - 4", "S"])
+def test_zero_size_array_is_a_const_error(size):
+    """An array of no cells has nothing to index: the front end refuses it
+    where it is declared — a literal 0, a constant expression folding to 0,
+    a ``symbolic size`` bound to 0 — so no engine or printer meets one."""
+    source = (f"const int N = 4; symbolic size S = 8; global t = new Array<<32>>({size}); "
+              "event e(int i); handle e(int i) { Array.set(t, i, 1); }")
+    with pytest.raises(ConstError, match="global 't' has non-positive size 0") as err:
+        check_program(source, symbolic_bindings={"S": 0})
+    assert err.value.span.text.startswith("global t")
+
+
 def test_array_of_one_full_stage_is_accepted():
     source = "global t = new Array<<32>>(131072); event e(int i); handle e(int i) { Array.set(t, i, 1); }"
     assert check_program(source).info.globals["t"].size == 131072

@@ -7,12 +7,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core import (
-    CompilerOptions,
-    EventInstance,
-    compile_program,
-    single_switch_network,
-)
+from repro.core import EventInstance, compile_program, single_switch_network
 
 PROGRAM = r"""
 // A per-destination packet counter with a periodic reset thread.
@@ -45,7 +40,7 @@ handle reset(int idx) {
 
 def main() -> None:
     # 1. compile: type/memop/ordering checks, layout, and P4 generation
-    compiled = compile_program(PROGRAM, name="quickstart", options=CompilerOptions())
+    compiled = compile_program(PROGRAM, name="quickstart")
     print("== compilation ==")
     for key, value in compiled.summary().items():
         print(f"  {key:22s} {value}")

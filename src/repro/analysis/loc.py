@@ -20,7 +20,7 @@ def breakdown_for_compiled(compiled: CompiledProgram) -> Dict[str, object]:
     Lucid LoC, from the naive (hand-written style) P4 when it was
     generated."""
     p4 = compiled.naive_p4 or compiled.p4
-    assert p4 is not None, "compile with emit_p4=True"
+    assert p4 is not None, "compile_checked prints no P4: compile with compile_program"
     counts = p4.line_counts()
     lucid = compiled.lucid_loc()
     row = {

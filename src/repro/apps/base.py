@@ -8,10 +8,9 @@ over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.backend.compiler import CompiledProgram, CompilerOptions, compile_program
+from repro.backend.compiler import CompiledProgram, compile_program
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class Application:
     paper_p4_loc: int = 0
     paper_stages: int = 0
 
-    def compile(
-        self, options: Optional[CompilerOptions] = None, emit_naive_p4: bool = True
-    ) -> CompiledProgram:
+    def compile(self, emit_naive_p4: bool = True) -> CompiledProgram:
         """Compile this application with the Lucid compiler."""
-        options = replace(options or CompilerOptions(), emit_naive_p4=emit_naive_p4)
-        return compile_program(self.source, name=self.key, options=options)
+        return compile_program(self.source, name=self.key, emit_naive_p4=emit_naive_p4)

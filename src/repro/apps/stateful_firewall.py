@@ -42,6 +42,9 @@ memop set_if_empty(int stored, int newval) {
   if (stored == 0) { return newval; } else { return stored; }
 }
 memop refresh(int stored, int now) { return now; }
+memop age(int stored, int now) {
+  if (stored == 0) { return 0; } else { return now - stored; }
+}
 
 event pkt_out(int src, int dst);
 event pkt_in(int src, int dst);
@@ -120,13 +123,15 @@ handle evict_slot(int slot, int idx) {
 }
 
 handle scan_timeouts(int idx) {
-  int seen1 = Array.get(ts1, idx);
-  int seen2 = Array.get(ts2, idx);
+  // each slot's age is computed in its own stateful ALU; an empty slot
+  // (timestamp 0) has age 0, so it never looks stale
   int now = Sys.time();
-  if (seen1 != 0 && now - seen1 > TIMEOUT_NS) {
+  int age1 = Array.getm(ts1, idx, age, now);
+  int age2 = Array.getm(ts2, idx, age, now);
+  if (age1 > TIMEOUT_NS) {
     generate evict_slot(1, idx);
   }
-  if (seen2 != 0 && now - seen2 > TIMEOUT_NS) {
+  if (age2 > TIMEOUT_NS) {
     generate evict_slot(2, idx);
   }
   int next = idx + 1;

@@ -3,7 +3,6 @@ generation for the Intel Tofino."""
 
 from repro.backend.compiler import (
     CompiledProgram,
-    CompilerOptions,
     compile_checked,
     compile_program,
     count_lucid_loc,
@@ -17,7 +16,6 @@ from repro.backend.tables import AtomicTable, TableKind, atomic_tables
 __all__ = [
     "compile_program",
     "compile_checked",
-    "CompilerOptions",
     "CompiledProgram",
     "count_lucid_loc",
     "PipelineLayout",

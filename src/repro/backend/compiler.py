@@ -9,28 +9,17 @@ counts, optimisation ratios, parallelism, lines of code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.backend.layout import PipelineLayout
 from repro.backend.merge import MergeOptions, build_layout
 from repro.backend.p4gen import P4Program, generate_p4
-from repro.backend.resources import TofinoModel
+from repro.errors import LayoutError
 from repro.frontend.type_checker import CheckedProgram, check_program
 # normalize_program runs inside check_program; the name stays here for the
 # per-layer spans of e2ebench/layers.py, which wrap it by this module's name
 from repro.midend.normalize import NormalizedHandler, normalize_program  # noqa: F401
-
-
-@dataclass
-class CompilerOptions:
-    """All compiler knobs in one place."""
-
-    enforce_stage_limit: bool = False
-    emit_p4: bool = True
-    emit_naive_p4: bool = False
-    symbolic_bindings: Optional[Dict[str, int]] = None
-    target: TofinoModel = field(default_factory=TofinoModel)
 
 
 @dataclass
@@ -109,53 +98,47 @@ def count_lucid_loc(source: str) -> int:
     return count
 
 
-def compile_checked(
-    checked: CheckedProgram,
-    options: Optional[CompilerOptions] = None,
-    source: Optional[str] = None,
-) -> CompiledProgram:
-    """Compile an already-checked program to a pipeline layout (and P4).
+def compile_checked(checked: CheckedProgram) -> CompiledProgram:
+    """Lay out an already-checked program, printing no P4 and refusing nothing.
 
-    This is the backend half of :func:`compile_program`, split out so
-    execution engines (notably :class:`~repro.interp.engine.PisaEngine`) can
-    lower a :class:`CheckedProgram` that was checked with per-switch group
-    bindings or symbolic bindings — re-checking from source would lose them.
-    Both layouts start from the lowering checking produced,
+    This is the execution engines' lowering (notably
+    :class:`~repro.interp.engine.PisaEngine`): it takes a
+    :class:`CheckedProgram` that was checked with per-switch group bindings or
+    symbolic bindings — re-checking from source would lose them — and lays it
+    out however many stages it needs, because the simulator runs any checked
+    program.  The layout starts from the lowering checking produced,
     ``checked.normalized``: a checked program always has one.
     """
-    options = options or CompilerOptions()
     normalized = checked.normalized
-    layout = build_layout(
-        checked.info,
-        normalized,
-        model=options.target,
-        options=MergeOptions(enforce_stage_limit=options.enforce_stage_limit),
-    )
-    compiled = CompiledProgram(
+    return CompiledProgram(
         checked=checked,
         normalized=normalized,
-        layout=layout,
-        lucid_source=source,
+        layout=build_layout(checked.info, normalized),
     )
-    if options.emit_p4:
-        compiled.p4 = generate_p4(checked.info, layout, style="lucid")
-    if options.emit_naive_p4:
-        naive_layout = build_layout(
-            checked.info,
-            normalized,
-            model=options.target,
-            options=MergeOptions(optimize=False),
-        )
-        compiled.naive_p4 = generate_p4(checked.info, naive_layout, style="naive")
-    return compiled
 
 
 def compile_program(
     source: str,
     name: str = "<program>",
-    options: Optional[CompilerOptions] = None,
+    emit_naive_p4: bool = False,
 ) -> CompiledProgram:
-    """Compile a Lucid program from source text to a pipeline layout and P4."""
-    options = options or CompilerOptions()
-    checked = check_program(source, name=name, symbolic_bindings=options.symbolic_bindings)
-    return compile_checked(checked, options=options, source=source)
+    """Compile a Lucid program from source text to a pipeline layout and P4.
+
+    A program whose layout does not fit the Tofino's stages is refused with a
+    :class:`~repro.errors.LayoutError`.  With ``emit_naive_p4`` the
+    hand-written-style P4 of the unoptimised layout is printed too.
+    """
+    compiled = compile_checked(check_program(source, name=name))
+    layout = compiled.layout
+    if not layout.fits():
+        raise LayoutError(
+            f"program '{name}' requires {layout.num_stages()} stages but the "
+            f"target provides {layout.model.num_stages}"
+        )
+    info = compiled.checked.info
+    compiled.lucid_source = source
+    compiled.p4 = generate_p4(info, layout, style="lucid")
+    if emit_naive_p4:
+        naive_layout = build_layout(info, compiled.normalized, options=MergeOptions(optimize=False))
+        compiled.naive_p4 = generate_p4(info, naive_layout, style="naive")
+    return compiled

@@ -51,8 +51,6 @@ class MergeOptions:
     #: reorder tables by data flow; when False, program order is kept as a
     #: chain of strict dependencies (ablation: merging without reordering).
     reorder: bool = True
-    #: fail when the program needs more stages than the target provides.
-    enforce_stage_limit: bool = False
 
 
 def _table_resources(table: AtomicTable) -> Dict[str, int]:
@@ -218,11 +216,14 @@ def _compute_array_pins(
 def build_layout(
     info: ProgramInfo,
     normalized: Dict[str, NormalizedHandler],
-    model: Optional[TofinoModel] = None,
     options: Optional[MergeOptions] = None,
 ) -> PipelineLayout:
-    """Lay out every handler of a program onto the pipeline."""
-    model = model or TofinoModel()
+    """Lay out every handler of a program onto the pipeline.
+
+    The layout takes however many stages the program needs;
+    :meth:`PipelineLayout.fits` says whether the Tofino holds it.
+    """
+    model = TofinoModel()
     options = options or MergeOptions()
     layout = PipelineLayout(program_name=info.program.name, model=model)
 
@@ -269,12 +270,6 @@ def build_layout(
         for stage, arrays in enumerate(layouter.stage_arrays)
         for array in arrays
     }
-
-    if options.enforce_stage_limit and layout.num_stages() > model.num_stages:
-        raise LayoutError(
-            f"program '{info.program.name}' requires {layout.num_stages()} stages but the "
-            f"target provides {model.num_stages}"
-        )
     return layout
 
 

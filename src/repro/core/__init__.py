@@ -31,7 +31,6 @@ The submodules group the functionality the same way the paper does:
 from repro.apps import ALL_APPLICATIONS, Application
 from repro.backend import (
     CompiledProgram,
-    CompilerOptions,
     MergeOptions,
     P4Program,
     PipelineLayout,
@@ -87,7 +86,6 @@ __all__ = [
     # compiler
     "compile_program",
     "compile_checked",
-    "CompilerOptions",
     "CompiledProgram",
     "MergeOptions",
     "PipelineLayout",

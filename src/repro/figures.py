@@ -37,7 +37,7 @@ PAPER: List[Tuple[str, str, str, str]] = [
     ("Fig. 9/apps", "applications", "10", "== 10"),
     ("Fig. 9/min_loc_ratio", "smallest P4 / Lucid LoC ratio", "7.8x (RR); ~10x claimed", ">= 5"),
     ("Fig. 9/min_stages", "fewest Tofino stages", "5 (CM)", ">= 2"),
-    ("Fig. 9/max_stages", "most Tofino stages", "12 (*Flow)", "<= 16"),
+    ("Fig. 9/max_stages", "most Tofino stages", "12 (*Flow)", "<= 12"),
     ("Fig. 10/min_p4_minus_lucid", "smallest P4 - Lucid LoC gap", "P4 larger for every app", "> 0"),
     ("Fig. 10/min_logic_share", "smallest table + action + register-action share", "they dominate", "> 1/3"),
     ("Fig. 11 (LoC proxy)/max_loc", "largest Lucid LoC of NAT, RIP, DFW, DFW(a)", "25-55 min each", "<= 150"),

@@ -51,7 +51,8 @@ Spelling = Callable[[ast.BinOp, str, str], str]
 
 class MemopShape(NamedTuple):
     """A checked memop body: ``return value;`` when ``cond`` is ``None``,
-    else ``if (cond) { return value; } else { return orelse; }``.  Its
+    else ``if (cond) { return value; } else { return orelse; }`` with
+    ``cond`` one comparison.  Its
     expressions are what :func:`check_memop` admits, with every constant
     folded to an :class:`~repro.frontend.ast.EInt`: integer literals, the
     two parameters, and one operator over those."""
@@ -197,16 +198,15 @@ def _check_condition(cond: ast.Expr, scope: Scope) -> None:
             "cannot also evaluate a compound condition",
             cond.span,
         )
-    if kind is OpKind.COMPARISON:
-        _check_value_expr_rec(cond.left, depth=0)
-        _check_value_expr_rec(cond.right, depth=0)
-    elif not isinstance(cond, (ast.EVar, ast.EBool)):
+    _check_variables(cond, scope)
+    if kind is not OpKind.COMPARISON:
         raise MemopError(
             "a memop condition must be a single comparison between the stored value, "
             "the local argument, or constants",
             cond.span,
         )
-    _check_variables(cond, scope)
+    _check_value_expr_rec(cond.left, depth=0)
+    _check_value_expr_rec(cond.right, depth=0)
 
 
 def _check_value_expr(expr: ast.Expr, scope: Scope) -> None:

@@ -71,7 +71,6 @@ class HandlerCheckResult:
     name: str
     trace: List[ConcreteAccess] = field(default_factory=list)
     end_stage: int = 0
-    generates: List[str] = field(default_factory=list)  # events generated
 
 
 @dataclass
@@ -89,7 +88,6 @@ class CheckedProgram:
     program: ast.Program
     info: ProgramInfo
     handler_results: Dict[str, HandlerCheckResult] = field(default_factory=dict)
-    fun_summaries: Dict[str, EffectSummary] = field(default_factory=dict)
     #: handler name -> its inlined, normalised body (:func:`check_program`)
     normalized: Dict[str, NormalizedHandler] = field(
         default_factory=dict, compare=False, repr=False)
@@ -136,12 +134,9 @@ class _BodyContext:
         self.env = env
         self.array_params = array_params  # param name -> param index
         self.ret = ret
-        self.generates: List[str] = []
 
     def child(self) -> "_BodyContext":
-        ctx = _BodyContext(self.kind, self.name, dict(self.env), self.array_params, self.ret)
-        ctx.generates = self.generates
-        return ctx
+        return _BodyContext(self.kind, self.name, dict(self.env), self.array_params, self.ret)
 
 
 class TypeChecker:
@@ -167,7 +162,6 @@ class TypeChecker:
             program=program,
             info=self.info,
             handler_results=handler_results,
-            fun_summaries=self.fun_summaries,
         )
 
     # -- functions ---------------------------------------------------------
@@ -218,7 +212,6 @@ class TypeChecker:
             name=handler.name,
             trace=list(tracker.trace),
             end_stage=tracker.current,
-            generates=list(ctx.generates),
         )
 
     # -- statements --------------------------------------------------------
@@ -333,9 +326,6 @@ class TypeChecker:
             raise TypeError_(
                 f"generate expects an event, found {ty}", stmt.event.span
             )
-        for sub in ast.walk_expr(stmt.event):
-            if isinstance(sub, ast.EEvent):
-                ctx.generates.append(sub.name)
         return effects
 
     # -- expressions -------------------------------------------------------

@@ -150,10 +150,9 @@ def _compiled_for(checked) -> "object":
     :func:`repro.pisa.pipeline.lower_layout` caches on the compiled program."""
     compiled = getattr(checked, "_engine_compiled", None)
     if compiled is None:
-        from repro.backend.compiler import CompilerOptions, compile_checked
+        from repro.backend.compiler import compile_checked
 
-        compiled = checked._engine_compiled = compile_checked(
-            checked, options=CompilerOptions(emit_p4=False))
+        compiled = checked._engine_compiled = compile_checked(checked)
     return compiled
 
 

@@ -373,11 +373,10 @@ def _run(args, scenario) -> int:
         app = ALL_APPLICATIONS[scenario.app_key]
         checked = check_program(app.source, name=scenario.app_key)
         if args.engine == "pisa":
-            from repro.backend.compiler import CompilerOptions, compile_checked
+            from repro.backend.compiler import compile_checked
             from repro.pisa.pipeline import lower_layout
 
-            compiled = compile_checked(checked, CompilerOptions(emit_p4=False))
-            print(lower_layout(compiled).source)
+            print(lower_layout(compile_checked(checked)).source)
         else:
             from repro.interp.codegen import dump_program_source
 

@@ -8,7 +8,6 @@ import pytest
 
 from p4_golden_recorder import p4_summary
 from repro.apps import ALL_APPLICATIONS
-from repro.backend import CompilerOptions
 from repro.control import remote_install_latencies
 from repro.core import EventInstance, Network, single_switch_network
 from repro.scenarios import SCENARIOS, run_scenario
@@ -26,13 +25,10 @@ def compiled_apps():
 # compilation properties (Figure 9 shape)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("emit_naive_p4", [True, False])
-def test_compile_honours_emit_naive_p4_beside_options(emit_naive_p4):
-    app = ALL_APPLICATIONS["SRO"]
-    options = CompilerOptions(emit_p4=False, emit_naive_p4=not emit_naive_p4)
-    compiled = app.compile(options=options, emit_naive_p4=emit_naive_p4)
+def test_compile_honours_emit_naive_p4(emit_naive_p4):
+    compiled = ALL_APPLICATIONS["SRO"].compile(emit_naive_p4=emit_naive_p4)
     assert (compiled.naive_p4 is not None) == emit_naive_p4
-    assert compiled.p4 is None  # the rest of ``options`` is kept
-    assert options.emit_naive_p4 == (not emit_naive_p4)  # and the caller's object untouched
+    assert compiled.p4 is not None
 
 
 def test_all_ten_applications_present():
@@ -86,7 +82,7 @@ def test_generated_p4_mentions_every_global(compiled_apps, key):
 def test_stage_counts_are_in_the_papers_ballpark(compiled_apps):
     stages = [c.stages() for c in compiled_apps.values()]
     assert min(stages) >= 2
-    assert max(stages) <= 16  # the paper's apps use 5-12 Tofino stages
+    assert max(stages) <= 12  # the paper's apps use 5-12 Tofino stages
 
 
 def test_control_events_exist_in_every_app(compiled_apps):
@@ -175,6 +171,44 @@ def test_firewall_timeout_scan_evicts_idle_flows():
     network.run(until_ns=400_000_000)
     remaining = switch.array("keys1").nonzero_entries() + switch.array("keys2").nonzero_entries()
     assert remaining == 0
+
+
+@pytest.mark.parametrize("engine", ["reference", "codegen", "pisa"])
+def test_firewall_timeout_scan_evicts_exactly_the_stale_slots(engine):
+    """Each slot's age is computed by the ``age`` memop in its array's
+    stateful ALU; the scan evicts exactly the slots the rule
+    ``seen != 0 && ((now - seen) mod 2**32) > TIMEOUT_NS`` selects: an empty
+    slot never, a timestamp above ``now`` (the 32-bit clock wrapped) always."""
+    from repro.apps.stateful_firewall import SOURCE
+    from repro.frontend import check_program
+
+    now, timeout = 250_000_000, 100_000_000
+    stamps = [0, now, now - timeout, now - timeout - 1, now + 7]
+    slots = len(stamps) ** 2
+    checked = check_program(SOURCE, name="SFW", symbolic_bindings={"TBL_SLOTS": slots})
+    network, switch = single_switch_network(checked, engine=engine)
+    primed = {1: [stamps[idx % len(stamps)] for idx in range(slots)],
+              2: [stamps[idx // len(stamps)] for idx in range(slots)]}
+    switch.array("ts1").cells[:] = primed[1]
+    switch.array("ts2").cells[:] = primed[2]
+    for idx in range(slots):
+        network.inject(0, EventInstance("scan_timeouts", (idx,)), at_ns=now)
+    network.run(until_ns=now)
+
+    def stale(seen):
+        return seen != 0 and (now - seen) % 2**32 > timeout
+
+    expected = {(slot, idx) for slot, cells in primed.items()
+                for idx, seen in enumerate(cells) if stale(seen)}
+    # two stale stamps (one past the timeout, one from after a wrap), each
+    # primed into len(stamps) slots of each table
+    assert len(expected) == 2 * 2 * len(stamps)
+    scans = [t for t in network.trace if t.event.name == "scan_timeouts"]
+    assert len(scans) == slots
+    evicted = [tuple(ev.args) for t in scans for ev in t.result.generated
+               if ev.name == "evict_slot"]
+    assert len(evicted) == len(set(evicted))
+    assert set(evicted) == expected
 
 
 # ---------------------------------------------------------------------------

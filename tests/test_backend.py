@@ -7,11 +7,11 @@ import time
 import pytest
 
 from repro.backend import (
-    CompilerOptions,
     MergeOptions,
     TableKind,
     atomic_tables,
     build_layout,
+    compile_checked,
     compile_program,
     count_lucid_loc,
 )
@@ -183,7 +183,7 @@ def test_wide_handler_compiles_in_linear_time():
         f"handle pkt(int x, int y) {{\n  int acc = y;\n{ifs}\n  Array.set(hits, 0, acc);\n}}\n"
     )
     started = time.perf_counter()
-    compiled = compile_program(source, options=CompilerOptions(emit_naive_p4=True))
+    compiled = compile_program(source, emit_naive_p4=True)
     plan = lower_layout(compiled)
     elapsed = time.perf_counter() - started
     assert compiled.unoptimized_stages() == 1 + 2 * 24 + 1
@@ -287,17 +287,27 @@ def test_conditions_disjoint_finds_exclusive_arms():
 
 
 def test_stage_limit_enforcement():
-    # a long chain of dependent arrays cannot fit a 3-stage target
-    decls = "\n".join(f"global g{i} = new Array<<32>>(8);" for i in range(6))
-    chain = " ".join(
-        f"int v{i+1} = Array.get(g{i}, v{i});" for i in range(6)
-    )
-    source = f"{decls}\nevent e(int v0);\nhandle e(int v0) {{ {chain} }}"
-    from repro.backend.resources import TofinoModel
+    # thirteen dependent additions and the store need 14 stages: the compiler
+    # refuses them, and the engines still lower and run them
+    chain = "\n".join(f"  int a{i + 1} = a{i} + {i + 1};" for i in range(13))
+    source = ("global out = new Array<<32>>(4);\nevent e(int a0);\n"
+              f"handle e(int a0) {{\n{chain}\n  Array.set(out, 0, a13);\n}}\n")
+    with pytest.raises(LayoutError,
+                       match="program 'chain' requires 14 stages but the target provides 12"):
+        compile_program(source, name="chain")
 
-    options = CompilerOptions(target=TofinoModel(num_stages=3), enforce_stage_limit=True)
-    with pytest.raises(LayoutError):
-        compile_program(source, options=options)
+    checked = check_program(source, name="chain")
+    lowered = compile_checked(checked)
+    assert lowered.stages() == 14 and not lowered.layout.fits()
+    assert lowered.p4 is None
+    cells = {}
+    for engine in ("reference", "pisa"):
+        network, switch = single_switch_network(checked, engine=engine)
+        network.inject(0, EventInstance("e", (5,)))
+        network.run()
+        cells[engine] = switch.array("out").snapshot()
+    assert cells["pisa"] == cells["reference"]
+    assert cells["reference"][0] == 5 + sum(range(1, 14))
 
 
 def test_alu_instructions_per_stage_counts_all_tables(figure6_compiled):
@@ -331,7 +341,7 @@ def test_p4_line_counts_sum_to_total(figure6_compiled):
 
 
 def test_naive_p4_is_longer_than_compiler_p4():
-    compiled = compile_program(FIGURE6, options=CompilerOptions(emit_naive_p4=True))
+    compiled = compile_program(FIGURE6, emit_naive_p4=True)
     assert compiled.naive_p4_loc() >= compiled.p4_loc()
 
 

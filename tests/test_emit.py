@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ALL_APPLICATIONS
-from repro.backend.compiler import CompilerOptions, compile_checked
+from repro.backend.compiler import compile_checked
 from repro.errors import ConstError, InterpError
 from repro.frontend import check_program
 from repro.fuzz.case import load_case
@@ -162,7 +162,7 @@ BINDING = re.compile(
 @pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
 def test_both_dumps_have_the_one_factory_shape(key):
     checked = check_program(ALL_APPLICATIONS[key].source, name=key)
-    plan = lower_layout(compile_checked(checked, CompilerOptions(emit_p4=False))).source
+    plan = lower_layout(compile_checked(checked)).source
     for source, factory in ((dump_program_source(checked), "def _bind(_rt):"),
                             (plan, "def _bind(_P, _rt):")):
         compile(source, f"<{key}>", "exec")

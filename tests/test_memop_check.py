@@ -195,6 +195,20 @@ MALFORMED = {
     "call_in_condition": (
         "memop m(int stored, int x) { if (Sys.time()) { return stored + x; } else { return x; } }",
         "a memop condition must be a single comparison", "Sys.time()"),
+    # a bare value is no comparison: P4 would read it as a bit<32> where
+    # it requires a bool
+    "local_as_condition": (
+        "memop m(int stored, int x) { if (x) { return stored + x; } else { return x; } }",
+        "a memop condition must be a single comparison", "x"),
+    "stored_as_condition": (
+        "memop m(int stored, int x) { if (stored) { return x; } else { return 0; } }",
+        "a memop condition must be a single comparison", "stored"),
+    "true_as_condition": (
+        "memop m(int stored, int x) { if (true) { return x; } else { return stored; } }",
+        "a memop condition must be a single comparison", "true"),
+    "constant_as_condition": (
+        "memop m(int stored, int x) { if (K) { return x; } else { return stored; } }",
+        "a memop condition must be a single comparison", "K"),
 }
 
 

@@ -19,14 +19,14 @@ at other switches is state synchronisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.backend.compiler import CompiledProgram
 from repro.midend.normalize import Const
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecircUse:
     """One recirculation use category."""
 

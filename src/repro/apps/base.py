@@ -8,12 +8,11 @@ over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.backend.compiler import CompiledProgram, compile_program
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Application:
     """One data-plane application with integrated control."""
 

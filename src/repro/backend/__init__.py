@@ -1,5 +1,6 @@
 """The Lucid compiler backend: atomic tables, layout optimisation, and P4
-generation for the Intel Tofino."""
+generation for the Intel Tofino.  The P4 printer, :mod:`repro.backend.p4gen`,
+is imported by the runs that print P4 only."""
 
 from repro.backend.compiler import (
     CompiledProgram,
@@ -9,7 +10,6 @@ from repro.backend.compiler import (
 )
 from repro.backend.layout import MergedTable, PipelineLayout, StageLayout
 from repro.backend.merge import MergeOptions, build_layout
-from repro.backend.p4gen import P4Program, generate_p4
 from repro.backend.resources import TofinoModel
 from repro.backend.tables import AtomicTable, TableKind, atomic_tables
 
@@ -23,8 +23,6 @@ __all__ = [
     "MergedTable",
     "MergeOptions",
     "build_layout",
-    "P4Program",
-    "generate_p4",
     "TofinoModel",
     "AtomicTable",
     "TableKind",

@@ -9,20 +9,29 @@ counts, optimisation ratios, parallelism, lines of code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.backend.layout import PipelineLayout
 from repro.backend.merge import MergeOptions, build_layout
-from repro.backend.p4gen import P4Program, generate_p4
 from repro.errors import LayoutError
 from repro.frontend.type_checker import CheckedProgram, check_program
 # normalize_program runs inside check_program; the name stays here for the
 # per-layer spans of e2ebench/layers.py, which wrap it by this module's name
 from repro.midend.normalize import NormalizedHandler, normalize_program  # noqa: F401
+from repro.records import record
+
+if TYPE_CHECKING:
+    from repro.backend.p4gen import P4Program
 
 
-@dataclass
+def generate_p4(info, layout: PipelineLayout, style: str = "lucid") -> P4Program:
+    """:func:`repro.backend.p4gen.generate_p4`, imported on the first call."""
+    from repro.backend import p4gen
+
+    return p4gen.generate_p4(info, layout, style)
+
+
+@record
 class CompiledProgram:
     """Everything the compiler produces for one Lucid program."""
 

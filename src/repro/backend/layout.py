@@ -7,14 +7,14 @@ evaluation benchmarks (Figures 9, 12, and 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.backend.resources import TofinoModel
 from repro.backend.tables import AtomicTable
+from repro.records import field, record
 
 
-@dataclass
+@record
 class MergedTable:
     """A physical match-action table holding one or more atomic tables.
 
@@ -45,7 +45,7 @@ class MergedTable:
         return count
 
 
-@dataclass
+@record
 class StageLayout:
     """All tables placed in one physical pipeline stage."""
 
@@ -61,7 +61,7 @@ class StageLayout:
         return len(self.atomic_tables())
 
 
-@dataclass
+@record
 class PipelineLayout:
     """The complete placement of a program onto the pipeline."""
 

@@ -17,7 +17,6 @@ handlers, so shared arrays end up at the latest stage any handler needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.backend.layout import MergedTable, PipelineLayout, StageLayout
@@ -27,6 +26,7 @@ from repro.backend.tables import AtomicTable, TableKind, atomic_tables
 from repro.errors import LayoutError
 from repro.frontend.symbols import ProgramInfo
 from repro.midend.normalize import NormalizedHandler
+from repro.records import record
 
 
 class _PinConflict(Exception):
@@ -40,7 +40,7 @@ class _PinConflict(Exception):
         self.span = span
 
 
-@dataclass
+@record
 class MergeOptions:
     """Knobs for the layout pass — used by the optimisation ablations."""
 

@@ -28,7 +28,6 @@ Two generation styles are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.backend.layout import PipelineLayout
@@ -49,9 +48,10 @@ from repro.midend.normalize import (
     array_call,
 )
 from repro.ops import BINOPS, OpKind, p4_spelling
+from repro.records import field, record
 
 
-@dataclass
+@record
 class P4Program:
     """Generated P4 split into the sections counted by Figure 10."""
 

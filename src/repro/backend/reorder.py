@@ -20,16 +20,16 @@ That a register array lives in exactly one stage is not an edge of this DAG:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.backend.tables import AtomicTable
 from repro.frontend.ast import BinOp
 from repro.midend.normalize import Const, operand_vars
 from repro.ops import BINOPS
+from repro.records import record
 
 
-@dataclass
+@record
 class Dependency:
     """An edge of the data-flow DAG."""
 

@@ -10,12 +10,11 @@ stages, with 2-13 ALU instructions mapped per stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.frontend.const_eval import STAGE_REGISTER_CELLS
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TofinoModel:
     """Per-pipeline resource limits used by the layout algorithm."""
 
@@ -35,7 +34,7 @@ class TofinoModel:
     max_merge_width: int = 16
 
 
-@dataclass
+@record
 class StageResources:
     """Mutable resource usage of one pipeline stage during layout."""
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.midend.normalize import (
@@ -36,6 +35,7 @@ from repro.midend.normalize import (
     stmt_reads,
     stmt_writes,
 )
+from repro.records import field, record
 
 
 class TableKind(enum.Enum):
@@ -48,7 +48,7 @@ class TableKind(enum.Enum):
     PRIMITIVE = "primitive"
 
 
-@dataclass
+@record
 class AtomicTable:
     """One atomic table: a single match-action table wrapping one operation."""
 

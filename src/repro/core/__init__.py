@@ -32,14 +32,13 @@ from repro.apps import ALL_APPLICATIONS, Application
 from repro.backend import (
     CompiledProgram,
     MergeOptions,
-    P4Program,
     PipelineLayout,
     TofinoModel,
     compile_checked,
     compile_program,
     count_lucid_loc,
-    generate_p4,
 )
+from repro.backend.p4gen import P4Program, generate_p4
 from repro.control import remote_install_latencies
 from repro.errors import (
     LayoutError,
@@ -56,7 +55,6 @@ from repro.interp import (
     ENGINES,
     CodegenEngine,
     EventInstance,
-    HandlerInterpreter,
     Network,
     PisaEngine,
     ReferenceEngine,
@@ -69,6 +67,7 @@ from repro.interp import (
     make_engine,
     single_switch_network,
 )
+from repro.interp.walker import HandlerInterpreter
 from repro.pisa import PisaPipeline, figure14_point
 from repro.scenarios import (
     SCENARIOS,

@@ -18,56 +18,56 @@ report source-anchored diagnostics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.frontend.source import Span, dummy_span
+from repro.records import field, record
 
 
 # ---------------------------------------------------------------------------
 # Types (surface syntax)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeExpr:
     """Base class of surface type expressions."""
 
     span: Span = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TInt(TypeExpr):
     """``int`` — a 32-bit word, the one integer type (a width is written only
     where something masks to it: ``Array<<w>>`` cells and ``hash<<w>>``)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TBool(TypeExpr):
     """``bool``."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TVoid(TypeExpr):
     """``void`` — the return type of handlers and of functions with no value."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TEvent(TypeExpr):
     """``event`` — a first-class event value awaiting ``generate``."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TGroup(TypeExpr):
     """``group`` — a multicast group of switch locations."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TArray(TypeExpr):
     """``Array<<w>>`` — a persistent register array of w-bit cells, 1 <= w <= 32."""
 
     width: int = 32
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TAuto(TypeExpr):
     """``auto`` — a local takes the type of its initialiser."""
 
@@ -107,35 +107,35 @@ class UnOp(enum.Enum):
     BITNOT = "~"
 
 
-@dataclass
+@record
 class Expr:
     """Base class for expressions."""
 
     span: Span = field(repr=False)
 
 
-@dataclass
+@record
 class EInt(Expr):
     """Integer literal (already normalised to a plain int; times are ns)."""
 
     value: int = 0
 
 
-@dataclass
+@record
 class EBool(Expr):
     """Boolean literal."""
 
     value: bool = False
 
 
-@dataclass
+@record
 class EVar(Expr):
     """A variable reference (local, parameter, const, or global)."""
 
     name: str = ""
 
 
-@dataclass
+@record
 class EUnary(Expr):
     """Unary operator application."""
 
@@ -143,7 +143,7 @@ class EUnary(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class EBinary(Expr):
     """Binary operator application."""
 
@@ -152,7 +152,7 @@ class EBinary(Expr):
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class ECall(Expr):
     """A call.  ``func`` is a dotted path such as ``Array.get`` or ``incr``."""
 
@@ -161,7 +161,7 @@ class ECall(Expr):
     size_args: List[int] = field(default_factory=list)  # e.g. hash<<16>>(...)
 
 
-@dataclass
+@record
 class EEvent(Expr):
     """An event-constructor expression, e.g. ``route_reply(SELF, dst, len)``.
 
@@ -174,7 +174,7 @@ class EEvent(Expr):
     args: List[Expr] = field(default_factory=list)
 
 
-@dataclass
+@record
 class EGroup(Expr):
     """A group literal, e.g. ``{2, 3}``."""
 
@@ -184,14 +184,14 @@ class EGroup(Expr):
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
-@dataclass
+@record
 class Stmt:
     """Base class for statements."""
 
     span: Span = field(repr=False)
 
 
-@dataclass
+@record
 class SLocal(Stmt):
     """A local variable declaration: ``int x = e;`` or ``event ev = e;``."""
 
@@ -200,7 +200,7 @@ class SLocal(Stmt):
     init: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class SAssign(Stmt):
     """Assignment to an existing local: ``x = e;``."""
 
@@ -208,7 +208,7 @@ class SAssign(Stmt):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class SIf(Stmt):
     """``if (cond) { ... } else { ... }`` — the else branch may be empty."""
 
@@ -217,7 +217,7 @@ class SIf(Stmt):
     else_body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@record
 class SMatch(Stmt):
     """``match (e1, e2) with | pat -> { ... }`` — used by some applications."""
 
@@ -225,14 +225,14 @@ class SMatch(Stmt):
     branches: List[Tuple[List[Optional[int]], List[Stmt]]] = field(default_factory=list)
 
 
-@dataclass
+@record
 class SReturn(Stmt):
     """``return e;`` or ``return;``."""
 
     value: Optional[Expr] = None
 
 
-@dataclass
+@record
 class SGenerate(Stmt):
     """``generate e;`` — schedule an event (possibly wrapped in combinators)."""
 
@@ -240,7 +240,7 @@ class SGenerate(Stmt):
     multicast: bool = False  # True for ``mgenerate``
 
 
-@dataclass
+@record
 class SExpr(Stmt):
     """An expression evaluated for its effect, e.g. ``Array.set(...);``."""
 
@@ -250,7 +250,7 @@ class SExpr(Stmt):
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
-@dataclass
+@record
 class Param:
     """A formal parameter ``ty name``."""
 
@@ -259,14 +259,14 @@ class Param:
     span: Span = field(repr=False, default_factory=dummy_span)
 
 
-@dataclass
+@record
 class Decl:
     """Base class for top-level declarations."""
 
     span: Span = field(repr=False)
 
 
-@dataclass
+@record
 class DConst(Decl):
     """``const int NAME = expr;`` or ``const group NAME = {..};``."""
 
@@ -275,7 +275,7 @@ class DConst(Decl):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class DSymbolic(Decl):
     """``symbolic size name;`` — a size left free for the harness to bind."""
 
@@ -283,7 +283,7 @@ class DSymbolic(Decl):
     default: int = 1024
 
 
-@dataclass
+@record
 class DExtern(Decl):
     """``extern fun int name(params);`` — a function supplied by the harness."""
 
@@ -292,7 +292,7 @@ class DExtern(Decl):
     params: List[Param] = field(default_factory=list)
 
 
-@dataclass
+@record
 class DGlobal(Decl):
     """``global name = new Array<<w>>(size);``
 
@@ -306,7 +306,7 @@ class DGlobal(Decl):
     size: Optional[int] = None  # filled by constant evaluation
 
 
-@dataclass
+@record
 class DEvent(Decl):
     """``event name(params);`` — declares an event and its payload."""
 
@@ -314,7 +314,7 @@ class DEvent(Decl):
     params: List[Param] = field(default_factory=list)
 
 
-@dataclass
+@record
 class DHandler(Decl):
     """``handle name(params) { body }`` — the computation run for an event."""
 
@@ -323,7 +323,7 @@ class DHandler(Decl):
     body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@record
 class DFun(Decl):
     """``fun ret name(params) { body }`` — an ordinary (inlined) function."""
 
@@ -333,7 +333,7 @@ class DFun(Decl):
     body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@record
 class DMemop(Decl):
     """``memop name(int stored, int local) { body }`` — a stateful-ALU op."""
 
@@ -342,7 +342,7 @@ class DMemop(Decl):
     body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@record
 class Program:
     """A parsed Lucid program: an ordered list of declarations."""
 

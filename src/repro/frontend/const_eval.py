@@ -9,12 +9,12 @@ interpreter, backend) consult.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import ConstError
 from repro.frontend import ast
 from repro.ops import BINOPS, apply_binop, apply_unop
+from repro.records import field, record
 
 #: the most cells one register array may have: one stage's register SRAM
 #: (the Tofino resource model's per-stage default, in 32-bit words)
@@ -33,7 +33,7 @@ BUILTIN_CONSTS: Dict[str, int] = {
 }
 
 
-@dataclass
+@record
 class ConstEnv:
     """A resolved mapping from constant names to integer values."""
 

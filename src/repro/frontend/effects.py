@@ -18,14 +18,14 @@ at different stages, exactly as the paper's polymorphic inference allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import OrderError
 from repro.frontend.source import Span
+from repro.records import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConcreteAccess:
     """An access to a specific global (known stage) at a source location."""
 
@@ -34,7 +34,7 @@ class ConcreteAccess:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamAccess:
     """An access through the ``index``-th parameter of the enclosing function
     (an array-typed formal whose stage is bound at the call site)."""
@@ -44,7 +44,7 @@ class ParamAccess:
     span: Span = field(compare=False)
 
 
-@dataclass
+@record
 class BranchAccess:
     """Alternative access sequences from the arms of an ``if``/``match``.
 
@@ -59,7 +59,7 @@ class BranchAccess:
 Access = Union[ConcreteAccess, ParamAccess, BranchAccess]
 
 
-@dataclass
+@record
 class EffectSummary:
     """An ordered tree of the global accesses performed by a body."""
 
@@ -101,7 +101,7 @@ class EffectSummary:
         return iter(self.items)
 
 
-@dataclass
+@record
 class StageTracker:
     """Threads the "current stage" through a handler body and reports ordering
     violations with source-level messages naming both conflicting accesses."""

@@ -8,11 +8,12 @@ exactly what is wrong" (Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
+from repro.records import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class SourceFile:
     """A unit of Lucid source text.
 

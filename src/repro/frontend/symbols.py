@@ -13,12 +13,12 @@ interpreter, and the compiler backend.  It records:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.const_eval import ConstEnv, build_const_env, resolve_global_sizes
+from repro.records import field, record
 
 if TYPE_CHECKING:  # memop_check reads ProgramInfo
     from repro.frontend.memop_check import MemopShape
@@ -57,7 +57,7 @@ ARRAY_METHODS = frozenset(
 EVENT_COMBINATORS = frozenset({"Event.delay", "Event.locate", "Event.sslocate"})
 
 
-@dataclass
+@record
 class GlobalInfo:
     """A persistent array and its position in the declaration order."""
 
@@ -68,7 +68,7 @@ class GlobalInfo:
     decl: ast.DGlobal
 
 
-@dataclass
+@record
 class ProgramInfo:
     """Aggregated symbol information for one program."""
 

@@ -21,7 +21,6 @@ checked once and reused at any call site whose argument stages are compatible
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import OrderError, TypeError_
@@ -55,6 +54,7 @@ from repro.frontend.types import (
     from_surface,
 )
 from repro.ops import BINOPS, UNOPS, OpKind
+from repro.records import field, record
 
 if TYPE_CHECKING:  # pragma: no cover - the midend imports the frontend
     from repro.midend.normalize import NormalizedHandler
@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - the midend imports the frontend
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
-@dataclass
+@record
 class HandlerCheckResult:
     """Per-handler results of checking: the ordered trace of global accesses
     (useful to the backend and to tests) and the final abstract stage."""
@@ -73,7 +73,7 @@ class HandlerCheckResult:
     end_stage: int = 0
 
 
-@dataclass
+@record
 class CheckedProgram:
     """A program that passed all frontend checks and the midend: every
     handler has a lowering, which the engines and the backend share.

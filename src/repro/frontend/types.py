@@ -11,13 +11,13 @@ the ordered type-and-effect system reasons about (Section 5, Appendix A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.frontend import ast
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ty:
     """Base class of semantic types."""
 
@@ -28,7 +28,7 @@ class Ty:
         return self.show()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntTy(Ty):
     """A 32-bit integer word."""
 
@@ -36,19 +36,19 @@ class IntTy(Ty):
         return "int"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolTy(Ty):
     def show(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VoidTy(Ty):
     def show(self) -> str:
         return "void"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventTy(Ty):
     """A first-class event value (name resolved, payload bound)."""
 
@@ -56,13 +56,13 @@ class EventTy(Ty):
         return "event"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupTy(Ty):
     def show(self) -> str:
         return "group"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrayTy(Ty):
     """A persistent array; ``stage`` is the declaration index of the global it
     refers to, or ``None`` for an array-typed formal parameter whose stage is

@@ -10,14 +10,15 @@ meet at :func:`repro.frontend.unparse.unparse`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import List, Tuple
+
+from repro.records import field, record
 
 #: one injection: (time_ns, switch_id, event_name, args)
 Injection = Tuple[int, int, str, Tuple[int, ...]]
 
 
-@dataclass
+@record
 class FuzzCase:
     """One differential test case."""
 

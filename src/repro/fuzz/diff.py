@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.frontend.type_checker import CheckedProgram, check_program
@@ -26,6 +25,7 @@ from repro.fuzz.case import FuzzCase
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.network import Network
+from repro.records import field, record
 from repro.scenarios.runner import network_array_digest
 from repro.service.checkpoint import write_json
 
@@ -51,7 +51,7 @@ TraceRow = Tuple[int, int, str, Tuple[int, ...]]
 MAX_EVENTS_PER_RUN = 20_000
 
 
-@dataclass
+@record
 class CaseResult:
     """Everything observable about one engine's execution of one case."""
 
@@ -67,7 +67,7 @@ class CaseResult:
         return self.error is not None
 
 
-@dataclass
+@record
 class DiffOutcome:
     """Every registered engine's result plus the list of disagreements."""
 

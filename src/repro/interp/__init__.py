@@ -14,7 +14,6 @@ from repro.interp.engine import (
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import (
     ExecutionResult,
-    HandlerInterpreter,
     SwitchRuntime,
     lucid_hash,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ENGINES",
     "ENGINE_NAMES",
     "make_engine",
-    "HandlerInterpreter",
     "SwitchRuntime",
     "ExecutionResult",
     "lucid_hash",

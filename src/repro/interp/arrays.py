@@ -9,15 +9,15 @@ cell and applies at most one memop per direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.errors import InterpError
+from repro.records import field, record
 
 Memop = Callable[[int, int], int]
 
 
-@dataclass
+@record
 class RuntimeArray:
     """One register array instance on one switch."""
 

@@ -1,6 +1,6 @@
 """Source-codegen fast path: compile checked handlers to flat Python source.
 
-Where the tree-walking :class:`~repro.interp.interpreter.HandlerInterpreter`
+Where the tree-walking :class:`~repro.interp.walker.HandlerInterpreter`
 re-interprets the AST on every event, this module prints every handler as
 *flat Python source text* and compiles the whole program once with
 :func:`compile`/``exec``.  A handler dispatch is then a single Python

@@ -49,7 +49,6 @@ access is :meth:`ModuleEmitter._array_rmw`, a ``generate`` is one pre-shaped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError, SimulationError
@@ -72,6 +71,7 @@ from repro.midend.normalize import (
 )
 from repro.obs.metrics import OBS as _OBS, Counter
 from repro.ops import MASK32, binop_template, hash_namespace, hash_template
+from repro.records import record
 
 #: one emitted line: (indent level relative to its ``def``, text)
 Line = Tuple[int, str]
@@ -103,7 +103,7 @@ _BINDINGS = {
 EMPTY_RESULT = ExecutionResult((), ())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratedModule:
     """One program's generated module, compiled once and shared by every
     switch running the program."""

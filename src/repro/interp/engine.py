@@ -5,7 +5,7 @@ A :class:`~repro.interp.network.Switch` executes events through a
 returns what it produced.  Three engines ship with the repository:
 
 ``reference``
-    The tree-walking :class:`~repro.interp.interpreter.HandlerInterpreter`.
+    The tree-walking :class:`~repro.interp.walker.HandlerInterpreter`.
     Slow, obviously-correct AST interpretation; the semantic baseline the
     other two are tested against.
 
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Type
 
 from repro.errors import SimulationError
 from repro.interp.events import EventInstance
-from repro.interp.interpreter import ExecutionResult, HandlerInterpreter, SwitchRuntime
+from repro.interp.interpreter import ExecutionResult, SwitchRuntime
 
 
 class SwitchEngine:
@@ -114,6 +114,8 @@ class ReferenceEngine(SwitchEngine):
 
     def __init__(self, runtime: SwitchRuntime):
         super().__init__(runtime)
+        from repro.interp.walker import HandlerInterpreter
+
         self.executor = HandlerInterpreter(runtime)
         self.run = self.executor.run  # direct bind: zero indirection per event
 

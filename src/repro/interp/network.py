@@ -25,7 +25,6 @@ metrics, which are read from it rather than counted beside it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -35,6 +34,7 @@ from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES, SwitchEngine, make
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.interpreter import ExecutionResult, SwitchRuntime
 from repro.obs.metrics import OBS as _OBS, REGISTRY
+from repro.records import field, record
 
 
 class _Metrics:
@@ -132,7 +132,7 @@ def watch_metrics(network: "Network") -> None:
     _Metrics.watch(network)
 
 
-@dataclass
+@record
 class SchedulerConfig:
     """Timing constants of the event scheduler and the simulated hardware."""
 
@@ -173,7 +173,7 @@ class SchedulerConfig:
                 f"got {self.recirc_queue_capacity}")
 
 
-@dataclass
+@record
 class SwitchStats:
     """Per-switch counters collected during simulation."""
 
@@ -305,28 +305,16 @@ SNAPSHOT_FORMAT = "repro-network-snapshot"
 SNAPSHOT_VERSION = 3
 
 
+@record
 class TraceEntry:
     """One handled event, for test assertions and latency measurements
     (``__slots__``: one is allocated per event while anything consumes them)."""
 
     __slots__ = ("time_ns", "switch_id", "event", "result")
-
-    def __init__(self, time_ns: int, switch_id: int, event: EventInstance,
-                 result: ExecutionResult) -> None:
-        self.time_ns = time_ns
-        self.switch_id = switch_id
-        self.event = event
-        self.result = result
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TraceEntry:
-            return NotImplemented
-        return (self.time_ns, self.switch_id, self.event, self.result) == (
-            other.time_ns, other.switch_id, other.event, other.result)
-
-    def __repr__(self) -> str:
-        return (f"TraceEntry(time_ns={self.time_ns!r}, switch_id={self.switch_id!r}, "
-                f"event={self.event!r}, result={self.result!r})")
+    time_ns: int
+    switch_id: int
+    event: EventInstance
+    result: ExecutionResult
 
 
 class Network:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.errors import TypeError_
 from repro.frontend import ast
 from repro.frontend.symbols import ProgramInfo
 from repro.ops import BINOPS, OpKind
+from repro.records import field, record
 
 
 class FreshNames:
@@ -214,7 +214,7 @@ def _replace_returns(stmts: List[ast.Stmt], result_var: Optional[str]) -> List[a
 # ---------------------------------------------------------------------------
 # the inliner
 # ---------------------------------------------------------------------------
-@dataclass
+@record
 class Inliner:
     """Inlines user function calls inside one handler body."""
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
@@ -56,12 +55,13 @@ from repro.frontend.memop_check import MemopShape, memop_shape
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.midend.inline import Inliner, eliminate_returns
 from repro.ops import BINOPS, UNOPS, OpKind
+from repro.records import field, record
 
 
 # ---------------------------------------------------------------------------
 # operands and normalised statements
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     """A compile-time integer operand."""
 
@@ -71,7 +71,7 @@ class Const:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     """A local variable (P4 metadata field) operand."""
 
@@ -88,14 +88,14 @@ def operand_vars(*operands: Optional[Operand]) -> List[str]:
     return [op.name for op in operands if isinstance(op, Var)]
 
 
-@dataclass
+@record
 class NStmt:
     """Base class of normalised statements."""
 
     span: object = field(repr=False, default=None)
 
 
-@dataclass
+@record
 class NCopy(NStmt):
     """``dst = src`` — a move of an operand into a local."""
 
@@ -103,7 +103,7 @@ class NCopy(NStmt):
     src: Operand = Const(0)
 
 
-@dataclass
+@record
 class NOp(NStmt):
     """``dst = lhs op rhs`` — one stateless ALU operation."""
 
@@ -113,7 +113,7 @@ class NOp(NStmt):
     rhs: Operand = Const(0)
 
 
-@dataclass
+@record
 class NHash(NStmt):
     """``dst = hash<<width>>(args...)`` — one hash-unit invocation."""
 
@@ -122,7 +122,7 @@ class NHash(NStmt):
     args: List[Operand] = field(default_factory=list)
 
 
-@dataclass
+@record
 class NArrayOp(NStmt):
     """One stateful-ALU operation on a global register array."""
 
@@ -163,7 +163,7 @@ def array_call(info: ProgramInfo, stmt: NArrayOp) -> ArrayCall:
     return ArrayCall(True, writes, memops[0], get_arg, memops[1] if writes else None, set_arg)
 
 
-@dataclass
+@record
 class NPrim(NStmt):
     """A primitive action: drop(), forward(port), flood(), printf(...), a
     ``Sys.*`` read, or ``extern:<name>`` — a call of an extern function, whose
@@ -178,7 +178,7 @@ class NPrim(NStmt):
 Group = Union[str, Tuple[int, ...]]
 
 
-@dataclass
+@record
 class NGenerate(NStmt):
     """A resolved ``generate``: the event name, payload operands, and the
     delay / location operands applied by combinators."""
@@ -191,7 +191,7 @@ class NGenerate(NStmt):
     multicast: bool = False
 
 
-@dataclass
+@record
 class NCond:
     """A simple branch condition ``lhs op rhs``."""
 
@@ -206,7 +206,7 @@ class NCond:
         return f"{self.lhs.show()} {self.op.value} {self.rhs.show()}"
 
 
-@dataclass
+@record
 class NIf(NStmt):
     """``if (cond) { then } else { else }`` with a simple condition."""
 
@@ -239,7 +239,7 @@ def stmt_writes(stmt: NStmt) -> Set[str]:
     return names
 
 
-@dataclass
+@record
 class NormalizedHandler:
     """A handler reduced to atomic statements."""
 

@@ -17,6 +17,9 @@ Three cooperating layers, all off by default and (near) free when disabled:
   accounting, surfaced as a top-N hot-handler report by the scenario CLI
   and embedded in benchmark JSON.
 
+The package re-exports the metrics layer only: a run that attaches a tracer
+or a profiler imports it from its module.
+
 Metric naming convention
 ========================
 
@@ -49,8 +52,6 @@ from repro.obs.metrics import (
     enabled,
     parse_text_exposition,
 )
-from repro.obs.profile import HandlerProfiler, StageProfiler, merge_stage_rows
-from repro.obs.trace import Span, Tracer, validate_chrome_trace
 
 __all__ = [
     "OBS",
@@ -58,14 +59,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "HandlerProfiler",
-    "StageProfiler",
-    "Span",
-    "Tracer",
     "disable",
     "enable",
     "enabled",
-    "merge_stage_rows",
     "parse_text_exposition",
-    "validate_chrome_trace",
 ]

@@ -17,8 +17,9 @@ byte-identical across engines for the same seed, so traces diff cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.records import record
 
 __all__ = ["Span", "Tracer", "validate_chrome_trace"]
 
@@ -31,7 +32,7 @@ HOP_RECIRC = "recirc"    # generated locally, re-entered via the recirc port
 HOP_LINK = "link"        # crossed a link from another switch
 
 
-@dataclass
+@record
 class Span:
     """One handled event.  Times are simulated nanoseconds."""
 

@@ -20,12 +20,12 @@ trade-off for both mechanisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.interp.events import MIN_FRAME_BYTES
 from repro.interp.network import SchedulerConfig
+from repro.records import record
 
 #: the scheduler's timing constants: recirculation latency and port
 #: bandwidth, and the delay queue's release interval
@@ -40,7 +40,7 @@ RELEASE_WINDOW_NS = 7_000
 BASELINE_LOOP_NS = 480
 
 
-@dataclass
+@record
 class DelayedEvent:
     """One event packet parked for delayed execution."""
 

@@ -385,7 +385,7 @@ def _run(args, scenario) -> int:
 
     tracer_factory = None
     if args.trace:
-        from repro.obs import Tracer
+        from repro.obs.trace import Tracer
 
         tracer_factory = lambda engine_name: Tracer(seed=args.seed)  # noqa: E731
 

@@ -22,12 +22,12 @@ they check directly, with their own parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.interp.interpreter import lucid_hash
 from repro.interp.network import Network, TraceEntry
+from repro.records import field, record
 
 #: cap on recorded violation messages per invariant (the count is exact)
 MAX_VIOLATIONS = 8
@@ -83,7 +83,7 @@ class Invariant:
         )
 
 
-@dataclass
+@record
 class InvariantReport:
     """Verdict of one invariant over one run."""
 

@@ -12,7 +12,6 @@ through the remote controller model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 from typing import Callable, Dict, Iterator, List, Tuple
@@ -25,6 +24,7 @@ from repro.errors import SimulationError
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import lucid_hash
 from repro.interp.network import Network, SchedulerConfig, SourceItem
+from repro.records import record
 from repro.scenarios import topology as topo
 from repro.scenarios import traffic as tm
 from repro.scenarios.invariants import (
@@ -45,7 +45,7 @@ from repro.scenarios.runner import ScenarioSetup
 INFINITY = 1_048_576
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """One named, registered scenario."""
 

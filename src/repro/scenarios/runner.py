@@ -22,12 +22,12 @@ from __future__ import annotations
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.interp.network import Network, SourceItem
+from repro.records import field, record
 from repro.scenarios.invariants import (
     Invariant,
     InvariantReport,
@@ -41,7 +41,7 @@ from repro.service.source import ReplayableSource
 _CHUNK = 4096
 
 
-@dataclass
+@record
 class ScenarioSetup:
     """Everything needed to run one scenario once: built fresh per run so
     stateful traffic models and invariants never leak between engines."""
@@ -60,7 +60,7 @@ class ScenarioSetup:
     details: Optional[Callable[[Network], Dict[str, object]]] = None
 
 
-@dataclass
+@record
 class ScenarioResult:
     """Outcome of one scenario run on one engine."""
 

@@ -12,16 +12,16 @@ for preloading routing tables and for checking convergence invariants.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.frontend import parse_program
 from repro.frontend.type_checker import check_program
 from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.network import Network, SchedulerConfig
+from repro.records import field, record
 
 
-@dataclass
+@record
 class Topology:
     """A named multi-switch topology with per-link latencies."""
 

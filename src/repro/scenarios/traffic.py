@@ -27,16 +27,16 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import cycle, islice
 from math import log
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.interp.events import EventInstance
 from repro.interp.network import CONTROL, Network, SourceItem
+from repro.records import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkFailure:
     """One link failing (and optionally recovering)."""
 
@@ -122,7 +122,7 @@ def _zipf_cumulative(n: int, alpha: float) -> List[float]:
     return cumulative
 
 
-@dataclass
+@record
 class ZipfPacketTraffic:
     """Zipf-distributed flow mix: a few heavy-hitter flows dominate a long
     uniform-ish tail — the canonical sketch/telemetry workload.
@@ -175,7 +175,7 @@ class ZipfPacketTraffic:
             yield (int(now), switch, by_rank[rank])
 
 
-@dataclass
+@record
 class FirewallFlowTraffic:
     """Benign enterprise traffic for the stateful-firewall apps: outbound
     flows (``pkt_out``) from trusted hosts, each answered by inbound return
@@ -249,7 +249,7 @@ class FirewallFlowTraffic:
             emitted += 1
 
 
-@dataclass
+@record
 class ScanBurstTraffic:
     """A scan/DDoS burst: unsolicited inbound probes (``pkt_in``) from a
     range of attacker sources against a sweep of internal hosts, at a high
@@ -276,7 +276,7 @@ class ScanBurstTraffic:
             t += gap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DnsPacket:
     """One DNS packet: (time, client, server, is_response)."""
 
@@ -357,7 +357,7 @@ def stream_dns_mix(
         emitted += 1
 
 
-@dataclass
+@record
 class DnsReflectionTraffic:
     """The DNS-defense workload: benign query/response pairs mixed with
     reflected responses aimed at a victim (:func:`stream_dns_mix` as
@@ -399,7 +399,7 @@ class DnsReflectionTraffic:
             )
 
 
-@dataclass
+@record
 class NatChurnTraffic:
     """NAT churn: a rotating population of internal flows (``pkt_internal``)
     with occasional inbound probes (``pkt_external``).  New flows keep

@@ -16,25 +16,11 @@ need on top of it:
   :func:`run_scenario_interrupted` (two service runs over one temporary
   checkpoint directory) is the parity harness behind ``soak``.
 
-This ``__init__`` imports only the checkpoint store and the cursor, which
-need nothing from the scenario stack; :mod:`repro.service.server` (which
-pulls in the scenario runner) is imported on demand, so
-``repro.scenarios.runner`` can use :class:`ReplayableSource` without an
-import cycle.
+This ``__init__`` imports only the cursor, so ``repro.scenarios.runner``
+can use :class:`ReplayableSource` without an import cycle or the checkpoint
+store; the runs that serve or checkpoint import those modules themselves.
 """
 
-from repro.service.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    load_checkpoint,
-)
 from repro.service.source import ReplayableSource
 
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
-    "CheckpointStore",
-    "ReplayableSource",
-    "load_checkpoint",
-]
+__all__ = ["ReplayableSource"]

@@ -40,13 +40,13 @@ import signal
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO
 
 from repro.errors import SimulationError
 from repro.interp.engine import DEFAULT_ENGINE
 from repro.interp.network import Network, watch_metrics
 from repro.obs.metrics import REGISTRY
+from repro.records import record
 from repro.scenarios.invariants import (
     capture_invariant_states,
     evaluate,
@@ -73,7 +73,7 @@ from repro.service.telemetry import TelemetryEmitter
 UNBOUNDED_EVENTS = 10**18
 
 
-@dataclass
+@record
 class ServiceConfig:
     """Knobs of one :class:`ScenarioService` run."""
 
@@ -109,7 +109,7 @@ class ServiceConfig:
                 f"ServiceConfig.chunk_events must be >= 1, got {self.chunk_events}")
 
 
-@dataclass
+@record
 class ServiceOutcome:
     """What one service run did, for callers and the CLI exit code."""
 

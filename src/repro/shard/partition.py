@@ -16,15 +16,15 @@ participates in the minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.interp.network import SchedulerConfig
+from repro.records import field, record
 from repro.scenarios.topology import Topology
 
 
-@dataclass
+@record
 class ShardPlan:
     """Switch-to-shard assignment plus the barrier lookahead."""
 

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import heapq
 import traceback
-from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.interp.network import CONTROL, GEN_KEY_SHIFT, Network, SourceItem, Switch
+from repro.records import record
 
 
-@dataclass
+@record
 class ShardSpec:
     """Everything a worker needs to rebuild and run its shard (picklable)."""
 

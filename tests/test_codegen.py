@@ -96,7 +96,8 @@ def test_batched_and_stepped_drains_agree():
     profiler only add their samples.  An observed drain must leave the same
     array state, stats and trace as a plain one on the codegen engine, and
     ``batch=`` changes nothing."""
-    from repro.obs import HandlerProfiler, Tracer
+    from repro.obs.profile import HandlerProfiler
+    from repro.obs.trace import Tracer
 
     def run(observed, batch=True):
         network, switch = single_switch_network(CM.source, engine="codegen")

@@ -1,12 +1,13 @@
-"""Differential conformance suite for the compiled-handler fast path — the
-``codegen`` engine, which compiles each handler to flat Python source.
+"""Differential conformance suite for the compiled engines — ``codegen``,
+which compiles each handler to flat Python source, and ``pisa``, which runs
+the laid-out stage plan.
 
 Every bundled application (the ten Figure 9 programs) and the quickstart
-example program are driven through both execution engines — the tree-walking
-:class:`HandlerInterpreter` (``reference``, the oracle) and the
-source-generating :class:`CodegenEngine` (``codegen``) — on identical
-deterministic event sequences, and the suite asserts the engines are
-observationally identical:
+example program are driven through the three execution engines — the
+tree-walking :class:`HandlerInterpreter` (``reference``, the oracle), the
+source-generating :class:`CodegenEngine` (``codegen``) and the stage plan
+(``pisa``) — on identical deterministic event sequences, and the suite
+asserts the engines are observationally identical:
 
 * the full network trace (time, switch, event, and the complete
   :class:`ExecutionResult` — generated events, prints, drop/forward/flood);
@@ -27,12 +28,12 @@ from repro.errors import InterpError, TypeError_
 from repro.frontend import ast, check_program
 from repro.interp import (
     EventInstance,
-    HandlerInterpreter,
     Network,
     SwitchRuntime,
     lucid_hash,
 )
 from repro.interp.engine import CodegenEngine
+from repro.interp.walker import HandlerInterpreter
 from repro.apps import ALL_APPLICATIONS
 from repro.ops import apply_binop
 
@@ -91,16 +92,20 @@ def run_engine(checked, engine, events, nswitches=1, max_events=400):
 
 
 def assert_engines_agree(checked, events, nswitches=1, max_events=400):
+    """Every engine's trace, arrays, stats and logs equal the reference
+    run's; returns the reference run."""
     slow = run_engine(checked, "reference", events, nswitches, max_events)
-    fast = run_engine(checked, "codegen", events, nswitches, max_events)
     s_trace, s_arrays, s_stats, s_logs = slow
-    f_trace, f_arrays, f_stats, f_logs = fast
-    assert len(s_trace) == len(f_trace)
-    for i, (s, f) in enumerate(zip(s_trace, f_trace)):
-        assert s == f, f"trace diverges at event #{i}: {s} != {f}"
-    assert s_arrays == f_arrays
-    assert s_stats == f_stats
-    assert s_logs == f_logs
+    for engine in ("codegen", "pisa"):
+        f_trace, f_arrays, f_stats, f_logs = run_engine(
+            checked, engine, events, nswitches, max_events)
+        assert len(s_trace) == len(f_trace), engine
+        for i, (s, f) in enumerate(zip(s_trace, f_trace)):
+            assert s == f, f"{engine} trace diverges at event #{i}: {s} != {f}"
+        assert s_arrays == f_arrays, engine
+        assert s_stats == f_stats, engine
+        assert s_logs == f_logs, engine
+    return slow
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +161,27 @@ def test_engines_agree_on_multi_switch_network(key):
 
 def test_engines_agree_on_firewall_heavy_traffic():
     """The Figure 17 workload shape: many pkt_out/pkt_in pairs, cuckoo
-    installs and timeout scans recirculating between them."""
+    installs and timeout scans recirculating between them.  The scan runs
+    past ``TIMEOUT_NS`` (100 ms) and a full sweep of the table, so it evicts
+    the flows, and return traffic of 40 of them at 107 ms is dropped."""
     app = ALL_APPLICATIONS["SFW"]
     checked = check_program(app.source, name="SFW", symbolic_bindings={"TBL_SLOTS": 64})
     rng = _lcg(7)
-    events = []
+    events, flows = [], []
     for i in range(120):
         src, dst = next(rng) % 32, next(rng) % 32
+        flows.append((src, dst))
         events.append((EventInstance("pkt_out", (src, dst)), i * 211))
         events.append((EventInstance("pkt_in", (dst, src)), i * 211 + 97))
     events.append((EventInstance("scan_timeouts", (0,)), 300))
-    assert_engines_agree(checked, events, max_events=700)
+    for i, (src, dst) in enumerate(flows[:40]):
+        events.append((EventInstance("pkt_in", (dst, src)), 107_000_000 + i * 211))
+    trace = assert_engines_agree(checked, events, max_events=1500)[0]
+    handled = [(at_ns, event.name, result.dropped) for at_ns, _, event, result in trace]
+    assert sum(name == "evict_slot" for _, name, _ in handled) >= 1
+    returns = [(at_ns > 100_000_000, dropped) for at_ns, name, dropped in handled
+               if name == "pkt_in"]
+    assert returns == [(False, False)] * 120 + [(True, True)] * 40
 
 
 # ---------------------------------------------------------------------------

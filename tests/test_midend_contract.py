@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ALL_APPLICATIONS
-from repro.backend import MergeOptions, build_layout, generate_p4
+from repro.backend import MergeOptions, build_layout
 from repro.backend.compiler import compile_checked
+from repro.backend.p4gen import generate_p4
 from repro.errors import TypeError_
 from repro.frontend import ast, check_program
 from repro.fuzz.case import load_case

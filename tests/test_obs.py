@@ -21,18 +21,10 @@ from repro.frontend import check_program
 from repro.interp import EventInstance, Network
 from repro.interp.network import watch_metrics
 from repro.interp.engine import ENGINE_NAMES
-from repro.obs import (
-    REGISTRY,
-    HandlerProfiler,
-    StageProfiler,
-    Tracer,
-    disable,
-    enable,
-    merge_stage_rows,
-    parse_text_exposition,
-    validate_chrome_trace,
-)
+from repro.obs import REGISTRY, disable, enable, parse_text_exposition
 from repro.obs.metrics import MetricsRegistry, ObsState
+from repro.obs.profile import HandlerProfiler, StageProfiler, merge_stage_rows
+from repro.obs.trace import Tracer, validate_chrome_trace
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.__main__ import main as cli_main
 from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter
@@ -261,7 +253,7 @@ def test_the_dispatch_path_holds_no_metric_site():
     import textwrap
 
     from repro.interp.emit import dispatcher
-    from repro.interp.interpreter import HandlerInterpreter
+    from repro.interp.walker import HandlerInterpreter
 
     def names(node):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}

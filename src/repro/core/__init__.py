@@ -73,7 +73,6 @@ from repro.scenarios import (
     SCENARIOS,
     Scenario,
     run_scenario,
-    run_scenario_all_engines,
     run_scenario_engines,
 )
 
@@ -121,7 +120,6 @@ __all__ = [
     "Scenario",
     "run_scenario",
     "run_scenario_engines",
-    "run_scenario_all_engines",
     # errors
     "LucidError",
     "LexError",

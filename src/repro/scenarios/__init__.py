@@ -3,19 +3,20 @@ and a runner that wires them to the bundled applications.
 
 Quick tour::
 
-    from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
+    from repro.scenarios import SCENARIOS, run_scenario, run_scenario_engines
 
     result = run_scenario(SCENARIOS["nat-churn"], events=20_000, seed=1)
     assert result.ok                       # every invariant held
-    results = run_scenario_all_engines(SCENARIOS["dns-reflection"], 5_000, 1)
+    results = run_scenario_engines(SCENARIOS["dns-reflection"], 5_000, 1)
 
 or from the command line::
 
     python -m repro.scenarios list
     python -m repro.scenarios run heavy-hitter-fattree --events 1000000 --seed 1
 
-Traffic is streamed (`Network.run(source=...)`), so the peak memory of a run
-is independent of the event count.
+Traffic is streamed (`Network.run(source=...)`) a chunk at a time, so a run
+holds at most one chunk of traffic it has not delivered; what the
+invariants observe still grows with the flows a run sees.
 """
 
 from repro.scenarios.invariants import Invariant, InvariantReport
@@ -25,7 +26,6 @@ from repro.scenarios.runner import (
     ScenarioSetup,
     network_array_digest,
     run_scenario,
-    run_scenario_all_engines,
     run_scenario_engines,
     run_setup,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "ScenarioSetup",
     "network_array_digest",
     "run_scenario",
-    "run_scenario_all_engines",
     "run_scenario_engines",
     "run_setup",
     "Topology",

@@ -65,6 +65,7 @@ from repro.errors import SimulationError
 from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.scenarios.registry import SCENARIOS, get
 from repro.scenarios.runner import (
+    CHUNK_EVENTS,
     ScenarioResult,
     run_scenario,
     run_scenario_engines,
@@ -311,9 +312,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_parser.add_argument("--telemetry-every", type=int, default=25_000,
                               help="handled events between telemetry records "
                               "(default 25000)")
-    serve_parser.add_argument("--chunk", type=int, default=5_000,
+    serve_parser.add_argument("--chunk", type=int, default=CHUNK_EVENTS,
                               help="handled events per scheduler chunk — the "
-                              "signal/checkpoint granularity (default 5000)")
+                              f"signal/checkpoint granularity (default {CHUNK_EVENTS})")
     serve_parser.add_argument("--max-events", type=int, default=None,
                               help="stop (with a checkpoint) after N handled "
                               "events; for bounded soaks and tests")

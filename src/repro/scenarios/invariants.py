@@ -293,6 +293,10 @@ class DnsVictimBlocked(Invariant):
     always applies)."""
 
     name = "dns-victim-blocked"
+    #: ground truth counts reflected responses at *emission*, and the source
+    #: pulls up to a chunk ahead of the drain: mid-run the victim would look
+    #: unblocked after responses it has not handled yet
+    streaming = False
 
     def __init__(self, victim: int = 7, clients: int = 64, seed_a: int = 7,
                  threshold: int = 100, traffic=None):

@@ -4,17 +4,18 @@ fast path, or the PISA pipeline model), and report verdicts and per-switch
 stats — including pipeline/recirculation statistics for engines that model
 the hardware substrate.
 
-The scenario's traffic factory yields a lazy, time-ordered stream that is
-merged with the simulator's internal event heap (:meth:`Network.run` with
-``source=``).  The batch runner pulls that stream ``_CHUNK`` items at a
-time, so a run holds one chunk of traffic however long it is, and times
-each pull so that ``wall_s`` measures the engine alone (``traffic_s``
-records the generation cost); the service mode pulls it item by item, since
-its checkpoints serialise the cursor.  After the stream is exhausted the
-network is drained for ``settle_ns`` more simulated time so
-in-flight control events (cuckoo installs, sync updates, advertisement
-rounds) complete before invariants are checked — self-perpetuating control
-loops are bounded by the same horizon.
+The scenario's traffic factory yields a lazy, time-ordered stream, pulled
+and timed by a :class:`~repro.service.source.ReplayableSource` and merged
+with the simulator's internal event heap (:meth:`Network.run` with
+``source=``).  :func:`drive` is the one loop that feeds it, a chunk of
+handled events per ``run`` call: a batch run is ``prepare_run`` ->
+``drive`` -> settle -> ``build_result``, and a serve
+(:mod:`repro.service.server`) restores a checkpoint first and works between
+the chunks.  After the stream is exhausted the network is drained for
+``settle_ns`` more simulated time so in-flight control events (cuckoo
+installs, sync updates, advertisement rounds) complete before invariants
+are checked — self-perpetuating control loops are bounded by the same
+horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import struct
 import time
 import zlib
-from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.interp.engine import DEFAULT_ENGINE, ENGINE_NAMES
@@ -37,8 +37,9 @@ from repro.scenarios.invariants import (
 from repro.scenarios.topology import Topology
 from repro.service.source import ReplayableSource
 
-#: traffic items the batch runner pulls per chunk: its traffic buffer's bound
-_CHUNK = 4096
+#: handled events per ``Network.run`` call of :func:`drive`: the granularity
+#: at which a serve stops, emits telemetry and checkpoints
+CHUNK_EVENTS = 5_000
 
 
 @record
@@ -273,6 +274,27 @@ def build_result(
     )
 
 
+def drive(network: Network, source: ReplayableSource, handled: int = 0,
+          chunk_events: int = CHUNK_EVENTS, max_events: Optional[int] = None,
+          between: Optional[Callable[[int], bool]] = None) -> Tuple[int, bool]:
+    """Feed ``source`` to ``network`` in ``run`` calls of at most
+    ``chunk_events`` handled events, without settling; returns the handled
+    count (from ``handled`` on) and whether the run stopped before the
+    stream ran dry.  ``between(handled)`` is called before each chunk and
+    stops the run by returning true; so does reaching ``max_events``."""
+    while True:
+        if between is not None and between(handled):
+            return handled, True
+        if max_events is not None and handled >= max_events:
+            return handled, True
+        # a run() call on a source that has run dry would degenerate to a
+        # full drain, which never returns for self-perpetuating control loops
+        if source.peek() is None:
+            return handled, False
+        chunk = chunk_events if max_events is None else min(chunk_events, max_events - handled)
+        handled += network.run(source=source, max_events=chunk)
+
+
 def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
               engine: str = DEFAULT_ENGINE,
               tracer: Optional[object] = None,
@@ -283,30 +305,19 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
 
     Wall time is split three ways so ``events_per_sec`` measures the engine
     rather than everything around it: ``setup_s`` (network construction +
-    handler compilation + preload), ``traffic_s`` (workload generation —
-    the drain pulls the replayable cursor ``_CHUNK`` items at a time, and
-    each pull is timed), and ``wall_s`` (the drain + settle, less the
-    pulls)."""
+    handler compilation + preload), ``traffic_s`` (workload generation, as
+    the source times its pulls), and ``wall_s`` (:func:`drive` + settle,
+    less the pulls)."""
     t0 = time.perf_counter()
     network, source = prepare_run(setup, engine, tracer=tracer, profile=profile)
     t1 = time.perf_counter()
-    traffic_s = 0.0
-
-    def next_chunk() -> List[SourceItem]:
-        nonlocal traffic_s
-        pulled = time.perf_counter()
-        chunk = list(islice(source, _CHUNK))
-        traffic_s += time.perf_counter() - pulled
-        return chunk
-
-    # ``chain`` drops a used-up chunk before it pulls the next one
-    handled = network.run(source=chain.from_iterable(iter(next_chunk, [])))
+    handled, _ = drive(network, source)
     handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
-    wall = time.perf_counter() - t1 - traffic_s
+    wall = time.perf_counter() - t1 - source.traffic_s
     return build_result(
         setup, scenario_name, seed, engine, network,
         events_injected=source.injected, events_handled=handled, wall_s=wall,
-        setup_s=t1 - t0, traffic_s=traffic_s,
+        setup_s=t1 - t0, traffic_s=source.traffic_s,
     )
 
 
@@ -353,8 +364,3 @@ def run_scenario_engines(
             )
     return results
 
-
-def run_scenario_all_engines(scenario, events: int, seed: int) -> List[ScenarioResult]:
-    """Run a scenario on every bundled engine (reference, pisa, codegen)
-    and assert they agree; returns the results in :data:`ENGINE_NAMES` order."""
-    return run_scenario_engines(scenario, events, seed, engines=ENGINE_NAMES)

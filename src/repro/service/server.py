@@ -1,18 +1,24 @@
 """The serve loop: run a scenario as a long-lived, checkpointed process.
 
 ``python -m repro.scenarios serve <name>`` builds a scenario exactly like
-the batch runner, then drains it in bounded chunks instead of one call:
+the batch runner and drives it with the same loop,
+:func:`~repro.scenarios.runner.drive`, after restoring the newest
+checkpoint; a batch run is a serve with no store and nothing between the
+chunks.  Between chunks the serve:
 
-* between chunks it emits telemetry (:mod:`repro.service.telemetry`),
-  evaluates the *streaming* invariants, and writes rolling checkpoints
-  (:mod:`repro.service.checkpoint`);
-* SIGTERM/SIGINT request a stop; the loop finishes its current chunk,
-  writes a final checkpoint, and exits cleanly;
-* SIGUSR1 asks for the global registry's Prometheus text on stderr after
-  the current chunk — the same ``repro_network_*`` / ``repro_engine_*``
-  exposition ``run --metrics`` prints, read from this network's ledger;
-* on start-up, ``--resume`` (the default) loads the newest checkpoint in
-  the checkpoint directory and continues from it.
+* emits telemetry (:mod:`repro.service.telemetry`) and evaluates the
+  *streaming* invariants;
+* writes rolling checkpoints (:mod:`repro.service.checkpoint`);
+* prints the global registry's Prometheus text on stderr when SIGUSR1 asked
+  for it — the same ``repro_network_*`` / ``repro_engine_*`` exposition
+  ``run --metrics`` prints, read from this network's ledger;
+* stops when SIGTERM/SIGINT asked it to, writing a final checkpoint.
+
+On start-up, ``--resume`` (the default) loads the newest checkpoint in the
+checkpoint directory and continues from it.  Its result times the run as a
+batch result does: ``wall_s`` leaves out the traffic pulled after the
+restore (``traffic_s``), and ``events_per_sec`` counts only the events this
+process handled.
 
 The determinism contract: a run interrupted anywhere and resumed from its
 checkpoint produces byte-identical array digests, stats, event counts, and
@@ -26,11 +32,13 @@ second resuming from the file the first wrote — returning a
 :func:`~repro.scenarios.runner.run_scenario`'s.  ``tests/test_service.py``
 and the CI soak job pin it for every bundled scenario on every engine.
 
-Memory stays O(1) in run length: traffic is streamed, tracing is off, and
-the only per-event state is the invariant observation state (bounded by
-distinct flows, not events).  ``events=UNBOUNDED_EVENTS`` makes the bundled
-traffic models stream forever (they iterate lazily over the requested
-count), so a serve process runs until stopped.
+Memory is not bounded by the run length: traffic is streamed a chunk at a
+time and tracing is off, but some invariants and traffic models keep one
+entry per flow they have seen, and checkpoints carry it
+(``sfw-install-latency``'s ``tracemalloc`` peak rises 7.3x from 10k to 80k
+events).  ``events=UNBOUNDED_EVENTS`` makes the bundled traffic models
+stream forever (they iterate lazily over the requested count), so a serve
+process runs until stopped.
 """
 
 from __future__ import annotations
@@ -53,9 +61,11 @@ from repro.scenarios.invariants import (
     restore_invariant_states,
 )
 from repro.scenarios.runner import (
+    CHUNK_EVENTS,
     ScenarioResult,
     ScenarioSetup,
     build_result,
+    drive,
     prepare_run,
     run_scenario,
     settle_horizon,
@@ -93,7 +103,7 @@ class ServiceConfig:
     telemetry_every: int = 25_000
     #: handled events per ``Network.run`` call (>= 1) — the stop-signal and
     #: checkpoint granularity
-    chunk_events: int = 5_000
+    chunk_events: int = CHUNK_EVENTS
     #: stop the service after this many handled events (``None`` = only the
     #: stream end or a signal stops it); used by tests and bounded soaks
     max_events: Optional[int] = None
@@ -119,28 +129,6 @@ class ServiceOutcome:
     resumed_from: Optional[str] = None
     checkpoint_path: Optional[str] = None
     result: Optional[ScenarioResult] = None
-
-
-def _checkpoint_payload(
-    scenario_name: str,
-    config: ServiceConfig,
-    setup: ScenarioSetup,
-    network: Network,
-    source: ReplayableSource,
-    handled: int,
-) -> Dict[str, object]:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "scenario": scenario_name,
-        "engine": config.engine,
-        "seed": config.seed,
-        "events": config.events,
-        "handled": handled,
-        "cursor": source.cursor(),
-        "network": network.snapshot(),
-        "invariants": capture_invariant_states(setup.invariants),
-    }
 
 
 def _restore_run(
@@ -212,118 +200,100 @@ class ScenarioService:
     def run(self) -> ServiceOutcome:
         cfg = self.config
         setup = self.scenario.build(cfg.events, cfg.seed)
+        t0 = time.perf_counter()
         network, source = prepare_run(setup, cfg.engine)
-        store = (
-            CheckpointStore(cfg.checkpoint_dir, keep=cfg.keep_checkpoints)
-            if cfg.checkpoint_dir
-            else None
-        )
-        handled = restored = 0
+        store = (CheckpointStore(cfg.checkpoint_dir, keep=cfg.keep_checkpoints)
+                 if cfg.checkpoint_dir else None)
+
+        def save(handled: int) -> Optional[str]:
+            if store is None:
+                return None
+            return str(store.save({
+                "format": CHECKPOINT_FORMAT,
+                "version": CHECKPOINT_VERSION,
+                "scenario": self.scenario.name,
+                "engine": cfg.engine,
+                "seed": cfg.seed,
+                "events": cfg.events,
+                "handled": handled,
+                "cursor": source.cursor(),
+                "network": network.snapshot(),
+                "invariants": capture_invariant_states(setup.invariants),
+            }))
+
+        restored = 0
         resumed_from: Optional[str] = None
         if store is not None and cfg.resume:
             latest = store.latest()
             if latest is not None:
                 state = store.load(latest)
                 _check_compatible(state, self.scenario.name, cfg)
-                handled = restored = _restore_run(state, setup, network, source)
+                restored = _restore_run(state, setup, network, source)
                 resumed_from = str(latest)
         # the rate counts only the events this process handles
         telemetry = TelemetryEmitter(
             cfg.telemetry_stream if cfg.telemetry_stream is not None else sys.stderr,
-            self.scenario.name,
-            cfg.engine,
-            cfg.seed,
-            handled=restored,
+            self.scenario.name, cfg.engine, cfg.seed, handled=restored,
         )
         if resumed_from is not None:
-            telemetry.emit(
-                network, handled, source.injected, phase="run",
-                extra={"resumed_from": resumed_from},
-            )
+            telemetry.emit(network, restored, source.injected, phase="run",
+                           extra={"resumed_from": resumed_from})
 
-        start = time.perf_counter()
-        since_checkpoint = 0
-        since_telemetry = 0
+        # handled counts at the last telemetry record and the last checkpoint;
+        # a cadence of 0 means after every chunk, not also before the first
+        telemetry_at = checkpoint_at = restored
         checkpoint_path: Optional[str] = None
-        stopped = False
-        while True:
+
+        def between(handled: int) -> bool:
+            nonlocal telemetry_at, checkpoint_at, checkpoint_path
+            if handled - telemetry_at >= max(1, cfg.telemetry_every):
+                telemetry_at = handled
+                reports = evaluate(setup.invariants, network, streaming_only=True)
+                telemetry.emit(network, handled, source.injected,
+                               phase="run", invariants=reports)
+            if store is not None and handled - checkpoint_at >= max(1, cfg.checkpoint_every):
+                checkpoint_at = handled
+                checkpoint_path = save(handled)
+                telemetry.emit(network, handled, source.injected,
+                               phase="checkpoint",
+                               extra={"checkpoint": checkpoint_path})
             if self.metrics_dump_requested:
                 self.metrics_dump_requested = False
                 watch_metrics(network)
                 sys.stderr.write(REGISTRY.render_text())
                 sys.stderr.flush()
-            if self.stop_requested:
-                stopped = True
-                break
-            if cfg.max_events is not None and handled >= cfg.max_events:
-                stopped = True
-                break
-            # peek before every chunk: a run() call on a source that has
-            # run dry would degenerate to a full drain, which never returns
-            # for self-perpetuating control loops
-            if source.peek() is None:
-                break
-            chunk = cfg.chunk_events
-            if cfg.max_events is not None:
-                chunk = min(chunk, cfg.max_events - handled)
-            n = network.run(source=source, max_events=chunk)
-            handled += n
-            since_checkpoint += n
-            since_telemetry += n
-            if since_telemetry >= cfg.telemetry_every:
-                since_telemetry = 0
-                reports = evaluate(setup.invariants, network, streaming_only=True)
-                telemetry.emit(network, handled, source.injected,
-                               phase="run", invariants=reports)
-            if store is not None and since_checkpoint >= cfg.checkpoint_every:
-                since_checkpoint = 0
-                checkpoint_path = str(store.save(_checkpoint_payload(
-                    self.scenario.name, cfg, setup, network, source, handled)))
-                telemetry.emit(network, handled, source.injected,
-                               phase="checkpoint",
-                               extra={"checkpoint": checkpoint_path})
+            return self.stop_requested
 
+        start = time.perf_counter()
+        traffic0 = source.traffic_s  # the restore's replay is not this run's
+        handled, stopped = drive(network, source, restored, cfg.chunk_events,
+                                 cfg.max_events, between)
+        result: Optional[ScenarioResult] = None
         if stopped:
             # interrupted mid-stream: persist a resumable checkpoint and
             # leave settling + verdicts to the run that finishes the stream
-            if store is not None:
-                checkpoint_path = str(store.save(_checkpoint_payload(
-                    self.scenario.name, cfg, setup, network, source, handled)))
+            checkpoint_path = save(handled)
             telemetry.emit(network, handled, source.injected, phase="checkpoint",
-                           extra={"stopped": True,
-                                  "checkpoint": checkpoint_path})
-            return ServiceOutcome(
-                handled=handled,
-                injected=source.injected,
-                stopped=True,
-                resumed_from=resumed_from,
-                checkpoint_path=checkpoint_path,
+                           extra={"stopped": True, "checkpoint": checkpoint_path})
+        else:
+            # the stream ended: drain to the settle horizon and judge
+            telemetry.emit(network, handled, source.injected, phase="settle")
+            handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
+            traffic_s = source.traffic_s - traffic0
+            result = build_result(
+                setup, self.scenario.name, cfg.seed, cfg.engine, network,
+                events_injected=source.injected, events_handled=handled,
+                wall_s=time.perf_counter() - start - traffic_s,
+                setup_s=start - t0, traffic_s=traffic_s,
+                timed_events=handled - restored,
             )
-
-        # the stream ended: drain to the settle horizon and judge
-        telemetry.emit(network, handled, source.injected, phase="settle")
-        handled += network.run(until_ns=settle_horizon(setup, source.last_ns))
-        wall = time.perf_counter() - start
-        result = build_result(
-            setup, self.scenario.name, cfg.seed, cfg.engine, network,
-            events_injected=source.injected, events_handled=handled, wall_s=wall,
-            timed_events=handled - restored,
-        )
-        if store is not None:
-            checkpoint_path = str(store.save(_checkpoint_payload(
-                self.scenario.name, cfg, setup, network, source, handled)))
-        telemetry.emit(network, handled, source.injected, phase="final",
-                       invariants=result.invariants,
-                       extra={"ok": result.ok,
-                              "array_digest": result.array_digest})
-        return ServiceOutcome(
-            handled=handled,
-            injected=source.injected,
-            stopped=False,
-            resumed_from=resumed_from,
-            checkpoint_path=checkpoint_path,
-            result=result,
-        )
+            checkpoint_path = save(handled)
+            telemetry.emit(network, handled, source.injected, phase="final",
+                           invariants=result.invariants,
+                           extra={"ok": result.ok, "array_digest": result.array_digest})
+        return ServiceOutcome(handled=handled, injected=source.injected, stopped=stopped,
+                              resumed_from=resumed_from, checkpoint_path=checkpoint_path,
+                              result=result)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,27 @@ settle-time invariants read.
 
 :class:`ReplayableSource` wraps a factory (or a bare iterable) and tracks
 that position while behaving as a normal iterator, so it plugs straight into
-``Network.run(source=...)``.  It also implements the ``push_back(item)`` hook
-the simulator looks for: an interrupted run returns the one not-yet-due item
-it holds, instead of pushing it onto the event heap.  This keeps
-source-vs-heap tie-breaking identical when the run resumes, and keeps
-CONTROL callables (which cannot be snapshotted) out of the heap.
+``Network.run(source=...)``.  It is the one place that pulls traffic, in
+lists of ``CHUNK`` items, each pull timed into ``traffic_s`` (so a traffic
+model's side state runs up to a chunk ahead of the drain).  It also
+implements the ``push_back(item)`` hook the simulator looks for: an
+interrupted run returns the one not-yet-due item it holds, instead of
+pushing it onto the event heap.  This keeps source-vs-heap tie-breaking
+identical when the run resumes, and keeps CONTROL callables (which cannot
+be snapshotted) out of the heap.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
 from repro.errors import SimulationError
 from repro.interp.network import CONTROL, SourceItem
+
+#: traffic items per pull: the bound on what a run holds undelivered
+CHUNK = 1_024
 
 
 class ReplayableSource:
@@ -36,10 +44,11 @@ class ReplayableSource:
     ``last_ns`` raises :class:`SimulationError`.  An item returned via
     :meth:`push_back` is *uncounted* by :meth:`cursor` until it is pulled
     again, so a checkpoint taken while the simulator holds a pending item
-    replays that item on resume.
+    replays that item on resume.  ``traffic_s`` is the time spent pulling.
     """
 
-    __slots__ = ("_items", "consumed", "last_ns", "_controls", "_prev_ns", "_pushed_back")
+    __slots__ = ("_items", "_chunk", "consumed", "last_ns", "_controls", "_prev_ns",
+                 "_pushed_back", "traffic_s")
 
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
         self._items: Iterator[SourceItem] = iter(source() if callable(source) else source)
@@ -50,6 +59,9 @@ class ReplayableSource:
         #: ``last_ns`` before the latest pull: cursor()'s undo of a held item
         self._prev_ns = 0
         self._pushed_back: Optional[SourceItem] = None
+        #: the undelivered rest of the latest pull
+        self._chunk: Iterator[SourceItem] = iter(())
+        self.traffic_s = 0.0
 
     @property
     def injected(self) -> int:
@@ -64,7 +76,13 @@ class ReplayableSource:
         if item is not None:
             self._pushed_back = None
             return item
-        item = next(self._items)
+        item = next(self._chunk, None)
+        if item is None:
+            # a list iterator lets go of its list once it is used up
+            pulled = perf_counter()
+            self._chunk = iter(list(islice(self._items, CHUNK)))
+            self.traffic_s += perf_counter() - pulled
+            item = next(self._chunk)
         time_ns = item[0]
         if time_ns < self.last_ns:
             raise SimulationError(

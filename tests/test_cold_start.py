@@ -1,9 +1,10 @@
 """A cold start loads what it runs.
 
 Preparing a ``codegen`` scenario run in a fresh interpreter imports neither
-the P4 printer, the tracer, the profiler, the checkpoint store nor the tree
-walker; a P4 compile, a traced run, a serve run and a ``reference`` run each
-import theirs on demand.  One child interpreter takes the steps in order and
+the P4 printer, the tracer, the profiler, the serve loop, its telemetry, the
+checkpoint store nor the tree walker, and neither does a whole batch run; a
+P4 compile, a traced run, a serve run and a ``reference`` run each import
+theirs on demand.  One child interpreter takes the steps in order and
 reports which of those modules are loaded after each."""
 
 import json
@@ -22,6 +23,8 @@ ON_DEMAND = (
     "repro.obs.trace",
     "repro.interp.walker",
     "repro.service.checkpoint",
+    "repro.service.server",
+    "repro.service.telemetry",
 )
 
 STEPS = """
@@ -37,6 +40,10 @@ def note(step):
 scenario = registry.get("sro-replicated-writes")
 prepare_run(scenario.build(200, 1), "codegen")
 note("cold")
+
+from repro.scenarios.runner import run_scenario
+assert run_scenario(scenario, 200, 1).ok
+note("batch")
 
 from repro.apps import ALL_APPLICATIONS
 ALL_APPLICATIONS["SRO"].compile()
@@ -79,8 +86,10 @@ def test_a_codegen_cold_start_loads_no_on_demand_module(loaded):
 @pytest.mark.parametrize("step, adds", [
     ("p4", {"repro.backend.p4gen"}),
     ("traced", {"repro.obs.trace", "repro.obs.profile"}),
-    ("serve", {"repro.service.checkpoint"}),
+    ("serve", {"repro.service.checkpoint", "repro.service.server",
+               "repro.service.telemetry"}),
     ("reference", {"repro.interp.walker"}),
+    ("batch", set()),
 ])
 def test_each_run_loads_its_module_on_demand(loaded, step, adds):
     steps = list(loaded)

@@ -20,7 +20,7 @@ from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult
 from repro.interp.network import Network, SchedulerConfig, single_switch_network
 from repro.pisa import DelayedEvent, PausableDelayQueue
-from repro.scenarios import SCENARIOS, run_scenario, run_scenario_all_engines
+from repro.scenarios import SCENARIOS, run_scenario, run_scenario_engines
 from repro.scenarios import traffic as tm
 from repro.scenarios.runner import _aggregate_pipeline_totals, network_array_digest
 
@@ -33,7 +33,7 @@ def test_three_way_engine_parity(name):
     """Every bundled scenario must produce identical invariant verdicts and
     final array digests on the reference interpreter, the compiled-layout
     PISA pipeline executor, AND the codegen fast path."""
-    results = run_scenario_all_engines(SCENARIOS[name], 800, 3)
+    results = run_scenario_engines(SCENARIOS[name], 800, 3)
     assert [r.engine for r in results] == list(ENGINE_NAMES)
     assert all(r.ok for r in results), [r.to_dict() for r in results if not r.ok]
     assert len({r.array_digest for r in results}) == 1

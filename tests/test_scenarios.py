@@ -5,6 +5,8 @@ the CLI.
 """
 
 import bisect
+import dataclasses
+import io
 import itertools
 import json
 import time
@@ -31,12 +33,13 @@ from repro.scenarios import (
 from repro.scenarios import traffic as tm
 from repro.scenarios.invariants import FirewallSolicitedOnly, Invariant
 from repro.scenarios.runner import (
-    _CHUNK,
     build_result,
     prepare_run,
     run_setup,
     settle_horizon,
 )
+from repro.service.server import ScenarioService, ServiceConfig
+from repro.service.source import CHUNK as _CHUNK
 from repro.scenarios.__main__ import main as cli_main
 from repro.apps import ALL_APPLICATIONS
 
@@ -507,10 +510,19 @@ def test_batch_run_memory_does_not_grow_with_the_event_count(name):
     assert _traced_peak(name, 8 * events) <= 1.25 * _traced_peak(name, events)
 
 
-def test_batch_traffic_is_timed_off_the_drain_and_pulled_a_chunk_at_a_time():
+def _serve_setup(setup, name, seed):
+    """A store-less serve of ``setup``: the batch run's driver with a
+    between-chunk callback."""
+    scenario = dataclasses.replace(SCENARIOS[name], build=lambda events, seed: setup)
+    config = ServiceConfig(engine="codegen", seed=seed, telemetry_stream=io.StringIO())
+    return ScenarioService(scenario, config).run().result
+
+
+@pytest.mark.parametrize("run", [run_setup, _serve_setup], ids=["batch", "serve"])
+def test_batch_traffic_is_timed_off_the_drain_and_pulled_a_chunk_at_a_time(run):
     """A traffic factory that sleeps per item: the sleeps land in
     ``traffic_s``, not ``wall_s``, and the drain never holds more than one
-    chunk it has not delivered."""
+    chunk it has not delivered — in a batch run and in a serve alike."""
     pause_s, events = 1e-4, 2 * _CHUNK + 500
     setup = SCENARIOS["heavy-hitter-single"].build(events, 1)
     make_traffic, times, leads = setup.traffic, [], []
@@ -530,7 +542,7 @@ def test_batch_traffic_is_timed_off_the_drain_and_pulled_a_chunk_at_a_time():
 
     setup.traffic = slow_traffic
     setup.invariants.append(Lead())
-    result = run_setup(setup, "heavy-hitter-single", 1)
+    result = run(setup, "heavy-hitter-single", 1)
     slept = pause_s * len(times)
     assert len(times) == result.events_injected == events
     assert result.traffic_s >= slept > result.wall_s

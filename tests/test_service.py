@@ -9,6 +9,7 @@ byte-identical to the uninterrupted run in every deterministic observable;
 a finished run restarted on its checkpoint directory returns its result
 unchanged."""
 
+import errno
 import io
 import json
 import os
@@ -548,6 +549,40 @@ def test_kill_between_tmp_write_and_rename_resumes_from_last_complete(tmp_path):
     assert second.result.verdict_signature() == straight.verdict_signature()
 
 
+def test_a_full_disk_on_telemetry_flush_stops_the_serve_and_keeps_its_checkpoint(tmp_path):
+    """A telemetry sink whose ``flush`` fails with ``ENOSPC`` after four
+    records stops the serve with that error; the newest checkpoint is whole,
+    and a serve resumed from it finishes as the straight run does."""
+
+    class FullDisk(io.StringIO):
+        flushes = 0
+
+        def flush(self):
+            self.flushes += 1
+            if self.flushes > 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    scenario = SCENARIOS["nat-churn"]
+
+    def config(stream):
+        return ServiceConfig(
+            engine="codegen", seed=1, events=6_000, checkpoint_dir=str(tmp_path),
+            checkpoint_every=1_000, telemetry_every=500, chunk_events=250,
+            telemetry_stream=stream,
+        )
+
+    with pytest.raises(OSError) as caught:
+        ScenarioService(scenario, config(FullDisk())).run()
+    assert caught.value.errno == errno.ENOSPC
+    newest = CheckpointStore(tmp_path).latest()
+    assert load_checkpoint(newest)["handled"] > 0
+    resumed = ScenarioService(scenario, config(io.StringIO())).run()
+    assert resumed.resumed_from == str(newest)
+    assert resumed.result.array_digest == "214fca95"
+    straight = run_scenario(scenario, 6_000, 1, engine="codegen")
+    assert resumed.result.verdict_signature() == straight.verdict_signature()
+
+
 # ---------------------------------------------------------------------------
 # streaming invariants
 # ---------------------------------------------------------------------------
@@ -564,6 +599,25 @@ def test_streaming_only_evaluation_skips_settle_invariants():
     streaming = evaluate(setup.invariants, network, streaming_only=True)
     full = evaluate(setup.invariants, network)
     assert len(streaming) < len(full)
+
+
+@pytest.mark.parametrize("every", [50, 200])
+def test_a_serve_reads_no_mid_run_dns_violation_while_the_source_pulls_ahead(every):
+    """The source pulls its traffic up to a chunk ahead of the drain, and
+    ``dns-victim-blocked`` counts reflected responses as they are emitted:
+    it is settle-only, so a serve judging the streaming invariants every
+    ``every`` handled events writes no mid-run violation."""
+    stream = io.StringIO()
+    config = ServiceConfig(engine="codegen", seed=1, events=6_000,
+                           telemetry_every=every, chunk_events=every,
+                           telemetry_stream=stream)
+    outcome = ScenarioService(SCENARIOS["dns-reflection"], config).run()
+    assert outcome.result.ok
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
+    mid_run = [record for record in records if record["phase"] == "run"]
+    assert mid_run
+    assert [report for record in mid_run for report in record["invariants"]
+            if not report["ok"]] == []
 
 
 def test_observing_invariant_without_snapshot_support_is_refused():

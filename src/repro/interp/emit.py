@@ -71,7 +71,7 @@ from repro.midend.normalize import (
 )
 from repro.obs.metrics import OBS as _OBS, Counter
 from repro.ops import MASK32, binop_template, hash_namespace, hash_template
-from repro.records import record
+from repro.records import field, record
 
 #: one emitted line: (indent level relative to its ``def``, text)
 Line = Tuple[int, str]
@@ -113,6 +113,8 @@ class GeneratedModule:
     bind: Callable[..., Dict[str, Callable]]
     #: event -> the source of its handler function
     handler_sources: Dict[str, str]
+    #: a stage plan's :class:`~repro.pisa.pipeline.PathShape` per handler
+    paths: Dict[str, object] = field(default_factory=dict)
 
     @property
     def handler_names(self) -> List[str]:

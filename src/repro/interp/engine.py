@@ -186,9 +186,7 @@ class PisaEngine(SwitchEngine):
                 "pisa engine restore requires the engine state captured by "
                 "snapshot_state (got none)"
             )
-        self.pipeline.stages_traversed = state["stages_traversed"]
-        self.pipeline.max_stages_traversed = state["max_stages_traversed"]
-        self.pipeline.tables_executed = state["tables_executed"]
+        self.pipeline.restore_counters(state)
 
 
 #: engine registry: name -> constructor ``(runtime) -> SwitchEngine``

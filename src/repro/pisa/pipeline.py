@@ -8,41 +8,34 @@ table — testing each table's path conditions against the packet's metadata
 (stateless ALU op, stateful ALU register access, hash, event generation, or a
 primitive action such as ``drop``/``forward``/``printf``).
 
-On hardware none of that is decided per packet: the match-action rules *are*
-the layout, fixed at compile time.  The executor does the same.  The layout
-is lowered **once** per :class:`~repro.backend.compiler.CompiledProgram`
-into a *stage plan* (:func:`lower_layout`): one flat Python function per
-handler holding only that handler's tables in stage order, with path
-conditions as inline tests, metadata fields as plain locals, ALU and hash
-operations as the ``repro.ops`` source templates, and the per-stage
-accounting (the pass's ``_st`` stages and ``_tb`` tables, the optional
-:class:`~repro.obs.profile.StageProfiler`) written out per stage.  A
-:class:`PisaPipeline` only binds the plan to its own switch state — register
-arrays and their cell lists, ``SELF``, the runtime clock/PRNG/extern table,
-its pass counters — so every switch running one compiled program shares the
-code objects.  The plan is a module in the generated-module format of
-:mod:`repro.interp.emit` (``_bind(_P, _rt)``, one ``_h_<event>`` per
-handler returning a plain ``ExecutionResult``, run through the shared
-:func:`~repro.interp.emit.dispatcher`), which the codegen engine writes and
-runs too — from the same normalised statements, through the same statement
-printers (``ModuleEmitter._statement``).  :class:`_PlanEmitter` adds only
-what is the plan's own: stages, path conditions, uid tags for effects that
-data-flow reordering may have moved, the ``_st`` / ``_tb`` /
-stage-profiler accounting, and an epilogue adding the pass's counts into
-the :class:`PisaPipeline`'s own.  A stateful table is part of its stage like
-any other: the format's one straight-line read-modify-write on the array's
-cell list, its memops rendered in place, exactly one per table, like the
-hardware stateful ALU.
+On hardware none of that is decided per packet, and neither is it here: the
+layout is lowered **once** per :class:`~repro.backend.compiler.CompiledProgram`
+into a *stage plan* (:func:`lower_layout`), a module in the generated-module
+format of :mod:`repro.interp.emit` (``_bind(_P, _rt)``, one ``_h_<event>``
+per handler, run through the shared :func:`~repro.interp.emit.dispatcher`)
+whose statements are the codegen engine's text, from the same printers.
+:class:`_PlanEmitter` adds what is the plan's own.  Each handler's tables
+run in stage order under *condition flags*: each distinct conjunction of path
+conditions is computed once, into a bool ``_f<N>``, at the first stage that
+tests it (from a live prefix flag where one exists); a flag is keyed by the
+write counts of its operands, so a table writing an operand makes the next
+test compute a new flag; consecutive tables of a stage under one flag share
+one ``if``.  A metadata local gets its default at entry only if some read
+may find it unwritten.  A pass's stage and table counts are one bump of its
+path — the int whose bit ``N`` is flag ``N`` — in a per-handler dict the
+:class:`PisaPipeline` owns, which :meth:`PisaPipeline.counters` folds through
+the lowering's masks (:class:`PathShape`).  A second lowering, bound only
+while a :class:`~repro.obs.profile.StageProfiler` is attached, also times
+each stage into it.  A pipeline binds only its own switch state (arrays,
+``SELF``, the runtime, its path counts), so switches running one compiled
+program share the code objects.
 
-Running the same program through this pipeline executor and through the
-AST-level interpreter (:mod:`repro.interp`) and comparing the resulting
-register state is the repository's main end-to-end check that compilation
-preserves semantics.  The executor is also *load-bearing*:
-:class:`~repro.interp.engine.PisaEngine` drives whole scenario workloads
-through :attr:`PisaPipeline.run`, one pipeline pass per handled event, over a
-:class:`~repro.interp.interpreter.SwitchRuntime` shared with the network
-simulation (pass ``runtime=`` to share arrays, externs, the clock, and the
-PRNG with a live :class:`~repro.interp.network.Switch`).
+Running the same program through this executor and through the tree walker
+and comparing register state is the main end-to-end check that compilation
+preserves semantics; :class:`~repro.interp.engine.PisaEngine` also drives
+whole scenarios through :attr:`PisaPipeline.run`, one pass per handled event,
+over a :class:`~repro.interp.interpreter.SwitchRuntime` shared with the
+network simulation.
 
 Use ``repro.scenarios run NAME --engine pisa --dump-source`` (or
 :meth:`PisaPipeline.source`) to read a plan.
@@ -50,9 +43,11 @@ Use ``repro.scenarios run NAME --engine pisa --dump-source`` (or
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
 from operator import itemgetter
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backend.compiler import CompiledProgram
 from repro.backend.layout import PipelineLayout
@@ -61,6 +56,7 @@ from repro.frontend import ast
 from repro.interp.arrays import RuntimeArray
 from repro.interp.emit import GeneratedModule, Line, ModuleEmitter, cached_module, dispatcher, effect_of
 from repro.interp.interpreter import SwitchRuntime
+from repro.midend.normalize import NCond, operand_vars, stmt_reads
 from repro.obs.metrics import REGISTRY as _REGISTRY
 
 # bumped by ``cached_module`` behind an ``if _OBS.enabled:`` guard
@@ -69,39 +65,61 @@ _M_PLAN_CACHE_HITS = _REGISTRY.counter(
     "Pipelines bound to a stage plan already lowered for their program.")
 _M_PLAN_CACHE_MISSES = _REGISTRY.counter(
     "repro_engine_pisa_plan_cache_misses_total",
-    "Stage plans lowered from a layout (once per compiled program).")
+    "Stage plans lowered from a layout (once per compiled program; timed: once more).")
 
 # ---------------------------------------------------------------------------
 # lowering: PipelineLayout -> stage plan
 # ---------------------------------------------------------------------------
-def lower_layout(compiled: CompiledProgram) -> GeneratedModule:
-    """The stage plan of ``compiled``, lowered on first use and cached on the
-    compiled program — beside the layout it is derived from, so the switches
-    sharing one layout (:func:`repro.interp.engine._compiled_for`) lower it
-    once however many of them there are."""
-    return cached_module(compiled, "_stage_plan", lambda: _PlanEmitter(compiled).lower(),
+def lower_layout(compiled: CompiledProgram, timed: bool = False) -> GeneratedModule:
+    """The stage plan of ``compiled`` (``timed``: one that also times each
+    stage into its pipeline's stage profiler), lowered on first use and cached
+    on the compiled program, so the switches sharing one layout
+    (:func:`repro.interp.engine._compiled_for`) lower it once."""
+    return cached_module(compiled, "_timed_stage_plan" if timed else "_stage_plan",
+                         lambda: _PlanEmitter(compiled, timed).lower(),
                          _M_PLAN_CACHE_HITS, _M_PLAN_CACHE_MISSES)
 
 
 _HEADER = """\
 # Stage plan lowered by repro.pisa.pipeline for program {name!r}:
-# one function per handler, its tables in stage order.
+# one function per handler, its tables in stage order, each under the
+# flag _f<N> that holds its path conditions.
 # Seeded globals: _IE (InterpError), _EV (EventInstance),
 # _ER (ExecutionResult), _EMPTY_R (shared no-effect result),
-# _pc (perf_counter), _uid (itemgetter(0)),
+# _uid (itemgetter(0)),{timed}
 # _c32 (zlib.crc32), _pk<N> (struct '<NI' packers).  Bound per switch:
-# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list);
-# _P is the pipeline, which sums the pass counts.
+# _A_<array> (RuntimeArray, for its counters), _C_<array> (its cell list),
+# _K_<handler> (the pipeline's passes by path: flag N is bit N of the key).
 """
+
+
+class PathShape(NamedTuple):
+    """How a path index (bit ``N``: flag ``_f<N>`` held) folds into counts:
+    the stages and tables every pass counts, the flag mask of each stage
+    with no unconditional table, and the tables under each flag."""
+
+    stages: int
+    tables: int
+    stage_masks: Tuple[int, ...]
+    flag_tables: Tuple[int, ...]
+
+    def count(self, index: int) -> Tuple[int, int]:
+        """The stages traversed and tables executed by a pass on ``index``."""
+        return (self.stages + sum(1 for mask in self.stage_masks if index & mask),
+                self.tables + sum(n for bit, n in enumerate(self.flag_tables) if index >> bit & 1))
 
 
 class _PlanEmitter(ModuleEmitter):
     """Walks the layout once and writes one function per handler: the
-    shared statement text, placed in stages under its path conditions."""
+    shared statement text, placed in stages under condition flags; ``timed``
+    also writes each stage's ``_sp.record``."""
 
-    def __init__(self, compiled: CompiledProgram):
+    def __init__(self, compiled: CompiledProgram, timed: bool = False):
         super().__init__(compiled.checked.info)
         self.program_name = compiled.name
+        self.timed = timed
+        #: handler -> how its path counts fold into pass counts
+        self.paths: Dict[str, PathShape] = {}
         #: handler -> [(stage index, that handler's tables in the stage)]
         self.staged: Dict[str, List[Tuple[int, List[AtomicTable]]]] = {}
         for stage_index, stage in enumerate(compiled.layout.stages):
@@ -117,29 +135,24 @@ class _PlanEmitter(ModuleEmitter):
 
     # -- program assembly ---------------------------------------------------
     def lower(self) -> GeneratedModule:
-        handlers = {
-            name: self._handler(decl) for name, decl in self.info.handlers.items()
-        }
-        return self._module(
-            self.program_name, "stage-plan", _HEADER.format(name=self.program_name),
-            "_P, _rt", handlers, {"_pc": perf_counter, "_uid": itemgetter(0)})
+        handlers = {name: self._handler(decl) for name, decl in self.info.handlers.items()}
+        timed = " _pc (perf_counter)," if self.timed else ""
+        seeds = {"_uid": itemgetter(0), **({"_pc": perf_counter} if self.timed else {})}
+        module = self._module(
+            self.program_name, "timed-stage-plan" if self.timed else "stage-plan",
+            _HEADER.format(name=self.program_name, timed=timed), "_P, _rt", handlers, seeds)
+        return replace(module, paths=self.paths)
 
     # -- one handler --------------------------------------------------------
     def _handler(self, decl: ast.DHandler) -> List[Line]:
         staged = self.staged.get(decl.name, [])
         tables = [table for _, stage_tables in staged for table in stage_tables]
         params = [p.name for p in decl.params]
-        written: Set[str] = set()
-        read: Set[str] = set()
-        for table in tables:
-            written.update(table.writes)
-            read.update(table.all_reads())
         # a metadata field is a local iff some table may write it (handler
         # parameters arrive written); every other name reads as its default
-        names = sorted(set(params) | written)
+        names = sorted(set(params).union(*(table.writes for table in tables)))
         self._use_locals(names)
-
-        effects = {effect_of(table.stmt) for table in tables}
+        effects = {effect_of(table.stmt) for table in tables} - {None}
         # generated events and printed lines are observable in program order
         # (table uid order); data-flow reordering may place them otherwise, in
         # which case they are tagged with their table uid and re-sorted
@@ -148,15 +161,16 @@ class _PlanEmitter(ModuleEmitter):
             uids = [t.uid for t in tables if effect_of(t.stmt) == kind]
             tag[kind] = uids != sorted(uids)
 
-        self.lines = self._handler_head(
-            decl.name, [self.locals[name] if name in read else None for name in params])
-        for name in names:
-            if name in read and name not in params:
-                self._line(f"{self.locals[name]} = {self._default(name)}")
-        self.lines += self._effect_inits(effects)
-        if staged:
+        # the body first, as it finds the locals some read may find unwritten
+        # (``unset``): ``version`` counts each local's writes so far, ``defs``
+        # holds the conditions (a :meth:`_key`) of each write, ``flags`` maps
+        # conditions to their flag; a PathShape's fields are gathered alike
+        self.lines, self.indent, self.read, self.unset = [], 1, set(), set()
+        self.version, self.flags = Counter(), {}
+        self.defs: Dict[str, List[tuple]] = {name: [()] for name in params}
+        self.flag_tables, self.stage_masks, self.fixed = [], [], [0, 0]
+        if self.timed and staged:
             self._line("_sp = _P.stage_prof")
-            self._line("_st = _tb = 0")
         for stage_index, stage_tables in staged:
             self._stage(stage_index, stage_tables, tag)
         for kind, var in (("gen", "_gen"), ("prints", "_prints")):
@@ -165,49 +179,94 @@ class _PlanEmitter(ModuleEmitter):
                 self._line(f"{var}.sort(key=_uid)", 1)
                 self._line(f"{var} = [_item for _, _item in {var}]")
         if staged:
-            # the pass's counts into the pipeline's
-            self._line("_P.stages_traversed += _st")
-            self._line("_P.tables_executed += _tb")
-            self._line("if _st > _P.max_stages_traversed:")
-            self._line("_P.max_stages_traversed = _st", 1)
+            # the pass's counts are its path's: one count per pass
+            counts = f"_K_{decl.name}"
+            self._bindings["paths", decl.name] = (counts, f"_P.path_counts[{decl.name!r}]")
+            bits = [f"_f{n} << {n}" if n else "_f0" for n in range(len(self.flag_tables))]
+            self._line(f"_k = {' | '.join(bits) or 0}")
+            self._line(f"{counts}[_k] = {counts}.get(_k, 0) + 1")
+            self.paths[decl.name] = PathShape(
+                *self.fixed, tuple(self.stage_masks), tuple(self.flag_tables))
         self._line(f"return {self._result(effects)}")
-        return self.lines
+        head = self._handler_head(
+            decl.name, [self.locals[name] if name in self.read else None for name in params])
+        head += [(1, f"{self.locals[name]} = {self._default(name)}")
+                 for name in names if name in self.unset]
+        return head + self._effect_inits(effects) + self.lines
 
     def _stage(self, stage_index: int, tables: List[AtomicTable],
                tag: Dict[str, bool]) -> None:
-        """One physical stage: every table whose path conditions hold runs;
-        a stage counts as traversed iff at least one did."""
+        """One physical stage: every table whose flag holds runs, consecutive
+        tables under one flag in one ``if``; a stage counts as traversed iff
+        at least one of its tables ran."""
         self._line(f"# stage {stage_index}")
-        self._line("if _sp is not None:")
-        self._line("_t0 = _pc()", 1)
-        always = sum(1 for table in tables if not table.path_conditions)
-        if always < len(tables):
-            self._line("_n = 0")
+        if self.timed:
+            self._line("_t0 = _pc()")
+        counts: Dict[Optional[int], int] = {}  # flag (None: unconditional) -> tables
+        opened = None
         for table in tables:
-            if table.path_conditions:
-                test = " and ".join(self._test(c) for c in table.path_conditions)
-                self._line(f"if {test}:  # {table.name}")
-                self.indent += 1
-                self._table(table, tag)
-                self._line("_n += 1")
-                self.indent -= 1
-            else:
-                self._line(f"# {table.name}")
-                self._table(table, tag)
-        count = str(always) if always == len(tables) else f"{always} + _n" if always else "_n"
-        deeper = 0 if always else 1
-        if not always:
-            self._line("if _n:")
-        self._line("_st += 1", deeper)
-        self._line(f"_tb += {count}", deeper)
-        self._line("if _sp is not None:", deeper)
-        self._line(f"_sp.record({stage_index}, {count}, _pc() - _t0)", deeper + 1)
+            key = self._key(table.path_conditions)
+            flag = self._flag(key, table.path_conditions) if key else None
+            if flag is not None and flag != opened:
+                self._line(f"if _f{flag}:")
+            opened = flag
+            counts[flag] = counts.get(flag, 0) + 1
+            self.indent += flag is not None
+            self._line(f"# {table.name}")
+            self._reads(stmt_reads(table.stmt), key)
+            self._statement(table.stmt, table.uid if tag["gen"] else None,
+                            table.uid if tag["prints"] else None)
+            self.indent = 1
+            for name in table.writes:
+                self.version[name] += 1
+                self.defs.setdefault(name, []).append(key)
+        always = counts.pop(None, 0)
+        for flag, n in counts.items():
+            self.flag_tables[flag] += n
+        if always:
+            self.fixed = [self.fixed[0] + 1, self.fixed[1] + always]
+        else:
+            self.stage_masks.append(sum(1 << flag for flag in counts))
+        if self.timed:
+            ran = " + ".join([str(always)] * bool(always) + [
+                f"{n} * _f{flag}" if n > 1 else f"_f{flag}" for flag, n in counts.items()])
+            if not always:
+                self._line(f"_n = {ran}")
+                self._line("if _n:")
+                ran = "_n"
+            self._line(f"_sp.record({stage_index}, {ran}, _pc() - _t0)", not always)
 
-    def _table(self, table: AtomicTable, tag: Dict[str, bool]) -> None:
-        """One table's action: its statement, tagged with the table's uid
-        where data-flow reordering may have moved it (see :meth:`_handler`)."""
-        self._statement(table.stmt, table.uid if tag["gen"] else None,
-                        table.uid if tag["prints"] else None)
+    # -- condition flags and the locals' defaults ----------------------------
+    def _key(self, conditions: Sequence[NCond]) -> tuple:
+        """``conditions`` as tested now: each one's text and the write counts
+        of its operands, so a table that writes an operand changes the key."""
+        return tuple((self._test(c), *[self.version[n] for n in operand_vars(c.lhs, c.rhs)])
+                     for c in conditions)
+
+    def _flag(self, key: tuple, conditions: Sequence[NCond]) -> int:
+        """The flag holding ``key``: the live one, or a new one computed here
+        (at the first stage testing it) from the longest live prefix flag."""
+        flag = self.flags.get(key)
+        if flag is not None:
+            return flag
+        start = max((n for n in range(1, len(key)) if key[:n] in self.flags), default=0)
+        tests = [f"_f{self.flags[key[:start]]}"] if start else []
+        for n in range(start, len(key)):
+            # ``and`` short-circuits: the n-th test runs under the first n
+            self._reads(operand_vars(conditions[n].lhs, conditions[n].rhs), key[:n])
+            tests.append(key[n][0])
+        flag = self.flags[key] = len(self.flag_tables)
+        self.flag_tables.append(0)
+        self._line(f"_f{flag} = {' and '.join(tests)}")
+        return flag
+
+    def _reads(self, names: Sequence[str], key: tuple) -> None:
+        """Reads under ``key``: a local is ``unset`` unless written under a prefix of it."""
+        for name in names:
+            if name in self.locals:
+                self.read.add(name)
+                if not any(key[:len(under)] == under for under in self.defs.get(name, ())):
+                    self.unset.add(name)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +275,8 @@ class _PlanEmitter(ModuleEmitter):
 class PisaPipeline:
     """Executes a compiled program's layout over shared register state."""
 
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        switch_id: int = 0,
-        runtime: Optional[SwitchRuntime] = None,
-    ):
+    def __init__(self, compiled: CompiledProgram, switch_id: int = 0,
+                 runtime: Optional[SwitchRuntime] = None):
         self.compiled = compiled
         self.info = compiled.checked.info
         self.layout: PipelineLayout = compiled.layout
@@ -231,32 +286,55 @@ class PisaPipeline:
         # register file visible to snapshots and the array digests
         self.runtime = runtime or SwitchRuntime(compiled.checked, switch_id=switch_id)
         self.switch_id = self.runtime.switch_id
-        #: optional :class:`repro.obs.profile.StageProfiler` — per-physical-
-        #: stage wall-time and table accounting; read at the start of every
-        #: pass, so it may be attached at any time
-        self.stage_prof = None
-        #: stages and tables summed over every pass, and the most stages of
-        #: any one pass — the plan's epilogue adds each pass in
-        self.stages_traversed = 0
-        self.max_stages_traversed = 0
-        self.tables_executed = 0
         self.plan = lower_layout(compiled)
-        self._handlers = self.plan.bind(self, self.runtime)
+        #: handler -> {path index: passes}: the one count each pass of the
+        #: plan makes, which :meth:`counters` folds through ``plan.paths``
+        self.path_counts: Dict[str, Dict[int, int]] = {name: {} for name in self.plan.paths}
+        #: the counters restored from a checkpoint, which the paths add to
+        self._restored = (0, 0, 0)
+        self._handlers: Dict[str, Callable] = {}
+        self.stage_prof = None
         #: ``run(event)``: one pass of ``event`` through its handler's plan —
         #: what the pisa engine dispatches to
         self.run = dispatcher(self._handlers)
+
+    @property
+    def stage_prof(self):
+        """The attached :class:`repro.obs.profile.StageProfiler`, or None;
+        setting it binds the timed plan (None: the plain one) in place, so
+        ``run`` keeps dispatching, into the same ``path_counts``."""
+        return self._stage_prof
+
+    @stage_prof.setter
+    def stage_prof(self, profiler) -> None:
+        self._stage_prof = profiler
+        plan = self.plan if profiler is None else lower_layout(self.compiled, timed=True)
+        self._handlers.update(plan.bind(self, self.runtime))
 
     # -- state access ---------------------------------------------------------
     def array(self, name: str) -> RuntimeArray:
         return self.runtime.array(name)
 
     def counters(self) -> Dict[str, int]:
-        """The pass counters by name."""
-        return {
-            "stages_traversed": self.stages_traversed,
-            "max_stages_traversed": self.max_stages_traversed,
-            "tables_executed": self.tables_executed,
-        }
+        """The pass counters by name, folded from the path counts: stages and
+        tables summed over every pass, and the most stages of any one."""
+        stages, peak, tables = self._restored
+        for name, counts in self.path_counts.items():
+            shape = self.plan.paths[name]
+            for index, passes in counts.items():
+                traversed, executed = shape.count(index)
+                stages += traversed * passes
+                tables += executed * passes
+                peak = max(peak, traversed)
+        return {"stages_traversed": stages, "max_stages_traversed": peak,
+                "tables_executed": tables}
+
+    def restore_counters(self, counters: Dict[str, int]) -> None:
+        """Count on from ``counters`` (what :meth:`counters` returned)."""
+        self._restored = itemgetter(
+            "stages_traversed", "max_stages_traversed", "tables_executed")(counters)
+        for counts in self.path_counts.values():
+            counts.clear()
 
     def source(self, handler: Optional[str] = None) -> str:
         """The lowered stage plan as Python source: the whole module, or the

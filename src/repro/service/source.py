@@ -22,14 +22,17 @@ be snapshotted) out of the heap.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter, length_hint
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import SimulationError
 from repro.interp.network import CONTROL, SourceItem
 
 #: traffic items per pull: the bound on what a run holds undelivered
 CHUNK = 1_024
+
+_target = itemgetter(1)
 
 
 class ReplayableSource:
@@ -41,35 +44,61 @@ class ReplayableSource:
     Counters: ``consumed`` is every item yielded (including CONTROL
     actions), ``injected`` counts only events, ``last_ns`` is the latest
     timestamp seen.  Timestamps must not decrease: an item earlier than
-    ``last_ns`` raises :class:`SimulationError`.  An item returned via
-    :meth:`push_back` is *uncounted* by :meth:`cursor` until it is pulled
-    again, so a checkpoint taken while the simulator holds a pending item
-    replays that item on resume.  ``traffic_s`` is the time spent pulling.
+    ``last_ns`` raises :class:`SimulationError` once every item before it
+    has been yielded.  An item returned via :meth:`push_back` is
+    *uncounted* by :meth:`cursor` until it is pulled again, so a checkpoint
+    taken while the simulator holds a pending item replays that item on
+    resume.  ``traffic_s`` is the time spent pulling.  The counters are kept
+    per pull: each is read off the position in the latest one.
     """
 
-    __slots__ = ("_items", "_chunk", "consumed", "last_ns", "_controls", "_prev_ns",
-                 "_pushed_back", "traffic_s")
+    __slots__ = ("_items", "_pull", "_chunk", "_before", "_last_before", "_controls",
+                 "_backwards", "_pushed_back", "traffic_s")
 
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
         self._items: Iterator[SourceItem] = iter(source() if callable(source) else source)
-        self.consumed = 0
-        self.last_ns = 0
-        #: CONTROL actions among the consumed items
+        #: the latest pull, and the iterator delivering it
+        self._pull: List[SourceItem] = []
+        self._chunk: Iterator[SourceItem] = iter(self._pull)
+        #: items, and the timestamp of the last one, before the latest pull
+        self._before = 0
+        self._last_before = 0
+        #: CONTROL actions among the items before the latest pull
         self._controls = 0
-        #: ``last_ns`` before the latest pull: cursor()'s undo of a held item
-        self._prev_ns = 0
+        #: the error for the first item of a pull that goes back in time,
+        #: raised once the items before it are delivered
+        self._backwards: Optional[SimulationError] = None
         self._pushed_back: Optional[SourceItem] = None
-        #: the undelivered rest of the latest pull
-        self._chunk: Iterator[SourceItem] = iter(())
         self.traffic_s = 0.0
 
     @property
+    def consumed(self) -> int:
+        return self._before + len(self._pull) - length_hint(self._chunk)
+
+    @property
+    def last_ns(self) -> int:
+        delivered = len(self._pull) - length_hint(self._chunk)
+        return self._pull[delivered - 1][0] if delivered else self._last_before
+
+    @property
     def injected(self) -> int:
-        return self.consumed - self._controls
+        delivered = self._pull[:len(self._pull) - length_hint(self._chunk)]
+        return self.consumed - self._controls - list(map(_target, delivered)).count(CONTROL)
 
     # -- iteration -----------------------------------------------------------
-    def __iter__(self) -> "ReplayableSource":
-        return self
+    def __iter__(self) -> Iterator[SourceItem]:
+        """The items from the next one on: a held item, then each pull's own
+        list iterator, so an item costs no call of :meth:`__next__`.  An item
+        returned by :meth:`push_back` comes first from the next ``iter`` (or
+        ``next``), not from an iterator already running."""
+        while True:
+            if self._pushed_back is not None:
+                yield next(self)
+            yield from self._chunk
+            try:
+                yield self._next_pull()
+            except StopIteration:
+                return
 
     def __next__(self) -> SourceItem:
         item = self._pushed_back
@@ -78,23 +107,35 @@ class ReplayableSource:
             return item
         item = next(self._chunk, None)
         if item is None:
-            # a list iterator lets go of its list once it is used up
-            pulled = perf_counter()
-            self._chunk = iter(list(islice(self._items, CHUNK)))
-            self.traffic_s += perf_counter() - pulled
-            item = next(self._chunk)
-        time_ns = item[0]
-        if time_ns < self.last_ns:
-            raise SimulationError(
-                f"source went backwards in time: item {self.consumed} is at "
-                f"{time_ns} ns, after an item at {self.last_ns} ns"
-            )
-        self._prev_ns = self.last_ns
-        self.last_ns = time_ns
-        self.consumed += 1
-        if item[1] == CONTROL:
-            self._controls += 1
+            item = self._next_pull()
         return item
+
+    def _next_pull(self) -> SourceItem:
+        """Pull the next list of items, check its time order once, and
+        return its first item."""
+        if self._backwards is not None:
+            raise self._backwards
+        done, self._pull = self._pull, []
+        if done:
+            self._before += len(done)
+            self._last_before = done[-1][0]
+            self._controls += list(map(_target, done)).count(CONTROL)
+        del done  # a used-up list is let go before the next is built
+        pulled = perf_counter()
+        items = list(islice(self._items, CHUNK))
+        self.traffic_s += perf_counter() - pulled
+        last = self._last_before
+        for at, item in enumerate(items):
+            if item[0] < last:
+                self._backwards = SimulationError(
+                    f"source went backwards in time: item {self._before + at} is at "
+                    f"{item[0]} ns, after an item at {last} ns")
+                del items[at:]
+                break
+            last = item[0]
+        self._pull = items
+        self._chunk = iter(items)
+        return next(self._chunk) if items or self._backwards is None else self._next_pull()
 
     # -- simulator hooks -----------------------------------------------------
     def push_back(self, item: SourceItem) -> None:
@@ -125,9 +166,10 @@ class ReplayableSource:
         pushed-back (pulled but undelivered) item is excluded."""
         held = self._pushed_back
         undo = held is not None
+        delivered = len(self._pull) - length_hint(self._chunk) - undo
         return {"consumed": self.consumed - undo,
                 "injected": self.injected - (undo and held[1] != CONTROL),
-                "last_ns": self._prev_ns if undo else self.last_ns}
+                "last_ns": self._pull[delivered - 1][0] if delivered else self._last_before}
 
     def skip(self, count: int) -> "ReplayableSource":
         """Advance a *fresh* source past ``count`` items without delivering

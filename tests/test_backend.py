@@ -2,6 +2,7 @@
 path conditions, data-flow reordering, greedy merging, and P4 generation."""
 
 import os
+import re
 import time
 
 import pytest
@@ -188,7 +189,7 @@ def test_wide_handler_compiles_in_linear_time():
     elapsed = time.perf_counter() - started
     assert compiled.unoptimized_stages() == 1 + 2 * 24 + 1
     assert compiled.p4 is not None and compiled.naive_p4 is not None
-    assert plan.source.count("if v_x == ") == 24
+    assert len(re.findall(r"_f\d+ = v_x == ", plan.source)) == 24  # each test once, into its flag
     assert elapsed < 2.0, f"compiling and lowering 24 sequential ifs took {elapsed:.2f} s"
 
     def run(engine):

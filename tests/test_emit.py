@@ -151,12 +151,14 @@ def test_codegen_handler_bodies_are_byte_identical_to_the_parent(key):
 
 
 # ---------------------------------------------------------------------------
-# (c) one factory shape, every per-switch name drawn from the runtime
+# (c) one factory shape, every per-switch name drawn from the runtime (and a
+#     stage plan's path counts from its pipeline, handler by handler)
 # ---------------------------------------------------------------------------
 BINDING = re.compile(
     r"    _(SELF|EXT|ARRAYS|[ACGM]_\w+) = "
     r"(_rt\.\w+(\('\w+'\))?|_A_\w+\.cells|_rt\.groups\['\w+'\])$"
 )
+PATH_COUNTS = re.compile(r"    _K_(\w+) = _P\.path_counts\['\1'\]$")
 
 
 @pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
@@ -172,7 +174,8 @@ def test_both_dumps_have_the_one_factory_shape(key):
         last = lines.index("", first)
         assert last > first
         for line in lines[first:last]:
-            assert BINDING.match(line), line
+            assert BINDING.match(line) or factory == "def _bind(_P, _rt):" and \
+                PATH_COUNTS.match(line), line
         # then nothing but the handlers and the dispatch table
         rest = "\n".join(lines[last:])
         assert re.fullmatch(r"(\n    def _h_\w+\(_args\):\n(        .*\n)+)+"

@@ -244,8 +244,8 @@ def test_metrics_follow_the_ledger_through_restore(global_metrics):
 def test_the_dispatch_path_holds_no_metric_site():
     """What an event runs through — the scheduler's loop and generate
     scheduling, each engine's run (the tree walker, or the one dispatcher of
-    both compiled engines and the handlers it calls, the stage plan's ending
-    in its counter epilogue) — names no obs state: metrics are collected
+    both compiled engines and the handlers it calls, the stage plan's, plain
+    or timed, ending in its one path-count bump) — names no obs state: metrics are collected
     from the ledger, so obs costs nothing per event, enabled or not.
     (``Network.run`` enrols its network once, before the loop.)"""
     import ast
@@ -254,6 +254,7 @@ def test_the_dispatch_path_holds_no_metric_site():
 
     from repro.interp.emit import dispatcher
     from repro.interp.walker import HandlerInterpreter
+    from repro.pisa.pipeline import lower_layout
 
     def names(node):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
@@ -270,8 +271,13 @@ def test_the_dispatch_path_holds_no_metric_site():
     pisa, codegen = (_relay_network(name).switches[0].engine for name in ("pisa", "codegen"))
     for engine in (pisa, codegen):
         assert engine.run.__code__ is dispatcher({}).__code__, engine.name
-    assert "_P.stages_traversed += _st" in pisa.pipeline.plan.source
-    for module in (pisa.pipeline.plan, codegen.module):
+    epilogue = "        _K_pkt[_k] = _K_pkt.get(_k, 0) + 1\n        return "
+    assert epilogue in pisa.pipeline.plan.source
+    pisa.pipeline.stage_prof = StageProfiler(pisa.pipeline.layout.num_stages())
+    timed = lower_layout(pisa.pipeline.compiled, timed=True)
+    bound = timed.bind(pisa.pipeline, pisa.pipeline.runtime)
+    assert pisa.pipeline._handlers["pkt"].__code__ is bound["pkt"].__code__
+    for module in (pisa.pipeline.plan, timed, codegen.module):
         assert not names(ast.parse(module.source)) & obs_names
 
 

@@ -18,13 +18,19 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from pisa_pass_recorder import pass_summary_for_case, pass_summary_for_scenario
+from pisa_pass_recorder import (
+    pass_summary_for_case,
+    pass_summary_for_scenario,
+    recorded_passes,
+    summarise,
+)
 from repro.apps import ALL_APPLICATIONS
-from repro.backend.compiler import compile_program
+from repro.backend.compiler import compile_checked, compile_program
 from repro.backend.p4gen import _sanitize
 from repro.backend.tables import TableKind
 from repro.errors import ConstError, InterpError, MemopError
@@ -32,7 +38,7 @@ from repro.frontend import ast, check_program
 from repro.frontend.source import dummy_span
 from repro.fuzz.case import load_case
 from repro.interp.arrays import RuntimeArray
-from repro.interp.codegen import dump_program_source
+from repro.interp.codegen import compile_program as codegen_module, dump_program_source
 from repro.interp.engine import ENGINE_NAMES
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import ExecutionResult, SwitchRuntime, memop_shape, memop_template
@@ -47,11 +53,11 @@ from repro.ops import (
     hash_template,
     lucid_hash,
 )
-from repro.pisa.pipeline import PisaPipeline
+from repro.pisa.pipeline import PisaPipeline, lower_layout
 from repro.scenarios import registry
 from repro.scenarios.runner import network_array_digest, prepare_run, settle_horizon
 
-from test_compiled_interp import BOUNDARY
+from test_compiled_interp import BOUNDARY, build_events, run_engine
 from test_emit import _oracle_op
 
 HERE = Path(__file__).parent
@@ -356,6 +362,123 @@ def test_pisa_counters_are_the_sums_of_the_passes():
             "max_stages_traversed": max(stages),
             "tables_executed": sum(tables for _, tables in passes[sid]),
         }
+
+
+# ---------------------------------------------------------------------------
+# (c') the plain plan and the timed one a stage profiler binds count alike
+#      ("golden" in their names: CI runs them under two hash seeds)
+# ---------------------------------------------------------------------------
+@contextmanager
+def stage_profiled(after):
+    """Every pipeline built inside gets a :class:`StageProfiler` before its
+    pass number ``after`` (0: before the first); yields the list of
+    ``(pipeline, its counters when the profiler came)``."""
+    attached = []
+    original = PisaPipeline.__init__
+
+    def patched(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        run, passes = self.run, itertools.count()
+
+        def attaching(event):
+            if next(passes) == after:
+                self.stage_prof = StageProfiler(len(self.layout.stages))
+                attached.append((self, self.counters()))
+            return run(event)
+
+        self.run = attaching
+
+    PisaPipeline.__init__ = patched
+    try:
+        yield attached
+    finally:
+        PisaPipeline.__init__ = original
+
+
+def assert_profiled_agree(observe, after=3):
+    """``observe()`` (passes, digests, ...) is the same run with a stage
+    profiler from the start or from pass ``after`` on, and each profiler's
+    rows sum to what its pipeline counted after it came."""
+    plain = observe()
+    for start in (0, after):
+        with stage_profiled(start) as attached:
+            assert observe() == plain, f"profiled from pass {start}"
+        assert attached or start, "no pipeline ran"
+        for pipeline, before in attached:
+            rows, counters = pipeline.stage_prof.rows(), pipeline.counters()
+            assert sum(row["events"] for row in rows) == \
+                counters["stages_traversed"] - before["stages_traversed"]
+            assert sum(row["tables_executed"] for row in rows) == \
+                counters["tables_executed"] - before["tables_executed"]
+
+
+@pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
+def test_golden_counts_hold_under_a_stage_profiler_on_every_app(key):
+    checked = check_program(ALL_APPLICATIONS[key].source, name=key)
+
+    def observe():
+        with recorded_passes() as records:
+            observed = run_engine(checked, "pisa", build_events(checked), nswitches=2)
+        return summarise(records), observed
+
+    assert_profiled_agree(observe)
+
+
+@pytest.mark.parametrize("case", sorted(os.listdir(HERE / "regressions")))
+def test_golden_counts_hold_under_a_stage_profiler_on_regressions(case):
+    assert_profiled_agree(lambda: pass_summary_for_case(HERE / "regressions" / case), after=1)
+
+
+@pytest.mark.parametrize("name", ["sfw-install-latency", "sro-replicated-writes",
+                                  "dfw-ring-roaming"])
+def test_golden_counts_hold_under_a_stage_profiler_on_scenarios(name):
+    assert_profiled_agree(lambda: pass_summary_for_scenario(name, 600, 1), after=100)
+
+
+WIDE = (
+    "global hits = new Array<<32>>(4);\nevent pkt(int x, int y);\n"
+    "handle pkt(int x, int y) {\n  int acc = y;\n"
+    + "".join(f"  if (x > {i}) {{ acc = acc + {i + 1}; }}\n" for i in range(70))
+    + "  Array.set(hits, 0, acc);\n}\n"
+)
+
+
+def test_golden_counts_of_a_handler_with_70_path_conditions():
+    """70 flags, so a pass's path index runs past 64 bits: the plan lowers,
+    runs, and counts what the layout says each pass runs."""
+    compiled = compile_checked(check_program(WIDE, name="wide"))
+    stages = [[table for table in stage.atomic_tables() if table.handler == "pkt"]
+              for stage in compiled.layout.stages]
+    plain, timed = PisaPipeline(compiled), PisaPipeline(compiled)
+    timed.stage_prof = StageProfiler(len(stages))
+    assert len(plain.plan.paths["pkt"].flag_tables) >= 64
+    expected = {"stages_traversed": 0, "max_stages_traversed": 0, "tables_executed": 0}
+    for x in (0, 1, 35, 63, 64, 65, 69, 70, 2**31, 66, 64):
+        # every condition is ``x > i``: which tables run is known up front
+        ran = [sum(all(cond.op.value == ">" and x > cond.rhs.value
+                       for cond in table.path_conditions) for table in tables)
+               for tables in stages]
+        expected["stages_traversed"] += sum(map(bool, ran))
+        expected["max_stages_traversed"] = max(expected["max_stages_traversed"],
+                                               sum(map(bool, ran)))
+        expected["tables_executed"] += sum(ran)
+        for pipeline in (plain, timed):
+            pipeline.run(EventInstance("pkt", (x, 7)))
+            assert pipeline.counters() == expected
+            assert pipeline.array("hits").snapshot()[0] == 7 + sum(range(1, min(x, 70) + 1))
+    rows = timed.stage_prof.rows()
+    assert sum(row["events"] for row in rows) == expected["stages_traversed"]
+    assert sum(row["tables_executed"] for row in rows) == expected["tables_executed"]
+    assert len(plain.path_counts["pkt"]) == 9     # x = 70 and 2**31 take one path
+
+
+@pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
+def test_effect_free_plan_handlers_return_the_shared_empty_result(key):
+    checked = check_program(ALL_APPLICATIONS[key].source, name=key)
+    codegen = codegen_module(checked).handler_sources
+    plan = lower_layout(compile_checked(checked)).handler_sources
+    empty = {name for name, text in codegen.items() if "return _EMPTY_R\n" in text}
+    assert empty and empty == {name for name, text in plan.items() if "return _EMPTY_R\n" in text}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.service.server import (
     run_scenario_interrupted,
     soak_compare,
 )
-from repro.service.source import ReplayableSource
+from repro.service.source import CHUNK, ReplayableSource
 import repro.service.telemetry as telemetry_module
 from repro.service.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryEmitter
 
@@ -365,6 +365,25 @@ def test_replayable_source_refuses_time_going_backwards():
         next(src)
     with pytest.raises(SimulationError, match="backwards"):
         ReplayableSource(items).skip(4)
+
+
+def test_a_backwards_item_in_a_later_pull_fails_after_every_earlier_item():
+    """The counters are kept per pull; the time-order check still names the
+    first backwards item, once every item before it has been delivered."""
+    at = CHUNK + 5
+    items = [(i * 10, CONTROL if i % 7 == 0 else 0, EventInstance("pkt", (i, 0)))
+             for i in range(CHUNK + 20)]
+    items[at] = (items[at - 1][0] - 1, 0, EventInstance("pkt", (at, 0)))
+    src = ReplayableSource(items)
+    assert [next(src) for _ in range(at)] == items[:at]
+    assert src.cursor() == {"consumed": at, "injected": at - len(range(0, at, 7)),
+                            "last_ns": items[at - 1][0]}
+    with pytest.raises(SimulationError, match=rf"item {at} is at {items[at][0]} ns, "
+                                              rf"after an item at {items[at - 1][0]} ns"):
+        next(src)
+    assert src.consumed == at and src.last_ns == items[at - 1][0]
+    with pytest.raises(SimulationError, match=rf"item {at} is at"):
+        list(src)
 
 
 # ---------------------------------------------------------------------------
